@@ -1,4 +1,4 @@
-// Ablation study of the design choices DESIGN.md calls out:
+// Ablation study of three rFaaS design choices:
 //   1. Leases vs centralized routing: what each warm/hot invocation would
 //      cost if it still traversed the resource manager's control plane.
 //   2. Busy polling vs blocking wait, on both the executor and the client.

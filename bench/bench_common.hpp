@@ -97,7 +97,7 @@ inline sim::Task<LatencyStats> measure_invocations(rfaas::Invoker& invoker,
 inline void banner(const char* figure, const char* description) {
   std::printf("============================================================\n");
   std::printf("%s — %s\n", figure, description);
-  std::printf("(deterministic virtual-time simulation; see DESIGN.md)\n");
+  std::printf("(deterministic virtual-time simulation; see docs/BENCHMARKS.md)\n");
   std::printf("============================================================\n\n");
 }
 

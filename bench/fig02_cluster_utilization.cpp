@@ -3,7 +3,7 @@
 // (a) The paper's measurement: Piz Daint-style supercomputer utilization
 //     over one week at a one-minute sampling interval — idle CPU rate and
 //     free memory rate from the batch-scheduler substrate (FCFS + EASY
-//     backfill over a synthetic job mix); see DESIGN.md.
+//     backfill over a synthetic job mix).
 //
 // (b) The rFaaS answer to that idle capacity: a spot-executor fleet
 //     driven through the rfs::cluster harness, comparing the lease

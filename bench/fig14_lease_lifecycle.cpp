@@ -20,6 +20,8 @@
 //
 //  (c) Locality hit rate — LocalityFirst (rack-affine shards, rack-local
 //      placement first) vs. PowerOfTwoChoices on a racked fleet.
+#include <optional>
+
 #include "bench_common.hpp"
 #include "rfaas/sharded_manager.hpp"
 
@@ -51,9 +53,22 @@ rfaas::ReleaseResourcesMsg release_for(const rfaas::LeaseGrantMsg& grant) {
   return rel;
 }
 
+/// Next reply on a raw control stream, skipping the ReleaseOk acks of
+/// earlier releases (the client sends one request at a time, so the
+/// first other message answers it).
+sim::Task<std::optional<Bytes>> next_reply(const std::shared_ptr<net::TcpStream>& stream) {
+  while (true) {
+    auto raw = co_await stream->recv();
+    if (!raw.has_value()) co_return raw;
+    auto type = rfaas::peek_type(*raw);
+    if (!type.ok() || type.value() != rfaas::MsgType::ReleaseOk) co_return raw;
+  }
+}
+
 /// One client acquiring `target` bundles of kWorkersPerAcq workers each,
 /// serially (one LeaseRequest per partial grant) or batched (one
-/// BatchAllocate per remainder), holding briefly, then releasing.
+/// BatchAllocate per remainder), holding briefly, then releasing. Every
+/// message carries its own request id: the manager refuses id 0.
 sim::Task<void> acquisition_client(cluster::Harness* h, std::size_t client, bool batched,
                                    unsigned target, Time deadline,
                                    std::shared_ptr<AcqStats> out) {
@@ -62,6 +77,7 @@ sim::Task<void> acquisition_client(cluster::Harness* h, std::size_t client, bool
   if (!conn.ok()) co_return;
   auto stream = conn.value();
   Rng rng(991 + client);
+  std::uint64_t request_id = 0;
 
   for (unsigned a = 0; a < target && h->engine().now() < deadline; ++a) {
     std::vector<rfaas::LeaseGrantMsg> grants;
@@ -75,8 +91,9 @@ sim::Task<void> acquisition_client(cluster::Harness* h, std::size_t client, bool
         req.memory_bytes = kMemoryPerWorker;
         req.timeout = 60_s;
         req.mode = static_cast<std::uint8_t>(rfaas::BatchMode::BestEffort);
+        req.request_id = ++request_id;
         stream->send(rfaas::encode(req));
-        auto raw = co_await stream->recv();
+        auto raw = co_await next_reply(stream);
         if (!raw.has_value()) co_return;
         ++out->round_trips;
         auto reply = rfaas::decode_batch_granted(*raw);
@@ -94,8 +111,9 @@ sim::Task<void> acquisition_client(cluster::Harness* h, std::size_t client, bool
         req.workers = remaining;
         req.memory_bytes = kMemoryPerWorker;
         req.timeout = 60_s;
+        req.request_id = ++request_id;
         stream->send(rfaas::encode(req));
-        auto raw = co_await stream->recv();
+        auto raw = co_await next_reply(stream);
         if (!raw.has_value()) co_return;
         ++out->round_trips;
         auto grant = rfaas::decode_lease_grant(*raw);
@@ -113,7 +131,11 @@ sim::Task<void> acquisition_client(cluster::Harness* h, std::size_t client, bool
     ++out->acquisitions;
 
     co_await sim::delay(rng.uniform_int(2_ms, 6_ms));  // hold
-    for (const auto& g : grants) stream->send(rfaas::encode(release_for(g)));
+    for (const auto& g : grants) {
+      auto rel = release_for(g);
+      rel.request_id = ++request_id;
+      stream->send(rfaas::encode(rel));
+    }
     co_await sim::delay(rng.uniform_int(1_ms, 4_ms));  // think
   }
   stream->close();

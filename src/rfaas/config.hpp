@@ -1,6 +1,6 @@
 // rFaaS platform configuration: calibration constants for invocation
 // overheads, sandbox models and billing rates. Defaults reproduce the
-// paper's measured values (Sec. V-A, Fig. 9, Sec. IV-C); see DESIGN.md §5.
+// paper's measured values (Sec. V-A, Fig. 9, Sec. IV-C).
 #pragma once
 
 #include <cstdint>

@@ -406,7 +406,7 @@ void ExecutorManager::stop(bool crash) {
     host_.release_memory(sb->memory_bytes);
     graveyard_.push_back(std::move(sb));
   }
-  if (rm_stream_) rm_stream_->close();
+  if (rm_session_) rm_session_->stream()->close();
   (void)crash;  // a graceful stop and a crash differ only in notifications,
                 // which stop sending either way once alive_ is false
 }
@@ -658,27 +658,23 @@ sim::Task<void> ExecutorManager::teardown_sandbox(Sandbox& sb, bool notify_rm) {
   sb.billed_until = engine_.now();
   co_await flush_billing();
 
-  if (notify_rm && rm_stream_ != nullptr && !rm_stream_->closed()) {
+  if (notify_rm && rm_session_ != nullptr && !rm_session_->closed()) {
     // "When users terminate the allocation before the lease expires,
     // executors notify the manager to include their resources in future
-    // allocations" (Sec. III-B). Through the session the release
-    // retransmits until the manager acks it (detached: teardown latency
-    // must not absorb retransmission timeouts); without a session a lost
-    // release is reclaimed by the manager's expiry sweep.
+    // allocations" (Sec. III-B). The release retransmits until the
+    // manager acks it (detached: teardown latency must not absorb
+    // retransmission timeouts); one that never lands is reclaimed by the
+    // manager's expiry sweep.
     ReleaseResourcesMsg msg;
     msg.lease_id = sb.lease_id;
     msg.workers = static_cast<std::uint32_t>(sb.workers.size());
     msg.memory_bytes = sb.memory_bytes;
-    if (rm_session_ != nullptr && !rm_session_->closed()) {
-      auto release = [](std::shared_ptr<Session> session,
-                        ReleaseResourcesMsg rel) -> sim::Task<void> {
-        rel.request_id = session->next_request_id();
-        (void)co_await session->call(encode(rel), rel.request_id);
-      };
-      sim::spawn(engine_, release(rm_session_, msg));
-    } else {
-      rm_stream_->send(encode(msg));
-    }
+    auto release = [](std::shared_ptr<Session> session,
+                      ReleaseResourcesMsg rel) -> sim::Task<void> {
+      rel.request_id = session->next_request_id();
+      (void)co_await session->call(encode(rel), rel.request_id);
+    };
+    sim::spawn(engine_, release(rm_session_, msg));
   }
 
   auto it = sandboxes_.find(sb.id);
@@ -909,14 +905,13 @@ sim::Task<bool> ExecutorManager::register_session(fabric::DeviceId rm_device,
     log::warn("executor", "cannot reach resource manager: ", stream.error().message);
     co_return false;
   }
-  rm_stream_ = stream.value();
   // Registration runs through a retransmitting session: a dropped
   // RegisterExecutor or RegisterOk no longer strands the executor
   // outside the fleet. The epoch stamps this registration attempt so the
   // manager can fence retransmissions from a superseded session.
   SessionOptions session_options;
   session_options.epoch = static_cast<std::uint32_t>(++registration_epoch_);
-  rm_session_ = std::make_shared<Session>(engine_, rm_stream_, session_options);
+  rm_session_ = std::make_shared<Session>(engine_, stream.value(), session_options);
 
   RegisterExecutorMsg reg;
   reg.device = device_.id();

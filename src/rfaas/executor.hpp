@@ -331,8 +331,7 @@ class ExecutorManager {
   // (wait_send_polling_many) must not drain CQEs a concurrent flush
   // posted, so concurrent flushes take turns on the shared billing QP.
   sim::Mutex billing_flush_gate_;
-  std::shared_ptr<net::TcpStream> rm_stream_;
-  /// Hardened session over rm_stream_: registration and teardown releases
+  /// Session to the resource manager: registration and teardown releases
   /// retransmit under loss, and duplicated eviction pushes are filtered
   /// before they can reclaim a sandbox twice.
   std::shared_ptr<Session> rm_session_;

@@ -33,28 +33,8 @@ LeaseSet::~LeaseSet() {
   state_->chain_extended_fn = nullptr;
 }
 
-void LeaseSet::bind(std::shared_ptr<net::TcpStream> rm_stream,
-                    std::shared_ptr<sim::Mutex> request_mutex) {
-  state_->stream = std::move(rm_stream);
-  state_->request_mutex = std::move(request_mutex);
-}
-
 void LeaseSet::bind(std::shared_ptr<Session> rm_session) {
   state_->session = std::move(rm_session);
-  // The session owns its stream's recv side; keep the bare-stream fields
-  // in sync so availability checks see the same transport.
-  state_->stream = state_->session->stream();
-  state_->request_mutex = nullptr;
-}
-
-void LeaseSet::subscribe(std::shared_ptr<net::TcpStream> notify_stream,
-                         std::uint32_t client_id) {
-  state_->client_id = client_id;
-  state_->healing_enabled = true;
-  SubscribeEventsMsg msg;
-  msg.client_id = client_id;
-  notify_stream->send(encode(msg));
-  sim::spawn(*state_->engine, notify_loop(state_, std::move(notify_stream)));
 }
 
 void LeaseSet::subscribe(std::shared_ptr<Session> notify_session, std::uint32_t client_id) {
@@ -66,7 +46,7 @@ void LeaseSet::subscribe(std::shared_ptr<Session> notify_session, std::uint32_t 
   // duplicated or lost subscribe needs no request/reply discipline; a
   // lost one is resent by the next allocate() on a fresh stream.
   notify_session->send_raw(encode(msg));
-  sim::spawn(*state_->engine, notify_loop_session(state_, std::move(notify_session)));
+  sim::spawn(*state_->engine, push_loop(state_, std::move(notify_session)));
 }
 
 void LeaseSet::configure(LeaseSetOptions options) {
@@ -111,8 +91,7 @@ std::uint64_t LeaseSet::abandon(std::uint64_t origin) {
   const std::uint64_t current = resolve(origin);
   if (state_->healing.count(origin) > 0) state_->canceled.insert(origin);
   // Secondary chain leases (partial heals) are released here directly:
-  // the caller only learns the primary id, and ReleaseResources is
-  // fire-and-forget so this needs no request/response slot.
+  // the caller only learns the primary id.
   for (auto it = state_->leases.begin(); it != state_->leases.end();) {
     if (it->second.origin != origin || it->first == current) {
       ++it;
@@ -131,10 +110,7 @@ std::uint64_t LeaseSet::abandon(std::uint64_t origin) {
 }
 
 void LeaseSet::start() {
-  if (state_->session == nullptr &&
-      (state_->stream == nullptr || state_->request_mutex == nullptr)) {
-    return;
-  }
+  if (state_->session == nullptr) return;
   // Re-arm healing after a stop()/start() cycle (subscribe() set it the
   // first time; the notification listener itself survives stop()).
   if (state_->options.self_heal) state_->healing_enabled = true;
@@ -211,10 +187,7 @@ void LeaseSet::maybe_heal(const std::shared_ptr<State>& state, std::uint64_t old
                           const Tracked& lost) {
   if (!state->options.self_heal || !state->healing_enabled) return;
   if (lost.workers == 0) return;  // shape unknown: nothing to re-request
-  const bool session_ok = state->session != nullptr && !state->session->closed();
-  const bool stream_ok = state->stream != nullptr && !state->stream->closed() &&
-                         state->request_mutex != nullptr;
-  if (!session_ok && !stream_ok) return;
+  if (!connected(*state)) return;
   // A lost lease is erased from the table before this runs, so the same
   // loss never heals twice; losses of different chain members (partial
   // heals) may overlap, hence a per-origin count rather than a set.
@@ -279,43 +252,26 @@ void LeaseSet::handle_notification(const std::shared_ptr<State>& state, const By
                     term.value().evicted_at, heal);
 }
 
-sim::Task<void> LeaseSet::notify_loop(std::shared_ptr<State> state,
-                                      std::shared_ptr<net::TcpStream> stream) {
+sim::Task<void> LeaseSet::push_loop(std::shared_ptr<State> state,
+                                    std::shared_ptr<Session> session) {
+  // The session pump already filtered duplicated deliveries (by push
+  // seq), so every message seen here is a first delivery.
   while (true) {
-    auto raw = co_await stream->recv();
+    auto raw = co_await session->next_push();
     if (!raw.has_value()) co_return;  // unsubscribed / manager gone
     handle_notification(state, *raw);
   }
 }
 
-sim::Task<void> LeaseSet::notify_loop_session(std::shared_ptr<State> state,
-                                              std::shared_ptr<Session> session) {
-  // The session pump already filtered duplicated deliveries (by push
-  // seq), so every message seen here is a first delivery.
-  while (true) {
-    auto raw = co_await session->next_push();
-    if (!raw.has_value()) co_return;
-    handle_notification(state, *raw);
-  }
+bool LeaseSet::connected(const State& state) {
+  return state.session != nullptr && !state.session->closed();
 }
 
-sim::Task<Result<Bytes>> LeaseSet::exchange(std::shared_ptr<State> state,
-                                            std::function<Bytes(std::uint64_t)> make) {
-  if (state->session != nullptr) {
-    if (state->session->closed()) co_return Error::make(40, "manager session closed");
-    const std::uint64_t id = state->session->next_request_id();
-    co_return co_await state->session->call(make(id), id);
-  }
-  if (state->stream == nullptr || state->stream->closed() ||
-      state->request_mutex == nullptr) {
-    co_return Error::make(40, "manager stream closed");
-  }
-  co_await state->request_mutex->lock();
-  state->stream->send(make(0));
-  auto raw = co_await state->stream->recv();
-  state->request_mutex->unlock();
-  if (!raw.has_value()) co_return Error::make(40, "manager disconnected");
-  co_return *raw;
+template <typename Msg>
+sim::Task<Result<Bytes>> LeaseSet::exchange(std::shared_ptr<State> state, Msg msg) {
+  if (!connected(*state)) co_return Error::make(40, "manager session closed");
+  msg.request_id = state->session->next_request_id();
+  co_return co_await state->session->call(encode(msg), msg.request_id);
 }
 
 sim::Task<void> LeaseSet::revalidate_all(std::shared_ptr<State> state) {
@@ -324,16 +280,12 @@ sim::Task<void> LeaseSet::revalidate_all(std::shared_ptr<State> state) {
   std::vector<std::uint64_t> ids;
   ids.reserve(state->leases.size());
   for (const auto& [id, tracked] : state->leases) ids.push_back(id);
-  const std::uint32_t client = state->client_id;
   for (const auto id : ids) {
     if (state->leases.find(id) == state->leases.end()) continue;  // lost meanwhile
-    auto reply = co_await exchange(state, [id, client](std::uint64_t request_id) {
-      LeaseRevalidateMsg msg;
-      msg.client_id = client;
-      msg.lease_id = id;
-      msg.request_id = request_id;
-      return encode(msg);
-    });
+    LeaseRevalidateMsg msg;
+    msg.client_id = state->client_id;
+    msg.lease_id = id;
+    auto reply = co_await exchange(state, msg);
     // Manager unreachable: leave the remaining leases tracked; the next
     // reconnect (or the announce on its notification stream) re-runs the
     // whole pass.
@@ -367,8 +319,7 @@ sim::Task<void> LeaseSet::revalidate_all(std::shared_ptr<State> state) {
   state->wake.set();
 }
 
-sim::Task<void> LeaseSet::release_via_session(std::shared_ptr<Session> session,
-                                              ReleaseResourcesMsg rel) {
+sim::Task<void> LeaseSet::release(std::shared_ptr<Session> session, ReleaseResourcesMsg rel) {
   rel.request_id = session->next_request_id();
   // The call retransmits until the ReleaseOk ack lands (or the budget
   // runs out, in which case the manager's expiry sweep reclaims it).
@@ -376,15 +327,7 @@ sim::Task<void> LeaseSet::release_via_session(std::shared_ptr<Session> session,
 }
 
 void LeaseSet::send_release(const std::shared_ptr<State>& state, ReleaseResourcesMsg rel) {
-  if (state->session != nullptr) {
-    if (!state->session->closed()) {
-      sim::spawn(*state->engine, release_via_session(state->session, rel));
-    }
-    return;
-  }
-  if (state->stream != nullptr && !state->stream->closed()) {
-    state->stream->send(encode(rel));
-  }
+  if (connected(*state)) sim::spawn(*state->engine, release(state->session, rel));
 }
 
 sim::Task<void> LeaseSet::heal(std::shared_ptr<State> state, std::uint64_t old_id,
@@ -402,20 +345,14 @@ sim::Task<void> LeaseSet::heal(std::shared_ptr<State> state, std::uint64_t old_i
       canceled = true;
       break;
     }
-    if (state->session != nullptr ? state->session->closed()
-                                  : (state->stream == nullptr || state->stream->closed())) {
-      break;
-    }
+    if (!connected(*state)) break;
 
     LeaseRequestMsg req;
     req.client_id = state->client_id;
     req.workers = remaining;
     req.memory_bytes = lost.memory_per_worker;
     req.timeout = lost.original_timeout;
-    auto raw = co_await exchange(state, [&req](std::uint64_t id) {
-      req.request_id = id;
-      return encode(req);
-    });
+    auto raw = co_await exchange(state, req);
     if (!raw.ok()) break;  // manager unreachable (disconnect / budget out)
 
     auto grant = decode_lease_grant(raw.value());
@@ -579,12 +516,7 @@ sim::Task<void> LeaseSet::renew_loop(std::shared_ptr<State> state, std::uint64_t
       }
       const Duration extension = state->options.extension != 0 ? state->options.extension
                                                                : it->second.original_timeout;
-      const bool transport_up =
-          state->session != nullptr
-              ? !state->session->closed()
-              : (state->stream != nullptr && !state->stream->closed() &&
-                 state->request_mutex != nullptr);
-      if (!transport_up) {
+      if (!connected(*state)) {
         ++state->renewal_failures;
         if (state->renewal_failed_fn) state->renewal_failed_fn(id, "manager stream closed");
         failed = true;
@@ -594,10 +526,7 @@ sim::Task<void> LeaseSet::renew_loop(std::shared_ptr<State> state, std::uint64_t
       ExtendLeaseMsg msg;
       msg.lease_id = id;
       msg.extension = extension;
-      auto raw = co_await exchange(state, [&msg](std::uint64_t request_id) {
-        msg.request_id = request_id;
-        return encode(msg);
-      });
+      auto raw = co_await exchange(state, msg);
       if (!active()) co_return;  // stopped mid-flight: shutdown, not a failure
 
       it = state->leases.find(id);  // may have been untracked while waiting
@@ -648,7 +577,6 @@ Invoker::Invoker(sim::Engine& engine, fabric::Fabric& fabric, net::TcpNetwork& t
       rm_port_(rm_port),
       client_id_(client_id),
       pd_(device.alloc_pd()),
-      rm_mutex_(std::make_shared<sim::Mutex>()),
       lease_set_(std::make_unique<LeaseSet>(engine)),
       slots_(std::make_unique<sim::Semaphore>(0)),
       slot_sem_(std::make_unique<sim::Semaphore>(0)) {}
@@ -658,10 +586,9 @@ Invoker::~Invoker() = default;
 sim::Task<Status> Invoker::reconnect() {
   auto stream = co_await tcp_.connect(device_.id(), rm_device_, rm_port_);
   if (!stream.ok()) co_return stream.error();
-  rm_stream_ = stream.value();
   SessionOptions session_options;
   session_options.epoch = ++rm_epoch_;
-  rm_session_ = std::make_shared<Session>(engine_, rm_stream_, session_options);
+  rm_session_ = std::make_shared<Session>(engine_, stream.value(), session_options);
   lease_set_->bind(rm_session_);
   if (notify_session_ != nullptr) {
     // The old push channel died with the manager: re-subscribe on a
@@ -669,8 +596,7 @@ sim::Task<Status> Invoker::reconnect() {
     // FailoverAnnounce, which re-triggers revalidation on its own.
     auto notify = co_await tcp_.connect(device_.id(), rm_device_, rm_port_);
     if (!notify.ok()) co_return notify.error();
-    notify_stream_ = notify.value();
-    notify_session_ = std::make_shared<Session>(engine_, notify_stream_);
+    notify_session_ = std::make_shared<Session>(engine_, notify.value());
     lease_set_->subscribe(notify_session_, client_id_);
   }
   lease_set_->revalidate();
@@ -686,13 +612,12 @@ sim::Task<Status> Invoker::allocate(const AllocationSpec& spec) {
   // under loss. A reconnect mints a fresh session epoch, fencing replies
   // addressed to the dead session's id space.
   Time t0 = engine_.now();
-  if (rm_stream_ == nullptr || rm_stream_->closed()) {
+  if (rm_session_ == nullptr || rm_session_->closed()) {
     auto stream = co_await tcp_.connect(device_.id(), rm_device_, rm_port_);
     if (!stream.ok()) co_return stream.error();
-    rm_stream_ = stream.value();
     SessionOptions session_options;
     session_options.epoch = ++rm_epoch_;
-    rm_session_ = std::make_shared<Session>(engine_, rm_stream_, session_options);
+    rm_session_ = std::make_shared<Session>(engine_, stream.value(), session_options);
   }
   cold_start_.connect_manager = engine_.now() - t0;
 
@@ -740,13 +665,12 @@ sim::Task<Status> Invoker::allocate(const AllocationSpec& spec) {
                                                    const LeaseGrantMsg& grant) {
       redeploy_grant(old_id, grant, /*erase_old=*/false);
     });
-    if (notify_stream_ == nullptr || notify_stream_->closed()) {
+    if (notify_session_ == nullptr || notify_session_->closed()) {
       // One listener per connection: subscribe() spawns the notify
       // actor, so only a fresh stream gets subscribed.
       auto notify = co_await tcp_.connect(device_.id(), rm_device_, rm_port_);
       if (!notify.ok()) co_return notify.error();
-      notify_stream_ = notify.value();
-      notify_session_ = std::make_shared<Session>(engine_, notify_stream_);
+      notify_session_ = std::make_shared<Session>(engine_, notify.value());
       lease_set_->subscribe(notify_session_, client_id_);
     }
   }
@@ -1004,78 +928,101 @@ sim::Task<InvocationResult> Invoker::invoke_pooled(std::uint16_t fn_index,
 
   const std::size_t n = std::min<std::size_t>(payload.size(), slot.in.payload_bytes());
   if (n > 0) std::memcpy(slot.in.data(), payload.data(), n);
+  const Frame frame = frame_of(slot.in, n, slot.out);
+  result = co_await invoke_frame(fn_index, frame);
 
-  if (config_.fault_tolerance.enabled()) {
-    // Fault-tolerant path: per-attempt deadlines, budgeted retries,
-    // optional hedging. Same pooled slot, same zero-allocation frame.
-    result = co_await invoke_pooled_reliable(fn_index, slot_idx, n);
-  } else {
-    // Redirect loop, like submit(): rejected warm invocations move to
-    // the next free worker.
-    const std::size_t max_attempts = workers_.empty() ? 1 : 2 * workers_.size();
-    for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-      co_await slots_->acquire();
-      const std::size_t widx = free_workers_.front();
-      free_workers_.pop_front();
-
-      result = co_await invoke_pooled_on(widx, fn_index, slot, n);
-
-      free_workers_.push_back(widx);
-      slots_->release();
-
-      if (result.ok) break;
-      if (result.rejected) ++rejections_;
-      co_await sim::delay(2_us);
-    }
-  }
   free_slots_.push_back(slot_idx);
   slot_sem_->release();
   result.submitted_at = submitted;
   co_return result;
 }
 
-sim::Task<InvocationResult> Invoker::invoke_pooled_on(std::size_t worker,
-                                                      std::uint16_t fn_index,
-                                                      InvocationSlot& slot,
-                                                      std::size_t payload_bytes,
-                                                      std::uint64_t tag, Time deadline) {
+sim::Future<InvocationResult> Invoker::submit_frame(std::uint16_t fn_index, Frame frame) {
+  sim::Promise<InvocationResult> promise;
+  auto future = promise.get_future();
+  auto run = [](Invoker* self, std::uint16_t fn, Frame f,
+                sim::Promise<InvocationResult> done) -> sim::Task<void> {
+    // Client-observed latency includes queueing for a free worker and
+    // any redirects or retries, so the timestamp is the submission's.
+    const Time submitted = self->engine_.now();
+    InvocationResult result = co_await self->invoke_frame(fn, f);
+    result.submitted_at = submitted;
+    done.set_value(result);
+  };
+  sim::spawn(engine_, run(this, fn_index, frame, std::move(promise)));
+  return future;
+}
+
+sim::Task<InvocationResult> Invoker::invoke_frame(std::uint16_t fn_index, const Frame& frame) {
+  if (config_.fault_tolerance.enabled()) co_return co_await invoke_reliable(fn_index, frame);
+  // Redirect loop: a rejected warm invocation is re-sent to the next free
+  // worker; RDMA-speed rejections make this cheap (Sec. III-D). A dead
+  // connection (lease terminated, sandbox reclaimed) fails the same way;
+  // self-healed allocations appended fresh workers, so the rotation
+  // reaches a live one.
+  InvocationResult result;
+  const std::size_t max_attempts = workers_.empty() ? 1 : 2 * workers_.size();
+  for (std::size_t n = 0; n < max_attempts; ++n) {
+    co_await slots_->acquire();
+    const std::size_t widx = free_workers_.front();
+    free_workers_.pop_front();
+    result = co_await attempt(widx, fn_index, frame);
+    release_worker(widx);
+    if (result.ok) {
+      result.attempts = static_cast<std::uint32_t>(n + 1);
+      break;
+    }
+    if (result.rejected) ++rejections_;
+    co_await sim::delay(2_us);
+  }
+  co_return result;
+}
+
+sim::Task<InvocationResult> Invoker::attempt(std::size_t worker, std::uint16_t fn_index,
+                                             const Frame& frame, std::uint64_t tag,
+                                             Time deadline) {
   InvocationResult result;
   result.submitted_at = engine_.now();
   WorkerRef& w = workers_[worker];
   if (w.conn == nullptr || !w.conn->alive()) {
     result.completed_at = engine_.now();
-    co_return result;
+    co_return result;  // ok=false: executor is gone (lease terminated?)
   }
 
   const std::uint32_t invocation_id = next_invocation_++ & 0x7FFFFu;
 
-  // Frame fast path: pack the header straight into the slot's registered
-  // region — no staging buffer, no allocation. The fault-tolerant path
-  // adds the idempotent tag, the per-attempt deadline and (optionally)
-  // a request checksum; all land in the same 32 B header.
+  // Pack the header straight into the frame's registered region — no
+  // staging buffer, no allocation: where the executor writes the result,
+  // plus (FT on) the idempotent tag, the per-attempt deadline and
+  // optionally a request checksum, all in the same 32 B header.
+  const std::uint8_t* payload = frame.in + InvocationHeader::kSize;
   InvocationHeader header;
-  header.result_addr = reinterpret_cast<std::uint64_t>(slot.out.raw());
-  header.result_rkey = slot.out.mr() != nullptr ? slot.out.mr()->rkey() : 0;
+  header.result_addr = reinterpret_cast<std::uint64_t>(frame.out);
+  header.result_rkey = frame.out_rkey;
   header.invocation_tag = tag;
   header.deadline = deadline;
   header.checksum = tag != 0 && config_.fault_tolerance.checksum
-                        ? payload_checksum(slot.in.data(), payload_bytes)
+                        ? payload_checksum(payload, frame.payload_bytes())
                         : 0;
-  (void)encode_into(header, slot.in.raw(), InvocationHeader::kSize);
+  (void)encode_into(header, frame.in, InvocationHeader::kSize);
 
+  // Post the receive for the result notification first.
   (void)w.conn->post_recv_empty(invocation_id);
 
-  // Header + payload leave as one contiguous span of the slot; the fabric
-  // forwards single-SGE non-inline payloads by reference (zero-copy).
-  const fabric::Sge sge = slot.in.sge_with_header(payload_bytes);
-  const bool inline_ok = sge.length <= fabric_.model().max_inline;
-  auto st = w.conn->post_write_imm(sge, w.remote_buf, Imm::invocation(fn_index, invocation_id),
-                                   invocation_id, inline_ok);
+  // Header + payload leave as one contiguous span; the fabric forwards
+  // single-SGE non-inline payloads by reference (zero-copy). Inlining is
+  // possible only when header + payload fit the ceiling — the header is
+  // why rFaaS loses inlining earlier than raw RDMA (Fig. 8).
+  const bool inline_ok = frame.sge.length <= fabric_.model().max_inline;
+  auto st = w.conn->post_write_imm(frame.sge, w.remote_buf,
+                                   Imm::invocation(fn_index, invocation_id), invocation_id,
+                                   inline_ok);
   if (!st.ok()) {
     result.completed_at = engine_.now();
     co_return result;
   }
 
+  // Drain our own send completion (error => connection died).
   auto send_wc = polling_client_ ? co_await w.conn->wait_send_polling()
                                  : co_await w.conn->wait_send_blocking();
   if (send_wc.status != fabric::WcStatus::Success) {
@@ -1122,7 +1069,7 @@ sim::Task<InvocationResult> Invoker::invoke_pooled_on(std::size_t worker,
   result.ok = !resp.rejected;
   result.output_bytes = resp.output_bytes;
   if (result.ok && resp.checksum12 != 0 &&
-      fold12(payload_checksum(slot.out.raw(), resp.output_bytes)) != resp.checksum12) {
+      fold12(payload_checksum(frame.out, resp.output_bytes)) != resp.checksum12) {
     // The responder checksummed its output and the landed bytes do not
     // match: response corrupted in flight. Surfaced for a same-worker
     // retry — the executor's dedup table replays a clean copy.
@@ -1246,16 +1193,14 @@ sim::Task<void> Invoker::send_health_report(std::shared_ptr<Session> session,
   (void)co_await session->call(encode(msg), msg.request_id);
 }
 
-sim::Task<InvocationResult> Invoker::invoke_pooled_reliable(std::uint16_t fn_index,
-                                                            std::size_t slot_idx,
-                                                            std::size_t payload_bytes) {
+sim::Task<InvocationResult> Invoker::invoke_reliable(std::uint16_t fn_index, const Frame& frame) {
   const FaultToleranceConfig& ft = config_.fault_tolerance;
   constexpr std::size_t kNoWorker = static_cast<std::size_t>(-1);
   InvocationResult result;
   const std::uint64_t tag = mint_tag();
   std::size_t widx = kNoWorker;  // owned worker carried across attempts
 
-  for (std::uint32_t attempt = 0; attempt <= ft.retry_budget; ++attempt) {
+  for (std::uint32_t n = 0; n <= ft.retry_budget; ++n) {
     if (widx == kNoWorker) {
       co_await slots_->acquire();
       widx = pick_worker();
@@ -1265,12 +1210,11 @@ sim::Task<InvocationResult> Invoker::invoke_pooled_reliable(std::uint16_t fn_ind
     // retry and drop it — the deterministic no-double-execution pact.
     const Time deadline = engine_.now() + ft.invocation_deadline;
 
-    if (attempt == 0 && ft.hedging) {
-      result = co_await run_hedged(widx, fn_index, slot_idx, payload_bytes, tag, deadline);
+    if (n == 0 && ft.hedging) {
+      result = co_await run_hedged(widx, fn_index, frame, tag, deadline);
       widx = kNoWorker;  // run_hedged's attempts released/reaped their workers
     } else {
-      result = co_await invoke_pooled_on(widx, fn_index, *slot_pool_[slot_idx], payload_bytes,
-                                         tag, deadline);
+      result = co_await attempt(widx, fn_index, frame, tag, deadline);
       record_outcome(workers_[widx].device, result.ok,
                      result.completed_at - result.submitted_at);
       if (result.ok) {
@@ -1296,10 +1240,10 @@ sim::Task<InvocationResult> Invoker::invoke_pooled_reliable(std::uint16_t fn_ind
     }
 
     if (result.ok) {
-      result.attempts = attempt + 1;
+      result.attempts = n + 1;
       break;
     }
-    if (attempt < ft.retry_budget) ++retries_;
+    if (n < ft.retry_budget) ++retries_;
     if (result.rejected) {
       ++rejections_;
       co_await sim::delay(2_us);
@@ -1310,15 +1254,13 @@ sim::Task<InvocationResult> Invoker::invoke_pooled_reliable(std::uint16_t fn_ind
 }
 
 sim::Task<InvocationResult> Invoker::run_hedged(std::size_t widx, std::uint16_t fn_index,
-                                                std::size_t slot_idx, std::size_t payload_bytes,
-                                                std::uint64_t tag, Time deadline) {
-  auto hs = std::make_shared<Hedge>();
+                                                const Frame& frame, std::uint64_t tag,
+                                                Time deadline) {
+  auto hs = std::make_shared<Hedge>(frame);
   hs->pending = 1;
   hs->in_flight.push_back(widx);
-  sim::spawn(engine_,
-             hedge_attempt(hs, widx, fn_index, slot_idx, payload_bytes, tag, deadline, false));
-  sim::spawn(engine_, hedge_backup(hs, fn_index, slot_idx, payload_bytes, tag, deadline,
-                                   workers_[widx].device));
+  sim::spawn(engine_, hedge_attempt(hs, widx, fn_index, frame, tag, deadline, std::nullopt));
+  sim::spawn(engine_, hedge_backup(hs, fn_index, tag, deadline, workers_[widx].device));
   co_await hs->done.wait();
   // First response won; cancel every attempt still in flight on its
   // executor manager (fire-and-forget — a cancel that loses the race
@@ -1338,11 +1280,9 @@ sim::Task<InvocationResult> Invoker::run_hedged(std::size_t widx, std::uint16_t 
 }
 
 sim::Task<void> Invoker::hedge_attempt(std::shared_ptr<Hedge> hs, std::size_t widx,
-                                       std::uint16_t fn_index, std::size_t slot_idx,
-                                       std::size_t payload_bytes, std::uint64_t tag,
-                                       Time deadline, bool is_backup) {
-  InvocationResult r = co_await invoke_pooled_on(widx, fn_index, *slot_pool_[slot_idx],
-                                                 payload_bytes, tag, deadline);
+                                       std::uint16_t fn_index, Frame frame, std::uint64_t tag,
+                                       Time deadline, std::optional<std::size_t> backup_slot) {
+  InvocationResult r = co_await attempt(widx, fn_index, frame, tag, deadline);
   record_outcome(workers_[widx].device, r.ok, r.completed_at - r.submitted_at);
   if (r.timed_out) {
     ++timeouts_;
@@ -1352,9 +1292,14 @@ sim::Task<void> Invoker::hedge_attempt(std::shared_ptr<Hedge> hs, std::size_t wi
   } else {
     release_worker(widx);
   }
-  if (is_backup) {
-    // Return the staging slot the backup borrowed from the pool.
-    free_slots_.push_back(slot_idx);
+  if (backup_slot.has_value()) {
+    // A winning backup's output sits in its staging slot: move it into
+    // the caller's frame before the slot goes back to the pool.
+    if (r.ok && !hs->resolved) {
+      std::memcpy(hs->primary.out, frame.out,
+                  std::min<std::size_t>(r.output_bytes, hs->primary.out_capacity));
+    }
+    free_slots_.push_back(*backup_slot);
     slot_sem_->release();
   }
   std::erase(hs->in_flight, widx);
@@ -1362,13 +1307,12 @@ sim::Task<void> Invoker::hedge_attempt(std::shared_ptr<Hedge> hs, std::size_t wi
   if (!hs->resolved && (r.ok || hs->pending == 0)) {
     hs->resolved = true;
     hs->result = r;
-    hs->result.hedge_won = is_backup && r.ok;
+    hs->result.hedge_won = backup_slot.has_value() && r.ok;
     hs->done.pulse();
   }
 }
 
 sim::Task<void> Invoker::hedge_backup(std::shared_ptr<Hedge> hs, std::uint16_t fn_index,
-                                      std::size_t primary_slot_idx, std::size_t payload_bytes,
                                       std::uint64_t tag, Time deadline,
                                       fabric::DeviceId primary_device) {
   // Launch the backup only once the primary has outlived the expected
@@ -1383,12 +1327,17 @@ sim::Task<void> Invoker::hedge_backup(std::shared_ptr<Hedge> hs, std::uint16_t f
   if (hs->resolved) co_return;               // primary answered in time
   if (free_workers_.empty()) co_return;      // no spare worker: skip the hedge
   if (!slot_sem_->try_acquire()) co_return;  // no spare slot: skip the hedge
-  const std::size_t slot2 = free_slots_.front();
-  free_slots_.pop_front();
-  // Stage the request into the backup's own slot — the primary's slot
+  // Stage the request into a spare pool slot — the primary frame's
   // memory belongs to the write already in flight.
-  std::memcpy(slot_pool_[slot2]->in.data(), slot_pool_[primary_slot_idx]->in.data(),
-              payload_bytes);
+  const std::size_t slot2 = free_slots_.front();
+  InvocationSlot& spare = *slot_pool_[slot2];
+  const std::size_t n = hs->primary.payload_bytes();
+  if (n > spare.in.payload_bytes() || hs->primary.out_capacity > spare.out.payload_bytes()) {
+    slot_sem_->release();  // the spare cannot hold this frame: skip the hedge
+    co_return;
+  }
+  free_slots_.pop_front();
+  std::memcpy(spare.in.data(), hs->primary.in + InvocationHeader::kSize, n);
   if (!slots_->try_acquire()) {  // workers vanished since the check
     free_slots_.push_back(slot2);
     slot_sem_->release();
@@ -1398,162 +1347,8 @@ sim::Task<void> Invoker::hedge_backup(std::shared_ptr<Hedge> hs, std::uint16_t f
   ++hedges_launched_;
   ++hs->pending;
   hs->in_flight.push_back(widx2);
-  sim::spawn(engine_,
-             hedge_attempt(hs, widx2, fn_index, slot2, payload_bytes, tag, deadline, true));
-}
-
-sim::Future<InvocationResult> Invoker::submit_raw(std::uint16_t fn_index,
-                                                  std::uint8_t* header_ptr, fabric::Sge sge,
-                                                  std::uint32_t in_lkey,
-                                                  rdmalib::RemoteBuffer out) {
-  (void)in_lkey;
-  sim::Promise<InvocationResult> promise;
-  auto future = promise.get_future();
-  sim::spawn(engine_, run_submission(fn_index, header_ptr, sge, out, std::move(promise)));
-  return future;
-}
-
-sim::Task<void> Invoker::run_submission(std::uint16_t fn_index, std::uint8_t* header_ptr,
-                                        fabric::Sge sge, rdmalib::RemoteBuffer out,
-                                        sim::Promise<InvocationResult> promise) {
-  const Time submitted = engine_.now();
-  InvocationResult result;
-
-  // With fault tolerance on, every attempt carries an idempotent tag
-  // (executor-side dedup) and a per-attempt deadline — the submit path
-  // gets deadlines and retries but no hedging (it has no pooled backup
-  // slot to stage a second copy in).
-  const FaultToleranceConfig& ft = config_.fault_tolerance;
-  const std::uint64_t tag = ft.enabled() ? mint_tag() : 0;
-
-  // Redirect loop: a rejected warm invocation is re-sent to another
-  // executor; RDMA-speed rejections make this cheap (Sec. III-D).
-  const std::size_t redirect_attempts = workers_.empty() ? 1 : 2 * workers_.size();
-  const std::size_t max_attempts =
-      ft.enabled() ? std::max<std::size_t>(redirect_attempts, 1 + ft.retry_budget)
-                   : redirect_attempts;
-  for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-    co_await slots_->acquire();
-    std::size_t idx = ft.enabled() ? pick_worker() : free_workers_.front();
-    if (!ft.enabled()) free_workers_.pop_front();
-    const Time deadline = ft.enabled() ? engine_.now() + ft.invocation_deadline : 0;
-
-    result = co_await invoke_on(idx, fn_index, header_ptr, sge, out, tag, deadline);
-
-    if (ft.enabled()) {
-      record_outcome(workers_[idx].device, result.ok,
-                     result.completed_at - result.submitted_at);
-      if (result.timed_out) {
-        // The worker may still get a late completion; reap it off-path
-        // instead of returning a poisoned connection to the rotation.
-        ++timeouts_;
-        sim::spawn(engine_, reap_worker(idx));
-      } else if (workers_[idx].conn == nullptr || !workers_[idx].conn->alive()) {
-        // Dead connection: drop the worker from the rotation for good.
-      } else {
-        release_worker(idx);
-      }
-    } else {
-      free_workers_.push_back(idx);
-      slots_->release();
-    }
-
-    if (result.ok) {
-      result.attempts = static_cast<std::uint32_t>(attempt + 1);
-      break;
-    }
-    if (ft.enabled()) ++retries_;
-    if (result.rejected) ++rejections_;
-    // Rejected — or the worker's connection is dead (its lease was
-    // terminated and the sandbox reclaimed): brief backoff, then retry
-    // on the (FIFO) next worker. Self-healed allocations appended fresh
-    // workers, so the rotation reaches a live one.
-    co_await sim::delay(2_us);
-  }
-  // Client-observed latency includes queueing for a free worker and any
-  // redirects, so the submission timestamp is the original one.
-  result.submitted_at = submitted;
-  promise.set_value(result);
-}
-
-sim::Task<InvocationResult> Invoker::invoke_on(std::size_t worker, std::uint16_t fn_index,
-                                               std::uint8_t* header_ptr, fabric::Sge sge,
-                                               rdmalib::RemoteBuffer out, std::uint64_t tag,
-                                               Time deadline) {
-  InvocationResult result;
-  result.submitted_at = engine_.now();
-  WorkerRef& w = workers_[worker];
-  if (w.conn == nullptr || !w.conn->alive()) {
-    result.completed_at = engine_.now();
-    co_return result;  // ok=false: executor is gone (lease terminated?)
-  }
-
-  const std::uint32_t invocation_id = next_invocation_++ & 0x7FFFFu;
-
-  // Fill the 32-byte header: where the executor writes the result, plus
-  // the idempotent tag and per-attempt deadline when FT is on.
-  InvocationHeader header;
-  header.result_addr = out.addr;
-  header.result_rkey = out.rkey;
-  header.invocation_tag = tag;
-  header.deadline = deadline;
-  header.pack(header_ptr);
-
-  // Post the receive for the result notification first.
-  (void)w.conn->post_recv_empty(invocation_id);
-
-  // Write header + payload into the worker's buffer. Inlining is possible
-  // only when header+payload fit the ceiling — the 12 extra bytes are why
-  // rFaaS loses inlining earlier than raw RDMA (Fig. 8).
-  rdmalib::RemoteBuffer dst = w.remote_buf;
-  const bool inline_ok = sge.length <= fabric_.model().max_inline;
-  auto st = w.conn->post_write_imm(sge, dst, Imm::invocation(fn_index, invocation_id),
-                                   invocation_id, inline_ok);
-  if (!st.ok()) {
-    result.completed_at = engine_.now();
-    co_return result;
-  }
-
-  // Drain our own send completion (error => connection died).
-  auto send_wc = polling_client_ ? co_await w.conn->wait_send_polling()
-                                 : co_await w.conn->wait_send_blocking();
-  if (send_wc.status != fabric::WcStatus::Success) {
-    result.completed_at = engine_.now();
-    co_return result;
-  }
-
-  // Await the result write into our memory (deadline-bounded when the
-  // fault-tolerant path supplied one).
-  fabric::Wc wc;
-  if (deadline != 0) {
-    std::optional<fabric::Wc> maybe;
-    if (polling_client_) {
-      maybe = co_await w.conn->wait_recv_polling_until(deadline);
-    } else {
-      maybe = co_await w.conn->wait_recv_blocking_until(deadline);
-    }
-    if (!maybe.has_value()) {
-      result.timed_out = true;
-      result.completed_at = engine_.now();
-      co_return result;
-    }
-    wc = *maybe;
-  } else if (polling_client_) {
-    wc = co_await w.conn->wait_recv_polling();
-  } else {
-    wc = co_await w.conn->wait_recv_blocking();
-  }
-  co_await sim::delay(config_.client_completion);
-  result.completed_at = engine_.now();
-  if (wc.status != fabric::WcStatus::Success || !wc.has_imm) co_return result;
-  if (Imm::result_id(wc.imm) != invocation_id) {
-    log::warn("invoker", "immediate mismatch: got ", wc.imm, " expected ", invocation_id);
-    co_return result;
-  }
-  result.rejected = Imm::rejected(wc.imm);
-  result.ok = !result.rejected;
-  result.output_bytes = wc.byte_len;
-  co_return result;
+  sim::spawn(engine_, hedge_attempt(hs, widx2, fn_index, frame_of(spare.in, n, spare.out), tag,
+                                    deadline, slot2));
 }
 
 sim::Task<void> Invoker::deallocate() {

@@ -17,6 +17,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -75,10 +76,10 @@ struct LeaseSetOptions {
 /// renews each via ExtendLease ahead of its expiry, and reports renewals,
 /// renewal failures and expiries through callbacks and counters.
 ///
-/// The renewal actor shares the resource-manager stream with whoever
-/// acquired the leases; all request/response pairs on that stream must be
-/// serialized through the `request_mutex` passed to bind() (replies carry
-/// no correlation id — the stream is strictly request-response).
+/// Every exchange with the manager (renewal, heal, release, revalidation)
+/// is a call on the Session passed to bind(), shared with whoever
+/// acquired the leases: the session stamps request ids, serializes calls
+/// and retransmits lost ones.
 ///
 /// Lifetime: the renewal actor only references the internal shared state,
 /// so destroying the LeaseSet (or the engine draining detached actors)
@@ -107,25 +108,17 @@ class LeaseSet {
   LeaseSet(const LeaseSet&) = delete;
   LeaseSet& operator=(const LeaseSet&) = delete;
 
-  /// Attaches the resource-manager stream the renewals go over and the
-  /// mutex serializing request/response pairs on it (shared so the
-  /// renewal actor can outlive the acquiring scope).
-  void bind(std::shared_ptr<net::TcpStream> rm_stream, std::shared_ptr<sim::Mutex> request_mutex);
-
-  /// Hardened alternative: renewals, heals and releases go through the
-  /// retransmitting session (idempotent request ids, adaptive timeouts)
-  /// instead of bare send/recv — the path that survives lossy links.
+  /// Attaches the resource-manager session renewals, heals and releases
+  /// go through (shared so the renewal actor can outlive the acquiring
+  /// scope).
   void bind(std::shared_ptr<Session> rm_session);
 
   /// Opens the termination-push channel: sends SubscribeEvents for
-  /// `client_id` on `notify_stream` (a dedicated connection to the
+  /// `client_id` on `notify_session` (a dedicated connection to the
   /// resource manager — pushes never share the request stream) and
-  /// spawns a listener reacting to LeaseTerminated. Enables self-healing
+  /// spawns a listener reacting to LeaseTerminated; the session's pump
+  /// filters duplicated pushes (by seq) first. Enables self-healing
   /// re-allocation when the options ask for it.
-  void subscribe(std::shared_ptr<net::TcpStream> notify_stream, std::uint32_t client_id);
-
-  /// Hardened push channel: the session's pump filters duplicated
-  /// eviction pushes (by seq) before they reach the termination handler.
   void subscribe(std::shared_ptr<Session> notify_session, std::uint32_t client_id);
 
   /// Failover lease re-validation: asks the manager whether each tracked
@@ -161,8 +154,8 @@ class LeaseSet {
   /// tracked), untracks the current lease and returns its id so the
   /// holder can release it with the manager. Secondary chain leases —
   /// partial heals fan a chain out over several grants — are untracked
-  /// and released to the manager directly (ReleaseResources is
-  /// fire-and-forget, so no request/response slot is consumed).
+  /// and released to the manager here, each by a detached session call
+  /// that retransmits until the ReleaseOk ack lands.
   std::uint64_t abandon(std::uint64_t origin);
 
   /// Spawns the renewal actor (idempotent). bind() must have been called.
@@ -230,9 +223,6 @@ class LeaseSet {
   struct State {
     sim::Engine* engine = nullptr;
     LeaseSetOptions options;
-    std::shared_ptr<net::TcpStream> stream;
-    std::shared_ptr<sim::Mutex> request_mutex;
-    /// Set by the Session bind(); takes precedence over the bare stream.
     std::shared_ptr<Session> session;
     std::map<std::uint64_t, Tracked> leases;
     /// Wakes the sleeping renewal actor early: set by track() (a new
@@ -289,23 +279,19 @@ class LeaseSet {
 
   static sim::Task<void> renew_loop(std::shared_ptr<State> state, std::uint64_t epoch);
   static sim::Task<void> wake_at(std::shared_ptr<State> state, Duration after);
-  static sim::Task<void> notify_loop(std::shared_ptr<State> state,
-                                     std::shared_ptr<net::TcpStream> stream);
-  static sim::Task<void> notify_loop_session(std::shared_ptr<State> state,
-                                             std::shared_ptr<Session> session);
+  static sim::Task<void> push_loop(std::shared_ptr<State> state,
+                                   std::shared_ptr<Session> session);
   /// Reacts to one termination push (single or batched form).
   static void handle_notification(const std::shared_ptr<State>& state, const Bytes& raw);
-  /// One serialized request/reply exchange with the manager: through the
-  /// retransmitting session when bound, else bare send/recv under the
-  /// legacy mutex. `make` encodes the request with the id it is given
-  /// (0 in legacy mode).
-  static sim::Task<Result<Bytes>> exchange(std::shared_ptr<State> state,
-                                           std::function<Bytes(std::uint64_t)> make);
-  /// Hands a lease back to the manager: a retransmitted, acked call in
-  /// session mode; fire-and-forget in legacy mode.
+  /// True while the bound session can carry a call.
+  static bool connected(const State& state);
+  /// One request/reply call on the bound session: stamps the next
+  /// request id into `msg` and waits for the reply echoing it.
+  template <typename Msg>
+  static sim::Task<Result<Bytes>> exchange(std::shared_ptr<State> state, Msg msg);
+  /// Hands a lease back to the manager: a detached, acked session call.
   static void send_release(const std::shared_ptr<State>& state, ReleaseResourcesMsg rel);
-  static sim::Task<void> release_via_session(std::shared_ptr<Session> session,
-                                             ReleaseResourcesMsg rel);
+  static sim::Task<void> release(std::shared_ptr<Session> session, ReleaseResourcesMsg rel);
   static sim::Task<void> heal(std::shared_ptr<State> state, std::uint64_t old_id, Tracked lost);
   /// Revalidates every tracked lease against the manager in turn (the
   /// failover path; see revalidate()).
@@ -429,12 +415,13 @@ class Invoker {
 
   /// Submits an invocation of function `fn_index` with `payload_bytes`
   /// from `in` (past the header); the output lands in `out`. Returns a
-  /// future fulfilled when the result write arrives.
+  /// future fulfilled when the result write arrives. The caller's buffers
+  /// are the frame of the same invocation core invoke_pooled() runs, so
+  /// deadlines, retries, checksums and hedging apply here too.
   template <typename TIn, typename TOut>
   sim::Future<InvocationResult> submit(std::uint16_t fn_index, rdmalib::Buffer<TIn>& in,
                                        std::size_t payload_bytes, rdmalib::Buffer<TOut>& out) {
-    return submit_raw(fn_index, in.raw(), in.sge_with_header(payload_bytes),
-                      in.mr() != nullptr ? in.mr()->lkey() : 0, out.remote_data());
+    return submit_frame(fn_index, frame_of(in, payload_bytes, out));
   }
 
   /// Convenience: submit and await completion.
@@ -507,10 +494,34 @@ class Invoker {
     std::shared_ptr<net::TcpStream> mgr_stream;
   };
 
+  /// One invocation's registered memory: the region its 32 B header and
+  /// payload leave from, and the region the result lands in. Pool slots
+  /// and caller-owned buffers are both sources of frames.
+  struct Frame {
+    std::uint8_t* in = nullptr;  ///< header, then payload
+    fabric::Sge sge{};           ///< header + payload, as posted
+    std::uint8_t* out = nullptr;
+    std::uint32_t out_rkey = 0;
+    std::uint32_t out_capacity = 0;
+    [[nodiscard]] std::size_t payload_bytes() const {
+      return sge.length - InvocationHeader::kSize;
+    }
+  };
+
+  template <typename TIn, typename TOut>
+  static Frame frame_of(rdmalib::Buffer<TIn>& in, std::size_t payload_bytes,
+                        rdmalib::Buffer<TOut>& out) {
+    const rdmalib::RemoteBuffer dst = out.remote_data();
+    return Frame{in.raw(), in.sge_with_header(payload_bytes),
+                 reinterpret_cast<std::uint8_t*>(dst.addr), dst.rkey, dst.length};
+  }
+
   /// Shared fate of one (possibly hedged) fault-tolerant invocation:
   /// every attempt reports in; the first success resolves, and losers
   /// are cancelled on their executor managers.
   struct Hedge {
+    explicit Hedge(const Frame& f) : primary(f) {}
+    Frame primary;  ///< the caller's frame: a winning backup's output lands here
     sim::Event done;
     bool resolved = false;
     unsigned pending = 0;
@@ -518,34 +529,29 @@ class Invoker {
     std::vector<std::size_t> in_flight;  ///< workers of unresolved attempts
   };
 
-  sim::Future<InvocationResult> submit_raw(std::uint16_t fn_index, std::uint8_t* header_ptr,
-                                           fabric::Sge sge, std::uint32_t in_lkey,
-                                           rdmalib::RemoteBuffer out);
-  sim::Task<void> run_submission(std::uint16_t fn_index, std::uint8_t* header_ptr,
-                                 fabric::Sge sge, rdmalib::RemoteBuffer out,
-                                 sim::Promise<InvocationResult> promise);
-  sim::Task<InvocationResult> invoke_on(std::size_t worker, std::uint16_t fn_index,
-                                        std::uint8_t* header_ptr, fabric::Sge sge,
-                                        rdmalib::RemoteBuffer out, std::uint64_t tag = 0,
-                                        Time deadline = 0);
-  sim::Task<InvocationResult> invoke_pooled_on(std::size_t worker, std::uint16_t fn_index,
-                                               InvocationSlot& slot, std::size_t payload_bytes,
-                                               std::uint64_t tag = 0, Time deadline = 0);
-  /// Fault-tolerant pooled invocation: per-attempt deadlines, budgeted
-  /// retries rotating across healthy workers, same-worker dedup-replay
-  /// retry on corruption, optional hedging on the first attempt.
-  sim::Task<InvocationResult> invoke_pooled_reliable(std::uint16_t fn_index,
-                                                     std::size_t slot_idx,
-                                                     std::size_t payload_bytes);
+  /// Detached run of invoke_frame() behind submit()'s future.
+  sim::Future<InvocationResult> submit_frame(std::uint16_t fn_index, Frame frame);
+  /// The invocation core behind submit(), invoke() and invoke_pooled():
+  /// the redirect loop, or with fault tolerance on, invoke_reliable().
+  sim::Task<InvocationResult> invoke_frame(std::uint16_t fn_index, const Frame& frame);
+  /// One attempt of `frame` on `worker`: header into the frame, one
+  /// WRITE_WITH_IMM, then the result notification (deadline-bounded when
+  /// `deadline` is set).
+  sim::Task<InvocationResult> attempt(std::size_t worker, std::uint16_t fn_index,
+                                      const Frame& frame, std::uint64_t tag = 0,
+                                      Time deadline = 0);
+  /// Fault-tolerant invocation: per-attempt deadlines, budgeted retries
+  /// rotating across healthy workers, same-worker dedup-replay retry on
+  /// corruption, optional hedging on the first attempt.
+  sim::Task<InvocationResult> invoke_reliable(std::uint16_t fn_index, const Frame& frame);
   sim::Task<InvocationResult> run_hedged(std::size_t widx, std::uint16_t fn_index,
-                                         std::size_t slot_idx, std::size_t payload_bytes,
-                                         std::uint64_t tag, Time deadline);
+                                         const Frame& frame, std::uint64_t tag, Time deadline);
+  /// One attempt of a hedged invocation; a backup returns its staging
+  /// pool slot `backup_slot` when done (none for the primary).
   sim::Task<void> hedge_attempt(std::shared_ptr<Hedge> hs, std::size_t widx,
-                                std::uint16_t fn_index, std::size_t slot_idx,
-                                std::size_t payload_bytes, std::uint64_t tag, Time deadline,
-                                bool is_backup);
+                                std::uint16_t fn_index, Frame frame, std::uint64_t tag,
+                                Time deadline, std::optional<std::size_t> backup_slot);
   sim::Task<void> hedge_backup(std::shared_ptr<Hedge> hs, std::uint16_t fn_index,
-                               std::size_t primary_slot_idx, std::size_t payload_bytes,
                                std::uint64_t tag, Time deadline,
                                fabric::DeviceId primary_device);
   /// Globally unique idempotent invocation id: (client epoch << 32) | seq.
@@ -589,15 +595,11 @@ class Invoker {
   std::uint32_t client_id_;
 
   fabric::ProtectionDomain* pd_ = nullptr;
-  std::shared_ptr<net::TcpStream> rm_stream_;
-  /// Serializes request/response pairs on rm_stream_ between allocate()
-  /// and the LeaseSet's renewal/re-allocation actors.
-  std::shared_ptr<sim::Mutex> rm_mutex_;
-  /// Hardened request/reply session over rm_stream_ (owns all recv on
-  /// it); every lease-critical exchange of this invoker goes through it.
+  /// Request/reply session to the resource manager (owns all recv on its
+  /// stream); every exchange of this invoker and its LeaseSet with the
+  /// manager is a call on it.
   std::shared_ptr<Session> rm_session_;
   /// Dedicated push channel for LeaseTerminated notifications.
-  std::shared_ptr<net::TcpStream> notify_stream_;
   std::shared_ptr<Session> notify_session_;
   /// Session epochs fence stale exchanges across manager reconnects.
   std::uint32_t rm_epoch_ = 0;

@@ -129,11 +129,12 @@ enum class MsgType : std::uint8_t {
 // rfaas/session.hpp); replies echo it so a retransmitting sender can
 // match a reply to the attempt it answers, and the manager's bounded
 // per-stream dedup table can replay the cached reply for a retransmitted
-// request instead of executing it twice (no double-grants). id 0 means
-// "legacy sender": never deduplicated, never retransmitted — the field
-// is always on the wire, only its value is optional. Push notifications
-// (LeaseTerminated/LeasesTerminated) carry a per-stream sequence number
-// instead, so duplicated deliveries are counted and ignored client-side.
+// request instead of executing it twice (no double-grants). The field is
+// always on the wire and id 0 is no session's id: the manager refuses an
+// id-0 request with a LeaseError without executing it. Push
+// notifications (LeaseTerminated/LeasesTerminated) carry a per-stream
+// sequence number instead, so duplicated deliveries are counted and
+// ignored client-side.
 // ---------------------------------------------------------------------------
 
 /// Worker polling policy of an allocation.
@@ -151,7 +152,7 @@ struct RegisterExecutorMsg {
   std::uint32_t cores = 0;        ///< schedulable cores of the host
   std::uint64_t memory_bytes = 0; ///< offerable memory of the host
   std::uint64_t epoch = 0;        ///< registration session epoch (fences stale sessions)
-  std::uint64_t request_id = 0;   ///< retransmission dedup id (0 = legacy)
+  std::uint64_t request_id = 0;   ///< session request id; 0 is refused
 };
 
 /// Registration reply: where the executor's billing atomics land.
@@ -170,7 +171,7 @@ struct LeaseRequestMsg {
   std::uint32_t workers = 0;       ///< requested function instances
   std::uint64_t memory_bytes = 0;  ///< per-worker memory
   Duration timeout = 0;            ///< lease validity
-  std::uint64_t request_id = 0;    ///< retransmission dedup id (0 = legacy)
+  std::uint64_t request_id = 0;    ///< session request id; 0 is refused
 };
 
 /// A granted lease: where to allocate the sandbox and until when the
@@ -203,13 +204,12 @@ struct ReleaseResourcesMsg {
   std::uint64_t lease_id = 0;     ///< lease being released
   std::uint32_t workers = 0;      ///< workers coming back
   std::uint64_t memory_bytes = 0; ///< memory coming back
-  std::uint64_t request_id = 0;   ///< retransmission dedup id (0 = legacy)
+  std::uint64_t request_id = 0;   ///< session request id; 0 is refused
 };
 
-/// Acknowledges a ReleaseResourcesMsg carrying a nonzero request id, so
-/// the releaser can stop retransmitting. Legacy releases (id 0) stay
-/// fire-and-forget and receive no ack; a release lost on the wire is
-/// then reclaimed by the manager's lease-expiry sweep instead.
+/// Acknowledges a ReleaseResourcesMsg, so the releaser can stop
+/// retransmitting. A release whose retransmissions all get lost is
+/// reclaimed by the manager's lease-expiry sweep instead.
 struct ReleaseOkMsg {
   std::uint64_t lease_id = 0;
   std::uint64_t request_id = 0;  ///< echoes ReleaseResourcesMsg::request_id
@@ -221,7 +221,7 @@ struct ReleaseOkMsg {
 struct ExtendLeaseMsg {
   std::uint64_t lease_id = 0;
   Duration extension = 0;
-  std::uint64_t request_id = 0;  ///< retransmission dedup id (0 = legacy)
+  std::uint64_t request_id = 0;  ///< session request id; 0 is refused
 };
 
 struct ExtendOkMsg {
@@ -246,7 +246,7 @@ struct BatchAllocateMsg {
   std::uint64_t memory_bytes = 0;  ///< per-worker memory
   Duration timeout = 0;            ///< validity of every granted lease
   std::uint8_t mode = 0;           ///< BatchMode
-  std::uint64_t request_id = 0;    ///< retransmission dedup id (0 = legacy)
+  std::uint64_t request_id = 0;    ///< session request id; 0 is refused
 };
 
 /// Reply to BatchAllocateMsg: the granted leases (possibly spanning
@@ -310,7 +310,7 @@ struct LeaseTerminatedMsg {
   std::uint64_t lease_id = 0;
   std::uint8_t reason = 0;  ///< TerminationReason
   Time evicted_at = 0;      ///< when the manager made the eviction decision
-  std::uint64_t seq = 0;    ///< per-stream push sequence (0 = legacy)
+  std::uint64_t seq = 0;    ///< per-stream push sequence, from 1
 };
 
 /// Coalesced fast reclamation: one eviction sweep may terminate many
@@ -323,7 +323,7 @@ struct LeasesTerminatedMsg {
   std::uint8_t reason = 0;  ///< TerminationReason
   Time evicted_at = 0;      ///< when the manager made the eviction decision
   std::vector<std::uint64_t> lease_ids;
-  std::uint64_t seq = 0;    ///< per-stream push sequence (0 = legacy)
+  std::uint64_t seq = 0;    ///< per-stream push sequence, from 1
 };
 
 /// Opens a notification stream: the client sends this once on a dedicated
@@ -386,7 +386,7 @@ struct FailoverAnnounceMsg {
 struct LeaseRevalidateMsg {
   std::uint32_t client_id = 0;   ///< owning tenant presented for the audit
   std::uint64_t lease_id = 0;    ///< lease being re-validated
-  std::uint64_t request_id = 0;  ///< retransmission dedup id (0 = legacy)
+  std::uint64_t request_id = 0;  ///< session request id; 0 is refused
 };
 
 /// Best-effort cancellation of an in-flight invocation, sent on the
@@ -415,7 +415,7 @@ struct HealthReportMsg {
   std::uint32_t latency_us = 0;   ///< EWMA invocation latency observed (µs)
   std::uint32_t ok_count = 0;     ///< successful invocations in this window
   std::uint32_t fail_count = 0;   ///< timeouts/corruptions in this window
-  std::uint64_t request_id = 0;   ///< retransmission dedup id (0 = legacy)
+  std::uint64_t request_id = 0;   ///< session request id; 0 is refused
 };
 
 /// Acknowledges a HealthReportMsg so the reporter can stop retransmitting.
@@ -608,7 +608,7 @@ bool is_reply_type(MsgType t);
 
 /// Extracts the echoed request id from a reply message — the trailing 8
 /// bytes of every reply body. Fails on non-reply types and truncated
-/// messages; returns 0 for replies sent to legacy (id 0) requests.
+/// messages; returns 0 for the LeaseError refusing an id-0 request.
 Result<std::uint64_t> reply_request_id(const Bytes& raw);
 
 }  // namespace rfs::rfaas

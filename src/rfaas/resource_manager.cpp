@@ -171,8 +171,15 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
   constexpr std::size_t kDedupWindow = 128;
   std::unordered_map<std::uint64_t, Bytes> dedup;
   std::deque<std::uint64_t> dedup_fifo;
+  // Dedup entry point of every lease-critical request; true when the
+  // request is answered here. Id 0 is no session's id (sessions count
+  // from (epoch << 32) | 1): it is refused with one LeaseError and never
+  // executed.
   auto replay_duplicate = [&](std::uint64_t id) -> bool {
-    if (id == 0) return false;  // legacy senders never dedup
+    if (id == 0) {
+      stream->send(encode_lease_error("request id 0: lease requests need a session id"));
+      return true;
+    }
     auto it = dedup.find(id);
     if (it == dedup.end()) return false;
     ++dedup_hits_;
@@ -180,13 +187,11 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
     return true;
   };
   auto reply_cached = [&](std::uint64_t id, Bytes reply) {
-    if (id != 0) {
-      dedup[id] = reply;
-      dedup_fifo.push_back(id);
-      if (dedup_fifo.size() > kDedupWindow) {
-        dedup.erase(dedup_fifo.front());
-        dedup_fifo.pop_front();
-      }
+    dedup[id] = reply;
+    dedup_fifo.push_back(id);
+    if (dedup_fifo.size() > kDedupWindow) {
+      dedup.erase(dedup_fifo.front());
+      dedup_fifo.pop_front();
     }
     stream->send(std::move(reply));
   };
@@ -420,16 +425,11 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
         if (!msg) break;
         if (replay_duplicate(msg.value().request_id)) break;
         core_.release(msg.value().lease_id);
-        // Acked (and thus retransmittable) only for hardened senders;
-        // legacy releases stay fire-and-forget so their streams never see
-        // an unexpected push, and a lost one is reclaimed by the expiry
-        // sweep.
-        if (msg.value().request_id != 0) {
-          ReleaseOkMsg ok;
-          ok.lease_id = msg.value().lease_id;
-          ok.request_id = msg.value().request_id;
-          reply_cached(msg.value().request_id, encode(ok));
-        }
+        // The ack stops the releaser's retransmissions.
+        ReleaseOkMsg ok;
+        ok.lease_id = msg.value().lease_id;
+        ok.request_id = msg.value().request_id;
+        reply_cached(msg.value().request_id, encode(ok));
         break;
       }
       case MsgType::HeartbeatAck: {

@@ -77,7 +77,7 @@ class Session {
   sim::Task<std::optional<Bytes>> next_push();
 
   /// Fire-and-forget passthrough for messages outside the request/reply
-  /// discipline (HeartbeatAck, legacy releases).
+  /// discipline (HeartbeatAck, SubscribeEvents).
   void send_raw(Bytes message);
 
   [[nodiscard]] const std::shared_ptr<net::TcpStream>& stream() const { return state_->stream; }

@@ -22,7 +22,6 @@
 #include <new>
 
 #include "cluster/harness.hpp"
-#include "rfaas/platform.hpp"
 
 // --------------------------------------------------------------------------
 // Allocation counting (each tests/*.cpp builds into its own binary, so

@@ -3,7 +3,7 @@
 // parameterized policy/payload sweeps, and failure injection.
 #include <gtest/gtest.h>
 
-#include "rfaas/platform.hpp"
+#include "cluster/harness.hpp"
 #include "workloads/faas_functions.hpp"
 #include "workloads/image.hpp"
 
@@ -11,7 +11,7 @@ namespace rfs::rfaas {
 namespace {
 
 template <typename MakeTask>
-void drive(Platform& p, Duration horizon, MakeTask&& make_task) {
+void drive(cluster::Harness& p, Duration horizon, MakeTask&& make_task) {
   bool finished = false;
   auto wrapper = [](bool* done, sim::Task<void> inner) -> sim::Task<void> {
     co_await std::move(inner);
@@ -23,11 +23,9 @@ void drive(Platform& p, Duration horizon, MakeTask&& make_task) {
 }
 
 TEST(Integration, TenBillingIsIsolatedPerTenant) {
-  PlatformOptions opts;
-  opts.spot_executors = 2;
-  opts.cores_per_executor = 8;
-  opts.config.billing_flush_period = 20_ms;
-  Platform p(opts);
+  auto fleet = cluster::ScenarioSpec::uniform(/*executors=*/2, /*cores=*/8);
+  fleet.config.billing_flush_period = 20_ms;
+  cluster::Harness p(fleet);
   p.registry().add_echo();
   CodePackage busy;
   busy.name = "busy";
@@ -70,11 +68,9 @@ TEST(Integration, TenBillingIsIsolatedPerTenant) {
 TEST(Integration, OversubscriptionStressStillCompletesAllWork) {
   // 12 warm workers on a 4-core host: invocations contend for cores and
   // some get rejected + redirected, but every submission must finish.
-  PlatformOptions opts;
-  opts.spot_executors = 1;
-  opts.cores_per_executor = 4;
-  opts.config.lease_oversubscription = 3.0;  // 12 sandboxes on 4 cores
-  Platform p(opts);
+  auto fleet = cluster::ScenarioSpec::uniform(/*executors=*/1, /*cores=*/4);
+  fleet.config.lease_oversubscription = 3.0;  // 12 sandboxes on 4 cores
+  cluster::Harness p(fleet);
   CodePackage busy;
   busy.name = "busy";
   busy.entry = [](const void*, std::uint32_t, void*) -> std::uint32_t { return 0; };
@@ -121,10 +117,8 @@ TEST(Integration, OversubscriptionStressStillCompletesAllWork) {
 }
 
 TEST(Integration, CapacityRecoversAcrossAllocateDeallocateCycles) {
-  PlatformOptions opts;
-  opts.spot_executors = 2;
-  opts.cores_per_executor = 4;
-  Platform p(opts);
+  auto fleet = cluster::ScenarioSpec::uniform(/*executors=*/2, /*cores=*/4);
+  cluster::Harness p(fleet);
   p.registry().add_echo();
   p.start();
   const std::uint32_t free0 = p.rm().free_workers_total();
@@ -150,9 +144,8 @@ TEST(Integration, CapacityRecoversAcrossAllocateDeallocateCycles) {
 }
 
 TEST(Integration, CodeSizeAffectsSubmissionTimeOnly) {
-  PlatformOptions opts;
-  opts.spot_executors = 1;
-  Platform p(opts);
+  auto fleet = cluster::ScenarioSpec::uniform(/*executors=*/1);
+  cluster::Harness p(fleet);
   p.registry().add_echo();
   p.start();
 
@@ -176,9 +169,8 @@ TEST(Integration, CodeSizeAffectsSubmissionTimeOnly) {
 }
 
 TEST(Integration, HeartbeatsKeepHealthyExecutorsAlive) {
-  PlatformOptions opts;
-  opts.spot_executors = 2;
-  Platform p(opts);
+  auto fleet = cluster::ScenarioSpec::uniform(/*executors=*/2);
+  cluster::Harness p(fleet);
   p.registry().add_echo();
   p.start();
   p.run(p.engine().now() + 30_s);  // many heartbeat periods
@@ -186,10 +178,8 @@ TEST(Integration, HeartbeatsKeepHealthyExecutorsAlive) {
 }
 
 TEST(Integration, CrashedExecutorLeasesAreReclaimed) {
-  PlatformOptions opts;
-  opts.spot_executors = 2;
-  opts.cores_per_executor = 4;
-  Platform p(opts);
+  auto fleet = cluster::ScenarioSpec::uniform(/*executors=*/2, /*cores=*/4);
+  cluster::Harness p(fleet);
   p.registry().add_echo();
   p.start();
 
@@ -217,10 +207,8 @@ struct PolicyPayloadCase {
 class PolicyPayloadSweep : public ::testing::TestWithParam<PolicyPayloadCase> {};
 
 TEST_P(PolicyPayloadSweep, EchoIntegrityUnderEveryPolicy) {
-  PlatformOptions opts;
-  opts.spot_executors = 1;
-  opts.cores_per_executor = 4;
-  Platform p(opts);
+  auto fleet = cluster::ScenarioSpec::uniform(/*executors=*/1, /*cores=*/4);
+  cluster::Harness p(fleet);
   p.registry().add_echo();
   p.start();
 
@@ -261,9 +249,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Integration, RealWorkloadEndToEndThroughPlatform) {
   // The thumbnail function through the full platform: lease, RDMA
   // transfer, real decode/resize/encode in the sandbox, result write.
-  PlatformOptions opts;
-  opts.spot_executors = 1;
-  Platform p(opts);
+  auto fleet = cluster::ScenarioSpec::uniform(/*executors=*/1);
+  cluster::Harness p(fleet);
   workloads::register_all(p.registry());
   p.start();
 

@@ -2,7 +2,7 @@
 // component (renew-ahead-of-expiry, failure/expiry callbacks), invoker
 // auto-renewal end to end (renewed leases keep their sandboxes alive past
 // the original TTL via the manager's LeaseRenewed push), batched lease
-// acquisition through the invoker and over the raw wire, and the harness
+// acquisition through the invoker and over a bare session, and the harness
 // churn workload sustaining leases past the TTL with zero spurious
 // expiries.
 #include <gtest/gtest.h>
@@ -22,19 +22,35 @@ cluster::ScenarioSpec small_fleet(unsigned executors = 1, unsigned cores = 4,
   return spec;
 }
 
+/// Opens a session to the resource manager from client host 0; null
+/// (after a failed expectation) when the connection is refused.
+sim::Task<std::shared_ptr<Session>> open_session(cluster::Harness& h) {
+  auto conn = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
+                                       h.rm().port());
+  EXPECT_TRUE(conn.ok());
+  if (!conn.ok()) co_return nullptr;
+  co_return std::make_shared<Session>(h.engine(), conn.value());
+}
+
+/// One request/reply call on `session`, stamped with its next request id.
+template <typename Msg>
+sim::Task<Result<Bytes>> call(const std::shared_ptr<Session>& session, Msg msg) {
+  msg.request_id = session->next_request_id();
+  co_return co_await session->call(encode(msg), msg.request_id);
+}
+
 /// Acquires one lease of `workers` workers with the given timeout over
-/// an open control stream to the resource manager.
-sim::Task<Result<LeaseGrantMsg>> acquire_one(std::shared_ptr<net::TcpStream> stream,
+/// a session to the resource manager.
+sim::Task<Result<LeaseGrantMsg>> acquire_one(std::shared_ptr<Session> session,
                                              std::uint32_t workers, Duration timeout) {
   LeaseRequestMsg req;
   req.client_id = 1;
   req.workers = workers;
   req.memory_bytes = 64ull << 20;
   req.timeout = timeout;
-  stream->send(encode(req));
-  auto raw = co_await stream->recv();
-  if (!raw.has_value()) co_return Error::make(1, "stream closed");
-  co_return decode_lease_grant(*raw);
+  auto raw = co_await call(session, req);
+  if (!raw.ok()) co_return raw.error();
+  co_return decode_lease_grant(raw.value());
 }
 
 // --------------------------------------------------------------------------
@@ -45,7 +61,6 @@ TEST(LeaseSet, RenewsAheadOfExpiryAndSurvivesTheSweep) {
   cluster::Harness h(small_fleet());
   h.start();
 
-  auto mutex = std::make_shared<sim::Mutex>();
   LeaseSetOptions opts;
   opts.renew_margin = 500_ms;
   opts.extension = 2_s;
@@ -54,16 +69,13 @@ TEST(LeaseSet, RenewsAheadOfExpiryAndSurvivesTheSweep) {
   leases.on_renewed([&](std::uint64_t id, Time) { renewed_ids.push_back(id); });
 
   auto scenario = [&]() -> sim::Task<void> {
-    auto conn = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
-                                         h.rm().port());
-    EXPECT_TRUE(conn.ok());
-    if (!conn.ok()) co_return;
-    auto stream = conn.value();
-    auto grant = co_await acquire_one(stream, 2, 2_s);
+    auto session = co_await open_session(h);
+    if (session == nullptr) co_return;
+    auto grant = co_await acquire_one(session, 2, 2_s);
     EXPECT_TRUE(grant.ok());
     if (!grant.ok()) co_return;
 
-    leases.bind(stream, mutex);
+    leases.bind(session);
     leases.track(grant.value().lease_id, grant.value().expires_at, 2_s);
     leases.start();
   };
@@ -90,7 +102,6 @@ TEST(LeaseSet, UnknownLeaseSurfacesFailureAndExpiry) {
   cluster::Harness h(small_fleet());
   h.start();
 
-  auto mutex = std::make_shared<sim::Mutex>();
   LeaseSetOptions opts;
   opts.renew_margin = 500_ms;
   opts.extension = 2_s;
@@ -102,11 +113,9 @@ TEST(LeaseSet, UnknownLeaseSurfacesFailureAndExpiry) {
   leases.on_expired([&](std::uint64_t id) { expired_ids.push_back(id); });
 
   auto scenario = [&]() -> sim::Task<void> {
-    auto conn = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
-                                         h.rm().port());
-    EXPECT_TRUE(conn.ok());
-    if (!conn.ok()) co_return;
-    leases.bind(conn.value(), mutex);
+    auto session = co_await open_session(h);
+    if (session == nullptr) co_return;
+    leases.bind(session);
     // Never granted: the manager answers every renewal with LeaseError.
     leases.track(/*lease_id=*/4242, h.engine().now() + 2_s, 2_s);
     leases.start();
@@ -125,21 +134,17 @@ TEST(LeaseSet, LaterShortLeaseInterruptsALongSleep) {
   cluster::Harness h(small_fleet(/*executors=*/2));
   h.start();
 
-  auto mutex = std::make_shared<sim::Mutex>();
   LeaseSetOptions opts;
   opts.renew_margin = 1_s;
   LeaseSet leases(h.engine(), opts);
 
   auto scenario = [&]() -> sim::Task<void> {
-    auto conn = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
-                                         h.rm().port());
-    EXPECT_TRUE(conn.ok());
-    if (!conn.ok()) co_return;
-    auto stream = conn.value();
-    leases.bind(stream, mutex);
+    auto session = co_await open_session(h);
+    if (session == nullptr) co_return;
+    leases.bind(session);
 
     // A long lease first: the renewal actor goes to sleep until ~t+299s.
-    auto long_grant = co_await acquire_one(stream, 1, 300_s);
+    auto long_grant = co_await acquire_one(session, 1, 300_s);
     EXPECT_TRUE(long_grant.ok());
     if (!long_grant.ok()) co_return;
     leases.track(long_grant.value().lease_id, long_grant.value().expires_at, 300_s);
@@ -148,7 +153,7 @@ TEST(LeaseSet, LaterShortLeaseInterruptsALongSleep) {
 
     // A short lease tracked mid-sleep must interrupt that sleep: its
     // renewal window (due ~t+3s) is far earlier than the sleep target.
-    auto short_grant = co_await acquire_one(stream, 1, 4_s);
+    auto short_grant = co_await acquire_one(session, 1, 4_s);
     EXPECT_TRUE(short_grant.ok());
     if (!short_grant.ok()) co_return;
     leases.track(short_grant.value().lease_id, short_grant.value().expires_at, 4_s);
@@ -166,20 +171,16 @@ TEST(LeaseSet, StopStartCycleLeavesASingleRenewalActor) {
   cluster::Harness h(small_fleet());
   h.start();
 
-  auto mutex = std::make_shared<sim::Mutex>();
   LeaseSetOptions opts;
   opts.renew_margin = 500_ms;
   opts.extension = 2_s;
   LeaseSet leases(h.engine(), opts);
 
   auto scenario = [&]() -> sim::Task<void> {
-    auto conn = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
-                                         h.rm().port());
-    EXPECT_TRUE(conn.ok());
-    if (!conn.ok()) co_return;
-    auto stream = conn.value();
-    leases.bind(stream, mutex);
-    auto grant = co_await acquire_one(stream, 1, 2_s);
+    auto session = co_await open_session(h);
+    if (session == nullptr) co_return;
+    leases.bind(session);
+    auto grant = co_await acquire_one(session, 1, 2_s);
     EXPECT_TRUE(grant.ok());
     if (!grant.ok()) co_return;
     leases.track(grant.value().lease_id, grant.value().expires_at, 2_s);
@@ -208,21 +209,17 @@ TEST(LeaseSet, UntrackedLeaseIsNeverRenewed) {
   cluster::Harness h(small_fleet());
   h.start();
 
-  auto mutex = std::make_shared<sim::Mutex>();
   LeaseSetOptions opts;
   opts.renew_margin = 500_ms;
   LeaseSet leases(h.engine(), opts);
 
   auto scenario = [&]() -> sim::Task<void> {
-    auto conn = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
-                                         h.rm().port());
-    EXPECT_TRUE(conn.ok());
-    if (!conn.ok()) co_return;
-    auto stream = conn.value();
-    auto grant = co_await acquire_one(stream, 1, 2_s);
+    auto session = co_await open_session(h);
+    if (session == nullptr) co_return;
+    auto grant = co_await acquire_one(session, 1, 2_s);
     EXPECT_TRUE(grant.ok());
     if (!grant.ok()) co_return;
-    leases.bind(stream, mutex);
+    leases.bind(session);
     leases.track(grant.value().lease_id, grant.value().expires_at, 2_s);
     leases.start();
     EXPECT_TRUE(leases.untrack(grant.value().lease_id));
@@ -343,11 +340,8 @@ TEST(BatchWire, AllOrNothingRollsBackAndBestEffortDeliversPartials) {
   ASSERT_EQ(fleet_free, 4u);
 
   auto scenario = [&]() -> sim::Task<void> {
-    auto conn = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
-                                         h.rm().port());
-    EXPECT_TRUE(conn.ok());
-    if (!conn.ok()) co_return;
-    auto stream = conn.value();
+    auto session = co_await open_session(h);
+    if (session == nullptr) co_return;
 
     // All-or-nothing for more than the fleet has: empty reply, and the
     // provisionally granted leases are rolled back.
@@ -357,11 +351,10 @@ TEST(BatchWire, AllOrNothingRollsBackAndBestEffortDeliversPartials) {
     req.memory_bytes = 64ull << 20;
     req.timeout = 60_s;
     req.mode = static_cast<std::uint8_t>(BatchMode::AllOrNothing);
-    stream->send(encode(req));
-    auto raw = co_await stream->recv();
-    EXPECT_TRUE(raw.has_value());
-    if (!raw.has_value()) co_return;
-    auto reply = decode_batch_granted(*raw);
+    auto raw = co_await call(session, req);
+    EXPECT_TRUE(raw.ok());
+    if (!raw.ok()) co_return;
+    auto reply = decode_batch_granted(raw.value());
     EXPECT_TRUE(reply.ok());
     if (!reply.ok()) co_return;
     EXPECT_FALSE(reply.value().complete);
@@ -373,11 +366,10 @@ TEST(BatchWire, AllOrNothingRollsBackAndBestEffortDeliversPartials) {
     // Best-effort with the same ask: both executors' capacity comes back
     // as partial leases spanning both shards.
     req.mode = static_cast<std::uint8_t>(BatchMode::BestEffort);
-    stream->send(encode(req));
-    auto raw2 = co_await stream->recv();
-    EXPECT_TRUE(raw2.has_value());
-    if (!raw2.has_value()) co_return;
-    auto reply2 = decode_batch_granted(*raw2);
+    auto raw2 = co_await call(session, req);
+    EXPECT_TRUE(raw2.ok());
+    if (!raw2.ok()) co_return;
+    auto reply2 = decode_batch_granted(raw2.value());
     EXPECT_TRUE(reply2.ok());
     if (!reply2.ok()) co_return;
     EXPECT_FALSE(reply2.value().complete);
@@ -570,7 +562,6 @@ TEST(SelfHeal, PartialReplacementReRequestsTheRemainder) {
   cluster::Harness h(spec);
   h.start();
 
-  auto mutex = std::make_shared<sim::Mutex>();
   LeaseSetOptions opts;
   opts.self_heal = true;
   opts.realloc_budget = 4;
@@ -585,16 +576,13 @@ TEST(SelfHeal, PartialReplacementReRequestsTheRemainder) {
 
   std::uint64_t origin = 0;
   auto scenario = [&]() -> sim::Task<void> {
-    auto conn = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
-                                         h.rm().port());
-    auto notify = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
-                                           h.rm().port());
-    EXPECT_TRUE(conn.ok() && notify.ok());
-    if (!conn.ok() || !notify.ok()) co_return;
-    leases.bind(conn.value(), mutex);
-    leases.subscribe(notify.value(), /*client_id=*/1);
+    auto session = co_await open_session(h);
+    auto notify = co_await open_session(h);
+    if (session == nullptr || notify == nullptr) co_return;
+    leases.bind(session);
+    leases.subscribe(notify, /*client_id=*/1);
 
-    auto grant = co_await acquire_one(conn.value(), /*workers=*/4, /*timeout=*/300_s);
+    auto grant = co_await acquire_one(session, /*workers=*/4, /*timeout=*/300_s);
     EXPECT_TRUE(grant.ok());
     if (!grant.ok()) co_return;
     EXPECT_EQ(grant.value().workers, 4u);  // landed whole on the 4-core host
@@ -631,7 +619,8 @@ TEST(SelfHeal, PartialReplacementReRequestsTheRemainder) {
     rel.lease_id = primary;
     rel.workers = replacements[0].workers;
     rel.memory_bytes = (64ull << 20) * replacements[0].workers;
-    conn.value()->send(encode(rel));
+    auto ack = co_await call(session, rel);
+    EXPECT_TRUE(ack.ok() && decode_release_ok(ack.value()).ok());
     co_await sim::delay(100_ms);
     EXPECT_EQ(h.rm().active_leases(), 0u);  // nothing leaked
     EXPECT_EQ(h.rm().free_workers_total(), 4u);  // both survivors whole again
@@ -652,7 +641,6 @@ TEST(SelfHeal, PartialHealGivesUpCleanlyWhenTheBudgetRunsOut) {
   cluster::Harness h(spec);
   h.start();
 
-  auto mutex = std::make_shared<sim::Mutex>();
   LeaseSetOptions opts;
   opts.self_heal = true;
   opts.realloc_budget = 2;
@@ -660,16 +648,13 @@ TEST(SelfHeal, PartialHealGivesUpCleanlyWhenTheBudgetRunsOut) {
   LeaseSet leases(h.engine(), opts);
 
   auto scenario = [&]() -> sim::Task<void> {
-    auto conn = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
-                                         h.rm().port());
-    auto notify = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
-                                           h.rm().port());
-    EXPECT_TRUE(conn.ok() && notify.ok());
-    if (!conn.ok() || !notify.ok()) co_return;
-    leases.bind(conn.value(), mutex);
-    leases.subscribe(notify.value(), /*client_id=*/1);
+    auto session = co_await open_session(h);
+    auto notify = co_await open_session(h);
+    if (session == nullptr || notify == nullptr) co_return;
+    leases.bind(session);
+    leases.subscribe(notify, /*client_id=*/1);
 
-    auto grant = co_await acquire_one(conn.value(), /*workers=*/4, /*timeout=*/300_s);
+    auto grant = co_await acquire_one(session, /*workers=*/4, /*timeout=*/300_s);
     EXPECT_TRUE(grant.ok());
     if (!grant.ok()) co_return;
     EXPECT_EQ(grant.value().workers, 4u);
@@ -715,7 +700,6 @@ HealBackoffProbe run_heal_against_admission(bool honor_retry_after) {
   cluster::Harness h(spec);
   h.start();
 
-  auto mutex = std::make_shared<sim::Mutex>();
   LeaseSetOptions opts;
   opts.self_heal = true;
   opts.realloc_budget = 4;
@@ -725,16 +709,13 @@ HealBackoffProbe run_heal_against_admission(bool honor_retry_after) {
   LeaseSet leases(h.engine(), opts);
 
   auto scenario = [&]() -> sim::Task<void> {
-    auto conn = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
-                                         h.rm().port());
-    auto notify = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
-                                           h.rm().port());
-    EXPECT_TRUE(conn.ok() && notify.ok());
-    if (!conn.ok() || !notify.ok()) co_return;
-    leases.bind(conn.value(), mutex);
-    leases.subscribe(notify.value(), /*client_id=*/1);
+    auto session = co_await open_session(h);
+    auto notify = co_await open_session(h);
+    if (session == nullptr || notify == nullptr) co_return;
+    leases.bind(session);
+    leases.subscribe(notify, /*client_id=*/1);
 
-    auto grant = co_await acquire_one(conn.value(), /*workers=*/4, /*timeout=*/300_s);
+    auto grant = co_await acquire_one(session, /*workers=*/4, /*timeout=*/300_s);
     EXPECT_TRUE(grant.ok());
     if (!grant.ok()) co_return;
     leases.track(grant.value().lease_id, grant.value().expires_at, 300_s, 4, 64ull << 20);

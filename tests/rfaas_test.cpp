@@ -3,7 +3,7 @@
 // crash detection, billing.
 #include <gtest/gtest.h>
 
-#include "rfaas/platform.hpp"
+#include "cluster/harness.hpp"
 
 namespace rfs::rfaas {
 namespace {
@@ -154,7 +154,7 @@ TEST(Billing, TenantsAreIsolated) {
 
 /// Drives a client task and runs the engine for `horizon` of virtual time.
 template <typename MakeTask>
-void drive(Platform& p, Duration horizon, MakeTask&& make_task) {
+void drive(cluster::Harness& p, Duration horizon, MakeTask&& make_task) {
   bool finished = false;
   auto wrapper = [](bool* done, sim::Task<void> inner) -> sim::Task<void> {
     co_await std::move(inner);
@@ -165,17 +165,14 @@ void drive(Platform& p, Duration horizon, MakeTask&& make_task) {
   ASSERT_TRUE(finished) << "client task did not finish within the horizon";
 }
 
-PlatformOptions small_platform() {
-  PlatformOptions opts;
-  opts.spot_executors = 2;
-  opts.cores_per_executor = 4;
-  opts.memory_per_executor = 8ull << 30;
-  return opts;
+/// Two 4-core spot executors and one client host.
+cluster::ScenarioSpec small_fleet(unsigned executors = 2, unsigned cores = 4) {
+  return cluster::ScenarioSpec::uniform(executors, cores, /*memory_bytes=*/8ull << 30);
 }
 
 TEST(EndToEnd, HotEchoInvocationMovesBytesAndMatchesLatency) {
-  auto opts = small_platform();
-  Platform p(opts);
+  auto fleet = small_fleet();
+  cluster::Harness p(fleet);
   p.registry().add_echo();
   p.start();
 
@@ -206,8 +203,8 @@ TEST(EndToEnd, HotEchoInvocationMovesBytesAndMatchesLatency) {
 }
 
 TEST(EndToEnd, WarmInvocationPaysWakeupAndResourceCheck) {
-  auto opts = small_platform();
-  Platform p(opts);
+  auto fleet = small_fleet();
+  cluster::Harness p(fleet);
   p.registry().add_echo();
   p.start();
 
@@ -233,8 +230,8 @@ TEST(EndToEnd, WarmInvocationPaysWakeupAndResourceCheck) {
 }
 
 TEST(EndToEnd, DockerAddsVirtualizationOverhead) {
-  auto opts = small_platform();
-  Platform p(opts);
+  auto fleet = small_fleet();
+  cluster::Harness p(fleet);
   p.registry().add_echo();
   p.start();
 
@@ -268,8 +265,8 @@ TEST(EndToEnd, DockerAddsVirtualizationOverhead) {
 }
 
 TEST(EndToEnd, ColdStartBreakdownBareVsDocker) {
-  auto opts = small_platform();
-  Platform p(opts);
+  auto fleet = small_fleet();
+  cluster::Harness p(fleet);
   p.registry().add_echo();
   p.start();
 
@@ -300,8 +297,8 @@ TEST(EndToEnd, ColdStartBreakdownBareVsDocker) {
 }
 
 TEST(EndToEnd, ParallelWorkersServeConcurrentInvocations) {
-  auto opts = small_platform();
-  Platform p(opts);
+  auto fleet = small_fleet();
+  cluster::Harness p(fleet);
   p.registry().add_echo();
   p.start();
 
@@ -345,8 +342,8 @@ TEST(EndToEnd, ParallelWorkersServeConcurrentInvocations) {
 }
 
 TEST(EndToEnd, LeasesSpanMultipleExecutorsWhenOneIsTooSmall) {
-  auto opts = small_platform();  // 2 executors x 4 cores
-  Platform p(opts);
+  auto fleet = small_fleet();  // 2 executors x 4 cores
+  cluster::Harness p(fleet);
   p.registry().add_echo();
   p.start();
 
@@ -365,8 +362,8 @@ TEST(EndToEnd, LeasesSpanMultipleExecutorsWhenOneIsTooSmall) {
 }
 
 TEST(EndToEnd, LeaseDeniedWhenNoCapacity) {
-  auto opts = small_platform();
-  Platform p(opts);
+  auto fleet = small_fleet();
+  cluster::Harness p(fleet);
   p.registry().add_echo();
   p.start();
 
@@ -383,9 +380,9 @@ TEST(EndToEnd, LeaseDeniedWhenNoCapacity) {
 }
 
 TEST(EndToEnd, AdaptivePolicySwitchesWarmToHotAndBack) {
-  auto opts = small_platform();
-  opts.config.hot_polling_timeout = 2_ms;
-  Platform p(opts);
+  auto fleet = small_fleet();
+  fleet.config.hot_polling_timeout = 2_ms;
+  cluster::Harness p(fleet);
   p.registry().add_echo();
   p.start();
 
@@ -415,10 +412,8 @@ TEST(EndToEnd, AdaptivePolicySwitchesWarmToHotAndBack) {
 }
 
 TEST(EndToEnd, WarmRejectionRedirectsToAnotherWorker) {
-  PlatformOptions opts = small_platform();
-  opts.spot_executors = 1;
-  opts.cores_per_executor = 2;
-  Platform p(opts);
+  auto fleet = small_fleet(/*executors=*/1, /*cores=*/2);
+  cluster::Harness p(fleet);
   p.registry().add_echo();
   p.start();
 
@@ -456,10 +451,8 @@ TEST(EndToEnd, WarmRejectionRedirectsToAnotherWorker) {
 }
 
 TEST(EndToEnd, AllWorkersBusyMeansRejectedResult) {
-  PlatformOptions opts = small_platform();
-  opts.spot_executors = 1;
-  opts.cores_per_executor = 1;
-  Platform p(opts);
+  auto fleet = small_fleet(/*executors=*/1, /*cores=*/1);
+  cluster::Harness p(fleet);
   p.registry().add_echo();
   p.start();
 
@@ -495,8 +488,8 @@ TEST(EndToEnd, AllWorkersBusyMeansRejectedResult) {
 }
 
 TEST(EndToEnd, LeaseExpiryKillsSandboxAndReclaimsCapacity) {
-  auto opts = small_platform();
-  Platform p(opts);
+  auto fleet = small_fleet();
+  cluster::Harness p(fleet);
   p.registry().add_echo();
   p.start();
 
@@ -519,9 +512,9 @@ TEST(EndToEnd, LeaseExpiryKillsSandboxAndReclaimsCapacity) {
 }
 
 TEST(EndToEnd, IdleSandboxesAreReaped) {
-  auto opts = small_platform();
-  opts.config.executor_idle_timeout = 2_s;
-  Platform p(opts);
+  auto fleet = small_fleet();
+  fleet.config.executor_idle_timeout = 2_s;
+  cluster::Harness p(fleet);
   p.registry().add_echo();
   p.start();
 
@@ -540,8 +533,8 @@ TEST(EndToEnd, IdleSandboxesAreReaped) {
 }
 
 TEST(EndToEnd, ExecutorCrashDetectedByResourceManager) {
-  auto opts = small_platform();
-  Platform p(opts);
+  auto fleet = small_fleet();
+  cluster::Harness p(fleet);
   p.registry().add_echo();
   p.start();
   EXPECT_EQ(p.rm().alive_executors(), 2u);
@@ -552,8 +545,8 @@ TEST(EndToEnd, ExecutorCrashDetectedByResourceManager) {
 }
 
 TEST(EndToEnd, InvocationOnDeadExecutorFails) {
-  auto opts = small_platform();
-  Platform p(opts);
+  auto fleet = small_fleet();
+  cluster::Harness p(fleet);
   p.registry().add_echo();
   p.start();
 
@@ -581,9 +574,9 @@ TEST(EndToEnd, InvocationOnDeadExecutorFails) {
 }
 
 TEST(EndToEnd, BillingAccumulatesAllThreeComponents) {
-  auto opts = small_platform();
-  opts.config.billing_flush_period = 50_ms;
-  Platform p(opts);
+  auto fleet = small_fleet();
+  fleet.config.billing_flush_period = 50_ms;
+  cluster::Harness p(fleet);
   p.registry().add_echo();
   // A function with real compute cost so Cc accumulates.
   CodePackage busy;
@@ -621,8 +614,8 @@ TEST(EndToEnd, BillingAccumulatesAllThreeComponents) {
 }
 
 TEST(EndToEnd, MultipleFunctionsInOneWorkerProcess) {
-  auto opts = small_platform();
-  Platform p(opts);
+  auto fleet = small_fleet();
+  cluster::Harness p(fleet);
   p.registry().add_echo();
   CodePackage doubler;
   doubler.name = "double";
@@ -667,8 +660,8 @@ class PayloadIntegrity : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(PayloadIntegrity, EchoAcrossSizes) {
   const std::size_t n = GetParam();
-  auto opts = small_platform();
-  Platform p(opts);
+  auto fleet = small_fleet();
+  cluster::Harness p(fleet);
   p.registry().add_echo();
   p.start();
 

@@ -403,6 +403,7 @@ TEST(LeaseLifecycle, HeartbeatSweepReclaimsExpiredLease) {
     req.workers = 2;
     req.memory_bytes = 64ull << 20;
     req.timeout = 3_s;
+    req.request_id = 1;  // the manager refuses id 0
     conn.value()->send(encode(req));
     auto raw = co_await conn.value()->recv();
     EXPECT_TRUE(raw.has_value());

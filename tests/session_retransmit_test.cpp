@@ -364,6 +364,36 @@ TEST(ManagerDedup, StaleEpochRegistrationIsFenced) {
   EXPECT_EQ(h.rm().fenced_registrations(), 1u);
 }
 
+TEST(ManagerDedup, RequestIdZeroIsRefusedAndGrantsNothing) {
+  // Id 0 is no session's id: the manager answers it with one LeaseError
+  // at the dedup entry point and never runs the grant decision.
+  auto spec = cluster::ScenarioSpec::uniform(/*executors=*/1, /*cores=*/8,
+                                             /*memory_bytes=*/32ull << 30, /*clients=*/1);
+  cluster::Harness h(spec);
+  h.start();
+  const std::uint32_t free_before = h.rm().free_workers_total();
+
+  auto scenario = [&]() -> sim::Task<void> {
+    auto res = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
+                                        h.rm().port());
+    EXPECT_TRUE(res.ok());
+    if (!res.ok()) co_return;
+    auto stream = res.value();
+    stream->send(encode(LeaseRequestMsg{1, 2, 64ull << 20, 60_s, /*request_id=*/0}));
+    auto reply = co_await stream->recv();
+    EXPECT_TRUE(reply.has_value());
+    if (!reply) co_return;
+    EXPECT_TRUE(decode_lease_error(*reply).ok());
+    EXPECT_FALSE(decode_lease_grant(*reply).ok());
+  };
+  h.spawn(scenario());
+  h.run_for(1_s);
+
+  EXPECT_EQ(h.rm().active_leases(), 0u);
+  EXPECT_EQ(h.rm().free_workers_total(), free_before);
+  EXPECT_EQ(h.rm().dedup_hits(), 0u);
+}
+
 TEST(ManagerDedup, ChaosWorkloadHoldsLeaseInvariantsEndToEnd) {
   // A short lossy end-to-end run in tier-1: 5% symmetric drop/dup/
   // reorder on every client<->manager link, every client must survive,

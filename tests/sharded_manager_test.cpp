@@ -777,14 +777,17 @@ TEST(ShardedHarness, QuotaPressureEvictsAndRetriesOverTheWire) {
   cluster::Harness h(spec);
   h.start();
 
+  // Raw wire, one request at a time: each request carries its own
+  // nonzero id (the manager refuses id 0), unique per stream.
   auto acquire = [](cluster::Harness* hp, std::shared_ptr<net::TcpStream> stream,
-                    std::uint32_t client, std::uint32_t workers)
+                    std::uint32_t client, std::uint32_t workers, std::uint64_t request_id)
       -> sim::Task<Result<LeaseGrantMsg>> {
     LeaseRequestMsg req;
     req.client_id = client;
     req.workers = workers;
     req.memory_bytes = 64ull << 20;
     req.timeout = 60_s;
+    req.request_id = request_id;
     stream->send(encode(req));
     auto raw = co_await stream->recv();
     (void)hp;
@@ -801,14 +804,14 @@ TEST(ShardedHarness, QuotaPressureEvictsAndRetriesOverTheWire) {
     if (!a.ok() || !b.ok()) co_return;
 
     // Tenant 1 hogs the whole 8-worker fleet, double its quota of 4.
-    auto a1 = co_await acquire(&h, a.value(), /*client=*/1, 4);
-    auto a2 = co_await acquire(&h, a.value(), /*client=*/1, 4);
+    auto a1 = co_await acquire(&h, a.value(), /*client=*/1, 4, /*request_id=*/1);
+    auto a2 = co_await acquire(&h, a.value(), /*client=*/1, 4, /*request_id=*/2);
     EXPECT_TRUE(a1.ok() && a2.ok());
     EXPECT_EQ(h.rm().free_workers_total(), 0u);
 
     // Tenant 2's request would be denied for capacity — quota pressure
     // evicts one of tenant 1's leases and the retry grants it.
-    auto b1 = co_await acquire(&h, b.value(), /*client=*/2, 4);
+    auto b1 = co_await acquire(&h, b.value(), /*client=*/2, 4, /*request_id=*/1);
     EXPECT_TRUE(b1.ok());
     if (b1.ok()) EXPECT_EQ(b1.value().workers, 4u);
     EXPECT_EQ(h.rm().core().evictions(), 1u);
@@ -869,6 +872,7 @@ TEST(ShardedHarness, ExtendLeaseOverTheWire) {
     req.workers = 2;
     req.memory_bytes = 64ull << 20;
     req.timeout = 2_s;
+    req.request_id = 1;  // the manager refuses id 0
     stream->send(encode(req));
     auto raw = co_await stream->recv();
     EXPECT_TRUE(raw.has_value());
@@ -882,6 +886,7 @@ TEST(ShardedHarness, ExtendLeaseOverTheWire) {
     ExtendLeaseMsg extend;
     extend.lease_id = grant.value().lease_id;
     extend.extension = 30_s;
+    extend.request_id = 2;
     stream->send(encode(extend));
     auto raw2 = co_await stream->recv();
     EXPECT_TRUE(raw2.has_value());
@@ -896,6 +901,7 @@ TEST(ShardedHarness, ExtendLeaseOverTheWire) {
     ExtendLeaseMsg bogus;
     bogus.lease_id = ShardedResourceManager::make_id(1, 999);
     bogus.extension = 1_s;
+    bogus.request_id = 3;
     stream->send(encode(bogus));
     auto raw3 = co_await stream->recv();
     EXPECT_TRUE(raw3.has_value());

@@ -2,10 +2,12 @@
 // discipline and double-execution registry, plus end-to-end recovery —
 // crash/stuck/gray/corrupt workers survived by deadlines + idempotent
 // retries, hedging against gray executors, and breaker-driven
-// quarantine through the resource manager. Labeled `dataplane-chaos`
+// quarantine through the resource manager — through both entry points,
+// invoke_pooled() slots and invoke() on caller buffers. Labeled `dataplane-chaos`
 // in CMake so `ctest -L dataplane-chaos` runs this suite alone.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 
@@ -81,8 +83,12 @@ struct FaultRun {
   std::uint64_t hedge_wins = 0;
   std::uint64_t breaker_trips = 0;
   std::uint64_t rm_quarantined = 0;
+  unsigned echo_mismatches = 0;  // ok results whose output is not the echo
   net::WorkerFaultInjector::Counters injected{};
 };
+
+/// Which client entry point a fault run drives.
+enum class Entry { Pooled, CallerBuffers };
 
 struct FaultRunOptions {
   net::WorkerFaultSpec fleet{};    // default spec for every executor
@@ -92,6 +98,7 @@ struct FaultRunOptions {
   bool hedging = false;
   bool quarantine_tuning = false;  // short Open windows + deep budget
   std::uint32_t retry_budget = 3;
+  Entry entry = Entry::Pooled;
 };
 
 FaultRun run_faulted(const FaultRunOptions& opt, std::uint64_t seed = 1) {
@@ -134,8 +141,23 @@ FaultRun run_faulted(const FaultRunOptions& opt, std::uint64_t seed = 1) {
 
     std::array<std::uint8_t, 512> payload;
     payload.fill(0x42);
+    auto in = invoker->input_buffer<std::uint8_t>(payload.size());
+    auto out = invoker->output_buffer<std::uint8_t>(payload.size());
     for (unsigned i = 0; i < opt.reps; ++i) {
-      auto r = co_await invoker->invoke_pooled(0, payload);
+      rfaas::InvocationResult r;
+      if (opt.entry == Entry::Pooled) {
+        r = co_await invoker->invoke_pooled(0, payload);
+      } else {
+        // A fresh pattern per call, so a stale or mangled output cannot
+        // pass for this call's echo.
+        fill_pattern({in.data(), payload.size()}, i);
+        std::fill_n(out.data(), payload.size(), std::uint8_t{0});
+        r = co_await invoker->invoke(0, in, payload.size(), out);
+        if (r.ok && (r.output_bytes != payload.size() ||
+                     !std::equal(in.data(), in.data() + payload.size(), out.data()))) {
+          ++run.echo_mismatches;
+        }
+      }
       if (r.ok) {
         ++run.ok;
       } else {
@@ -187,6 +209,34 @@ TEST(WorkerFaults, CorruptionDetectedByChecksumAndRetried) {
   // Every injected flip is caught by the response checksum — none leak
   // into a "successful" result.
   EXPECT_EQ(run.corruptions_detected, run.injected.corruptions);
+  EXPECT_EQ(run.injected.double_executions, 0u);
+}
+
+TEST(WorkerFaults, CallerBufferCrashesSurvivedByIdempotentRetries) {
+  FaultRunOptions opt;
+  opt.fleet.crash_p = 0.05;
+  opt.entry = Entry::CallerBuffers;
+  const auto run = run_faulted(opt);
+  EXPECT_EQ(run.failed, 0u);
+  EXPECT_GT(run.injected.crashes, 0u) << "chaos schedule injected nothing";
+  EXPECT_GE(run.retries, run.injected.crashes);
+  EXPECT_EQ(run.echo_mismatches, 0u);
+  EXPECT_EQ(run.injected.double_executions, 0u);
+}
+
+TEST(WorkerFaults, CallerBufferCorruptionDetectedByChecksumAndRetried) {
+  // invoke() on caller-registered buffers runs the same invocation core
+  // as invoke_pooled(): the request carries a checksum, so the executor
+  // stamps the reply's, and every flipped response is caught and
+  // replayed clean into the caller's output buffer.
+  FaultRunOptions opt;
+  opt.fleet.corrupt_p = 0.1;
+  opt.entry = Entry::CallerBuffers;
+  const auto run = run_faulted(opt);
+  EXPECT_EQ(run.failed, 0u);
+  EXPECT_GT(run.injected.corruptions, 0u);
+  EXPECT_EQ(run.corruptions_detected, run.injected.corruptions);
+  EXPECT_EQ(run.echo_mismatches, 0u);
   EXPECT_EQ(run.injected.double_executions, 0u);
 }
 
