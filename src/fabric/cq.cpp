@@ -1,6 +1,16 @@
 #include "fabric/cq.hpp"
 
+#include <algorithm>
+#include <cassert>
+
 namespace rfs::fabric {
+
+CompletionQueue::CompletionQueue(const NetworkModel& model)
+    : model_(model), timer_(std::make_shared<DeadlineTimer>()) {
+  timer_->cq = this;
+}
+
+CompletionQueue::~CompletionQueue() { timer_->cq = nullptr; }
 
 std::size_t CompletionQueue::poll(std::span<Wc> out) {
   std::size_t n = 0;
@@ -42,20 +52,13 @@ sim::Task<Wc> CompletionQueue::wait_blocking() {
 }
 
 sim::Task<std::optional<Wc>> CompletionQueue::wait_polling_until(Time deadline) {
-  // A helper timer pulses the arrival event at the deadline so the waiter
-  // re-checks; the `expired` flag distinguishes timeout from arrival. The
-  // timer checks the CQ liveness token before touching it.
-  auto expired = std::make_shared<bool>(false);
-  auto timer = [](sim::Event* ev, Time when, std::shared_ptr<bool> flag,
-                  std::weak_ptr<int> alive) -> sim::Task<void> {
-    co_await sim::delay_until(when);
-    *flag = true;
-    if (alive.lock()) ev->pulse();
-  };
-  sim::spawn(*sim::Engine::current(), timer(&arrival_, deadline, expired, alive_));
-  while (ready_.empty()) {
-    if (*expired) co_return std::nullopt;
-    co_await arrival_.wait();
+  if (ready_.empty()) {
+    add_deadline(deadline);
+    do {
+      co_await arrival_.wait();
+    } while (ready_.empty() && deadline > expired_through_);
+    remove_deadline(deadline);
+    if (ready_.empty()) co_return std::nullopt;
   }
   Wc wc = ready_.front();
   ready_.pop_front();
@@ -63,20 +66,15 @@ sim::Task<std::optional<Wc>> CompletionQueue::wait_polling_until(Time deadline) 
 }
 
 sim::Task<std::optional<Wc>> CompletionQueue::wait_blocking_until(Time deadline) {
-  // Same deadline-timer shape as wait_polling_until; the only difference
-  // is the completion-channel wake-up cost paid on a real arrival (a
-  // timeout returns at the deadline itself — nothing woke the thread).
-  auto expired = std::make_shared<bool>(false);
-  auto timer = [](sim::Event* ev, Time when, std::shared_ptr<bool> flag,
-                  std::weak_ptr<int> alive) -> sim::Task<void> {
-    co_await sim::delay_until(when);
-    *flag = true;
-    if (alive.lock()) ev->pulse();
-  };
-  sim::spawn(*sim::Engine::current(), timer(&arrival_, deadline, expired, alive_));
-  while (ready_.empty()) {
-    if (*expired) co_return std::nullopt;
-    co_await arrival_.wait();
+  // Same deadline handling as wait_polling_until; only a real arrival pays
+  // the completion-channel wake-up.
+  if (ready_.empty()) {
+    add_deadline(deadline);
+    do {
+      co_await arrival_.wait();
+    } while (ready_.empty() && deadline > expired_through_);
+    remove_deadline(deadline);
+    if (ready_.empty()) co_return std::nullopt;
   }
   co_await sim::delay(model_.blocking_wake_latency);
   if (ready_.empty()) co_return std::nullopt;  // raced away during wake-up
@@ -89,6 +87,49 @@ void CompletionQueue::push(const Wc& wc) {
   ready_.push_back(wc);
   ++delivered_;
   arrival_.pulse();
+}
+
+void CompletionQueue::add_deadline(Time deadline) {
+  deadlines_.push_back(deadline);
+  if (timer_->due <= deadline) return;  // the live actor wakes in time
+  // No actor, or one due after this deadline: start one for it. The late
+  // one sees the new generation when it wakes and retires.
+  timer_->due = deadline;
+  sim::spawn(*sim::Engine::current(), run_deadline_timer(timer_, ++timer_->generation));
+}
+
+void CompletionQueue::remove_deadline(Time deadline) {
+  auto it = std::find(deadlines_.begin(), deadlines_.end(), deadline);
+  assert(it != deadlines_.end());
+  *it = deadlines_.back();
+  deadlines_.pop_back();
+}
+
+sim::Task<void> CompletionQueue::run_deadline_timer(std::shared_ptr<DeadlineTimer> timer,
+                                                    std::uint64_t generation) {
+  for (;;) {
+    co_await sim::delay_until(timer->due);
+    CompletionQueue* cq = timer->cq;
+    if (cq == nullptr || timer->generation != generation) co_return;
+    // Time out the waits whose deadline has passed (the pulse makes them
+    // re-check), then sleep until the earliest deadline still ahead.
+    const Time now = sim::Engine::current()->now();
+    bool expired = false;
+    Time next = kNever;
+    for (const Time d : cq->deadlines_) {
+      if (d <= now) {
+        expired = true;
+      } else {
+        next = std::min(next, d);
+      }
+    }
+    if (expired) {
+      cq->expired_through_ = now;
+      cq->arrival_.pulse();
+    }
+    timer->due = next;
+    if (next == kNever) co_return;
+  }
 }
 
 }  // namespace rfs::fabric

@@ -7,10 +7,23 @@
 //   - wait_blocking(): completion-channel semantics. The waiter is resumed
 //     `blocking_wake_latency` after CQE generation, modelling the
 //     interrupt + futex wake of ibv_get_cq_event. This is the warm path.
+//
+// Both have deadline-bounded forms, and one timer serves all of a CQ's
+// deadline waits: a single detached actor sleeps until the earliest
+// deadline among the waits in progress and pulses the arrival event when
+// it passes. A wait starts a new actor only if none is due at or before
+// its deadline. An actor that wakes to find every deadline moved later
+// sleeps again until the earliest one. That is the common case — a hot
+// worker re-polls with a fresh 500 ms deadline after each invocation —
+// so a satisfied wait leaves no event, frame or allocation behind.
 #pragma once
 
 #include <deque>
+#include <limits>
+#include <memory>
+#include <optional>
 #include <span>
+#include <vector>
 
 #include "fabric/model.hpp"
 #include "fabric/verbs.hpp"
@@ -20,7 +33,12 @@ namespace rfs::fabric {
 
 class CompletionQueue {
  public:
-  explicit CompletionQueue(const NetworkModel& model) : model_(model) {}
+  explicit CompletionQueue(const NetworkModel& model);
+  ~CompletionQueue();
+
+  // Queue pairs and the deadline actor hold the CQ's address.
+  CompletionQueue(const CompletionQueue&) = delete;
+  CompletionQueue& operator=(const CompletionQueue&) = delete;
 
   /// Non-blocking poll: copies up to out.size() completions, returns count.
   std::size_t poll(std::span<Wc> out);
@@ -41,16 +59,18 @@ class CompletionQueue {
   sim::Task<Wc> wait_blocking();
 
   /// Busy-poll wait with a deadline: returns nullopt when no completion
-  /// arrives by `deadline`. Used for the hot->warm rollback of executor
-  /// workers ("executors can roll back to warm executions after a
-  /// configurable time without a new invocation").
+  /// arrives by `deadline`, resuming exactly at the deadline; a completion
+  /// that arrives at the deadline instant still wins. Used for the
+  /// hot->warm rollback of executor workers ("executors can roll back to
+  /// warm executions after a configurable time without a new invocation").
   sim::Task<std::optional<Wc>> wait_polling_until(Time deadline);
 
   /// Blocking wait with a deadline: completion-channel semantics (the
   /// wake-up latency is charged on arrival) but returns nullopt when no
-  /// completion arrives by `deadline`. This is what lets an invocation
-  /// deadline surface as a timeout instead of blocking forever when the
-  /// remote executor died after the request was submitted.
+  /// completion arrives by `deadline`, at the deadline itself (nothing
+  /// woke the thread). This is what lets an invocation deadline surface
+  /// as a timeout instead of blocking forever when the remote executor
+  /// died after the request was submitted.
   sim::Task<std::optional<Wc>> wait_blocking_until(Time deadline);
 
   /// Pushes a completion (fabric internal).
@@ -63,13 +83,31 @@ class CompletionQueue {
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
 
  private:
+  static constexpr Time kNever = std::numeric_limits<Time>::max();
+
+  /// State the CQ shares with its deadline actor. The actor may outlive
+  /// the CQ, whose destructor detaches it by clearing `cq`.
+  struct DeadlineTimer {
+    CompletionQueue* cq = nullptr;
+    Time due = kNever;             // when the live actor wakes; kNever: no actor
+    std::uint64_t generation = 0;  // an actor superseded by an earlier deadline retires
+  };
+
+  /// Records a deadline wait in progress, and starts an actor unless the
+  /// live one wakes by `deadline`.
+  void add_deadline(Time deadline);
+  /// Forgets one deadline wait in progress.
+  void remove_deadline(Time deadline);
+  static sim::Task<void> run_deadline_timer(std::shared_ptr<DeadlineTimer> timer,
+                                            std::uint64_t generation);
+
   const NetworkModel& model_;
   std::deque<Wc> ready_;
   sim::Event arrival_;
   std::uint64_t delivered_ = 0;
-  // Liveness token: deadline timers of wait_polling_until() hold a weak
-  // reference and become no-ops once the CQ is destroyed.
-  std::shared_ptr<int> alive_ = std::make_shared<int>(0);
+  std::vector<Time> deadlines_;  // one entry per deadline wait in progress
+  Time expired_through_ = 0;     // the timer has pulsed for every deadline up to here
+  std::shared_ptr<DeadlineTimer> timer_;
 };
 
 }  // namespace rfs::fabric

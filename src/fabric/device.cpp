@@ -78,22 +78,49 @@ ProtectionDomain* Device::alloc_pd() {
   return pds_.back().get();
 }
 
+void Device::dealloc_pd(ProtectionDomain* pd) {
+  if (pd == nullptr) return;
+  pd->deallocated_ = true;
+  if (pd->qps_ == 0) free_pd(pd);
+}
+
+void Device::free_pd(ProtectionDomain* pd) {
+  std::erase_if(pds_, [pd](const std::unique_ptr<ProtectionDomain>& p) { return p.get() == pd; });
+}
+
 QueuePair* Device::create_qp(ProtectionDomain* pd, CompletionQueue* send_cq,
                              CompletionQueue* recv_cq) {
   std::uint32_t qpn = fabric_.next_qp_num();
   auto qp = std::make_unique<QueuePair>(*this, qpn, pd, send_cq, recv_cq);
   QueuePair* ptr = qp.get();
   qps_[qpn] = std::move(qp);
+  if (pd != nullptr) ++pd->qps_;
   return ptr;
 }
 
 void Device::destroy_qp(QueuePair* qp) {
   if (qp == nullptr) return;
-  // The QP object stays alive (parked in the map, state Error) so that
-  // in-flight fabric tasks and the peer's pointer remain valid; the peer
-  // observes RetryExceeded on its next operation, like a real RC QP whose
-  // counterpart vanished.
-  qp->set_error();
+  qp->set_error();  // posted receives flush into the recv CQ, still alive here
+  qp->destroyed_ = true;
+  // The peer observes RetryExceeded on its next operation, like a real RC
+  // QP whose counterpart vanished.
+  if (qp->peer_ != nullptr && qp->peer_->peer_ == qp) qp->peer_->peer_ = nullptr;
+  qp->peer_ = nullptr;
+  if (qp->refs_ == 0) reclaim_qp(qp);
+}
+
+void Device::reclaim_qp(QueuePair* qp) {
+  ProtectionDomain* pd = qp->pd();
+  qps_.erase(qp->qp_num());
+  if (pd != nullptr && --pd->qps_ == 0 && pd->deallocated_) free_pd(pd);
+}
+
+std::size_t Device::destroyed_qps() const {
+  std::size_t n = 0;
+  for (const auto& entry : qps_) {
+    if (entry.second->destroyed_) ++n;
+  }
+  return n;
 }
 
 QueuePair* Device::find_qp(std::uint32_t qp_num) const {

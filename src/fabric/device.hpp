@@ -85,10 +85,14 @@ class ProtectionDomain {
   [[nodiscard]] Fabric& fabric() { return fabric_; }
 
  private:
+  friend class Device;
+
   Fabric& fabric_;
   std::unordered_map<std::uint32_t, std::unique_ptr<MemoryRegion>> by_rkey_;
   std::unordered_map<std::uint32_t, MemoryRegion*> by_lkey_;
   sim::Mutex register_gate_;  // mmap-lock serialization of timed registrations
+  std::uint32_t qps_ = 0;     // queue pairs created on this PD and not yet freed
+  bool deallocated_ = false;  // Device::dealloc_pd() ran; freed once qps_ is 0
 };
 
 /// One NIC. Owns its protection domains and queue pairs.
@@ -113,16 +117,35 @@ class Device {
 
   ProtectionDomain* alloc_pd();
 
+  /// Deallocates a PD together with its registrations. A queue pair
+  /// still on it (open, or destroyed with fabric tasks in flight) keeps
+  /// it until the device frees that queue pair.
+  void dealloc_pd(ProtectionDomain* pd);
+
+  /// Protection domains not yet freed.
+  [[nodiscard]] std::size_t pd_count() const { return pds_.size(); }
+
   /// Creates an unconnected RC queue pair.
   QueuePair* create_qp(ProtectionDomain* pd, class CompletionQueue* send_cq,
                        class CompletionQueue* recv_cq);
 
-  /// Destroys a QP: flushes its receive queue and fails future peers' ops.
+  /// Destroys a QP like ibv_destroy_qp: flushes its receive queue, fails
+  /// the peer's later operations and stops the QP's completions. The
+  /// object is freed once no in-flight fabric task references it.
   void destroy_qp(QueuePair* qp);
+
+  /// Frees a destroyed QP whose last fabric task finished (fabric internal).
+  void reclaim_qp(QueuePair* qp);
+
+  /// Destroyed QPs that in-flight fabric tasks still hold (0 once the
+  /// fabric is quiet).
+  [[nodiscard]] std::size_t destroyed_qps() const;
 
   [[nodiscard]] QueuePair* find_qp(std::uint32_t qp_num) const;
 
  private:
+  void free_pd(ProtectionDomain* pd);
+
   Fabric& fabric_;
   DeviceId id_;
   std::string name_;

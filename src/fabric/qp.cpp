@@ -6,6 +6,13 @@
 
 namespace rfs::fabric {
 
+QueuePair::Ref::~Ref() {
+  // A drain may destroy the frame holding this reference after the
+  // device that owned the QP is gone.
+  if (qp_ == nullptr || sim::Engine::draining()) return;
+  if (--qp_->refs_ == 0 && qp_->destroyed_) qp_->dev_.reclaim_qp(qp_);
+}
+
 void QueuePair::connect_pair(QueuePair& a, QueuePair& b) {
   a.peer_ = &b;
   b.peer_ = &a;
@@ -77,7 +84,8 @@ Status QueuePair::post_send(SendWr wr) {
   }
 
   const Duration doorbell = dev_.fabric().model().post_overhead;
-  sim::spawn(dev_.fabric().engine(), run_send(std::move(wr), std::move(inline_copy), doorbell));
+  sim::spawn(dev_.fabric().engine(),
+             run_send(Ref(this), Ref(peer_), std::move(wr), std::move(inline_copy), doorbell));
   return Status::success();
 }
 
@@ -99,14 +107,15 @@ Status QueuePair::post_send_many(std::span<SendWr> wrs) {
     }
     // One doorbell for the chain: the first WR pays the MMIO write + WQE
     // fetch; later WRs are fetched with the same doorbell.
-    sim::spawn(dev_.fabric().engine(),
-               run_send(std::move(wr), std::move(inline_copy), first ? doorbell : 0));
+    sim::spawn(dev_.fabric().engine(), run_send(Ref(this), Ref(peer_), std::move(wr),
+                                                std::move(inline_copy), first ? doorbell : 0));
     first = false;
   }
   return Status::success();
 }
 
-sim::Task<void> QueuePair::run_send(SendWr wr, Bytes inline_copy, Duration doorbell) {
+sim::Task<void> QueuePair::run_send([[maybe_unused]] Ref self, Ref remote, SendWr wr,
+                                    Bytes inline_copy, Duration doorbell) {
   const auto& model = dev_.fabric().model();
   auto& net = dev_.fabric().net();
 
@@ -118,11 +127,13 @@ sim::Task<void> QueuePair::run_send(SendWr wr, Bytes inline_copy, Duration doorb
   if (is_payload_op && !wr.inline_data) launch += model.dma_read_latency;
   co_await sim::delay(launch);
 
-  if (peer_ == nullptr || peer_->state_ == QpState::Error) {
+  // `remote` is the peer as of posting (destroy_qp() unlinks peer_); its
+  // reference keeps a destroyed peer alive for the checks below.
+  if (remote.get() == nullptr || remote->state_ == QpState::Error) {
     complete_local(wr, WcStatus::RetryExceeded, 0);
     co_return;
   }
-  QueuePair& peer = *peer_;
+  QueuePair& peer = *remote.get();
   const DeviceId src = dev_.id();
   const DeviceId dst = peer.dev_.id();
 
@@ -298,23 +309,24 @@ void QueuePair::deliver_with_recv(const SendWr& wr, std::span<const std::uint8_t
     remote.has_imm = true;
   }
 
-  // CQE generation cost, then both completions become visible.
-  QueuePair* origin = peer_;
-  auto finish = [](QueuePair* target, QueuePair* origin_qp, Wc remote_wc, Wc local_wc,
-                   const SendWr wr_copy, Duration cqe) -> sim::Task<void> {
+  // CQE generation cost, then both completions become visible. A QP
+  // destroyed meanwhile posts nothing: its CQs may be gone.
+  auto finish = [](Ref target, Ref origin, Wc remote_wc, Wc local_wc, const SendWr wr_copy,
+                   Duration cqe) -> sim::Task<void> {
     co_await sim::delay(cqe);
-    target->recv_cq_->push(remote_wc);
-    if (origin_qp != nullptr) {
-      if (wr_copy.signaled || local_wc.status != WcStatus::Success) {
-        origin_qp->send_cq_->push(local_wc);
-      }
+    if (!target->destroyed_) target->recv_cq_->push(remote_wc);
+    if (origin.get() != nullptr && !origin->destroyed_ &&
+        (wr_copy.signaled || local_wc.status != WcStatus::Success)) {
+      origin->send_cq_->push(local_wc);
     }
   };
-  sim::spawn(dev_.fabric().engine(), finish(this, origin, remote, local, wr, model.cqe_overhead));
+  sim::spawn(dev_.fabric().engine(),
+             finish(Ref(this), Ref(peer_), remote, local, wr, model.cqe_overhead));
 }
 
 void QueuePair::complete_local(const SendWr& wr, WcStatus status, std::uint32_t byte_len) {
-  if (!wr.signaled && status == WcStatus::Success) return;
+  // A destroyed QP's CQs may be gone (see Device::destroy_qp()).
+  if (destroyed_ || (!wr.signaled && status == WcStatus::Success)) return;
   Wc wc{};
   wc.wr_id = wr.wr_id;
   wc.status = status;

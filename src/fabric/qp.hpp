@@ -5,11 +5,18 @@
 // switch links, DMA-read cost for non-inlined data, CQE generation delay.
 // Remote operations check rkey/bounds/access and fail with error CQEs on
 // violation, so the protection model is enforced, not assumed.
+//
+// Device::destroy_qp() acts like ibv_destroy_qp: posted receives flush,
+// the peer's later operations fail with RetryExceeded, and no completion
+// of the QP reaches its CQs afterwards (their owner may free them next).
+// Fabric tasks still in flight hold counted references; the device frees
+// the QP when the last one finishes.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <span>
+#include <utility>
 
 #include "common/bytes.hpp"
 #include "common/result.hpp"
@@ -69,6 +76,26 @@ class QueuePair {
   [[nodiscard]] std::size_t recv_queue_depth() const { return recv_queue_.size(); }
 
  private:
+  /// Counted reference a fabric task holds on a QP, so that a destroyed
+  /// QP outlives the tasks still using it.
+  class Ref {
+   public:
+    explicit Ref(QueuePair* qp) : qp_(qp) {
+      if (qp_ != nullptr) ++qp_->refs_;
+    }
+    Ref(Ref&& o) noexcept : qp_(std::exchange(o.qp_, nullptr)) {}
+    Ref(const Ref&) = delete;
+    Ref& operator=(const Ref&) = delete;
+    Ref& operator=(Ref&&) = delete;
+    ~Ref();
+
+    [[nodiscard]] QueuePair* get() const { return qp_; }
+    QueuePair* operator->() const { return qp_; }
+
+   private:
+    QueuePair* qp_;
+  };
+
   struct Parked {
     SendWr wr;
     // Send/SendImm park a copy of the payload (the sender's buffer may be
@@ -80,7 +107,8 @@ class QueuePair {
   };
 
   Status validate_send(const SendWr& wr) const;
-  sim::Task<void> run_send(SendWr wr, Bytes inline_copy, Duration doorbell);
+  sim::Task<void> run_send(Ref self, Ref remote, SendWr wr, Bytes inline_copy,
+                           Duration doorbell);
   void deliver_with_recv(const SendWr& wr, std::span<const std::uint8_t> payload,
                          std::uint32_t byte_len, Time arrival);
   void complete_local(const SendWr& wr, WcStatus status, std::uint32_t byte_len);
@@ -97,6 +125,8 @@ class QueuePair {
   RnrPolicy rnr_policy_ = RnrPolicy::Error;
   std::deque<RecvWr> recv_queue_;
   std::deque<Parked> parked_;  // deliveries waiting for a receive (RnrPolicy::Wait)
+  std::uint32_t refs_ = 0;     // fabric tasks holding a Ref
+  bool destroyed_ = false;     // Device::destroy_qp() ran; freed once refs_ is 0
 
   friend class Device;
 };

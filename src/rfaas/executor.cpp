@@ -14,6 +14,11 @@ namespace rfs::rfaas {
 Worker::Worker(ExecutorManager& mgr, Sandbox& sandbox, std::uint32_t index)
     : mgr_(mgr), sandbox_(sandbox), index_(index) {}
 
+Worker::~Worker() {
+  conn_.reset();  // its queue pair holds the protection domain
+  mgr_.device_.dealloc_pd(pd_);
+}
+
 sim::Task<void> Worker::init() {
   // The executor process "accesses the selected RDMA device, registers
   // memory buffers, and creates worker threads pinned to assigned cores"
@@ -172,6 +177,21 @@ namespace {
 /// execute — the invariant the retry path's zero-double-execution gate
 /// rests on.
 constexpr Duration kDeadlineMargin = 100_us;
+
+/// Keeps a torn-down sandbox from being freed (see Sandbox::pins).
+class SandboxPin {
+ public:
+  explicit SandboxPin(Sandbox& sb) : sb_(sb) { ++sb_.pins; }
+  ~SandboxPin() {
+    // A drain may destroy the holding frame after the manager is gone.
+    if (!sim::Engine::draining()) --sb_.pins;
+  }
+  SandboxPin(const SandboxPin&) = delete;
+  SandboxPin& operator=(const SandboxPin&) = delete;
+
+ private:
+  Sandbox& sb_;
+};
 
 }  // namespace
 
@@ -397,14 +417,14 @@ void ExecutorManager::stop(bool crash) {
     Sandbox& sb = *it->second;
     sb.dead = true;
     for (auto& w : sb.workers) w->stop();
-    graveyard_.push_back(std::move(it->second));
+    bury(std::move(it->second));
     sandboxes_.erase(it);
   }
   while (!warm_pool_.empty()) {
     auto sb = std::move(warm_pool_.front());
     warm_pool_.pop_front();
     host_.release_memory(sb->memory_bytes);
-    graveyard_.push_back(std::move(sb));
+    bury(std::move(sb));
   }
   if (rm_session_) rm_session_->stream()->close();
   (void)crash;  // a graceful stop and a crash differ only in notifications,
@@ -493,6 +513,7 @@ sim::Task<void> ExecutorManager::handle_stream(std::shared_ptr<net::TcpStream> s
         }
         // Install the shipped library: dlopen + relocation cost scales
         // with the code size (which already paid its wire cost).
+        SandboxPin pin(*sb);
         co_await sim::delay(config_.code_install_base +
                             config_.code_install_per_kb * (req.value().code_size / 1024));
         sb->codes.push_back(pkg.value());
@@ -608,6 +629,7 @@ sim::Task<AllocationReplyMsg> ExecutorManager::allocate_sandbox(const Allocation
   sb.billed_until = sb.created_at;
   sb.expires_at = req.expires_at;
   sandboxes_[sb.id] = std::move(sandbox);
+  SandboxPin pin(sb);  // a teardown may bury it while it starts
   const Time spawn_start = engine_.now();
 
   // Sandbox creation (process start or container boot with SR-IOV).
@@ -638,6 +660,7 @@ sim::Task<AllocationReplyMsg> ExecutorManager::allocate_sandbox(const Allocation
 sim::Task<void> ExecutorManager::teardown_sandbox(Sandbox& sb, bool notify_rm) {
   if (sb.dead) co_return;
   sb.dead = true;
+  SandboxPin pin(sb);  // stop() may bury it mid-teardown
   // Graceful drain: a worker that already accepted an invocation finishes
   // it and delivers the result before its connection closes; idle workers
   // close immediately (identical to the pre-drain behaviour).
@@ -697,7 +720,7 @@ sim::Task<void> ExecutorManager::teardown_sandbox(Sandbox& sb, bool notify_rm) {
     }
   } else {
     for (auto& w : sb.workers) w->surrender_buffers();
-    graveyard_.push_back(std::move(owned));
+    bury(std::move(owned));
   }
 }
 
@@ -764,6 +787,15 @@ std::unique_ptr<Sandbox> ExecutorManager::take_from_pool(const AllocationRequest
 void ExecutorManager::destroy_sandbox_final(std::unique_ptr<Sandbox> sb) {
   host_.release_memory(sb->memory_bytes);
   for (auto& w : sb->workers) w->surrender_buffers();
+  bury(std::move(sb));
+}
+
+void ExecutorManager::bury(std::unique_ptr<Sandbox> sb) {
+  std::erase_if(graveyard_, [](const std::unique_ptr<Sandbox>& dead) {
+    return dead->pins == 0 && std::ranges::all_of(dead->workers, [](const auto& w) {
+             return w->done().is_set();
+           });
+  });
   graveyard_.push_back(std::move(sb));
 }
 

@@ -43,6 +43,8 @@ struct Sandbox;
 class Worker {
  public:
   Worker(ExecutorManager& mgr, Sandbox& sandbox, std::uint32_t index);
+  /// Closes the connection and deallocates the worker's protection domain.
+  ~Worker();
 
   /// Cold-start initialization: allocate + register RDMA buffers (timed),
   /// spawn and pin the worker thread, then start the serving loop.
@@ -136,6 +138,10 @@ struct Sandbox {
   /// When the sandbox entered the warm keep-alive pool (0 = live).
   Time pooled_at = 0;
   bool dead = false;
+  /// Manager coroutines holding the sandbox across a suspension
+  /// (allocation, code install, teardown); a torn-down sandbox is freed
+  /// only when this is 0.
+  std::uint32_t pins = 0;
 };
 
 /// Per-function histogram of observed idle times (retire → next request
@@ -202,6 +208,8 @@ class ExecutorManager {
 
   [[nodiscard]] std::size_t live_sandboxes() const;
   [[nodiscard]] Sandbox* find_sandbox(std::uint64_t id);
+  /// Torn-down sandboxes not freed yet (see bury()).
+  [[nodiscard]] std::size_t buried_sandboxes() const { return graveyard_.size(); }
 
   /// Warm-pool observability (tests, benches, fig18).
   [[nodiscard]] const WarmPoolStats& warm_pool_stats() const { return pool_stats_; }
@@ -257,8 +265,12 @@ class ExecutorManager {
   std::unique_ptr<Sandbox> take_from_pool(const AllocationRequestMsg& req,
                                           std::uint64_t total_memory);
   /// Irreversible teardown of a retired/pooled sandbox: releases the host
-  /// memory, recycles the worker buffers and parks the object.
+  /// memory, recycles the worker buffers and buries the object.
   void destroy_sandbox_final(std::unique_ptr<Sandbox> sb);
+  /// Moves a torn-down sandbox to the graveyard, first freeing the buried
+  /// ones nothing uses any more: every serving loop has exited (a wedged
+  /// worker's never does) and no pin is held.
+  void bury(std::unique_ptr<Sandbox> sb);
   sim::Task<void> warm_pool_sweeper();
   /// Tears down every live sandbox of a lease the manager reclaimed.
   void reclaim_lease(std::uint64_t lease_id);
@@ -300,9 +312,9 @@ class ExecutorManager {
   std::uint32_t allocated_workers_ = 0;
 
   std::map<std::uint64_t, std::unique_ptr<Sandbox>> sandboxes_;
-  // Torn-down sandboxes are parked here (not freed) until the simulation
-  // ends: their worker coroutines may still be draining error completions
-  // and must find the objects alive.
+  // Torn-down sandboxes wait here until bury() frees them: their worker
+  // coroutines may still be draining error completions and must find the
+  // objects alive.
   std::vector<std::unique_ptr<Sandbox>> graveyard_;
   std::uint64_t next_sandbox_id_ = 1;
 

@@ -4,6 +4,7 @@ namespace rfs::sim {
 
 namespace {
 thread_local Engine* t_current = nullptr;
+thread_local bool t_draining = false;
 }  // namespace
 
 Engine::Engine() {
@@ -18,26 +19,44 @@ Engine::~Engine() {
   if (t_current == this) t_current = nullptr;
 }
 
-std::uint64_t Engine::register_detached(std::coroutine_handle<> h) {
-  const std::uint64_t id = next_detached_id_++;
-  detached_.emplace(id, h);
-  return id;
+void Engine::register_detached(DetachedLink& link) {
+  link.prev = nullptr;
+  link.next = detached_;
+  if (detached_ != nullptr) detached_->prev = &link;
+  detached_ = &link;
+  ++detached_count_;
 }
 
-void Engine::deregister_detached(std::uint64_t id) { detached_.erase(id); }
+void Engine::deregister_detached(DetachedLink& link) {
+  if (link.prev != nullptr) {
+    link.prev->next = link.next;
+  } else {
+    detached_ = link.next;
+  }
+  if (link.next != nullptr) link.next->prev = link.prev;
+  link.prev = nullptr;
+  link.next = nullptr;
+  --detached_count_;
+}
 
 void Engine::drain_detached() {
-  // Swap out first: destroying a frame destroys the child tasks it owns,
-  // but children are never registered (only spawn() registers), so the
-  // map cannot be mutated mid-iteration — the swap just makes that
-  // invariant unnecessary for safety.
-  std::unordered_map<std::uint64_t, std::coroutine_handle<>> victims;
-  victims.swap(detached_);
-  for (auto& [id, h] : victims) h.destroy();
+  // Unlink before destroying, and re-read the head every time: a frame's
+  // destruction runs its locals' destructors, which may spawn further
+  // actors.
+  const bool outer = t_draining;
+  t_draining = true;
+  while (detached_ != nullptr) {
+    DetachedLink& link = *detached_;
+    deregister_detached(link);
+    link.frame.destroy();
+  }
+  t_draining = outer;
   // Queued resumptions may now dangle (their frames died above); nothing
   // may run after a drain, so drop them wholesale.
   queue_ = {};
 }
+
+bool Engine::draining() { return t_draining; }
 
 void Engine::schedule_at(Time t, std::coroutine_handle<> h) {
   if (t < now_) t = now_;

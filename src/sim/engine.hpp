@@ -11,12 +11,20 @@
 #include <coroutine>
 #include <cstdint>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "common/units.hpp"
 
 namespace rfs::sim {
+
+/// Intrusive node that threads a detached coroutine into its engine's
+/// list of live actors. It lives inside the coroutine's promise, so
+/// registering and deregistering an actor allocates nothing.
+struct DetachedLink {
+  DetachedLink* prev = nullptr;
+  DetachedLink* next = nullptr;
+  std::coroutine_handle<> frame;
+};
 
 class Engine {
  public:
@@ -53,10 +61,14 @@ class Engine {
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
   /// Tracks a detached (spawned) coroutine so still-suspended actors can
-  /// be reclaimed at teardown. Returns the registration id the task's
-  /// final suspend passes back to deregister_detached().
-  std::uint64_t register_detached(std::coroutine_handle<> h);
-  void deregister_detached(std::uint64_t id);
+  /// be reclaimed at teardown. `link.frame` must be set; the task's final
+  /// suspend passes the same link to deregister_detached(). Both are O(1)
+  /// list splices.
+  void register_detached(DetachedLink& link);
+  void deregister_detached(DetachedLink& link);
+
+  /// Detached coroutines that have not completed yet.
+  [[nodiscard]] std::size_t detached_count() const { return detached_count_; }
 
   /// Destroys every detached coroutine that has not completed and drops
   /// all pending events. Call only when the engine will never run again,
@@ -66,6 +78,12 @@ class Engine {
   /// locals, so nothing the actors held (streams, buffers, connections)
   /// outlives the simulation.
   void drain_detached();
+
+  /// True while drain_detached() destroys frames on this thread.
+  /// Destructors of suspended locals check it to skip bookkeeping on
+  /// objects that may already be gone: the backstop drain in ~Engine can
+  /// run after the fabric those objects belonged to.
+  static bool draining();
 
   /// The engine currently inside run()/step() on this thread. Awaitables
   /// use this to find their engine without threading it through every call.
@@ -87,10 +105,10 @@ class Engine {
   };
 
   std::priority_queue<Item, std::vector<Item>, std::greater<>> queue_;
-  std::unordered_map<std::uint64_t, std::coroutine_handle<>> detached_;
+  DetachedLink* detached_ = nullptr;  // head of the live-actor list
+  std::size_t detached_count_ = 0;
   Time now_ = 0;
   std::uint64_t seq_ = 0;
-  std::uint64_t next_detached_id_ = 1;
 };
 
 /// RAII helper: makes an engine current for the enclosing scope.

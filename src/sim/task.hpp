@@ -23,9 +23,8 @@ namespace detail {
 
 struct PromiseBase {
   std::coroutine_handle<> continuation;
-  bool detached = false;
-  Engine* owner = nullptr;        // set by spawn(): engine tracking this actor
-  std::uint64_t detached_id = 0;  // registration in the owner's live set
+  Engine* owner = nullptr;  // set by spawn(): the engine tracking this detached actor
+  DetachedLink link;        // membership in the owner's live-actor list
   std::exception_ptr exception;
 
   std::suspend_always initial_suspend() noexcept { return {}; }
@@ -36,9 +35,9 @@ struct PromiseBase {
     std::coroutine_handle<> await_suspend(std::coroutine_handle<Promise> h) noexcept {
       auto& p = h.promise();
       if (p.continuation) return p.continuation;
-      if (p.detached) {
+      if (p.owner != nullptr) {
         if (p.exception) std::terminate();  // detached task failed: simulation bug
-        if (p.owner != nullptr) p.owner->deregister_detached(p.detached_id);
+        p.owner->deregister_detached(p.link);
         h.destroy();
       }
       return std::noop_coroutine();
@@ -167,9 +166,10 @@ class [[nodiscard]] Task<void> {
 inline void spawn(Engine& engine, Task<void> t) {
   auto h = t.release();
   assert(h);
-  h.promise().detached = true;
-  h.promise().owner = &engine;
-  h.promise().detached_id = engine.register_detached(h);
+  auto& p = h.promise();
+  p.owner = &engine;
+  p.link.frame = h;
+  engine.register_detached(p.link);
   engine.schedule_now(h);
 }
 

@@ -13,7 +13,9 @@
 //     accounting, and the disabled-by-default seed behaviour,
 //   - graceful drain: in-flight invocations finish before sandbox
 //     teardown on eviction,
-//   - end-to-end coalescing: one eviction sweep, one push per stream.
+//   - end-to-end coalescing: one eviction sweep, one push per stream,
+//   - bounded simulator state: no timer backlog and no destroyed queue
+//     pairs left behind by a hot burst.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -736,6 +738,85 @@ TEST(Coalescing, OneEvictionSweepSendsOnePushPerStream) {
   // healed, since self_heal is on).
   EXPECT_EQ(invoker->leases().terminations(), 2u);
   EXPECT_GE(invoker->leases().reallocations(), 1u);
+}
+
+// --------------------------------------------------------------------------
+// Bounded simulator state under a hot burst
+// --------------------------------------------------------------------------
+
+TEST(BoundedState, HotBurstLeavesNoTimerBacklogAndNoDestroyedQps) {
+  // Every hot poll waits with a fresh 500 ms deadline. After a burst the
+  // engine must hold O(workers) events, not a parked timer per
+  // invocation, and closing the connections must free their queue pairs.
+  cluster::Harness h(cluster::ScenarioSpec::uniform(2));
+  h.registry().add_echo();
+  h.start();
+  auto invoker = h.make_invoker();
+
+  constexpr int kCalls = 20'000;
+  int ok = 0;
+  std::size_t pending_after_burst = 0;
+  drive(h, 10_s, [&]() -> sim::Task<void> {
+    AllocationSpec spec;
+    spec.function_name = "echo";
+    spec.workers = 8;
+    spec.policy = InvocationPolicy::HotAlways;
+    auto st = co_await invoker->allocate(spec);
+    EXPECT_TRUE(st.ok()) << (st.ok() ? "" : st.error().message);
+    invoker->reserve_slots(/*count=*/8, /*max_input=*/64, /*max_output=*/64);
+    std::array<std::uint8_t, 16> payload;
+    payload.fill(0x3C);
+    for (int i = 0; i < kCalls; ++i) {
+      if ((co_await invoker->invoke_pooled(0, payload)).ok) ++ok;
+    }
+    pending_after_burst = h.engine().pending();
+    co_await invoker->deallocate();
+  });
+
+  EXPECT_EQ(ok, kCalls);
+  EXPECT_LT(pending_after_burst, 64u);  // one parked timer per call used to leave ~20k
+  for (fabric::DeviceId id = 0; const fabric::Device* dev = h.fabric().device(id); ++id) {
+    EXPECT_EQ(dev->destroyed_qps(), 0u) << dev->name();
+  }
+}
+
+TEST(BoundedState, RetiredSandboxesAndTheirProtectionDomainsAreFreed) {
+  // Cold allocate/invoke/deallocate cycles: a retired sandbox (workers,
+  // connections, protection domains) is freed once its serving loops
+  // have exited instead of staying parked for the whole run.
+  cluster::Harness h(small_fleet());
+  h.registry().add_echo();
+  h.start();
+  auto invoker = h.make_invoker();
+  auto& executor = h.executor(0);
+  const std::size_t pds_before = executor.device().pd_count();
+
+  constexpr int kCycles = 40;
+  constexpr std::uint32_t kWorkers = 3;
+  int ok = 0;
+  drive(h, 60_s, [&]() -> sim::Task<void> {
+    AllocationSpec spec;
+    spec.function_name = "echo";
+    spec.workers = kWorkers;
+    spec.policy = InvocationPolicy::HotAlways;
+    invoker->reserve_slots(/*count=*/1, /*max_input=*/64, /*max_output=*/64);
+    std::array<std::uint8_t, 16> payload;
+    payload.fill(0x7E);
+    for (int c = 0; c < kCycles; ++c) {
+      auto st = co_await invoker->allocate(spec);
+      EXPECT_TRUE(st.ok()) << (st.ok() ? "" : st.error().message);
+      if ((co_await invoker->invoke_pooled(0, payload)).ok) ++ok;
+      co_await invoker->deallocate();
+      co_await sim::delay(10_ms);
+    }
+  });
+
+  EXPECT_EQ(ok, kCycles);
+  EXPECT_EQ(executor.live_sandboxes(), 0u);
+  // Only the latest burial waits for the next one to free it.
+  EXPECT_LE(executor.buried_sandboxes(), 1u);
+  EXPECT_LE(executor.device().pd_count(), pds_before + kWorkers);
+  EXPECT_EQ(executor.device().destroyed_qps(), 0u);
 }
 
 }  // namespace

@@ -519,6 +519,37 @@ TEST_F(FabricTest, DestroyFlushesPostedReceives) {
   EXPECT_EQ(wc[1].status, WcStatus::FlushError);
 }
 
+TEST_F(FabricTest, DestroyedQpIsFreedOnceItsInFlightSendFinishes) {
+  Bytes src(8), dst(8);
+  fill_pattern(src, 3);
+  auto* mrA = pdA->register_memory(src.data(), src.size(), LocalWrite);
+  auto* mrB = pdB->register_memory(dst.data(), dst.size(), RemoteWrite);
+  SendWr wr;
+  wr.opcode = Opcode::Write;
+  wr.sge = {{reinterpret_cast<std::uint64_t>(src.data()), 8, mrA->lkey()}};
+  wr.remote_addr = reinterpret_cast<std::uint64_t>(dst.data());
+  wr.rkey = mrB->rkey();
+  ASSERT_TRUE(qpA->post_send(wr).ok());
+  devA->destroy_qp(qpA);  // the write is still in flight
+  EXPECT_EQ(devA->destroyed_qps(), 1u);
+  EXPECT_EQ(qpB->peer(), nullptr);  // B's next operation fails with RetryExceeded
+  eng.run();
+  EXPECT_EQ(devA->destroyed_qps(), 0u);
+  EXPECT_EQ(dst, src);  // the write posted before the destroy still lands...
+  Wc wc;
+  EXPECT_EQ(scqA->poll(std::span<Wc>(&wc, 1)), 0u);  // ...but posts no completion
+}
+
+TEST_F(FabricTest, DeallocatedPdIsFreedWithItsLastQueuePair) {
+  const std::size_t pds = devA->pd_count();
+  devA->dealloc_pd(devA->alloc_pd());  // no queue pair on it: freed at once
+  EXPECT_EQ(devA->pd_count(), pds);
+  devA->dealloc_pd(pdA);  // qpA still uses it
+  EXPECT_EQ(devA->pd_count(), pds);
+  devA->destroy_qp(qpA);
+  EXPECT_EQ(devA->pd_count(), pds - 1);
+}
+
 TEST_F(FabricTest, BlockingWaitAddsWakeLatency) {
   Bytes src(8), dst(8);
   auto* mrA = pdA->register_memory(src.data(), src.size(), LocalWrite);

@@ -237,5 +237,157 @@ TEST_F(RdmalibTest, TimedCqWaitTimesOutAndRecovers) {
   EXPECT_EQ(second_at, 3_ms);
 }
 
+// Deadline waits share one re-armed timer per CQ. The tests below pin its
+// timing (a timeout lands exactly on the deadline, an arrival at the
+// deadline instant still wins, an earlier deadline re-arms the timer),
+// its footprint (satisfied waits leave no events behind) and its lifetime
+// (the CQ may die while the timer is armed).
+
+TEST_F(RdmalibTest, DeadlineWaitsTimeOutExactlyAtTheirDeadline) {
+  fabric::CompletionQueue cq(fab.model());
+  bool polled = true, blocked = true;
+  Time polled_at = 0, blocked_at = 0;
+  auto poller = [&]() -> sim::Task<void> {
+    polled = (co_await cq.wait_polling_until(2_ms)).has_value();
+    polled_at = eng.now();
+  };
+  auto blocker = [&]() -> sim::Task<void> {
+    blocked = (co_await cq.wait_blocking_until(3_ms)).has_value();
+    blocked_at = eng.now();
+  };
+  sim::spawn(eng, poller());
+  sim::spawn(eng, blocker());
+  eng.run();
+  EXPECT_FALSE(polled);
+  EXPECT_EQ(polled_at, 2_ms);
+  EXPECT_FALSE(blocked);
+  EXPECT_EQ(blocked_at, 3_ms);  // no wake-up latency: nothing woke the thread
+}
+
+TEST_F(RdmalibTest, ArrivalAtTheDeadlineInstantWins) {
+  // The push lands at the deadline instant, queued once before the
+  // timer's wake-up and once after it; the arrival wins both races.
+  for (const Duration lead : {Duration{0}, Duration{1_us}}) {
+    fabric::CompletionQueue cq(fab.model());
+    const Time deadline = eng.now() + 5_ms;
+    bool got = false;
+    Time at = 0;
+    auto pusher = [&]() -> sim::Task<void> {
+      co_await sim::delay(lead);
+      co_await sim::delay_until(deadline);
+      cq.push(fabric::Wc{});
+    };
+    auto waiter = [&]() -> sim::Task<void> {
+      got = (co_await cq.wait_polling_until(deadline)).has_value();
+      at = eng.now();
+    };
+    sim::spawn(eng, pusher());
+    sim::spawn(eng, waiter());
+    eng.run();
+    EXPECT_TRUE(got) << "lead " << lead;
+    EXPECT_EQ(at, deadline) << "lead " << lead;
+  }
+}
+
+TEST_F(RdmalibTest, SatisfiedDeadlineWaitsLeaveNoTimersBehind) {
+  // A hot worker re-polls with a fresh 500 ms deadline after every
+  // invocation; the CQ's one timer follows the deadline instead of
+  // leaving an event queued per wait.
+  fabric::CompletionQueue cq(fab.model());
+  constexpr int kWaits = 10'000;
+  int satisfied = 0;
+  bool done = false;
+  auto consumer = [&]() -> sim::Task<void> {
+    for (int i = 0; i < kWaits; ++i) {
+      if ((co_await cq.wait_polling_until(eng.now() + 500_ms)).has_value()) ++satisfied;
+    }
+    done = true;
+  };
+  auto producer = [&]() -> sim::Task<void> {
+    for (int i = 0; i < kWaits; ++i) {
+      co_await sim::delay(1_us);
+      cq.push(fabric::Wc{});
+    }
+  };
+  sim::spawn(eng, consumer());
+  sim::spawn(eng, producer());
+  eng.run_until(20_ms);
+  ASSERT_TRUE(done);
+  EXPECT_EQ(satisfied, kWaits);
+  EXPECT_LE(eng.pending(), 2u);
+  eng.run();
+  EXPECT_EQ(eng.detached_count(), 0u);
+}
+
+TEST_F(RdmalibTest, EarlierDeadlineAfterALaterOneFiresOnTime) {
+  fabric::CompletionQueue cq(fab.model());
+  bool first = false, second = true;
+  Time second_at = 0;
+  auto waiter = [&]() -> sim::Task<void> {
+    first = (co_await cq.wait_polling_until(100_ms)).has_value();  // served at 1 ms
+    second = (co_await cq.wait_polling_until(eng.now() + 10_ms)).has_value();
+    second_at = eng.now();
+  };
+  auto pusher = [&]() -> sim::Task<void> {
+    co_await sim::delay(1_ms);
+    cq.push(fabric::Wc{});
+  };
+  sim::spawn(eng, waiter());
+  sim::spawn(eng, pusher());
+  eng.run();
+  EXPECT_TRUE(first);
+  EXPECT_FALSE(second);
+  EXPECT_EQ(second_at, 11_ms);  // not at 100 ms, where the timer was first due
+}
+
+TEST_F(RdmalibTest, ConcurrentDeadlineWaitersExpireAtTheirOwnDeadlines) {
+  fabric::CompletionQueue cq(fab.model());
+  struct Outcome {
+    bool got = false;
+    Time at = 0;
+  };
+  Outcome late, early, served;
+  auto waiter = [&](Time deadline, Outcome& out) -> sim::Task<void> {
+    out.got = (co_await cq.wait_polling_until(deadline)).has_value();
+    out.at = eng.now();
+  };
+  auto pusher = [&]() -> sim::Task<void> {
+    co_await sim::delay(6_ms);
+    cq.push(fabric::Wc{});
+  };
+  sim::spawn(eng, waiter(5_ms, late));    // arms the timer
+  sim::spawn(eng, waiter(3_ms, early));   // earlier: re-arms it
+  sim::spawn(eng, waiter(8_ms, served));  // outlives both timeouts
+  sim::spawn(eng, pusher());
+  eng.run();
+  EXPECT_FALSE(early.got);
+  EXPECT_EQ(early.at, 3_ms);
+  EXPECT_FALSE(late.got);
+  EXPECT_EQ(late.at, 5_ms);
+  EXPECT_TRUE(served.got);
+  EXPECT_EQ(served.at, 6_ms);
+}
+
+TEST_F(RdmalibTest, CqDestroyedWithItsTimerArmedIsSafe) {
+  // Under ASan: the orphaned timer wakes at 10 ms and must retire
+  // without touching the freed CQ.
+  auto cq = std::make_unique<fabric::CompletionQueue>(fab.model());
+  bool got = false;
+  auto waiter = [&]() -> sim::Task<void> {
+    got = (co_await cq->wait_polling_until(10_ms)).has_value();
+    cq.reset();
+  };
+  auto pusher = [&]() -> sim::Task<void> {
+    co_await sim::delay(1_ms);
+    cq->push(fabric::Wc{});
+  };
+  sim::spawn(eng, waiter());
+  sim::spawn(eng, pusher());
+  eng.run();
+  EXPECT_TRUE(got);
+  EXPECT_EQ(eng.now(), 10_ms);
+  EXPECT_EQ(eng.detached_count(), 0u);
+}
+
 }  // namespace
 }  // namespace rfs::rdmalib

@@ -82,6 +82,49 @@ TEST(Engine, DelayUntilPastIsImmediate) {
   EXPECT_EQ(observed, 50u);
 }
 
+TEST(Engine, CompletedActorsLeaveTheLiveList) {
+  Engine eng;
+  auto body = [](Duration d) -> Task<void> { co_await delay(d); };
+  spawn(eng, body(30));
+  spawn(eng, body(10));  // in the middle of the list when it finishes
+  spawn(eng, body(20));
+  EXPECT_EQ(eng.detached_count(), 3u);
+  eng.run_until(10);
+  EXPECT_EQ(eng.detached_count(), 2u);
+  eng.run_until(20);
+  EXPECT_EQ(eng.detached_count(), 1u);
+  eng.run();
+  EXPECT_EQ(eng.detached_count(), 0u);
+}
+
+TEST(Engine, DrainDestroysSuspendedActorsAndTheActorsTheySpawned) {
+  struct Witness {
+    int* destroyed;
+    ~Witness() { ++*destroyed; }
+  };
+  int destroyed = 0;
+  Event never;
+  Engine eng;
+  auto child = [&]() -> Task<void> {
+    Witness w{&destroyed};
+    co_await never.wait();
+  };
+  auto parent = [&]() -> Task<void> {
+    Witness w{&destroyed};
+    spawn(eng, child());
+    co_await never.wait();
+  };
+  spawn(eng, parent());
+  spawn(eng, parent());
+  eng.run();
+  EXPECT_EQ(eng.detached_count(), 4u);
+  EXPECT_EQ(destroyed, 0);
+  eng.drain_detached();
+  EXPECT_EQ(destroyed, 4);
+  EXPECT_EQ(eng.detached_count(), 0u);
+  EXPECT_EQ(eng.pending(), 0u);
+}
+
 TEST(Task, NestedAwaitPropagatesValue) {
   Engine eng;
   int result = 0;
