@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification: configure, build (warnings-as-errors for src/),
-# and run the full test suite. This is the gate every PR must keep green,
-# locally and in CI (.github/workflows/ci.yml).
+# Tier-1 verification: configure, build (warnings-as-errors for src/,
+# tests and benches), and run the full test suite. This is the gate every
+# PR must keep green, locally and in CI (.github/workflows/ci.yml).
 #
 #   ./scripts/check.sh [--sanitize=address,undefined|thread] [--chaos] [--overload] [--ha] [--gray] [build-dir]
 #

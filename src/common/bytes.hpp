@@ -81,7 +81,7 @@ class ByteReader {
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool done() const { return remaining() == 0; }
 
- private:
+  /// Any trivially copyable scalar, as its raw bytes.
   template <typename T>
   Result<T> get() {
     if (pos_ + sizeof(T) > data_.size()) return Error::make(1, "ByteReader: overrun");
@@ -91,6 +91,7 @@ class ByteReader {
     return v;
   }
 
+ private:
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
 };

@@ -114,7 +114,7 @@ Bytes Journal::serialize(std::uint64_t from_seq) const {
   w.u64(count);
   for (const auto& r : records_) {
     if (r.seq < from_seq) continue;
-    std::uint8_t buf[kJournalRecordWireSize];
+    std::uint8_t buf[kWireSize<JournalRecordMsg>];
     encode_into(r, buf, sizeof buf);
     w.raw(buf, sizeof buf);
   }
@@ -131,7 +131,7 @@ Result<std::vector<JournalRecordMsg>> Journal::deserialize(std::span<const std::
   // Bound by the actual payload, never by the wire count: a corrupted
   // count must not drive allocation or reads past the buffer.
   const std::size_t body = raw.size() - 24;
-  if (body < 8 || (body - 8) / kJournalRecordWireSize < count.value()) {
+  if (body < 8 || (body - 8) / kWireSize<JournalRecordMsg> < count.value()) {
     return Error::make(31, "journal: truncated log tail");
   }
   std::vector<JournalRecordMsg> out;
@@ -139,9 +139,9 @@ Result<std::vector<JournalRecordMsg>> Journal::deserialize(std::span<const std::
   std::size_t off = 24;
   std::uint64_t prev = seed.value();
   for (std::uint64_t i = 0; i < count.value(); ++i) {
-    auto record = decode_journal_record(raw.subspan(off, kJournalRecordWireSize));
+    auto record = decode_journal_record(raw.subspan(off, kWireSize<JournalRecordMsg>));
     if (!record) return record.error();
-    off += kJournalRecordWireSize;
+    off += kWireSize<JournalRecordMsg>;
     const JournalRecordMsg& r = record.value();
     if (r.seq != first.value() + i) return Error::make(32, "journal: seq gap in log");
     if (r.checksum != journal::chain_checksum(r, prev)) {

@@ -49,426 +49,128 @@ InvocationResponse decode_invocation_response(const fabric::Wc& wc) {
 }
 
 namespace {
-ByteWriter header(MsgType type) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(type));
-  return w;
+
+template <class T>
+inline constexpr bool kIsVector = false;
+template <class T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+
+/// Reads one integer field at `p` and returns the byte after it. A bool
+/// byte decodes as != 0.
+template <class T>
+const std::uint8_t* take(const std::uint8_t* p, T& v) {
+  wire::Int<T> x;
+  std::memcpy(&x, p, sizeof x);
+  v = static_cast<T>(x);
+  return p + sizeof x;
 }
 
-Result<ByteReader> open(const Bytes& raw, MsgType expected) {
-  ByteReader r(raw);
-  auto t = r.u8();
-  if (!t) return t.error();
-  if (t.value() != static_cast<std::uint8_t>(expected)) {
-    return Error::make(20, "protocol: unexpected message type");
+// Variable-length messages: one field at a time through ByteWriter and
+// ByteReader. A struct element (a grant in a batch) contributes its body().
+template <class T>
+void write(ByteWriter& w, const T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    w.str(v);
+  } else if constexpr (kIsVector<T>) {
+    w.u32(static_cast<std::uint32_t>(v.size()));
+    for (const auto& e : v) write(w, e);
+  } else if constexpr (std::is_class_v<T>) {
+    std::apply([&w](const auto&... f) { (write(w, f), ...); }, T::body(v));
+  } else {
+    const wire::Int<T> x = v;
+    w.raw(&x, sizeof x);
   }
-  return r;
 }
 
-// Fixed-layout fast path: sequential memcpy at compile-time offsets, one
-// bounds check per message, no intermediate writer/reader state. The
-// byte stream is identical to what ByteWriter produced for these
-// messages, so old and new encodings interoperate.
-inline std::uint8_t* put(std::uint8_t* p, const void* v, std::size_t n) {
-  std::memcpy(p, v, n);
-  return p + n;
-}
-
-template <typename T>
-inline const std::uint8_t* take(const std::uint8_t* p, T& v) {
-  std::memcpy(&v, p, sizeof(T));
-  return p + sizeof(T);
-}
-
-/// One shared bounds-and-type check for the fixed-size decoders.
-inline bool open_fixed(std::span<const std::uint8_t> raw, MsgType expected,
-                       std::size_t wire_size) {
-  return raw.size() >= wire_size && raw[0] == static_cast<std::uint8_t>(expected);
-}
-}  // namespace
-
-Bytes encode(MsgType type) { return header(type).take(); }
-
-Bytes encode(const RegisterExecutorMsg& m) {
-  auto w = header(MsgType::RegisterExecutor);
-  w.u32(m.device);
-  w.u16(m.alloc_port);
-  w.u16(m.rdma_port);
-  w.u32(m.cores);
-  w.u64(m.memory_bytes);
-  w.u64(m.epoch);
-  w.u64(m.request_id);
-  return w.take();
-}
-
-Bytes encode(const RegisterOkMsg& m) {
-  auto w = header(MsgType::RegisterOk);
-  w.u16(m.rm_rdma_port);
-  w.u64(m.billing_addr);
-  w.u32(m.billing_rkey);
-  w.u64(m.request_id);
-  return w.take();
-}
-
-std::size_t encode_into(const LeaseRequestMsg& m, std::uint8_t* out, std::size_t capacity) {
-  if (capacity < kLeaseRequestWireSize) return 0;
-  *out = static_cast<std::uint8_t>(MsgType::LeaseRequest);
-  std::uint8_t* p = out + 1;
-  p = put(p, &m.client_id, 4);
-  p = put(p, &m.workers, 4);
-  p = put(p, &m.memory_bytes, 8);
-  p = put(p, &m.timeout, 8);
-  p = put(p, &m.request_id, 8);
-  return static_cast<std::size_t>(p - out);
-}
-
-std::size_t encode_into(const LeaseGrantMsg& m, std::uint8_t* out, std::size_t capacity) {
-  if (capacity < kLeaseGrantWireSize) return 0;
-  *out = static_cast<std::uint8_t>(MsgType::LeaseGrant);
-  std::uint8_t* p = out + 1;
-  p = put(p, &m.lease_id, 8);
-  p = put(p, &m.device, 4);
-  p = put(p, &m.alloc_port, 2);
-  p = put(p, &m.rdma_port, 2);
-  p = put(p, &m.workers, 4);
-  p = put(p, &m.expires_at, 8);
-  p = put(p, &m.request_id, 8);
-  return static_cast<std::size_t>(p - out);
-}
-
-std::size_t encode_into(const ExtendLeaseMsg& m, std::uint8_t* out, std::size_t capacity) {
-  if (capacity < kExtendLeaseWireSize) return 0;
-  *out = static_cast<std::uint8_t>(MsgType::ExtendLease);
-  std::uint8_t* p = out + 1;
-  p = put(p, &m.lease_id, 8);
-  p = put(p, &m.extension, 8);
-  p = put(p, &m.request_id, 8);
-  return static_cast<std::size_t>(p - out);
-}
-
-std::size_t encode_into(const ExtendOkMsg& m, std::uint8_t* out, std::size_t capacity) {
-  if (capacity < kExtendOkWireSize) return 0;
-  *out = static_cast<std::uint8_t>(MsgType::ExtendOk);
-  std::uint8_t* p = out + 1;
-  p = put(p, &m.lease_id, 8);
-  p = put(p, &m.expires_at, 8);
-  p = put(p, &m.request_id, 8);
-  return static_cast<std::size_t>(p - out);
-}
-
-std::size_t encode_into(const LeaseDeniedMsg& m, std::uint8_t* out, std::size_t capacity) {
-  if (capacity < kLeaseDeniedWireSize) return 0;
-  *out = static_cast<std::uint8_t>(MsgType::LeaseDenied);
-  std::uint8_t* p = out + 1;
-  p = put(p, &m.reason, 1);
-  p = put(p, &m.retry_after, 8);
-  p = put(p, &m.request_id, 8);
-  return static_cast<std::size_t>(p - out);
-}
-
-Bytes encode(const LeaseRequestMsg& m) {
-  Bytes b(kLeaseRequestWireSize);
-  encode_into(m, b.data(), b.size());
-  return b;
-}
-
-namespace {
-void write_grant_body(ByteWriter& w, const LeaseGrantMsg& m) {
-  w.u64(m.lease_id);
-  w.u32(m.device);
-  w.u16(m.alloc_port);
-  w.u16(m.rdma_port);
-  w.u32(m.workers);
-  w.u64(m.expires_at);
-}
-
-Result<LeaseGrantMsg> read_grant_body(ByteReader& rd) {
-  LeaseGrantMsg m;
-  auto lease = rd.u64();
-  auto device = rd.u32();
-  auto alloc_port = rd.u16();
-  auto rdma_port = rd.u16();
-  auto workers = rd.u32();
-  auto expires = rd.u64();
-  if (!lease || !device || !alloc_port || !rdma_port || !workers || !expires) {
-    return Error::make(22, "protocol: truncated lease grant body");
+template <class T>
+bool read(ByteReader& r, T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    auto s = r.str();
+    if (s) v = std::move(s).take();
+    return s.ok();
+  } else if constexpr (kIsVector<T>) {
+    auto n = r.u32();
+    if (!n) return false;
+    // No reserve() from the wire-supplied count: a corrupted count must
+    // fail on the bounds-checked reads below, not allocate.
+    for (std::uint32_t i = 0; i < n.value(); ++i) {
+      if (!read(r, v.emplace_back())) return false;
+    }
+    return true;
+  } else if constexpr (std::is_class_v<T>) {
+    return std::apply([&r](auto&... f) { return (read(r, f) && ...); }, T::body(v));
+  } else {
+    auto x = r.get<wire::Int<T>>();
+    if (x) v = static_cast<T>(x.value());
+    return x.ok();
   }
-  m.lease_id = lease.value();
-  m.device = device.value();
-  m.alloc_port = alloc_port.value();
-  m.rdma_port = rdma_port.value();
-  m.workers = workers.value();
-  m.expires_at = expires.value();
+}
+
+template <class M>
+Bytes encode_message(const M& m) {
+  if constexpr (FixedLayout<M>) {
+    Bytes out(kWireSize<M>);
+    encode_into(m, out.data(), out.size());
+    return out;
+  } else {
+    ByteWriter w;
+    w.u8(static_cast<std::uint8_t>(M::kType));
+    std::apply([&w](const auto&... f) { (write(w, f), ...); }, M::fields(m));
+    return w.take();
+  }
+}
+
+template <class M>
+Result<M> decode_message(std::span<const std::uint8_t> raw, const char* malformed) {
+  constexpr auto kTypeByte = static_cast<std::uint8_t>(M::kType);
+  M m;
+  bool ok = false;
+  if constexpr (FixedLayout<M>) {
+    ok = raw.size() >= kWireSize<M> && raw[0] == kTypeByte;
+    if (ok) {
+      std::apply([p = raw.data() + 1](auto&... f) mutable { ((p = take(p, f)), ...); },
+                 M::fields(m));
+    }
+  } else {
+    ByteReader r(raw);
+    auto type = r.u8();
+    ok = type && type.value() == kTypeByte &&
+         std::apply([&r](auto&... f) { return (read(r, f) && ...); }, M::fields(m));
+  }
+  if (!ok) return Error::make(22, malformed);
   return m;
 }
+
+/// LeaseError has no struct in the API: encode_lease_error() and
+/// decode_lease_error() wrap this one.
+struct LeaseErrorMsg {
+  static constexpr MsgType kType = MsgType::LeaseError;
+  std::string reason;
+  std::uint64_t request_id = 0;
+
+  static auto fields(auto& m) { return std::tie(m.reason, m.request_id); }
+};
+
 }  // namespace
 
-Bytes encode(const LeaseGrantMsg& m) {
-  Bytes b(kLeaseGrantWireSize);
-  encode_into(m, b.data(), b.size());
-  return b;
-}
+#define RFS_DEFINE_CODEC(Name, decoder)                                 \
+  Bytes encode(const Name##Msg& m) { return encode_message(m); }        \
+  Result<Name##Msg> decoder(std::span<const std::uint8_t> raw) {        \
+    return decode_message<Name##Msg>(raw, "protocol: malformed " #Name); \
+  }
+RFS_CONTROL_MESSAGES(RFS_DEFINE_CODEC)
+#undef RFS_DEFINE_CODEC
+
+Bytes encode(MsgType type) { return Bytes{static_cast<std::uint8_t>(type)}; }
 
 Bytes encode_lease_error(const std::string& reason, std::uint64_t request_id) {
-  auto w = header(MsgType::LeaseError);
-  w.str(reason);
-  w.u64(request_id);
-  return w.take();
+  return encode_message(LeaseErrorMsg{reason, request_id});
 }
 
-Bytes encode(const AllocationRequestMsg& m) {
-  auto w = header(MsgType::AllocationRequest);
-  w.u64(m.lease_id);
-  w.u32(m.client_id);
-  w.u32(m.workers);
-  w.u64(m.memory_bytes);
-  w.u8(m.sandbox);
-  w.u8(m.policy);
-  w.u64(m.hot_timeout);
-  w.u64(m.expires_at);
-  return w.take();
-}
-
-Bytes encode(const ReleaseResourcesMsg& m) {
-  auto w = header(MsgType::ReleaseResources);
-  w.u64(m.lease_id);
-  w.u32(m.workers);
-  w.u64(m.memory_bytes);
-  w.u64(m.request_id);
-  return w.take();
-}
-
-Bytes encode(const ReleaseOkMsg& m) {
-  auto w = header(MsgType::ReleaseOk);
-  w.u64(m.lease_id);
-  w.u64(m.request_id);
-  return w.take();
-}
-
-Bytes encode(const AllocationReplyMsg& m) {
-  auto w = header(MsgType::AllocationReply);
-  w.u8(m.ok ? 1 : 0);
-  w.u64(m.sandbox_id);
-  w.u16(m.rdma_port);
-  w.u64(m.spawn_ns);
-  w.str(m.error);
-  return w.take();
-}
-
-Bytes encode(const SubmitCodeOkMsg& m) {
-  auto w = header(MsgType::SubmitCodeOk);
-  w.u16(m.fn_index);
-  return w.take();
-}
-
-Bytes encode(const SubmitCodeMsg& m) {
-  auto w = header(MsgType::SubmitCode);
-  w.u64(m.sandbox_id);
-  w.str(m.function_name);
-  w.u64(m.code_size);
-  // The code bytes themselves are represented by size on the wire; the
-  // transfer cost is paid by the transport, the content by the registry.
-  return w.take();
-}
-
-Bytes encode(const DeallocateMsg& m) {
-  auto w = header(MsgType::Deallocate);
-  w.u64(m.sandbox_id);
-  w.u64(m.lease_id);
-  return w.take();
-}
-
-Bytes encode(const ExtendLeaseMsg& m) {
-  Bytes b(kExtendLeaseWireSize);
-  encode_into(m, b.data(), b.size());
-  return b;
-}
-
-Bytes encode(const ExtendOkMsg& m) {
-  Bytes b(kExtendOkWireSize);
-  encode_into(m, b.data(), b.size());
-  return b;
-}
-
-Bytes encode(const BatchAllocateMsg& m) {
-  auto w = header(MsgType::BatchAllocate);
-  w.u32(m.client_id);
-  w.u32(m.workers);
-  w.u64(m.memory_bytes);
-  w.u64(m.timeout);
-  w.u8(m.mode);
-  w.u64(m.request_id);
-  return w.take();
-}
-
-Bytes encode(const BatchGrantedMsg& m) {
-  auto w = header(MsgType::BatchGranted);
-  w.u8(m.complete ? 1 : 0);
-  w.u32(static_cast<std::uint32_t>(m.grants.size()));
-  for (const auto& g : m.grants) write_grant_body(w, g);
-  w.str(m.error);
-  w.u64(m.request_id);
-  return w.take();
-}
-
-Bytes encode(const LeaseRenewedMsg& m) {
-  auto w = header(MsgType::LeaseRenewed);
-  w.u64(m.lease_id);
-  w.u64(m.expires_at);
-  return w.take();
-}
-
-Bytes encode(const LeaseTerminatedMsg& m) {
-  auto w = header(MsgType::LeaseTerminated);
-  w.u64(m.lease_id);
-  w.u8(m.reason);
-  w.u64(m.evicted_at);
-  w.u64(m.seq);
-  return w.take();
-}
-
-Bytes encode(const LeasesTerminatedMsg& m) {
-  auto w = header(MsgType::LeasesTerminated);
-  w.u8(m.reason);
-  w.u64(m.evicted_at);
-  w.u32(static_cast<std::uint32_t>(m.lease_ids.size()));
-  for (std::uint64_t id : m.lease_ids) w.u64(id);
-  w.u64(m.seq);
-  return w.take();
-}
-
-Bytes encode(const SubscribeEventsMsg& m) {
-  auto w = header(MsgType::SubscribeEvents);
-  w.u32(m.client_id);
-  return w.take();
-}
-
-Bytes encode(const LeaseDeniedMsg& m) {
-  Bytes b(kLeaseDeniedWireSize);
-  encode_into(m, b.data(), b.size());
-  return b;
-}
-
-std::size_t encode_into(const JournalRecordMsg& m, std::uint8_t* out, std::size_t capacity) {
-  if (capacity < kJournalRecordWireSize) return 0;
-  *out = static_cast<std::uint8_t>(MsgType::JournalRecord);
-  std::uint8_t* p = out + 1;
-  p = put(p, &m.seq, 8);
-  p = put(p, &m.op, 1);
-  p = put(p, &m.lease_id, 8);
-  p = put(p, &m.client_id, 4);
-  p = put(p, &m.executor, 8);
-  p = put(p, &m.workers, 4);
-  p = put(p, &m.memory, 8);
-  p = put(p, &m.time, 8);
-  p = put(p, &m.aux, 8);
-  p = put(p, &m.aux2, 8);
-  p = put(p, &m.checksum, 8);
-  return static_cast<std::size_t>(p - out);
-}
-
-std::size_t encode_into(const SnapshotOfferMsg& m, std::uint8_t* out, std::size_t capacity) {
-  if (capacity < kSnapshotOfferWireSize) return 0;
-  *out = static_cast<std::uint8_t>(MsgType::SnapshotOffer);
-  std::uint8_t* p = out + 1;
-  p = put(p, &m.manager_epoch, 4);
-  p = put(p, &m.upto_seq, 8);
-  p = put(p, &m.digest, 8);
-  p = put(p, &m.lease_count, 8);
-  return static_cast<std::size_t>(p - out);
-}
-
-std::size_t encode_into(const FailoverAnnounceMsg& m, std::uint8_t* out, std::size_t capacity) {
-  if (capacity < kFailoverAnnounceWireSize) return 0;
-  *out = static_cast<std::uint8_t>(MsgType::FailoverAnnounce);
-  std::uint8_t* p = out + 1;
-  p = put(p, &m.manager_epoch, 4);
-  p = put(p, &m.applied_seq, 8);
-  p = put(p, &m.promoted_at, 8);
-  return static_cast<std::size_t>(p - out);
-}
-
-std::size_t encode_into(const LeaseRevalidateMsg& m, std::uint8_t* out, std::size_t capacity) {
-  if (capacity < kLeaseRevalidateWireSize) return 0;
-  *out = static_cast<std::uint8_t>(MsgType::LeaseRevalidate);
-  std::uint8_t* p = out + 1;
-  p = put(p, &m.client_id, 4);
-  p = put(p, &m.lease_id, 8);
-  p = put(p, &m.request_id, 8);
-  return static_cast<std::size_t>(p - out);
-}
-
-std::size_t encode_into(const InvocationCancelMsg& m, std::uint8_t* out, std::size_t capacity) {
-  if (capacity < kInvocationCancelWireSize) return 0;
-  *out = static_cast<std::uint8_t>(MsgType::InvocationCancel);
-  std::uint8_t* p = out + 1;
-  p = put(p, &m.client_id, 4);
-  p = put(p, &m.invocation_tag, 8);
-  p = put(p, &m.request_id, 8);
-  return static_cast<std::size_t>(p - out);
-}
-
-std::size_t encode_into(const HealthReportMsg& m, std::uint8_t* out, std::size_t capacity) {
-  if (capacity < kHealthReportWireSize) return 0;
-  *out = static_cast<std::uint8_t>(MsgType::HealthReport);
-  std::uint8_t* p = out + 1;
-  p = put(p, &m.client_id, 4);
-  p = put(p, &m.device, 4);
-  p = put(p, &m.latency_us, 4);
-  p = put(p, &m.ok_count, 4);
-  p = put(p, &m.fail_count, 4);
-  p = put(p, &m.request_id, 8);
-  return static_cast<std::size_t>(p - out);
-}
-
-std::size_t encode_into(const HealthReportOkMsg& m, std::uint8_t* out, std::size_t capacity) {
-  if (capacity < kHealthReportOkWireSize) return 0;
-  *out = static_cast<std::uint8_t>(MsgType::HealthReportOk);
-  std::uint8_t* p = out + 1;
-  p = put(p, &m.request_id, 8);
-  return static_cast<std::size_t>(p - out);
-}
-
-Bytes encode(const JournalRecordMsg& m) {
-  Bytes b(kJournalRecordWireSize);
-  encode_into(m, b.data(), b.size());
-  return b;
-}
-
-Bytes encode(const SnapshotOfferMsg& m) {
-  Bytes b(kSnapshotOfferWireSize);
-  encode_into(m, b.data(), b.size());
-  return b;
-}
-
-Bytes encode(const FailoverAnnounceMsg& m) {
-  Bytes b(kFailoverAnnounceWireSize);
-  encode_into(m, b.data(), b.size());
-  return b;
-}
-
-Bytes encode(const LeaseRevalidateMsg& m) {
-  Bytes b(kLeaseRevalidateWireSize);
-  encode_into(m, b.data(), b.size());
-  return b;
-}
-
-Bytes encode(const InvocationCancelMsg& m) {
-  Bytes b(kInvocationCancelWireSize);
-  encode_into(m, b.data(), b.size());
-  return b;
-}
-
-Bytes encode(const HealthReportMsg& m) {
-  Bytes b(kHealthReportWireSize);
-  encode_into(m, b.data(), b.size());
-  return b;
-}
-
-Bytes encode(const HealthReportOkMsg& m) {
-  Bytes b(kHealthReportOkWireSize);
-  encode_into(m, b.data(), b.size());
-  return b;
+Result<std::string> decode_lease_error(std::span<const std::uint8_t> raw) {
+  auto m = decode_message<LeaseErrorMsg>(raw, "protocol: malformed LeaseError");
+  if (!m) return m.error();
+  return std::move(m).take().reason;
 }
 
 Result<MsgType> peek_type(const Bytes& raw) {
@@ -478,445 +180,6 @@ Result<MsgType> peek_type(const Bytes& raw) {
     return Error::make(21, "protocol: unknown message type");
   }
   return static_cast<MsgType>(v);
-}
-
-Result<RegisterExecutorMsg> decode_register(const Bytes& raw) {
-  auto r = open(raw, MsgType::RegisterExecutor);
-  if (!r) return r.error();
-  auto& rd = r.value();
-  RegisterExecutorMsg m;
-  auto device = rd.u32();
-  auto alloc_port = rd.u16();
-  auto rdma_port = rd.u16();
-  auto cores = rd.u32();
-  auto memory = rd.u64();
-  auto epoch = rd.u64();
-  auto request_id = rd.u64();
-  if (!device || !alloc_port || !rdma_port || !cores || !memory || !epoch || !request_id) {
-    return Error::make(22, "protocol: truncated RegisterExecutor");
-  }
-  m.device = device.value();
-  m.alloc_port = alloc_port.value();
-  m.rdma_port = rdma_port.value();
-  m.cores = cores.value();
-  m.memory_bytes = memory.value();
-  m.epoch = epoch.value();
-  m.request_id = request_id.value();
-  return m;
-}
-
-Result<LeaseRequestMsg> decode_lease_request(std::span<const std::uint8_t> raw) {
-  if (!open_fixed(raw, MsgType::LeaseRequest, kLeaseRequestWireSize)) {
-    return Error::make(22, "protocol: bad LeaseRequest");
-  }
-  LeaseRequestMsg m;
-  const std::uint8_t* p = raw.data() + 1;
-  p = take(p, m.client_id);
-  p = take(p, m.workers);
-  p = take(p, m.memory_bytes);
-  p = take(p, m.timeout);
-  take(p, m.request_id);
-  return m;
-}
-
-Result<LeaseGrantMsg> decode_lease_grant(std::span<const std::uint8_t> raw) {
-  if (!open_fixed(raw, MsgType::LeaseGrant, kLeaseGrantWireSize)) {
-    return Error::make(22, "protocol: bad LeaseGrant");
-  }
-  LeaseGrantMsg m;
-  const std::uint8_t* p = raw.data() + 1;
-  p = take(p, m.lease_id);
-  p = take(p, m.device);
-  p = take(p, m.alloc_port);
-  p = take(p, m.rdma_port);
-  p = take(p, m.workers);
-  p = take(p, m.expires_at);
-  take(p, m.request_id);
-  return m;
-}
-
-Result<std::string> decode_lease_error(const Bytes& raw) {
-  auto r = open(raw, MsgType::LeaseError);
-  if (!r) return r.error();
-  auto reason = r.value().str();
-  if (!reason) return reason.error();
-  if (!r.value().u64().ok()) return Error::make(22, "protocol: truncated LeaseError");
-  return reason;
-}
-
-Result<AllocationRequestMsg> decode_allocation_request(const Bytes& raw) {
-  auto r = open(raw, MsgType::AllocationRequest);
-  if (!r) return r.error();
-  auto& rd = r.value();
-  AllocationRequestMsg m;
-  auto lease = rd.u64();
-  auto client = rd.u32();
-  auto workers = rd.u32();
-  auto memory = rd.u64();
-  auto sandbox = rd.u8();
-  auto policy = rd.u8();
-  auto hot_timeout = rd.u64();
-  auto expires = rd.u64();
-  if (!lease || !client || !workers || !memory || !sandbox.ok() || !policy.ok() ||
-      !hot_timeout.ok() || !expires.ok()) {
-    return Error::make(22, "protocol: truncated AllocationRequest");
-  }
-  m.lease_id = lease.value();
-  m.client_id = client.value();
-  m.workers = workers.value();
-  m.memory_bytes = memory.value();
-  m.sandbox = sandbox.value();
-  m.policy = policy.value();
-  m.hot_timeout = hot_timeout.value();
-  m.expires_at = expires.value();
-  return m;
-}
-
-Result<RegisterOkMsg> decode_register_ok(const Bytes& raw) {
-  auto r = open(raw, MsgType::RegisterOk);
-  if (!r) return r.error();
-  auto& rd = r.value();
-  RegisterOkMsg m;
-  auto port = rd.u16();
-  auto addr = rd.u64();
-  auto rkey = rd.u32();
-  auto request_id = rd.u64();
-  if (!port || !addr || !rkey || !request_id) {
-    return Error::make(22, "protocol: truncated RegisterOk");
-  }
-  m.rm_rdma_port = port.value();
-  m.billing_addr = addr.value();
-  m.billing_rkey = rkey.value();
-  m.request_id = request_id.value();
-  return m;
-}
-
-Result<ReleaseResourcesMsg> decode_release(const Bytes& raw) {
-  auto r = open(raw, MsgType::ReleaseResources);
-  if (!r) return r.error();
-  auto& rd = r.value();
-  ReleaseResourcesMsg m;
-  auto lease = rd.u64();
-  auto workers = rd.u32();
-  auto memory = rd.u64();
-  auto request_id = rd.u64();
-  if (!lease || !workers || !memory || !request_id) {
-    return Error::make(22, "protocol: truncated Release");
-  }
-  m.lease_id = lease.value();
-  m.workers = workers.value();
-  m.memory_bytes = memory.value();
-  m.request_id = request_id.value();
-  return m;
-}
-
-Result<ReleaseOkMsg> decode_release_ok(const Bytes& raw) {
-  auto r = open(raw, MsgType::ReleaseOk);
-  if (!r) return r.error();
-  auto& rd = r.value();
-  auto lease = rd.u64();
-  auto request_id = rd.u64();
-  if (!lease || !request_id) return Error::make(22, "protocol: truncated ReleaseOk");
-  return ReleaseOkMsg{lease.value(), request_id.value()};
-}
-
-Result<AllocationReplyMsg> decode_allocation_reply(const Bytes& raw) {
-  auto r = open(raw, MsgType::AllocationReply);
-  if (!r) return r.error();
-  auto& rd = r.value();
-  AllocationReplyMsg m;
-  auto ok = rd.u8();
-  auto sandbox = rd.u64();
-  auto port = rd.u16();
-  auto spawn = rd.u64();
-  auto err = rd.str();
-  if (!ok || !sandbox || !port || !spawn || !err) {
-    return Error::make(22, "protocol: truncated AllocationReply");
-  }
-  m.ok = ok.value() != 0;
-  m.sandbox_id = sandbox.value();
-  m.rdma_port = port.value();
-  m.spawn_ns = spawn.value();
-  m.error = err.value();
-  return m;
-}
-
-Result<SubmitCodeOkMsg> decode_submit_code_ok(const Bytes& raw) {
-  auto r = open(raw, MsgType::SubmitCodeOk);
-  if (!r) return r.error();
-  auto idx = r.value().u16();
-  if (!idx) return Error::make(22, "protocol: truncated SubmitCodeOk");
-  return SubmitCodeOkMsg{idx.value()};
-}
-
-Result<SubmitCodeMsg> decode_submit_code(const Bytes& raw) {
-  auto r = open(raw, MsgType::SubmitCode);
-  if (!r) return r.error();
-  auto& rd = r.value();
-  SubmitCodeMsg m;
-  auto sandbox = rd.u64();
-  auto name = rd.str();
-  auto size = rd.u64();
-  if (!sandbox || !name || !size) return Error::make(22, "protocol: truncated SubmitCode");
-  m.sandbox_id = sandbox.value();
-  m.function_name = name.value();
-  m.code_size = size.value();
-  return m;
-}
-
-Result<DeallocateMsg> decode_deallocate(const Bytes& raw) {
-  auto r = open(raw, MsgType::Deallocate);
-  if (!r) return r.error();
-  auto& rd = r.value();
-  DeallocateMsg m;
-  auto sandbox = rd.u64();
-  auto lease = rd.u64();
-  if (!sandbox || !lease) return Error::make(22, "protocol: truncated Deallocate");
-  m.sandbox_id = sandbox.value();
-  m.lease_id = lease.value();
-  return m;
-}
-
-Result<ExtendLeaseMsg> decode_extend_lease(std::span<const std::uint8_t> raw) {
-  if (!open_fixed(raw, MsgType::ExtendLease, kExtendLeaseWireSize)) {
-    return Error::make(22, "protocol: bad ExtendLease");
-  }
-  ExtendLeaseMsg m;
-  const std::uint8_t* p = raw.data() + 1;
-  p = take(p, m.lease_id);
-  p = take(p, m.extension);
-  take(p, m.request_id);
-  return m;
-}
-
-Result<ExtendOkMsg> decode_extend_ok(std::span<const std::uint8_t> raw) {
-  if (!open_fixed(raw, MsgType::ExtendOk, kExtendOkWireSize)) {
-    return Error::make(22, "protocol: bad ExtendOk");
-  }
-  ExtendOkMsg m;
-  const std::uint8_t* p = raw.data() + 1;
-  p = take(p, m.lease_id);
-  p = take(p, m.expires_at);
-  take(p, m.request_id);
-  return m;
-}
-
-Result<BatchAllocateMsg> decode_batch_allocate(const Bytes& raw) {
-  auto r = open(raw, MsgType::BatchAllocate);
-  if (!r) return r.error();
-  auto& rd = r.value();
-  BatchAllocateMsg m;
-  auto client = rd.u32();
-  auto workers = rd.u32();
-  auto memory = rd.u64();
-  auto timeout = rd.u64();
-  auto mode = rd.u8();
-  auto request_id = rd.u64();
-  if (!client || !workers || !memory || !timeout || !mode.ok() || !request_id) {
-    return Error::make(22, "protocol: truncated BatchAllocate");
-  }
-  m.client_id = client.value();
-  m.workers = workers.value();
-  m.memory_bytes = memory.value();
-  m.timeout = timeout.value();
-  m.mode = mode.value();
-  m.request_id = request_id.value();
-  return m;
-}
-
-Result<BatchGrantedMsg> decode_batch_granted(const Bytes& raw) {
-  auto r = open(raw, MsgType::BatchGranted);
-  if (!r) return r.error();
-  auto& rd = r.value();
-  BatchGrantedMsg m;
-  auto complete = rd.u8();
-  auto count = rd.u32();
-  if (!complete.ok() || !count) return Error::make(22, "protocol: truncated BatchGranted");
-  m.complete = complete.value() != 0;
-  // No reserve() from the wire-supplied count: a corrupted count must
-  // fail on the bounds-checked reads below, not allocate.
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto g = read_grant_body(rd);
-    if (!g) return g.error();
-    m.grants.push_back(g.value());
-  }
-  auto err = rd.str();
-  auto request_id = rd.u64();
-  if (!err || !request_id) return Error::make(22, "protocol: truncated BatchGranted");
-  m.error = err.value();
-  m.request_id = request_id.value();
-  return m;
-}
-
-Result<LeaseRenewedMsg> decode_lease_renewed(const Bytes& raw) {
-  auto r = open(raw, MsgType::LeaseRenewed);
-  if (!r) return r.error();
-  auto& rd = r.value();
-  LeaseRenewedMsg m;
-  auto lease = rd.u64();
-  auto expires = rd.u64();
-  if (!lease || !expires) return Error::make(22, "protocol: truncated LeaseRenewed");
-  m.lease_id = lease.value();
-  m.expires_at = expires.value();
-  return m;
-}
-
-Result<LeaseTerminatedMsg> decode_lease_terminated(const Bytes& raw) {
-  auto r = open(raw, MsgType::LeaseTerminated);
-  if (!r) return r.error();
-  auto& rd = r.value();
-  LeaseTerminatedMsg m;
-  auto lease = rd.u64();
-  auto reason = rd.u8();
-  auto evicted = rd.u64();
-  auto seq = rd.u64();
-  if (!lease || !reason.ok() || !evicted || !seq) {
-    return Error::make(22, "protocol: truncated LeaseTerminated");
-  }
-  m.lease_id = lease.value();
-  m.reason = reason.value();
-  m.evicted_at = evicted.value();
-  m.seq = seq.value();
-  return m;
-}
-
-Result<LeasesTerminatedMsg> decode_leases_terminated(const Bytes& raw) {
-  auto r = open(raw, MsgType::LeasesTerminated);
-  if (!r) return r.error();
-  auto& rd = r.value();
-  LeasesTerminatedMsg m;
-  auto reason = rd.u8();
-  auto evicted = rd.u64();
-  auto count = rd.u32();
-  if (!reason.ok() || !evicted || !count) {
-    return Error::make(22, "protocol: truncated LeasesTerminated");
-  }
-  m.reason = reason.value();
-  m.evicted_at = evicted.value();
-  // No reserve() from the wire-supplied count: a corrupted count must
-  // fail on the bounds-checked reads below, not allocate.
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto id = rd.u64();
-    if (!id) return Error::make(22, "protocol: truncated LeasesTerminated");
-    m.lease_ids.push_back(id.value());
-  }
-  auto seq = rd.u64();
-  if (!seq) return Error::make(22, "protocol: truncated LeasesTerminated");
-  m.seq = seq.value();
-  return m;
-}
-
-Result<SubscribeEventsMsg> decode_subscribe_events(const Bytes& raw) {
-  auto r = open(raw, MsgType::SubscribeEvents);
-  if (!r) return r.error();
-  auto client = r.value().u32();
-  if (!client) return Error::make(22, "protocol: truncated SubscribeEvents");
-  return SubscribeEventsMsg{client.value()};
-}
-
-Result<LeaseDeniedMsg> decode_lease_denied(std::span<const std::uint8_t> raw) {
-  if (!open_fixed(raw, MsgType::LeaseDenied, kLeaseDeniedWireSize)) {
-    return Error::make(22, "protocol: bad LeaseDenied");
-  }
-  LeaseDeniedMsg m;
-  const std::uint8_t* p = raw.data() + 1;
-  p = take(p, m.reason);
-  p = take(p, m.retry_after);
-  take(p, m.request_id);
-  return m;
-}
-
-Result<JournalRecordMsg> decode_journal_record(std::span<const std::uint8_t> raw) {
-  if (!open_fixed(raw, MsgType::JournalRecord, kJournalRecordWireSize)) {
-    return Error::make(22, "protocol: bad JournalRecord");
-  }
-  JournalRecordMsg m;
-  const std::uint8_t* p = raw.data() + 1;
-  p = take(p, m.seq);
-  p = take(p, m.op);
-  p = take(p, m.lease_id);
-  p = take(p, m.client_id);
-  p = take(p, m.executor);
-  p = take(p, m.workers);
-  p = take(p, m.memory);
-  p = take(p, m.time);
-  p = take(p, m.aux);
-  p = take(p, m.aux2);
-  take(p, m.checksum);
-  return m;
-}
-
-Result<SnapshotOfferMsg> decode_snapshot_offer(std::span<const std::uint8_t> raw) {
-  if (!open_fixed(raw, MsgType::SnapshotOffer, kSnapshotOfferWireSize)) {
-    return Error::make(22, "protocol: bad SnapshotOffer");
-  }
-  SnapshotOfferMsg m;
-  const std::uint8_t* p = raw.data() + 1;
-  p = take(p, m.manager_epoch);
-  p = take(p, m.upto_seq);
-  p = take(p, m.digest);
-  take(p, m.lease_count);
-  return m;
-}
-
-Result<FailoverAnnounceMsg> decode_failover_announce(std::span<const std::uint8_t> raw) {
-  if (!open_fixed(raw, MsgType::FailoverAnnounce, kFailoverAnnounceWireSize)) {
-    return Error::make(22, "protocol: bad FailoverAnnounce");
-  }
-  FailoverAnnounceMsg m;
-  const std::uint8_t* p = raw.data() + 1;
-  p = take(p, m.manager_epoch);
-  p = take(p, m.applied_seq);
-  take(p, m.promoted_at);
-  return m;
-}
-
-Result<LeaseRevalidateMsg> decode_lease_revalidate(std::span<const std::uint8_t> raw) {
-  if (!open_fixed(raw, MsgType::LeaseRevalidate, kLeaseRevalidateWireSize)) {
-    return Error::make(22, "protocol: bad LeaseRevalidate");
-  }
-  LeaseRevalidateMsg m;
-  const std::uint8_t* p = raw.data() + 1;
-  p = take(p, m.client_id);
-  p = take(p, m.lease_id);
-  take(p, m.request_id);
-  return m;
-}
-
-Result<InvocationCancelMsg> decode_invocation_cancel(std::span<const std::uint8_t> raw) {
-  if (!open_fixed(raw, MsgType::InvocationCancel, kInvocationCancelWireSize)) {
-    return Error::make(22, "protocol: bad InvocationCancel");
-  }
-  InvocationCancelMsg m;
-  const std::uint8_t* p = raw.data() + 1;
-  p = take(p, m.client_id);
-  p = take(p, m.invocation_tag);
-  take(p, m.request_id);
-  return m;
-}
-
-Result<HealthReportMsg> decode_health_report(std::span<const std::uint8_t> raw) {
-  if (!open_fixed(raw, MsgType::HealthReport, kHealthReportWireSize)) {
-    return Error::make(22, "protocol: bad HealthReport");
-  }
-  HealthReportMsg m;
-  const std::uint8_t* p = raw.data() + 1;
-  p = take(p, m.client_id);
-  p = take(p, m.device);
-  p = take(p, m.latency_us);
-  p = take(p, m.ok_count);
-  p = take(p, m.fail_count);
-  take(p, m.request_id);
-  return m;
-}
-
-Result<HealthReportOkMsg> decode_health_report_ok(std::span<const std::uint8_t> raw) {
-  if (!open_fixed(raw, MsgType::HealthReportOk, kHealthReportOkWireSize)) {
-    return Error::make(22, "protocol: bad HealthReportOk");
-  }
-  HealthReportOkMsg m;
-  take(raw.data() + 1, m.request_id);
-  return m;
 }
 
 bool is_reply_type(MsgType t) {

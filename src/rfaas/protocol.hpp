@@ -10,8 +10,12 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -146,6 +150,7 @@ enum class InvocationPolicy : std::uint8_t {
 
 /// Spot-executor registration with the resource manager (Sec. III-A).
 struct RegisterExecutorMsg {
+  static constexpr MsgType kType = MsgType::RegisterExecutor;
   std::uint32_t device = 0;       ///< fabric device id of the spot host
   std::uint16_t alloc_port = 0;   ///< TCP port of the lightweight allocator
   std::uint16_t rdma_port = 0;    ///< fabric CM port for worker connections
@@ -153,31 +158,47 @@ struct RegisterExecutorMsg {
   std::uint64_t memory_bytes = 0; ///< offerable memory of the host
   std::uint64_t epoch = 0;        ///< registration session epoch (fences stale sessions)
   std::uint64_t request_id = 0;   ///< session request id; 0 is refused
+
+  static auto fields(auto& m) {
+    return std::tie(m.device, m.alloc_port, m.rdma_port, m.cores, m.memory_bytes, m.epoch,
+                    m.request_id);
+  }
 };
 
 /// Registration reply: where the executor's billing atomics land.
 struct RegisterOkMsg {
+  static constexpr MsgType kType = MsgType::RegisterOk;
   std::uint16_t rm_rdma_port = 0;     ///< where executors connect for billing atomics
   std::uint64_t billing_addr = 0;     ///< base of the billing counter array
   std::uint32_t billing_rkey = 0;     ///< rkey of the billing counter array
   std::uint64_t request_id = 0;       ///< echoes RegisterExecutorMsg::request_id
+
+  static auto fields(auto& m) {
+    return std::tie(m.rm_rdma_port, m.billing_addr, m.billing_rkey, m.request_id);
+  }
 };
 
 /// One lease acquisition (Sec. III-C): "clients acquire leases by
 /// requesting the desired core count, memory, and timeout". Grants may be
 /// partial; clients aggregate (or use BatchAllocateMsg).
 struct LeaseRequestMsg {
+  static constexpr MsgType kType = MsgType::LeaseRequest;
   std::uint32_t client_id = 0;     ///< billing tenant of the requester
   std::uint32_t workers = 0;       ///< requested function instances
   std::uint64_t memory_bytes = 0;  ///< per-worker memory
   Duration timeout = 0;            ///< lease validity
   std::uint64_t request_id = 0;    ///< session request id; 0 is refused
+
+  static auto fields(auto& m) {
+    return std::tie(m.client_id, m.workers, m.memory_bytes, m.timeout, m.request_id);
+  }
 };
 
 /// A granted lease: where to allocate the sandbox and until when the
 /// capacity is held. Lease ids are shard-tagged (high 16 bits) under a
 /// sharded manager.
 struct LeaseGrantMsg {
+  static constexpr MsgType kType = MsgType::LeaseGrant;
   std::uint64_t lease_id = 0;   ///< shard-tagged lease identifier
   std::uint32_t device = 0;     ///< fabric device of the granted executor
   std::uint16_t alloc_port = 0; ///< its lightweight allocator's TCP port
@@ -185,10 +206,18 @@ struct LeaseGrantMsg {
   std::uint32_t workers = 0;    ///< workers granted on this executor
   Time expires_at = 0;          ///< lease deadline (renewable via ExtendLease)
   std::uint64_t request_id = 0; ///< echoes LeaseRequestMsg::request_id
+
+  /// The grant without its request id: the 28-byte element of
+  /// BatchGrantedMsg::grants, whose reply carries one id for the batch.
+  static auto body(auto& m) {
+    return std::tie(m.lease_id, m.device, m.alloc_port, m.rdma_port, m.workers, m.expires_at);
+  }
+  static auto fields(auto& m) { return std::tuple_cat(body(m), std::tie(m.request_id)); }
 };
 
 /// Sandbox allocation on the leased executor (A2 in the cold-start path).
 struct AllocationRequestMsg {
+  static constexpr MsgType kType = MsgType::AllocationRequest;
   std::uint64_t lease_id = 0;    ///< the backing lease
   std::uint32_t client_id = 0;   ///< billing tenant
   std::uint32_t workers = 0;     ///< worker threads to spawn
@@ -197,37 +226,56 @@ struct AllocationRequestMsg {
   std::uint8_t policy = 0;       ///< InvocationPolicy
   Duration hot_timeout = 0;      ///< Adaptive rollback timeout (0 = default)
   Time expires_at = 0;           ///< lease expiry (sandbox self-destructs)
+
+  static auto fields(auto& m) {
+    return std::tie(m.lease_id, m.client_id, m.workers, m.memory_bytes, m.sandbox, m.policy,
+                    m.hot_timeout, m.expires_at);
+  }
 };
 
 /// Early return of leased capacity to the resource manager.
 struct ReleaseResourcesMsg {
+  static constexpr MsgType kType = MsgType::ReleaseResources;
   std::uint64_t lease_id = 0;     ///< lease being released
   std::uint32_t workers = 0;      ///< workers coming back
   std::uint64_t memory_bytes = 0; ///< memory coming back
   std::uint64_t request_id = 0;   ///< session request id; 0 is refused
+
+  static auto fields(auto& m) {
+    return std::tie(m.lease_id, m.workers, m.memory_bytes, m.request_id);
+  }
 };
 
 /// Acknowledges a ReleaseResourcesMsg, so the releaser can stop
 /// retransmitting. A release whose retransmissions all get lost is
 /// reclaimed by the manager's lease-expiry sweep instead.
 struct ReleaseOkMsg {
+  static constexpr MsgType kType = MsgType::ReleaseOk;
   std::uint64_t lease_id = 0;
   std::uint64_t request_id = 0;  ///< echoes ReleaseResourcesMsg::request_id
+
+  static auto fields(auto& m) { return std::tie(m.lease_id, m.request_id); }
 };
 
 /// Lease renewal: extends a live lease by `extension` from now. Granted
 /// leases are time-limited; long-running clients renew instead of paying
 /// a fresh placement.
 struct ExtendLeaseMsg {
+  static constexpr MsgType kType = MsgType::ExtendLease;
   std::uint64_t lease_id = 0;
   Duration extension = 0;
   std::uint64_t request_id = 0;  ///< session request id; 0 is refused
+
+  static auto fields(auto& m) { return std::tie(m.lease_id, m.extension, m.request_id); }
 };
 
 struct ExtendOkMsg {
+  static constexpr MsgType kType = MsgType::ExtendOk;
   std::uint64_t lease_id = 0;
   Time expires_at = 0;           ///< the new deadline
   std::uint64_t request_id = 0;  ///< echoes ExtendLeaseMsg::request_id
+
+  static auto fields(auto& m) { return std::tie(m.lease_id, m.expires_at, m.request_id); }
 };
 
 /// Fulfillment contract of a batched allocation (BatchAllocateMsg::mode).
@@ -241,12 +289,17 @@ enum class BatchMode : std::uint8_t {
 /// sharded manager, across shards. Replaces the serial client loop of
 /// one LeaseRequest per partial grant (Sec. III-D) for wide allocations.
 struct BatchAllocateMsg {
+  static constexpr MsgType kType = MsgType::BatchAllocate;
   std::uint32_t client_id = 0;
   std::uint32_t workers = 0;       ///< total function instances wanted
   std::uint64_t memory_bytes = 0;  ///< per-worker memory
   Duration timeout = 0;            ///< validity of every granted lease
   std::uint8_t mode = 0;           ///< BatchMode
   std::uint64_t request_id = 0;    ///< session request id; 0 is refused
+
+  static auto fields(auto& m) {
+    return std::tie(m.client_id, m.workers, m.memory_bytes, m.timeout, m.mode, m.request_id);
+  }
 };
 
 /// Reply to BatchAllocateMsg: the granted leases (possibly spanning
@@ -254,18 +307,24 @@ struct BatchAllocateMsg {
 /// was only partially satisfiable — under AllOrNothing the grant list is
 /// then empty and every provisional lease has been released.
 struct BatchGrantedMsg {
+  static constexpr MsgType kType = MsgType::BatchGranted;
   bool complete = false;
   std::vector<LeaseGrantMsg> grants;
   std::string error;             ///< set when `grants` is empty
   std::uint64_t request_id = 0;  ///< echoes BatchAllocateMsg::request_id
+
+  static auto fields(auto& m) { return std::tie(m.complete, m.grants, m.error, m.request_id); }
 };
 
 /// Push notification from the resource manager to the executor manager
 /// that hosts a renewed lease: the sandbox deadline moves to the new
 /// expiry, so renewal stays a single client<->manager round trip.
 struct LeaseRenewedMsg {
+  static constexpr MsgType kType = MsgType::LeaseRenewed;
   std::uint64_t lease_id = 0;
   Time expires_at = 0;  ///< the renewed deadline
+
+  static auto fields(auto& m) { return std::tie(m.lease_id, m.expires_at); }
 };
 
 /// Why the resource manager refused to even process a request.
@@ -286,9 +345,12 @@ const char* to_string(DenialReason r);
 /// exponential backoff. Fixed layout, hot under overload by definition —
 /// rides the zero-allocation fast path like LeaseGrant.
 struct LeaseDeniedMsg {
+  static constexpr MsgType kType = MsgType::LeaseDenied;
   std::uint8_t reason = 0;       ///< DenialReason
   Duration retry_after = 0;      ///< backoff hint (0 = none)
   std::uint64_t request_id = 0;  ///< echoes the denied request's id
+
+  static auto fields(auto& m) { return std::tie(m.reason, m.retry_after, m.request_id); }
 };
 
 /// Why the resource manager reclaimed a lease ahead of its deadline.
@@ -307,10 +369,13 @@ const char* to_string(TerminationReason r);
 /// transparently re-allocates. `evicted_at` is the manager's decision
 /// timestamp, so receivers can report end-to-end reclamation latency.
 struct LeaseTerminatedMsg {
+  static constexpr MsgType kType = MsgType::LeaseTerminated;
   std::uint64_t lease_id = 0;
   std::uint8_t reason = 0;  ///< TerminationReason
   Time evicted_at = 0;      ///< when the manager made the eviction decision
   std::uint64_t seq = 0;    ///< per-stream push sequence, from 1
+
+  static auto fields(auto& m) { return std::tie(m.lease_id, m.reason, m.evicted_at, m.seq); }
 };
 
 /// Coalesced fast reclamation: one eviction sweep may terminate many
@@ -320,10 +385,13 @@ struct LeaseTerminatedMsg {
 /// and decision timestamp are shared — a sweep has one cause and one
 /// decision point.
 struct LeasesTerminatedMsg {
+  static constexpr MsgType kType = MsgType::LeasesTerminated;
   std::uint8_t reason = 0;  ///< TerminationReason
   Time evicted_at = 0;      ///< when the manager made the eviction decision
   std::vector<std::uint64_t> lease_ids;
   std::uint64_t seq = 0;    ///< per-stream push sequence, from 1
+
+  static auto fields(auto& m) { return std::tie(m.reason, m.evicted_at, m.lease_ids, m.seq); }
 };
 
 /// Opens a notification stream: the client sends this once on a dedicated
@@ -331,7 +399,10 @@ struct LeasesTerminatedMsg {
 /// owned by `client_id`. Keeping pushes off the request stream preserves
 /// its strict request-response discipline.
 struct SubscribeEventsMsg {
+  static constexpr MsgType kType = MsgType::SubscribeEvents;
   std::uint32_t client_id = 0;
+
+  static auto fields(auto& m) { return std::tie(m.client_id); }
 };
 
 /// One entry of the manager's replicated lease-state log (rfaas/journal.hpp):
@@ -343,6 +414,7 @@ struct SubscribeEventsMsg {
 /// detected at the first bad record. Hot on every grant — rides the
 /// zero-allocation fast path.
 struct JournalRecordMsg {
+  static constexpr MsgType kType = MsgType::JournalRecord;
   std::uint64_t seq = 0;       ///< monotonically increasing log position (1-based)
   std::uint8_t op = 0;         ///< journal::Op discriminator
   std::uint64_t lease_id = 0;  ///< shard-tagged lease id (lease ops)
@@ -354,6 +426,11 @@ struct JournalRecordMsg {
   std::uint64_t aux = 0;       ///< op-specific (flags, packed endpoint, peer id)
   std::uint64_t aux2 = 0;      ///< op-specific (packed epoch|cores)
   std::uint64_t checksum = 0;  ///< chained integrity checksum
+
+  static auto fields(auto& m) {
+    return std::tie(m.seq, m.op, m.lease_id, m.client_id, m.executor, m.workers, m.memory, m.time,
+                    m.aux, m.aux2, m.checksum);
+  }
 };
 
 /// Header of a snapshot transfer to a (re)attaching standby: the state it
@@ -361,10 +438,15 @@ struct JournalRecordMsg {
 /// must match the installed state's digest — a torn or stale snapshot is
 /// rejected before any record is replayed on top of it.
 struct SnapshotOfferMsg {
+  static constexpr MsgType kType = MsgType::SnapshotOffer;
   std::uint32_t manager_epoch = 0; ///< epoch of the snapshotting primary
   std::uint64_t upto_seq = 0;      ///< journal position the snapshot covers
   std::uint64_t digest = 0;        ///< ManagerState::digest() of the snapshot
   std::uint64_t lease_count = 0;   ///< live leases in the snapshot (sanity)
+
+  static auto fields(auto& m) {
+    return std::tie(m.manager_epoch, m.upto_seq, m.digest, m.lease_count);
+  }
 };
 
 /// Pushed by a freshly promoted manager on every (re)subscribed
@@ -373,9 +455,12 @@ struct SnapshotOfferMsg {
 /// the dead primary after its last journaled record, or by a fenced
 /// zombie, fail re-validation and flow into the self-healing path.
 struct FailoverAnnounceMsg {
+  static constexpr MsgType kType = MsgType::FailoverAnnounce;
   std::uint32_t manager_epoch = 0; ///< epoch of the announcing manager
   std::uint64_t applied_seq = 0;   ///< last journal record the standby replayed
   Time promoted_at = 0;            ///< when the standby took over
+
+  static auto fields(auto& m) { return std::tie(m.manager_epoch, m.applied_seq, m.promoted_at); }
 };
 
 /// Client-side lease audit after a failover: "do you still honour this
@@ -384,9 +469,12 @@ struct FailoverAnnounceMsg {
 /// then treats it as lost and heals. Hot during reconnect storms — rides
 /// the zero-allocation fast path.
 struct LeaseRevalidateMsg {
+  static constexpr MsgType kType = MsgType::LeaseRevalidate;
   std::uint32_t client_id = 0;   ///< owning tenant presented for the audit
   std::uint64_t lease_id = 0;    ///< lease being re-validated
   std::uint64_t request_id = 0;  ///< session request id; 0 is refused
+
+  static auto fields(auto& m) { return std::tie(m.client_id, m.lease_id, m.request_id); }
 };
 
 /// Best-effort cancellation of an in-flight invocation, sent on the
@@ -398,9 +486,12 @@ struct LeaseRevalidateMsg {
 /// absorbs the loser's reply). Fixed layout — rides the zero-allocation
 /// fast path since it fires on the invocation hot path.
 struct InvocationCancelMsg {
+  static constexpr MsgType kType = MsgType::InvocationCancel;
   std::uint32_t client_id = 0;       ///< cancelling tenant
   std::uint64_t invocation_tag = 0;  ///< (epoch << 32) | seq of the doomed invocation
   std::uint64_t request_id = 0;      ///< unused for matching (fire-and-forget); 0 ok
+
+  static auto fields(auto& m) { return std::tie(m.client_id, m.invocation_tag, m.request_id); }
 };
 
 /// Client-observed executor health, pushed to the resource manager when a
@@ -410,73 +501,199 @@ struct InvocationCancelMsg {
 /// and drains it outright after `quarantine_trips` distinct trips.
 /// Fixed layout — health reports spike exactly when the fleet is sick.
 struct HealthReportMsg {
+  static constexpr MsgType kType = MsgType::HealthReport;
   std::uint32_t client_id = 0;    ///< reporting tenant
   std::uint32_t device = 0;       ///< fabric device of the suspect executor
   std::uint32_t latency_us = 0;   ///< EWMA invocation latency observed (µs)
   std::uint32_t ok_count = 0;     ///< successful invocations in this window
   std::uint32_t fail_count = 0;   ///< timeouts/corruptions in this window
   std::uint64_t request_id = 0;   ///< session request id; 0 is refused
+
+  static auto fields(auto& m) {
+    return std::tie(m.client_id, m.device, m.latency_us, m.ok_count, m.fail_count, m.request_id);
+  }
 };
 
 /// Acknowledges a HealthReportMsg so the reporter can stop retransmitting.
 struct HealthReportOkMsg {
+  static constexpr MsgType kType = MsgType::HealthReportOk;
   std::uint64_t request_id = 0;  ///< echoes HealthReportMsg::request_id
+
+  static auto fields(auto& m) { return std::tie(m.request_id); }
 };
 
 /// Allocation outcome from the lightweight allocator.
 struct AllocationReplyMsg {
+  static constexpr MsgType kType = MsgType::AllocationReply;
   bool ok = false;               ///< sandbox up and workers spawned
   std::uint64_t sandbox_id = 0;  ///< handle for code submission/deallocation
   std::uint16_t rdma_port = 0;   ///< port workers accept on
   std::uint64_t spawn_ns = 0;    ///< measured sandbox+worker spawn time
   std::string error;             ///< failure reason when !ok
+
+  static auto fields(auto& m) {
+    return std::tie(m.ok, m.sandbox_id, m.rdma_port, m.spawn_ns, m.error);
+  }
 };
 
 /// Code-submission acknowledgement.
 struct SubmitCodeOkMsg {
+  static constexpr MsgType kType = MsgType::SubmitCodeOk;
   std::uint16_t fn_index = 0;  ///< index in the sandbox's function table
+
+  static auto fields(auto& m) { return std::tie(m.fn_index); }
 };
 
 /// Function-code shipping into a live sandbox (padded to the library
 /// size on the wire, so the transfer cost is real).
 struct SubmitCodeMsg {
+  static constexpr MsgType kType = MsgType::SubmitCode;
   std::uint64_t sandbox_id = 0; ///< target sandbox
   std::string function_name;    ///< registry name of the function package
   std::uint64_t code_size = 0;  ///< shipped library size (bytes on the wire)
+
+  static auto fields(auto& m) { return std::tie(m.sandbox_id, m.function_name, m.code_size); }
 };
 
 /// Sandbox teardown; the executor returns the lease to the manager.
 struct DeallocateMsg {
+  static constexpr MsgType kType = MsgType::Deallocate;
   std::uint64_t sandbox_id = 0; ///< sandbox to tear down
   std::uint64_t lease_id = 0;   ///< its backing lease
+
+  static auto fields(auto& m) { return std::tie(m.sandbox_id, m.lease_id); }
 };
 
 // ---------------------------------------------------------------------------
-// Zero-allocation fast path (fig16). The hot control-plane messages —
-// LeaseRequest, LeaseGrant, ExtendLease, ExtendOk — have fixed-layout
-// bodies, so they encode into a caller-provided buffer and decode from a
-// span with a single bounds check and no heap traffic. (The data-plane
-// Invoke message was always allocation-free: InvocationHeader::pack into
-// the registered buffer plus the packed immediate of Imm.) The Bytes
-// encode()/decode_*() entry points below remain the general API; for
-// these four messages they are thin wrappers over the fast path, so the
-// wire format is byte-identical and the protocol-fuzz suite covers both.
+// Control-message codecs. Each message struct above names its MsgType
+// (kType) and lists its fields once, in wire order (fields()); every codec
+// is derived from that list. The envelope is [u8 type] followed by the
+// fields, little-endian: an integer takes its size, a bool one byte
+// (decoded as != 0), and a string or vector a u32 count followed by its
+// elements. A vector of grants repeats LeaseGrantMsg::body(), the grant
+// without its request id. Every reply keeps request_id as its last field,
+// because reply_request_id() reads the trailing 8 bytes.
+//
+// Zero-allocation fast path (fig16). A message whose fields are all
+// integers has a fixed layout of kWireSize<M> bytes: encode_into() writes
+// it into a caller-provided buffer, and its decoder checks the span size
+// once and copies the fields out, with no heap traffic. Its Bytes encode()
+// allocates the exact size once and calls encode_into(). Messages with a
+// string or vector go through ByteWriter and ByteReader. Every decoder
+// rejects a wrong type byte and any truncation, ignores trailing bytes,
+// and never reserves memory from a count read off the wire.
 // ---------------------------------------------------------------------------
 
-/// Fixed wire sizes (envelope type byte included) of the hot messages.
-/// The trailing 8 bytes of each are the request id.
-inline constexpr std::size_t kLeaseRequestWireSize = 1 + 4 + 4 + 8 + 8 + 8;
-inline constexpr std::size_t kLeaseGrantWireSize = 1 + 8 + 4 + 2 + 2 + 4 + 8 + 8;
-inline constexpr std::size_t kExtendLeaseWireSize = 1 + 8 + 8 + 8;
-inline constexpr std::size_t kExtendOkWireSize = 1 + 8 + 8 + 8;
-inline constexpr std::size_t kLeaseDeniedWireSize = 1 + 1 + 8 + 8;
-inline constexpr std::size_t kJournalRecordWireSize = 1 + 8 + 1 + 8 + 4 + 8 + 4 + 8 + 8 + 8 + 8 + 8;
-inline constexpr std::size_t kSnapshotOfferWireSize = 1 + 4 + 8 + 8 + 8;
-inline constexpr std::size_t kFailoverAnnounceWireSize = 1 + 4 + 8 + 8;
-inline constexpr std::size_t kLeaseRevalidateWireSize = 1 + 4 + 8 + 8;
-inline constexpr std::size_t kInvocationCancelWireSize = 1 + 4 + 8 + 8;
-inline constexpr std::size_t kHealthReportWireSize = 1 + 4 + 4 + 4 + 4 + 4 + 8;
-inline constexpr std::size_t kHealthReportOkWireSize = 1 + 8;
+namespace wire {
+
+/// The fields of message M, as the tuple of references fields() returns.
+template <class M>
+using Fields = decltype(M::fields(std::declval<M&>()));
+
+/// The integer a field travels as: a bool is one byte, 0 or 1.
+template <class T>
+using Int = std::conditional_t<std::is_same_v<T, bool>, std::uint8_t, T>;
+
+template <class FieldTuple>
+struct Layout;
+
+/// Fixed when every field is an integer (bool included); the size counts
+/// the type byte.
+template <class... T>
+struct Layout<std::tuple<T&...>> {
+  static constexpr bool kFixed = (std::is_integral_v<T> && ...);
+  static constexpr std::size_t kSize = (std::size_t{1} + ... + sizeof(Int<T>));
+};
+
+/// Writes one integer field at `p` and returns the byte after it.
+template <class T>
+std::uint8_t* put(std::uint8_t* p, T v) {
+  const Int<T> x = v;
+  std::memcpy(p, &x, sizeof x);
+  return p + sizeof x;
+}
+
+}  // namespace wire
+
+/// A control message whose fields are all integers.
+template <class M>
+concept FixedLayout = wire::Layout<wire::Fields<M>>::kFixed;
+
+/// Wire size, type byte included, of a fixed-layout message.
+template <FixedLayout M>
+inline constexpr std::size_t kWireSize = wire::Layout<wire::Fields<M>>::kSize;
+
+/// Encodes a fixed-layout message into `out` (caller-provided, no
+/// allocation). Returns its wire size, or 0 when `capacity` is too small.
+template <FixedLayout M>
+std::size_t encode_into(const M& m, std::uint8_t* out, std::size_t capacity) {
+  if (capacity < kWireSize<M>) return 0;
+  out[0] = static_cast<std::uint8_t>(M::kType);
+  std::apply([p = out + 1](const auto&... f) mutable { ((p = wire::put(p, f)), ...); },
+             M::fields(m));
+  return kWireSize<M>;
+}
+
+// Every control message with a field list, as X(Name, decoder) for the
+// struct Name##Msg. This one list declares encode() and the named decoder
+// of each message (below), defines them (protocol.cpp), and drives the
+// protocol fuzz suite. A decode error reads "protocol: malformed Name".
+#define RFS_CONTROL_MESSAGES(X)                   \
+  X(RegisterExecutor, decode_register)            \
+  X(RegisterOk, decode_register_ok)               \
+  X(LeaseRequest, decode_lease_request)           \
+  X(LeaseGrant, decode_lease_grant)               \
+  X(AllocationRequest, decode_allocation_request) \
+  X(AllocationReply, decode_allocation_reply)     \
+  X(SubmitCode, decode_submit_code)               \
+  X(SubmitCodeOk, decode_submit_code_ok)          \
+  X(Deallocate, decode_deallocate)                \
+  X(ReleaseResources, decode_release)             \
+  X(ReleaseOk, decode_release_ok)                 \
+  X(ExtendLease, decode_extend_lease)             \
+  X(ExtendOk, decode_extend_ok)                   \
+  X(BatchAllocate, decode_batch_allocate)         \
+  X(BatchGranted, decode_batch_granted)           \
+  X(LeaseRenewed, decode_lease_renewed)           \
+  X(LeaseTerminated, decode_lease_terminated)     \
+  X(LeasesTerminated, decode_leases_terminated)   \
+  X(SubscribeEvents, decode_subscribe_events)     \
+  X(LeaseDenied, decode_lease_denied)             \
+  X(JournalRecord, decode_journal_record)         \
+  X(SnapshotOffer, decode_snapshot_offer)         \
+  X(FailoverAnnounce, decode_failover_announce)   \
+  X(LeaseRevalidate, decode_lease_revalidate)     \
+  X(InvocationCancel, decode_invocation_cancel)   \
+  X(HealthReport, decode_health_report)           \
+  X(HealthReportOk, decode_health_report_ok)
+
+// Decoders take a span, so a stack buffer or a received frame decodes
+// without a copy; Bytes converts implicitly.
+#define RFS_DECLARE_CODEC(Name, decoder) \
+  Bytes encode(const Name##Msg& m);      \
+  Result<Name##Msg> decoder(std::span<const std::uint8_t> raw);
+RFS_CONTROL_MESSAGES(RFS_DECLARE_CODEC)
+#undef RFS_DECLARE_CODEC
+
+/// A bare envelope: Heartbeat, HeartbeatAck and DeallocateOk carry no body.
+Bytes encode(MsgType type);
+
+/// LeaseError: a reason string and the refused request's id (0 when the
+/// request carried none).
+Bytes encode_lease_error(const std::string& reason, std::uint64_t request_id = 0);
+Result<std::string> decode_lease_error(std::span<const std::uint8_t> raw);
+
+Result<MsgType> peek_type(const Bytes& raw);
+
+/// True for message types that answer a request (and so echo its id):
+/// LeaseGrant, LeaseError, LeaseDenied, ExtendOk, BatchGranted,
+/// ReleaseOk, RegisterOk, HealthReportOk.
+bool is_reply_type(MsgType t);
+
+/// Extracts the echoed request id from a reply message — the trailing 8
+/// bytes of every reply body. Fails on non-reply types and truncated
+/// messages; returns 0 for the LeaseError refusing an id-0 request.
+Result<std::uint64_t> reply_request_id(const Bytes& raw);
 
 // ---------------------------------------------------------------------------
 // Invocation data-plane frames (fig18). The submit frame is the 32-byte
@@ -519,96 +736,5 @@ Result<InvocationFrame> decode_invocation_frame(std::span<const std::uint8_t> bu
 
 /// Decodes a result completion (immediate + byte count).
 InvocationResponse decode_invocation_response(const fabric::Wc& wc);
-
-/// Encodes into `out` (caller-provided, no allocation). Returns the
-/// bytes written — the message's wire size — or 0 when `capacity` is too
-/// small.
-std::size_t encode_into(const LeaseRequestMsg& m, std::uint8_t* out, std::size_t capacity);
-std::size_t encode_into(const LeaseGrantMsg& m, std::uint8_t* out, std::size_t capacity);
-std::size_t encode_into(const ExtendLeaseMsg& m, std::uint8_t* out, std::size_t capacity);
-std::size_t encode_into(const ExtendOkMsg& m, std::uint8_t* out, std::size_t capacity);
-std::size_t encode_into(const LeaseDeniedMsg& m, std::uint8_t* out, std::size_t capacity);
-std::size_t encode_into(const JournalRecordMsg& m, std::uint8_t* out, std::size_t capacity);
-std::size_t encode_into(const SnapshotOfferMsg& m, std::uint8_t* out, std::size_t capacity);
-std::size_t encode_into(const FailoverAnnounceMsg& m, std::uint8_t* out, std::size_t capacity);
-std::size_t encode_into(const LeaseRevalidateMsg& m, std::uint8_t* out, std::size_t capacity);
-std::size_t encode_into(const InvocationCancelMsg& m, std::uint8_t* out, std::size_t capacity);
-std::size_t encode_into(const HealthReportMsg& m, std::uint8_t* out, std::size_t capacity);
-std::size_t encode_into(const HealthReportOkMsg& m, std::uint8_t* out, std::size_t capacity);
-
-/// Envelope: [u8 type][payload...]. Each payload codec is explicit; this
-/// is a real wire format, not in-memory object passing.
-Bytes encode(MsgType type);
-Bytes encode(const RegisterExecutorMsg& m);
-Bytes encode(const RegisterOkMsg& m);
-Bytes encode(const LeaseRequestMsg& m);
-Bytes encode(const LeaseGrantMsg& m);
-Bytes encode_lease_error(const std::string& reason, std::uint64_t request_id = 0);
-Bytes encode(const AllocationRequestMsg& m);
-Bytes encode(const AllocationReplyMsg& m);
-Bytes encode(const SubmitCodeMsg& m);
-Bytes encode(const SubmitCodeOkMsg& m);
-Bytes encode(const DeallocateMsg& m);
-Bytes encode(const ReleaseResourcesMsg& m);
-Bytes encode(const ReleaseOkMsg& m);
-Bytes encode(const ExtendLeaseMsg& m);
-Bytes encode(const ExtendOkMsg& m);
-Bytes encode(const BatchAllocateMsg& m);
-Bytes encode(const BatchGrantedMsg& m);
-Bytes encode(const LeaseRenewedMsg& m);
-Bytes encode(const LeaseTerminatedMsg& m);
-Bytes encode(const LeasesTerminatedMsg& m);
-Bytes encode(const SubscribeEventsMsg& m);
-Bytes encode(const LeaseDeniedMsg& m);
-Bytes encode(const JournalRecordMsg& m);
-Bytes encode(const SnapshotOfferMsg& m);
-Bytes encode(const FailoverAnnounceMsg& m);
-Bytes encode(const LeaseRevalidateMsg& m);
-Bytes encode(const InvocationCancelMsg& m);
-Bytes encode(const HealthReportMsg& m);
-Bytes encode(const HealthReportOkMsg& m);
-
-Result<MsgType> peek_type(const Bytes& raw);
-Result<RegisterExecutorMsg> decode_register(const Bytes& raw);
-Result<RegisterOkMsg> decode_register_ok(const Bytes& raw);
-// Hot-path decoders take a span (no Bytes required — a stack buffer or a
-// network scatter entry decodes without copying); Bytes converts
-// implicitly, so existing call sites are unchanged.
-Result<LeaseRequestMsg> decode_lease_request(std::span<const std::uint8_t> raw);
-Result<LeaseGrantMsg> decode_lease_grant(std::span<const std::uint8_t> raw);
-Result<std::string> decode_lease_error(const Bytes& raw);
-Result<AllocationRequestMsg> decode_allocation_request(const Bytes& raw);
-Result<AllocationReplyMsg> decode_allocation_reply(const Bytes& raw);
-Result<SubmitCodeMsg> decode_submit_code(const Bytes& raw);
-Result<SubmitCodeOkMsg> decode_submit_code_ok(const Bytes& raw);
-Result<DeallocateMsg> decode_deallocate(const Bytes& raw);
-Result<ReleaseResourcesMsg> decode_release(const Bytes& raw);
-Result<ReleaseOkMsg> decode_release_ok(const Bytes& raw);
-Result<ExtendLeaseMsg> decode_extend_lease(std::span<const std::uint8_t> raw);
-Result<ExtendOkMsg> decode_extend_ok(std::span<const std::uint8_t> raw);
-Result<BatchAllocateMsg> decode_batch_allocate(const Bytes& raw);
-Result<BatchGrantedMsg> decode_batch_granted(const Bytes& raw);
-Result<LeaseRenewedMsg> decode_lease_renewed(const Bytes& raw);
-Result<LeaseTerminatedMsg> decode_lease_terminated(const Bytes& raw);
-Result<LeasesTerminatedMsg> decode_leases_terminated(const Bytes& raw);
-Result<SubscribeEventsMsg> decode_subscribe_events(const Bytes& raw);
-Result<LeaseDeniedMsg> decode_lease_denied(std::span<const std::uint8_t> raw);
-Result<JournalRecordMsg> decode_journal_record(std::span<const std::uint8_t> raw);
-Result<SnapshotOfferMsg> decode_snapshot_offer(std::span<const std::uint8_t> raw);
-Result<FailoverAnnounceMsg> decode_failover_announce(std::span<const std::uint8_t> raw);
-Result<LeaseRevalidateMsg> decode_lease_revalidate(std::span<const std::uint8_t> raw);
-Result<InvocationCancelMsg> decode_invocation_cancel(std::span<const std::uint8_t> raw);
-Result<HealthReportMsg> decode_health_report(std::span<const std::uint8_t> raw);
-Result<HealthReportOkMsg> decode_health_report_ok(std::span<const std::uint8_t> raw);
-
-/// True for message types that answer a request (and so echo its id):
-/// LeaseGrant, LeaseError, LeaseDenied, ExtendOk, BatchGranted,
-/// ReleaseOk, RegisterOk, HealthReportOk.
-bool is_reply_type(MsgType t);
-
-/// Extracts the echoed request id from a reply message — the trailing 8
-/// bytes of every reply body. Fails on non-reply types and truncated
-/// messages; returns 0 for the LeaseError refusing an id-0 request.
-Result<std::uint64_t> reply_request_id(const Bytes& raw);
 
 }  // namespace rfs::rfaas

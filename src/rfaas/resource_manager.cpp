@@ -226,38 +226,41 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
         auto msg = decode_register(*raw);
         if (!msg) break;
         if (replay_duplicate(msg.value().request_id)) break;
-        if (msg.value().epoch != 0) {
-          // Epoch fencing: only the newest registration session may own a
-          // device. An older epoch is a retransmission from a session the
-          // executor already abandoned; admitting it would double-count
-          // the device's capacity. A newer epoch supersedes — the stale
-          // registration is marked dead first, reclaiming its leases.
-          auto it = executor_epochs_.find(msg.value().device);
-          if (it != executor_epochs_.end()) {
-            if (msg.value().epoch <= it->second.epoch) {
-              ++fenced_registrations_;
-              reply_cached(msg.value().request_id,
-                           encode_lease_error("stale registration epoch",
-                                              msg.value().request_id));
-              break;
-            }
-            // Failover re-attachment: on a promoted manager the device's
-            // registration (and its leases) survived in the restored
-            // state — the executor process itself never died, only its
-            // session to the old primary. Re-point the registration at
-            // the new stream in place instead of reclaiming its leases.
-            if (restored_ && core_.reattach_executor(it->second.executor_id, stream,
-                                                     msg.value().epoch, engine_.now())) {
-              executor_ids_[stream.get()] = it->second.executor_id;
-              it->second.epoch = msg.value().epoch;
-              ++reattached_executors_;
-              reply_cached(msg.value().request_id, make_register_ok(msg.value().request_id));
-              log::info("rm", "re-attached executor on device ", msg.value().device,
-                        " after failover (epoch ", msg.value().epoch, ")");
-              break;
-            }
-            mark_executor_dead(it->second.executor_id);
+        // Executors register with epoch >= 1; like request id 0, epoch 0
+        // is refused with one LeaseError and registers nothing.
+        if (msg.value().epoch == 0) {
+          stream->send(encode_lease_error("registration epoch 0: executors register from epoch 1",
+                                          msg.value().request_id));
+          break;
+        }
+        // Epoch fencing: only the newest registration session may own a
+        // device. An older epoch is a retransmission from a session the
+        // executor already abandoned; admitting it would double-count the
+        // device's capacity. A newer epoch supersedes — the stale
+        // registration is marked dead first, reclaiming its leases.
+        if (auto it = executor_epochs_.find(msg.value().device); it != executor_epochs_.end()) {
+          if (msg.value().epoch <= it->second.epoch) {
+            ++fenced_registrations_;
+            reply_cached(msg.value().request_id,
+                         encode_lease_error("stale registration epoch", msg.value().request_id));
+            break;
           }
+          // Failover re-attachment: on a promoted manager the device's
+          // registration (and its leases) survived in the restored
+          // state — the executor process itself never died, only its
+          // session to the old primary. Re-point the registration at
+          // the new stream in place instead of reclaiming its leases.
+          if (restored_ && core_.reattach_executor(it->second.executor_id, stream,
+                                                   msg.value().epoch, engine_.now())) {
+            executor_ids_[stream.get()] = it->second.executor_id;
+            it->second.epoch = msg.value().epoch;
+            ++reattached_executors_;
+            reply_cached(msg.value().request_id, make_register_ok(msg.value().request_id));
+            log::info("rm", "re-attached executor on device ", msg.value().device,
+                      " after failover (epoch ", msg.value().epoch, ")");
+            break;
+          }
+          mark_executor_dead(it->second.executor_id);
         }
         ExecutorEntry entry;
         entry.info = msg.value();
@@ -274,10 +277,7 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
         // A fresh registration is a fresh process: its gray-failure
         // history (breaker-trip count) does not carry over.
         health_trip_counts_.erase(msg.value().device);
-        if (msg.value().epoch != 0) {
-          executor_epochs_[msg.value().device] =
-              RegistrationEpoch{msg.value().epoch, executor_id};
-        }
+        executor_epochs_[msg.value().device] = RegistrationEpoch{msg.value().epoch, executor_id};
         reply_cached(msg.value().request_id, make_register_ok(msg.value().request_id));
         log::info("rm", "registered executor on device ", msg.value().device, " with ",
                   msg.value().cores, " cores on shard ",

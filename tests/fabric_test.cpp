@@ -127,7 +127,7 @@ TEST_F(FabricTest, PingPongMatchesCalibratedRtt) {
 
   Time rtt = 0;
   auto side_a = [&]() -> sim::Task<void> {
-    qpA->post_recv({1, {}});
+    EXPECT_TRUE(qpA->post_recv({1, {}}).ok());
     SendWr wr;
     wr.opcode = Opcode::WriteImm;
     wr.sge = {{reinterpret_cast<std::uint64_t>(bufA.data()), 8, mrA->lkey()}};
@@ -140,7 +140,7 @@ TEST_F(FabricTest, PingPongMatchesCalibratedRtt) {
     rtt = eng.now();
   };
   auto side_b = [&]() -> sim::Task<void> {
-    qpB->post_recv({2, {}});
+    EXPECT_TRUE(qpB->post_recv({2, {}}).ok());
     co_await rcqB->wait_polling();  // ping received
     SendWr wr;
     wr.opcode = Opcode::WriteImm;
@@ -164,7 +164,7 @@ TEST_F(FabricTest, WriteImmDeliversImmediateAndConsumesRecv) {
   fill_pattern(src, 3);
   auto* mrA = pdA->register_memory(src.data(), src.size(), LocalWrite);
   auto* mrB = pdB->register_memory(dst.data(), dst.size(), RemoteWrite);
-  qpB->post_recv({77, {}});
+  ASSERT_TRUE(qpB->post_recv({77, {}}).ok());
 
   SendWr wr;
   wr.opcode = Opcode::WriteImm;
@@ -191,7 +191,8 @@ TEST_F(FabricTest, SendScattersIntoReceiveBuffer) {
   fill_pattern(src, 4);
   auto* mrA = pdA->register_memory(src.data(), src.size(), LocalWrite);
   auto* mrB = pdB->register_memory(dst.data(), dst.size(), LocalWrite);
-  qpB->post_recv({5, {{reinterpret_cast<std::uint64_t>(dst.data()), 256, mrB->lkey()}}});
+  ASSERT_TRUE(
+      qpB->post_recv({5, {{reinterpret_cast<std::uint64_t>(dst.data()), 256, mrB->lkey()}}}).ok());
 
   SendWr wr;
   wr.opcode = Opcode::Send;
@@ -210,7 +211,8 @@ TEST_F(FabricTest, SendOverflowingReceiveFailsBothSides) {
   Bytes src(300), dst(100);
   auto* mrA = pdA->register_memory(src.data(), src.size(), LocalWrite);
   auto* mrB = pdB->register_memory(dst.data(), dst.size(), LocalWrite);
-  qpB->post_recv({6, {{reinterpret_cast<std::uint64_t>(dst.data()), 100, mrB->lkey()}}});
+  ASSERT_TRUE(
+      qpB->post_recv({6, {{reinterpret_cast<std::uint64_t>(dst.data()), 100, mrB->lkey()}}}).ok());
 
   SendWr wr;
   wr.opcode = Opcode::Send;
@@ -252,7 +254,8 @@ TEST_F(FabricTest, RnrWaitPolicyParksUntilReceivePosted) {
 
   auto late_recv = [&]() -> sim::Task<void> {
     co_await sim::delay(1_ms);
-    qpB->post_recv({8, {{reinterpret_cast<std::uint64_t>(dst.data()), 8, mrB->lkey()}}});
+    EXPECT_TRUE(
+        qpB->post_recv({8, {{reinterpret_cast<std::uint64_t>(dst.data()), 8, mrB->lkey()}}}).ok());
   };
   sim::spawn(eng, late_recv());
   eng.run();
@@ -508,8 +511,8 @@ TEST_F(FabricTest, DestroyedPeerYieldsRetryExceeded) {
 }
 
 TEST_F(FabricTest, DestroyFlushesPostedReceives) {
-  qpB->post_recv({31, {}});
-  qpB->post_recv({32, {}});
+  ASSERT_TRUE(qpB->post_recv({31, {}}).ok());
+  ASSERT_TRUE(qpB->post_recv({32, {}}).ok());
   devB->destroy_qp(qpB);
   eng.run();
   Wc wc[4];
@@ -557,7 +560,7 @@ TEST_F(FabricTest, BlockingWaitAddsWakeLatency) {
 
   Time poll_done = 0, block_done = 0;
   auto poller = [&]() -> sim::Task<void> {
-    qpB->post_recv({1, {}});
+    EXPECT_TRUE(qpB->post_recv({1, {}}).ok());
     co_await rcqB->wait_polling();
     poll_done = eng.now();
   };
@@ -575,7 +578,7 @@ TEST_F(FabricTest, BlockingWaitAddsWakeLatency) {
   eng.run();
 
   auto blocker = [&]() -> sim::Task<void> {
-    qpB->post_recv({2, {}});
+    EXPECT_TRUE(qpB->post_recv({2, {}}).ok());
     co_await rcqB->wait_blocking();
     block_done = eng.now();
   };

@@ -4,12 +4,44 @@
 // different type's fields.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
 #include "common/rng.hpp"
 #include "net/http.hpp"
 #include "rfaas/protocol.hpp"
 
 namespace rfs::rfaas {
 namespace {
+
+// The fixed-layout wire sizes, type byte included. The field lists
+// derive them; these pin them.
+static_assert(kWireSize<LeaseRequestMsg> == 33);
+static_assert(kWireSize<LeaseGrantMsg> == 37);
+static_assert(kWireSize<ExtendLeaseMsg> == 25);
+static_assert(kWireSize<ExtendOkMsg> == 25);
+static_assert(kWireSize<LeaseDeniedMsg> == 18);
+static_assert(kWireSize<JournalRecordMsg> == 74);
+static_assert(kWireSize<SnapshotOfferMsg> == 29);
+static_assert(kWireSize<FailoverAnnounceMsg> == 21);
+static_assert(kWireSize<LeaseRevalidateMsg> == 21);
+static_assert(kWireSize<InvocationCancelMsg> == 21);
+static_assert(kWireSize<HealthReportMsg> == 29);
+static_assert(kWireSize<HealthReportOkMsg> == 9);
+static_assert(kWireSize<RegisterExecutorMsg> == 37);
+static_assert(kWireSize<RegisterOkMsg> == 23);
+static_assert(kWireSize<AllocationRequestMsg> == 43);
+static_assert(kWireSize<SubmitCodeOkMsg> == 3);
+static_assert(kWireSize<DeallocateMsg> == 17);
+static_assert(kWireSize<ReleaseResourcesMsg> == 29);
+static_assert(kWireSize<ReleaseOkMsg> == 17);
+static_assert(kWireSize<BatchAllocateMsg> == 34);
+static_assert(kWireSize<LeaseRenewedMsg> == 17);
+static_assert(kWireSize<LeaseTerminatedMsg> == 26);
+static_assert(kWireSize<SubscribeEventsMsg> == 5);
+// A string or vector makes the layout variable.
+static_assert(!FixedLayout<AllocationReplyMsg> && !FixedLayout<SubmitCodeMsg> &&
+              !FixedLayout<BatchGrantedMsg> && !FixedLayout<LeasesTerminatedMsg>);
 
 std::vector<Bytes> sample_messages() {
   std::vector<Bytes> msgs;
@@ -25,8 +57,12 @@ std::vector<Bytes> sample_messages() {
   msgs.push_back(encode(RegisterOkMsg{6001, 0xFEEDFACE, 77, (4ull << 32) | 1}));
   msgs.push_back(encode(LeaseRequestMsg{9, 16, 1_GiB, 60_s, (1ull << 32) | 9}));
   LeaseGrantMsg grant;
-  grant.lease_id = 11;
+  grant.lease_id = (2ull << 48) | 11;
+  grant.device = 3;
+  grant.alloc_port = 7000;
+  grant.rdma_port = 7001;
   grant.workers = 4;
+  grant.expires_at = 90_s;
   grant.request_id = (1ull << 32) | 9;
   msgs.push_back(encode(grant));
   msgs.push_back(encode_lease_error("nope"));
@@ -38,14 +74,27 @@ std::vector<Bytes> sample_messages() {
   msgs.push_back(encode(denied));
   AllocationRequestMsg alloc;
   alloc.lease_id = 5;
+  alloc.client_id = 9;
   alloc.workers = 2;
+  alloc.memory_bytes = 256ull << 20;
+  alloc.sandbox = 1;
+  alloc.policy = 2;
+  alloc.hot_timeout = 5_ms;
+  alloc.expires_at = 90_s;
   msgs.push_back(encode(alloc));
   AllocationReplyMsg reply;
   reply.ok = true;
   reply.sandbox_id = 8;
+  reply.rdma_port = 7002;
+  reply.spawn_ns = 1234;
   reply.error = "";
   msgs.push_back(encode(reply));
+  AllocationReplyMsg failed;
+  failed.ok = false;
+  failed.error = "no free cores";
+  msgs.push_back(encode(failed));
   SubmitCodeMsg code;
+  code.sandbox_id = 8;
   code.function_name = "echo";
   code.code_size = 7880;
   msgs.push_back(encode(code));
@@ -61,15 +110,27 @@ std::vector<Bytes> sample_messages() {
   batch.memory_bytes = 256ull << 20;
   batch.timeout = 60_s;
   batch.mode = 1;
+  batch.request_id = (3ull << 32) | 4;
   msgs.push_back(encode(batch));
   BatchGrantedMsg granted;
   granted.complete = true;
   LeaseGrantMsg g1;
   g1.lease_id = (1ull << 48) | 7;
+  g1.device = 5;
+  g1.alloc_port = 7100;
+  g1.rdma_port = 7101;
   g1.workers = 4;
+  g1.expires_at = 60_s;
+  g1.request_id = 99;  // not on the wire: a nested grant has no request id
   granted.grants = {g1, LeaseGrantMsg{}};
   granted.error = "";
+  granted.request_id = (3ull << 32) | 4;
   msgs.push_back(encode(granted));
+  BatchGrantedMsg partial;
+  partial.complete = false;
+  partial.error = "insufficient capacity";
+  partial.request_id = (3ull << 32) | 5;
+  msgs.push_back(encode(partial));
   msgs.push_back(encode(LeaseRenewedMsg{(3ull << 48) | 5, 120_s}));
   LeaseTerminatedMsg term;
   term.lease_id = (2ull << 48) | 9;
@@ -113,43 +174,86 @@ std::vector<Bytes> sample_messages() {
   return msgs;
 }
 
+std::string hex(const Bytes& raw) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : raw) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
 /// Tries every decoder on `raw`; returns how many accepted it.
 int accepted_by_any(const Bytes& raw) {
-  int n = 0;
-  n += decode_register(raw).ok();
-  n += decode_register_ok(raw).ok();
-  n += decode_lease_request(raw).ok();
-  n += decode_lease_grant(raw).ok();
-  n += decode_lease_error(raw).ok();
-  n += decode_lease_denied(raw).ok();
-  n += decode_allocation_request(raw).ok();
-  n += decode_allocation_reply(raw).ok();
-  n += decode_submit_code(raw).ok();
-  n += decode_submit_code_ok(raw).ok();
-  n += decode_deallocate(raw).ok();
-  n += decode_release(raw).ok();
-  n += decode_release_ok(raw).ok();
-  n += decode_extend_lease(raw).ok();
-  n += decode_extend_ok(raw).ok();
-  n += decode_batch_allocate(raw).ok();
-  n += decode_batch_granted(raw).ok();
-  n += decode_lease_renewed(raw).ok();
-  n += decode_lease_terminated(raw).ok();
-  n += decode_leases_terminated(raw).ok();
-  n += decode_subscribe_events(raw).ok();
-  n += decode_journal_record(raw).ok();
-  n += decode_snapshot_offer(raw).ok();
-  n += decode_failover_announce(raw).ok();
-  n += decode_lease_revalidate(raw).ok();
-  n += decode_invocation_cancel(raw).ok();
-  n += decode_health_report(raw).ok();
-  n += decode_health_report_ok(raw).ok();
+  int n = decode_lease_error(raw).ok();
+#define RFS_TRY_DECODER(Name, decoder) n += decoder(raw).ok();
+  RFS_CONTROL_MESSAGES(RFS_TRY_DECODER)
+#undef RFS_TRY_DECODER
   return n;
+}
+
+TEST(ProtocolFuzz, EveryListedMessageHasASample) {
+  // The fuzz cases below run over sample_messages(); a message added to
+  // RFS_CONTROL_MESSAGES without a sample would escape them.
+  std::set<std::uint8_t> sampled;
+  for (const auto& msg : sample_messages()) sampled.insert(msg[0]);
+  std::vector<std::pair<MsgType, const char*>> listed = {{MsgType::LeaseError, "LeaseError"}};
+#define RFS_LIST_TYPE(Name, decoder) listed.emplace_back(Name##Msg::kType, #Name);
+  RFS_CONTROL_MESSAGES(RFS_LIST_TYPE)
+#undef RFS_LIST_TYPE
+  for (const auto& [type, name] : listed) {
+    EXPECT_TRUE(sampled.contains(static_cast<std::uint8_t>(type))) << name << " has no sample";
+  }
 }
 
 TEST(ProtocolFuzz, EveryMessageDecodedByExactlyOneDecoder) {
   for (const auto& msg : sample_messages()) {
     EXPECT_EQ(accepted_by_any(msg), 1) << "type byte " << int(msg[0]);
+  }
+}
+
+TEST(ProtocolGolden, SampleMessagesKeepTheirWireBytes) {
+  // The wire format of every sample, byte for byte. The codecs are
+  // derived from the messages' field lists, so reordering or retyping a
+  // field, or a change in the shared codec, shows up here.
+  const std::vector<std::string> golden = {
+      "0003000000581b591b24000000000000001000000004000000000000000100000004000000",
+      "017117cefaedfe000000004d0000000100000004000000",
+      "0209000000100000000000004000000000005847f80d0000000900000001000000",
+      "030b0000000000020003000000581b591b0400000000046bf4140000000900000001000000",
+      "04040000006e6f70650000000000000000",
+      "040b0000007374616c652065706f63680300000002000000",
+      "170040787d01000000000a00000001000000",
+      "050500000000000000090000000200000000000010000000000102404b4c000000000000046bf414000000",
+      "060108000000000000005a1bd20400000000000000000000",
+      "06000000000000000000000000000000000000000d0000006e6f206672656520636f726573",
+      "070800000000000000040000006563686fc81e000000000000",
+      "080300",
+      "0901000000000000000200000000000000",
+      "0e01000000000000000200000003000000000000000800000005000000",
+      "1601000000000000000800000005000000",
+      "0f2a0000000000070000ac23fc060000000200000006000000",
+      "102a0000000000070000046bf4140000000200000006000000",
+      "1109000000200000000000001000000000005847f80d000000010400000003000000",
+      "120102000000070000000000010005000000bc1bbd1b04000000005847f80d00000000000000000000000000000000000000000000000000000000000000000000000400000003000000",
+      "12000000000015000000696e73756666696369656e742063617061636974790500000003000000",
+      "13050000000000030000b08ef01b000000",
+      "0d0900000000000200020082357a0a0000000c00000000000000",
+      "1500004cd0b50a0000000200000009000000000002000a000000000002000d00000000000000",
+      "144d000000",
+      "18110000000000000002090000000000030005000000010000000000030004000000000000100000000000046bf41400000001000000000000002400000007000000fecaefbeadde0000",
+      "19020000000010000000000000edfecefa000000000c00000000000000",
+      "1a02000000041000000000000000863ba101000000",
+      "1b0500000009000000000003000200000004000000",
+      "1c070000000f000000020000000000000000000000",
+      "1d07000000030000002c03000028000000030000001500000005000000",
+      "1e1500000005000000",
+  };
+  const auto msgs = sample_messages();
+  ASSERT_EQ(msgs.size(), golden.size());
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    EXPECT_EQ(hex(msgs[i]), golden[i]) << "sample " << i << ", type byte " << int(msgs[i][0]);
   }
 }
 
@@ -236,6 +340,7 @@ TEST(ProtocolHardened, ReplyRequestIdExtractsFromEveryReplyType) {
       encode(batch),
       encode(ReleaseOkMsg{4, id}),
       encode(RegisterOkMsg{6001, 1, 2, id}),
+      encode(HealthReportOkMsg{id}),
   };
   for (const auto& raw : replies) {
     auto type = peek_type(raw);
@@ -344,19 +449,19 @@ TEST(ProtocolFastPath, FailoverEncodeIntoMatchesTheBytesApiByteForByte) {
   LeaseRevalidateMsg reval{9, (1ull << 48) | 2, (6ull << 32) | 4};
 
   std::uint8_t buf[128];
-  EXPECT_EQ(encode_into(rec, buf, sizeof buf), kJournalRecordWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kJournalRecordWireSize), encode(rec));
-  EXPECT_EQ(encode_into(offer, buf, sizeof buf), kSnapshotOfferWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kSnapshotOfferWireSize), encode(offer));
-  EXPECT_EQ(encode_into(ann, buf, sizeof buf), kFailoverAnnounceWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kFailoverAnnounceWireSize), encode(ann));
-  EXPECT_EQ(encode_into(reval, buf, sizeof buf), kLeaseRevalidateWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kLeaseRevalidateWireSize), encode(reval));
+  EXPECT_EQ(encode_into(rec, buf, sizeof buf), kWireSize<JournalRecordMsg>);
+  EXPECT_EQ(Bytes(buf, buf + kWireSize<JournalRecordMsg>), encode(rec));
+  EXPECT_EQ(encode_into(offer, buf, sizeof buf), kWireSize<SnapshotOfferMsg>);
+  EXPECT_EQ(Bytes(buf, buf + kWireSize<SnapshotOfferMsg>), encode(offer));
+  EXPECT_EQ(encode_into(ann, buf, sizeof buf), kWireSize<FailoverAnnounceMsg>);
+  EXPECT_EQ(Bytes(buf, buf + kWireSize<FailoverAnnounceMsg>), encode(ann));
+  EXPECT_EQ(encode_into(reval, buf, sizeof buf), kWireSize<LeaseRevalidateMsg>);
+  EXPECT_EQ(Bytes(buf, buf + kWireSize<LeaseRevalidateMsg>), encode(reval));
 
-  EXPECT_EQ(encode_into(rec, buf, kJournalRecordWireSize - 1), 0u);
-  EXPECT_EQ(encode_into(offer, buf, kSnapshotOfferWireSize - 1), 0u);
+  EXPECT_EQ(encode_into(rec, buf, kWireSize<JournalRecordMsg> - 1), 0u);
+  EXPECT_EQ(encode_into(offer, buf, kWireSize<SnapshotOfferMsg> - 1), 0u);
   EXPECT_EQ(encode_into(ann, buf, 0), 0u);
-  EXPECT_EQ(encode_into(reval, buf, kLeaseRevalidateWireSize - 1), 0u);
+  EXPECT_EQ(encode_into(reval, buf, kWireSize<LeaseRevalidateMsg> - 1), 0u);
 
   // Span decode from the stack buffer, truncation and type confusion.
   const std::size_t n = encode_into(rec, buf, sizeof buf);
@@ -381,17 +486,18 @@ TEST(ProtocolFastPath, FaultToleranceMessagesRoundTripAndRefuseTruncation) {
   HealthReportOkMsg ack{(6ull << 32) | 6};
 
   std::uint8_t buf[64];
-  EXPECT_EQ(encode_into(cancel, buf, sizeof buf), kInvocationCancelWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kInvocationCancelWireSize), encode(cancel));
-  auto cdec = decode_invocation_cancel(std::span<const std::uint8_t>(buf, kInvocationCancelWireSize));
+  EXPECT_EQ(encode_into(cancel, buf, sizeof buf), kWireSize<InvocationCancelMsg>);
+  EXPECT_EQ(Bytes(buf, buf + kWireSize<InvocationCancelMsg>), encode(cancel));
+  auto cdec =
+      decode_invocation_cancel(std::span<const std::uint8_t>(buf, kWireSize<InvocationCancelMsg>));
   ASSERT_TRUE(cdec.ok());
   EXPECT_EQ(cdec.value().client_id, cancel.client_id);
   EXPECT_EQ(cdec.value().invocation_tag, cancel.invocation_tag);
   EXPECT_EQ(cdec.value().request_id, cancel.request_id);
 
-  EXPECT_EQ(encode_into(health, buf, sizeof buf), kHealthReportWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kHealthReportWireSize), encode(health));
-  auto hdec = decode_health_report(std::span<const std::uint8_t>(buf, kHealthReportWireSize));
+  EXPECT_EQ(encode_into(health, buf, sizeof buf), kWireSize<HealthReportMsg>);
+  EXPECT_EQ(Bytes(buf, buf + kWireSize<HealthReportMsg>), encode(health));
+  auto hdec = decode_health_report(std::span<const std::uint8_t>(buf, kWireSize<HealthReportMsg>));
   ASSERT_TRUE(hdec.ok());
   EXPECT_EQ(hdec.value().client_id, health.client_id);
   EXPECT_EQ(hdec.value().device, health.device);
@@ -400,15 +506,16 @@ TEST(ProtocolFastPath, FaultToleranceMessagesRoundTripAndRefuseTruncation) {
   EXPECT_EQ(hdec.value().fail_count, health.fail_count);
   EXPECT_EQ(hdec.value().request_id, health.request_id);
 
-  EXPECT_EQ(encode_into(ack, buf, sizeof buf), kHealthReportOkWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kHealthReportOkWireSize), encode(ack));
-  auto adec = decode_health_report_ok(std::span<const std::uint8_t>(buf, kHealthReportOkWireSize));
+  EXPECT_EQ(encode_into(ack, buf, sizeof buf), kWireSize<HealthReportOkMsg>);
+  EXPECT_EQ(Bytes(buf, buf + kWireSize<HealthReportOkMsg>), encode(ack));
+  auto adec =
+      decode_health_report_ok(std::span<const std::uint8_t>(buf, kWireSize<HealthReportOkMsg>));
   ASSERT_TRUE(adec.ok());
   EXPECT_EQ(adec.value().request_id, ack.request_id);
 
   // Undersized buffers refuse without writing; truncations reject.
-  EXPECT_EQ(encode_into(cancel, buf, kInvocationCancelWireSize - 1), 0u);
-  EXPECT_EQ(encode_into(health, buf, kHealthReportWireSize - 1), 0u);
+  EXPECT_EQ(encode_into(cancel, buf, kWireSize<InvocationCancelMsg> - 1), 0u);
+  EXPECT_EQ(encode_into(health, buf, kWireSize<HealthReportMsg> - 1), 0u);
   EXPECT_EQ(encode_into(ack, buf, 0), 0u);
 
   // The HealthReport ack is a matchable reply (retransmission FSM);
@@ -489,21 +596,21 @@ TEST(ProtocolFastPath, EncodeIntoMatchesTheBytesApiByteForByte) {
   denied.request_id = (2ull << 32) | 6;
 
   std::uint8_t buf[64];
-  EXPECT_EQ(encode_into(req, buf, sizeof buf), kLeaseRequestWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kLeaseRequestWireSize), encode(req));
-  EXPECT_EQ(encode_into(grant, buf, sizeof buf), kLeaseGrantWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kLeaseGrantWireSize), encode(grant));
-  EXPECT_EQ(encode_into(extend, buf, sizeof buf), kExtendLeaseWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kExtendLeaseWireSize), encode(extend));
-  EXPECT_EQ(encode_into(ok, buf, sizeof buf), kExtendOkWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kExtendOkWireSize), encode(ok));
-  EXPECT_EQ(encode_into(denied, buf, sizeof buf), kLeaseDeniedWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kLeaseDeniedWireSize), encode(denied));
+  EXPECT_EQ(encode_into(req, buf, sizeof buf), kWireSize<LeaseRequestMsg>);
+  EXPECT_EQ(Bytes(buf, buf + kWireSize<LeaseRequestMsg>), encode(req));
+  EXPECT_EQ(encode_into(grant, buf, sizeof buf), kWireSize<LeaseGrantMsg>);
+  EXPECT_EQ(Bytes(buf, buf + kWireSize<LeaseGrantMsg>), encode(grant));
+  EXPECT_EQ(encode_into(extend, buf, sizeof buf), kWireSize<ExtendLeaseMsg>);
+  EXPECT_EQ(Bytes(buf, buf + kWireSize<ExtendLeaseMsg>), encode(extend));
+  EXPECT_EQ(encode_into(ok, buf, sizeof buf), kWireSize<ExtendOkMsg>);
+  EXPECT_EQ(Bytes(buf, buf + kWireSize<ExtendOkMsg>), encode(ok));
+  EXPECT_EQ(encode_into(denied, buf, sizeof buf), kWireSize<LeaseDeniedMsg>);
+  EXPECT_EQ(Bytes(buf, buf + kWireSize<LeaseDeniedMsg>), encode(denied));
 
   // Undersized buffers refuse without writing.
-  EXPECT_EQ(encode_into(req, buf, kLeaseRequestWireSize - 1), 0u);
+  EXPECT_EQ(encode_into(req, buf, kWireSize<LeaseRequestMsg> - 1), 0u);
   EXPECT_EQ(encode_into(grant, buf, 0), 0u);
-  EXPECT_EQ(encode_into(denied, buf, kLeaseDeniedWireSize - 1), 0u);
+  EXPECT_EQ(encode_into(denied, buf, kWireSize<LeaseDeniedMsg> - 1), 0u);
 }
 
 TEST(ProtocolFastPath, SpanDecodersRoundTripFromStackBuffers) {
@@ -539,7 +646,7 @@ TEST(ProtocolFastPath, SpanDecodersRoundTripFromStackBuffers) {
   denied.retry_after = 42_ms;
   denied.request_id = (9ull << 32) | 3;
   const std::size_t dn = encode_into(denied, buf, sizeof buf);
-  ASSERT_EQ(dn, kLeaseDeniedWireSize);
+  ASSERT_EQ(dn, kWireSize<LeaseDeniedMsg>);
   auto ddec = decode_lease_denied(std::span<const std::uint8_t>(buf, dn));
   ASSERT_TRUE(ddec.ok());
   EXPECT_EQ(ddec.value().reason, denied.reason);

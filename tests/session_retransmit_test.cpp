@@ -364,6 +364,50 @@ TEST(ManagerDedup, StaleEpochRegistrationIsFenced) {
   EXPECT_EQ(h.rm().fenced_registrations(), 1u);
 }
 
+TEST(ManagerDedup, EpochZeroRegistrationIsRefused) {
+  // Executors register from epoch 1, so epoch 0 is no session's epoch:
+  // the manager answers it with one LeaseError and registers nothing
+  // (an unfenced registration would double-count the device).
+  auto spec = cluster::ScenarioSpec::uniform(/*executors=*/1, /*cores=*/8,
+                                             /*memory_bytes=*/32ull << 30, /*clients=*/1);
+  cluster::Harness h(spec);
+  h.start();
+  const std::size_t registered_before = h.rm().registered_executors();
+  const std::uint32_t workers_before = h.rm().total_workers();
+
+  auto scenario = [&]() -> sim::Task<void> {
+    auto res = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
+                                        h.rm().port());
+    EXPECT_TRUE(res.ok());
+    if (!res.ok()) co_return;
+    auto stream = res.value();
+
+    RegisterExecutorMsg reg;
+    reg.device = h.client_device(0).id();
+    reg.alloc_port = 7100;
+    reg.rdma_port = 7101;
+    reg.cores = 4;
+    reg.memory_bytes = 1_GiB;
+    reg.epoch = 0;
+    reg.request_id = (1ull << 32) | 1;
+    stream->send(encode(reg));
+    auto reply = co_await stream->recv();
+    EXPECT_TRUE(reply.has_value());
+    if (!reply) co_return;
+    EXPECT_TRUE(decode_lease_error(*reply).ok());
+    EXPECT_FALSE(decode_register_ok(*reply).ok());
+    auto id = reply_request_id(*reply);
+    EXPECT_TRUE(id.ok());
+    if (id.ok()) EXPECT_EQ(id.value(), reg.request_id);
+  };
+  h.spawn(scenario());
+  h.run_for(1_s);
+
+  EXPECT_EQ(h.rm().registered_executors(), registered_before);
+  EXPECT_EQ(h.rm().total_workers(), workers_before);
+  EXPECT_EQ(h.rm().fenced_registrations(), 0u);
+}
+
 TEST(ManagerDedup, RequestIdZeroIsRefusedAndGrantsNothing) {
   // Id 0 is no session's id: the manager answers it with one LeaseError
   // at the dedup entry point and never runs the grant decision.
