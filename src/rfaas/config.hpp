@@ -255,16 +255,11 @@ struct Config {
   /// Period of the shard rebalance sweep (0 = disabled). Each sweep
   /// migrates executor registrations from the fullest shard to the
   /// emptiest while the max/min schedulable-capacity skew exceeds
-  /// `rebalance_max_skew`, at most `rebalance_max_moves` moves per sweep.
+  /// `rebalance_max_skew`, at most four moves per sweep. A periodic sweep
+  /// is skipped while the eviction counter still rises (see
+  /// ResourceManager::rebalance_sweeps_skipped).
   Duration rebalance_period = 0;
   double rebalance_max_skew = 1.5;
-  unsigned rebalance_max_moves = 4;
-  /// Storm-aware backoff of the periodic rebalance sweep: a sweep is
-  /// skipped while the manager's eviction counter rose since the last
-  /// one (an eviction storm is reshaping load — migrating executors
-  /// mid-storm would evict yet more leases into the chaos and chase a
-  /// moving skew). Manual rebalance_now() calls are never skipped.
-  bool rebalance_storm_backoff = true;
 
   /// Journal every manager state transition (grant/renew/release/expiry/
   /// eviction/registration/drain/death/migration) to an append-only
@@ -297,9 +292,6 @@ struct Config {
   /// Seed of the randomized policies (power-of-two-choices); placements
   /// are fully deterministic for a fixed seed.
   std::uint64_t scheduler_seed = 42;
-  /// Power-of-two-choices: prefer an executor in the client's topology
-  /// group (rack) when exactly one of the two sampled candidates is local.
-  bool scheduler_locality = true;
 
   SandboxModel bare_metal{};
   SandboxModel docker{2700_ms, 50, 650, 1.7};

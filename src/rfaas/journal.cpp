@@ -1,5 +1,7 @@
 #include "rfaas/journal.hpp"
 
+#include <tuple>
+
 namespace rfs::rfaas {
 
 namespace journal {
@@ -21,17 +23,16 @@ const char* to_string(Op op) {
 }
 
 std::uint64_t chain_checksum(const JournalRecordMsg& r, std::uint64_t prev) {
+  // Every field in wire order, except the checksum being computed.
   std::uint64_t h = prev;
-  h = mix(h, r.seq);
-  h = mix(h, r.op);
-  h = mix(h, r.lease_id);
-  h = mix(h, r.client_id);
-  h = mix(h, r.executor);
-  h = mix(h, r.workers);
-  h = mix(h, r.memory);
-  h = mix(h, static_cast<std::uint64_t>(r.time));
-  h = mix(h, r.aux);
-  h = mix(h, r.aux2);
+  std::apply(
+      [&](const auto&... f) {
+        ((h = static_cast<const void*>(&f) == &r.checksum
+                  ? h
+                  : mix(h, static_cast<std::uint64_t>(f))),
+         ...);
+      },
+      JournalRecordMsg::fields(r));
   return h;
 }
 

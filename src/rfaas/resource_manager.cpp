@@ -86,18 +86,23 @@ Status ResourceManager::adopt(const ShardedResourceManager::ManagerState& state,
   return Status::success();
 }
 
+std::pair<ShardedResourceManager::ManagerState, SnapshotOfferMsg> ResourceManager::snapshot()
+    const {
+  SnapshotOfferMsg offer;
+  offer.manager_epoch = manager_epoch_;
+  offer.upto_seq = core_.journal()->last_seq();
+  auto state = core_.export_state();
+  offer.digest = state.digest();
+  for (const auto& shard : state.shards) offer.lease_count += shard.leases.size();
+  return {std::move(state), offer};
+}
+
 Status ResourceManager::attach_standby(std::shared_ptr<StandbyReplica> standby) {
   auto* journal = core_.journal();
   if (journal == nullptr) {
     return Error::make(60, "rm: standby needs Config::journal_enabled");
   }
-  const std::uint64_t upto = journal->last_seq();
-  const auto state = core_.export_state();
-  SnapshotOfferMsg offer;
-  offer.manager_epoch = manager_epoch_;
-  offer.upto_seq = upto;
-  offer.digest = state.digest();
-  for (const auto& shard : state.shards) offer.lease_count += shard.leases.size();
+  const auto [state, offer] = snapshot();
   if (auto installed = standby->install_snapshot(state, offer, engine_.now());
       !installed.ok()) {
     return installed;
@@ -119,22 +124,16 @@ void ResourceManager::maybe_snapshot() {
   auto* journal = core_.journal();
   if (journal == nullptr || config_.journal_snapshot_every == 0) return;
   if (journal->size() <= config_.journal_snapshot_every) return;
-  const std::uint64_t upto = journal->last_seq();
-  const auto state = core_.export_state();
-  SnapshotOfferMsg offer;
-  offer.manager_epoch = manager_epoch_;
-  offer.upto_seq = upto;
-  offer.digest = state.digest();
-  for (const auto& shard : state.shards) offer.lease_count += shard.leases.size();
+  const auto [state, offer] = snapshot();
   for (const auto& standby : standbys_) {
     if (auto installed = standby->install_snapshot(state, offer, engine_.now());
         !installed.ok()) {
       ++replication_errors_;
-      log::warn("rm", "standby refused snapshot at seq ", upto, ": ",
+      log::warn("rm", "standby refused snapshot at seq ", offer.upto_seq, ": ",
                 installed.error().message);
     }
   }
-  journal->truncate_before(upto + 1);
+  journal->truncate_before(offer.upto_seq + 1);
   ++snapshots_taken_;
 }
 
@@ -194,6 +193,25 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
       dedup_fifo.pop_front();
     }
     stream->send(std::move(reply));
+  };
+  // Early shed of a lease request or batch; true when admission refused
+  // it here with LeaseDenied{retry_after}. The verdict costs one mutex and
+  // a few arithmetic updates — no shard gate, no placement scan, no
+  // quota-eviction pass. Under overload this is the only work a shed
+  // request ever causes the manager, which is what keeps goodput at
+  // capacity instead of collapsing with offered load. A batch takes one
+  // token per round trip: its shard scan is paid once per batch, so that
+  // is the unit of work the capacity bucket paces.
+  auto shed = [&](std::uint32_t client_id, std::uint64_t id) -> bool {
+    if (!admission_.enabled()) return false;
+    const auto verdict = admission_.admit(client_id, engine_.now());
+    if (verdict.admitted) return false;
+    LeaseDeniedMsg denied;
+    denied.reason = static_cast<std::uint8_t>(DenialReason::Overload);
+    denied.retry_after = verdict.retry_after;
+    denied.request_id = id;
+    reply_cached(id, encode(denied));
+    return true;
   };
   while (alive_) {
     auto raw = co_await stream->recv();
@@ -291,22 +309,7 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
           break;
         }
         if (replay_duplicate(msg.value().request_id)) break;
-        // Early shed: the admission verdict costs one mutex and a few
-        // arithmetic updates — no shard gate, no placement scan, no
-        // quota-eviction pass. Under overload this is the only work a
-        // shed request ever causes the manager, which is what keeps
-        // goodput at capacity instead of collapsing with offered load.
-        if (admission_.enabled()) {
-          auto verdict = admission_.admit(msg.value().client_id, engine_.now());
-          if (!verdict.admitted) {
-            LeaseDeniedMsg denied;
-            denied.reason = static_cast<std::uint8_t>(DenialReason::Overload);
-            denied.retry_after = verdict.retry_after;
-            denied.request_id = msg.value().request_id;
-            reply_cached(msg.value().request_id, encode(denied));
-            break;
-          }
-        }
+        if (shed(msg.value().client_id, msg.value().request_id)) break;
         // Route first (lock-free, locality-aware under LocalityFirst),
         // then serialize on the routed shard's gate: a single-shard
         // manager decides strictly one lease at a time, an N-shard
@@ -388,21 +391,7 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
           break;
         }
         if (replay_duplicate(msg.value().request_id)) break;
-        // Batched allocations pass the same early-shed admission as
-        // single requests: one admission token per round trip (the shard
-        // scan is paid once per batch, so that is the unit of work the
-        // capacity bucket paces).
-        if (admission_.enabled()) {
-          auto verdict = admission_.admit(msg.value().client_id, engine_.now());
-          if (!verdict.admitted) {
-            LeaseDeniedMsg denied;
-            denied.reason = static_cast<std::uint8_t>(DenialReason::Overload);
-            denied.retry_after = verdict.retry_after;
-            denied.request_id = msg.value().request_id;
-            reply_cached(msg.value().request_id, encode(denied));
-            break;
-          }
-        }
+        if (shed(msg.value().client_id, msg.value().request_id)) break;
         // One round trip, one gate session: the routed shard's scan is
         // paid once for the whole batch (a scan is O(registry) however
         // many leases it yields) plus one extra decision delay per
@@ -520,6 +509,22 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
   }
 }
 
+namespace {
+
+/// The wire form of a committed grant, request id left to the caller.
+LeaseGrantMsg grant_msg(const ShardedResourceManager::Grant& g) {
+  LeaseGrantMsg msg;
+  msg.lease_id = g.lease_id;
+  msg.device = g.executor_info.device;
+  msg.alloc_port = g.executor_info.alloc_port;
+  msg.rdma_port = g.executor_info.rdma_port;
+  msg.workers = g.workers;
+  msg.expires_at = g.expires_at;
+  return msg;
+}
+
+}  // namespace
+
 Bytes ResourceManager::grant_lease(const LeaseRequestMsg& req, std::uint32_t client_locality,
                                    std::uint32_t shard, bool& stolen) {
   if (core_.size() == 0) return encode_lease_error("no executors registered", req.request_id);
@@ -533,14 +538,7 @@ Bytes ResourceManager::grant_lease(const LeaseRequestMsg& req, std::uint32_t cli
   auto grant = core_.grant(request, req.client_id, req.timeout, engine_.now(), shard);
   if (!grant) return encode_lease_error("no executor with free capacity", req.request_id);
   stolen = grant->stolen;
-
-  LeaseGrantMsg msg;
-  msg.lease_id = grant->lease_id;
-  msg.device = grant->executor_info.device;
-  msg.alloc_port = grant->executor_info.alloc_port;
-  msg.rdma_port = grant->executor_info.rdma_port;
-  msg.workers = grant->workers;
-  msg.expires_at = grant->expires_at;
+  LeaseGrantMsg msg = grant_msg(*grant);
   msg.request_id = req.request_id;
   return encode(msg);
 }
@@ -570,16 +568,7 @@ Bytes ResourceManager::grant_batch(const BatchAllocateMsg& req, std::uint32_t cl
   extra_shards = outcome.shards_touched > 0 ? outcome.shards_touched - 1 : 0;
 
   reply.complete = outcome.complete;
-  for (const auto& g : outcome.grants) {
-    LeaseGrantMsg grant;
-    grant.lease_id = g.lease_id;
-    grant.device = g.executor_info.device;
-    grant.alloc_port = g.executor_info.alloc_port;
-    grant.rdma_port = g.executor_info.rdma_port;
-    grant.workers = g.workers;
-    grant.expires_at = g.expires_at;
-    reply.grants.push_back(grant);
-  }
+  for (const auto& g : outcome.grants) reply.grants.push_back(grant_msg(g));
   if (reply.grants.empty()) {
     reply.error = all_or_nothing && !outcome.complete
                       ? "all-or-nothing batch unsatisfiable"
@@ -685,8 +674,7 @@ std::optional<std::size_t> ResourceManager::drain_executor_on_device(std::uint32
 }
 
 ShardedResourceManager::RebalanceReport ResourceManager::rebalance_now() {
-  auto report = core_.rebalance(config_.rebalance_max_skew, config_.rebalance_max_moves,
-                                engine_.now());
+  auto report = core_.rebalance(config_.rebalance_max_skew, kRebalanceMaxMoves, engine_.now());
   // Migrated executors keep their streams but change ids: re-point the
   // per-stream id table so heartbeat acks and disconnects keep landing
   // on the live registration.
@@ -710,17 +698,16 @@ sim::Task<void> ResourceManager::rebalance_loop() {
   while (alive_) {
     co_await sim::delay(config_.rebalance_period);
     if (!alive_) break;
-    if (config_.rebalance_storm_backoff) {
-      // Storm-aware backoff: leases were evicted since the last round
-      // (quota pressure, drains — an eviction storm reshaping load), so
-      // the skew the sweep would chase is still moving. Sit this round
-      // out; once the counter stops rising the sweep resumes.
-      const std::uint64_t evictions = core_.evictions();
-      if (evictions > rebalance_last_evictions_) {
-        rebalance_last_evictions_ = evictions;
-        ++rebalance_skips_;
-        continue;
-      }
+    // Storm-aware backoff: leases were evicted since the last round
+    // (quota pressure, drains — an eviction storm reshaping load), so the
+    // skew the sweep would chase is still moving, and migrating mid-storm
+    // would evict yet more leases. Sit this round out; once the counter
+    // stops rising the sweep resumes.
+    const std::uint64_t evictions = core_.evictions();
+    if (evictions > rebalance_last_evictions_) {
+      rebalance_last_evictions_ = evictions;
+      ++rebalance_skips_;
+      continue;
     }
     (void)rebalance_now();  // re-baselines the eviction counter itself
   }

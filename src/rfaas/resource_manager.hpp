@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/tcp.hpp"
@@ -133,9 +134,9 @@ class ResourceManager {
   /// active leases of every migrated executor.
   ShardedResourceManager::RebalanceReport rebalance_now();
 
-  /// Periodic rebalance sweeps skipped by the storm-aware backoff
-  /// (Config::rebalance_storm_backoff): rounds in which the eviction
-  /// counter was still rising when the sweep came due.
+  /// Periodic rebalance sweeps skipped by the storm-aware backoff: rounds
+  /// in which the eviction counter was still rising when the sweep came
+  /// due (manual rebalance_now() calls are never skipped).
   [[nodiscard]] std::uint64_t rebalance_sweeps_skipped() const { return rebalance_skips_; }
 
   /// Eviction-notification coalescing: total evicted leases announced,
@@ -205,6 +206,10 @@ class ResourceManager {
   /// (heartbeat cadence; no-op without a journal).
   void maybe_snapshot();
 
+  /// The current state and the offer vouching for it, covering the
+  /// journal up to its last record (the journal must exist).
+  [[nodiscard]] std::pair<ShardedResourceManager::ManagerState, SnapshotOfferMsg> snapshot() const;
+
   sim::Engine& engine_;
   fabric::Fabric& fabric_;
   net::TcpNetwork& tcp_;
@@ -249,6 +254,8 @@ class ResourceManager {
   /// client notification streams): lets the receiving session discard
   /// duplicated deliveries of eviction pushes.
   std::map<const net::TcpStream*, std::uint64_t> push_seqs_;
+  /// Executor moves per rebalance sweep, at most.
+  static constexpr unsigned kRebalanceMaxMoves = 4;
   /// Storm-aware backoff state of rebalance_loop(): the eviction count
   /// observed at the end of the previous round, and how many rounds the
   /// backoff skipped because the counter was still rising.

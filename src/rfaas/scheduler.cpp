@@ -16,11 +16,24 @@ const char* to_string(SchedulingPolicy p) {
 // ExecutorRegistry
 // --------------------------------------------------------------------------
 
+namespace {
+
+// The registry has one writer at a time, so an aggregate update is a
+// relaxed load and store, not a locked read-modify-write.
+void increase(std::atomic<std::uint32_t>& total, std::uint32_t n) {
+  total.store(total.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
+void decrease(std::atomic<std::uint32_t>& total, std::uint32_t n) {
+  total.store(total.load(std::memory_order_relaxed) - n, std::memory_order_relaxed);
+}
+
+}  // namespace
+
 std::size_t ExecutorRegistry::add(ExecutorEntry entry) {
   if (entry.alive) ++alive_count_;
   if (entry.schedulable()) {
-    free_workers_total_ += entry.free_workers;
-    total_workers_ += entry.total_workers;
+    increase(free_workers_total_, entry.free_workers);
+    increase(total_workers_, entry.total_workers);
   }
   entries_.push_back(std::move(entry));
   return entries_.size() - 1;
@@ -34,7 +47,7 @@ bool ExecutorRegistry::try_claim(std::size_t i, std::uint32_t workers, std::uint
   }
   e.free_workers -= workers;
   e.free_memory -= memory;
-  free_workers_total_ -= workers;
+  decrease(free_workers_total_, workers);
   return true;
 }
 
@@ -44,7 +57,7 @@ void ExecutorRegistry::release(std::size_t i, std::uint32_t workers, std::uint64
   if (!e.schedulable()) return;  // capacity was zeroed at death or drain
   e.free_workers += workers;
   e.free_memory += memory;
-  free_workers_total_ += workers;
+  increase(free_workers_total_, workers);
 }
 
 void ExecutorRegistry::mark_dead(std::size_t i) {
@@ -52,8 +65,8 @@ void ExecutorRegistry::mark_dead(std::size_t i) {
   auto& e = entries_[i];
   if (e.alive) --alive_count_;
   if (e.schedulable()) {
-    free_workers_total_ -= e.free_workers;
-    total_workers_ -= e.total_workers;
+    decrease(free_workers_total_, e.free_workers);
+    decrease(total_workers_, e.total_workers);
   }
   e.alive = false;
   e.free_workers = 0;
@@ -72,8 +85,8 @@ void ExecutorRegistry::set_draining(std::size_t i) {
   if (i >= entries_.size()) return;
   auto& e = entries_[i];
   if (e.schedulable()) {
-    free_workers_total_ -= e.free_workers;
-    total_workers_ -= e.total_workers;
+    decrease(free_workers_total_, e.free_workers);
+    decrease(total_workers_, e.total_workers);
   }
   e.draining = true;
   e.free_workers = 0;
@@ -153,11 +166,9 @@ std::optional<Placement> PowerOfTwoScheduler::place_pass(const ExecutorRegistry&
   auto b = second != first ? fit(registry, second, request, excluded, allow_degraded) : std::nullopt;
 
   if (a && b) {
-    if (prefer_locality_) {
-      const bool a_local = registry.at(first).locality == request.client_locality;
-      const bool b_local = registry.at(second).locality == request.client_locality;
-      if (a_local != b_local) return a_local ? a : b;
-    }
+    const bool a_local = registry.at(first).locality == request.client_locality;
+    const bool b_local = registry.at(second).locality == request.client_locality;
+    if (a_local != b_local) return a_local ? a : b;
     if (registry.at(first).free_workers != registry.at(second).free_workers) {
       return registry.at(first).free_workers > registry.at(second).free_workers ? a : b;
     }
@@ -202,8 +213,7 @@ std::unique_ptr<Scheduler> make_scheduler(const Config& config) {
     case SchedulingPolicy::LeastLoaded:
       return std::make_unique<LeastLoadedScheduler>();
     case SchedulingPolicy::PowerOfTwoChoices:
-      return std::make_unique<PowerOfTwoScheduler>(config.scheduler_seed,
-                                                   config.scheduler_locality);
+      return std::make_unique<PowerOfTwoScheduler>(config.scheduler_seed);
     case SchedulingPolicy::LocalityFirst:
       return std::make_unique<LocalityFirstScheduler>(config.scheduler_seed);
     case SchedulingPolicy::RoundRobin:

@@ -24,6 +24,7 @@
 //    with near-optimal balance, the classic two-choices result.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -68,6 +69,11 @@ struct ExecutorEntry {
 /// free_workers_total() and total_workers() are O(1) reads instead of
 /// O(executors) scans — they sit on utilization sampling and snapshot
 /// paths that used to serialize against grants.
+///
+/// Mutations must be serialized by the owner (the sharded manager holds
+/// its shard's write lock). free_workers_total() and total_workers() may
+/// additionally be read without that lock: they are relaxed atomics, the
+/// values shard routing and work stealing decide on.
 class ExecutorRegistry {
  public:
   /// Registers an executor; returns its stable index.
@@ -80,10 +86,14 @@ class ExecutorRegistry {
 
   /// Alive executors (incremental counter, O(1)).
   [[nodiscard]] std::size_t alive_count() const { return alive_count_; }
-  /// Free workers over schedulable executors (incremental, O(1)).
-  [[nodiscard]] std::uint32_t free_workers_total() const { return free_workers_total_; }
-  /// Total workers over schedulable executors (incremental, O(1)).
-  [[nodiscard]] std::uint32_t total_workers() const { return total_workers_; }
+  /// Free workers over schedulable executors (incremental, O(1), lock-free).
+  [[nodiscard]] std::uint32_t free_workers_total() const {
+    return free_workers_total_.load(std::memory_order_relaxed);
+  }
+  /// Total workers over schedulable executors (incremental, O(1), lock-free).
+  [[nodiscard]] std::uint32_t total_workers() const {
+    return total_workers_.load(std::memory_order_relaxed);
+  }
 
   /// Commits a placement: claims `workers` workers and `memory` bytes on
   /// executor `i`. Fails (false) when the executor died between the
@@ -111,8 +121,8 @@ class ExecutorRegistry {
   std::vector<ExecutorEntry> entries_;
   std::size_t alive_count_ = 0;
   std::size_t degraded_count_ = 0;
-  std::uint32_t free_workers_total_ = 0;  // over schedulable entries
-  std::uint32_t total_workers_ = 0;       // over schedulable entries
+  std::atomic<std::uint32_t> free_workers_total_{0};  // over schedulable entries
+  std::atomic<std::uint32_t> total_workers_{0};       // over schedulable entries
 };
 
 /// One placement decision: grant `workers` on executor `executor`,
@@ -194,8 +204,7 @@ class LeastLoadedScheduler final : public Scheduler {
 /// eligible executor (small or nearly-full fleets).
 class PowerOfTwoScheduler final : public Scheduler {
  public:
-  explicit PowerOfTwoScheduler(std::uint64_t seed, bool prefer_locality)
-      : rng_(seed), prefer_locality_(prefer_locality) {}
+  explicit PowerOfTwoScheduler(std::uint64_t seed) : rng_(seed) {}
 
   [[nodiscard]] const char* name() const override { return "power-of-two"; }
   [[nodiscard]] std::optional<Placement> place_pass(const ExecutorRegistry& registry,
@@ -205,7 +214,6 @@ class PowerOfTwoScheduler final : public Scheduler {
 
  private:
   Rng rng_;
-  bool prefer_locality_;
 };
 
 /// Locality-first placement: among the executors in the client's rack
@@ -216,7 +224,7 @@ class PowerOfTwoScheduler final : public Scheduler {
 /// to the client rack's shard first) — see ShardedResourceManager.
 class LocalityFirstScheduler final : public Scheduler {
  public:
-  explicit LocalityFirstScheduler(std::uint64_t seed) : fallback_(seed, true) {}
+  explicit LocalityFirstScheduler(std::uint64_t seed) : fallback_(seed) {}
 
   [[nodiscard]] const char* name() const override { return "locality-first"; }
   [[nodiscard]] std::optional<Placement> place_pass(const ExecutorRegistry& registry,

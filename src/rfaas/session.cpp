@@ -15,6 +15,20 @@ namespace {
 constexpr std::size_t kCompletedWindow = 256;
 constexpr std::size_t kPushSeqWindow = 256;
 
+/// The seq of an eviction push (LeaseTerminated/LeasesTerminated), 0 when
+/// it does not decode; nullopt for every other push type.
+std::optional<std::uint64_t> eviction_seq(MsgType type, const Bytes& msg) {
+  if (type == MsgType::LeaseTerminated) {
+    auto m = decode_lease_terminated(msg);
+    return m ? m.value().seq : 0;
+  }
+  if (type == MsgType::LeasesTerminated) {
+    auto m = decode_leases_terminated(msg);
+    return m ? m.value().seq : 0;
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 Session::Session(sim::Engine& engine, std::shared_ptr<net::TcpStream> stream,
@@ -175,21 +189,18 @@ void Session::classify(State& st, Bytes msg) {
     return;
   }
 
-  // Push path. Sequenced eviction pushes (seq != 0) deduplicate here so
-  // duplicated deliveries never reach the owner's termination handler.
-  std::uint64_t seq = 0;
-  if (type.value() == MsgType::LeaseTerminated) {
-    if (auto m = decode_lease_terminated(msg)) seq = m.value().seq;
-  } else if (type.value() == MsgType::LeasesTerminated) {
-    if (auto m = decode_leases_terminated(msg)) seq = m.value().seq;
-  }
-  if (seq != 0) {
-    if (st.push_seqs.contains(seq)) {
+  // Push path. The manager numbers eviction pushes per stream from 1, so
+  // one without a seq (or that does not decode) is dropped, and a
+  // duplicated delivery is counted and dropped: neither reaches the
+  // owner's termination handler. Other push types carry no seq.
+  if (const auto seq = eviction_seq(type.value(), msg)) {
+    if (*seq == 0) return;
+    if (st.push_seqs.contains(*seq)) {
       ++st.duplicate_pushes;
       return;
     }
-    st.push_seqs.emplace(seq, true);
-    st.push_seqs_fifo.push_back(seq);
+    st.push_seqs.emplace(*seq, true);
+    st.push_seqs_fifo.push_back(*seq);
     if (st.push_seqs_fifo.size() > kPushSeqWindow) {
       st.push_seqs.erase(st.push_seqs_fifo.front());
       st.push_seqs_fifo.pop_front();

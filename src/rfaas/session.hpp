@@ -71,9 +71,11 @@ class Session {
   sim::Task<Result<Bytes>> call(Bytes request, std::uint64_t request_id);
 
   /// Next push notification (non-reply message) received on the stream;
-  /// nullopt once the stream closed and the queue drained. Duplicated
-  /// deliveries of sequenced pushes (LeaseTerminated/LeasesTerminated
-  /// with seq != 0) are counted and filtered here.
+  /// nullopt once the stream closed and the queue drained. Eviction pushes
+  /// (LeaseTerminated/LeasesTerminated) must carry a seq, which the
+  /// manager numbers per stream from 1: one with seq 0 or that does not
+  /// decode is dropped, and a duplicated delivery is counted
+  /// (duplicate_pushes) and filtered here. Other pushes carry no seq.
   sim::Task<std::optional<Bytes>> next_push();
 
   /// Fire-and-forget passthrough for messages outside the request/reply

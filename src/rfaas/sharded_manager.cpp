@@ -24,6 +24,41 @@ ShardedResourceManager::ShardedResourceManager(const Config& config)
 
 ShardedResourceManager::~ShardedResourceManager() = default;
 
+namespace {
+
+/// The AddExecutor record of a registration (executor id left to the
+/// caller) and its inverse, the entry a standby registers from it.
+JournalRecordMsg registration_record(const ExecutorEntry& e) {
+  JournalRecordMsg rec;
+  rec.op = static_cast<std::uint8_t>(journal::Op::AddExecutor);
+  rec.lease_id = e.info.memory_bytes;
+  rec.client_id = e.locality;
+  rec.workers = e.total_workers;
+  rec.memory = e.free_memory;
+  rec.time = e.last_ack;
+  rec.aux = journal::pack_endpoint(e.info.device, e.info.alloc_port, e.info.rdma_port);
+  rec.aux2 = (e.info.epoch << 32) | e.info.cores;
+  return rec;
+}
+
+ExecutorEntry registration_entry(const JournalRecordMsg& r) {
+  ExecutorEntry e;
+  e.info.device = static_cast<std::uint32_t>(r.aux >> 32);
+  e.info.alloc_port = static_cast<std::uint16_t>((r.aux >> 16) & 0xffff);
+  e.info.rdma_port = static_cast<std::uint16_t>(r.aux & 0xffff);
+  e.info.cores = static_cast<std::uint32_t>(r.aux2 & 0xffffffffull);
+  e.info.epoch = r.aux2 >> 32;
+  e.info.memory_bytes = r.lease_id;
+  e.total_workers = r.workers;
+  e.free_workers = r.workers;
+  e.free_memory = r.memory;
+  e.locality = r.client_id;
+  e.last_ack = r.time;
+  return e;
+}
+
+}  // namespace
+
 std::uint64_t ShardedResourceManager::add_executor(ExecutorEntry entry) {
   // LocalityFirst gives every rack a home shard so rack-local routing is
   // a modulo, not a search; all other policies balance round-robin.
@@ -33,29 +68,10 @@ std::uint64_t ShardedResourceManager::add_executor(ExecutorEntry entry) {
                                    shards_.size());
   auto& shard = *shards_[s];
   std::lock_guard<std::shared_mutex> lock(shard.mu);
-  const std::uint32_t workers = entry.total_workers;
-  JournalRecordMsg rec;
-  if (journal_) {
-    rec.op = static_cast<std::uint8_t>(journal::Op::AddExecutor);
-    rec.lease_id = entry.info.memory_bytes;
-    rec.client_id = entry.locality;
-    rec.workers = entry.total_workers;
-    rec.memory = entry.free_memory;
-    rec.time = entry.last_ack;
-    rec.aux = journal::pack_endpoint(entry.info.device, entry.info.alloc_port,
-                                     entry.info.rdma_port);
-    rec.aux2 = (entry.info.epoch << 32) | entry.info.cores;
-  }
-  const std::size_t local = shard.registry.add(std::move(entry));
-  shard.hosted.resize(shard.registry.size());
-  shard.free_workers.fetch_add(workers, std::memory_order_relaxed);
-  shard.total_workers.fetch_add(workers, std::memory_order_relaxed);
-  executor_count_.fetch_add(1, std::memory_order_relaxed);
-  if (journal_) {
-    rec.executor = make_id(s, local);
-    journal_->append(rec);
-  }
-  return make_id(s, local);
+  JournalRecordMsg rec = registration_record(entry);
+  rec.executor = make_id(s, add_step(shard, std::move(entry)));
+  journal_append(rec);
+  return rec.executor;
 }
 
 std::uint64_t ShardedResourceManager::next_random() {
@@ -72,15 +88,15 @@ std::uint32_t ShardedResourceManager::preferred_shard() {
   const std::uint32_t a = static_cast<std::uint32_t>(r % n);
   const std::uint32_t b =
       static_cast<std::uint32_t>((a + 1 + (r >> 32) % (n - 1)) % n);
-  const auto free_a = shards_[a]->free_workers.load(std::memory_order_relaxed);
-  const auto free_b = shards_[b]->free_workers.load(std::memory_order_relaxed);
+  const auto free_a = shards_[a]->registry.free_workers_total();
+  const auto free_b = shards_[b]->registry.free_workers_total();
   return free_a >= free_b ? a : b;
 }
 
 std::uint32_t ShardedResourceManager::preferred_shard_for(std::uint32_t client_locality) {
   if (!locality_sharding_ || shard_count() == 1) return preferred_shard();
   const std::uint32_t home = client_locality % shard_count();
-  if (shards_[home]->free_workers.load(std::memory_order_relaxed) > 0) return home;
+  if (shards_[home]->registry.free_workers_total() > 0) return home;
   return preferred_shard();
 }
 
@@ -102,11 +118,11 @@ void ShardedResourceManager::index_lease(Shard& shard, std::uint64_t lease_id,
   tenant.held_workers += record.workers;
   tenant.leases.insert(lease_id);
   arm_expiry(shard, record.expires_at, lease_id);
+  shard.lease_count.store(shard.leases.size(), std::memory_order_relaxed);
 }
 
-std::unordered_map<std::uint64_t, ShardedResourceManager::LeaseRecord>::iterator
-ShardedResourceManager::unindex_lease(
-    Shard& shard, std::unordered_map<std::uint64_t, LeaseRecord>::iterator it) {
+ShardedResourceManager::LeaseTable::iterator ShardedResourceManager::unindex_lease(
+    Shard& shard, LeaseTable::iterator it) {
   const LeaseRecord& record = it->second;
   if (record.executor < shard.hosted.size()) shard.hosted[record.executor].erase(it->first);
   auto tenant = shard.tenants.find(record.client_id);
@@ -116,7 +132,9 @@ ShardedResourceManager::unindex_lease(
     tenant->second.leases.erase(it->first);
     if (tenant->second.leases.empty()) shard.tenants.erase(tenant);
   }
-  return shard.leases.erase(it);
+  auto next = shard.leases.erase(it);
+  shard.lease_count.store(shard.leases.size(), std::memory_order_relaxed);
+  return next;
 }
 
 // --------------------------------------------------------------------------
@@ -135,50 +153,32 @@ std::optional<ShardedResourceManager::Grant> ShardedResourceManager::grant_on(
   // again until it gives up.
   std::vector<bool> excluded(shard.registry.size(), false);
   while (auto placement = shard.scheduler->place(shard.registry, request, excluded)) {
-    if (!shard.registry.try_claim(placement->executor, placement->workers,
-                                  placement->memory)) {
+    const ExecutorEntry& host = shard.registry.at(placement->executor);
+    JournalRecordMsg rec;
+    rec.op = static_cast<std::uint8_t>(journal::Op::Grant);
+    rec.lease_id = make_id(shard_index, shard.next_lease);
+    rec.client_id = client_id;
+    rec.executor = make_id(shard_index, placement->executor);
+    rec.workers = placement->workers;
+    rec.memory = placement->memory;
+    rec.time = now + timeout;
+    if (host.locality == request.client_locality) rec.aux |= journal::kAuxLocalGrant;
+    if (!grant_step(shard, rec)) {
       excluded[placement->executor] = true;
       continue;
     }
-    shard.free_workers.fetch_sub(placement->workers, std::memory_order_relaxed);
-
-    LeaseRecord record;
-    record.client_id = client_id;
-    record.executor = placement->executor;
-    record.workers = placement->workers;
-    record.memory = placement->memory;
-    record.expires_at = now + timeout;
-    const std::uint64_t lease_id = make_id(shard_index, shard.next_lease++);
-    index_lease(shard, lease_id, record);
-    shard.lease_count.store(shard.leases.size(), std::memory_order_relaxed);
     if (shard.log.size() < kPlacementLogCap) shard.log.push_back(*placement);
+    journal_append(rec);
 
     Grant grant;
-    grant.lease_id = lease_id;
-    grant.executor = make_id(shard_index, placement->executor);
+    grant.lease_id = rec.lease_id;
+    grant.executor = rec.executor;
     grant.shard = shard_index;
-    grant.workers = placement->workers;
-    grant.memory = placement->memory;
-    grant.expires_at = record.expires_at;
-    grant.executor_locality = shard.registry.at(placement->executor).locality;
-    grant.executor_info = shard.registry.at(placement->executor).info;
-    if (grant.executor_locality == request.client_locality) {
-      local_grants_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (journal_) {
-      JournalRecordMsg rec;
-      rec.op = static_cast<std::uint8_t>(journal::Op::Grant);
-      rec.lease_id = lease_id;
-      rec.client_id = client_id;
-      rec.executor = grant.executor;
-      rec.workers = placement->workers;
-      rec.memory = placement->memory;
-      rec.time = record.expires_at;
-      if (grant.executor_locality == request.client_locality) {
-        rec.aux |= journal::kAuxLocalGrant;
-      }
-      journal_->append(rec);
-    }
+    grant.workers = rec.workers;
+    grant.memory = rec.memory;
+    grant.expires_at = rec.time;
+    grant.executor_locality = host.locality;
+    grant.executor_info = host.info;
     return grant;
   }
   return std::nullopt;
@@ -190,28 +190,24 @@ std::optional<ShardedResourceManager::Grant> ShardedResourceManager::grant(
   // Not value_or(): that would evaluate preferred_shard() — and consume a
   // routing-RNG draw — even when the caller already routed.
   const std::uint32_t first = routed ? *routed : preferred_shard();
-  if (auto g = grant_on(first, request, client_id, timeout, now)) {
-    grants_.fetch_add(1, std::memory_order_relaxed);
-    return g;
-  }
+  if (auto g = grant_on(first, request, client_id, timeout, now)) return g;
 
   // Work stealing: the routed shard is full (or its survivors cannot fit
   // the request); try every other shard, fullest-free-pool first so the
   // stolen placement lands where capacity actually is.
-  std::vector<std::pair<std::int64_t, std::uint32_t>> others;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> others;
   others.reserve(shards_.size());
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
     if (s == first) continue;
-    others.emplace_back(shards_[s]->free_workers.load(std::memory_order_relaxed), s);
+    others.emplace_back(shards_[s]->registry.free_workers_total(), s);
   }
   std::sort(others.begin(), others.end(), [](const auto& a, const auto& b) {
     return a.first != b.first ? a.first > b.first : a.second < b.second;
   });
   for (const auto& [free, s] : others) {
-    if (free <= 0) continue;
+    if (free == 0) continue;
     if (auto g = grant_on(s, request, client_id, timeout, now)) {
       g->stolen = true;
-      grants_.fetch_add(1, std::memory_order_relaxed);
       steals_.fetch_add(1, std::memory_order_relaxed);
       return g;
     }
@@ -261,6 +257,23 @@ ShardedResourceManager::BatchGrant ShardedResourceManager::grant_batch(
 // Renew / release / expiry
 // --------------------------------------------------------------------------
 
+ShardedResourceManager::LeaseTable::iterator ShardedResourceManager::commit_drop(
+    journal::Op op, std::uint32_t shard_index, Shard& shard, LeaseTable::iterator it,
+    bool returned_capacity) {
+  JournalRecordMsg rec;
+  rec.op = static_cast<std::uint8_t>(op);
+  rec.lease_id = it->first;
+  rec.client_id = it->second.client_id;
+  rec.executor = make_id(shard_index, it->second.executor);
+  rec.workers = it->second.workers;
+  rec.memory = it->second.memory;
+  rec.time = it->second.expires_at;
+  if (returned_capacity) rec.aux |= journal::kAuxReturnCapacity;
+  auto next = drop_step(shard, it, rec);
+  journal_append(rec);
+  return next;
+}
+
 std::optional<ShardedResourceManager::Renewal> ShardedResourceManager::renew(
     std::uint64_t lease_id, Time new_expires_at) {
   const std::uint32_t s = id_shard(lease_id);
@@ -269,20 +282,15 @@ std::optional<ShardedResourceManager::Renewal> ShardedResourceManager::renew(
   std::lock_guard<std::shared_mutex> lock(shard.mu);
   auto it = shard.leases.find(lease_id);
   if (it == shard.leases.end()) return std::nullopt;
-  it->second.expires_at = new_expires_at;
-  // Re-arm the expiry index in place: the new deadline joins the heap,
-  // the superseded entry is discarded when the sweep surfaces it.
-  arm_expiry(shard, new_expires_at, lease_id);
-  if (journal_) {
-    JournalRecordMsg rec;
-    rec.op = static_cast<std::uint8_t>(journal::Op::Renew);
-    rec.lease_id = lease_id;
-    rec.client_id = it->second.client_id;
-    rec.executor = make_id(s, it->second.executor);
-    rec.workers = it->second.workers;
-    rec.time = new_expires_at;
-    journal_->append(rec);
-  }
+  JournalRecordMsg rec;
+  rec.op = static_cast<std::uint8_t>(journal::Op::Renew);
+  rec.lease_id = lease_id;
+  rec.client_id = it->second.client_id;
+  rec.executor = make_id(s, it->second.executor);
+  rec.workers = it->second.workers;
+  rec.time = new_expires_at;
+  renew_step(shard, it, rec);
+  journal_append(rec);
   return Renewal{shard.registry.at(it->second.executor).stream};
 }
 
@@ -293,22 +301,15 @@ bool ShardedResourceManager::release(std::uint64_t lease_id) {
   std::lock_guard<std::shared_mutex> lock(shard.mu);
   auto it = shard.leases.find(lease_id);
   if (it == shard.leases.end()) return false;
-  const LeaseRecord record = it->second;
-  const bool returned = shard.registry.at(record.executor).schedulable();
-  if (returned) {
-    shard.registry.release(record.executor, record.workers, record.memory);
-    shard.free_workers.fetch_add(record.workers, std::memory_order_relaxed);
-  }
-  unindex_lease(shard, it);
-  shard.lease_count.store(shard.leases.size(), std::memory_order_relaxed);
-  journal_lease_drop(journal::Op::Release, s, lease_id, record, returned);
+  commit_drop(journal::Op::Release, s, shard, it,
+              shard.registry.at(it->second.executor).schedulable());
   return true;
 }
 
 std::size_t ShardedResourceManager::sweep_expired(Time now) {
   std::size_t reclaimed = 0;
-  for (auto& shard_ptr : shards_) {
-    auto& shard = *shard_ptr;
+  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+    auto& shard = *shards_[s];
     std::lock_guard<std::shared_mutex> lock(shard.mu);
     auto& heap = shard.expiry;
     while (!heap.empty() && heap.front().at <= now) {
@@ -318,15 +319,8 @@ std::size_t ShardedResourceManager::sweep_expired(Time now) {
       auto it = shard.leases.find(entry.lease_id);
       if (it == shard.leases.end()) continue;    // released/evicted: stale entry
       if (it->second.expires_at > now) continue; // renewed: its re-arm entry is queued
-      const LeaseRecord record = it->second;
-      const bool returned = shard.registry.at(record.executor).schedulable();
-      if (returned) {
-        shard.registry.release(record.executor, record.workers, record.memory);
-        shard.free_workers.fetch_add(record.workers, std::memory_order_relaxed);
-      }
-      unindex_lease(shard, it);
-      journal_lease_drop(journal::Op::Expire, id_shard(entry.lease_id), entry.lease_id, record,
-                         returned);
+      commit_drop(journal::Op::Expire, s, shard, it,
+                  shard.registry.at(it->second.executor).schedulable());
       ++reclaimed;
     }
     // Compact once stale entries (renewal churn on long-lived leases)
@@ -337,7 +331,6 @@ std::size_t ShardedResourceManager::sweep_expired(Time now) {
       for (const auto& [id, record] : shard.leases) heap.push_back({record.expires_at, id});
       std::make_heap(heap.begin(), heap.end(), ExpiryLater{});
     }
-    shard.lease_count.store(shard.leases.size(), std::memory_order_relaxed);
   }
   return reclaimed;
 }
@@ -346,26 +339,18 @@ std::size_t ShardedResourceManager::sweep_expired_scan(Time now) {
   // Pre-index reference: walk every lease of every shard (the seed's
   // sweep). Kept for fig16's before/after and the equivalence tests.
   std::size_t reclaimed = 0;
-  for (auto& shard_ptr : shards_) {
-    auto& shard = *shard_ptr;
+  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+    auto& shard = *shards_[s];
     std::lock_guard<std::shared_mutex> lock(shard.mu);
     for (auto it = shard.leases.begin(); it != shard.leases.end();) {
       if (it->second.expires_at > now) {
         ++it;
         continue;
       }
-      const std::uint64_t lease_id = it->first;
-      const LeaseRecord record = it->second;
-      const bool returned = shard.registry.at(record.executor).schedulable();
-      if (returned) {
-        shard.registry.release(record.executor, record.workers, record.memory);
-        shard.free_workers.fetch_add(record.workers, std::memory_order_relaxed);
-      }
-      it = unindex_lease(shard, it);
-      journal_lease_drop(journal::Op::Expire, id_shard(lease_id), lease_id, record, returned);
+      it = commit_drop(journal::Op::Expire, s, shard, it,
+                       shard.registry.at(it->second.executor).schedulable());
       ++reclaimed;
     }
-    shard.lease_count.store(shard.leases.size(), std::memory_order_relaxed);
   }
   return reclaimed;
 }
@@ -382,24 +367,9 @@ std::optional<ShardedResourceManager::Eviction> ShardedResourceManager::evict(
   std::lock_guard<std::shared_mutex> lock(shard.mu);
   auto it = shard.leases.find(lease_id);
   if (it == shard.leases.end()) return std::nullopt;
-  const LeaseRecord record = it->second;
-
-  Eviction ev;
-  ev.lease_id = lease_id;
-  ev.client_id = record.client_id;
-  ev.workers = record.workers;
-  ev.memory = record.memory;
-  auto& entry = shard.registry.at(record.executor);
-  ev.executor_stream = entry.stream;
-  const bool returned = entry.schedulable();
-  if (returned) {
-    shard.registry.release(record.executor, record.workers, record.memory);
-    shard.free_workers.fetch_add(record.workers, std::memory_order_relaxed);
-  }
-  unindex_lease(shard, it);
-  shard.lease_count.store(shard.leases.size(), std::memory_order_relaxed);
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-  journal_lease_drop(journal::Op::Evict, s, lease_id, record, returned);
+  const auto& host = shard.registry.at(it->second.executor);
+  Eviction ev{lease_id, it->second.client_id, it->second.workers, it->second.memory, host.stream};
+  commit_drop(journal::Op::Evict, s, shard, it, host.schedulable());
   return ev;
 }
 
@@ -522,33 +492,22 @@ std::uint64_t ShardedResourceManager::tenant_held_workers(std::uint32_t client_i
 std::uint64_t ShardedResourceManager::evict_hosted_leases(
     std::uint32_t shard_index, Shard& shard, std::size_t local,
     const std::shared_ptr<net::TcpStream>& stream, std::vector<Eviction>& out) {
-  std::uint64_t reclaimed_memory = 0;
-  std::size_t evicted = 0;
   if (local >= shard.hosted.size()) return 0;
   // O(hosted) via the per-executor index; sorted so eviction records
   // (and the control plane's notification pushes) stay in age order.
   std::vector<std::uint64_t> ids(shard.hosted[local].begin(), shard.hosted[local].end());
   std::sort(ids.begin(), ids.end());
+  std::uint64_t reclaimed_memory = 0;
   for (std::uint64_t id : ids) {
     auto it = shard.leases.find(id);
     if (it == shard.leases.end()) continue;
-    Eviction ev;
-    ev.lease_id = id;
-    ev.client_id = it->second.client_id;
-    ev.workers = it->second.workers;
-    ev.memory = it->second.memory;
-    ev.executor_stream = stream;
+    out.push_back(Eviction{id, it->second.client_id, it->second.workers, it->second.memory,
+                           stream});
     reclaimed_memory += it->second.memory;
-    const LeaseRecord record = it->second;
-    out.push_back(std::move(ev));
-    unindex_lease(shard, it);
     // Capacity stays with the entry (drain parks it, migration moves it
-    // wholesale), so the record carries return-capacity = false.
-    journal_lease_drop(journal::Op::Evict, shard_index, id, record, false);
-    ++evicted;
+    // wholesale). The host is still schedulable here, so say it.
+    commit_drop(journal::Op::Evict, shard_index, shard, it, /*returned_capacity=*/false);
   }
-  shard.lease_count.store(shard.leases.size(), std::memory_order_relaxed);
-  evictions_.fetch_add(evicted, std::memory_order_relaxed);
   return reclaimed_memory;
 }
 
@@ -565,19 +524,11 @@ std::vector<ShardedResourceManager::Eviction> ShardedResourceManager::drain_exec
 
   std::vector<Eviction> out;
   evict_hosted_leases(s, shard, local, entry.stream, out);
-
-  // The host's whole capacity leaves the schedulable pool: the still-free
-  // workers come off the free aggregate (leased ones already did at
-  // grant), the full complement off the capacity aggregate.
-  shard.free_workers.fetch_sub(entry.free_workers, std::memory_order_relaxed);
-  shard.total_workers.fetch_sub(entry.total_workers, std::memory_order_relaxed);
-  shard.registry.set_draining(local);
-  if (journal_) {
-    JournalRecordMsg rec;
-    rec.op = static_cast<std::uint8_t>(journal::Op::SetDraining);
-    rec.executor = executor_id;
-    journal_->append(rec);
-  }
+  JournalRecordMsg rec;
+  rec.op = static_cast<std::uint8_t>(journal::Op::SetDraining);
+  rec.executor = executor_id;
+  drain_step(shard, rec);
+  journal_append(rec);
   return out;
 }
 
@@ -603,7 +554,7 @@ ShardedResourceManager::RebalanceReport ShardedResourceManager::rebalance(
     std::vector<std::int64_t> caps;
     caps.reserve(shards_.size());
     for (const auto& shard : shards_) {
-      caps.push_back(shard->total_workers.load(std::memory_order_relaxed));
+      caps.push_back(shard->registry.total_workers());
     }
     return caps;
   };
@@ -628,8 +579,9 @@ ShardedResourceManager::RebalanceReport ShardedResourceManager::rebalance(
     // prefer the largest executor that does not overshoot the balance
     // point (2w <= gap); fall back to the smallest one that still
     // narrows the gap at all.
+    JournalRecordMsg rec;
+    rec.op = static_cast<std::uint8_t>(journal::Op::Migrate);
     ExecutorEntry moved;
-    bool found = false;
     {
       auto& shard = *shards_[donor];
       std::lock_guard<std::shared_mutex> lock(shard.mu);
@@ -655,29 +607,19 @@ ShardedResourceManager::RebalanceReport ShardedResourceManager::rebalance(
       }
       if (!have_fit && !have_small) break;
       const std::size_t local = have_fit ? best : small;
-      auto& entry = shard.registry.at(local);
+      const auto& entry = shard.registry.at(local);
 
       // Evict the executor's active leases; their memory rejoins the
       // entry's pool so the migrated registration starts clean.
       const std::uint64_t reclaimed_memory =
           evict_hosted_leases(donor, shard, local, entry.stream, report.evictions);
-
-      moved = entry;
-      moved.free_workers = moved.total_workers;
-      moved.free_memory = entry.free_memory + reclaimed_memory;
-      moved.last_ack = now;
-      found = true;
-
-      shard.free_workers.fetch_sub(entry.free_workers, std::memory_order_relaxed);
-      shard.total_workers.fetch_sub(entry.total_workers, std::memory_order_relaxed);
-      shard.registry.mark_dead(local);  // tombstone; the live entry moves
-
-      Migration mig;
-      mig.old_id = make_id(donor, local);
-      mig.stream = moved.stream;
-      report.migrations.push_back(std::move(mig));
+      rec.executor = make_id(donor, local);
+      rec.workers = entry.total_workers;
+      rec.memory = entry.free_memory + reclaimed_memory;
+      rec.time = now;
+      moved = migrate_out_step(shard, rec);
+      report.migrations.push_back(Migration{rec.executor, 0, moved.stream});
     }
-    if (!found) break;
 
     // Re-register on the receiver shard (its own lock; never both at
     // once). The global executor count is unchanged: the donor entry is
@@ -685,26 +627,10 @@ ShardedResourceManager::RebalanceReport ShardedResourceManager::rebalance(
     {
       auto& shard = *shards_[receiver];
       std::lock_guard<std::shared_mutex> lock(shard.mu);
-      const std::uint32_t workers = moved.total_workers;
-      const std::uint64_t moved_memory = moved.free_memory;
-      const Time moved_ack = moved.last_ack;
-      const std::size_t local = shard.registry.add(std::move(moved));
-      shard.hosted.resize(shard.registry.size());
-      shard.free_workers.fetch_add(workers, std::memory_order_relaxed);
-      shard.total_workers.fetch_add(workers, std::memory_order_relaxed);
-      report.migrations.back().new_id = make_id(receiver, local);
-      if (journal_) {
-        JournalRecordMsg rec;
-        rec.op = static_cast<std::uint8_t>(journal::Op::Migrate);
-        rec.executor = report.migrations.back().old_id;
-        rec.aux = report.migrations.back().new_id;
-        rec.workers = workers;
-        rec.memory = moved_memory;
-        rec.time = moved_ack;
-        journal_->append(rec);
-      }
+      rec.aux = make_id(receiver, migrate_in_step(shard, std::move(moved)));
+      report.migrations.back().new_id = rec.aux;
+      journal_append(rec);
     }
-    migrations_.fetch_add(1, std::memory_order_relaxed);
   }
 
   report.skew_after = skew_of(capacities());
@@ -731,34 +657,14 @@ std::optional<RegisterExecutorMsg> ShardedResourceManager::mark_dead(
   auto& shard = *shards_[s];
   std::lock_guard<std::shared_mutex> lock(shard.mu);
   if (local >= shard.registry.size()) return std::nullopt;
-  auto& entry = shard.registry.at(local);
+  const auto& entry = shard.registry.at(local);
   if (!entry.alive) return std::nullopt;
   const RegisterExecutorMsg info = entry.info;
-
-  // Fast reclamation: drop the dead executor's leases without returning
-  // capacity (mark_dead zeroes the counters), mirror the aggregates. A
-  // draining executor's capacity already left the pool at drain time.
-  // The hosted-lease index makes the drop O(hosted), not O(shard leases).
-  if (local < shard.hosted.size()) {
-    const std::vector<std::uint64_t> ids(shard.hosted[local].begin(),
-                                         shard.hosted[local].end());
-    for (std::uint64_t id : ids) {
-      auto it = shard.leases.find(id);
-      if (it != shard.leases.end()) unindex_lease(shard, it);
-    }
-  }
-  shard.lease_count.store(shard.leases.size(), std::memory_order_relaxed);
-  if (!entry.draining) {
-    shard.free_workers.fetch_sub(entry.free_workers, std::memory_order_relaxed);
-    shard.total_workers.fetch_sub(entry.total_workers, std::memory_order_relaxed);
-  }
-  shard.registry.mark_dead(local);
-  if (journal_) {
-    JournalRecordMsg rec;
-    rec.op = static_cast<std::uint8_t>(journal::Op::MarkDead);
-    rec.executor = executor_id;
-    journal_->append(rec);
-  }
+  JournalRecordMsg rec;
+  rec.op = static_cast<std::uint8_t>(journal::Op::MarkDead);
+  rec.executor = executor_id;
+  dead_step(shard, rec);
+  journal_append(rec);
   return info;
 }
 
@@ -799,19 +705,15 @@ std::size_t ShardedResourceManager::alive_count() const {
 }
 
 std::uint32_t ShardedResourceManager::free_workers_total() const {
-  std::int64_t n = 0;
-  for (const auto& shard : shards_) {
-    n += shard->free_workers.load(std::memory_order_relaxed);
-  }
-  return clamp_free(n);
+  std::uint32_t n = 0;
+  for (const auto& shard : shards_) n += shard->registry.free_workers_total();
+  return n;
 }
 
 std::uint32_t ShardedResourceManager::total_workers() const {
-  std::int64_t n = 0;
-  for (const auto& shard : shards_) {
-    n += shard->total_workers.load(std::memory_order_relaxed);
-  }
-  return clamp_free(n);
+  std::uint32_t n = 0;
+  for (const auto& shard : shards_) n += shard->registry.total_workers();
+  return n;
 }
 
 std::size_t ShardedResourceManager::active_leases() const {
@@ -827,25 +729,96 @@ std::size_t ShardedResourceManager::shard_lease_count(std::uint32_t shard) const
 }
 
 // --------------------------------------------------------------------------
-// Replication / failover: journal hooks, snapshot export/restore, replay
+// Transition steps: the one place each journal op changes manager state,
+// shared by the primary's methods above and by apply() below
 // --------------------------------------------------------------------------
 
-void ShardedResourceManager::journal_lease_drop(journal::Op op, std::uint32_t shard_index,
-                                                std::uint64_t lease_id,
-                                                const LeaseRecord& record,
-                                                bool returned_capacity) {
-  if (!journal_) return;
-  JournalRecordMsg rec;
-  rec.op = static_cast<std::uint8_t>(op);
-  rec.lease_id = lease_id;
-  rec.client_id = record.client_id;
-  rec.executor = make_id(shard_index, record.executor);
-  rec.workers = record.workers;
-  rec.memory = record.memory;
-  rec.time = record.expires_at;
-  if (returned_capacity) rec.aux |= journal::kAuxReturnCapacity;
-  journal_->append(rec);
+std::size_t ShardedResourceManager::add_step(Shard& shard, ExecutorEntry entry) {
+  const std::size_t local = shard.registry.add(std::move(entry));
+  shard.hosted.resize(shard.registry.size());
+  executor_count_.fetch_add(1, std::memory_order_relaxed);
+  return local;
 }
+
+bool ShardedResourceManager::grant_step(Shard& shard, const JournalRecordMsg& r) {
+  // try_claim revalidates: on the primary the executor may have died
+  // between scan and grant; on a standby a refusal means divergence.
+  const auto local = static_cast<std::size_t>(id_low(r.executor));
+  if (!shard.registry.try_claim(local, r.workers, r.memory)) return false;
+  index_lease(shard, r.lease_id, LeaseRecord{r.client_id, local, r.workers, r.memory, r.time});
+  shard.next_lease = std::max(shard.next_lease, id_low(r.lease_id) + 1);
+  grants_.fetch_add(1, std::memory_order_relaxed);
+  if (r.aux & journal::kAuxLocalGrant) local_grants_.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+void ShardedResourceManager::renew_step(Shard& shard, LeaseTable::iterator it,
+                                        const JournalRecordMsg& r) {
+  // Re-arm the expiry index in place: the new deadline joins the heap,
+  // the superseded entry is discarded when the sweep surfaces it.
+  it->second.expires_at = r.time;
+  arm_expiry(shard, r.time, it->first);
+}
+
+ShardedResourceManager::LeaseTable::iterator ShardedResourceManager::drop_step(
+    Shard& shard, LeaseTable::iterator it, const JournalRecordMsg& r) {
+  // The capacity-return decision was made by the primary under its own
+  // registry state and travels with the record; replay never re-derives it.
+  if (r.aux & journal::kAuxReturnCapacity) {
+    shard.registry.release(it->second.executor, it->second.workers, it->second.memory);
+  }
+  if (static_cast<journal::Op>(r.op) == journal::Op::Evict) {
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return unindex_lease(shard, it);
+}
+
+void ShardedResourceManager::drain_step(Shard& shard, const JournalRecordMsg& r) {
+  shard.registry.set_draining(static_cast<std::size_t>(id_low(r.executor)));
+}
+
+void ShardedResourceManager::dead_step(Shard& shard, const JournalRecordMsg& r) {
+  // Fast reclamation: drop the dead executor's leases without returning
+  // capacity (mark_dead zeroes the counters). The hosted-lease index
+  // makes the drop O(hosted), not O(shard leases).
+  const auto local = static_cast<std::size_t>(id_low(r.executor));
+  if (local < shard.hosted.size()) {
+    const std::vector<std::uint64_t> ids(shard.hosted[local].begin(),
+                                         shard.hosted[local].end());
+    for (std::uint64_t id : ids) {
+      auto it = shard.leases.find(id);
+      if (it != shard.leases.end()) unindex_lease(shard, it);
+    }
+  }
+  shard.registry.mark_dead(local);
+}
+
+ExecutorEntry ShardedResourceManager::migrate_out_step(Shard& shard, const JournalRecordMsg& r) {
+  const auto local = static_cast<std::size_t>(id_low(r.executor));
+  ExecutorEntry moved = shard.registry.at(local);
+  moved.free_workers = moved.total_workers;
+  moved.free_memory = r.memory;
+  moved.last_ack = r.time;
+  shard.registry.mark_dead(local);  // tombstone; the live entry moves
+  return moved;
+}
+
+std::size_t ShardedResourceManager::migrate_in_step(Shard& shard, ExecutorEntry moved) {
+  const std::size_t local = shard.registry.add(std::move(moved));
+  shard.hosted.resize(shard.registry.size());
+  migrations_.fetch_add(1, std::memory_order_relaxed);
+  return local;
+}
+
+void ShardedResourceManager::reattach_step(Shard& shard, const JournalRecordMsg& r) {
+  auto& entry = shard.registry.at(static_cast<std::size_t>(id_low(r.executor)));
+  entry.last_ack = r.time;
+  entry.info.epoch = r.aux2;
+}
+
+// --------------------------------------------------------------------------
+// Replication / failover: re-attach, snapshot export/restore, replay
+// --------------------------------------------------------------------------
 
 bool ShardedResourceManager::reattach_executor(std::uint64_t executor_id,
                                                std::shared_ptr<net::TcpStream> stream,
@@ -858,17 +831,14 @@ bool ShardedResourceManager::reattach_executor(std::uint64_t executor_id,
   if (local >= shard.registry.size()) return false;
   auto& entry = shard.registry.at(local);
   if (!entry.alive) return false;
-  entry.stream = std::move(stream);
-  entry.last_ack = now;
-  entry.info.epoch = epoch;
-  if (journal_) {
-    JournalRecordMsg rec;
-    rec.op = static_cast<std::uint8_t>(journal::Op::Reattach);
-    rec.executor = executor_id;
-    rec.aux2 = epoch;
-    rec.time = now;
-    journal_->append(rec);
-  }
+  entry.stream = std::move(stream);  // streams are not replicated state
+  JournalRecordMsg rec;
+  rec.op = static_cast<std::uint8_t>(journal::Op::Reattach);
+  rec.executor = executor_id;
+  rec.aux2 = epoch;
+  rec.time = now;
+  reattach_step(shard, rec);
+  journal_append(rec);
   return true;
 }
 
@@ -928,8 +898,8 @@ ShardedResourceManager::ManagerState ShardedResourceManager::export_state() cons
     std::sort(out.expiry.begin(), out.expiry.end());
 
     out.next_lease = shard.next_lease;
-    out.free_workers = shard.free_workers.load(std::memory_order_relaxed);
-    out.total_workers = shard.total_workers.load(std::memory_order_relaxed);
+    out.free_workers = shard.registry.free_workers_total();
+    out.total_workers = shard.registry.total_workers();
   }
   state.grants = grants_.load(std::memory_order_relaxed);
   state.local_grants = local_grants_.load(std::memory_order_relaxed);
@@ -989,9 +959,6 @@ Status ShardedResourceManager::restore_state(const ManagerState& state, Time now
       index_lease(shard, ls.lease_id, record);
     }
     shard.next_lease = in.next_lease;
-    shard.lease_count.store(shard.leases.size(), std::memory_order_relaxed);
-    shard.free_workers.store(in.free_workers, std::memory_order_relaxed);
-    shard.total_workers.store(in.total_workers, std::memory_order_relaxed);
   }
   grants_.store(state.grants, std::memory_order_relaxed);
   local_grants_.store(state.local_grants, std::memory_order_relaxed);
@@ -1002,316 +969,105 @@ Status ShardedResourceManager::restore_state(const ManagerState& state, Time now
   return Status::success();
 }
 
-Status ShardedResourceManager::apply(const JournalRecordMsg& record) {
-  switch (static_cast<journal::Op>(record.op)) {
-    case journal::Op::AddExecutor: {
-      const std::uint32_t s = id_shard(record.executor);
-      const std::size_t local = static_cast<std::size_t>(id_low(record.executor));
-      if (s >= shards_.size()) return Error::make(43, "apply: shard out of range");
-      auto& shard = *shards_[s];
-      std::lock_guard<std::shared_mutex> lock(shard.mu);
-      if (shard.registry.size() != local) {
-        return Error::make(44, "apply: registry index diverged");
-      }
-      ExecutorEntry e;
-      e.info.device = static_cast<std::uint32_t>(record.aux >> 32);
-      e.info.alloc_port = static_cast<std::uint16_t>((record.aux >> 16) & 0xffff);
-      e.info.rdma_port = static_cast<std::uint16_t>(record.aux & 0xffff);
-      e.info.cores = static_cast<std::uint32_t>(record.aux2 & 0xffffffffull);
-      e.info.epoch = record.aux2 >> 32;
-      e.info.memory_bytes = record.lease_id;
-      e.total_workers = record.workers;
-      e.free_workers = record.workers;
-      e.free_memory = record.memory;
-      e.locality = record.client_id;
-      e.last_ack = record.time;
-      shard.registry.add(std::move(e));
-      shard.hosted.resize(shard.registry.size());
-      shard.free_workers.fetch_add(record.workers, std::memory_order_relaxed);
-      shard.total_workers.fetch_add(record.workers, std::memory_order_relaxed);
-      executor_count_.fetch_add(1, std::memory_order_relaxed);
-      // Mirror the primary's round-robin assignment counter so shard
-      // routing of post-promotion registrations stays aligned.
-      if (!locality_sharding_) next_shard_.fetch_add(1, std::memory_order_relaxed);
-      return Status::success();
-    }
-    case journal::Op::Grant: {
-      const std::uint32_t s = id_shard(record.lease_id);
-      if (s >= shards_.size() || id_shard(record.executor) != s) {
-        return Error::make(43, "apply: shard out of range");
-      }
-      const std::size_t local = static_cast<std::size_t>(id_low(record.executor));
-      auto& shard = *shards_[s];
-      std::lock_guard<std::shared_mutex> lock(shard.mu);
-      if (!shard.registry.try_claim(local, record.workers, record.memory)) {
-        return Error::make(45, "apply: granted capacity does not fit (diverged)");
-      }
-      shard.free_workers.fetch_sub(record.workers, std::memory_order_relaxed);
-      LeaseRecord lease;
-      lease.client_id = record.client_id;
-      lease.executor = local;
-      lease.workers = record.workers;
-      lease.memory = record.memory;
-      lease.expires_at = record.time;
-      index_lease(shard, record.lease_id, lease);
-      shard.next_lease = std::max(shard.next_lease, id_low(record.lease_id) + 1);
-      shard.lease_count.store(shard.leases.size(), std::memory_order_relaxed);
-      grants_.fetch_add(1, std::memory_order_relaxed);
-      if (record.aux & journal::kAuxLocalGrant) {
-        local_grants_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return Status::success();
-    }
-    case journal::Op::Renew: {
-      const std::uint32_t s = id_shard(record.lease_id);
-      if (s >= shards_.size()) return Error::make(43, "apply: shard out of range");
-      auto& shard = *shards_[s];
-      std::lock_guard<std::shared_mutex> lock(shard.mu);
-      auto it = shard.leases.find(record.lease_id);
-      if (it == shard.leases.end()) return Error::make(46, "apply: renew of unknown lease");
-      it->second.expires_at = record.time;
-      arm_expiry(shard, record.time, record.lease_id);
-      return Status::success();
-    }
-    case journal::Op::Release:
-    case journal::Op::Expire:
-    case journal::Op::Evict: {
-      const std::uint32_t s = id_shard(record.lease_id);
-      if (s >= shards_.size()) return Error::make(43, "apply: shard out of range");
-      auto& shard = *shards_[s];
-      std::lock_guard<std::shared_mutex> lock(shard.mu);
-      auto it = shard.leases.find(record.lease_id);
-      if (it == shard.leases.end()) return Error::make(46, "apply: drop of unknown lease");
-      const LeaseRecord lease = it->second;
-      // The capacity-return decision was made by the primary under its
-      // own registry state and travels with the record — replay must not
-      // re-derive it.
-      if (record.aux & journal::kAuxReturnCapacity) {
-        shard.registry.release(lease.executor, lease.workers, lease.memory);
-        shard.free_workers.fetch_add(lease.workers, std::memory_order_relaxed);
-      }
-      unindex_lease(shard, it);
-      shard.lease_count.store(shard.leases.size(), std::memory_order_relaxed);
-      if (static_cast<journal::Op>(record.op) == journal::Op::Evict) {
-        evictions_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return Status::success();
-    }
-    case journal::Op::SetDraining: {
-      const std::uint32_t s = id_shard(record.executor);
-      const std::size_t local = static_cast<std::size_t>(id_low(record.executor));
-      if (s >= shards_.size()) return Error::make(43, "apply: shard out of range");
-      auto& shard = *shards_[s];
-      std::lock_guard<std::shared_mutex> lock(shard.mu);
-      if (local >= shard.registry.size()) {
-        return Error::make(44, "apply: registry index diverged");
-      }
-      auto& entry = shard.registry.at(local);
-      shard.free_workers.fetch_sub(entry.free_workers, std::memory_order_relaxed);
-      shard.total_workers.fetch_sub(entry.total_workers, std::memory_order_relaxed);
-      shard.registry.set_draining(local);
-      return Status::success();
-    }
-    case journal::Op::MarkDead: {
-      const std::uint32_t s = id_shard(record.executor);
-      const std::size_t local = static_cast<std::size_t>(id_low(record.executor));
-      if (s >= shards_.size()) return Error::make(43, "apply: shard out of range");
-      auto& shard = *shards_[s];
-      std::lock_guard<std::shared_mutex> lock(shard.mu);
-      if (local >= shard.registry.size()) {
-        return Error::make(44, "apply: registry index diverged");
-      }
-      auto& entry = shard.registry.at(local);
-      if (!entry.alive) return Error::make(47, "apply: executor already dead");
-      if (local < shard.hosted.size()) {
-        const std::vector<std::uint64_t> ids(shard.hosted[local].begin(),
-                                             shard.hosted[local].end());
-        for (std::uint64_t id : ids) {
-          auto it = shard.leases.find(id);
-          if (it != shard.leases.end()) unindex_lease(shard, it);
-        }
-      }
-      shard.lease_count.store(shard.leases.size(), std::memory_order_relaxed);
-      if (!entry.draining) {
-        shard.free_workers.fetch_sub(entry.free_workers, std::memory_order_relaxed);
-        shard.total_workers.fetch_sub(entry.total_workers, std::memory_order_relaxed);
-      }
-      shard.registry.mark_dead(local);
-      return Status::success();
-    }
-    case journal::Op::Migrate: {
-      const std::uint32_t donor = id_shard(record.executor);
-      const std::size_t donor_local = static_cast<std::size_t>(id_low(record.executor));
-      const std::uint32_t receiver = id_shard(record.aux);
-      const std::size_t receiver_local = static_cast<std::size_t>(id_low(record.aux));
-      if (donor >= shards_.size() || receiver >= shards_.size()) {
-        return Error::make(43, "apply: shard out of range");
-      }
-      ExecutorEntry moved;
-      {
-        auto& shard = *shards_[donor];
-        std::lock_guard<std::shared_mutex> lock(shard.mu);
-        if (donor_local >= shard.registry.size()) {
-          return Error::make(44, "apply: registry index diverged");
-        }
-        auto& entry = shard.registry.at(donor_local);
-        moved = entry;
-        moved.free_workers = moved.total_workers;
-        moved.free_memory = record.memory;
-        moved.last_ack = record.time;
-        shard.free_workers.fetch_sub(entry.free_workers, std::memory_order_relaxed);
-        shard.total_workers.fetch_sub(entry.total_workers, std::memory_order_relaxed);
-        shard.registry.mark_dead(donor_local);
-      }
-      {
-        auto& shard = *shards_[receiver];
-        std::lock_guard<std::shared_mutex> lock(shard.mu);
-        if (shard.registry.size() != receiver_local) {
-          return Error::make(44, "apply: registry index diverged");
-        }
-        const std::uint32_t workers = moved.total_workers;
-        shard.registry.add(std::move(moved));
-        shard.hosted.resize(shard.registry.size());
-        shard.free_workers.fetch_add(workers, std::memory_order_relaxed);
-        shard.total_workers.fetch_add(workers, std::memory_order_relaxed);
-      }
-      migrations_.fetch_add(1, std::memory_order_relaxed);
-      return Status::success();
-    }
-    case journal::Op::Reattach: {
-      const std::uint32_t s = id_shard(record.executor);
-      const std::size_t local = static_cast<std::size_t>(id_low(record.executor));
-      if (s >= shards_.size()) return Error::make(43, "apply: shard out of range");
-      auto& shard = *shards_[s];
-      std::lock_guard<std::shared_mutex> lock(shard.mu);
-      if (local >= shard.registry.size()) {
-        return Error::make(44, "apply: registry index diverged");
-      }
-      auto& entry = shard.registry.at(local);
-      if (!entry.alive) return Error::make(47, "apply: reattach of dead executor");
-      entry.last_ack = record.time;
-      entry.info.epoch = record.aux2;
-      return Status::success();
-    }
+Status ShardedResourceManager::apply(const JournalRecordMsg& r) {
+  // Replay checks the record against this replica's state and runs the
+  // primary's own transition step; it never re-runs placement, routing
+  // or capacity decisions.
+  const auto op = static_cast<journal::Op>(r.op);
+  if (op < journal::Op::AddExecutor || op > journal::Op::Reattach) {
+    return Error::make(48, "apply: unknown journal op");
   }
-  return Error::make(48, "apply: unknown journal op");
+  const bool lease_op = op >= journal::Op::Grant && op <= journal::Op::Evict;
+  const std::uint32_t s = id_shard(lease_op ? r.lease_id : r.executor);
+  const auto local = static_cast<std::size_t>(id_low(r.executor));
+  const std::uint32_t receiver = op == journal::Op::Migrate ? id_shard(r.aux) : s;
+  if (s >= shards_.size() || receiver >= shards_.size() ||
+      (op == journal::Op::Grant && id_shard(r.executor) != s)) {
+    return Error::make(43, "apply: shard out of range");
+  }
+  auto diverged = [] { return Error::make(44, "apply: registry index diverged"); };
+  auto& shard = *shards_[s];
+
+  if (op == journal::Op::Migrate) {
+    ExecutorEntry moved;
+    {
+      std::lock_guard<std::shared_mutex> lock(shard.mu);
+      if (local >= shard.registry.size()) return diverged();
+      moved = migrate_out_step(shard, r);
+    }
+    auto& in = *shards_[receiver];
+    std::lock_guard<std::shared_mutex> lock(in.mu);
+    if (in.registry.size() != id_low(r.aux)) return diverged();
+    migrate_in_step(in, std::move(moved));
+    return Status::success();
+  }
+
+  std::lock_guard<std::shared_mutex> lock(shard.mu);
+  if (op == journal::Op::AddExecutor) {
+    if (shard.registry.size() != local) return diverged();
+    add_step(shard, registration_entry(r));
+    // Mirror the primary's round-robin assignment counter so shard
+    // routing of post-promotion registrations stays aligned.
+    if (!locality_sharding_) next_shard_.fetch_add(1, std::memory_order_relaxed);
+    return Status::success();
+  }
+  if (op == journal::Op::Grant) {
+    if (!grant_step(shard, r)) {
+      return Error::make(45, "apply: granted capacity does not fit (diverged)");
+    }
+    return Status::success();
+  }
+  if (lease_op) {
+    auto it = shard.leases.find(r.lease_id);
+    if (it == shard.leases.end()) return Error::make(46, "apply: unknown lease");
+    if (op == journal::Op::Renew) {
+      renew_step(shard, it, r);
+    } else {
+      drop_step(shard, it, r);
+    }
+    return Status::success();
+  }
+  if (local >= shard.registry.size()) return diverged();
+  if (op != journal::Op::SetDraining && !shard.registry.at(local).alive) {
+    return Error::make(47, "apply: executor is dead");
+  }
+  if (op == journal::Op::SetDraining) drain_step(shard, r);
+  if (op == journal::Op::MarkDead) dead_step(shard, r);
+  if (op == journal::Op::Reattach) reattach_step(shard, r);
+  return Status::success();
 }
 
 // --------------------------------------------------------------------------
-// ManagerState equality and digest (replicated fields only: heartbeat
-// clocks, streams and the retransmission-scoped request_id of the cached
-// registration message are not journaled and therefore not state).
+// ManagerState digest: one fold over the fields() lists that equality
+// compares (replicated fields only: heartbeat clocks, streams and the
+// retransmission-scoped request_id of the cached registration message are
+// not journaled and therefore not state).
 // --------------------------------------------------------------------------
 
 namespace {
 
-bool info_equal(const RegisterExecutorMsg& a, const RegisterExecutorMsg& b) {
-  return a.device == b.device && a.alloc_port == b.alloc_port && a.rdma_port == b.rdma_port &&
-         a.cores == b.cores && a.memory_bytes == b.memory_bytes && a.epoch == b.epoch;
+/// Mixes a value into the digest: a struct through its fields() list, a
+/// vector as its size and then its elements, a pair as both halves, an
+/// integer or bool as itself.
+template <class T>
+std::uint64_t fold(std::uint64_t h, const T& v) {
+  if constexpr (requires { T::fields(v); }) {
+    std::apply([&h](const auto&... f) { ((h = fold(h, f)), ...); }, T::fields(v));
+    return h;
+  } else if constexpr (requires { v.size(); }) {
+    h = journal::mix(h, v.size());
+    for (const auto& x : v) h = fold(h, x);
+    return h;
+  } else if constexpr (requires { v.second; }) {
+    return fold(fold(h, v.first), v.second);
+  } else {
+    return journal::mix(h, static_cast<std::uint64_t>(v));
+  }
 }
 
 }  // namespace
 
-bool ShardedResourceManager::ManagerState::operator==(const ManagerState& other) const {
-  if (shards.size() != other.shards.size()) return false;
-  if (grants != other.grants || local_grants != other.local_grants ||
-      evictions != other.evictions || migrations != other.migrations ||
-      next_shard != other.next_shard || executor_count != other.executor_count) {
-    return false;
-  }
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    const auto& a = shards[s];
-    const auto& b = other.shards[s];
-    if (a.next_lease != b.next_lease || a.free_workers != b.free_workers ||
-        a.total_workers != b.total_workers) {
-      return false;
-    }
-    if (a.executors.size() != b.executors.size() || a.leases.size() != b.leases.size() ||
-        a.tenants.size() != b.tenants.size() || a.expiry != b.expiry) {
-      return false;
-    }
-    for (std::size_t i = 0; i < a.executors.size(); ++i) {
-      const auto& x = a.executors[i];
-      const auto& y = b.executors[i];
-      if (!info_equal(x.info, y.info) || x.total_workers != y.total_workers ||
-          x.free_workers != y.free_workers || x.free_memory != y.free_memory ||
-          x.alive != y.alive || x.draining != y.draining || x.locality != y.locality) {
-        return false;
-      }
-    }
-    for (std::size_t i = 0; i < a.leases.size(); ++i) {
-      const auto& x = a.leases[i];
-      const auto& y = b.leases[i];
-      if (x.lease_id != y.lease_id || x.client_id != y.client_id || x.executor != y.executor ||
-          x.workers != y.workers || x.memory != y.memory || x.expires_at != y.expires_at) {
-        return false;
-      }
-    }
-    for (std::size_t i = 0; i < a.tenants.size(); ++i) {
-      const auto& x = a.tenants[i];
-      const auto& y = b.tenants[i];
-      if (x.client_id != y.client_id || x.held_workers != y.held_workers ||
-          x.leases != y.leases) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-std::uint64_t ShardedResourceManager::ManagerState::digest() const {
-  using journal::mix;
-  std::uint64_t h = 0;
-  h = mix(h, shards.size());
-  h = mix(h, grants);
-  h = mix(h, local_grants);
-  h = mix(h, evictions);
-  h = mix(h, migrations);
-  h = mix(h, next_shard);
-  h = mix(h, executor_count);
-  for (const auto& shard : shards) {
-    h = mix(h, shard.next_lease);
-    h = mix(h, static_cast<std::uint64_t>(shard.free_workers));
-    h = mix(h, static_cast<std::uint64_t>(shard.total_workers));
-    h = mix(h, shard.executors.size());
-    for (const auto& ex : shard.executors) {
-      h = mix(h, ex.info.device);
-      h = mix(h, ex.info.alloc_port);
-      h = mix(h, ex.info.rdma_port);
-      h = mix(h, ex.info.cores);
-      h = mix(h, ex.info.memory_bytes);
-      h = mix(h, ex.info.epoch);
-      h = mix(h, ex.total_workers);
-      h = mix(h, ex.free_workers);
-      h = mix(h, ex.free_memory);
-      h = mix(h, static_cast<std::uint64_t>(ex.alive));
-      h = mix(h, static_cast<std::uint64_t>(ex.draining));
-      h = mix(h, ex.locality);
-    }
-    h = mix(h, shard.leases.size());
-    for (const auto& ls : shard.leases) {
-      h = mix(h, ls.lease_id);
-      h = mix(h, ls.client_id);
-      h = mix(h, ls.executor);
-      h = mix(h, ls.workers);
-      h = mix(h, ls.memory);
-      h = mix(h, static_cast<std::uint64_t>(ls.expires_at));
-    }
-    h = mix(h, shard.tenants.size());
-    for (const auto& ts : shard.tenants) {
-      h = mix(h, ts.client_id);
-      h = mix(h, ts.held_workers);
-      h = mix(h, ts.leases.size());
-      for (std::uint64_t id : ts.leases) h = mix(h, id);
-    }
-    h = mix(h, shard.expiry.size());
-    for (const auto& [at, id] : shard.expiry) {
-      h = mix(h, static_cast<std::uint64_t>(at));
-      h = mix(h, id);
-    }
-  }
-  return h;
-}
+std::uint64_t ShardedResourceManager::ManagerState::digest() const { return fold(0, *this); }
 
 std::vector<Placement> ShardedResourceManager::placement_log() const {
   std::vector<Placement> merged;

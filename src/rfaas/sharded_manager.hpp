@@ -8,7 +8,7 @@
 // so the grant path only ever takes one shard's lock:
 //
 //  * Routing (level 1): power-of-two-choices over shards on their
-//    aggregate free-worker counters — two relaxed atomic loads and a
+//    registries' free-worker aggregates — two relaxed atomic loads and a
 //    compare, no locks. Deterministic for a fixed seed (the routing RNG
 //    is a lock-free splitmix64 counter).
 //  * Placement (level 2): inside the routed shard, the shard's Scheduler
@@ -51,6 +51,15 @@
 // and sweeps write-lock one shard, snapshots and routing reads share it
 // or use the lock-free atomic aggregates), usable from real threads in
 // stress tests and from sim coroutines in the control plane alike.
+//
+// Replication (journal.hpp, replica.hpp): every replicated state change
+// is one journal::Op, and each op changes state in exactly one transition
+// step (`*_step` below) that runs under its shard's write lock. A primary
+// method makes the decision — routing, placement, victim choice, whether
+// capacity returns — fills the JournalRecordMsg, runs the step and
+// appends the record; a standby's apply() checks the replayed record
+// against its own state and runs the same step. There is no second copy
+// of a transition for a standby to drift through.
 #pragma once
 
 #include <atomic>
@@ -61,6 +70,7 @@
 #include <optional>
 #include <set>
 #include <shared_mutex>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -336,12 +346,12 @@ class ShardedResourceManager {
   }
   [[nodiscard]] std::size_t shard_lease_count(std::uint32_t shard) const;
   [[nodiscard]] std::uint32_t shard_free_workers(std::uint32_t shard) const {
-    return clamp_free(shards_.at(shard)->free_workers.load(std::memory_order_relaxed));
+    return shards_.at(shard)->registry.free_workers_total();
   }
   /// Schedulable worker capacity of one shard — the load metric of the
   /// rebalance sweep.
   [[nodiscard]] std::uint32_t shard_total_workers(std::uint32_t shard) const {
-    return clamp_free(shards_.at(shard)->total_workers.load(std::memory_order_relaxed));
+    return shards_.at(shard)->registry.total_workers();
   }
 
   /// Committed placements, shard-major, executor indices rewritten to
@@ -372,6 +382,14 @@ class ShardedResourceManager {
       bool draining = false;
       std::uint32_t locality = 0;
       Time last_ack = 0;  ///< restored but not compared (not journaled)
+
+      /// Not last_ack, nor info.request_id (retransmission-scoped).
+      static auto fields(auto& m) {
+        return std::tie(m.info.device, m.info.alloc_port, m.info.rdma_port, m.info.cores,
+                        m.info.memory_bytes, m.info.epoch, m.total_workers, m.free_workers,
+                        m.free_memory, m.alive, m.draining, m.locality);
+      }
+      bool operator==(const ExecutorState& o) const { return fields(*this) == fields(o); }
     };
     /// One live lease (sorted by id).
     struct LeaseState {
@@ -381,12 +399,20 @@ class ShardedResourceManager {
       std::uint32_t workers = 0;
       std::uint64_t memory = 0;
       Time expires_at = 0;
+
+      static auto fields(auto& m) {
+        return std::tie(m.lease_id, m.client_id, m.executor, m.workers, m.memory, m.expires_at);
+      }
+      bool operator==(const LeaseState& o) const { return fields(*this) == fields(o); }
     };
     /// One tenant's slice (sorted by client id; leases in age order).
     struct TenantState {
       std::uint32_t client_id = 0;
       std::uint64_t held_workers = 0;
       std::vector<std::uint64_t> leases;
+
+      static auto fields(auto& m) { return std::tie(m.client_id, m.held_workers, m.leases); }
+      bool operator==(const TenantState& o) const { return fields(*this) == fields(o); }
     };
     struct ShardState {
       std::vector<ExecutorState> executors;
@@ -398,6 +424,12 @@ class ShardedResourceManager {
       std::uint64_t next_lease = 1;
       std::int64_t free_workers = 0;
       std::int64_t total_workers = 0;
+
+      static auto fields(auto& m) {
+        return std::tie(m.next_lease, m.free_workers, m.total_workers, m.executors, m.leases,
+                        m.tenants, m.expiry);
+      }
+      bool operator==(const ShardState& o) const { return fields(*this) == fields(o); }
     };
     std::vector<ShardState> shards;
     std::uint64_t grants = 0;
@@ -407,12 +439,19 @@ class ShardedResourceManager {
     std::uint64_t next_shard = 0;
     std::uint64_t executor_count = 0;
 
-    /// Replicated-state equality: everything except heartbeat clocks and
-    /// streams. This is what the replay-equivalence tests assert.
-    [[nodiscard]] bool operator==(const ManagerState& other) const;
-    [[nodiscard]] bool operator!=(const ManagerState& other) const { return !(*this == other); }
+    static auto fields(auto& m) {
+      return std::tie(m.grants, m.local_grants, m.evictions, m.migrations, m.next_shard,
+                      m.executor_count, m.shards);
+    }
 
-    /// Order-sensitive checksum over every compared field (the chained
+    /// Replicated-state equality over the fields() lists: everything
+    /// except heartbeat clocks, streams and the registration's request
+    /// id. This is what the replay-equivalence tests assert.
+    [[nodiscard]] bool operator==(const ManagerState& o) const {
+      return fields(*this) == fields(o);
+    }
+
+    /// Order-sensitive checksum over the same fields() lists (the chained
     /// journal mix). Snapshot offers carry it so a standby rejects a torn
     /// or stale snapshot before replaying records on top of it.
     [[nodiscard]] std::uint64_t digest() const;
@@ -465,6 +504,7 @@ class ShardedResourceManager {
     std::uint64_t memory = 0;
     Time expires_at = 0;
   };
+  using LeaseTable = std::unordered_map<std::uint64_t, LeaseRecord>;
 
   /// One armed deadline in a shard's expiry heap. Entries are never
   /// removed in place: release/evict/renew leave them behind, and the
@@ -495,7 +535,7 @@ class ShardedResourceManager {
     mutable std::shared_mutex mu;
     ExecutorRegistry registry;
     std::unique_ptr<Scheduler> scheduler;
-    std::unordered_map<std::uint64_t, LeaseRecord> leases;  // keyed by full lease id
+    LeaseTable leases;  // keyed by full lease id
     /// Deadline index over `leases` (lazy deletion, see ExpiryEntry).
     std::vector<ExpiryEntry> expiry;
     /// Lease ids hosted by each registry index (parallel to registry).
@@ -504,17 +544,11 @@ class ShardedResourceManager {
     std::unordered_map<std::uint32_t, TenantIndex> tenants;
     std::uint64_t next_lease = 1;
     std::vector<Placement> log;
-    /// Relaxed aggregate mirrors of the registry, readable without the
-    /// shard lock for routing and stealing decisions. Only mutated under
-    /// the shard lock, so they never drift from the registry.
-    std::atomic<std::int64_t> free_workers{0};
-    std::atomic<std::int64_t> total_workers{0};
+    /// leases.size(), readable without the shard lock. Written only by
+    /// index_lease/unindex_lease, the lease table's two mutators. (The
+    /// capacity aggregates routing reads live in the registry itself.)
     std::atomic<std::size_t> lease_count{0};
   };
-
-  static std::uint32_t clamp_free(std::int64_t v) {
-    return v > 0 ? static_cast<std::uint32_t>(v) : 0;
-  }
 
   /// Lock-free deterministic routing randomness: a splitmix64 stream
   /// driven by an atomic counter. Single-threaded callers (the sim) see
@@ -525,15 +559,15 @@ class ShardedResourceManager {
                                 std::uint32_t client_id, Duration timeout, Time now);
 
   /// Under the shard write lock: inserts the lease into the table and
-  /// every side index (expiry heap, per-executor set, tenant counters).
+  /// every side index (expiry heap, per-executor set, tenant counters,
+  /// lease_count).
   static void index_lease(Shard& shard, std::uint64_t lease_id, const LeaseRecord& record);
 
   /// Under the shard write lock: removes the lease from the table, the
-  /// per-executor set and the tenant index; returns the next table
-  /// iterator. The expiry-heap entry stays behind and is discarded
-  /// lazily by a later sweep.
-  static std::unordered_map<std::uint64_t, LeaseRecord>::iterator unindex_lease(
-      Shard& shard, std::unordered_map<std::uint64_t, LeaseRecord>::iterator it);
+  /// per-executor set, the tenant index and lease_count; returns the
+  /// next table iterator. The expiry-heap entry stays behind and is
+  /// discarded lazily by a later sweep.
+  static LeaseTable::iterator unindex_lease(Shard& shard, LeaseTable::iterator it);
 
   /// Under the shard write lock: arms (or re-arms, on renewal) the
   /// expiry heap for `lease_id` at `at`.
@@ -547,27 +581,55 @@ class ShardedResourceManager {
       std::map<std::uint32_t, std::uint64_t>& held, std::uint32_t requesting_client,
       std::uint32_t quota_workers, std::uint32_t workers_needed);
 
-  /// Under the shard write lock: erases every lease hosted by registry
+  /// Under the shard write lock: evicts every lease hosted by registry
   /// index `local` (via its hosted-lease set, O(hosted)), appending
-  /// Eviction records and bumping the eviction counter. Capacity is NOT
-  /// released back to the entry — drain parks it, migration moves it
-  /// wholesale. Returns the evicted leases' total memory (migration
-  /// folds it back into the moved entry).
+  /// Eviction records. Capacity is NOT released back to the entry — drain
+  /// parks it, migration moves it wholesale. Returns the evicted leases'
+  /// total memory (migration folds it back into the moved entry).
   std::uint64_t evict_hosted_leases(std::uint32_t shard_index, Shard& shard, std::size_t local,
                                     const std::shared_ptr<net::TcpStream>& stream,
                                     std::vector<Eviction>& out);
 
+  /// The primary's side of Release/Expire/Evict under the shard write
+  /// lock: journals the drop of `it` with the capacity decision already
+  /// made and runs drop_step. Returns the next table iterator.
+  LeaseTable::iterator commit_drop(journal::Op op, std::uint32_t shard_index, Shard& shard,
+                                   LeaseTable::iterator it, bool returned_capacity);
+
   /// Appends to the replication journal when enabled. Called under the
   /// mutating shard's lock, so a shard's records stream in commit order;
   /// the journal's own mutex orders records across shards.
-  void journal_append(JournalRecordMsg r) {
-    if (journal_) journal_->append(std::move(r));
+  void journal_append(const JournalRecordMsg& r) {
+    if (journal_) journal_->append(r);
   }
 
-  /// Journal hook shared by release/expire/evict: one lease left the
-  /// table, with the capacity-return decision the primary already made.
-  void journal_lease_drop(journal::Op op, std::uint32_t shard_index, std::uint64_t lease_id,
-                          const LeaseRecord& record, bool returned_capacity);
+  // ---- Transition steps: the only code that changes replicated state ----
+  // One per journal::Op (Migrate has a donor and a receiver half), each
+  // run under its shard's write lock with the record the primary is about
+  // to journal or the standby is replaying.
+
+  /// AddExecutor: registers `entry` (the primary's carries its stream).
+  /// Returns the registry index.
+  std::size_t add_step(Shard& shard, ExecutorEntry entry);
+  /// Grant: claims the record's capacity and indexes the lease. False,
+  /// with nothing changed, when the registry refuses the claim.
+  bool grant_step(Shard& shard, const JournalRecordMsg& r);
+  /// Renew: moves the deadline and re-arms the expiry heap.
+  static void renew_step(Shard& shard, LeaseTable::iterator it, const JournalRecordMsg& r);
+  /// Release/Expire/Evict: returns the capacity when the record says so
+  /// and unindexes the lease. Returns the next table iterator.
+  LeaseTable::iterator drop_step(Shard& shard, LeaseTable::iterator it, const JournalRecordMsg& r);
+  /// SetDraining: parks the executor's capacity out of the pool.
+  static void drain_step(Shard& shard, const JournalRecordMsg& r);
+  /// MarkDead: drops the hosted leases and zeroes the capacity.
+  static void dead_step(Shard& shard, const JournalRecordMsg& r);
+  /// Migrate, donor half: tombstones the executor and returns the entry
+  /// to re-register (capacity whole, free memory and clock from `r`).
+  static ExecutorEntry migrate_out_step(Shard& shard, const JournalRecordMsg& r);
+  /// Migrate, receiver half: registers the moved entry.
+  std::size_t migrate_in_step(Shard& shard, ExecutorEntry moved);
+  /// Reattach: new session epoch and heartbeat clock, state preserved.
+  static void reattach_step(Shard& shard, const JournalRecordMsg& r);
 
   std::unique_ptr<Journal> journal_;
   std::vector<std::unique_ptr<Shard>> shards_;

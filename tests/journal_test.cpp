@@ -1,15 +1,16 @@
 // Replay-equivalence tests of the replication journal (journal.hpp) and
 // the warm standby replica (replica.hpp): seeded random op sequences —
 // grants, renews, releases, expiry sweeps, quota evictions, drains,
-// rebalances, executor deaths — run against a journaling primary, then
-// the journal replays on a fresh replica and the two managers' canonical
-// states must compare (and digest) identically. Also pinned: snapshot +
+// rebalances, executor deaths, re-attaches — run against a journaling
+// primary, then the journal replays on a fresh replica and the two
+// managers' canonical states must compare (and digest) identically. Also pinned: snapshot +
 // suffix replay equals full replay, the wire-framed replication stream
 // is lossless, and truncation / corruption / reordering of the log is
 // detected rather than silently replayed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -350,8 +351,8 @@ TEST(ReplayEquivalence, ExpiryChurnShape) {
 
 // Shape 3: operator-driven reshaping — quota evictions, drains, shard
 // rebalances, executor deaths and late registrations interleaved with
-// live traffic. Exercises every journaled op including Migrate,
-// SetDraining and MarkDead.
+// live traffic. Exercises Migrate, SetDraining and MarkDead; it never
+// renews, sweeps or re-attaches (see EveryJournalOpReplays).
 TEST(ReplayEquivalence, RebalanceDrainEvictShape) {
   for (const std::uint64_t seed : {5u, 21u, 4242u}) {
     const Config config = journaled_config(3, seed);
@@ -383,6 +384,73 @@ TEST(ReplayEquivalence, RebalanceDrainEvictShape) {
             entry(static_cast<std::uint32_t>(drv.rng.uniform_int(2, 8)))));
       }
       drv.now += 10'000;
+    }
+    expect_replay_equivalent(primary, config);
+  }
+}
+
+// Shape 4: every journal op in one history. LocalityFirst homes each
+// rack on its own shard, so drains and late registrations skew the
+// shards and rebalance migrates; short leases expire under the sweep;
+// unsatisfiable all-or-nothing batches roll back through release; live
+// executors re-attach in place under rising epochs.
+TEST(ReplayEquivalence, EveryJournalOpReplays) {
+  for (const std::uint64_t seed : {8u, 31u, 777u}) {
+    const Config config = journaled_config(3, seed, SchedulingPolicy::LocalityFirst);
+    SRM primary(config);
+    OpDriver drv(primary, seed);
+    auto rack = [&] { return static_cast<std::uint32_t>(drv.rng.uniform_int(0, 2)); };
+    auto client = [&] { return static_cast<std::uint32_t>(drv.rng.uniform_int(1, 6)); };
+    for (int i = 0; i < 9; ++i) {
+      drv.executors.push_back(
+          primary.add_executor(entry(8, 64ull << 30, static_cast<std::uint32_t>(i % 3))));
+    }
+    std::uint64_t epoch = 1;
+    for (int i = 0; i < 300; ++i) {
+      const double p = drv.rng.uniform();
+      if (p < 0.30) {
+        ScheduleRequest req = request(static_cast<std::uint32_t>(drv.rng.uniform_int(1, 4)));
+        req.client_locality = rack();
+        const Duration timeout = drv.rng.bernoulli(0.3) ? 5'000 : 50'000'000;
+        auto g = primary.grant(req, client(), timeout, drv.now,
+                               primary.preferred_shard_for(req.client_locality));
+        if (g) drv.leases.push_back(g->lease_id);
+      } else if (p < 0.40) {
+        drv.release();
+      } else if (p < 0.48) {
+        drv.renew(/*extend=*/20'000'000);
+      } else if (p < 0.54) {
+        drv.evict();
+      } else if (p < 0.60) {
+        const auto batch = primary.grant_batch(
+            request(static_cast<std::uint32_t>(drv.rng.uniform_int(4, 40))), client(),
+            50'000'000, drv.now, /*all_or_nothing=*/true);
+        for (const auto& g : batch.grants) drv.leases.push_back(g.lease_id);
+      } else if (p < 0.66) {
+        primary.drain_executor(drv.pick(drv.executors));
+      } else if (p < 0.74) {
+        primary.rebalance(/*max_skew=*/1.2, /*max_moves=*/2, drv.now);
+      } else if (p < 0.78) {
+        primary.mark_dead(drv.pick(drv.executors));
+      } else if (p < 0.86) {
+        primary.reattach_executor(drv.pick(drv.executors), nullptr, ++epoch, drv.now);
+      } else {
+        drv.executors.push_back(primary.add_executor(
+            entry(static_cast<std::uint32_t>(drv.rng.uniform_int(2, 8)), 64ull << 30, rack())));
+      }
+      drv.now += 10'000;
+      if (i % 8 == 0) primary.sweep_expired(drv.now);
+    }
+
+    std::set<journal::Op> seen;
+    for (const auto& r : primary.journal()->records()) {
+      seen.insert(static_cast<journal::Op>(r.op));
+    }
+    for (auto op = static_cast<std::uint8_t>(journal::Op::AddExecutor);
+         op <= static_cast<std::uint8_t>(journal::Op::Reattach); ++op) {
+      EXPECT_TRUE(seen.contains(static_cast<journal::Op>(op)))
+          << "seed " << seed << " never journaled "
+          << journal::to_string(static_cast<journal::Op>(op));
     }
     expect_replay_equivalent(primary, config);
   }

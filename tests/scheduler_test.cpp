@@ -210,7 +210,7 @@ TEST(PowerOfTwo, DeterministicForFixedSeed) {
   auto run_once = [](std::uint64_t seed) {
     ExecutorRegistry reg;
     for (int i = 0; i < 8; ++i) reg.add(entry(16));
-    PowerOfTwoScheduler p2c(seed, /*prefer_locality=*/false);
+    PowerOfTwoScheduler p2c(seed);
     std::vector<std::size_t> order;
     for (int i = 0; i < 32; ++i) {
       auto p = grant(p2c, reg, request(2));
@@ -230,7 +230,7 @@ TEST(PowerOfTwo, PrefersClientLocalityWithTwoExecutors) {
   ExecutorRegistry reg;
   reg.add(entry(4, 64ull << 30, /*locality=*/0));
   reg.add(entry(4, 64ull << 30, /*locality=*/1));
-  PowerOfTwoScheduler p2c(7, /*prefer_locality=*/true);
+  PowerOfTwoScheduler p2c(7);
   for (int i = 0; i < 4; ++i) {
     auto p = grant(p2c, reg, request(1, 1 << 20, /*locality=*/1));
     ASSERT_TRUE(p.has_value());
@@ -247,7 +247,7 @@ TEST(PowerOfTwo, BalancesBetterThanArrivalOrder) {
   // releases, the max load across executors stays near the mean.
   ExecutorRegistry reg;
   for (int i = 0; i < 16; ++i) reg.add(entry(64));
-  PowerOfTwoScheduler p2c(11, /*prefer_locality=*/false);
+  PowerOfTwoScheduler p2c(11);
   for (int i = 0; i < 256; ++i) {
     ASSERT_TRUE(grant(p2c, reg, request(1)).has_value());
   }

@@ -1,14 +1,17 @@
 // Retransmission-FSM unit tests (ISSUE 7): the Session must recover a
 // dropped exchange by timeout + retransmit, cap its exponential backoff,
-// fail cleanly when the budget is exhausted, and ignore duplicate
-// replies; the manager must answer retransmitted requests from its dedup
-// table (never re-running the grant) and fence stale-epoch
-// registrations. Labeled `chaos` in CMake (`ctest -L chaos`).
+// fail cleanly when the budget is exhausted, ignore duplicate replies,
+// and deliver each sequenced eviction push once; the manager must answer
+// retransmitted requests from its dedup table (never re-running the
+// grant) and fence stale-epoch registrations. Labeled `chaos` in CMake
+// (`ctest -L chaos`).
 //
 // ASSERT_* is forbidden inside coroutine bodies (it expands to a bare
 // `return`), so server/client coroutines use EXPECT_* plus co_return
 // guards.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "cluster/harness.hpp"
 #include "fabric/fabric.hpp"
@@ -253,6 +256,43 @@ TEST_F(SessionTest, StreamCloseFailsTheCallImmediately) {
   EXPECT_FALSE(reply.ok());
   EXPECT_TRUE(session->closed());
   EXPECT_EQ(session->call_failures(), 1u);
+}
+
+TEST_F(SessionTest, EvictionPushesNeedASeqAndDeduplicate) {
+  // The manager numbers eviction pushes per stream from 1. A duplicated
+  // delivery is counted and dropped, an unsequenced one (seq 0) is
+  // dropped, and a push type that carries no seq passes through.
+  auto session = run_against([](std::shared_ptr<net::TcpStream> s) -> sim::Task<void> {
+    LeaseTerminatedMsg term;
+    term.lease_id = 5;
+    term.seq = 1;
+    s->send(encode(term));
+    s->send(encode(term));  // duplicated delivery
+    term.seq = 0;
+    s->send(encode(term));  // unsequenced
+    LeasesTerminatedMsg sweep;
+    sweep.lease_ids = {6, 7};
+    sweep.seq = 2;
+    s->send(encode(sweep));
+    s->send(encode(FailoverAnnounceMsg{}));
+    co_await sim::delay(1_ms);
+    s->close();
+  });
+  ASSERT_NE(session, nullptr);
+
+  std::vector<MsgType> delivered;
+  sim::spawn(eng, [](std::shared_ptr<Session> ss, std::vector<MsgType>* out) -> sim::Task<void> {
+    while (auto push = co_await ss->next_push()) {
+      auto type = peek_type(*push);
+      EXPECT_TRUE(type.ok());
+      if (type.ok()) out->push_back(type.value());
+    }
+  }(session, &delivered));
+  eng.run();
+
+  EXPECT_EQ(delivered, (std::vector<MsgType>{MsgType::LeaseTerminated, MsgType::LeasesTerminated,
+                                             MsgType::FailoverAnnounce}));
+  EXPECT_EQ(session->duplicate_pushes(), 1u);
 }
 
 // --------------------------------------------------------------------------
