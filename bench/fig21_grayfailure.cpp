@@ -17,7 +17,7 @@
 //      invocation tags; the executor dedup table replays instead of
 //      re-executing (the injector counts every tag it actually ran);
 //   3. detected = injected corruptions — every flipped response payload
-//      is caught by the 12-bit folded FNV checksum in the response imm
+//      is caught by the 12-bit folded CRC-32C checksum in the response imm
 //      and healed by a same-worker dedup replay;
 //   4. hedged tail containment — with one gray executor in the fleet,
 //      p99 completion stays within 5x the fault-free baseline because

@@ -96,9 +96,13 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// CRC32 (IEEE 802.3 polynomial) for payload integrity checks in tests.
-std::uint32_t crc32(std::span<const std::uint8_t> data);
-inline std::uint32_t crc32(const Bytes& b) { return crc32(std::span<const std::uint8_t>(b)); }
+/// CRC-32C (Castagnoli: reflected polynomial 0x82F63B78, init and
+/// xorout 0xFFFFFFFF), the payload CRC of iSCSI (RFC 3720), iWARP MPA
+/// (RFC 5044) and NVMe/TCP. On x86-64 CPUs with SSE4.2 it runs the
+/// `crc32` instruction over 8-byte words; a 256-entry table finishes the
+/// tail and computes every byte on other CPUs. The data plane's payload
+/// checksum and the tests' end-to-end byte checks both use it.
+std::uint32_t crc32c(std::span<const std::uint8_t> data);
 
 /// Deterministic pattern fill used by tests and benches to validate
 /// that bytes were actually moved end to end (zero-copy check).

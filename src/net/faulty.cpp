@@ -75,11 +75,15 @@ WorkerFaultInjector::Decision WorkerFaultInjector::decide(fabric::DeviceId devic
     ++counters_.grays;
     d.gray_delay = pause;
   }
-  if (corrupt) {
-    ++counters_.corruptions;
-    d.corrupt = true;
-  }
+  d.corrupt = corrupt;
   return d;
+}
+
+void WorkerFaultInjector::corrupt(std::span<std::uint8_t> out) {
+  if (out.empty()) return;
+  ++counters_.corruptions;
+  out.front() ^= 0xFF;
+  if (out.size() > 1) out.back() ^= 0xFF;
 }
 
 bool WorkerFaultInjector::note_execution(std::uint64_t tag) {

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -167,6 +168,14 @@ class WorkerFaultInjector {
   /// Draws the fate of one invocation on `device`.
   Decision decide(fabric::DeviceId device);
 
+  /// Carries out a `corrupt` decision on a finished output: flips its
+  /// first and last byte (one byte once when they coincide) and counts
+  /// the corruption. An empty output has nothing to flip and is left
+  /// alone, as is a dispatch that never produced an output (a replay,
+  /// a drop), so `corruptions` counts exactly the outputs a checksum
+  /// must catch.
+  void corrupt(std::span<std::uint8_t> out);
+
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
   /// Notes one execution of `tag`; returns false when the tag was
@@ -179,7 +188,7 @@ class WorkerFaultInjector {
     std::uint64_t crashes = 0;
     std::uint64_t stucks = 0;
     std::uint64_t grays = 0;
-    std::uint64_t corruptions = 0;
+    std::uint64_t corruptions = 0;        ///< outputs corrupt() flipped
     std::uint64_t double_executions = 0;  ///< the fig21 zero-gate
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }

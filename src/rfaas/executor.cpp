@@ -319,10 +319,7 @@ sim::Task<void> Worker::execute_and_reply(const fabric::Wc& wc, bool hot) {
     // stored clean copy instead of re-executing.
     if (header.checksum != 0) reply_csum = fold12(payload_checksum(out_buf_->raw(), out_len));
     if (tag != 0) mgr_.dedup_record(tag, reply_csum, out_buf_->raw(), out_len);
-    if (fault.corrupt && out_len > 0) {
-      out_buf_->raw()[0] ^= 0xFF;
-      out_buf_->raw()[out_len - 1] ^= 0xFF;
-    }
+    if (fault.corrupt) mgr_.worker_faults_->corrupt({out_buf_->raw(), out_len});
   } else {
     ++rejected_;
   }
@@ -734,21 +731,24 @@ bool ExecutorManager::poolable(const Sandbox& sb) const {
 }
 
 const ExecutorManager::DedupEntry* ExecutorManager::dedup_find(std::uint64_t tag) const {
-  auto it = dedup_.find(tag);
-  return it == dedup_.end() ? nullptr : &it->second;
+  auto it = std::find_if(dedup_.begin(), dedup_.end(),
+                         [tag](const DedupEntry& e) { return e.tag == tag; });
+  return it == dedup_.end() ? nullptr : &*it;
 }
 
 void ExecutorManager::dedup_record(std::uint64_t tag, std::uint32_t checksum12,
                                    const std::uint8_t* out, std::uint32_t len) {
-  if (dedup_.contains(tag)) return;
-  dedup_fifo_.push_back(tag);
-  if (dedup_fifo_.size() > kDedupWindow) {
-    dedup_.erase(dedup_fifo_.front());
-    dedup_fifo_.pop_front();
+  if (dedup_find(tag) != nullptr) return;
+  DedupEntry* e = nullptr;
+  if (dedup_.size() < kDedupWindow) {
+    e = &dedup_.emplace_back();
+  } else {
+    e = &dedup_[dedup_oldest_];
+    dedup_oldest_ = (dedup_oldest_ + 1) % kDedupWindow;
   }
-  DedupEntry& e = dedup_[tag];
-  e.checksum12 = checksum12;
-  e.output.assign(out, out + len);
+  e->tag = tag;
+  e->checksum12 = checksum12;
+  e->output.assign(out, out + len);
 }
 
 void ExecutorManager::note_cancel(std::uint64_t tag) {

@@ -18,7 +18,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -281,10 +280,11 @@ class ExecutorManager {
   std::unique_ptr<rdmalib::Buffer<std::uint8_t>> take_pooled_buffer(std::uint64_t bytes);
   void recycle_buffer(std::unique_ptr<rdmalib::Buffer<std::uint8_t>> buf);
 
-  /// Idempotency dedup table (bounded window): a tag that already
-  /// executed on this manager replays its stored reply instead of
-  /// running user code again. Entry absent = never executed here.
+  /// Idempotency dedup window: a tag that already executed on this
+  /// manager replays its stored reply instead of running user code
+  /// again. Entry absent = never executed here (or evicted).
   struct DedupEntry {
+    std::uint64_t tag = 0;
     std::uint32_t checksum12 = 0;           ///< reply imm checksum (0 = unchecked)
     std::vector<std::uint8_t> output;       ///< completed result bytes
   };
@@ -356,8 +356,11 @@ class ExecutorManager {
   /// memory stays flat.
   net::WorkerFaultInjector* worker_faults_ = nullptr;
   static constexpr std::size_t kDedupWindow = 128;
-  std::unordered_map<std::uint64_t, DedupEntry> dedup_;
-  std::deque<std::uint64_t> dedup_fifo_;
+  /// Ring of the last kDedupWindow executions, grown on demand (most
+  /// managers never see a tag) and then overwritten oldest first, each
+  /// slot reusing its output capacity.
+  std::vector<DedupEntry> dedup_;
+  std::size_t dedup_oldest_ = 0;
   static constexpr std::size_t kCancelWindow = 256;
   std::unordered_set<std::uint64_t> cancelled_tags_;
   std::deque<std::uint64_t> cancel_fifo_;

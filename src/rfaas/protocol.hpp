@@ -71,21 +71,23 @@ struct Imm {
   static std::uint32_t result_checksum(std::uint32_t imm) { return imm >> 20; }
 };
 
-/// 32-bit FNV-1a over a payload — the data-plane integrity check. Cheap
-/// enough for the fast path (one multiply per byte), strong enough to
-/// catch the injected bit flips. fold12() compresses it into the 12
-/// imm bits available for the response direction.
+/// CRC-32C over a payload: the data-plane integrity check, the payload
+/// CRC RDMA-class transports use (iWARP MPA, iSCSI, NVMe/TCP). The header
+/// reads 0 as "not checked", and the CRC of an empty payload is 0, so a
+/// zero CRC maps to a fixed nonzero sentinel, on both sides alike.
+/// fold12() compresses it into the 12 imm bits available for the
+/// response direction.
 inline std::uint32_t payload_checksum(const std::uint8_t* data, std::size_t len) {
-  std::uint32_t h = 2166136261u;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 16777619u;
-  }
-  return h;
+  const std::uint32_t crc = crc32c({data, len});
+  return crc != 0 ? crc : 0xFFFFFFFFu;
 }
 
 inline std::uint32_t fold12(std::uint32_t checksum) {
-  const std::uint32_t folded = (checksum ^ (checksum >> 12) ^ (checksum >> 24)) & 0xFFFu;
+  // CRC is linear over GF(2), so any XOR fold of it misses a fixed error
+  // pattern at some payload lengths whatever the data. A multiply by an
+  // odd constant (Fibonacci hashing) carries across bits: which flips
+  // the top 12 bits miss depends on the data, ~1 in 4096.
+  const std::uint32_t folded = (checksum * 0x9E3779B1u) >> 20;
   // 0 means "not checked" on the wire, so a genuinely zero fold maps to
   // a fixed nonzero sentinel — verification stays deterministic.
   return folded != 0 ? folded : 0xFFFu;

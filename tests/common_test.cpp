@@ -2,6 +2,8 @@
 // serialization, CRC, PRNG determinism, units.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "common/base64.hpp"
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
@@ -150,12 +152,45 @@ TEST(Bytes, ReaderRejectsTruncatedString) {
   EXPECT_FALSE(r.str().ok());
 }
 
-TEST(Bytes, Crc32KnownValue) {
-  // CRC32("123456789") = 0xCBF43926 (classic check value).
+TEST(Bytes, Crc32cKnownValues) {
+  // RFC 3720 appendix B.4 vectors, plus the catalogue check value.
+  std::array<std::uint8_t, 32> zeros{}, ones{}, up{}, down{};
+  ones.fill(0xFF);
+  for (std::uint8_t i = 0; i < 32; ++i) {
+    up[i] = i;
+    down[i] = static_cast<std::uint8_t>(31 - i);
+  }
+  EXPECT_EQ(crc32c(zeros), 0x8A9136AAu);
+  EXPECT_EQ(crc32c(ones), 0x62A8AB43u);
+  EXPECT_EQ(crc32c(up), 0x46DD794Eu);
+  EXPECT_EQ(crc32c(down), 0x113FDB5Cu);
   const char* s = "123456789";
-  std::uint32_t crc = crc32(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(s), 9));
-  EXPECT_EQ(crc, 0xCBF43926u);
+  EXPECT_EQ(crc32c({reinterpret_cast<const std::uint8_t*>(s), 9}), 0xE3069283u);
+  EXPECT_EQ(crc32c({}), 0u);
+}
+
+/// One bit at a time, straight from the reflected polynomial.
+std::uint32_t crc32c_reference(std::span<const std::uint8_t> data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0x82F63B78u ^ (c >> 1) : (c >> 1);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Bytes, Crc32cMatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Every length 0..4096 at start offsets 0..7: the 8-byte word loop,
+  // the 0-7 byte table tail and unaligned word loads all meet the
+  // reference.
+  Bytes buf(4096 + 8);
+  fill_pattern(buf, 7);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const std::span<const std::uint8_t> data(buf.data() + offset, len);
+      ASSERT_EQ(crc32c(data), crc32c_reference(data)) << "offset " << offset << " len " << len;
+    }
+  }
 }
 
 TEST(Bytes, PatternIsDeterministicAndSeedSensitive) {

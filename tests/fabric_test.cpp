@@ -698,7 +698,7 @@ TEST_P(PayloadSweep, WriteIntegrityAcrossSizes) {
   wr.rkey = mrB->rkey();
   ASSERT_TRUE(qpA->post_send(wr).ok());
   eng.run();
-  EXPECT_EQ(crc32(src), crc32(dst));
+  EXPECT_EQ(crc32c(src), crc32c(dst));
   EXPECT_EQ(eng.now(), write_latency(n, false));
 }
 

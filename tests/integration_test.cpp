@@ -230,8 +230,8 @@ TEST_P(PolicyPayloadSweep, EchoIntegrityUnderEveryPolicy) {
 
   EXPECT_TRUE(res.ok);
   EXPECT_EQ(res.output_bytes, param.payload);
-  EXPECT_EQ(crc32(std::span<const std::uint8_t>(in.data(), param.payload)),
-            crc32(std::span<const std::uint8_t>(out.data(), param.payload)));
+  EXPECT_EQ(crc32c(std::span<const std::uint8_t>(in.data(), param.payload)),
+            crc32c(std::span<const std::uint8_t>(out.data(), param.payload)));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -4,8 +4,10 @@
 // different type's fields.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "net/http.hpp"
@@ -556,6 +558,37 @@ TEST(ProtocolFastPath, InvocationHeaderRoundTripsAllFaultToleranceFields) {
     EXPECT_EQ(Imm::result_id(imm), 0x7ABCDu);
     EXPECT_FALSE(Imm::rejected(imm));
   }
+}
+
+TEST(ProtocolFastPath, EmptyPayloadChecksumIsNotTheUncheckedMarker) {
+  // A zero header checksum reads "not checked", and the executor then
+  // leaves the reply unstamped too: an empty request must still carry a
+  // nonzero checksum, or a non-empty reply to it would go unchecked.
+  EXPECT_NE(payload_checksum(nullptr, 0), 0u);
+}
+
+TEST(ProtocolFastPath, FoldedChecksumSeesTheInjectedCorruptionAtEveryLength) {
+  // The worker fault injector flips the first and last output byte. A
+  // CRC is linear, so a XOR fold of it would miss that fixed error
+  // pattern at some lengths for every payload; the 12-bit reply channel
+  // may only miss it for particular data (~1 in 4096). Two payloads per
+  // length: at least one of them must see the flips.
+  constexpr std::size_t kMax = 16384;
+  std::vector<std::uint8_t> a(kMax), b(kMax), flipped(kMax);
+  fill_pattern(a, 1);
+  fill_pattern(b, 2);
+  auto caught = [&](const std::vector<std::uint8_t>& payload, std::size_t n) {
+    std::copy_n(payload.begin(), n, flipped.begin());
+    flipped[0] ^= 0xFF;
+    flipped[n - 1] ^= 0xFF;
+    return fold12(payload_checksum(payload.data(), n)) !=
+           fold12(payload_checksum(flipped.data(), n));
+  };
+  std::vector<std::size_t> blind;
+  for (std::size_t n = 2; n <= kMax; ++n) {
+    if (!caught(a, n) && !caught(b, n)) blind.push_back(n);
+  }
+  EXPECT_EQ(blind.size(), 0u) << "first blind length " << (blind.empty() ? 0 : blind.front());
 }
 
 TEST(ProtocolFuzz, RandomCorruptionNeverCrashes) {

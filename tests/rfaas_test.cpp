@@ -682,8 +682,8 @@ TEST_P(PayloadIntegrity, EchoAcrossSizes) {
 
   EXPECT_TRUE(res.ok);
   EXPECT_EQ(res.output_bytes, n);
-  EXPECT_EQ(crc32(std::span<const std::uint8_t>(in.data(), n)),
-            crc32(std::span<const std::uint8_t>(out.data(), n)));
+  EXPECT_EQ(crc32c(std::span<const std::uint8_t>(in.data(), n)),
+            crc32c(std::span<const std::uint8_t>(out.data(), n)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PayloadIntegrity,

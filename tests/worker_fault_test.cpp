@@ -8,8 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
+#include <vector>
 
 #include "cluster/harness.hpp"
 #include "common/units.hpp"
@@ -99,6 +99,7 @@ struct FaultRunOptions {
   bool quarantine_tuning = false;  // short Open windows + deep budget
   std::uint32_t retry_budget = 3;
   Entry entry = Entry::Pooled;
+  std::size_t payload_bytes = 512;
 };
 
 FaultRun run_faulted(const FaultRunOptions& opt, std::uint64_t seed = 1) {
@@ -139,8 +140,7 @@ FaultRun run_faulted(const FaultRunOptions& opt, std::uint64_t seed = 1) {
     if (!st.ok()) co_return;
     invoker->reserve_slots(4, 4096, 4096);
 
-    std::array<std::uint8_t, 512> payload;
-    payload.fill(0x42);
+    const std::vector<std::uint8_t> payload(opt.payload_bytes, 0x42);
     auto in = invoker->input_buffer<std::uint8_t>(payload.size());
     auto out = invoker->output_buffer<std::uint8_t>(payload.size());
     for (unsigned i = 0; i < opt.reps; ++i) {
@@ -237,6 +237,29 @@ TEST(WorkerFaults, CallerBufferCorruptionDetectedByChecksumAndRetried) {
   EXPECT_GT(run.injected.corruptions, 0u);
   EXPECT_EQ(run.corruptions_detected, run.injected.corruptions);
   EXPECT_EQ(run.echo_mismatches, 0u);
+  EXPECT_EQ(run.injected.double_executions, 0u);
+}
+
+TEST(WorkerFaults, OneByteOutputCorruptionIsDetectedAndReplayed) {
+  // The injector flips the first and the last output byte; for a 1-byte
+  // output they are the same byte, which must flip once, not twice back
+  // to clean. Every execution is corrupted and every same-worker retry
+  // replays the stored clean byte. (An empty output has nothing to flip,
+  // so it is never corrupted.) The 8 workers fill two 4-core executors,
+  // so 300 invocations put ~150 on each and wrap its 128-entry dedup
+  // window: replays must still find the newest entries after the oldest
+  // are overwritten.
+  FaultRunOptions opt;
+  opt.fleet.corrupt_p = 1.0;
+  opt.entry = Entry::CallerBuffers;
+  opt.payload_bytes = 1;
+  opt.reps = 300;
+  const auto run = run_faulted(opt);
+  EXPECT_EQ(run.ok, opt.reps);
+  EXPECT_EQ(run.failed, 0u);
+  EXPECT_EQ(run.echo_mismatches, 0u);
+  EXPECT_GT(run.injected.corruptions, 0u);
+  EXPECT_EQ(run.corruptions_detected, run.injected.corruptions);
   EXPECT_EQ(run.injected.double_executions, 0u);
 }
 
