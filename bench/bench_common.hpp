@@ -7,6 +7,8 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -18,6 +20,11 @@
 #include "workloads/faas_functions.hpp"
 
 namespace rfs::bench {
+
+/// Global operator new calls so far in this binary. Only the benches that
+/// gate on allocation counts define it: CMake compiles the counting
+/// operator new/delete of bench/common/alloc_counter.cpp into them.
+extern std::atomic<std::uint64_t> g_allocations;
 
 /// The paper's testbed: nodes with two 18-core Xeon Gold 6154 and a
 /// 100 Gb/s RoCEv2 NIC.

@@ -27,42 +27,11 @@
 //
 // Emits BENCH_fig16_hotpath.json (columns metric/live-leases/indexed/
 // baseline/ratio), gated in CI's bench-smoke job.
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <new>
 
 #include "bench_common.hpp"
 #include "rfaas/protocol.hpp"
 #include "rfaas/sharded_manager.hpp"
-
-// --------------------------------------------------------------------------
-// Allocation counting: every unaligned global new/delete in this binary
-// bumps a counter. The fast-path gate demands zero allocations between
-// two counter reads; the Bytes-API baseline shows what each round trip
-// used to cost.
-// --------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace rfs {
 namespace {

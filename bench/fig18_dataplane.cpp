@@ -28,38 +28,8 @@
 // gated in CI's bench-smoke job. The old paths are kept callable (invoke
 // with per-call buffers, single post/wait, capacity-0 pool) so the
 // comparison stays honest before/after, as in fig16.
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "bench_common.hpp"
 #include "rfaas/protocol.hpp"
-
-// --------------------------------------------------------------------------
-// Allocation counting (same hook as bench/fig16_hotpath.cpp): every
-// unaligned global new/delete in this binary bumps a counter.
-// --------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace rfs {
 namespace {

@@ -35,31 +35,10 @@
 // repro command. CI runs the smoke gate plus a 10-seed matrix; the
 // nightly soak widens the seed set (RFS_CHAOS_SOAK=1 adds repetitions).
 #include <array>
-#include <atomic>
 #include <cinttypes>
 #include <cstring>
-#include <new>
 
 #include "bench_common.hpp"
-
-// Global allocation hook of gate 6 (same shape as fig18): every operator
-// new in the process bumps the counter.
-std::atomic<std::uint64_t> g_allocations{0};
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace rfs {
 namespace {
@@ -132,7 +111,7 @@ ScheduleResult run_schedule(const Schedule& schedule, std::uint64_t seed, unsign
     ft.retry_budget = 6;
     // Short Open windows: HalfOpen probes (which mostly fail against a
     // gray_p=0.9 executor) re-trip the breaker quickly enough that the
-    // manager sees `quarantine_trips` reports within the run.
+    // manager sees ResourceManager::kQuarantineTrips reports in the run.
     ft.breaker_open_timeout = 100_us;
   }
   spec.inject_worker_faults = schedule.fleet.enabled() || schedule.gray.enabled();

@@ -16,8 +16,8 @@
 # link chaos) — the quick loop when iterating on replication.
 # --gray restricts it to the data-plane fault-tolerance suite (the ctest
 # `dataplane-chaos` label: worker-fault injection, deadline/retry/hedging
-# recovery, breaker-driven quarantine, timer wheel) — the quick loop
-# when iterating on gray-failure handling.
+# recovery, breaker-driven quarantine) — the quick loop when iterating
+# on gray-failure handling.
 #
 # Extra cmake arguments (compiler launcher, generators) can be injected
 # through RFS_CMAKE_ARGS, e.g.

@@ -8,7 +8,9 @@ checkouts (for example the parent commit and the change). The script
 runs every fig* bench, ablation_design_choices and billing_accounting of
 each (<build>/bench/<name>) under RFS_SMOKE=1, writing the BENCH_*.json
 files to DIR/parent and DIR/change (default DIR: a new temp directory),
-and compares the two sets byte for byte.
+and compares the two sets byte for byte. It then covers CI's chaos
+matrix the same way: fig19_chaos, fig20_failover and fig21_grayfailure
+run again at RFS_CHAOS_SEED 1 to 10, into DIR/<side>/seed<N>/.
 
 The benches are deterministic virtual-time simulations, so any
 difference means the change moved modelled behaviour. The one exemption
@@ -27,6 +29,9 @@ import sys
 import tempfile
 
 EXTRA_BENCHES = ("ablation_design_choices", "billing_accounting")
+# CI's chaos matrix: these benches run once per seed.
+CHAOS_BENCHES = ("fig19_chaos", "fig20_failover", "fig21_grayfailure")
+CHAOS_SEEDS = range(1, 11)
 # Rows (by their first cell) that hold wall-clock measurements.
 WALL_CLOCK_ROWS = {
     "BENCH_fig16_hotpath.json": {"sweep-us", "reclaim-p99-us", "grant-us-per-op"},
@@ -40,20 +45,46 @@ def bench_names(build):
     return figs | extras
 
 
-def run_benches(build, names, out):
+def run_benches(build, names, out, extra_env=None):
     """Runs each bench of `build` into `out`; returns the failure messages."""
     out.mkdir(parents=True, exist_ok=True)
     for stale in out.glob("BENCH_*.json"):  # a bench that writes nothing must show
         stale.unlink()
-    env = dict(os.environ, RFS_SMOKE="1", RFS_BENCH_JSON_DIR=str(out))
+    env = dict(os.environ, RFS_SMOKE="1", RFS_BENCH_JSON_DIR=str(out), **(extra_env or {}))
     failures = []
     for name in sorted(names):
         with open(out / f"{name}.log", "w") as log:
             run = subprocess.run([str(build / "bench" / name)], cwd=out, env=env, stdout=log,
                                  stderr=subprocess.STDOUT, check=False)
         if run.returncode != 0:
-            failures.append(f"{build}: {name} exited with {run.returncode}")
+            failures.append(f"{build}: {name} exited with {run.returncode} "
+                            f"(log: {out / name}.log)")
     return failures
+
+
+def compare_outputs(parent_dir, change_dir, label):
+    """Compares the BENCH files of two run directories.
+
+    Returns (identical, total, failure messages); `label` prefixes each
+    file name in the messages.
+    """
+    files = {d: {p.name for p in d.glob("BENCH_*.json")} for d in (parent_dir, change_dir)}
+    names = files[parent_dir] | files[change_dir]
+    identical = 0
+    failures = []
+    for name in sorted(names):
+        if name not in files[parent_dir] or name not in files[change_dir]:
+            failures.append(f"{label}{name}: written by one side only")
+            continue
+        parent_raw = (parent_dir / name).read_bytes()
+        change_raw = (change_dir / name).read_bytes()
+        if parent_raw == change_raw:
+            identical += 1
+        elif name in WALL_CLOCK_ROWS:
+            failures += compare_wall_clock(name, parent_raw, change_raw, WALL_CLOCK_ROWS[name])
+        else:
+            failures.append(f"{label}{name}: differs")
+    return identical, len(names), failures
 
 
 def compare_wall_clock(name, parent_raw, change_raw, wall_rows):
@@ -81,7 +112,7 @@ def main():
     parser.add_argument("--out", type=pathlib.Path,
                         help="directory for the two output sets (default: a temp dir)")
     args = parser.parse_args()
-    out = args.out or pathlib.Path(tempfile.mkdtemp(prefix="smoke-diff-"))
+    out = (args.out or pathlib.Path(tempfile.mkdtemp(prefix="smoke-diff-"))).resolve()
 
     sides = {"parent": args.parent_build.resolve(), "change": args.change_build.resolve()}
     names = {side: bench_names(build) for side, build in sides.items()}
@@ -93,23 +124,25 @@ def main():
     for side, build in sides.items():
         print(f"running {len(names[side])} benches of {build} into {out / side}")
         failures += run_benches(build, names[side], out / side)
+    identical, total, diffs = compare_outputs(out / "parent", out / "change", "")
+    failures += diffs
+    print(f"{identical} of {total} BENCH files byte-identical")
 
-    files = {side: {p.name for p in (out / side).glob("BENCH_*.json")} for side in sides}
-    identical = 0
-    for name in sorted(files["parent"] | files["change"]):
-        if name not in files["parent"] or name not in files["change"]:
-            failures.append(f"{name}: written by one side only")
-            continue
-        parent_raw = (out / "parent" / name).read_bytes()
-        change_raw = (out / "change" / name).read_bytes()
-        if parent_raw == change_raw:
-            identical += 1
-        elif name in WALL_CLOCK_ROWS:
-            failures += compare_wall_clock(name, parent_raw, change_raw, WALL_CLOCK_ROWS[name])
-        else:
-            failures.append(f"{name}: differs")
-
-    print(f"{identical} of {len(files['parent'] | files['change'])} BENCH files byte-identical")
+    chaos = {side: names[side] & set(CHAOS_BENCHES) for side in sides}
+    if chaos["parent"] or chaos["change"]:
+        identical = total = 0
+        for seed in CHAOS_SEEDS:
+            for side, build in sides.items():
+                failures += run_benches(build, chaos[side], out / side / f"seed{seed}",
+                                        {"RFS_CHAOS_SEED": str(seed)})
+            same, count, diffs = compare_outputs(out / "parent" / f"seed{seed}",
+                                                 out / "change" / f"seed{seed}",
+                                                 f"seed{seed}/")
+            identical += same
+            total += count
+            failures += diffs
+        print(f"{identical} of {total} chaos BENCH files byte-identical at "
+              f"RFS_CHAOS_SEED {CHAOS_SEEDS.start}-{CHAOS_SEEDS.stop - 1}")
     for failure in failures:
         print(f"FAIL {failure}")
     return 1 if failures else 0

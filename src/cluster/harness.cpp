@@ -21,22 +21,48 @@ double UtilizationTrace::peak_utilization() const {
   return peak;
 }
 
-double UtilizationTrace::grant_latency_percentile(double p) const {
+LeaseCounters& LeaseCounters::operator+=(const LeaseCounters& other) {
+  granted += other.granted;
+  denied += other.denied;
+  renewals += other.renewals;
+  renewal_failures += other.renewal_failures;
+  spurious_expiries += other.spurious_expiries;
+  terminations += other.terminations;
+  reallocations += other.reallocations;
+  realloc_failures += other.realloc_failures;
+  offered += other.offered;
+  overload_denials += other.overload_denials;
+  retries += other.retries;
+  retry_exhausted += other.retry_exhausted;
+  max_retries = std::max(max_retries, other.max_retries);
+  clients_started += other.clients_started;
+  client_deaths += other.client_deaths;
+  reconnects += other.reconnects;
+  reconnect_failures += other.reconnect_failures;
+  grant_latency.insert(grant_latency.end(), other.grant_latency.begin(),
+                       other.grant_latency.end());
+  reclaim_latency.insert(reclaim_latency.end(), other.reclaim_latency.begin(),
+                         other.reclaim_latency.end());
+  blackout_ns.insert(blackout_ns.end(), other.blackout_ns.begin(), other.blackout_ns.end());
+  return *this;
+}
+
+double LeaseCounters::grant_latency_percentile(double p) const {
   if (grant_latency.empty()) return 0;
   return Summary(grant_latency).percentile(p);
 }
 
-double UtilizationTrace::grant_throughput(Duration horizon) const {
+double LeaseCounters::grant_throughput(Duration horizon) const {
   if (horizon == 0) return 0;
   return static_cast<double>(granted) / (static_cast<double>(horizon) * 1e-9);
 }
 
-double UtilizationTrace::reclaim_latency_percentile(double p) const {
+double LeaseCounters::reclaim_latency_percentile(double p) const {
   if (reclaim_latency.empty()) return 0;
   return Summary(reclaim_latency).percentile(p);
 }
 
-double UtilizationTrace::blackout_percentile(double p) const {
+double LeaseCounters::blackout_percentile(double p) const {
   if (blackout_ns.empty()) return 0;
   return Summary(blackout_ns).percentile(p);
 }
@@ -503,7 +529,7 @@ Duration next_arrival_gap(const TenantWorkload& workload, double rate_hz, Rng& r
       // Lognormal gaps with mean 1/rate: E[exp(N(mu, sigma))] = 1/rate
       // puts mu at -ln(rate) - sigma^2/2. Large sigma = long quiets and
       // bursts that arrive inside one admission window.
-      const double sigma = std::max(0.0, workload.heavy_tail_sigma);
+      constexpr double sigma = 2.0;
       const double mu = -std::log(rate_hz) - sigma * sigma / 2.0;
       return static_cast<Duration>(rng.lognormal(mu, sigma) * 1e9);
     }
@@ -615,25 +641,8 @@ UtilizationTrace Harness::run_lease_workload(const LeaseWorkload& workload, Dura
   last_sinks_ = {counters};
 
   UtilizationTrace trace;
+  static_cast<LeaseCounters&>(trace) = *counters;
   trace.samples = *samples;
-  trace.granted = counters->granted;
-  trace.denied = counters->denied;
-  trace.renewals = counters->renewals;
-  trace.renewal_failures = counters->renewal_failures;
-  trace.spurious_expiries = counters->spurious_expiries;
-  trace.terminations = counters->terminations;
-  trace.reallocations = counters->reallocations;
-  trace.realloc_failures = counters->realloc_failures;
-  trace.offered = counters->offered;
-  trace.overload_denials = counters->overload_denials;
-  trace.retries = counters->retries;
-  trace.retry_exhausted = counters->retry_exhausted;
-  trace.max_retries = counters->max_retries;
-  trace.reconnects = counters->reconnects;
-  trace.reconnect_failures = counters->reconnect_failures;
-  trace.grant_latency = counters->grant_latency;
-  trace.reclaim_latency = counters->reclaim_latency;
-  trace.blackout_ns = counters->blackout_ns;
   refresh_chaos_counters(trace);
   return trace;
 }
@@ -803,37 +812,10 @@ MultiTenantTrace Harness::run_multi_tenant_workload(const std::vector<TenantWork
   trace.aggregate.samples = *samples;
   for (std::size_t t = 0; t < tenants.size(); ++t) {
     TenantTrace tenant;
+    static_cast<LeaseCounters&>(tenant) = *sinks[t];
     tenant.name = tenants[t].name;
     tenant.weight = tenants[t].weight;
-    tenant.offered = sinks[t]->offered;
-    tenant.granted = sinks[t]->granted;
-    tenant.denied = sinks[t]->denied;
-    tenant.overload_denials = sinks[t]->overload_denials;
-    tenant.retries = sinks[t]->retries;
-    tenant.retry_exhausted = sinks[t]->retry_exhausted;
-    tenant.max_retries = sinks[t]->max_retries;
-    tenant.grant_latency = sinks[t]->grant_latency;
-    trace.aggregate.offered += tenant.offered;
-    trace.aggregate.overload_denials += tenant.overload_denials;
-    trace.aggregate.retries += tenant.retries;
-    trace.aggregate.retry_exhausted += tenant.retry_exhausted;
-    trace.aggregate.max_retries = std::max(trace.aggregate.max_retries, tenant.max_retries);
-    trace.aggregate.granted += tenant.granted;
-    trace.aggregate.denied += tenant.denied;
-    trace.aggregate.renewals += sinks[t]->renewals;
-    trace.aggregate.renewal_failures += sinks[t]->renewal_failures;
-    trace.aggregate.spurious_expiries += sinks[t]->spurious_expiries;
-    trace.aggregate.terminations += sinks[t]->terminations;
-    trace.aggregate.reallocations += sinks[t]->reallocations;
-    trace.aggregate.realloc_failures += sinks[t]->realloc_failures;
-    trace.aggregate.reconnects += sinks[t]->reconnects;
-    trace.aggregate.reconnect_failures += sinks[t]->reconnect_failures;
-    trace.aggregate.reclaim_latency.insert(trace.aggregate.reclaim_latency.end(),
-                                           sinks[t]->reclaim_latency.begin(),
-                                           sinks[t]->reclaim_latency.end());
-    trace.aggregate.grant_latency.insert(trace.aggregate.grant_latency.end(),
-                                         tenant.grant_latency.begin(),
-                                         tenant.grant_latency.end());
+    trace.aggregate += tenant;
     trace.tenants.push_back(std::move(tenant));
   }
   refresh_chaos_counters(trace.aggregate);

@@ -98,12 +98,6 @@ struct ScenarioSpec {
   /// Always generates exactly `executors` executors.
   static ScenarioSpec large_fleet(unsigned executors, unsigned clients, unsigned racks = 8,
                                   std::uint64_t seed = 2023);
-
-  [[nodiscard]] unsigned total_executors() const {
-    unsigned n = 0;
-    for (const auto& g : executors) n += g.count;
-    return n;
-  }
 };
 
 /// Parameters of the lease-level open-loop workload each client runs
@@ -151,15 +145,10 @@ struct LeaseWorkload {
   }
 };
 
-/// Result of a lease workload run: the sampled worker-utilization trace,
-/// grant/denial counters, and the client-observed grant latencies
-/// (request sent -> grant received, virtual nanoseconds).
-struct UtilizationTrace {
-  struct Sample {
-    Time at = 0;
-    double utilization_pct = 0;  // busy workers / total workers
-  };
-  std::vector<Sample> samples;
+/// Counters of a lease workload run, or of one tenant's share of it:
+/// grant/denial tallies, lease-lifecycle events, overload and failover
+/// accounting, and the client-observed latency samples (virtual ns).
+struct LeaseCounters {
   std::uint64_t granted = 0;
   std::uint64_t denied = 0;
   std::uint64_t renewals = 0;           // successful ExtendLease round trips
@@ -174,12 +163,6 @@ struct UtilizationTrace {
   std::uint64_t retries = 0;            // shed requests re-attempted within budget
   std::uint64_t retry_exhausted = 0;    // arrivals whose retry budget ran dry
   std::uint64_t max_retries = 0;        // most retries any single arrival spent
-  // Chaos accounting, summed over every client session of the run.
-  std::uint64_t retransmits = 0;        // timed-out requests sent again
-  std::uint64_t call_failures = 0;      // calls that exhausted the retransmit budget
-  std::uint64_t duplicate_replies = 0;  // replies absorbed by session dedup
-  std::uint64_t duplicate_pushes = 0;   // eviction pushes absorbed by seq dedup
-  std::uint64_t double_grants = 0;      // duplicate grant with a DIFFERENT lease id
   std::uint64_t clients_started = 0;
   std::uint64_t client_deaths = 0;      // loops that died on a transport failure
   // Failover accounting (manager kill + standby promotion).
@@ -194,8 +177,10 @@ struct UtilizationTrace {
   /// bench gates its p99 against the unloaded grant tail.
   std::vector<double> blackout_ns;
 
-  [[nodiscard]] double mean_utilization() const;
-  [[nodiscard]] double peak_utilization() const;
+  /// Adds `other`'s counts, keeps the larger max_retries and appends
+  /// its latency samples.
+  LeaseCounters& operator+=(const LeaseCounters& other);
+
   /// Linear-interpolated grant-latency percentile, 0 when no grants.
   [[nodiscard]] double grant_latency_percentile(double p) const;
   /// Grants per virtual second over `horizon`.
@@ -223,6 +208,25 @@ struct UtilizationTrace {
   }
 };
 
+/// Result of a lease workload run: the sampled worker-utilization trace,
+/// the run's lease counters, and the chaos counters of its sessions.
+struct UtilizationTrace : LeaseCounters {
+  struct Sample {
+    Time at = 0;
+    double utilization_pct = 0;  // busy workers / total workers
+  };
+  std::vector<Sample> samples;
+  // Chaos accounting, summed over every client session of the run.
+  std::uint64_t retransmits = 0;        // timed-out requests sent again
+  std::uint64_t call_failures = 0;      // calls that exhausted the retransmit budget
+  std::uint64_t duplicate_replies = 0;  // replies absorbed by session dedup
+  std::uint64_t duplicate_pushes = 0;   // eviction pushes absorbed by seq dedup
+  std::uint64_t double_grants = 0;      // duplicate grant with a DIFFERENT lease id
+
+  [[nodiscard]] double mean_utilization() const;
+  [[nodiscard]] double peak_utilization() const;
+};
+
 /// Arrival process of one tenant's request generator.
 enum class ArrivalProcess : std::uint8_t {
   /// Legacy closed loop: one outstanding request per client, exponential
@@ -236,9 +240,9 @@ enum class ArrivalProcess : std::uint8_t {
   /// peak rate): a compressed diurnal demand curve whose peak is
   /// `arrival_hz` and trough is ~10% of it.
   Diurnal,
-  /// Open loop, lognormal inter-arrivals with the same mean rate but
-  /// heavy-tailed gaps — long quiets punctured by bursts that slam the
-  /// admission window all at once.
+  /// Open loop, lognormal inter-arrivals (sigma 2) with the same mean
+  /// rate but heavy-tailed gaps — long quiets punctured by bursts that
+  /// slam the admission window all at once.
   HeavyTail,
 };
 
@@ -280,22 +284,12 @@ struct TenantWorkload {
   Duration retry_backoff = 5_ms;
   /// Period of the Diurnal modulation.
   Duration diurnal_period = 60_s;
-  /// Lognormal sigma of HeavyTail inter-arrival gaps.
-  double heavy_tail_sigma = 2.0;
 };
 
 /// Per-tenant slice of a multi-tenant run.
-struct TenantTrace {
+struct TenantTrace : LeaseCounters {
   std::string name;
   std::uint32_t weight = 1;
-  std::uint64_t offered = 0;  ///< arrivals generated (open loop: offered load)
-  std::uint64_t granted = 0;
-  std::uint64_t denied = 0;
-  std::uint64_t overload_denials = 0;  ///< admission sheds (subset of denied)
-  std::uint64_t retries = 0;           ///< shed requests re-attempted
-  std::uint64_t retry_exhausted = 0;   ///< arrivals whose retry budget ran dry
-  std::uint64_t max_retries = 0;       ///< most retries any single arrival spent
-  std::vector<double> grant_latency;  // ns
 };
 
 struct MultiTenantTrace {
@@ -322,9 +316,7 @@ class Harness {
 
   [[nodiscard]] std::size_t executor_count() const { return executors_.size(); }
   [[nodiscard]] rfaas::ExecutorManager& executor(std::size_t i) { return *executors_.at(i); }
-  [[nodiscard]] sim::Host& executor_host(std::size_t i) { return *executor_hosts_.at(i); }
 
-  [[nodiscard]] std::size_t client_count() const { return client_hosts_.size(); }
   [[nodiscard]] sim::Host& client_host(std::size_t i) { return *client_hosts_.at(i); }
   [[nodiscard]] fabric::Device& client_device(std::size_t i) { return *client_devices_.at(i); }
 
@@ -434,27 +426,7 @@ class Harness {
  private:
   // Heap-shared so client coroutines still parked on a hold/think delay
   // when the horizon ends can outlive run_lease_workload() safely.
-  struct WorkloadCounters {
-    std::uint64_t granted = 0;
-    std::uint64_t denied = 0;
-    std::uint64_t renewals = 0;
-    std::uint64_t renewal_failures = 0;
-    std::uint64_t spurious_expiries = 0;
-    std::uint64_t terminations = 0;
-    std::uint64_t reallocations = 0;
-    std::uint64_t realloc_failures = 0;
-    std::uint64_t offered = 0;
-    std::uint64_t overload_denials = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t retry_exhausted = 0;
-    std::uint64_t max_retries = 0;
-    std::uint64_t clients_started = 0;
-    std::uint64_t client_deaths = 0;
-    std::uint64_t reconnects = 0;
-    std::uint64_t reconnect_failures = 0;
-    std::vector<double> grant_latency;
-    std::vector<double> reclaim_latency;
-    std::vector<double> blackout_ns;
+  struct WorkloadCounters : LeaseCounters {
     /// Every session the run's clients opened (request + notification),
     /// harvested when traces are built — kept as shared_ptrs so chaos
     /// counters stay readable after the owning loop unwound.

@@ -123,9 +123,4 @@ std::size_t Device::destroyed_qps() const {
   return n;
 }
 
-QueuePair* Device::find_qp(std::uint32_t qp_num) const {
-  auto it = qps_.find(qp_num);
-  return it == qps_.end() ? nullptr : it->second.get();
-}
-
 }  // namespace rfs::fabric

@@ -141,8 +141,6 @@ class Device {
   /// fabric is quiet).
   [[nodiscard]] std::size_t destroyed_qps() const;
 
-  [[nodiscard]] QueuePair* find_qp(std::uint32_t qp_num) const;
-
  private:
   void free_pd(ProtectionDomain* pd);
 

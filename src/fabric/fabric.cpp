@@ -6,13 +6,11 @@ QueuePair* ConnectRequest::accept(Device& dev, ProtectionDomain* pd, CompletionQ
                                   CompletionQueue* recv_cq, Bytes reply_data) {
   QueuePair* qp = dev.create_qp(pd, send_cq, recv_cq);
   QueuePair::connect_pair(*client_qp_, *qp);
-  decided_ = true;
   decision_.set_value(Result<Connected>(Connected{client_qp_, std::move(reply_data)}));
   return qp;
 }
 
 void ConnectRequest::reject(std::string reason) {
-  decided_ = true;
   decision_.set_value(Result<Connected>(Error::make(10, "connection rejected: " + reason)));
 }
 

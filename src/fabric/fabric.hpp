@@ -44,14 +44,11 @@ class ConnectRequest {
   /// Rejects the connection; the initiator's connect() returns an error.
   void reject(std::string reason);
 
-  [[nodiscard]] bool decided() const { return decided_; }
-
  private:
   friend class Fabric;
   QueuePair* client_qp_;
   Bytes private_data_;
   sim::Promise<Result<Connected>> decision_;
-  bool decided_ = false;
 };
 
 /// Listening endpoint identified by (device, port).

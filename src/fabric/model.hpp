@@ -55,11 +55,6 @@ struct NetworkModel {
     return transfer_time(bytes, bandwidth_Bps);
   }
 
-  /// Duration of transferring `bytes` through the TCP stack.
-  [[nodiscard]] Duration tcp_wire_time(std::uint64_t bytes) const {
-    return transfer_time(bytes, tcp_bandwidth_Bps);
-  }
-
   /// Cost of registering a memory region of `bytes`.
   [[nodiscard]] Duration mr_register_time(std::uint64_t bytes) const {
     std::uint64_t pages = (bytes + 4095) / 4096;

@@ -39,7 +39,6 @@ class TcpStream : public std::enable_shared_from_this<TcpStream> {
   void close();
 
   [[nodiscard]] bool closed() const { return closed_; }
-  [[nodiscard]] fabric::DeviceId local_device() const { return local_; }
   [[nodiscard]] fabric::DeviceId remote_device() const { return remote_; }
 
  private:

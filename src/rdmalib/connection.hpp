@@ -59,17 +59,6 @@ class Connection {
   /// linked-list form); N WRs cost one post_overhead, not N.
   Status post_many(std::span<fabric::SendWr> wrs) { return qp_->post_send_many(wrs); }
 
-  /// Posts a receive covering the raw region of `buf`.
-  template <typename T>
-  Status post_recv_buffer(Buffer<T>& buf, std::uint64_t wr_id) {
-    fabric::RecvWr wr;
-    wr.wr_id = wr_id;
-    wr.sge.push_back(fabric::Sge{reinterpret_cast<std::uint64_t>(buf.raw()),
-                                 static_cast<std::uint32_t>(buf.raw_bytes()),
-                                 buf.mr() != nullptr ? buf.mr()->lkey() : 0});
-    return qp_->post_recv(std::move(wr));
-  }
-
   /// Posts an empty receive (used for WRITE_WITH_IMM notifications where
   /// data lands via rkey and the receive only carries the event).
   Status post_recv_empty(std::uint64_t wr_id) { return qp_->post_recv({wr_id, {}}); }

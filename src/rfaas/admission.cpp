@@ -6,21 +6,17 @@
 namespace rfs::rfaas {
 
 namespace {
-double default_burst(double rate_hz, double configured) {
-  if (configured > 0) return configured;
-  // ~10 ms of line-rate burst, but never less than one whole token —
-  // a burst below 1 would shed every request including the first.
-  return std::max(1.0, rate_hz / 100.0);
-}
+// ~10 ms of line-rate burst, but never less than one whole token — a
+// burst below 1 would shed every request including the first.
+double default_burst(double rate_hz) { return std::max(1.0, rate_hz / 100.0); }
 }  // namespace
 
 Admission::Admission(AdmissionConfig config) : config_(config) {
   enabled_ = config_.enabled();
   capacity_.rate_hz = config_.capacity_hz;
-  capacity_.burst = default_burst(config_.capacity_hz, config_.capacity_burst);
+  capacity_.burst = default_burst(config_.capacity_hz);
   capacity_.tokens = capacity_.burst;
   capacity_.limited = config_.capacity_hz > 0;
-  if (config_.default_weight == 0) config_.default_weight = 1;
   for (auto [tenant, weight] : config_.tenant_weights) set_weight(tenant, weight);
 }
 
@@ -43,10 +39,10 @@ Admission::Tenant& Admission::tenant_slot(std::uint32_t tenant) {
   auto [it, inserted] = tenants_.try_emplace(tenant);
   Tenant& t = it->second;
   if (inserted) {
-    t.weight = config_.default_weight;
     t.finish = vtime_;  // a newcomer starts at global time, owing nothing
     t.bucket.rate_hz = config_.tenant_rate_hz;
-    t.bucket.burst = default_burst(config_.tenant_rate_hz, config_.tenant_burst);
+    t.bucket.burst = config_.tenant_burst > 0 ? config_.tenant_burst
+                                              : default_burst(config_.tenant_rate_hz);
     t.bucket.tokens = t.bucket.burst;
     t.bucket.limited = config_.tenant_rate_hz > 0;
     weight_sum_ += t.weight;

@@ -68,7 +68,7 @@ class Admission {
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// Sets a tenant's WFQ weight (>= 1; 0 is clamped to 1). Unknown
-  /// tenants default to `config.default_weight`.
+  /// tenants have weight 1.
   void set_weight(std::uint32_t tenant, std::uint32_t weight);
 
   /// Overrides one tenant's policing bucket (rate 0 + burst 0 = always

@@ -68,11 +68,10 @@ struct BillingRates {
 /// turns into collapse.
 struct AdmissionConfig {
   /// Aggregate admission capacity (requests/s) shared by all tenants
-  /// under WFQ (0 disables the capacity/WFQ layer).
+  /// under WFQ (0 disables the capacity/WFQ layer). The capacity bucket
+  /// holds capacity_hz/100 requests of burst (min 1): about 10 ms at
+  /// line rate.
   double capacity_hz = 0;
-  /// Burst depth of the capacity bucket (requests; 0 = capacity_hz/100,
-  /// min 1 — about 10 ms of line-rate burst).
-  double capacity_burst = 0;
   /// Default per-tenant policing rate (requests/s; 0 disables policing
   /// for tenants without an explicit override).
   double tenant_rate_hz = 0;
@@ -83,11 +82,9 @@ struct AdmissionConfig {
   /// ahead of the global virtual time (credit * w requests of burst
   /// before weight-proportional shedding kicks in).
   double wfq_credit = 8;
-  /// Default WFQ weight of a tenant with no explicit weight.
-  std::uint32_t default_weight = 1;
   /// Explicit per-tenant weights, applied at manager construction
-  /// (tenant id, weight). Weights can also be set later through
-  /// Admission::set_weight.
+  /// (tenant id, weight); every other tenant has weight 1. Weights can
+  /// also be set later through Admission::set_weight.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> tenant_weights;
   /// Bounds of the retry_after hint carried by LeaseDenied.
   Duration retry_after_min = 1_ms;
@@ -105,10 +102,11 @@ struct AdmissionConfig {
 /// `retry_budget` times (the executor dedup table guarantees a retried
 /// invocation never double-executes). Hedging launches a backup on a
 /// second warm worker after `hedge_delay`; first response wins, the
-/// loser is cancelled. The per-worker EWMA/circuit-breaker knobs feed
-/// gray-failure detection: a tripped breaker steers traffic off the
-/// worker and reports the executor to the resource manager, which
-/// quarantines (drains) it after `quarantine_trips` trips.
+/// loser is cancelled. A per-executor EWMA and circuit breaker
+/// (HealthTracker) feed gray-failure detection: a tripped breaker steers
+/// traffic off the executor and reports it to the resource manager,
+/// which quarantines (drains) it after ResourceManager::kQuarantineTrips
+/// trips.
 struct FaultToleranceConfig {
   /// Per-invocation deadline (0 = unbounded, the seed behaviour).
   Duration invocation_deadline = 0;
@@ -119,16 +117,8 @@ struct FaultToleranceConfig {
   bool hedging = false;
   /// Hedge trigger (0 = auto: a multiple of the observed EWMA latency).
   Duration hedge_delay = 0;
-  /// Smoothing factor of the per-worker latency/failure EWMAs.
-  double ewma_alpha = 0.2;
-  /// Breaker trips when the failure EWMA crosses this fraction...
-  double breaker_failure_threshold = 0.5;
-  /// ...after at least this many observations (cold workers don't trip).
-  std::uint32_t breaker_min_samples = 4;
   /// Open -> HalfOpen probe delay of the circuit breaker.
   Duration breaker_open_timeout = 50_ms;
-  /// Breaker trips of one executor before the manager drains it.
-  std::uint32_t quarantine_trips = 2;
   /// Stamp and verify payload checksums (request header field + the
   /// 12-bit response imm checksum); a mismatch counts as a failure and
   /// triggers a retry.
@@ -208,17 +198,10 @@ struct Config {
   /// provider-funded cost of keep-alive; clients are not billed for it).
   std::uint32_t warm_pool_capacity = 0;
 
-  /// Predictive eviction (the SeBS keep-alive model): the pool keeps a
-  /// per-function histogram of observed idle times between retire and
-  /// revive; a pooled sandbox's keep-alive horizon is this quantile of
-  /// its function's idle distribution, clamped to the bounds below.
-  /// Functions with no history yet get the max (optimistic start).
-  double warm_pool_quantile = 0.99;
-  /// Safety factor on the predicted horizon: idle gaps jitter, and a gap
-  /// marginally above every previous observation would otherwise always
-  /// evict. The padded horizon trades a little held memory for not
-  /// cold-starting a tenant whose cadence drifted a few percent.
-  double warm_pool_horizon_margin = 1.5;
+  /// Predictive eviction (the SeBS keep-alive model): a pooled sandbox's
+  /// keep-alive horizon is predicted from its function's observed idle
+  /// times (ExecutorManager::keepalive_horizon) and clamped to these
+  /// bounds. Functions with no history yet get the max (optimistic start).
   Duration warm_pool_min_keepalive = 1_s;
   Duration warm_pool_max_keepalive = 120_s;
   Duration warm_pool_sweep_period = 1_s;

@@ -404,7 +404,7 @@ void ExecutorManager::start(fabric::DeviceId rm_device, std::uint16_t rm_port) {
   if (config_.warm_pool_capacity > 0) sim::spawn(engine_, warm_pool_sweeper());
 }
 
-void ExecutorManager::stop(bool crash) {
+void ExecutorManager::stop() {
   alive_ = false;
   std::vector<std::uint64_t> ids;
   for (auto& [id, sb] : sandboxes_) ids.push_back(id);
@@ -424,8 +424,6 @@ void ExecutorManager::stop(bool crash) {
     bury(std::move(sb));
   }
   if (rm_session_) rm_session_->stream()->close();
-  (void)crash;  // a graceful stop and a crash differ only in notifications,
-                // which stop sending either way once alive_ is false
 }
 
 std::size_t ExecutorManager::live_sandboxes() const {
@@ -800,14 +798,20 @@ void ExecutorManager::bury(std::unique_ptr<Sandbox> sb) {
 }
 
 Duration ExecutorManager::keepalive_horizon(const Sandbox& sb) const {
+  // The horizon covers the 99th percentile of the function's idle gaps,
+  // padded by half: idle gaps jitter, and a gap marginally above every
+  // previous observation would otherwise always evict. The padding
+  // trades a little held memory for not cold-starting a tenant whose
+  // cadence drifted a few percent.
+  constexpr double kQuantile = 0.99;
+  constexpr double kMargin = 1.5;
   auto it = idle_history_.find(function_key(sb));
   if (it == idle_history_.end() || it->second.count() == 0) {
     // No history yet: optimistic start, the first idle samples decide.
     return config_.warm_pool_max_keepalive;
   }
-  const Duration q = it->second.quantile(config_.warm_pool_quantile);
-  const auto padded =
-      static_cast<Duration>(static_cast<double>(q) * config_.warm_pool_horizon_margin);
+  const Duration q = it->second.quantile(kQuantile);
+  const auto padded = static_cast<Duration>(static_cast<double>(q) * kMargin);
   return std::clamp(padded, config_.warm_pool_min_keepalive, config_.warm_pool_max_keepalive);
 }
 

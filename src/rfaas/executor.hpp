@@ -187,9 +187,9 @@ class ExecutorManager {
   /// Starts the allocator actors and registers with the resource manager.
   void start(fabric::DeviceId rm_device, std::uint16_t rm_port);
 
-  /// Stops serving. `crash = true` simulates failure: sandboxes die and
-  /// heartbeats stop without notifying anyone.
-  void stop(bool crash = false);
+  /// Stops serving, as a crash would: sandboxes die and heartbeats stop
+  /// without notifying anyone.
+  void stop();
 
   [[nodiscard]] sim::Host& host() { return host_; }
   [[nodiscard]] fabric::Device& device() { return device_; }

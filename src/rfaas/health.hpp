@@ -21,7 +21,6 @@
 #include <cstdint>
 
 #include "common/units.hpp"
-#include "rfaas/config.hpp"
 
 namespace rfs::rfaas {
 
@@ -29,15 +28,22 @@ class HealthTracker {
  public:
   enum class Breaker : std::uint8_t { Closed, Open, HalfOpen };
 
-  HealthTracker() = default;
-  explicit HealthTracker(const FaultToleranceConfig& cfg) : cfg_(cfg) {}
+  /// Smoothing factor of the latency and failure EWMAs.
+  static constexpr double kEwmaAlpha = 0.2;
+  /// The breaker trips when the failure EWMA crosses this fraction...
+  static constexpr double kFailureThreshold = 0.5;
+  /// ...after at least this many observations (cold workers don't trip).
+  static constexpr std::uint64_t kMinSamples = 4;
+
+  /// `open_timeout`: Open -> HalfOpen probe delay of the breaker.
+  explicit HealthTracker(Duration open_timeout) : open_timeout_(open_timeout) {}
 
   /// Records one invocation outcome. `latency` only feeds the latency
   /// EWMA on success (a timeout's latency is the deadline, not a signal).
   void record(bool ok, Duration latency, Time now) {
     ++samples_;
     ok ? ++ok_count_ : ++fail_count_;
-    const double a = cfg_.ewma_alpha;
+    const double a = kEwmaAlpha;
     failure_ewma_ = (1.0 - a) * failure_ewma_ + a * (ok ? 0.0 : 1.0);
     if (ok) {
       latency_ewma_ = latency_ewma_ == 0
@@ -46,10 +52,7 @@ class HealthTracker {
     }
     switch (breaker_) {
       case Breaker::Closed:
-        if (samples_ >= cfg_.breaker_min_samples &&
-            failure_ewma_ > cfg_.breaker_failure_threshold) {
-          trip(now);
-        }
+        if (samples_ >= kMinSamples && failure_ewma_ > kFailureThreshold) trip(now);
         break;
       case Breaker::HalfOpen:
         if (ok) {
@@ -84,7 +87,6 @@ class HealthTracker {
   }
 
   [[nodiscard]] Breaker state() const { return breaker_; }
-  [[nodiscard]] double failure_rate() const { return failure_ewma_; }
   [[nodiscard]] Duration ewma_latency() const { return static_cast<Duration>(latency_ewma_); }
   /// Closed->Open transitions so far — the quarantine trigger counts
   /// these, not raw failures, so one burst cannot drain an executor.
@@ -96,11 +98,11 @@ class HealthTracker {
  private:
   void trip(Time now) {
     breaker_ = Breaker::Open;
-    open_until_ = now + cfg_.breaker_open_timeout;
+    open_until_ = now + open_timeout_;
     ++trips_;
   }
 
-  FaultToleranceConfig cfg_{};
+  Duration open_timeout_;
   double failure_ewma_ = 0.0;
   double latency_ewma_ = 0.0;
   std::uint64_t samples_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "common/log.hpp"
 
@@ -449,63 +450,38 @@ sim::Task<void> LeaseSet::renew_loop(std::shared_ptr<State> state, std::uint64_t
       continue;
     }
 
-    // Sync the renewal timer wheel with the tracked set: every lease
-    // gets one timer at (expires_at - margin); track()/renewal moved a
-    // deadline -> rearm; untracked leases lose their timer. The wheel
-    // replaces the per-iteration O(leases) min-scan with O(changes).
+    // Renewal instants come straight from the lease table: a lease is
+    // due once its remaining validity drops below the margin.
+    const Time now = engine.now();
+    std::vector<std::pair<Time, std::uint64_t>> due_ids;
+    Time next = std::numeric_limits<Time>::max();
     for (const auto& [id, t] : state->leases) {
       const Duration margin = effective_margin(state->options, t.original_timeout);
-      // Clamp to 1: the wheel reserves deadline 0 for "nothing armed",
-      // and a past-due deadline still fires on the next advance().
-      const Time at = std::max<Time>(t.expires_at > margin ? t.expires_at - margin : 0, 1);
-      auto timer_it = state->lease_timers.find(id);
-      if (timer_it == state->lease_timers.end()) {
-        const auto tid = state->renew_wheel.arm(at);
-        state->lease_timers.emplace(id, tid);
-        state->timer_leases.emplace(tid, id);
-      } else if (state->renew_wheel.deadline_of(timer_it->second) != at) {
-        (void)state->renew_wheel.rearm(timer_it->second, at);
-      }
-    }
-    for (auto it = state->lease_timers.begin(); it != state->lease_timers.end();) {
-      if (!state->leases.contains(it->first)) {
-        state->renew_wheel.cancel(it->second);
-        state->timer_leases.erase(it->second);
-        it = state->lease_timers.erase(it);
+      const Time at = t.expires_at > margin ? t.expires_at - margin : 0;
+      if (at <= now) {
+        due_ids.emplace_back(at, id);
       } else {
-        ++it;
+        next = std::min(next, at);
       }
     }
-
-    const Time due = state->renew_wheel.next_deadline();
-    if (due > engine.now()) {
+    if (due_ids.empty()) {
       // Sleep until the earliest renewal is due, interruptibly: track()
       // may add a lease due sooner than this target and stop() must not
       // leave the actor dozing — both set the wake event, and the waker
-      // sets it at the deadline. Either way the loop recomputes (and the
-      // top-of-loop sync re-arms the wheel for whatever changed).
+      // sets it at the deadline. Either way the loop recomputes.
       state->wake.reset();
-      sim::spawn(engine, wake_at(state, due - engine.now()));
+      sim::spawn(engine, wake_at(state, next - now));
       co_await state->wake.wait();
       continue;
     }
 
-    // Fire everything due. Ids are snapshotted because renew_one
-    // suspends (and may untrack on expiry); a renewal that fails
-    // transiently re-arms at its (now past) deadline on the next sync,
-    // so the retry is immediate but bounded by the backoff below.
-    std::vector<sim::TimerWheel::Id> fired;
-    state->renew_wheel.advance(engine.now(), fired);
-    std::vector<std::uint64_t> due_ids;
-    for (const auto tid : fired) {
-      auto lease_it = state->timer_leases.find(tid);
-      if (lease_it == state->timer_leases.end()) continue;  // untracked meanwhile
-      due_ids.push_back(lease_it->second);
-      state->lease_timers.erase(lease_it->second);
-      state->timer_leases.erase(lease_it);
-    }
+    // Renew everything due, earliest instant first (ties by lease id).
+    // The ids are a snapshot because each renewal suspends (and may
+    // untrack on expiry); a renewal that fails transiently stays due, so
+    // the retry is immediate but bounded by the backoff below.
+    std::sort(due_ids.begin(), due_ids.end());
     bool failed = false;
-    for (std::uint64_t id : due_ids) {
+    for (const auto& [at, id] : due_ids) {
       if (!active()) break;
       auto it = state->leases.find(id);
       if (it == state->leases.end()) continue;
@@ -627,10 +603,6 @@ sim::Task<Status> Invoker::allocate(const AllocationSpec& spec) {
         spec.renew_margin != 0 ? spec.renew_margin : spec.lease_timeout / 4;
     opts.extension = spec.lease_timeout;
     opts.self_heal = spec.self_heal;
-    opts.realloc_budget = spec.realloc_budget;
-    opts.realloc_backoff = spec.realloc_backoff;
-    opts.honor_retry_after = spec.honor_retry_after;
-    opts.backoff_jitter = spec.backoff_jitter;
     // Per-client jitter streams: a herd of healing invokers must not
     // share one backoff schedule.
     opts.jitter_seed = 0x5eed ^ (static_cast<std::uint64_t>(client_id_) << 17);
@@ -1161,12 +1133,12 @@ sim::Task<void> Invoker::reap_worker(std::size_t widx) {
 }
 
 void Invoker::record_outcome(fabric::DeviceId device, bool ok, Duration latency) {
-  auto [it, inserted] = health_.try_emplace(device, config_.fault_tolerance);
+  auto [it, inserted] = health_.try_emplace(device, config_.fault_tolerance.breaker_open_timeout);
   HealthTracker& h = it->second;
   const unsigned trips_before = h.trips();
   h.record(ok, latency, engine_.now());
   if (ok) {
-    const double a = config_.fault_tolerance.ewma_alpha;
+    const double a = HealthTracker::kEwmaAlpha;
     latency_ewma_ = latency_ewma_ == 0
                         ? static_cast<double>(latency)
                         : (1.0 - a) * latency_ewma_ + a * static_cast<double>(latency);

@@ -33,7 +33,6 @@
 #include "rfaas/session.hpp"
 #include "sim/host.hpp"
 #include "sim/sync.hpp"
-#include "sim/timer_wheel.hpp"
 
 namespace rfs::rfaas {
 
@@ -254,13 +253,6 @@ class LeaseSet {
     /// cleared by stop() and the destructor so in-flight re-allocations
     /// retire instead of touching a torn-down owner.
     bool healing_enabled = false;
-    /// Renewal due-times live on a deadline-bucketed timer wheel (shared
-    /// data structure with the invocation deadline path); the two maps
-    /// translate between wheel timer ids and lease ids. Synced lazily at
-    /// the top of every renewal-loop pass.
-    sim::TimerWheel renew_wheel;
-    std::map<sim::TimerWheel::Id, std::uint64_t> timer_leases;
-    std::map<std::uint64_t, sim::TimerWheel::Id> lease_timers;
     /// origin -> current *primary* lease id of every tracked chain (a
     /// partially healed chain may track further secondary leases that
     /// share the origin).
@@ -331,18 +323,9 @@ struct AllocationSpec {
   /// to expiry, transparently re-acquire a lease of the same shape and
   /// redeploy its sandbox + workers, so in-flight workloads migrate
   /// instead of failing. Implies auto-renewal: a self-healing allocation
-  /// stays alive until deallocate().
+  /// stays alive until deallocate(). Heals use the LeaseSetOptions
+  /// defaults for their budget, backoff and jitter.
   bool self_heal = false;
-  /// Denied re-allocation requests per lost lease before giving up
-  /// (successful partial grants consume none of the budget).
-  unsigned realloc_budget = 4;
-  /// Initial re-allocation backoff (doubles per denial).
-  Duration realloc_backoff = 20_ms;
-  /// Honor LeaseDenied{Overload} retry_after hints in heal backoffs
-  /// (LeaseSetOptions::honor_retry_after).
-  bool honor_retry_after = true;
-  /// Upward jitter fraction on heal backoffs (0 = none).
-  double backoff_jitter = 0.25;
 };
 
 /// Client-observed stages of a cold start (Fig. 9).

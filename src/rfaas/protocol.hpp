@@ -500,7 +500,7 @@ struct InvocationCancelMsg {
 /// client's per-worker circuit breaker trips (and periodically while
 /// degraded). The manager folds the observation into the executor's
 /// registry entry so every scheduler policy deprioritizes the gray host,
-/// and drains it outright after `quarantine_trips` distinct trips.
+/// and drains it outright after ResourceManager::kQuarantineTrips trips.
 /// Fixed layout — health reports spike exactly when the fleet is sick.
 struct HealthReportMsg {
   static constexpr MsgType kType = MsgType::HealthReport;

@@ -474,7 +474,7 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
         // failure rate over threshold) that the control plane's
         // heartbeats cannot — the host still acks. First trips merely
         // degrade the executor so every scheduling policy deprioritizes
-        // it; `quarantine_trips` distinct trips drain it outright
+        // it; kQuarantineTrips distinct trips drain it outright
         // (evicting its leases, whose owners self-heal elsewhere).
         auto msg = decode_health_report(*raw);
         if (!msg) break;
@@ -482,7 +482,7 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
         ++health_reports_;
         const std::uint32_t trips = ++health_trip_counts_[msg.value().device];
         if (auto executor = core_.find_executor_by_device(msg.value().device)) {
-          if (trips >= config_.fault_tolerance.quarantine_trips) {
+          if (trips >= kQuarantineTrips) {
             if (drain_executor_on_device(msg.value().device).has_value()) {
               ++quarantined_executors_;
               log::info("rm", "quarantined executor on device ", msg.value().device,
@@ -494,7 +494,7 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
           } else {
             core_.set_degraded(*executor, true);
             log::info("rm", "degraded executor on device ", msg.value().device,
-                      " (trip ", trips, "/", config_.fault_tolerance.quarantine_trips,
+                      " (trip ", trips, "/", kQuarantineTrips,
                       " from client ", msg.value().client_id, ")");
           }
         }

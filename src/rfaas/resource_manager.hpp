@@ -167,7 +167,7 @@ class ResourceManager {
   /// trip some client observed against an executor).
   [[nodiscard]] std::uint64_t health_reports() const { return health_reports_; }
   /// Executors drained because their trip count reached
-  /// FaultToleranceConfig::quarantine_trips.
+  /// kQuarantineTrips.
   [[nodiscard]] std::uint64_t quarantined_executors() const { return quarantined_executors_; }
 
  private:
@@ -256,6 +256,8 @@ class ResourceManager {
   std::map<const net::TcpStream*, std::uint64_t> push_seqs_;
   /// Executor moves per rebalance sweep, at most.
   static constexpr unsigned kRebalanceMaxMoves = 4;
+  /// Breaker trips (HealthReports) of one executor before it is drained.
+  static constexpr std::uint32_t kQuarantineTrips = 2;
   /// Storm-aware backoff state of rebalance_loop(): the eviction count
   /// observed at the end of the previous round, and how many rounds the
   /// backoff skipped because the counter was still rising.

@@ -724,10 +724,6 @@ std::size_t ShardedResourceManager::active_leases() const {
   return n;
 }
 
-std::size_t ShardedResourceManager::shard_lease_count(std::uint32_t shard) const {
-  return shards_.at(shard)->lease_count.load(std::memory_order_relaxed);
-}
-
 // --------------------------------------------------------------------------
 // Transition steps: the one place each journal op changes manager state,
 // shared by the primary's methods above and by apply() below

@@ -344,7 +344,6 @@ class ShardedResourceManager {
   [[nodiscard]] const Scheduler& scheduler(std::uint32_t shard = 0) const {
     return *shards_.at(shard)->scheduler;
   }
-  [[nodiscard]] std::size_t shard_lease_count(std::uint32_t shard) const;
   [[nodiscard]] std::uint32_t shard_free_workers(std::uint32_t shard) const {
     return shards_.at(shard)->registry.free_workers_total();
   }

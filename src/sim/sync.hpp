@@ -39,7 +39,6 @@ class Event {
   void reset() { set_ = false; }
 
   [[nodiscard]] bool is_set() const { return set_; }
-  [[nodiscard]] std::size_t waiter_count() const { return waiters_.size(); }
 
   /// Wakes all current waiters without latching the signal (condition
   /// variable style notify_all).
@@ -98,14 +97,6 @@ class Channel {
   /// Receives the next value, suspending while the channel is empty.
   /// Returns nullopt once the channel is closed and drained.
   RecvAwaiter recv() { return RecvAwaiter{this, std::nullopt}; }
-
-  /// Non-blocking receive.
-  std::optional<T> try_recv() {
-    if (items_.empty()) return std::nullopt;
-    T v = std::move(items_.front());
-    items_.pop_front();
-    return v;
-  }
 
   /// Closes the channel; queued items can still be received.
   void close() {
@@ -181,7 +172,6 @@ class Mutex {
  public:
   Mutex() : sem_(1) {}
   Semaphore::Acquire lock() { return sem_.acquire(); }
-  bool try_lock() { return sem_.try_acquire(); }
   void unlock() { sem_.release(); }
 
  private:
@@ -192,7 +182,6 @@ namespace detail {
 template <typename T>
 struct FutureState {
   std::optional<T> value;
-  std::exception_ptr exception;
   std::deque<std::coroutine_handle<>> waiters;
   bool ready = false;
 
@@ -226,10 +215,7 @@ class Future {
     std::shared_ptr<detail::FutureState<T>> st;
     bool await_ready() const { return st->ready; }
     void await_suspend(std::coroutine_handle<> h) { st->waiters.push_back(h); }
-    T await_resume() {
-      if (st->exception) std::rethrow_exception(st->exception);
-      return std::move(*st->value);
-    }
+    T await_resume() { return std::move(*st->value); }
   };
 
   /// Awaitable that completes when the producer fulfills the promise.
@@ -258,12 +244,6 @@ class Promise {
   void set_value(T v) {
     assert(!state_->ready);
     state_->value.emplace(std::move(v));
-    state_->fulfill();
-  }
-
-  void set_exception(std::exception_ptr e) {
-    assert(!state_->ready);
-    state_->exception = e;
     state_->fulfill();
   }
 

@@ -18,7 +18,6 @@ struct Image {
   std::uint32_t height = 0;
   std::vector<std::uint8_t> pixels;  // RGB, row-major
 
-  [[nodiscard]] std::size_t byte_size() const { return pixels.size(); }
   [[nodiscard]] std::uint8_t* at(std::uint32_t x, std::uint32_t y) {
     return pixels.data() + 3 * (static_cast<std::size_t>(y) * width + x);
   }

@@ -23,7 +23,6 @@ class Matrix {
   [[nodiscard]] double at(std::size_t r, std::size_t c) const { return data_[r * cols_ + c]; }
   [[nodiscard]] double* data() { return data_.data(); }
   [[nodiscard]] const double* data() const { return data_.data(); }
-  [[nodiscard]] std::size_t size_bytes() const { return data_.size() * sizeof(double); }
 
   static Matrix random(std::size_t rows, std::size_t cols, std::uint64_t seed);
 

@@ -192,7 +192,7 @@ TEST(Integration, CrashedExecutorLeasesAreReclaimed) {
   });
   EXPECT_EQ(p.rm().active_leases(), 2u);
 
-  p.executor(0).stop(/*crash=*/true);
+  p.executor(0).stop();
   p.run(p.engine().now() + 10_s);
   EXPECT_EQ(p.rm().alive_executors(), 1u);
   // The dead executor's lease is gone; the healthy one's remains.

@@ -167,6 +167,60 @@ TEST(LeaseSet, LaterShortLeaseInterruptsALongSleep) {
   EXPECT_EQ(h.rm().active_leases(), 2u);  // both still live at t=20s
 }
 
+TEST(LeaseSet, DueRenewalsFireInRenewalOrder) {
+  cluster::Harness h(small_fleet());
+  h.start();
+
+  LeaseSetOptions opts;
+  opts.renew_margin = 1_s;
+  opts.extension = 20_s;
+  LeaseSet leases(h.engine(), opts);
+  std::vector<std::uint64_t> ids;
+  Time tracked_at = 0;
+  std::vector<std::uint64_t> renewed_ids;
+  std::vector<Time> renewed_at;
+  leases.on_renewed([&](std::uint64_t id, Time) {
+    renewed_ids.push_back(id);
+    renewed_at.push_back(h.engine().now());
+  });
+
+  auto scenario = [&]() -> sim::Task<void> {
+    auto session = co_await open_session(h);
+    if (session == nullptr) co_return;
+    leases.bind(session);
+    leases.start();  // the actor sleeps on an empty table
+    for (int i = 0; i < 3; ++i) {
+      auto grant = co_await acquire_one(session, 1, 30_s);
+      EXPECT_TRUE(grant.ok());
+      if (!grant.ok()) co_return;
+      ids.push_back(grant.value().lease_id);
+    }
+    co_await sim::delay(2_s);
+
+    // Track all three with deadlines inside the 1 s margin, so every
+    // renewal instant (deadline - 1 s) already lies behind the clock —
+    // and in an order that is not the id order: ids[1] (now - 0.7 s),
+    // ids[2] (now - 0.5 s), ids[0] (now - 0.3 s).
+    tracked_at = h.engine().now();
+    leases.track(ids[0], tracked_at + 700_ms, 30_s);
+    leases.track(ids[1], tracked_at + 300_ms, 30_s);
+    leases.track(ids[2], tracked_at + 500_ms, 30_s);
+  };
+  h.spawn(scenario());
+
+  h.run_for(3_s);
+  ASSERT_EQ(ids.size(), 3u);
+  // One pass, started at the tracking instant: three back-to-back
+  // ExtendLease round trips (~140 us each), earliest renewal instant
+  // first.
+  EXPECT_EQ(renewed_ids, (std::vector<std::uint64_t>{ids[1], ids[2], ids[0]}));
+  ASSERT_EQ(renewed_at.size(), 3u);
+  EXPECT_LT(renewed_at.back() - tracked_at, 1_ms);
+  EXPECT_EQ(leases.renewal_failures(), 0u);
+  EXPECT_EQ(leases.expiries(), 0u);
+  EXPECT_EQ(h.rm().active_leases(), 3u);
+}
+
 TEST(LeaseSet, StopStartCycleLeavesASingleRenewalActor) {
   cluster::Harness h(small_fleet());
   h.start();
@@ -695,7 +749,6 @@ HealBackoffProbe run_heal_against_admission(bool honor_retry_after) {
   // so slow that any heal attempt inside the next ~5 s is shed with a
   // retry_after hint of that entire wait.
   spec.config.admission.capacity_hz = 0.2;
-  spec.config.admission.capacity_burst = 1;
   spec.config.admission.retry_after_max = 5_s;
   cluster::Harness h(spec);
   h.start();

@@ -539,7 +539,7 @@ TEST(EndToEnd, ExecutorCrashDetectedByResourceManager) {
   p.start();
   EXPECT_EQ(p.rm().alive_executors(), 2u);
 
-  p.executor(0).stop(/*crash=*/true);
+  p.executor(0).stop();
   p.run(p.engine().now() + 10_s);
   EXPECT_EQ(p.rm().alive_executors(), 1u);
 }
@@ -563,7 +563,7 @@ TEST(EndToEnd, InvocationOnDeadExecutorFails) {
     before = co_await invoker->invoke(0, in, 8, out);
     // Find which executor hosts the sandbox and crash it.
     std::size_t victim = p.executor(0).live_sandboxes() > 0 ? 0 : 1;
-    p.executor(victim).stop(/*crash=*/true);
+    p.executor(victim).stop();
     co_await sim::delay(1_ms);
     after = co_await invoker->invoke(0, in, 8, out);
   });

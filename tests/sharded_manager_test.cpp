@@ -836,7 +836,7 @@ TEST(ShardedHarness, PeriodicRebalanceRestoresBalanceAfterCrashes) {
   // Both executors of shards 2 and 3 crash (registration is round-robin,
   // so executor index i lands on shard i % 4).
   for (std::size_t i : {std::size_t{2}, std::size_t{3}, std::size_t{6}, std::size_t{7}}) {
-    h.executor(i).stop(/*crash=*/true);
+    h.executor(i).stop();
   }
   h.run_for(3_s);  // disconnect reclamation + a few rebalance sweeps
 
