@@ -350,12 +350,12 @@ sim::Task<void> Worker::execute_and_reply(const fabric::Wc& wc, bool hot) {
 // ---------------------------------------------------------------------------
 
 Duration IdleHistory::quantile(double q) const {
-  std::array<Duration, kWindow> sorted{};
-  std::copy_n(samples_.begin(), count_, sorted.begin());
-  std::sort(sorted.begin(), sorted.begin() + count_);
   q = std::clamp(q, 0.0, 1.0);
   const auto idx = static_cast<std::size_t>(q * static_cast<double>(count_ - 1) + 0.5);
-  return sorted[idx];
+  // Selects the idx-th smallest retained sample, as sorting would.
+  std::array<Duration, kWindow> window = samples_;
+  std::nth_element(window.begin(), window.begin() + idx, window.begin() + count_);
+  return window[idx];
 }
 
 namespace {
@@ -582,10 +582,8 @@ sim::Task<AllocationReplyMsg> ExecutorManager::allocate_sandbox(const Allocation
       w->rearm();
     }
     const std::uint64_t sid = sb.id;
-    const Time expires_at = sb.expires_at;
     sandboxes_[sid] = std::move(pooled);
-    allocated_workers_ += req.workers;
-    if (expires_at > 0) sim::spawn(engine_, sandbox_expiry(sid, expires_at));
+    if (sb.expires_at > 0) arm_expiry(sb.expires_at);
     reply.ok = true;
     reply.sandbox_id = sid;
     reply.rdma_port = rdma_port_;
@@ -629,6 +627,13 @@ sim::Task<AllocationReplyMsg> ExecutorManager::allocate_sandbox(const Allocation
 
   // Sandbox creation (process start or container boot with SR-IOV).
   co_await sim::delay(config_.sandbox(sb.type).spawn_latency);
+  // A LeaseTerminated (drain, quota, rebalance) may have torn the still
+  // empty sandbox down meanwhile: its workers would wait for a client
+  // connection that run_rdma_accept() refuses, and never be freed.
+  if (sb.dead) {
+    reply.error = "sandbox torn down during its start";
+    co_return reply;
+  }
 
   // Workers initialize concurrently: buffer registration + thread spawn.
   sim::WaitGroup wg(req.workers);
@@ -641,9 +646,11 @@ sim::Task<AllocationReplyMsg> ExecutorManager::allocate_sandbox(const Allocation
     sim::spawn(engine_, init_one(sb.workers.back().get(), &wg));
   }
   co_await wg.wait();
-
-  allocated_workers_ += req.workers;
-  if (sb.expires_at > 0) sim::spawn(engine_, sandbox_expiry(sb.id, sb.expires_at));
+  if (sb.dead) {  // the teardown drained the workers while they started
+    reply.error = "sandbox torn down during its start";
+    co_return reply;
+  }
+  if (sb.expires_at > 0) arm_expiry(sb.expires_at);
 
   reply.ok = true;
   reply.sandbox_id = sb.id;
@@ -665,7 +672,6 @@ sim::Task<void> ExecutorManager::teardown_sandbox(Sandbox& sb, bool notify_rm) {
   // A parked sandbox keeps its host memory reservation (the keep-alive
   // cost); a destroyed one releases it right away.
   if (!park) host_.release_memory(sb.memory_bytes);
-  allocated_workers_ -= static_cast<std::uint32_t>(sb.workers.size());
 
   // Bill the allocation component Ca: memory reservation x wall time.
   // The flush loop already accrued up to billed_until; charge the tail.
@@ -863,23 +869,42 @@ void ExecutorManager::recycle_buffer(std::unique_ptr<rdmalib::Buffer<std::uint8_
   buffer_pool_[buf->payload_bytes()].push_back(std::move(buf));
 }
 
-sim::Task<void> ExecutorManager::sandbox_expiry(std::uint64_t sandbox_id, Time expires_at) {
-  // The deadline can move: lease renewals (LeaseRenewed pushed by the
-  // resource manager) bump Sandbox::expires_at, so on every wake the
-  // timer re-reads it and sleeps again instead of reaping.
-  Time deadline = expires_at;
-  while (true) {
-    co_await sim::delay_until(deadline);
-    Sandbox* sb = find_sandbox(sandbox_id);
-    if (sb == nullptr || sb->dead) co_return;
-    if (sb->expires_at > engine_.now()) {
-      deadline = sb->expires_at;  // renewed while we slept
-      continue;
+void ExecutorManager::arm_expiry(Time deadline) {
+  if (expiry_due_ <= deadline) return;  // the live actor wakes in time
+  // No actor, or one due after this deadline: start one for it. The late
+  // one sees the new generation when it wakes and retires.
+  expiry_due_ = deadline;
+  sim::spawn(engine_, expiry_loop(++expiry_generation_));
+}
+
+sim::Task<void> ExecutorManager::expiry_loop(std::uint64_t generation) {
+  // Lease renewals (LeaseRenewed pushed by the resource manager) move
+  // Sandbox::expires_at, and deallocated sandboxes leave, so every wake
+  // re-reads the deadlines of the sandboxes still live.
+  for (;;) {
+    co_await sim::delay_until(expiry_due_);
+    if (expiry_generation_ != generation) co_return;
+    Time next = kNever;
+    if (alive_) {
+      const Time now = engine_.now();
+      for (const auto& [id, sb] : sandboxes_) {
+        if (sb->dead || sb->expires_at == 0) continue;
+        if (sb->expires_at > now) {
+          next = std::min(next, sb->expires_at);
+          continue;
+        }
+        log::debug("executor", "lease expired, reclaiming sandbox ", id);
+        sim::spawn(engine_, reclaim_sandbox(id));
+      }
     }
-    log::debug("executor", "lease expired, reclaiming sandbox ", sandbox_id);
-    co_await teardown_sandbox(*sb, /*notify_rm=*/false);
-    co_return;
+    expiry_due_ = next;
+    if (next == kNever) co_return;
   }
+}
+
+sim::Task<void> ExecutorManager::reclaim_sandbox(std::uint64_t sandbox_id) {
+  Sandbox* sb = find_sandbox(sandbox_id);
+  if (sb != nullptr && !sb->dead) co_await teardown_sandbox(*sb, /*notify_rm=*/false);
 }
 
 sim::Task<void> ExecutorManager::run_rdma_accept() {
@@ -1028,15 +1053,9 @@ void ExecutorManager::reclaim_lease(std::uint64_t lease_id) {
     if (!sb->dead && sb->lease_id == lease_id) doomed.push_back(id);
   }
   for (auto id : doomed) {
-    auto kill = [](ExecutorManager* self, std::uint64_t sandbox_id) -> sim::Task<void> {
-      Sandbox* sb = self->find_sandbox(sandbox_id);
-      if (sb != nullptr && !sb->dead) {
-        co_await self->teardown_sandbox(*sb, /*notify_rm=*/false);
-      }
-    };
     log::debug("executor", "lease ", lease_id,
                " terminated by the manager, reclaiming sandbox ", id);
-    sim::spawn(engine_, kill(this, id));
+    sim::spawn(engine_, reclaim_sandbox(id));
   }
 }
 

@@ -15,6 +15,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -254,7 +255,17 @@ class ExecutorManager {
   /// now, in whole milliseconds (the sub-ms remainder carries over).
   void accrue_allocation();
   sim::Task<void> reaper_loop();
-  sim::Task<void> sandbox_expiry(std::uint64_t sandbox_id, Time expires_at);
+  /// Makes sure the expiry actor wakes by `deadline`: starts one unless
+  /// the live one is due by then. A superseded actor retires when its
+  /// generation no longer matches.
+  void arm_expiry(Time deadline);
+  /// The one lease-expiry actor: sleeps until the earliest expires_at of
+  /// the live sandboxes, tears down the expired ones in sandbox-id order,
+  /// and retires once no deadline is left.
+  sim::Task<void> expiry_loop(std::uint64_t generation);
+  /// Tears down a live sandbox without a ReleaseResources back (lease
+  /// expired or reclaimed by the manager).
+  sim::Task<void> reclaim_sandbox(std::uint64_t sandbox_id);
 
   sim::Task<AllocationReplyMsg> allocate_sandbox(const AllocationRequestMsg& req);
   sim::Task<void> teardown_sandbox(Sandbox& sb, bool notify_rm);
@@ -309,7 +320,10 @@ class ExecutorManager {
   std::uint16_t alloc_port_ = 7000;
   std::uint16_t rdma_port_ = 7001;
   bool alive_ = false;
-  std::uint32_t allocated_workers_ = 0;
+
+  static constexpr Time kNever = std::numeric_limits<Time>::max();
+  Time expiry_due_ = kNever;  // when the live expiry actor wakes; kNever: no actor
+  std::uint64_t expiry_generation_ = 0;
 
   std::map<std::uint64_t, std::unique_ptr<Sandbox>> sandboxes_;
   // Torn-down sandboxes wait here until bury() frees them: their worker

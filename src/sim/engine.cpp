@@ -54,12 +54,17 @@ void Engine::drain_detached() {
   // Queued resumptions may now dangle (their frames died above); nothing
   // may run after a drain, so drop them wholesale.
   queue_ = {};
+  now_lane_.clear();
+  now_head_ = 0;
 }
 
 bool Engine::draining() { return t_draining; }
 
 void Engine::schedule_at(Time t, std::coroutine_handle<> h) {
-  if (t < now_) t = now_;
+  if (t <= now_) {
+    now_lane_.push_back(h);
+    return;
+  }
   queue_.push(Item{t, seq_++, h});
 }
 
@@ -72,7 +77,8 @@ Time Engine::run() {
 
 Time Engine::run_until(Time deadline) {
   CurrentEngineScope scope(*this);
-  while (!queue_.empty() && queue_.top().t <= deadline) {
+  while ((now_head_ < now_lane_.size() && now_ <= deadline) ||
+         (!queue_.empty() && queue_.top().t <= deadline)) {
     step();
   }
   if (now_ < deadline) now_ = deadline;
@@ -80,12 +86,26 @@ Time Engine::run_until(Time deadline) {
 }
 
 bool Engine::step() {
-  if (queue_.empty()) return false;
-  Item item = queue_.top();
-  queue_.pop();
-  now_ = item.t;
+  std::coroutine_handle<> h;
+  if (!queue_.empty() && queue_.top().t <= now_) {
+    // Queued before time reached now_, so ahead of every lane entry.
+    h = queue_.top().h;
+    queue_.pop();
+  } else if (now_head_ < now_lane_.size()) {
+    h = now_lane_[now_head_++];
+    if (now_head_ == now_lane_.size()) {
+      now_lane_.clear();
+      now_head_ = 0;
+    }
+  } else if (!queue_.empty()) {
+    now_ = queue_.top().t;
+    h = queue_.top().h;
+    queue_.pop();
+  } else {
+    return false;
+  }
   CurrentEngineScope scope(*this);
-  item.h.resume();
+  h.resume();
   return true;
 }
 

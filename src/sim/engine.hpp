@@ -6,6 +6,12 @@
 // and are resumed by the engine at the right virtual time. The simulation
 // is single-threaded and fully deterministic: ties in time are broken by
 // insertion order.
+//
+// Resumptions go to one of two lanes. Future ones wait in a binary heap
+// ordered by (time, insertion). Those due at the current instant, about
+// half of all resumptions, skip the heap: they append to a FIFO lane. The
+// heap entries due now were queued before time reached now, so they run
+// ahead of the lane, which keeps the (time, insertion) order exact.
 #pragma once
 
 #include <coroutine>
@@ -58,7 +64,9 @@ class Engine {
   bool step();
 
   /// Number of pending events.
-  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+  [[nodiscard]] std::size_t pending() const {
+    return queue_.size() + (now_lane_.size() - now_head_);
+  }
 
   /// Tracks a detached (spawned) coroutine so still-suspended actors can
   /// be reclaimed at teardown. `link.frame` must be set; the task's final
@@ -105,6 +113,11 @@ class Engine {
   };
 
   std::priority_queue<Item, std::vector<Item>, std::greater<>> queue_;
+  // Resumptions due at now_, in insertion order. Entries before
+  // now_head_ have run; the vector is cleared (keeping its capacity)
+  // whenever the lane drains, and it always drains before time advances.
+  std::vector<std::coroutine_handle<>> now_lane_;
+  std::size_t now_head_ = 0;
   DetachedLink* detached_ = nullptr;  // head of the live-actor list
   std::size_t detached_count_ = 0;
   Time now_ = 0;

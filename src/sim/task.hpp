@@ -176,7 +176,9 @@ inline void spawn(Engine& engine, Task<void> t) {
 /// Suspends the awaiting task for `d` nanoseconds of virtual time.
 struct Delay {
   Duration d;
-  bool await_ready() const noexcept { return d == 0 && false; }
+  // Always suspends: a zero delay yields behind the resumptions already
+  // due now.
+  bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) const {
     Engine::current()->schedule_after(d, h);
   }

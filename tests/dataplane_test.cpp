@@ -15,7 +15,9 @@
 //     teardown on eviction,
 //   - end-to-end coalescing: one eviction sweep, one push per stream,
 //   - bounded simulator state: no timer backlog and no destroyed queue
-//     pairs left behind by a hot burst.
+//     pairs left behind by a hot burst, no lease-expiry timer left behind
+//     by a deallocated sandbox, and nothing leaked by a sandbox torn down
+//     during its cold start.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -817,6 +819,110 @@ TEST(BoundedState, RetiredSandboxesAndTheirProtectionDomainsAreFreed) {
   EXPECT_LE(executor.buried_sandboxes(), 1u);
   EXPECT_LE(executor.device().pd_count(), pds_before + kWorkers);
   EXPECT_EQ(executor.device().destroyed_qps(), 0u);
+}
+
+TEST(BoundedState, DeallocatedSandboxesLeaveNoExpiryTimer) {
+  // Clients hand allocations back long before their 300 s leases run
+  // out. The executor must not keep a lease-expiry timer queued per
+  // sandbox it already tore down.
+  cluster::Harness h(small_fleet());
+  h.registry().add_echo();
+  h.start();
+  auto invoker = h.make_invoker();
+
+  constexpr int kCycles = 200;
+  int ok = 0;
+  std::size_t pending_after_cycles = 0;
+  drive(h, 60_s, [&]() -> sim::Task<void> {
+    AllocationSpec spec;
+    spec.function_name = "echo";
+    spec.policy = InvocationPolicy::HotAlways;
+    invoker->reserve_slots(/*count=*/1, /*max_input=*/64, /*max_output=*/64);
+    std::array<std::uint8_t, 16> payload;
+    payload.fill(0x5A);
+    for (int c = 0; c < kCycles; ++c) {
+      auto st = co_await invoker->allocate(spec);
+      EXPECT_TRUE(st.ok()) << (st.ok() ? "" : st.error().message);
+      if ((co_await invoker->invoke_pooled(0, payload)).ok) ++ok;
+      co_await invoker->deallocate();
+    }
+    pending_after_cycles = h.engine().pending();
+  });
+
+  EXPECT_EQ(ok, kCycles);
+  EXPECT_LT(pending_after_cycles, 64u);  // one parked timer per cycle used to leave ~200
+}
+
+TEST(BoundedState, ShorterLeaseReArmsTheExpiryActor) {
+  // The executor's expiry actor sleeps until the 300 s deadline of the
+  // first sandbox; a 2 s lease granted after it must still be torn down
+  // at 2 s, and the first sandbox must keep serving.
+  cluster::Harness h(small_fleet());
+  h.registry().add_echo();
+  h.start();
+  auto long_client = h.make_invoker(/*client_host=*/0, /*client_id=*/1);
+  auto short_client = h.make_invoker(/*client_host=*/0, /*client_id=*/2);
+
+  InvocationResult long_late{};
+  InvocationResult short_late{};
+  std::size_t live_at_3s = 0;
+  drive(h, 20_s, [&]() -> sim::Task<void> {
+    AllocationSpec spec;
+    spec.function_name = "echo";
+    spec.policy = InvocationPolicy::HotAlways;
+    auto st = co_await long_client->allocate(spec);
+    EXPECT_TRUE(st.ok()) << (st.ok() ? "" : st.error().message);
+    spec.lease_timeout = 2_s;
+    st = co_await short_client->allocate(spec);
+    EXPECT_TRUE(st.ok()) << (st.ok() ? "" : st.error().message);
+
+    auto long_in = long_client->input_buffer<std::uint8_t>(64);
+    auto long_out = long_client->output_buffer<std::uint8_t>(64);
+    auto short_in = short_client->input_buffer<std::uint8_t>(64);
+    auto short_out = short_client->output_buffer<std::uint8_t>(64);
+    co_await sim::delay(3_s);
+    live_at_3s = h.executor(0).live_sandboxes();
+    short_late = co_await short_client->invoke(0, short_in, 16, short_out);
+    long_late = co_await long_client->invoke(0, long_in, 16, long_out);
+  });
+
+  EXPECT_EQ(live_at_3s, 1u);
+  EXPECT_FALSE(short_late.ok);
+  EXPECT_TRUE(long_late.ok);
+}
+
+TEST(BoundedState, SandboxTornDownDuringItsColdStartLeaksNothing) {
+  // A drain lands while the executor spawns the sandbox (its 25 ms spawn
+  // latency) and tears the still-empty sandbox down. The allocation must
+  // fail instead of starting workers that wait for a connection the
+  // executor refuses and so never free their protection domains.
+  cluster::Harness h(small_fleet());
+  h.registry().add_echo();
+  h.start();
+  auto invoker = h.make_invoker();
+  auto& executor = h.executor(0);
+  const std::size_t pds_before = executor.device().pd_count();
+
+  bool drained_before_workers = false;
+  auto drainer = [&]() -> sim::Task<void> {
+    while (executor.live_sandboxes() == 0) co_await sim::delay(100_us);
+    drained_before_workers = executor.device().pd_count() == pds_before;
+    EXPECT_EQ(h.drain_executor(0), std::optional<std::size_t>{1});
+  };
+  h.spawn(drainer());
+  bool allocated = true;
+  drive(h, 10_s, [&]() -> sim::Task<void> {
+    AllocationSpec spec;
+    spec.function_name = "echo";
+    spec.workers = 2;
+    spec.policy = InvocationPolicy::HotAlways;
+    allocated = (co_await invoker->allocate(spec)).ok();
+  });
+
+  EXPECT_TRUE(drained_before_workers);
+  EXPECT_FALSE(allocated);
+  EXPECT_EQ(executor.live_sandboxes(), 0u);
+  EXPECT_EQ(executor.device().pd_count(), pds_before);
 }
 
 }  // namespace

@@ -69,6 +69,82 @@ TEST(Engine, RunUntilStopsAtDeadline) {
   EXPECT_EQ(fired, 2);
 }
 
+TEST(Engine, HeapEntriesDueNowRunAheadOfTheSameInstantLane) {
+  // Both sleepers were queued before time reached 10, the third only when
+  // the first of them ran at 10: insertion order runs it last.
+  Engine eng;
+  std::vector<int> order;
+  auto third = [&]() -> Task<void> {
+    order.push_back(3);
+    co_return;
+  };
+  auto sleeper = [&](int id) -> Task<void> {
+    co_await delay(10);
+    order.push_back(id);
+    if (id == 1) spawn(eng, third());
+  };
+  spawn(eng, sleeper(1));
+  spawn(eng, sleeper(2));
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Engine, RunUntilDrainsTheSameInstantLane) {
+  Engine eng;
+  int children = 0;
+  auto child = [&]() -> Task<void> {
+    ++children;
+    co_return;
+  };
+  auto parent = [&]() -> Task<void> {
+    co_await delay(5);
+    spawn(eng, child());
+    spawn(eng, child());
+  };
+  spawn(eng, parent());
+  eng.run_until(5);
+  EXPECT_EQ(children, 2);
+  EXPECT_EQ(eng.now(), 5u);
+  EXPECT_EQ(eng.pending(), 0u);
+}
+
+TEST(Engine, PendingCountsBothLanes) {
+  Engine eng;
+  auto sleeper = [](Duration d) -> Task<void> { co_await delay(d); };
+  spawn(eng, sleeper(10));
+  spawn(eng, sleeper(20));
+  EXPECT_EQ(eng.pending(), 2u);  // both starts are due now
+  ASSERT_TRUE(eng.step());
+  EXPECT_EQ(eng.pending(), 2u);  // one sleeps in the heap, one start is due now
+  ASSERT_TRUE(eng.step());
+  EXPECT_EQ(eng.pending(), 2u);  // both sleep in the heap
+  EXPECT_EQ(eng.now(), 0u);
+  eng.run();
+  EXPECT_EQ(eng.pending(), 0u);
+  EXPECT_EQ(eng.now(), 20u);
+}
+
+TEST(Engine, DrainEmptiesTheSameInstantLane) {
+  int started = 0;
+  Event never;
+  Engine eng;
+  auto waiter = [&]() -> Task<void> {
+    ++started;
+    co_await never.wait();
+  };
+  auto sleeper = []() -> Task<void> { co_await delay(10); };
+  spawn(eng, sleeper());
+  ASSERT_TRUE(eng.step());  // the sleeper moves to the heap
+  spawn(eng, waiter());
+  spawn(eng, waiter());
+  EXPECT_EQ(eng.pending(), 3u);
+  eng.drain_detached();
+  EXPECT_EQ(eng.pending(), 0u);
+  EXPECT_EQ(eng.detached_count(), 0u);
+  EXPECT_FALSE(eng.step());
+  EXPECT_EQ(started, 0);
+}
+
 TEST(Engine, DelayUntilPastIsImmediate) {
   Engine eng;
   Time observed = 123;
