@@ -18,7 +18,6 @@
 // so a satisfied wait leaves no event, frame or allocation behind.
 #pragma once
 
-#include <deque>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -27,6 +26,7 @@
 
 #include "fabric/model.hpp"
 #include "fabric/verbs.hpp"
+#include "sim/fifo.hpp"
 #include "sim/sync.hpp"
 
 namespace rfs::fabric {
@@ -102,7 +102,7 @@ class CompletionQueue {
                                             std::uint64_t generation);
 
   const NetworkModel& model_;
-  std::deque<Wc> ready_;
+  sim::Fifo<Wc> ready_;
   sim::Event arrival_;
   std::uint64_t delivered_ = 0;
   std::vector<Time> deadlines_;  // one entry per deadline wait in progress

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <utility>
 
@@ -23,6 +22,7 @@
 #include "fabric/cq.hpp"
 #include "fabric/device.hpp"
 #include "fabric/verbs.hpp"
+#include "sim/fifo.hpp"
 
 namespace rfs::fabric {
 
@@ -123,10 +123,10 @@ class QueuePair {
   QueuePair* peer_ = nullptr;
   QpState state_ = QpState::Reset;
   RnrPolicy rnr_policy_ = RnrPolicy::Error;
-  std::deque<RecvWr> recv_queue_;
-  std::deque<Parked> parked_;  // deliveries waiting for a receive (RnrPolicy::Wait)
-  std::uint32_t refs_ = 0;     // fabric tasks holding a Ref
-  bool destroyed_ = false;     // Device::destroy_qp() ran; freed once refs_ is 0
+  sim::Fifo<RecvWr> recv_queue_;
+  sim::Fifo<Parked> parked_;  // deliveries waiting for a receive (RnrPolicy::Wait)
+  std::uint32_t refs_ = 0;    // fabric tasks holding a Ref
+  bool destroyed_ = false;    // Device::destroy_qp() ran; freed once refs_ is 0
 
   friend class Device;
 };

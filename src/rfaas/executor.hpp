@@ -31,6 +31,7 @@
 #include "rfaas/functions.hpp"
 #include "rfaas/protocol.hpp"
 #include "rfaas/session.hpp"
+#include "sim/fifo.hpp"
 #include "sim/host.hpp"
 #include "sim/sync.hpp"
 
@@ -377,7 +378,7 @@ class ExecutorManager {
   std::size_t dedup_oldest_ = 0;
   static constexpr std::size_t kCancelWindow = 256;
   std::unordered_set<std::uint64_t> cancelled_tags_;
-  std::deque<std::uint64_t> cancel_fifo_;
+  sim::Fifo<std::uint64_t> cancel_fifo_;
   std::uint64_t dedup_replays_ = 0;
   std::uint64_t deadline_drops_ = 0;
   std::uint64_t cancelled_drops_ = 0;

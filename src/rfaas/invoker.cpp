@@ -1069,23 +1069,23 @@ std::size_t Invoker::pick_worker() {
   // front of the rotation, so the plain scan below would never revisit
   // the deprioritized device — it could stay Open forever (and the
   // manager would never see the repeat trips that trigger quarantine).
-  for (auto it = free_workers_.begin(); it != free_workers_.end(); ++it) {
-    auto h = health_.find(workers_[*it].device);
+  for (std::size_t i = 0; i < free_workers_.size(); ++i) {
+    const std::size_t widx = free_workers_[i];
+    auto h = health_.find(workers_[widx].device);
     if (h != health_.end() && h->second.state() != HealthTracker::Breaker::Closed &&
         h->second.allow(now)) {
-      const std::size_t widx = *it;
-      free_workers_.erase(it);
+      free_workers_.erase(i);
       return widx;
     }
   }
   // Prefer a worker whose executor's breaker admits traffic; fall back
   // to plain FIFO when every executor is quarantined — a gray attempt
   // bounded by the deadline beats refusing to try at all.
-  for (auto it = free_workers_.begin(); it != free_workers_.end(); ++it) {
-    auto h = health_.find(workers_[*it].device);
+  for (std::size_t i = 0; i < free_workers_.size(); ++i) {
+    const std::size_t widx = free_workers_[i];
+    auto h = health_.find(workers_[widx].device);
     if (h == health_.end() || h->second.allow(now)) {
-      const std::size_t widx = *it;
-      free_workers_.erase(it);
+      free_workers_.erase(i);
       return widx;
     }
   }
@@ -1099,12 +1099,12 @@ std::size_t Invoker::pick_worker_avoiding(fabric::DeviceId device) {
   // primary, so it must not land on the primary's (possibly gray)
   // executor when any other device has a free healthy worker.
   const Time now = engine_.now();
-  for (auto it = free_workers_.begin(); it != free_workers_.end(); ++it) {
-    if (workers_[*it].device == device) continue;
-    auto h = health_.find(workers_[*it].device);
+  for (std::size_t i = 0; i < free_workers_.size(); ++i) {
+    const std::size_t widx = free_workers_[i];
+    if (workers_[widx].device == device) continue;
+    auto h = health_.find(workers_[widx].device);
     if (h == health_.end() || h->second.allow(now)) {
-      const std::size_t widx = *it;
-      free_workers_.erase(it);
+      free_workers_.erase(i);
       return widx;
     }
   }

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -31,6 +30,7 @@
 #include "rfaas/health.hpp"
 #include "rfaas/protocol.hpp"
 #include "rfaas/session.hpp"
+#include "sim/fifo.hpp"
 #include "sim/host.hpp"
 #include "sim/sync.hpp"
 
@@ -594,10 +594,10 @@ class Invoker {
   std::uint64_t redeployments_ = 0;
   std::vector<Allocation> allocations_;
   std::vector<WorkerRef> workers_;
-  std::deque<std::size_t> free_workers_;
+  sim::Fifo<std::size_t> free_workers_;
   std::unique_ptr<sim::Semaphore> slots_;
   std::vector<std::unique_ptr<InvocationSlot>> slot_pool_;
-  std::deque<std::size_t> free_slots_;
+  sim::Fifo<std::size_t> free_slots_;
   std::unique_ptr<sim::Semaphore> slot_sem_;
   bool polling_client_ = true;
   std::uint32_t next_invocation_ = 1;

@@ -1,10 +1,10 @@
 #include "rfaas/resource_manager.hpp"
 
-#include <deque>
 #include <unordered_map>
 
 #include "common/log.hpp"
 #include "rdmalib/connection.hpp"
+#include "sim/fifo.hpp"
 
 namespace rfs::rfaas {
 
@@ -169,7 +169,7 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
   // strictly in order, and the table dies with the connection.
   constexpr std::size_t kDedupWindow = 128;
   std::unordered_map<std::uint64_t, Bytes> dedup;
-  std::deque<std::uint64_t> dedup_fifo;
+  sim::Fifo<std::uint64_t> dedup_fifo;
   // Dedup entry point of every lease-critical request; true when the
   // request is answered here. Id 0 is no session's id (sessions count
   // from (epoch << 32) | 1): it is refused with one LeaseError and never

@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -41,6 +40,7 @@
 #include "common/units.hpp"
 #include "net/tcp.hpp"
 #include "rfaas/protocol.hpp"
+#include "sim/fifo.hpp"
 #include "sim/sync.hpp"
 
 namespace rfs::rfaas {
@@ -116,9 +116,9 @@ class Session {
     std::optional<Bytes> pending_reply;
     sim::Event reply_event;
 
-    std::deque<Bytes> pushes;
+    sim::Fifo<Bytes> pushes;
     sim::Event push_event;
-    std::deque<std::uint64_t> push_seqs_fifo;   ///< bounded seen-seq window
+    sim::Fifo<std::uint64_t> push_seqs_fifo;  ///< bounded seen-seq window
     std::unordered_map<std::uint64_t, bool> push_seqs;
 
     bool closed = false;
@@ -127,7 +127,7 @@ class Session {
     /// not a grant). Bounded FIFO: old entries age out, which is safe
     /// because one-call-at-a-time bounds how stale a wandering duplicate
     /// can be when it finally lands.
-    std::deque<std::uint64_t> completed_fifo;
+    sim::Fifo<std::uint64_t> completed_fifo;
     std::unordered_map<std::uint64_t, std::uint64_t> completed;
 
     // RFC 6298 estimator state (nanoseconds, like every sim Duration).

@@ -1,11 +1,93 @@
 #include "sim/engine.hpp"
 
+#include <new>
+
+#include "sim/task.hpp"
+
+#ifdef RFS_ASAN
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
+
 namespace rfs::sim {
 
 namespace {
 thread_local Engine* t_current = nullptr;
 thread_local bool t_draining = false;
+
+// Coroutine frame free lists (see task.hpp), indexed by size class:
+// class c holds blocks of (c + 1) * kFrameClassBytes bytes.
+constexpr std::size_t kFrameClassBytes = 64;
+constexpr std::size_t kMaxPooledFrame = 16 * 1024;
+constexpr std::size_t kFrameClasses = kMaxPooledFrame / kFrameClassBytes;
+
+struct FreeFrame {
+  FreeFrame* next;
+};
+
+struct FreeFrameLists {
+  FreeFrame* heads[kFrameClasses] = {};
+  bool closed = false;  // the thread is exiting: frames go straight to the heap
+};
+thread_local FreeFrameLists t_frames;
+
+std::size_t frame_class(std::size_t size) { return (size - 1) / kFrameClassBytes; }
+std::size_t class_bytes(std::size_t c) { return (c + 1) * kFrameClassBytes; }
+
+// Hands the pooled frames back to the heap when the thread exits.
+struct FreeFrameReaper {
+  FreeFrameReaper() = default;
+  FreeFrameReaper(const FreeFrameReaper&) = delete;
+  FreeFrameReaper& operator=(const FreeFrameReaper&) = delete;
+  ~FreeFrameReaper() {
+    t_frames.closed = true;
+    for (std::size_t c = 0; c < kFrameClasses; ++c) {
+      while (FreeFrame* f = t_frames.heads[c]) {
+        ASAN_UNPOISON_MEMORY_REGION(f, class_bytes(c));
+        t_frames.heads[c] = f->next;
+        ::operator delete(f, class_bytes(c));
+      }
+    }
+  }
+};
 }  // namespace
+
+namespace detail {
+
+void* allocate_frame(std::size_t size) {
+  if (size > kMaxPooledFrame) return ::operator new(size);
+  const std::size_t c = frame_class(size);
+  FreeFrame* f = t_frames.heads[c];
+  if (f == nullptr) {
+    if (!t_frames.closed) {
+      thread_local FreeFrameReaper reaper;  // armed by the thread's first pooled frame
+    }
+    return ::operator new(class_bytes(c));
+  }
+  ASAN_UNPOISON_MEMORY_REGION(f, size);
+  t_frames.heads[c] = f->next;
+  return f;
+}
+
+void free_frame(void* frame, std::size_t size) noexcept {
+  if (size > kMaxPooledFrame) {
+    ::operator delete(frame, size);
+    return;
+  }
+  const std::size_t c = frame_class(size);
+  if (t_frames.closed) {
+    ::operator delete(frame, class_bytes(c));
+    return;
+  }
+  auto* f = static_cast<FreeFrame*>(frame);
+  f->next = t_frames.heads[c];
+  t_frames.heads[c] = f;
+  ASAN_POISON_MEMORY_REGION(f, class_bytes(c));
+}
+
+}  // namespace detail
 
 Engine::Engine() {
   if (t_current == nullptr) t_current = this;

@@ -6,11 +6,11 @@
 
 #include <cassert>
 #include <coroutine>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <utility>
 
+#include "sim/fifo.hpp"
 #include "sim/task.hpp"
 
 namespace rfs::sim {
@@ -55,7 +55,7 @@ class Event {
   }
 
   bool set_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  Fifo<std::coroutine_handle<>> waiters_;
 };
 
 /// Unbounded FIFO channel. Multiple producers/consumers; receivers are
@@ -115,8 +115,8 @@ class Channel {
   [[nodiscard]] bool empty() const { return items_.empty(); }
 
  private:
-  std::deque<T> items_;
-  std::deque<std::pair<std::coroutine_handle<>, RecvAwaiter*>> recv_waiters_;
+  Fifo<T> items_;
+  Fifo<std::pair<std::coroutine_handle<>, RecvAwaiter*>> recv_waiters_;
   bool closed_ = false;
 };
 
@@ -164,7 +164,7 @@ class Semaphore {
 
  private:
   std::size_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  Fifo<std::coroutine_handle<>> waiters_;
 };
 
 /// FIFO mutex built on a binary semaphore.
@@ -182,7 +182,7 @@ namespace detail {
 template <typename T>
 struct FutureState {
   std::optional<T> value;
-  std::deque<std::coroutine_handle<>> waiters;
+  Fifo<std::coroutine_handle<>> waiters;
   bool ready = false;
 
   void fulfill() {

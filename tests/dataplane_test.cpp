@@ -15,9 +15,10 @@
 //     teardown on eviction,
 //   - end-to-end coalescing: one eviction sweep, one push per stream,
 //   - bounded simulator state: no timer backlog and no destroyed queue
-//     pairs left behind by a hot burst, no lease-expiry timer left behind
-//     by a deallocated sandbox, and nothing leaked by a sandbox torn down
-//     during its cold start.
+//     pairs left behind by a hot burst, no allocation by a warmed-up hot
+//     invocation, no lease-expiry timer left behind by a deallocated
+//     sandbox, and nothing leaked by a sandbox torn down during its cold
+//     start.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -780,6 +781,44 @@ TEST(BoundedState, HotBurstLeavesNoTimerBacklogAndNoDestroyedQps) {
   for (fabric::DeviceId id = 0; const fabric::Device* dev = h.fabric().device(id); ++id) {
     EXPECT_EQ(dev->destroyed_qps(), 0u) << dev->name();
   }
+}
+
+TEST(BoundedState, HotInvocationsAllocateNothing) {
+  // Once a hot client has warmed up, an invocation allocates nothing:
+  // coroutine frames come from the engine's free lists, the simulator's
+  // queues rotate in place and the payload stays in the registered slot.
+  // 256 B plus the 32 B header is above the 128 B inline ceiling, so the
+  // fabric does not copy the payload at post time.
+  cluster::Harness h(cluster::ScenarioSpec::uniform(2));
+  h.registry().add_echo();
+  h.start();
+  auto invoker = h.make_invoker();
+
+  constexpr int kWarmup = 200;
+  constexpr int kCalls = 5'000;
+  int ok = 0;
+  std::uint64_t allocations = 0;
+  drive(h, 10_s, [&]() -> sim::Task<void> {
+    AllocationSpec spec;
+    spec.function_name = "echo";
+    spec.workers = 8;
+    spec.policy = InvocationPolicy::HotAlways;
+    auto st = co_await invoker->allocate(spec);
+    EXPECT_TRUE(st.ok()) << (st.ok() ? "" : st.error().message);
+    invoker->reserve_slots(/*count=*/8, /*max_input=*/512, /*max_output=*/512);
+    std::array<std::uint8_t, 256> payload;
+    payload.fill(0x42);
+    for (int i = 0; i < kWarmup; ++i) (void)co_await invoker->invoke_pooled(0, payload);
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    for (int i = 0; i < kCalls; ++i) {
+      if ((co_await invoker->invoke_pooled(0, payload)).ok) ++ok;
+    }
+    allocations = g_allocations.load(std::memory_order_relaxed) - before;
+    co_await invoker->deallocate();
+  });
+
+  EXPECT_EQ(ok, kCalls);
+  EXPECT_EQ(allocations, 0u);
 }
 
 TEST(BoundedState, RetiredSandboxesAndTheirProtectionDomainsAreFreed) {

@@ -1,9 +1,12 @@
 // Unit tests for the discrete-event simulation kernel: event ordering,
-// delays, synchronization primitives, futures, and the host/core model.
+// delays, coroutine frames, synchronization primitives, futures, the ring
+// FIFO, and the host/core model.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
+#include "sim/fifo.hpp"
 #include "sim/host.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -238,6 +241,25 @@ TEST(Task, ExceptionPropagatesToAwaiter) {
   EXPECT_TRUE(caught);
 }
 
+TEST(Task, ReadingADestroyedFrameIsReported) {
+  // Pooled frames are poisoned while they wait for reuse, so
+  // AddressSanitizer still sees a use after the coroutine's destruction.
+#ifndef RFS_ASAN
+  GTEST_SKIP() << "needs AddressSanitizer";
+#else
+  auto body = []() -> Task<void> { co_return; };
+  EXPECT_DEATH(
+      {
+        auto h = body().release();
+        auto* frame = static_cast<volatile unsigned char*>(h.address());
+        h.destroy();
+        const unsigned char stale = *frame;
+        (void)stale;
+      },
+      "AddressSanitizer");
+#endif
+}
+
 TEST(Event, BroadcastWakesAllWaiters) {
   Engine eng;
   Event ev;
@@ -433,6 +455,80 @@ TEST(WaitGroup, WaitsForAll) {
   spawn(eng, worker(30));
   eng.run();
   EXPECT_EQ(done_at, 50u);
+}
+
+std::vector<int> drain(Fifo<int>& q) {
+  std::vector<int> out;
+  while (!q.empty()) {
+    out.push_back(q.front());
+    q.pop_front();
+  }
+  return out;
+}
+
+TEST(Fifo, GrowingWhileWrappedKeepsFifoOrder) {
+  // Rotate the ring by `skew` first, so the growth below happens with the
+  // head away from slot 0 and the live elements wrapped around its end.
+  for (int skew = 0; skew < 24; ++skew) {
+    Fifo<int> q;
+    for (int i = 0; i < skew; ++i) {
+      q.push_back(-1);
+      q.pop_front();
+    }
+    std::vector<int> expected;
+    for (int i = 0; i < 40; ++i) {
+      q.push_back(i);
+      expected.push_back(i);
+    }
+    ASSERT_EQ(q.size(), 40u);
+    EXPECT_EQ(drain(q), expected) << "skew " << skew;
+  }
+}
+
+TEST(Fifo, EraseKeepsTheOthersInOrder) {
+  Fifo<int> q;
+  for (int i = 0; i < 5; ++i) {
+    q.push_back(-1);
+    q.pop_front();
+  }
+  for (int i = 0; i < 10; ++i) q.push_back(i);
+  q.erase(3);             // middle
+  q.erase(0);             // front
+  q.erase(q.size() - 1);  // back
+  ASSERT_EQ(q.size(), 7u);
+  EXPECT_EQ(q[0], 1);
+  EXPECT_EQ(q[2], 4);
+  EXPECT_EQ(drain(q), (std::vector<int>{1, 2, 4, 5, 6, 7, 8}));
+}
+
+TEST(Fifo, PopAndEraseReleaseTheElement) {
+  auto a = std::make_shared<int>(1);
+  auto b = std::make_shared<int>(2);
+  Fifo<std::shared_ptr<int>> q;
+  q.push_back(a);
+  q.push_back(b);
+  q.push_back(a);
+  EXPECT_EQ(a.use_count(), 3);
+  q.pop_front();
+  EXPECT_EQ(a.use_count(), 2);
+  q.erase(0);
+  EXPECT_EQ(b.use_count(), 1);
+  EXPECT_EQ(a.use_count(), 2);
+  q.pop_front();
+  EXPECT_EQ(a.use_count(), 1);
+}
+
+TEST(Fifo, ClearEmptiesTheQueue) {
+  auto a = std::make_shared<int>(1);
+  Fifo<std::shared_ptr<int>> q;
+  for (int i = 0; i < 11; ++i) q.push_back(a);
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(a.use_count(), 1);
+  q.push_back(a);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.front(), a);
 }
 
 TEST(Host, ComputeOccupiesCore) {
