@@ -75,6 +75,8 @@ void BM_Base64Encode(benchmark::State& state) {
 }
 BENCHMARK(BM_Base64Encode)->Arg(1024)->Arg(1 << 20);
 
+// The payload checksum as dispatched on this CPU. 256 B to 4 KiB is the
+// span of parallel_batches payloads; 64 B guards the short-input path.
 void BM_Crc32c(benchmark::State& state) {
   Bytes data(static_cast<std::size_t>(state.range(0)));
   fill_pattern(data, 2);
@@ -83,7 +85,19 @@ void BM_Crc32c(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Crc32c)->Arg(64)->Arg(4096)->Arg(1 << 20);
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(256)->Arg(2048)->Arg(4096)->Arg(1 << 20);
+
+// The table loop that CPUs without SSE4.2 and PCLMULQDQ run: CI compares
+// BM_Crc32c/4096 against it to catch a dispatch that falls back to it.
+void BM_Crc32cPortable(benchmark::State& state) {
+  Bytes data(static_cast<std::size_t>(state.range(0)));
+  fill_pattern(data, 2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(detail::crc32c_portable(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32cPortable)->Arg(4096);
 
 void BM_BlackScholes(benchmark::State& state) {
   auto options = workloads::generate_options(static_cast<std::size_t>(state.range(0)), 3);

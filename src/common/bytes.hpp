@@ -98,11 +98,22 @@ class ByteReader {
 
 /// CRC-32C (Castagnoli: reflected polynomial 0x82F63B78, init and
 /// xorout 0xFFFFFFFF), the payload CRC of iSCSI (RFC 3720), iWARP MPA
-/// (RFC 5044) and NVMe/TCP. On x86-64 CPUs with SSE4.2 it runs the
-/// `crc32` instruction over 8-byte words; a 256-entry table finishes the
-/// tail and computes every byte on other CPUs. The data plane's payload
-/// checksum and the tests' end-to-end byte checks both use it.
+/// (RFC 5044) and NVMe/TCP. On x86-64 CPUs with SSE4.2 and PCLMULQDQ it
+/// runs the `crc32` instruction over 8-byte words: from 192 B on, three
+/// independent chains over adjacent lanes of up to 1 KiB each, joined
+/// by carry-less multiplication (Gopal et al., "Fast CRC Computation for
+/// iSCSI Polynomial Using CRC32 Instruction", Intel 2011), then one
+/// chain for the rest and `crc32` on 4, 2 and 1 bytes for the 0-7 byte
+/// tail. Other CPUs get detail::crc32c_portable. The data plane's
+/// payload checksum and the tests' end-to-end byte checks both use it.
 std::uint32_t crc32c(std::span<const std::uint8_t> data);
+
+namespace detail {
+/// The same CRC-32C one byte at a time through a 256-entry table: what
+/// crc32c runs on CPUs without the instructions, callable anywhere so
+/// that tests and benches reach it.
+std::uint32_t crc32c_portable(std::span<const std::uint8_t> data);
+}  // namespace detail
 
 /// Deterministic pattern fill used by tests and benches to validate
 /// that bytes were actually moved end to end (zero-copy check).

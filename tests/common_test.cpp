@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <numeric>
+#include <vector>
 
 #include "common/base64.hpp"
 #include "common/bytes.hpp"
@@ -169,28 +171,57 @@ TEST(Bytes, Crc32cKnownValues) {
   EXPECT_EQ(crc32c({}), 0u);
 }
 
-/// One bit at a time, straight from the reflected polynomial.
-std::uint32_t crc32c_reference(std::span<const std::uint8_t> data) {
+/// The CRC-32C of every prefix of `data`, one bit at a time straight
+/// from the reflected polynomial: element i covers data[0, i).
+std::vector<std::uint32_t> crc32c_reference_prefixes(std::span<const std::uint8_t> data) {
+  std::vector<std::uint32_t> out{0};
+  out.reserve(data.size() + 1);
   std::uint32_t c = 0xFFFFFFFFu;
   for (std::uint8_t b : data) {
     c ^= b;
     for (int k = 0; k < 8; ++k) c = (c & 1) ? 0x82F63B78u ^ (c >> 1) : (c >> 1);
+    out.push_back(c ^ 0xFFFFFFFFu);
   }
-  return c ^ 0xFFFFFFFFu;
+  return out;
+}
+
+/// Both CRC-32C kernels, the one crc32c dispatches to on this CPU and
+/// the portable table loop, against the reference at each of `lengths`
+/// (ascending) from start offsets 0..7, so word loads are unaligned.
+void expect_kernels_match_reference(const std::vector<std::size_t>& lengths) {
+  Bytes buf(lengths.back() + 7);
+  fill_pattern(buf, 7);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const std::span<const std::uint8_t> all(buf.data() + offset, lengths.back());
+    const std::vector<std::uint32_t> want = crc32c_reference_prefixes(all);
+    for (std::size_t len : lengths) {
+      const auto data = all.first(len);
+      ASSERT_EQ(crc32c(data), want[len]) << "crc32c, offset " << offset << " len " << len;
+      ASSERT_EQ(detail::crc32c_portable(data), want[len])
+          << "crc32c_portable, offset " << offset << " len " << len;
+    }
+  }
 }
 
 TEST(Bytes, Crc32cMatchesBitwiseReferenceAtEveryLengthAndOffset) {
-  // Every length 0..4096 at start offsets 0..7: the 8-byte word loop,
-  // the 0-7 byte table tail and unaligned word loads all meet the
-  // reference.
-  Bytes buf(4096 + 8);
-  fill_pattern(buf, 7);
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t len = 0; len <= 4096; ++len) {
-      const std::span<const std::uint8_t> data(buf.data() + offset, len);
-      ASSERT_EQ(crc32c(data), crc32c_reference(data)) << "offset " << offset << " len " << len;
-    }
+  // Every length 0..4096: one chain below 192 B, one or two rounds of
+  // three lanes from there, and every 0-7 byte tail (4-, 2- and 1-byte
+  // `crc32`, or the table in the portable kernel).
+  std::vector<std::size_t> lengths(4097);
+  std::iota(lengths.begin(), lengths.end(), 0);
+  expect_kernels_match_reference(lengths);
+}
+
+TEST(Bytes, Crc32cMatchesBitwiseReferenceAcrossLaneRounds) {
+  // Up to 13 KiB, four full rounds of three 1 KiB lanes plus every
+  // remainder: each multiple of 8 and the lengths 1 and 7 either side
+  // of it. Then 1 MiB: 341 full rounds, a short one and two words.
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 13 * 1024 + 7; ++len) {
+    if (len % 8 <= 1 || len % 8 == 7) lengths.push_back(len);
   }
+  lengths.push_back(std::size_t{1} << 20);
+  expect_kernels_match_reference(lengths);
 }
 
 TEST(Bytes, PatternIsDeterministicAndSeedSensitive) {
