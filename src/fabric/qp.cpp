@@ -73,16 +73,23 @@ Status QueuePair::validate_send(const SendWr& wr) const {
   return Status::success();
 }
 
+QueuePair::InlineCopy::InlineCopy(const SgeList& sge) : size_(sge.total_length()) {
+  std::uint8_t* out = staged_.data();
+  if (size_ > kStaged) {
+    heap_.resize(size_);
+    out = heap_.data();
+  }
+  for (const auto& s : sge) {
+    if (s.length == 0) continue;  // its address may be null
+    std::memcpy(out, reinterpret_cast<const void*>(s.addr), s.length);
+    out += s.length;
+  }
+}
+
 Status QueuePair::post_send(SendWr wr) {
   if (auto st = validate_send(wr); !st) return st;
 
-  Bytes inline_copy;
-  if (wr.inline_data) {
-    auto gathered = gather(wr.sge);
-    if (!gathered) return gathered.error();
-    inline_copy = std::move(gathered).take();
-  }
-
+  InlineCopy inline_copy = wr.inline_data ? InlineCopy(wr.sge) : InlineCopy();
   const Duration doorbell = dev_.fabric().model().post_overhead;
   sim::spawn(dev_.fabric().engine(),
              run_send(Ref(this), Ref(peer_), std::move(wr), std::move(inline_copy), doorbell));
@@ -99,12 +106,7 @@ Status QueuePair::post_send_many(std::span<SendWr> wrs) {
   const Duration doorbell = dev_.fabric().model().post_overhead;
   bool first = true;
   for (SendWr& wr : wrs) {
-    Bytes inline_copy;
-    if (wr.inline_data) {
-      auto gathered = gather(wr.sge);
-      if (!gathered) return gathered.error();
-      inline_copy = std::move(gathered).take();
-    }
+    InlineCopy inline_copy = wr.inline_data ? InlineCopy(wr.sge) : InlineCopy();
     // One doorbell for the chain: the first WR pays the MMIO write + WQE
     // fetch; later WRs are fetched with the same doorbell.
     sim::spawn(dev_.fabric().engine(), run_send(Ref(this), Ref(peer_), std::move(wr),
@@ -115,7 +117,7 @@ Status QueuePair::post_send_many(std::span<SendWr> wrs) {
 }
 
 sim::Task<void> QueuePair::run_send([[maybe_unused]] Ref self, Ref remote, SendWr wr,
-                                    Bytes inline_copy, Duration doorbell) {
+                                    InlineCopy inline_copy, Duration doorbell) {
   const auto& model = dev_.fabric().model();
   auto& net = dev_.fabric().net();
 
@@ -200,8 +202,7 @@ sim::Task<void> QueuePair::run_send([[maybe_unused]] Ref self, Ref remote, SendW
   Bytes staged;
   std::span<const std::uint8_t> payload;
   if (wr.inline_data) {
-    staged = std::move(inline_copy);
-    payload = {staged.data(), staged.size()};
+    payload = inline_copy.bytes();
   } else if (wr.sge.size() == 1) {
     payload = {reinterpret_cast<const std::uint8_t*>(wr.sge[0].addr), wr.sge[0].length};
   } else if (!wr.sge.empty()) {

@@ -13,6 +13,7 @@
 // the QP when the last one finishes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -106,8 +107,29 @@ class QueuePair {
     Time arrival;
   };
 
+  /// The bytes of an inline send, captured at post time. Up to
+  /// kStaged bytes (the default max_inline) they ride in the fabric
+  /// task's frame, which is recycled, so the post allocates nothing; a
+  /// larger max_inline falls back to a heap copy. Empty for other sends.
+  class InlineCopy {
+   public:
+    static constexpr std::size_t kStaged = 128;
+
+    InlineCopy() = default;
+    explicit InlineCopy(const SgeList& sge);
+
+    [[nodiscard]] std::span<const std::uint8_t> bytes() const {
+      return {size_ <= kStaged ? staged_.data() : heap_.data(), size_};
+    }
+
+   private:
+    std::size_t size_ = 0;
+    Bytes heap_;
+    std::array<std::uint8_t, kStaged> staged_;
+  };
+
   Status validate_send(const SendWr& wr) const;
-  sim::Task<void> run_send(Ref self, Ref remote, SendWr wr, Bytes inline_copy,
+  sim::Task<void> run_send(Ref self, Ref remote, SendWr wr, InlineCopy inline_copy,
                            Duration doorbell);
   void deliver_with_recv(const SendWr& wr, std::span<const std::uint8_t> payload,
                          std::uint32_t byte_len, Time arrival);

@@ -735,24 +735,25 @@ bool ExecutorManager::poolable(const Sandbox& sb) const {
 }
 
 const ExecutorManager::DedupEntry* ExecutorManager::dedup_find(std::uint64_t tag) const {
-  auto it = std::find_if(dedup_.begin(), dedup_.end(),
-                         [tag](const DedupEntry& e) { return e.tag == tag; });
-  return it == dedup_.end() ? nullptr : &*it;
+  const auto slot = dedup_tags_.find(tag);
+  return slot ? &dedup_[*slot] : nullptr;
 }
 
 void ExecutorManager::dedup_record(std::uint64_t tag, std::uint32_t checksum12,
                                    const std::uint8_t* out, std::uint32_t len) {
   if (dedup_find(tag) != nullptr) return;
-  DedupEntry* e = nullptr;
-  if (dedup_.size() < kDedupWindow) {
-    e = &dedup_.emplace_back();
+  std::size_t slot = dedup_.size();
+  if (slot < kDedupWindow) {
+    dedup_.emplace_back();
   } else {
-    e = &dedup_[dedup_oldest_];
+    slot = dedup_oldest_;
     dedup_oldest_ = (dedup_oldest_ + 1) % kDedupWindow;
+    dedup_tags_.erase(slot);
   }
-  e->tag = tag;
-  e->checksum12 = checksum12;
-  e->output.assign(out, out + len);
+  dedup_tags_.insert(tag, slot);
+  DedupEntry& e = dedup_[slot];
+  e.checksum12 = checksum12;
+  e.output.assign(out, out + len);
 }
 
 void ExecutorManager::note_cancel(std::uint64_t tag) {

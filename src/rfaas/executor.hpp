@@ -22,6 +22,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/slot_index.hpp"
 #include "net/faulty.hpp"
 #include "net/tcp.hpp"
 #include "rdmalib/buffer.hpp"
@@ -296,7 +297,6 @@ class ExecutorManager {
   /// manager replays its stored reply instead of running user code
   /// again. Entry absent = never executed here (or evicted).
   struct DedupEntry {
-    std::uint64_t tag = 0;
     std::uint32_t checksum12 = 0;           ///< reply imm checksum (0 = unchecked)
     std::vector<std::uint8_t> output;       ///< completed result bytes
   };
@@ -376,6 +376,7 @@ class ExecutorManager {
   /// slot reusing its output capacity.
   std::vector<DedupEntry> dedup_;
   std::size_t dedup_oldest_ = 0;
+  SlotIndex<kDedupWindow> dedup_tags_;  ///< tag -> its entry's slot in dedup_
   static constexpr std::size_t kCancelWindow = 256;
   std::unordered_set<std::uint64_t> cancelled_tags_;
   sim::Fifo<std::uint64_t> cancel_fifo_;

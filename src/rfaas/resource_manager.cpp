@@ -1,10 +1,8 @@
 #include "rfaas/resource_manager.hpp"
 
-#include <unordered_map>
-
+#include "common/id_window.hpp"
 #include "common/log.hpp"
 #include "rdmalib/connection.hpp"
-#include "sim/fifo.hpp"
 
 namespace rfs::rfaas {
 
@@ -162,14 +160,15 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
   // Per-stream duplicate-request table: request id -> the exact reply
   // bytes already sent. A retransmission (same nonzero id) replays the
   // cached reply instead of re-running the decision — the idempotence
-  // that keeps a duplicated LeaseRequest from granting twice. Bounded
-  // FIFO; safe because each session keeps at most one call outstanding,
-  // so a wandering duplicate can never lag the window by 128 exchanges.
-  // Lives on the coroutine frame: messages of one stream are processed
-  // strictly in order, and the table dies with the connection.
-  constexpr std::size_t kDedupWindow = 128;
-  std::unordered_map<std::uint64_t, Bytes> dedup;
-  sim::Fifo<std::uint64_t> dedup_fifo;
+  // that keeps a duplicated LeaseRequest from granting twice. A
+  // stream's ids come from one session and grow by one per call, so the
+  // window holds the last 128 calls' replies, each slot reusing its
+  // reply's capacity. That is safe because each session keeps at most
+  // one call outstanding, so a wandering duplicate can never lag the
+  // window by 128 exchanges. Lives on the coroutine frame: messages of
+  // one stream are processed strictly in order, and the table dies with
+  // the connection.
+  IdWindow<Bytes, 128> dedup;
   // Dedup entry point of every lease-critical request; true when the
   // request is answered here. Id 0 is no session's id (sessions count
   // from (epoch << 32) | 1): it is refused with one LeaseError and never
@@ -179,19 +178,14 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
       stream->send(encode_lease_error("request id 0: lease requests need a session id"));
       return true;
     }
-    auto it = dedup.find(id);
-    if (it == dedup.end()) return false;
+    const Bytes* cached = dedup.find(id);
+    if (cached == nullptr) return false;
     ++dedup_hits_;
-    stream->send(Bytes(it->second));
+    stream->send(Bytes(*cached));
     return true;
   };
   auto reply_cached = [&](std::uint64_t id, Bytes reply) {
-    dedup[id] = reply;
-    dedup_fifo.push_back(id);
-    if (dedup_fifo.size() > kDedupWindow) {
-      dedup.erase(dedup_fifo.front());
-      dedup_fifo.pop_front();
-    }
+    dedup.insert(id).assign(reply.begin(), reply.end());
     stream->send(std::move(reply));
   };
   // Early shed of a lease request or batch; true when admission refused

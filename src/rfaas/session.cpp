@@ -8,13 +8,6 @@ namespace rfs::rfaas {
 
 namespace {
 
-/// Bound on remembered completed-request ids and push sequence numbers.
-/// One outstanding call per session means a wandering duplicate can lag
-/// the live request by at most the injector's delay bound, far less than
-/// 256 exchanges; eviction therefore never forgets a live duplicate.
-constexpr std::size_t kCompletedWindow = 256;
-constexpr std::size_t kPushSeqWindow = 256;
-
 /// The seq of an eviction push (LeaseTerminated/LeasesTerminated), 0 when
 /// it does not decode; nullopt for every other push type.
 std::optional<std::uint64_t> eviction_seq(MsgType type, const Bytes& msg) {
@@ -65,12 +58,28 @@ void Session::note_rtt(State& st, Duration sample) {
   st.srtt = 0.875 * st.srtt + 0.125 * s;
 }
 
-sim::Task<void> Session::wake_at(std::shared_ptr<State> st, Time deadline) {
-  const Time now = st->engine.now();
-  if (deadline > now) co_await sim::delay(deadline - now);
-  // Possibly stale (the call may have moved on to a later attempt); a
-  // spurious set only makes the waiter re-check its own deadline.
-  st->reply_event.set();
+void Session::arm_timer(const std::shared_ptr<State>& st, Time deadline) {
+  st->deadline = deadline;
+  if (st->timer_due <= deadline) return;  // the live actor wakes in time
+  // No actor, or one due after this deadline: start one for it. The late
+  // one sees the new generation when it wakes and retires.
+  st->timer_due = deadline;
+  sim::spawn(st->engine, retransmit_timer(st, ++st->timer_generation));
+}
+
+sim::Task<void> Session::retransmit_timer(std::shared_ptr<State> st, std::uint64_t generation) {
+  for (;;) {
+    co_await sim::delay_until(st->timer_due);
+    if (st->timer_generation != generation) co_return;
+    if (st->deadline != kNever && st->deadline > st->engine.now()) {
+      st->timer_due = st->deadline;  // a later call's deadline: sleep on
+      continue;
+    }
+    st->timer_due = kNever;
+    // kNever: no call is waiting. Otherwise the waiting call timed out.
+    if (st->deadline != kNever) st->reply_event.set();
+    co_return;
+  }
 }
 
 sim::Task<Result<Bytes>> Session::call(Bytes request, std::uint64_t request_id) {
@@ -96,9 +105,9 @@ sim::Task<Result<Bytes>> Session::call(Bytes request, std::uint64_t request_id) 
     const Time sent_at = st->engine.now();
     st->stream->send(Bytes(request));
     const Time deadline = sent_at + rto;
+    arm_timer(st, deadline);
     while (!st->pending_reply && !st->closed && st->engine.now() < deadline) {
       st->reply_event.reset();
-      sim::spawn(st->engine, wake_at(st, deadline));
       co_await st->reply_event.wait();
     }
     if (st->pending_reply) {
@@ -115,6 +124,7 @@ sim::Task<Result<Bytes>> Session::call(Bytes request, std::uint64_t request_id) 
 
   st->waiting = false;
   st->pending_id = 0;
+  st->deadline = kNever;
   st->call_mutex.unlock();
   co_return out;
 }
@@ -151,12 +161,7 @@ void Session::record_completed(State& st, std::uint64_t id, const Bytes& reply) 
   if (auto type = peek_type(reply); type && type.value() == MsgType::LeaseGrant) {
     if (auto grant = decode_lease_grant(reply)) lease_id = grant.value().lease_id;
   }
-  st.completed.emplace(id, lease_id);
-  st.completed_fifo.push_back(id);
-  if (st.completed_fifo.size() > kCompletedWindow) {
-    st.completed.erase(st.completed_fifo.front());
-    st.completed_fifo.pop_front();
-  }
+  st.completed.insert(id) = lease_id;
 }
 
 void Session::classify(State& st, Bytes msg) {
@@ -172,14 +177,14 @@ void Session::classify(State& st, Bytes msg) {
       st.reply_event.set();
       return;
     }
-    if (auto it = st.completed.find(id.value()); it != st.completed.end()) {
+    if (const std::uint64_t* granted = st.completed.find(id.value())) {
       ++st.duplicate_replies;
       // The invariant the chaos gate pins to zero: a re-answer to a
       // completed request naming a DIFFERENT lease would be a second
       // grant for one logical request.
-      if (type.value() == MsgType::LeaseGrant && it->second != 0) {
+      if (type.value() == MsgType::LeaseGrant && *granted != 0) {
         if (auto grant = decode_lease_grant(msg);
-            grant && grant.value().lease_id != it->second) {
+            grant && grant.value().lease_id != *granted) {
           ++st.double_grants;
         }
       }
@@ -195,16 +200,11 @@ void Session::classify(State& st, Bytes msg) {
   // owner's termination handler. Other push types carry no seq.
   if (const auto seq = eviction_seq(type.value(), msg)) {
     if (*seq == 0) return;
-    if (st.push_seqs.contains(*seq)) {
+    if (st.push_seqs.find(*seq) != nullptr) {
       ++st.duplicate_pushes;
       return;
     }
-    st.push_seqs.emplace(*seq, true);
-    st.push_seqs_fifo.push_back(*seq);
-    if (st.push_seqs_fifo.size() > kPushSeqWindow) {
-      st.push_seqs.erase(st.push_seqs_fifo.front());
-      st.push_seqs_fifo.pop_front();
-    }
+    st.push_seqs.insert(*seq);
   }
   st.pushes.push_back(std::move(msg));
   st.push_event.set();

@@ -13,6 +13,15 @@
 //    RFC 6298 shape) with capped exponential backoff and a bounded
 //    retransmit budget — Karn's rule: retransmitted exchanges never
 //    feed the RTT estimator;
+//  - one timer actor per session serves every call's retransmission
+//    deadline. It sleeps until the deadline of the call in progress (or
+//    an earlier one) and wakes that call only if the deadline has passed
+//    with no reply. When it wakes to find a later deadline, a call made
+//    since, it sleeps again; when no call is waiting, it retires. A new
+//    actor starts only when none is live or the live one wakes too late
+//    (the timeout shrank). Back-to-back calls, whose replies arrive well
+//    inside the timeout, so share one actor instead of each leaving a
+//    timer queued for a full timeout after its reply;
 //  - a pump coroutine is the stream's only reader, classifying inbound
 //    messages into the pending reply, duplicate/stale replies (counted,
 //    dropped — a LeaseGrant re-answering a completed request with a
@@ -31,11 +40,12 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 
 #include "common/bytes.hpp"
+#include "common/id_window.hpp"
 #include "common/result.hpp"
 #include "common/units.hpp"
 #include "net/tcp.hpp"
@@ -98,8 +108,17 @@ class Session {
   [[nodiscard]] Duration current_rto() const;
 
  private:
-  /// Shared by the pump coroutine and in-flight calls, so either may
-  /// outlive the Session handle itself.
+  static constexpr Time kNever = std::numeric_limits<Time>::max();
+
+  /// Bound on remembered completed-request ids and push sequence numbers.
+  /// One outstanding call per session means a wandering duplicate can lag
+  /// the live request by at most the injector's delay bound, far less than
+  /// 256 exchanges; eviction therefore never forgets a live duplicate.
+  static constexpr std::size_t kCompletedWindow = 256;
+  static constexpr std::size_t kPushSeqWindow = 256;
+
+  /// Shared by the pump coroutine, the retransmission timer and in-flight
+  /// calls, so any of them may outlive the Session handle itself.
   struct State {
     State(sim::Engine& eng, std::shared_ptr<net::TcpStream> s, SessionOptions opts)
         : engine(eng), stream(std::move(s)), options(opts) {}
@@ -116,19 +135,24 @@ class Session {
     std::optional<Bytes> pending_reply;
     sim::Event reply_event;
 
+    Time deadline = kNever;   ///< retransmission deadline of the waiting call
+    Time timer_due = kNever;  ///< when the live timer actor wakes; kNever: no actor
+    std::uint64_t timer_generation = 0;  ///< a timer superseded by an earlier deadline retires
+
     sim::Fifo<Bytes> pushes;
     sim::Event push_event;
-    sim::Fifo<std::uint64_t> push_seqs_fifo;  ///< bounded seen-seq window
-    std::unordered_map<std::uint64_t, bool> push_seqs;
+    /// Seen eviction-push seqs. The manager numbers them per stream from
+    /// 1, so the window holds the last kPushSeqWindow of them.
+    IdWindow<bool, kPushSeqWindow> push_seqs;
 
     bool closed = false;
 
     /// Completed request ids -> granted lease id (0 when the reply was
-    /// not a grant). Bounded FIFO: old entries age out, which is safe
-    /// because one-call-at-a-time bounds how stale a wandering duplicate
-    /// can be when it finally lands.
-    sim::Fifo<std::uint64_t> completed_fifo;
-    std::unordered_map<std::uint64_t, std::uint64_t> completed;
+    /// not a grant). Request ids grow by one per call, so old entries
+    /// age out in call order, which is safe because one-call-at-a-time
+    /// bounds how stale a wandering duplicate can be when it finally
+    /// lands.
+    IdWindow<std::uint64_t, kCompletedWindow> completed;
 
     // RFC 6298 estimator state (nanoseconds, like every sim Duration).
     bool has_rtt = false;
@@ -145,7 +169,10 @@ class Session {
   };
 
   static sim::Task<void> pump(std::shared_ptr<State> st);
-  static sim::Task<void> wake_at(std::shared_ptr<State> st, Time deadline);
+  /// Makes `deadline` the waiting call's, and starts a timer actor unless
+  /// the live one wakes by then.
+  static void arm_timer(const std::shared_ptr<State>& st, Time deadline);
+  static sim::Task<void> retransmit_timer(std::shared_ptr<State> st, std::uint64_t generation);
   static void classify(State& st, Bytes msg);
   static void record_completed(State& st, std::uint64_t id, const Bytes& reply);
   static void note_rtt(State& st, Duration sample);

@@ -1,5 +1,7 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <new>
 
 #include "sim/task.hpp"
@@ -135,7 +137,8 @@ void Engine::drain_detached() {
   t_draining = outer;
   // Queued resumptions may now dangle (their frames died above); nothing
   // may run after a drain, so drop them wholesale.
-  queue_ = {};
+  near_ = {};
+  far_ = {};
   now_lane_.clear();
   now_head_ = 0;
 }
@@ -147,7 +150,24 @@ void Engine::schedule_at(Time t, std::coroutine_handle<> h) {
     now_lane_.push_back(h);
     return;
   }
-  queue_.push(Item{t, seq_++, h});
+  if (t < horizon_) {
+    near_.push(Item{t, seq_++, h});
+  } else {
+    far_.push(Item{t, seq_++, h});
+  }
+}
+
+const Engine::Item* Engine::refill() {
+  if (far_.empty()) return nullptr;
+  // Saturating: a resumption parked at the end of time must not wrap the
+  // horizon below the entries it admits.
+  const Time first = far_.top().t;
+  horizon_ = first + std::min(kHorizon, std::numeric_limits<Time>::max() - first);
+  do {
+    near_.push(far_.top());
+    far_.pop();
+  } while (!far_.empty() && far_.top().t < horizon_);
+  return &near_.top();
 }
 
 Time Engine::run() {
@@ -160,7 +180,7 @@ Time Engine::run() {
 Time Engine::run_until(Time deadline) {
   CurrentEngineScope scope(*this);
   while ((now_head_ < now_lane_.size() && now_ <= deadline) ||
-         (!queue_.empty() && queue_.top().t <= deadline)) {
+         (earliest() != nullptr && earliest()->t <= deadline)) {
     step();
   }
   if (now_ < deadline) now_ = deadline;
@@ -169,20 +189,21 @@ Time Engine::run_until(Time deadline) {
 
 bool Engine::step() {
   std::coroutine_handle<> h;
-  if (!queue_.empty() && queue_.top().t <= now_) {
+  const Item* next = earliest();
+  if (next != nullptr && next->t <= now_) {
     // Queued before time reached now_, so ahead of every lane entry.
-    h = queue_.top().h;
-    queue_.pop();
+    h = next->h;
+    near_.pop();
   } else if (now_head_ < now_lane_.size()) {
     h = now_lane_[now_head_++];
     if (now_head_ == now_lane_.size()) {
       now_lane_.clear();
       now_head_ = 0;
     }
-  } else if (!queue_.empty()) {
-    now_ = queue_.top().t;
-    h = queue_.top().h;
-    queue_.pop();
+  } else if (next != nullptr) {
+    now_ = next->t;
+    h = next->h;
+    near_.pop();
   } else {
     return false;
   }

@@ -7,11 +7,26 @@
 // is single-threaded and fully deterministic: ties in time are broken by
 // insertion order.
 //
-// Resumptions go to one of two lanes. Future ones wait in a binary heap
-// ordered by (time, insertion). Those due at the current instant, about
-// half of all resumptions, skip the heap: they append to a FIFO lane. The
+// A resumption waits in one of three places:
+//
+//  - the same-instant lane: a FIFO (a vector plus a head index) for those
+//    due at the current instant, about half of all resumptions;
+//  - the near tier: a binary heap ordered by (time, insertion) for those
+//    due before `horizon_`;
+//  - the far tier: a second heap of the same kind for the rest, mostly
+//    lease, keep-alive and retransmission timers milliseconds to minutes
+//    away, which the microsecond traffic thus never sifts past.
+//
+// Invariant: every near entry is due before `horizon_`, every far entry
+// at or after it. The near tier's top is therefore the earliest future
+// resumption. When the near tier runs dry, the next read of the minimum
+// moves the horizon to the earliest far entry plus kHorizon and moves
+// every far entry before it into the near tier, keeping its insertion
+// number. Each entry is compared by the same (time, insertion) key in
+// whichever tier it sits, so the order is exactly that of one heap. The
 // heap entries due now were queued before time reached now, so they run
-// ahead of the lane, which keeps the (time, insertion) order exact.
+// ahead of the lane, which keeps the (time, insertion) order exact across
+// the lane too.
 #pragma once
 
 #include <coroutine>
@@ -34,6 +49,10 @@ struct DetachedLink {
 
 class Engine {
  public:
+  /// Width of the near tier: a refill admits the far entries due less
+  /// than this after the earliest of them (2^20 ns, about 1 ms).
+  static constexpr Duration kHorizon = Duration{1} << 20;
+
   Engine();
   ~Engine();
 
@@ -63,9 +82,9 @@ class Engine {
   /// Executes a single event if one is pending. Returns false when idle.
   bool step();
 
-  /// Number of pending events.
+  /// Number of pending events, in either tier or the same-instant lane.
   [[nodiscard]] std::size_t pending() const {
-    return queue_.size() + (now_lane_.size() - now_head_);
+    return near_.size() + far_.size() + (now_lane_.size() - now_head_);
   }
 
   /// Tracks a detached (spawned) coroutine so still-suspended actors can
@@ -112,7 +131,16 @@ class Engine {
     }
   };
 
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> queue_;
+  using Heap = std::priority_queue<Item, std::vector<Item>, std::greater<>>;
+
+  /// The earliest future resumption (nullptr when none is queued), after
+  /// refilling the near tier from the far one if it ran dry.
+  const Item* earliest() { return near_.empty() ? refill() : &near_.top(); }
+  const Item* refill();
+
+  Heap near_;              // future resumptions due before horizon_
+  Heap far_;               // future resumptions due at or after horizon_
+  Time horizon_ = 0;
   // Resumptions due at now_, in insertion order. Entries before
   // now_head_ have run; the vector is cleared (keeping its capacity)
   // whenever the lane drains, and it always drains before time advances.

@@ -1,13 +1,18 @@
 // Unit tests for the common utilities: statistics, base64, byte
-// serialization, CRC, PRNG determinism, units.
+// serialization, CRC, PRNG determinism, units, the id window and the slot
+// index.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <numeric>
+#include <optional>
+#include <random>
 #include <vector>
 
 #include "common/base64.hpp"
 #include "common/bytes.hpp"
+#include "common/id_window.hpp"
+#include "common/slot_index.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
@@ -231,6 +236,91 @@ TEST(Bytes, PatternIsDeterministicAndSeedSensitive) {
   fill_pattern(c, 2);
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
+}
+
+TEST(IdWindow, HoldsExactlyWhatAFixedRingHolds) {
+  // Reference: a ring of Window slots indexed by id % Window. Ids mostly
+  // grow by one, sometimes skip ahead, sometimes repeat an older id (a
+  // stale duplicate), so the growing ring must agree on every lookup.
+  constexpr std::size_t kWindow = 64;
+  std::mt19937_64 rng(7);
+  IdWindow<std::uint64_t, kWindow> window;
+  std::array<std::uint64_t, kWindow> ring{};  // id per slot, 0 = empty
+  std::uint64_t next = 1;
+  for (int i = 0; i < 20'000; ++i) {
+    std::uint64_t id = next;
+    if (rng() % 8 == 0) {
+      id = next > 200 ? next - 1 - rng() % 200 : next;  // an older id again
+    } else {
+      next += rng() % 16 == 0 ? 1 + rng() % 100 : 1;
+    }
+    for (std::uint64_t probe = id > 150 ? id - 150 : 1; probe <= id + 2; ++probe) {
+      const std::uint64_t* got = window.find(probe);
+      ASSERT_EQ(got != nullptr, ring[probe % kWindow] == probe) << "id " << probe;
+      if (got != nullptr) {
+        EXPECT_EQ(*got, probe * 3);
+      }
+    }
+    window.insert(id) = id * 3;
+    ring[id % kWindow] = id;
+  }
+  EXPECT_EQ(window.find(0), nullptr);
+}
+
+TEST(IdWindow, KeepsTheLastWindowIdsAndReusesSlotStorage) {
+  IdWindow<Bytes, 4> window;
+  for (std::uint64_t id = 1; id <= 6; ++id) window.insert(id).assign(100, static_cast<std::uint8_t>(id));
+  EXPECT_EQ(window.find(2), nullptr);  // replaced by 6
+  ASSERT_NE(window.find(3), nullptr);
+  EXPECT_EQ(window.find(3)->front(), 3u);
+  // Id 7 replaces id 3 in its slot and gets that slot's buffer.
+  const std::uint8_t* storage = window.find(3)->data();
+  Bytes& reused = window.insert(7);
+  EXPECT_EQ(reused.data(), storage);
+  EXPECT_EQ(window.find(3), nullptr);
+}
+
+TEST(SlotIndex, FindsWhatALinearScanOfTheRingFinds) {
+  // The executor's dedup window: a ring of 128 slots overwritten oldest
+  // first, keys from several clients interleaved, some looked up again
+  // (retries). Every lookup must agree with a scan of the ring, also
+  // after the ring has turned over many times.
+  constexpr std::size_t kSlots = 128;
+  std::mt19937_64 rng(11);
+  SlotIndex<kSlots> index;
+  std::vector<std::uint64_t> ring;  // key per slot
+  std::size_t oldest = 0;
+  std::vector<std::uint64_t> seen;
+  auto scan = [&](std::uint64_t key) -> std::optional<std::size_t> {
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      if (ring[i] == key) return i;
+    }
+    return std::nullopt;
+  };
+  std::array<std::uint64_t, 4> next_seq{};
+  for (int i = 0; i < 50'000; ++i) {
+    std::uint64_t key;
+    if (!seen.empty() && rng() % 3 == 0) {
+      key = seen[seen.size() - 1 - rng() % std::min<std::size_t>(seen.size(), 300)];
+    } else {
+      const std::size_t client = rng() % next_seq.size();
+      key = (static_cast<std::uint64_t>(client + 1) << 32) | ++next_seq[client];
+    }
+    ASSERT_EQ(index.find(key), scan(key)) << "step " << i;
+    if (scan(key)) continue;
+    std::size_t slot = ring.size();
+    if (slot < kSlots) {
+      ring.push_back(key);
+    } else {
+      slot = oldest;
+      oldest = (oldest + 1) % kSlots;
+      index.erase(slot);
+      ring[slot] = key;
+    }
+    index.insert(key, slot);
+    seen.push_back(key);
+  }
+  for (const std::uint64_t key : ring) EXPECT_EQ(index.find(key), scan(key));
 }
 
 TEST(Rng, DeterministicStream) {

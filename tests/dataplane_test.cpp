@@ -788,7 +788,9 @@ TEST(BoundedState, HotInvocationsAllocateNothing) {
   // coroutine frames come from the engine's free lists, the simulator's
   // queues rotate in place and the payload stays in the registered slot.
   // 256 B plus the 32 B header is above the 128 B inline ceiling, so the
-  // fabric does not copy the payload at post time.
+  // fabric does not copy the payload at post time. 64 B plus the header
+  // is below it: request and result are inlined, and the fabric captures
+  // their bytes at post time in its task's recycled frame.
   cluster::Harness h(cluster::ScenarioSpec::uniform(2));
   h.registry().add_echo();
   h.start();
@@ -797,7 +799,9 @@ TEST(BoundedState, HotInvocationsAllocateNothing) {
   constexpr int kWarmup = 200;
   constexpr int kCalls = 5'000;
   int ok = 0;
+  int inline_ok = 0;
   std::uint64_t allocations = 0;
+  std::uint64_t inline_allocations = 0;
   drive(h, 10_s, [&]() -> sim::Task<void> {
     AllocationSpec spec;
     spec.function_name = "echo";
@@ -808,17 +812,29 @@ TEST(BoundedState, HotInvocationsAllocateNothing) {
     invoker->reserve_slots(/*count=*/8, /*max_input=*/512, /*max_output=*/512);
     std::array<std::uint8_t, 256> payload;
     payload.fill(0x42);
-    for (int i = 0; i < kWarmup; ++i) (void)co_await invoker->invoke_pooled(0, payload);
-    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    std::array<std::uint8_t, 64> inline_payload;
+    inline_payload.fill(0x24);
+    for (int i = 0; i < kWarmup; ++i) {
+      (void)co_await invoker->invoke_pooled(0, payload);
+      (void)co_await invoker->invoke_pooled(0, inline_payload);
+    }
+    std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
     for (int i = 0; i < kCalls; ++i) {
       if ((co_await invoker->invoke_pooled(0, payload)).ok) ++ok;
     }
     allocations = g_allocations.load(std::memory_order_relaxed) - before;
+    before = g_allocations.load(std::memory_order_relaxed);
+    for (int i = 0; i < kCalls; ++i) {
+      if ((co_await invoker->invoke_pooled(0, inline_payload)).ok) ++inline_ok;
+    }
+    inline_allocations = g_allocations.load(std::memory_order_relaxed) - before;
     co_await invoker->deallocate();
   });
 
   EXPECT_EQ(ok, kCalls);
   EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(inline_ok, kCalls);
+  EXPECT_EQ(inline_allocations, 0u);
 }
 
 TEST(BoundedState, RetiredSandboxesAndTheirProtectionDomainsAreFreed) {

@@ -152,6 +152,74 @@ TEST_F(SessionTest, TimeoutFiresAndRetransmitRecoversLostRequest) {
   EXPECT_GE(finished - started, quick_options().rto_initial);
 }
 
+TEST_F(SessionTest, SwallowedRequestIsResentExactlyOneTimeoutLater) {
+  // Both copies cross the same idle link, so the server sees them exactly
+  // as far apart as they were sent: rto_initial, not a nanosecond later.
+  std::vector<Time> arrivals;
+  auto session = run_against([at = &arrivals](std::shared_ptr<net::TcpStream> s)
+                                 -> sim::Task<void> {
+    auto first = co_await s->recv();  // swallowed
+    at->push_back(sim::Engine::current()->now());
+    auto second = co_await s->recv();
+    at->push_back(sim::Engine::current()->now());
+    EXPECT_TRUE(first.has_value());
+    if (second) answer(*s, *second, 7);
+  });
+  ASSERT_NE(session, nullptr);
+
+  Result<Bytes> reply = Error::make(1, "not run");
+  sim::spawn(eng, [](std::shared_ptr<Session> ss, Result<Bytes>* out) -> sim::Task<void> {
+    const auto id = ss->next_request_id();
+    *out = co_await ss->call(lease_request(id), id);
+  }(session, &reply));
+  eng.run();
+
+  ASSERT_TRUE(reply.ok());
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_EQ(arrivals[1] - arrivals[0], quick_options().rto_initial);
+  EXPECT_EQ(session->retransmits(), 1u);
+}
+
+constexpr int kBackToBackCalls = 16;
+
+TEST_F(SessionTest, BackToBackCallsShareOneRetransmissionTimer) {
+  // Every reply arrives far inside the 50 ms timeout. One timer actor
+  // serves all the calls' deadlines, so the calls leave at most that one
+  // actor behind, not a timer per call parked for a full timeout.
+  SessionOptions options = quick_options();
+  options.rto_initial = 50_ms;
+  options.rto_min = 50_ms;
+  options.rto_max = 200_ms;
+  auto session = run_against([](std::shared_ptr<net::TcpStream> s) -> sim::Task<void> {
+    for (int i = 0; i < kBackToBackCalls; ++i) {
+      auto raw = co_await s->recv();
+      if (!raw) co_return;
+      answer(*s, *raw, 100 + i);
+    }
+    (void)co_await s->recv();  // hold the stream open
+  }, options);
+  ASSERT_NE(session, nullptr);
+
+  int ok = 0;
+  std::size_t actors_before = 0;
+  std::size_t actors_after = 0;
+  sim::spawn(eng, [](sim::Engine* e, std::shared_ptr<Session> ss, int* done, std::size_t* before,
+                     std::size_t* after) -> sim::Task<void> {
+    *before = e->detached_count();
+    for (int i = 0; i < kBackToBackCalls; ++i) {
+      const auto id = ss->next_request_id();
+      if ((co_await ss->call(lease_request(id), id)).ok()) ++*done;
+    }
+    *after = e->detached_count();
+    ss->stream()->close();
+  }(&eng, session, &ok, &actors_before, &actors_after));
+  eng.run();
+
+  EXPECT_EQ(ok, kBackToBackCalls);
+  EXPECT_EQ(session->retransmits(), 0u);
+  EXPECT_LE(actors_after, actors_before + 1);
+}
+
 TEST_F(SessionTest, BudgetExhaustionFailsCleanlyWithCappedBackoff) {
   // The server never answers: the call must burn its whole retransmit
   // budget with exponential backoff capped at rto_max, then fail.

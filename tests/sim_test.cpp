@@ -1,9 +1,13 @@
-// Unit tests for the discrete-event simulation kernel: event ordering,
-// delays, coroutine frames, synchronization primitives, futures, the ring
+// Unit tests for the discrete-event simulation kernel: event ordering
+// (across the same-instant lane and the near and far tiers), delays,
+// coroutine frames, synchronization primitives, futures, the ring
 // FIFO, and the host/core model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "sim/fifo.hpp"
@@ -202,6 +206,146 @@ TEST(Engine, DrainDestroysSuspendedActorsAndTheActorsTheySpawned) {
   EXPECT_EQ(destroyed, 4);
   EXPECT_EQ(eng.detached_count(), 0u);
   EXPECT_EQ(eng.pending(), 0u);
+}
+
+TEST(Engine, PendingCountsTheFarTier) {
+  Engine eng;
+  auto sleeper = [](Duration d) -> Task<void> { co_await delay(d); };
+  spawn(eng, sleeper(10));
+  spawn(eng, sleeper(10_s));
+  spawn(eng, sleeper(20_s));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(eng.step());  // the three starts
+  EXPECT_EQ(eng.pending(), 3u);
+  ASSERT_TRUE(eng.step());  // the 10 ns sleeper; the others stay far
+  EXPECT_EQ(eng.now(), 10u);
+  EXPECT_EQ(eng.pending(), 2u);
+  eng.run();
+  EXPECT_EQ(eng.pending(), 0u);
+  EXPECT_EQ(eng.now(), 20_s);
+}
+
+TEST(Engine, RunUntilBetweenTheTiersStopsThere) {
+  // Two sleepers in the near tier, three (two at one instant) a few
+  // seconds out in the far one: the deadline falls between them.
+  Engine eng;
+  std::vector<int> order;
+  auto sleeper = [&](int id, Duration d) -> Task<void> {
+    co_await delay(d);
+    order.push_back(id);
+  };
+  spawn(eng, sleeper(1, 100));
+  spawn(eng, sleeper(5, 6_s));
+  spawn(eng, sleeper(3, 5_s));
+  spawn(eng, sleeper(2, 200));
+  spawn(eng, sleeper(6, 6_s));
+  spawn(eng, sleeper(4, 5_s + Engine::kHorizon));
+  eng.run_until(1_s);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(eng.now(), 1_s);
+  EXPECT_EQ(eng.pending(), 4u);
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(eng.now(), 6_s);
+}
+
+TEST(Engine, DrainEmptiesTheFarTier) {
+  int finished = 0;
+  Engine eng;
+  auto sleeper = [&](Duration d) -> Task<void> {
+    co_await delay(d);
+    ++finished;
+  };
+  spawn(eng, sleeper(10));
+  spawn(eng, sleeper(30_s));
+  spawn(eng, sleeper(60_s));
+  eng.run_until(20);  // the near sleeper finishes; two wait in the far tier
+  EXPECT_EQ(finished, 1);
+  EXPECT_EQ(eng.pending(), 2u);
+  eng.drain_detached();
+  EXPECT_EQ(eng.pending(), 0u);
+  EXPECT_EQ(eng.detached_count(), 0u);
+  EXPECT_FALSE(eng.step());
+  EXPECT_EQ(finished, 1);
+}
+
+/// A seeded random schedule for the differential test below. Every sleep
+/// is due strictly after the instant it is scheduled, so all of them pass
+/// through the tiers, and the engine must resume them in exactly the
+/// order of (due time, scheduling order).
+struct RandomSchedule {
+  RandomSchedule(Engine& e, std::uint64_t seed) : eng(e), rng(seed) {}
+
+  Engine& eng;
+  std::mt19937_64 rng;
+  std::vector<std::pair<Time, std::size_t>> sleeps;  // (due, token); token = scheduling order
+  std::vector<std::size_t> resumed;                   // tokens in resumption order
+  std::vector<Time> recent;                           // due times to reuse
+  int spawns_left = 2'000;
+  bool on_time = true;
+
+  Time pick_due() {
+    const Time now = eng.now();
+    if (!recent.empty() && rng() % 4 == 0) {
+      // An instant already in use, or one at or beside a possible tier
+      // boundary (a refill sets the horizon kHorizon past a due time).
+      const Time t = recent[rng() % recent.size()];
+      const Time candidates[] = {t, t + Engine::kHorizon - 1, t + Engine::kHorizon,
+                                 t + Engine::kHorizon + 1};
+      if (const Time due = candidates[rng() % 4]; due > now) return due;
+    }
+    // Log-uniform from 1 ns to ~8.6 s.
+    const auto bits = static_cast<unsigned>(rng() % 34);
+    return now + 1 + (rng() & ((Duration{1} << bits) - 1));
+  }
+};
+
+Task<void> random_sleeper(RandomSchedule& s, int sleeps) {
+  for (int i = 0; i < sleeps; ++i) {
+    const Time due = s.pick_due();
+    const std::size_t token = s.sleeps.size();
+    s.sleeps.emplace_back(due, token);
+    if (s.recent.size() < 64) {
+      s.recent.push_back(due);
+    } else {
+      s.recent[s.rng() % s.recent.size()] = due;
+    }
+    co_await delay_until(due);
+    if (s.eng.now() != due) s.on_time = false;
+    s.resumed.push_back(token);
+    if (s.spawns_left > 0 && s.rng() % 4 == 0) {
+      --s.spawns_left;
+      spawn(s.eng, random_sleeper(s, 1 + static_cast<int>(s.rng() % 8)));
+    }
+  }
+}
+
+TEST(Engine, TiersResumeInTheOrderOfAReferenceSort) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Engine eng;
+    RandomSchedule s(eng, seed);
+    for (int i = 0; i < 64; ++i) spawn(eng, random_sleeper(s, 1 + i % 8));
+    eng.run();
+
+    auto reference = s.sleeps;
+    std::sort(reference.begin(), reference.end());
+    std::vector<std::size_t> expected;
+    for (const auto& [due, token] : reference) expected.push_back(token);
+    EXPECT_EQ(s.resumed, expected) << "seed " << seed;
+    EXPECT_TRUE(s.on_time) << "seed " << seed;
+
+    // The schedule must exercise what it is meant to: equal instants, and
+    // many refills. A gap of more than kHorizon between two consecutive
+    // resumptions empties the near tier, so the next read refills it.
+    std::size_t ties = 0;
+    std::size_t refills = 0;
+    for (std::size_t i = 1; i < reference.size(); ++i) {
+      if (reference[i].first == reference[i - 1].first) ++ties;
+      if (reference[i].first - reference[i - 1].first > Engine::kHorizon) ++refills;
+    }
+    EXPECT_GT(ties, 100u) << "seed " << seed;
+    EXPECT_GT(refills, 1'000u) << "seed " << seed;
+    EXPECT_EQ(s.spawns_left, 0) << "seed " << seed;  // actors spawned from resumed ones
+  }
 }
 
 TEST(Task, NestedAwaitPropagatesValue) {
