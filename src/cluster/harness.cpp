@@ -243,11 +243,8 @@ sim::Task<std::shared_ptr<rfaas::Session>> Harness::subscribe_lease_events(
   if (leases == nullptr || (!workload.subscribe_events && !workload.self_heal)) {
     co_return nullptr;
   }
-  auto conn = co_await tcp_->connect(client_devices_.at(client)->id(), rm_device_->id(),
-                                     rm_->port());
-  if (!conn.ok()) co_return nullptr;
-  auto session = std::make_shared<rfaas::Session>(engine_, conn.value(), spec_.session_options);
-  leases->subscribe(session, client_id);
+  auto session = co_await connect_client_session(client, spec_.session_options.epoch);
+  if (session != nullptr) leases->subscribe(session, client_id);
   co_return session;
 }
 
@@ -452,13 +449,11 @@ sim::Task<void> Harness::tenant_client_loop(std::size_t client, TenantWorkload w
                                             std::shared_ptr<WorkloadCounters> out) {
   Rng rng(seed);
   ++out->clients_started;
-  auto conn = co_await tcp_->connect(client_devices_.at(client)->id(), rm_device_->id(),
-                                     rm_->port());
-  if (!conn.ok()) {
+  auto session = co_await connect_client_session(client, spec_.session_options.epoch);
+  if (session == nullptr) {
     ++out->client_deaths;
     co_return;
   }
-  auto session = std::make_shared<rfaas::Session>(engine_, conn.value(), spec_.session_options);
   out->sessions.push_back(session);
   auto leases = make_lease_set(session, workload.lease, out);
   auto notify = co_await subscribe_lease_events(client, static_cast<std::uint32_t>(client + 1),
@@ -554,12 +549,8 @@ sim::Task<void> Harness::open_loop_request(std::shared_ptr<rfaas::Session> sessi
   // Hold and release inline: this coroutine is already detached from
   // the arrival generator, so the hold occupies the fleet without
   // touching the offered-load process.
-  co_await sim::delay(
-      rng.uniform_int(workload.lease.hold_min, workload.lease.hold_max));
-  if (session->closed()) co_return;
-  auto release = release_for(*attempt.grant, workload.lease);
-  release.request_id = session->next_request_id();
-  (void)co_await session->call(rfaas::encode(release), release.request_id);
+  co_await hold_and_release(session, nullptr, release_for(*attempt.grant, workload.lease),
+                            rng.uniform_int(workload.lease.hold_min, workload.lease.hold_max));
 }
 
 sim::Task<void> Harness::open_loop_tenant_loop(std::size_t client, TenantWorkload workload,
@@ -567,13 +558,11 @@ sim::Task<void> Harness::open_loop_tenant_loop(std::size_t client, TenantWorkloa
                                                std::shared_ptr<WorkloadCounters> out) {
   Rng rng(seed);
   ++out->clients_started;
-  auto conn = co_await tcp_->connect(client_devices_.at(client)->id(), rm_device_->id(),
-                                     rm_->port());
-  if (!conn.ok()) {
+  auto session = co_await connect_client_session(client, spec_.session_options.epoch);
+  if (session == nullptr) {
     ++out->client_deaths;
     co_return;
   }
-  auto session = std::make_shared<rfaas::Session>(engine_, conn.value(), spec_.session_options);
   out->sessions.push_back(session);
 
   const std::uint32_t tenant_id = workload.tenant_id != 0

@@ -5,12 +5,7 @@
 
 namespace rfs::fabric {
 
-CompletionQueue::CompletionQueue(const NetworkModel& model)
-    : model_(model), timer_(std::make_shared<DeadlineTimer>()) {
-  timer_->cq = this;
-}
-
-CompletionQueue::~CompletionQueue() { timer_->cq = nullptr; }
+CompletionQueue::CompletionQueue(const NetworkModel& model) : model_(model) {}
 
 std::size_t CompletionQueue::poll(std::span<Wc> out) {
   std::size_t n = 0;
@@ -91,11 +86,7 @@ void CompletionQueue::push(const Wc& wc) {
 
 void CompletionQueue::add_deadline(Time deadline) {
   deadlines_.push_back(deadline);
-  if (timer_->due <= deadline) return;  // the live actor wakes in time
-  // No actor, or one due after this deadline: start one for it. The late
-  // one sees the new generation when it wakes and retires.
-  timer_->due = deadline;
-  sim::spawn(*sim::Engine::current(), run_deadline_timer(timer_, ++timer_->generation));
+  alarm_.arm(deadline);
 }
 
 void CompletionQueue::remove_deadline(Time deadline) {
@@ -105,31 +96,21 @@ void CompletionQueue::remove_deadline(Time deadline) {
   deadlines_.pop_back();
 }
 
-sim::Task<void> CompletionQueue::run_deadline_timer(std::shared_ptr<DeadlineTimer> timer,
-                                                    std::uint64_t generation) {
-  for (;;) {
-    co_await sim::delay_until(timer->due);
-    CompletionQueue* cq = timer->cq;
-    if (cq == nullptr || timer->generation != generation) co_return;
-    // Time out the waits whose deadline has passed (the pulse makes them
-    // re-check), then sleep until the earliest deadline still ahead.
-    const Time now = sim::Engine::current()->now();
-    bool expired = false;
-    Time next = kNever;
-    for (const Time d : cq->deadlines_) {
-      if (d <= now) {
-        expired = true;
-      } else {
-        next = std::min(next, d);
-      }
+Time CompletionQueue::expire_deadlines(Time now) {
+  bool expired = false;
+  Time next = sim::kNever;
+  for (const Time d : deadlines_) {
+    if (d <= now) {
+      expired = true;
+    } else {
+      next = std::min(next, d);
     }
-    if (expired) {
-      cq->expired_through_ = now;
-      cq->arrival_.pulse();
-    }
-    timer->due = next;
-    if (next == kNever) co_return;
   }
+  if (expired) {
+    expired_through_ = now;
+    arrival_.pulse();
+  }
+  return next;
 }
 
 }  // namespace rfs::fabric

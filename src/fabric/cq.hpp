@@ -8,24 +8,20 @@
 //     `blocking_wake_latency` after CQE generation, modelling the
 //     interrupt + futex wake of ibv_get_cq_event. This is the warm path.
 //
-// Both have deadline-bounded forms, and one timer serves all of a CQ's
-// deadline waits: a single detached actor sleeps until the earliest
-// deadline among the waits in progress and pulses the arrival event when
-// it passes. A wait starts a new actor only if none is due at or before
-// its deadline. An actor that wakes to find every deadline moved later
-// sleeps again until the earliest one. That is the common case — a hot
-// worker re-polls with a fresh 500 ms deadline after each invocation —
-// so a satisfied wait leaves no event, frame or allocation behind.
+// Both have deadline-bounded forms, and one sim::Alarm serves all of a
+// CQ's deadline waits: it pulses the arrival event when the earliest
+// deadline among the waits in progress passes. A hot worker re-polls with
+// a fresh 500 ms deadline after each invocation, so a satisfied wait
+// leaves no event, frame or allocation behind.
 #pragma once
 
-#include <limits>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "fabric/model.hpp"
 #include "fabric/verbs.hpp"
+#include "sim/alarm.hpp"
 #include "sim/fifo.hpp"
 #include "sim/sync.hpp"
 
@@ -34,9 +30,8 @@ namespace rfs::fabric {
 class CompletionQueue {
  public:
   explicit CompletionQueue(const NetworkModel& model);
-  ~CompletionQueue();
 
-  // Queue pairs and the deadline actor hold the CQ's address.
+  // Queue pairs and the deadline alarm hold the CQ's address.
   CompletionQueue(const CompletionQueue&) = delete;
   CompletionQueue& operator=(const CompletionQueue&) = delete;
 
@@ -83,31 +78,21 @@ class CompletionQueue {
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
 
  private:
-  static constexpr Time kNever = std::numeric_limits<Time>::max();
-
-  /// State the CQ shares with its deadline actor. The actor may outlive
-  /// the CQ, whose destructor detaches it by clearing `cq`.
-  struct DeadlineTimer {
-    CompletionQueue* cq = nullptr;
-    Time due = kNever;             // when the live actor wakes; kNever: no actor
-    std::uint64_t generation = 0;  // an actor superseded by an earlier deadline retires
-  };
-
-  /// Records a deadline wait in progress, and starts an actor unless the
-  /// live one wakes by `deadline`.
+  /// Records a deadline wait in progress and arms the alarm for it.
   void add_deadline(Time deadline);
   /// Forgets one deadline wait in progress.
   void remove_deadline(Time deadline);
-  static sim::Task<void> run_deadline_timer(std::shared_ptr<DeadlineTimer> timer,
-                                            std::uint64_t generation);
+  /// The alarm's fire: times out the waits due by `now` (the pulse makes
+  /// them re-check) and returns the earliest deadline still ahead.
+  Time expire_deadlines(Time now);
 
   const NetworkModel& model_;
   sim::Fifo<Wc> ready_;
   sim::Event arrival_;
   std::uint64_t delivered_ = 0;
   std::vector<Time> deadlines_;  // one entry per deadline wait in progress
-  Time expired_through_ = 0;     // the timer has pulsed for every deadline up to here
-  std::shared_ptr<DeadlineTimer> timer_;
+  Time expired_through_ = 0;     // the alarm has pulsed for every deadline up to here
+  sim::Alarm alarm_{[this](Time now) { return expire_deadlines(now); }};
 };
 
 }  // namespace rfs::fabric

@@ -583,7 +583,7 @@ sim::Task<AllocationReplyMsg> ExecutorManager::allocate_sandbox(const Allocation
     }
     const std::uint64_t sid = sb.id;
     sandboxes_[sid] = std::move(pooled);
-    if (sb.expires_at > 0) arm_expiry(sb.expires_at);
+    if (sb.expires_at > 0) expiry_alarm_.arm(sb.expires_at);
     reply.ok = true;
     reply.sandbox_id = sid;
     reply.rdma_port = rdma_port_;
@@ -650,7 +650,7 @@ sim::Task<AllocationReplyMsg> ExecutorManager::allocate_sandbox(const Allocation
     reply.error = "sandbox torn down during its start";
     co_return reply;
   }
-  if (sb.expires_at > 0) arm_expiry(sb.expires_at);
+  if (sb.expires_at > 0) expiry_alarm_.arm(sb.expires_at);
 
   reply.ok = true;
   reply.sandbox_id = sb.id;
@@ -870,37 +870,19 @@ void ExecutorManager::recycle_buffer(std::unique_ptr<rdmalib::Buffer<std::uint8_
   buffer_pool_[buf->payload_bytes()].push_back(std::move(buf));
 }
 
-void ExecutorManager::arm_expiry(Time deadline) {
-  if (expiry_due_ <= deadline) return;  // the live actor wakes in time
-  // No actor, or one due after this deadline: start one for it. The late
-  // one sees the new generation when it wakes and retires.
-  expiry_due_ = deadline;
-  sim::spawn(engine_, expiry_loop(++expiry_generation_));
-}
-
-sim::Task<void> ExecutorManager::expiry_loop(std::uint64_t generation) {
-  // Lease renewals (LeaseRenewed pushed by the resource manager) move
-  // Sandbox::expires_at, and deallocated sandboxes leave, so every wake
-  // re-reads the deadlines of the sandboxes still live.
-  for (;;) {
-    co_await sim::delay_until(expiry_due_);
-    if (expiry_generation_ != generation) co_return;
-    Time next = kNever;
-    if (alive_) {
-      const Time now = engine_.now();
-      for (const auto& [id, sb] : sandboxes_) {
-        if (sb->dead || sb->expires_at == 0) continue;
-        if (sb->expires_at > now) {
-          next = std::min(next, sb->expires_at);
-          continue;
-        }
-        log::debug("executor", "lease expired, reclaiming sandbox ", id);
-        sim::spawn(engine_, reclaim_sandbox(id));
-      }
+Time ExecutorManager::expire_sandboxes(Time now) {
+  Time next = sim::kNever;
+  if (!alive_) return next;
+  for (const auto& [id, sb] : sandboxes_) {
+    if (sb->dead || sb->expires_at == 0) continue;
+    if (sb->expires_at > now) {
+      next = std::min(next, sb->expires_at);
+      continue;
     }
-    expiry_due_ = next;
-    if (next == kNever) co_return;
+    log::debug("executor", "lease expired, reclaiming sandbox ", id);
+    sim::spawn(engine_, reclaim_sandbox(id));
   }
+  return next;
 }
 
 sim::Task<void> ExecutorManager::reclaim_sandbox(std::uint64_t sandbox_id) {

@@ -15,7 +15,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -32,6 +31,7 @@
 #include "rfaas/functions.hpp"
 #include "rfaas/protocol.hpp"
 #include "rfaas/session.hpp"
+#include "sim/alarm.hpp"
 #include "sim/fifo.hpp"
 #include "sim/host.hpp"
 #include "sim/sync.hpp"
@@ -257,14 +257,11 @@ class ExecutorManager {
   /// now, in whole milliseconds (the sub-ms remainder carries over).
   void accrue_allocation();
   sim::Task<void> reaper_loop();
-  /// Makes sure the expiry actor wakes by `deadline`: starts one unless
-  /// the live one is due by then. A superseded actor retires when its
-  /// generation no longer matches.
-  void arm_expiry(Time deadline);
-  /// The one lease-expiry actor: sleeps until the earliest expires_at of
-  /// the live sandboxes, tears down the expired ones in sandbox-id order,
-  /// and retires once no deadline is left.
-  sim::Task<void> expiry_loop(std::uint64_t generation);
+  /// The lease-expiry alarm's fire: tears down the sandboxes expired by
+  /// `now` in sandbox-id order and returns the earliest expires_at left.
+  /// Renewals (LeaseRenewed pushed by the manager) move expires_at, and
+  /// deallocated sandboxes leave, so every wake re-reads the live ones.
+  Time expire_sandboxes(Time now);
   /// Tears down a live sandbox without a ReleaseResources back (lease
   /// expired or reclaimed by the manager).
   sim::Task<void> reclaim_sandbox(std::uint64_t sandbox_id);
@@ -322,9 +319,7 @@ class ExecutorManager {
   std::uint16_t rdma_port_ = 7001;
   bool alive_ = false;
 
-  static constexpr Time kNever = std::numeric_limits<Time>::max();
-  Time expiry_due_ = kNever;  // when the live expiry actor wakes; kNever: no actor
-  std::uint64_t expiry_generation_ = 0;
+  sim::Alarm expiry_alarm_{[this](Time now) { return expire_sandboxes(now); }};
 
   std::map<std::uint64_t, std::unique_ptr<Sandbox>> sandboxes_;
   // Torn-down sandboxes wait here until bury() frees them: their worker

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 
 #include "common/log.hpp"
 
@@ -176,13 +175,6 @@ Duration effective_margin(const LeaseSetOptions& options, Duration original_time
 }
 
 }  // namespace
-
-sim::Task<void> LeaseSet::wake_at(std::shared_ptr<State> state, Duration after) {
-  co_await sim::delay(after);
-  // A stale waker (the actor was woken early and re-slept) at worst
-  // causes one spurious recompute; setting the event is always safe.
-  state->wake.set();
-}
 
 void LeaseSet::maybe_heal(const std::shared_ptr<State>& state, std::uint64_t old_id,
                           const Tracked& lost) {
@@ -454,7 +446,7 @@ sim::Task<void> LeaseSet::renew_loop(std::shared_ptr<State> state, std::uint64_t
     // due once its remaining validity drops below the margin.
     const Time now = engine.now();
     std::vector<std::pair<Time, std::uint64_t>> due_ids;
-    Time next = std::numeric_limits<Time>::max();
+    Time next = sim::kNever;
     for (const auto& [id, t] : state->leases) {
       const Duration margin = effective_margin(state->options, t.original_timeout);
       const Time at = t.expires_at > margin ? t.expires_at - margin : 0;
@@ -467,10 +459,10 @@ sim::Task<void> LeaseSet::renew_loop(std::shared_ptr<State> state, std::uint64_t
     if (due_ids.empty()) {
       // Sleep until the earliest renewal is due, interruptibly: track()
       // may add a lease due sooner than this target and stop() must not
-      // leave the actor dozing — both set the wake event, and the waker
-      // sets it at the deadline. Either way the loop recomputes.
+      // leave the actor dozing — both set the wake event, and the alarm
+      // sets it by the deadline. Either way the loop recomputes.
       state->wake.reset();
-      sim::spawn(engine, wake_at(state, next - now));
+      state->wake_alarm.arm(next);
       co_await state->wake.wait();
       continue;
     }
@@ -1063,34 +1055,30 @@ std::uint64_t Invoker::mint_tag() {
 }
 
 std::size_t Invoker::pick_worker() {
-  const Time now = engine_.now();
   // HalfOpen probe admission first: a breaker whose Open window expired
   // wants exactly one probe through, but healthy workers sit at the
-  // front of the rotation, so the plain scan below would never revisit
-  // the deprioritized device — it could stay Open forever (and the
-  // manager would never see the repeat trips that trigger quarantine).
-  for (std::size_t i = 0; i < free_workers_.size(); ++i) {
-    const std::size_t widx = free_workers_[i];
-    auto h = health_.find(workers_[widx].device);
-    if (h != health_.end() && h->second.state() != HealthTracker::Breaker::Closed &&
-        h->second.allow(now)) {
-      free_workers_.erase(i);
-      return widx;
-    }
-  }
-  // Prefer a worker whose executor's breaker admits traffic; fall back
-  // to plain FIFO when every executor is quarantined — a gray attempt
+  // front of the rotation, so it could stay Open forever (and the manager
+  // would never see the repeat trips that trigger quarantine). Then the
+  // first worker whose breaker is Closed (the front one while all are);
+  // plain FIFO when every executor is quarantined — a gray attempt
   // bounded by the deadline beats refusing to try at all.
-  for (std::size_t i = 0; i < free_workers_.size(); ++i) {
-    const std::size_t widx = free_workers_[i];
-    auto h = health_.find(workers_[widx].device);
-    if (h == health_.end() || h->second.allow(now)) {
-      free_workers_.erase(i);
-      return widx;
+  std::size_t pick = 0;
+  if (unclosed_breakers_ > 0) {
+    const Time now = engine_.now();
+    bool closed_seen = false;
+    for (std::size_t i = 0; i < free_workers_.size(); ++i) {
+      auto h = health_.find(workers_[free_workers_[i]].device);
+      if (h == health_.end() || h->second.state() == HealthTracker::Breaker::Closed) {
+        if (!closed_seen) pick = i;
+        closed_seen = true;
+      } else if (h->second.allow(now)) {
+        pick = i;  // the probe
+        break;
+      }
     }
   }
-  const std::size_t widx = free_workers_.front();
-  free_workers_.pop_front();
+  const std::size_t widx = free_workers_[pick];
+  free_workers_.erase(pick);
   return widx;
 }
 
@@ -1136,7 +1124,11 @@ void Invoker::record_outcome(fabric::DeviceId device, bool ok, Duration latency)
   auto [it, inserted] = health_.try_emplace(device, config_.fault_tolerance.breaker_open_timeout);
   HealthTracker& h = it->second;
   const unsigned trips_before = h.trips();
+  const bool was_closed = h.state() == HealthTracker::Breaker::Closed;
   h.record(ok, latency, engine_.now());
+  const bool is_closed = h.state() == HealthTracker::Breaker::Closed;
+  if (was_closed && !is_closed) ++unclosed_breakers_;
+  if (!was_closed && is_closed) --unclosed_breakers_;
   if (ok) {
     const double a = HealthTracker::kEwmaAlpha;
     latency_ewma_ = latency_ewma_ == 0

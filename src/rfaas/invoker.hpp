@@ -30,6 +30,7 @@
 #include "rfaas/health.hpp"
 #include "rfaas/protocol.hpp"
 #include "rfaas/session.hpp"
+#include "sim/alarm.hpp"
 #include "sim/fifo.hpp"
 #include "sim/host.hpp"
 #include "sim/sync.hpp"
@@ -224,10 +225,14 @@ class LeaseSet {
     LeaseSetOptions options;
     std::shared_ptr<Session> session;
     std::map<std::uint64_t, Tracked> leases;
-    /// Wakes the sleeping renewal actor early: set by track() (a new
-    /// lease may be due sooner than the current sleep target), stop(),
-    /// and the actor's own wake-at-deadline helper.
+    /// Wakes the sleeping renewal actor: set by track() (a new lease may
+    /// be due sooner than the current sleep target), stop(), and
+    /// wake_alarm at the earliest renewal instant.
     sim::Event wake;
+    sim::Alarm wake_alarm{[this](Time) {
+      wake.set();
+      return sim::kNever;
+    }};
     bool running = false;
     /// Actor generation: start() bumps it and spawns a loop bound to the
     /// new value, so an actor from before a stop()/start() cycle retires
@@ -270,7 +275,6 @@ class LeaseSet {
   };
 
   static sim::Task<void> renew_loop(std::shared_ptr<State> state, std::uint64_t epoch);
-  static sim::Task<void> wake_at(std::shared_ptr<State> state, Duration after);
   static sim::Task<void> push_loop(std::shared_ptr<State> state,
                                    std::shared_ptr<Session> session);
   /// Reacts to one termination push (single or batched form).
@@ -606,6 +610,8 @@ class Invoker {
 
   /// Fault-tolerant data plane state (all client-side).
   std::map<fabric::DeviceId, HealthTracker> health_;
+  /// Breakers out of Closed; only record_outcome() moves one in or out.
+  std::size_t unclosed_breakers_ = 0;
   std::uint64_t next_tag_seq_ = 0;
   double latency_ewma_ = 0.0;  ///< healthy completions, feeds auto hedge delay
   std::uint64_t retries_ = 0;

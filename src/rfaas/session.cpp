@@ -58,28 +58,10 @@ void Session::note_rtt(State& st, Duration sample) {
   st.srtt = 0.875 * st.srtt + 0.125 * s;
 }
 
-void Session::arm_timer(const std::shared_ptr<State>& st, Time deadline) {
-  st->deadline = deadline;
-  if (st->timer_due <= deadline) return;  // the live actor wakes in time
-  // No actor, or one due after this deadline: start one for it. The late
-  // one sees the new generation when it wakes and retires.
-  st->timer_due = deadline;
-  sim::spawn(st->engine, retransmit_timer(st, ++st->timer_generation));
-}
-
-sim::Task<void> Session::retransmit_timer(std::shared_ptr<State> st, std::uint64_t generation) {
-  for (;;) {
-    co_await sim::delay_until(st->timer_due);
-    if (st->timer_generation != generation) co_return;
-    if (st->deadline != kNever && st->deadline > st->engine.now()) {
-      st->timer_due = st->deadline;  // a later call's deadline: sleep on
-      continue;
-    }
-    st->timer_due = kNever;
-    // kNever: no call is waiting. Otherwise the waiting call timed out.
-    if (st->deadline != kNever) st->reply_event.set();
-    co_return;
-  }
+Time Session::retransmit_due(State& st, Time now) {
+  if (st.deadline > now) return st.deadline;  // kNever: no call is waiting
+  st.reply_event.set();                       // the waiting call timed out
+  return sim::kNever;
 }
 
 sim::Task<Result<Bytes>> Session::call(Bytes request, std::uint64_t request_id) {
@@ -105,7 +87,8 @@ sim::Task<Result<Bytes>> Session::call(Bytes request, std::uint64_t request_id) 
     const Time sent_at = st->engine.now();
     st->stream->send(Bytes(request));
     const Time deadline = sent_at + rto;
-    arm_timer(st, deadline);
+    st->deadline = deadline;
+    st->retransmit_alarm.arm(deadline);
     while (!st->pending_reply && !st->closed && st->engine.now() < deadline) {
       st->reply_event.reset();
       co_await st->reply_event.wait();
@@ -124,7 +107,7 @@ sim::Task<Result<Bytes>> Session::call(Bytes request, std::uint64_t request_id) 
 
   st->waiting = false;
   st->pending_id = 0;
-  st->deadline = kNever;
+  st->deadline = sim::kNever;
   st->call_mutex.unlock();
   co_return out;
 }
@@ -188,10 +171,8 @@ void Session::classify(State& st, Bytes msg) {
           ++st.double_grants;
         }
       }
-      return;
     }
-    ++st.stale_replies;  // reply to a request we gave up on: drop
-    return;
+    return;  // a duplicate, or a reply to a request we gave up on: drop
   }
 
   // Push path. The manager numbers eviction pushes per stream from 1, so

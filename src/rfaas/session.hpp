@@ -13,21 +13,17 @@
 //    RFC 6298 shape) with capped exponential backoff and a bounded
 //    retransmit budget — Karn's rule: retransmitted exchanges never
 //    feed the RTT estimator;
-//  - one timer actor per session serves every call's retransmission
-//    deadline. It sleeps until the deadline of the call in progress (or
-//    an earlier one) and wakes that call only if the deadline has passed
-//    with no reply. When it wakes to find a later deadline, a call made
-//    since, it sleeps again; when no call is waiting, it retires. A new
-//    actor starts only when none is live or the live one wakes too late
-//    (the timeout shrank). Back-to-back calls, whose replies arrive well
-//    inside the timeout, so share one actor instead of each leaving a
-//    timer queued for a full timeout after its reply;
+//  - one sim::Alarm per session serves every call's retransmission
+//    deadline: it wakes the call in progress only if its deadline has
+//    passed with no reply. Back-to-back calls, whose replies arrive well
+//    inside the timeout, so share one timer actor instead of each leaving
+//    a timer queued for a full timeout after its reply;
 //  - a pump coroutine is the stream's only reader, classifying inbound
-//    messages into the pending reply, duplicate/stale replies (counted,
+//    messages into the pending reply, duplicate replies (counted and
 //    dropped — a LeaseGrant re-answering a completed request with a
 //    DIFFERENT lease id increments double_grants, the invariant the
-//    chaos gate enforces to zero), and push notifications drained via
-//    next_push();
+//    chaos gate enforces to zero), stale replies (dropped), and push
+//    notifications drained via next_push();
 //  - when the stream dies or the budget is exhausted the call fails
 //    cleanly and the owner runs its recovery action (the PR 4
 //    self-healing path re-allocates; executors re-register under a
@@ -40,7 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 
@@ -50,6 +45,7 @@
 #include "common/units.hpp"
 #include "net/tcp.hpp"
 #include "rfaas/protocol.hpp"
+#include "sim/alarm.hpp"
 #include "sim/fifo.hpp"
 #include "sim/sync.hpp"
 
@@ -108,8 +104,6 @@ class Session {
   [[nodiscard]] Duration current_rto() const;
 
  private:
-  static constexpr Time kNever = std::numeric_limits<Time>::max();
-
   /// Bound on remembered completed-request ids and push sequence numbers.
   /// One outstanding call per session means a wandering duplicate can lag
   /// the live request by at most the injector's delay bound, far less than
@@ -117,8 +111,8 @@ class Session {
   static constexpr std::size_t kCompletedWindow = 256;
   static constexpr std::size_t kPushSeqWindow = 256;
 
-  /// Shared by the pump coroutine, the retransmission timer and in-flight
-  /// calls, so any of them may outlive the Session handle itself.
+  /// Shared by the pump coroutine and in-flight calls, so either may
+  /// outlive the Session handle itself.
   struct State {
     State(sim::Engine& eng, std::shared_ptr<net::TcpStream> s, SessionOptions opts)
         : engine(eng), stream(std::move(s)), options(opts) {}
@@ -135,9 +129,8 @@ class Session {
     std::optional<Bytes> pending_reply;
     sim::Event reply_event;
 
-    Time deadline = kNever;   ///< retransmission deadline of the waiting call
-    Time timer_due = kNever;  ///< when the live timer actor wakes; kNever: no actor
-    std::uint64_t timer_generation = 0;  ///< a timer superseded by an earlier deadline retires
+    Time deadline = sim::kNever;  ///< retransmission deadline of the waiting call
+    sim::Alarm retransmit_alarm{[this](Time now) { return retransmit_due(*this, now); }};
 
     sim::Fifo<Bytes> pushes;
     sim::Event push_event;
@@ -165,14 +158,13 @@ class Session {
     std::uint64_t duplicate_replies = 0;
     std::uint64_t duplicate_pushes = 0;
     std::uint64_t double_grants = 0;
-    std::uint64_t stale_replies = 0;
   };
 
   static sim::Task<void> pump(std::shared_ptr<State> st);
-  /// Makes `deadline` the waiting call's, and starts a timer actor unless
-  /// the live one wakes by then.
-  static void arm_timer(const std::shared_ptr<State>& st, Time deadline);
-  static sim::Task<void> retransmit_timer(std::shared_ptr<State> st, std::uint64_t generation);
+  /// The retransmission alarm's fire: wakes the waiting call once its
+  /// deadline has passed, else returns that deadline (kNever when no call
+  /// is waiting).
+  static Time retransmit_due(State& st, Time now);
   static void classify(State& st, Bytes msg);
   static void record_completed(State& st, std::uint64_t id, const Bytes& reply);
   static void note_rtt(State& st, Duration sample);

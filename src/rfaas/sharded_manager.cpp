@@ -104,7 +104,7 @@ std::uint32_t ShardedResourceManager::preferred_shard_for(std::uint32_t client_l
 // Lease-table indexes
 // --------------------------------------------------------------------------
 
-void ShardedResourceManager::arm_expiry(Shard& shard, Time at, std::uint64_t lease_id) {
+void ShardedResourceManager::push_expiry(Shard& shard, Time at, std::uint64_t lease_id) {
   shard.expiry.push_back({at, lease_id});
   std::push_heap(shard.expiry.begin(), shard.expiry.end(), ExpiryLater{});
 }
@@ -117,7 +117,7 @@ void ShardedResourceManager::index_lease(Shard& shard, std::uint64_t lease_id,
   auto& tenant = shard.tenants[record.client_id];
   tenant.held_workers += record.workers;
   tenant.leases.insert(lease_id);
-  arm_expiry(shard, record.expires_at, lease_id);
+  push_expiry(shard, record.expires_at, lease_id);
   shard.lease_count.store(shard.leases.size(), std::memory_order_relaxed);
 }
 
@@ -753,7 +753,7 @@ void ShardedResourceManager::renew_step(Shard& shard, LeaseTable::iterator it,
   // Re-arm the expiry index in place: the new deadline joins the heap,
   // the superseded entry is discarded when the sweep surfaces it.
   it->second.expires_at = r.time;
-  arm_expiry(shard, r.time, it->first);
+  push_expiry(shard, r.time, it->first);
 }
 
 ShardedResourceManager::LeaseTable::iterator ShardedResourceManager::drop_step(

@@ -568,9 +568,9 @@ class ShardedResourceManager {
   /// discarded lazily by a later sweep.
   static LeaseTable::iterator unindex_lease(Shard& shard, LeaseTable::iterator it);
 
-  /// Under the shard write lock: arms (or re-arms, on renewal) the
-  /// expiry heap for `lease_id` at `at`.
-  static void arm_expiry(Shard& shard, Time at, std::uint64_t lease_id);
+  /// Under the shard write lock: pushes `lease_id`'s deadline `at` onto
+  /// the expiry heap (at the grant, and again at each renewal).
+  static void push_expiry(Shard& shard, Time at, std::uint64_t lease_id);
 
   /// Shared tail of reclaim_quota / reclaim_quota_scan: evicts the
   /// candidate (lease id, client) pairs in id order while their holder

@@ -45,6 +45,7 @@ class Fifo {
   /// Removes the i-th element; the others keep their order.
   void erase(std::size_t i) {
     assert(i < size_);
+    if (i == 0) return pop_front();
     for (; i + 1 < size_; ++i) ring_[slot(i)] = std::move(ring_[slot(i + 1)]);
     ring_[slot(size_ - 1)] = T{};
     --size_;

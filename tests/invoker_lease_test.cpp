@@ -259,6 +259,41 @@ TEST(LeaseSet, StopStartCycleLeavesASingleRenewalActor) {
   EXPECT_EQ(h.rm().active_leases(), 1u);
 }
 
+TEST(LeaseSet, EarlyWakesLeaveOneRenewalTimer) {
+  cluster::Harness h(small_fleet());
+  h.start();
+
+  LeaseSetOptions opts;
+  opts.renew_margin = 1_s;
+  LeaseSet leases(h.engine(), opts);
+  std::size_t actors_before = 0;
+  std::size_t actors_after = 0;
+
+  auto scenario = [&]() -> sim::Task<void> {
+    auto session = co_await open_session(h);
+    if (session == nullptr) co_return;
+    leases.bind(session);
+    leases.start();
+    co_await sim::delay(1_ms);  // the actor sleeps on an empty table
+    actors_before = h.engine().detached_count();
+
+    // Each track() wakes the actor early, and it sleeps again until the
+    // first renewal instant (~59 s out): one timer serves every sleep.
+    for (std::uint64_t id = 1; id <= 100; ++id) {
+      leases.track(id, h.engine().now() + 60_s, 60_s);
+      co_await sim::delay(1_ms);
+    }
+    actors_after = h.engine().detached_count();
+  };
+  h.spawn(scenario());
+
+  h.run_for(1_s);
+  ASSERT_GT(actors_before, 0u);
+  EXPECT_LE(actors_after, actors_before + 1);
+  EXPECT_EQ(leases.size(), 100u);
+  EXPECT_EQ(leases.renewals(), 0u);
+}
+
 TEST(LeaseSet, UntrackedLeaseIsNeverRenewed) {
   cluster::Harness h(small_fleet());
   h.start();

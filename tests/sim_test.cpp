@@ -1,15 +1,17 @@
 // Unit tests for the discrete-event simulation kernel: event ordering
 // (across the same-instant lane and the near and far tiers), delays,
-// coroutine frames, synchronization primitives, futures, the ring
-// FIFO, and the host/core model.
+// coroutine frames, synchronization primitives, futures, the deadline
+// alarm, the ring FIFO, and the host/core model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <random>
+#include <set>
 #include <utility>
 #include <vector>
 
+#include "sim/alarm.hpp"
 #include "sim/fifo.hpp"
 #include "sim/host.hpp"
 #include "sim/sync.hpp"
@@ -599,6 +601,119 @@ TEST(WaitGroup, WaitsForAll) {
   spawn(eng, worker(30));
   eng.run();
   EXPECT_EQ(done_at, 50u);
+}
+
+/// An alarm's owner: a set of deadlines, each handled once, by `fire`,
+/// at the first wake at or after it.
+struct DeadlineOwner {
+  std::multiset<Time> pending;
+  std::vector<std::pair<Time, Time>> handled;  // (deadline, instant handled)
+  int fires = 0;
+  Alarm alarm{[this](Time now) {
+    ++fires;
+    while (!pending.empty() && *pending.begin() <= now) {
+      handled.emplace_back(*pending.begin(), now);
+      pending.erase(pending.begin());
+    }
+    return pending.empty() ? kNever : *pending.begin();
+  }};
+
+  void add(Time at) {
+    pending.insert(at);
+    alarm.arm(at);
+  }
+};
+
+TEST(Alarm, LaterDeadlinesShareTheLiveActor) {
+  Engine eng;
+  CurrentEngineScope scope(eng);
+  DeadlineOwner owner;
+  owner.add(100);
+  EXPECT_EQ(eng.detached_count(), 1u);
+  owner.add(200);
+  owner.add(150);
+  owner.add(100);
+  EXPECT_EQ(eng.detached_count(), 1u);  // the actor due at 100 serves them all
+  eng.run();
+  EXPECT_EQ(owner.handled,
+            (std::vector<std::pair<Time, Time>>{{100, 100}, {100, 100}, {150, 150}, {200, 200}}));
+  EXPECT_EQ(owner.fires, 3);
+  EXPECT_EQ(eng.detached_count(), 0u);  // no deadline left: the actor retired
+}
+
+TEST(Alarm, AnEarlierDeadlineSupersedesTheLiveActor) {
+  Engine eng;
+  CurrentEngineScope scope(eng);
+  DeadlineOwner owner;
+  owner.add(500);
+  eng.run_until(10);  // the actor sleeps until 500
+  owner.add(100);     // it wakes too late: a second one starts
+  EXPECT_EQ(eng.detached_count(), 2u);
+  owner.pending.erase(500);  // the owner drops its later deadline
+  eng.run_until(100);
+  EXPECT_EQ(owner.fires, 1);
+  EXPECT_EQ(eng.detached_count(), 1u);  // the superseded actor sleeps on
+  eng.run();
+  EXPECT_EQ(eng.now(), 500u);  // it woke at 500...
+  EXPECT_EQ(owner.fires, 1);   // ...and retired without firing
+  EXPECT_EQ(owner.handled, (std::vector<std::pair<Time, Time>>{{100, 100}}));
+  EXPECT_EQ(eng.detached_count(), 0u);
+}
+
+TEST(Alarm, AnOwnerGoneBeforeTheWakeIsNeverCalled) {
+  struct Owner {
+    int* calls;
+    std::vector<Time> seen;  // a call after ~Owner would write freed memory
+    Alarm alarm{[this](Time now) {
+      ++*calls;
+      seen.push_back(now);
+      return kNever;
+    }};
+  };
+  Engine eng;
+  CurrentEngineScope scope(eng);
+  int calls = 0;
+  auto owner = std::unique_ptr<Owner>(new Owner{&calls});
+  owner->alarm.arm(100);
+  eng.run_until(50);
+  owner.reset();
+  eng.run();
+  EXPECT_EQ(eng.now(), 100u);  // the actor woke at its deadline...
+  EXPECT_EQ(calls, 0);         // ...and found no owner to call
+  EXPECT_EQ(eng.detached_count(), 0u);
+}
+
+TEST(Alarm, RandomArmsHandleEveryDeadlineAtItsInstant) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Engine eng;
+    std::mt19937_64 rng(seed);
+    DeadlineOwner owner;
+    std::vector<Time> added;
+    // Eight coroutines add deadlines at random instants, from the current
+    // one to ~8 us ahead, so deadlines collide, arrive in any order and
+    // often fall on an instant whose wake already ran.
+    auto adder = [&](int adds) -> Task<void> {
+      for (int i = 0; i < adds; ++i) {
+        co_await delay(rng() % 1'000);
+        const Time at = eng.now() + rng() % 8'000;
+        added.push_back(at);
+        owner.add(at);
+      }
+    };
+    for (int i = 0; i < 8; ++i) spawn(eng, adder(200));
+    eng.run();
+
+    ASSERT_EQ(owner.handled.size(), added.size()) << "seed " << seed;
+    std::vector<Time> deadlines;
+    for (const auto& [deadline, at] : owner.handled) {
+      EXPECT_EQ(at, deadline) << "seed " << seed;
+      deadlines.push_back(deadline);
+    }
+    std::sort(added.begin(), added.end());
+    EXPECT_EQ(deadlines, added) << "seed " << seed;  // handled in deadline order
+    EXPECT_TRUE(owner.pending.empty());
+    EXPECT_EQ(eng.detached_count(), 0u);
+  }
 }
 
 std::vector<int> drain(Fifo<int>& q) {
