@@ -1,0 +1,157 @@
+#!/usr/bin/env python3
+"""Prints where the samples of a sampler.c run went, function by function.
+
+    python3 scripts/profile/report.py sampler-<pid>.txt [--under REGEX] [--top N]
+
+Only the samples with a frame whose function name matches --under count
+(default `Stepper::run`, the timed loop of bench/perf), so set-up and
+teardown stay out of the shares. For each function the report prints:
+
+  self       the share of those samples it was the innermost frame of
+  inclusive  the share it was anywhere on the stack of (once per sample)
+
+Addresses are resolved with `nm` against the executable and the shared
+libraries named in the run's copy of /proc/self/maps. Names are
+demangled, with template and argument lists cut, so that each function
+reads as one row; --full keeps them. Standard library only, plus nm.
+"""
+
+import argparse
+import bisect
+import collections
+import re
+import subprocess
+import sys
+
+
+def parse(path):
+    """Returns (maps, samples): maps as (start, end, offset, file) rows for
+    the executable mappings, samples as lists of addresses, leaf first."""
+    maps, samples = [], []
+    section = None
+    with open(path) as f:
+        for line in f:
+            line = line.rstrip("\n")
+            if line.startswith("# "):
+                section = line[2:].split()[0]
+                continue
+            if section == "maps":
+                fields = line.split(maxsplit=5)
+                if len(fields) < 6 or "x" not in fields[1] or not fields[5].startswith("/"):
+                    continue
+                start, end = (int(x, 16) for x in fields[0].split("-"))
+                maps.append((start, end, int(fields[2], 16), fields[5]))
+            elif section == "samples" and line:
+                samples.append([int(x, 16) for x in line.split()])
+    maps.sort()
+    return maps, samples
+
+
+class Symbols:
+    """Address -> function name for one object file, from `nm -n -S -C`."""
+
+    def __init__(self, path):
+        self.starts, self.ends, self.names = [], [], []
+        out = self.nm(path) or self.nm(path, "-D")  # a stripped library keeps its dynamic table
+        for line in out.splitlines():
+            parts = line.split(" ", 3)  # address, size (when known), type, name
+            if len(parts) == 3:
+                parts = [parts[0], None, parts[1], parts[2]]
+            if len(parts) == 4 and parts[2] in "tTwW":
+                start = int(parts[0], 16)
+                self.starts.append(start)
+                self.ends.append(start + int(parts[1], 16) if parts[1] else None)
+                self.names.append(parts[3])
+
+    @staticmethod
+    def nm(path, *extra):
+        try:
+            return subprocess.run(["nm", "-n", "-S", "-C", "--defined-only", *extra, path],
+                                  capture_output=True, text=True, check=False).stdout
+        except OSError:
+            return ""
+
+    def lookup(self, vaddr):
+        i = bisect.bisect_right(self.starts, vaddr) - 1
+        if i < 0 or (self.ends[i] is not None and vaddr >= self.ends[i]):
+            return None  # e.g. a local symbol of a stripped library
+        return self.names[i]
+
+
+def shorten(name):
+    """Drops template arguments, parameter lists, return types, qualifiers
+    and clone suffixes (a coroutine's `.actor` body counts as the
+    coroutine)."""
+    name = re.sub(r" \[clone [^\]]*\]", "", name)
+    out, depth = [], 0
+    for ch in name:
+        if ch in "<(":
+            depth += 1
+        elif ch in ">)":
+            depth = max(0, depth - 1)
+        elif depth == 0:
+            out.append(ch)
+    name = re.sub(r"( const| volatile| noexcept| &&| &)+$", "", "".join(out).strip())
+    # A leading return type ("void rfs::sim::Engine::step") goes.
+    return name.rsplit(" ", 1)[-1] if " " in name and "operator" not in name else name
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("file", help="sampler-<pid>.txt written by sampler.c")
+    parser.add_argument("--under", default=r"Stepper::run",
+                        help="count only samples with a frame matching this regex")
+    parser.add_argument("--top", type=int, default=25, help="rows per table")
+    parser.add_argument("--full", action="store_true", help="keep full demangled names")
+    args = parser.parse_args()
+
+    maps, samples = parse(args.file)
+    starts = [m[0] for m in maps]
+    objects = {}
+    cache = {}
+
+    def name_of(addr):
+        if addr in cache:
+            return cache[addr]
+        i = bisect.bisect_right(starts, addr) - 1
+        name = None
+        if i >= 0 and addr < maps[i][1]:
+            start, _, offset, path = maps[i]
+            if path not in objects:
+                objects[path] = Symbols(path)
+            # Assumes each loadable segment's virtual address equals its
+            # file offset, as GNU ld lays out executables and libraries.
+            name = objects[path].lookup(addr - start + offset)
+            if name is None:
+                name = "?? " + path.rsplit("/", 1)[-1]
+        name = name or "??"
+        if not args.full:
+            name = shorten(name)
+        cache[addr] = name
+        return name
+
+    under = re.compile(args.under)
+    self_counts, incl_counts = collections.Counter(), collections.Counter()
+    total = 0
+    for stack in samples:
+        # Return addresses point past the call: look up the call itself.
+        names = [name_of(a if i == 0 else a - 1) for i, a in enumerate(stack)]
+        if not any(under.search(n) for n in names):
+            continue
+        total += 1
+        self_counts[names[0]] += 1
+        for n in set(names):
+            incl_counts[n] += 1
+
+    print(f"{len(samples)} samples, {total} under /{args.under}/")
+    if total == 0:
+        return 1
+    for title, counts in (("self", self_counts), ("inclusive", incl_counts)):
+        print(f"\n{title:>9}  function")
+        for name, count in counts.most_common(args.top):
+            print(f"{100.0 * count / total:8.1f}%  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,6 +1,7 @@
 #include "rfaas/sharded_manager.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace rfs::rfaas {
 
@@ -116,24 +117,38 @@ void ShardedResourceManager::index_lease(Shard& shard, std::uint64_t lease_id,
   shard.hosted[record.executor].insert(lease_id);
   auto& tenant = shard.tenants[record.client_id];
   tenant.held_workers += record.workers;
-  tenant.leases.insert(lease_id);
+  ++tenant.live;
+  // Grants and their replay bring ids in increasing order (grant_step
+  // asserts it); a restored snapshot's ids go in their place whatever
+  // its order.
+  if (tenant.leases.empty() || tenant.leases.back() < lease_id) {
+    tenant.leases.push_back(lease_id);
+  } else {
+    tenant.leases.insert(std::lower_bound(tenant.leases.begin(), tenant.leases.end(), lease_id),
+                         lease_id);
+  }
   push_expiry(shard, record.expires_at, lease_id);
   shard.lease_count.store(shard.leases.size(), std::memory_order_relaxed);
 }
 
 ShardedResourceManager::LeaseTable::iterator ShardedResourceManager::unindex_lease(
     Shard& shard, LeaseTable::iterator it) {
-  const LeaseRecord& record = it->second;
+  const LeaseRecord record = it->second;
   if (record.executor < shard.hosted.size()) shard.hosted[record.executor].erase(it->first);
-  auto tenant = shard.tenants.find(record.client_id);
-  if (tenant != shard.tenants.end()) {
-    tenant->second.held_workers -=
-        std::min<std::uint64_t>(tenant->second.held_workers, record.workers);
-    tenant->second.leases.erase(it->first);
-    if (tenant->second.leases.empty()) shard.tenants.erase(tenant);
-  }
   auto next = shard.leases.erase(it);
   shard.lease_count.store(shard.leases.size(), std::memory_order_relaxed);
+  auto tenant = shard.tenants.find(record.client_id);
+  if (tenant != shard.tenants.end()) {
+    TenantIndex& index = tenant->second;
+    index.held_workers -= std::min<std::uint64_t>(index.held_workers, record.workers);
+    if (--index.live == 0) {
+      shard.tenants.erase(tenant);
+    } else if (index.leases.size() > 2 * index.live) {
+      // A compaction scans fewer ids than twice the releases since the
+      // last one: O(1) per release, amortized.
+      std::erase_if(index.leases, [&](std::uint64_t id) { return !shard.leases.contains(id); });
+    }
+  }
   return next;
 }
 
@@ -447,7 +462,9 @@ std::vector<ShardedResourceManager::Eviction> ShardedResourceManager::reclaim_qu
     for (std::uint32_t client : offenders) {
       auto it = shard.tenants.find(client);
       if (it == shard.tenants.end()) continue;
-      for (std::uint64_t id : it->second.leases) candidates.emplace_back(id, client);
+      for (std::uint64_t id : it->second.leases) {
+        if (shard.leases.contains(id)) candidates.emplace_back(id, client);
+      }
     }
   }
   // Full lease ids embed the shard in their high bits, so a plain sort
@@ -741,6 +758,7 @@ bool ShardedResourceManager::grant_step(Shard& shard, const JournalRecordMsg& r)
   // between scan and grant; on a standby a refusal means divergence.
   const auto local = static_cast<std::size_t>(id_low(r.executor));
   if (!shard.registry.try_claim(local, r.workers, r.memory)) return false;
+  assert(id_low(r.lease_id) >= shard.next_lease);  // the youngest lease: see TenantIndex
   index_lease(shard, r.lease_id, LeaseRecord{r.client_id, local, r.workers, r.memory, r.time});
   shard.next_lease = std::max(shard.next_lease, id_low(r.lease_id) + 1);
   grants_.fetch_add(1, std::memory_order_relaxed);
@@ -880,7 +898,9 @@ ShardedResourceManager::ManagerState ShardedResourceManager::export_state() cons
       ManagerState::TenantState ts;
       ts.client_id = client;
       ts.held_workers = tenant.held_workers;
-      ts.leases.assign(tenant.leases.begin(), tenant.leases.end());
+      for (std::uint64_t id : tenant.leases) {
+        if (shard.leases.contains(id)) ts.leases.push_back(id);
+      }
       out.tenants.push_back(std::move(ts));
     }
     std::sort(out.tenants.begin(), out.tenants.end(),

@@ -68,7 +68,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <shared_mutex>
 #include <tuple>
 #include <unordered_map>
@@ -523,11 +522,14 @@ class ShardedResourceManager {
   };
 
   /// Incremental per-tenant slice of one shard's lease table. Lease ids
-  /// grow monotonically per shard, so the ordered id set doubles as the
-  /// tenant's leases in age order (oldest first) for quota eviction.
+  /// grow monotonically per shard, so appending each new id keeps
+  /// `leases` in age order (oldest first) for quota eviction. A released
+  /// id stays behind, and readers skip the ids gone from the lease table,
+  /// until dead ids outnumber live ones and a compaction drops them all.
   struct TenantIndex {
     std::uint64_t held_workers = 0;
-    std::set<std::uint64_t> leases;
+    std::size_t live = 0;               // ids in `leases` still in the lease table
+    std::vector<std::uint64_t> leases;  // ascending
   };
 
   struct Shard {

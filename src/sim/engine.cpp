@@ -1,7 +1,9 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <bit>
+#include <cassert>
+#include <iterator>
 #include <new>
 
 #include "sim/task.hpp"
@@ -137,7 +139,12 @@ void Engine::drain_detached() {
   t_draining = outer;
   // Queued resumptions may now dangle (their frames died above); nothing
   // may run after a drain, so drop them wholesale.
-  near_ = {};
+  nodes_.clear();
+  free_ = kNil;
+  std::fill(std::begin(occupied_), std::end(occupied_), 0);
+  occupied_words_ = 0;
+  wheel_size_ = 0;
+  first_ = kNil;
   far_ = {};
   now_lane_.clear();
   now_head_ = 0;
@@ -150,24 +157,83 @@ void Engine::schedule_at(Time t, std::coroutine_handle<> h) {
     now_lane_.push_back(h);
     return;
   }
-  if (t < horizon_) {
-    near_.push(Item{t, seq_++, h});
+  if (t - now_ / kBucketWidth * kBucketWidth < kHorizon) {
+    push_wheel(t, seq_++, h);
   } else {
     far_.push(Item{t, seq_++, h});
   }
 }
 
-const Engine::Item* Engine::refill() {
-  if (far_.empty()) return nullptr;
-  // Saturating: a resumption parked at the end of time must not wrap the
-  // horizon below the entries it admits.
-  const Time first = far_.top().t;
-  horizon_ = first + std::min(kHorizon, std::numeric_limits<Time>::max() - first);
-  do {
-    near_.push(far_.top());
+void Engine::push_wheel(Time t, std::uint64_t seq, std::coroutine_handle<> h) {
+  std::uint32_t n = free_;
+  if (n != kNil) {
+    free_ = nodes_[n].next;
+  } else {
+    n = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.emplace_back();
+  }
+  const Item item{t, seq, h};
+  // Field by field: a Node built aside and copied in would be reloaded
+  // across two partial stores, which the CPU cannot forward.
+  Node& node = nodes_[n];
+  node.item.t = t;
+  node.item.seq = seq;
+  node.item.h = h;
+  node.next = kNil;
+  const std::size_t b = bucket_of(t);
+  Bucket& bucket = buckets_[b];
+  const std::uint64_t bit = std::uint64_t{1} << (b % 64);
+  if ((occupied_[b / 64] & bit) == 0) {
+    bucket.head = n;
+    bucket.tail = n;
+    occupied_[b / 64] |= bit;
+    occupied_words_ |= std::uint64_t{1} << (b / 64);
+  } else if (!(nodes_[bucket.tail].item > item)) {
+    nodes_[bucket.tail].next = n;
+    bucket.tail = n;
+  } else {
+    // Before the tail: goes after every entry that does not follow it.
+    std::uint32_t* link = &bucket.head;
+    while (!(nodes_[*link].item > item)) link = &nodes_[*link].next;
+    node.next = *link;
+    *link = n;
+  }
+  if (first_ == kNil || nodes_[first_].item > item) first_ = n;
+  ++wheel_size_;
+}
+
+std::size_t Engine::first_occupied(std::size_t from) const {
+  const std::size_t w = from / 64;
+  if (const std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (from % 64))) {
+    return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+  }
+  // The words after w, else (wrapping) the first occupied word overall.
+  std::uint64_t words = occupied_words_ & ~(~std::uint64_t{0} >> (63 - w));
+  if (words == 0) words = occupied_words_;
+  const auto first = static_cast<std::size_t>(std::countr_zero(words));
+  return first * 64 + static_cast<std::size_t>(std::countr_zero(occupied_[first]));
+}
+
+void Engine::pop(const Item* next) {
+  if (!far_.empty() && next == &far_.top()) {
     far_.pop();
-  } while (!far_.empty() && far_.top().t < horizon_);
-  return &near_.top();
+    return;
+  }
+  const std::uint32_t n = first_;
+  const std::size_t b = bucket_of(next->t);  // now's bucket: the entry runs at now_
+  Bucket& bucket = buckets_[b];
+  assert(bucket.head == n);
+  bucket.head = nodes_[n].next;
+  nodes_[n].next = free_;
+  free_ = n;
+  --wheel_size_;
+  if (bucket.head != kNil) {
+    first_ = bucket.head;
+    return;
+  }
+  occupied_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+  if (occupied_[b / 64] == 0) occupied_words_ &= ~(std::uint64_t{1} << (b / 64));
+  first_ = wheel_size_ > 0 ? buckets_[first_occupied(b)].head : kNil;
 }
 
 Time Engine::run() {
@@ -193,7 +259,7 @@ bool Engine::step() {
   if (next != nullptr && next->t <= now_) {
     // Queued before time reached now_, so ahead of every lane entry.
     h = next->h;
-    near_.pop();
+    pop(next);
   } else if (now_head_ < now_lane_.size()) {
     h = now_lane_[now_head_++];
     if (now_head_ == now_lane_.size()) {
@@ -203,7 +269,7 @@ bool Engine::step() {
   } else if (next != nullptr) {
     now_ = next->t;
     h = next->h;
-    near_.pop();
+    pop(next);
   } else {
     return false;
   }

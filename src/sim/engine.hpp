@@ -11,26 +11,32 @@
 //
 //  - the same-instant lane: a FIFO (a vector plus a head index) for those
 //    due at the current instant, about half of all resumptions;
-//  - the near tier: a binary heap ordered by (time, insertion) for those
-//    due before `horizon_`;
-//  - the far tier: a second heap of the same kind for the rest, mostly
-//    lease, keep-alive and retransmission timers milliseconds to minutes
-//    away, which the microsecond traffic thus never sifts past.
+//  - the wheel: kBuckets buckets of kBucketWidth ns, one turn spanning
+//    kHorizon, for those due before now's bucket start + kHorizon. That is
+//    nearly every future resumption of the microsecond traffic. A bucket
+//    lists its entries in (time, insertion) order, and a bitmap of the
+//    occupied buckets finds the first one from now's bucket on;
+//  - the far heap: a binary heap ordered by (time, insertion) for the
+//    rest, mostly lease, keep-alive and retransmission timers
+//    milliseconds to minutes away.
 //
-// Invariant: every near entry is due before `horizon_`, every far entry
-// at or after it. The near tier's top is therefore the earliest future
-// resumption. When the near tier runs dry, the next read of the minimum
-// moves the horizon to the earliest far entry plus kHorizon and moves
-// every far entry before it into the near tier, keeping its insertion
-// number. Each entry is compared by the same (time, insertion) key in
-// whichever tier it sits, so the order is exactly that of one heap. The
-// heap entries due now were queued before time reached now, so they run
-// ahead of the lane, which keeps the (time, insertion) order exact across
-// the lane too.
+// Why the order is exact. A wheel entry is due within one turn of now's
+// bucket, so the scan from now's bucket, wrapping once, meets the buckets
+// in time order. Within a bucket, a push goes after every entry that does
+// not follow it by (time, insertion), so the bucket stays sorted. The
+// next future resumption is whichever of the wheel's first entry and the
+// heap's top comes first, and an entry never moves from one to the other:
+// the order is that of a single heap. All of these comparisons, and the
+// heap's, are Item's operator>, the one tie-break. The entries due now in
+// either were queued before time reached now, so they run ahead of the
+// lane, which keeps the order exact across the lane too. (A push carries
+// the largest insertion number so far, so it lands at its bucket's tail
+// unless the tail is due later.)
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
+#include <memory>
 #include <queue>
 #include <vector>
 
@@ -49,9 +55,12 @@ struct DetachedLink {
 
 class Engine {
  public:
-  /// Width of the near tier: a refill admits the far entries due less
-  /// than this after the earliest of them (2^20 ns, about 1 ms).
+  /// Span of the wheel (2^20 ns, about 1 ms): a resumption due less than
+  /// this after now's bucket start waits in the wheel, a later one in
+  /// the far heap.
   static constexpr Duration kHorizon = Duration{1} << 20;
+  /// Width of one wheel bucket; kHorizon is a whole number of them.
+  static constexpr Duration kBucketWidth = Duration{1} << 8;
 
   Engine();
   ~Engine();
@@ -82,9 +91,10 @@ class Engine {
   /// Executes a single event if one is pending. Returns false when idle.
   bool step();
 
-  /// Number of pending events, in either tier or the same-instant lane.
+  /// Number of pending events, in the wheel, the far heap or the
+  /// same-instant lane.
   [[nodiscard]] std::size_t pending() const {
-    return near_.size() + far_.size() + (now_lane_.size() - now_head_);
+    return wheel_size_ + far_.size() + (now_lane_.size() - now_head_);
   }
 
   /// Tracks a detached (spawned) coroutine so still-suspended actors can
@@ -131,16 +141,47 @@ class Engine {
     }
   };
 
-  using Heap = std::priority_queue<Item, std::vector<Item>, std::greater<>>;
+  /// A wheel entry, threaded into its bucket's list by index into nodes_.
+  struct Node {
+    Item item;
+    std::uint32_t next;
+  };
+  struct Bucket {
+    std::uint32_t head;
+    std::uint32_t tail;
+  };
 
-  /// The earliest future resumption (nullptr when none is queued), after
-  /// refilling the near tier from the far one if it ran dry.
-  const Item* earliest() { return near_.empty() ? refill() : &near_.top(); }
-  const Item* refill();
+  static constexpr std::size_t kBuckets = kHorizon / kBucketWidth;
+  static constexpr std::size_t kWords = kBuckets / 64;
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  static_assert((kBucketWidth & (kBucketWidth - 1)) == 0 && kBuckets >= 64 && kWords <= 64,
+                "the occupancy bitmap is 64-bit words under one summary word");
 
-  Heap near_;              // future resumptions due before horizon_
-  Heap far_;               // future resumptions due at or after horizon_
-  Time horizon_ = 0;
+  static std::size_t bucket_of(Time t) { return (t / kBucketWidth) & (kBuckets - 1); }
+
+  /// The earliest future resumption (nullptr when none is queued).
+  const Item* earliest() const {
+    const Item* wheel = first_ != kNil ? &nodes_[first_].item : nullptr;
+    if (far_.empty()) return wheel;
+    const Item* far = &far_.top();
+    return wheel == nullptr || *wheel > *far ? far : wheel;
+  }
+  /// Removes `next`, the entry earliest() returned.
+  void pop(const Item* next);
+  void push_wheel(Time t, std::uint64_t seq, std::coroutine_handle<> h);
+  /// The first occupied bucket at or after `from`, wrapping once.
+  [[nodiscard]] std::size_t first_occupied(std::size_t from) const;
+
+  // kBuckets lists of nodes_ indices. A bucket's fields mean something
+  // only while its occupied_ bit is set, so nothing initializes them.
+  std::unique_ptr<Bucket[]> buckets_ = std::make_unique_for_overwrite<Bucket[]>(kBuckets);
+  std::vector<Node> nodes_;    // wheel entries and recycled nodes
+  std::uint32_t free_ = kNil;  // recycled nodes, linked through next
+  std::uint64_t occupied_[kWords] = {};  // bit b: bucket b is not empty
+  std::uint64_t occupied_words_ = 0;     // bit w: occupied_[w] != 0
+  std::size_t wheel_size_ = 0;
+  std::uint32_t first_ = kNil;  // the wheel's earliest entry: its first bucket's head
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> far_;
   // Resumptions due at now_, in insertion order. Entries before
   // now_head_ have run; the vector is cleared (keeping its capacity)
   // whenever the lane drains, and it always drains before time advances.

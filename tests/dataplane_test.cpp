@@ -16,17 +16,19 @@
 //   - end-to-end coalescing: one eviction sweep, one push per stream,
 //   - bounded simulator state: no timer backlog and no destroyed queue
 //     pairs left behind by a hot burst, no allocation by a warmed-up hot
-//     invocation, no lease-expiry timer left behind by a deallocated
-//     sandbox, and nothing leaked by a sandbox torn down during its cold
-//     start.
+//     invocation or by a queue that never holds two elements, no
+//     lease-expiry timer left behind by a deallocated sandbox, and
+//     nothing leaked by a sandbox torn down during its cold start.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <coroutine>
 #include <cstdlib>
 #include <cstring>
 #include <new>
 
 #include "cluster/harness.hpp"
+#include "sim/fifo.hpp"
 
 // --------------------------------------------------------------------------
 // Allocation counting (each tests/*.cpp builds into its own binary, so
@@ -835,6 +837,41 @@ TEST(BoundedState, HotInvocationsAllocateNothing) {
   EXPECT_EQ(allocations, 0u);
   EXPECT_EQ(inline_ok, kCalls);
   EXPECT_EQ(inline_allocations, 0u);
+}
+
+TEST(BoundedState, QueuesThatNeverHoldTwoElementsAllocateNothing) {
+  // A queue keeps its first element in an inline slot, so a short-lived
+  // queue that never holds two at once never allocates: the waiter list
+  // of a one-shot future, a completion queue drained after every
+  // completion, a channel that hands over one message, a queue pair with
+  // one posted receive.
+  std::uint64_t mismatches = 0;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::uint64_t i = 0; i < 1'000; ++i) {
+    sim::Fifo<std::coroutine_handle<>> waiters;
+    waiters.push_back(std::noop_coroutine());
+    waiters.pop_front();
+    sim::Fifo<fabric::Wc> completions;
+    completions.push_back(fabric::Wc{.wr_id = i});
+    if (completions.front().wr_id != i) ++mismatches;
+    completions.erase(0);
+    sim::Fifo<std::pair<std::coroutine_handle<>, void*>> receivers;
+    receivers.push_back({std::noop_coroutine(), nullptr});
+    receivers.clear();
+    sim::Fifo<Bytes> messages;
+    messages.push_back(Bytes{});
+    messages.pop_front();
+    sim::Fifo<fabric::RecvWr> receives;
+    receives.push_back(fabric::RecvWr{.wr_id = i});
+    if (receives.front().wr_id != i) ++mismatches;
+    receives.pop_front();
+    if (!waiters.empty() || !completions.empty() || !receivers.empty() || !messages.empty() ||
+        !receives.empty()) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(BoundedState, RetiredSandboxesAndTheirProtectionDomainsAreFreed) {

@@ -1090,6 +1090,55 @@ TEST(IndexEquivalence, TenantCountersTrackGrantsReleasesAndEvictions) {
   EXPECT_EQ(m.tenant_held_workers(9), 0u);
 }
 
+TEST(IndexEquivalence, QuotaEvictionTakesTheOldestSurvivorsAfterCompaction) {
+  // Tenant 1 takes 20 one-worker leases and releases 14 of them out of
+  // order. Its index drops the released ids at the 11th release, when
+  // they outnumber the live ones, and keeps the last three as dead
+  // entries. Quota eviction must still take the oldest survivors first.
+  std::vector<std::uint64_t> ids;
+  std::uint64_t young = 0;
+  auto build = [&] {
+    auto m = std::make_unique<SRM>(sharded_config(1));
+    m->add_executor(entry(32));
+    ids.clear();
+    for (int i = 0; i < 20; ++i) {
+      auto g = m->grant(request(1), /*client=*/1, /*timeout=*/100000, 0);
+      EXPECT_TRUE(g.has_value());
+      ids.push_back(g ? g->lease_id : 0);
+    }
+    for (int i : {18, 0, 7, 2, 16, 1, 9, 14, 5, 12, 4, 10, 6, 13}) {
+      EXPECT_TRUE(m->release(ids[i]));
+    }
+    auto g = m->grant(request(1), /*client=*/1, /*timeout=*/100000, 0);  // after the compaction
+    EXPECT_TRUE(g.has_value());
+    young = g ? g->lease_id : 0;
+    return m;
+  };
+  auto indexed = build();
+  auto scanned = build();
+
+  const std::vector<std::uint64_t> survivors = {ids[3],  ids[8],  ids[11], ids[15],
+                                                ids[17], ids[19], young};
+  const auto state = indexed->export_state();
+  ASSERT_EQ(state.shards[0].tenants.size(), 1u);
+  EXPECT_EQ(state.shards[0].tenants[0].leases, survivors);  // ascending, released ids gone
+  EXPECT_EQ(state.shards[0].tenants[0].held_workers, 7u);
+
+  // Requester 2 needs 3 workers under a quota of 2: tenant 1's three
+  // oldest surviving leases go, in id order.
+  auto a = indexed->reclaim_quota(/*requesting_client=*/2, /*quota_workers=*/2,
+                                  /*workers_needed=*/3);
+  auto b = scanned->reclaim_quota_scan(2, 2, 3);
+  ASSERT_EQ(a.size(), 3u);
+  ASSERT_EQ(b.size(), 3u);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].lease_id, survivors[i]);
+    EXPECT_EQ(b[i].lease_id, survivors[i]);
+  }
+  EXPECT_EQ(indexed->tenant_held_workers(1), 4u);
+  EXPECT_EQ(indexed->export_state().digest(), scanned->export_state().digest());
+}
+
 // --------------------------------------------------------------------------
 // Storm-aware rebalance backoff
 // --------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 // Unit tests for the discrete-event simulation kernel: event ordering
-// (across the same-instant lane and the near and far tiers), delays,
+// (across the same-instant lane, the wheel and the far heap), delays,
 // coroutine frames, synchronization primitives, futures, the deadline
 // alarm, the ring FIFO, and the host/core model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <memory>
 #include <random>
 #include <set>
@@ -227,8 +228,8 @@ TEST(Engine, PendingCountsTheFarTier) {
 }
 
 TEST(Engine, RunUntilBetweenTheTiersStopsThere) {
-  // Two sleepers in the near tier, three (two at one instant) a few
-  // seconds out in the far one: the deadline falls between them.
+  // Two sleepers in the wheel, three (two at one instant) a few
+  // seconds out in the far heap: the deadline falls between them.
   Engine eng;
   std::vector<int> order;
   auto sleeper = [&](int id, Duration d) -> Task<void> {
@@ -260,7 +261,7 @@ TEST(Engine, DrainEmptiesTheFarTier) {
   spawn(eng, sleeper(10));
   spawn(eng, sleeper(30_s));
   spawn(eng, sleeper(60_s));
-  eng.run_until(20);  // the near sleeper finishes; two wait in the far tier
+  eng.run_until(20);  // the near sleeper finishes; two wait in the far heap
   EXPECT_EQ(finished, 1);
   EXPECT_EQ(eng.pending(), 2u);
   eng.drain_detached();
@@ -272,8 +273,8 @@ TEST(Engine, DrainEmptiesTheFarTier) {
 
 /// A seeded random schedule for the differential test below. Every sleep
 /// is due strictly after the instant it is scheduled, so all of them pass
-/// through the tiers, and the engine must resume them in exactly the
-/// order of (due time, scheduling order).
+/// through the wheel or the far heap, and the engine must resume them in
+/// exactly the order of (due time, scheduling order).
 struct RandomSchedule {
   RandomSchedule(Engine& e, std::uint64_t seed) : eng(e), rng(seed) {}
 
@@ -287,13 +288,27 @@ struct RandomSchedule {
 
   Time pick_due() {
     const Time now = eng.now();
-    if (!recent.empty() && rng() % 4 == 0) {
-      // An instant already in use, or one at or beside a possible tier
-      // boundary (a refill sets the horizon kHorizon past a due time).
+    const Time bucket_start = now / Engine::kBucketWidth * Engine::kBucketWidth;
+    const std::uint64_t kind = rng() % 8;
+    if (!recent.empty() && kind < 2) {
+      // An instant already in use, or one kHorizon past it, or beside that.
       const Time t = recent[rng() % recent.size()];
       const Time candidates[] = {t, t + Engine::kHorizon - 1, t + Engine::kHorizon,
                                  t + Engine::kHorizon + 1};
       if (const Time due = candidates[rng() % 4]; due > now) return due;
+    }
+    if (kind == 2) {
+      // One below, at or one above a bucket boundary, from the next one
+      // to the wheel's last (log-uniform in the number of buckets ahead).
+      const auto bits = static_cast<unsigned>(rng() % 13);
+      const Duration buckets = 1 + (rng() & ((Duration{1} << bits) - 1));
+      const Time due = bucket_start + buckets * Engine::kBucketWidth - 1 + rng() % 3;
+      if (due > now) return due;
+    }
+    if (kind == 3) {
+      // The routing edge: the wheel's last instant (the bucket just before
+      // now's, one turn on), the heap's first and the one after it.
+      return bucket_start + Engine::kHorizon - 1 + rng() % 3;
     }
     // Log-uniform from 1 ns to ~8.6 s.
     const auto bits = static_cast<unsigned>(rng() % 34);
@@ -336,8 +351,9 @@ TEST(Engine, TiersResumeInTheOrderOfAReferenceSort) {
     EXPECT_TRUE(s.on_time) << "seed " << seed;
 
     // The schedule must exercise what it is meant to: equal instants, and
-    // many refills. A gap of more than kHorizon between two consecutive
-    // resumptions empties the near tier, so the next read refills it.
+    // many gaps of more than kHorizon between two consecutive resumptions
+    // (`refills`). Each leaves the wheel empty, so the resumption after it
+    // comes from the far heap.
     std::size_t ties = 0;
     std::size_t refills = 0;
     for (std::size_t i = 1; i < reference.size(); ++i) {
@@ -788,6 +804,58 @@ TEST(Fifo, ClearEmptiesTheQueue) {
   q.push_back(a);
   EXPECT_EQ(q.size(), 1u);
   EXPECT_EQ(q.front(), a);
+}
+
+TEST(Fifo, InterleavingsAcrossTheInlineSlotMatchADeque) {
+  // A queue's first element sits in its inline slot and moves into a
+  // fresh ring when a second one arrives; the ring then stays. Random
+  // pushes, pops, erases and clears, mostly at sizes 0-3 so that every
+  // queue spills early, must match std::deque.
+  std::mt19937_64 rng(26);
+  for (int round = 0; round < 200; ++round) {
+    Fifo<int> q;
+    std::deque<int> model;
+    for (int op = 0; op < 60; ++op) {
+      const std::uint64_t pick = rng() % 16;
+      if (model.empty() || (pick < 7 && model.size() < 4) || pick == 15) {
+        q.push_back(op);
+        model.push_back(op);
+      } else if (pick < 11) {
+        q.pop_front();
+        model.pop_front();
+      } else if (pick < 14) {
+        const std::size_t i = rng() % model.size();
+        q.erase(i);
+        model.erase(model.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        q.clear();
+        model.clear();
+      }
+      ASSERT_EQ(q.size(), model.size()) << "round " << round << " op " << op;
+      for (std::size_t i = 0; i < model.size(); ++i) {
+        ASSERT_EQ(q[i], model[i]) << "round " << round << " op " << op;
+      }
+      if (!model.empty()) ASSERT_EQ(q.front(), model.front());
+    }
+  }
+}
+
+TEST(Fifo, TheInlineSlotReleasesItsElement) {
+  auto a = std::make_shared<int>(1);
+  auto b = std::make_shared<int>(2);
+  Fifo<std::shared_ptr<int>> q;
+  q.push_back(a);  // in the inline slot
+  EXPECT_EQ(a.use_count(), 2);
+  q.pop_front();
+  EXPECT_EQ(a.use_count(), 1);
+  q.push_back(a);
+  q.push_back(b);  // both now in the ring
+  EXPECT_EQ(a.use_count(), 2);
+  EXPECT_EQ(q.front(), a);
+  q.erase(1);
+  EXPECT_EQ(b.use_count(), 1);
+  q.clear();
+  EXPECT_EQ(a.use_count(), 1);
 }
 
 TEST(Host, ComputeOccupiesCore) {
