@@ -2,6 +2,7 @@
 """Prints where the samples of a sampler.c run went, function by function.
 
     python3 scripts/profile/report.py sampler-<pid>.txt [--under REGEX] [--top N]
+                                      [--callers REGEX]
 
 Only the samples with a frame whose function name matches --under count
 (default `Stepper::run`, the timed loop of bench/perf), so set-up and
@@ -9,6 +10,12 @@ teardown stay out of the shares. For each function the report prints:
 
   self       the share of those samples it was the innermost frame of
   inclusive  the share it was anywhere on the stack of (once per sample)
+
+--callers REGEX prints one table instead: for each counted sample whose
+innermost frame matches REGEX, its first caller that neither matches
+REGEX nor starts with `std::`, with the share of the counted samples.
+This finds who calls a library function: `--callers _Map_base::operator`
+names the code behind the samples in std::unordered_map lookups.
 
 Addresses are resolved with `nm` against the executable and the shared
 libraries named in the run's copy of /proc/self/maps. Names are
@@ -103,6 +110,9 @@ def main():
                         help="count only samples with a frame matching this regex")
     parser.add_argument("--top", type=int, default=25, help="rows per table")
     parser.add_argument("--full", action="store_true", help="keep full demangled names")
+    parser.add_argument("--callers", metavar="REGEX",
+                        help="count the first caller outside REGEX and std:: of each sample "
+                             "whose innermost frame matches REGEX")
     args = parser.parse_args()
 
     maps, samples = parse(args.file)
@@ -131,7 +141,9 @@ def main():
         return name
 
     under = re.compile(args.under)
+    leaf = re.compile(args.callers) if args.callers else None
     self_counts, incl_counts = collections.Counter(), collections.Counter()
+    caller_counts = collections.Counter()
     total = 0
     for stack in samples:
         # Return addresses point past the call: look up the call itself.
@@ -142,10 +154,20 @@ def main():
         self_counts[names[0]] += 1
         for n in set(names):
             incl_counts[n] += 1
+        if leaf and leaf.search(names[0]):
+            callers = (n for n in names[1:] if not leaf.search(n) and not n.startswith("std::"))
+            caller_counts[next(callers, "??")] += 1
 
     print(f"{len(samples)} samples, {total} under /{args.under}/")
     if total == 0:
         return 1
+    if leaf:
+        hits = sum(caller_counts.values())
+        print(f"{hits} ({100.0 * hits / total:.1f}%) with an innermost frame matching "
+              f"/{args.callers}/\n\n{'share':>9}  {'samples':>7}  first caller outside it and std::")
+        for name, count in caller_counts.most_common(args.top):
+            print(f"{100.0 * count / total:8.1f}%  {count:7d}  {name}")
+        return 0
     for title, counts in (("self", self_counts), ("inclusive", incl_counts)):
         print(f"\n{title:>9}  function")
         for name, count in counts.most_common(args.top):

@@ -1,10 +1,13 @@
 #include "fabric/link.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace rfs::fabric {
 
-void Switch::add_endpoint(DeviceId id) { endpoints_.try_emplace(id); }
+void Switch::add_endpoint(DeviceId id) {
+  if (id >= endpoints_.size()) endpoints_.resize(std::size_t{id} + 1);
+}
 
 Time Switch::reserve_rdma(DeviceId src, DeviceId dst, std::uint64_t bytes) {
   return reserve(src, dst, bytes, model_.wire_latency, model_.bandwidth_Bps);
@@ -19,6 +22,7 @@ Time Switch::reserve_tcp(DeviceId src, DeviceId dst, std::uint64_t bytes) {
 
 Time Switch::reserve(DeviceId src, DeviceId dst, std::uint64_t bytes, Duration wire_latency,
                      double bandwidth) {
+  assert(src < endpoints_.size() && dst < endpoints_.size() && "reserve on an unadded endpoint");
   auto& s = endpoints_[src];
   auto& d = endpoints_[dst];
   const Time now = engine_.now();

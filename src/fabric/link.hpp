@@ -9,7 +9,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "common/units.hpp"
 #include "fabric/model.hpp"
@@ -27,13 +27,15 @@ class Switch {
   /// Reserves link time for a payload of `bytes` from `src` to `dst`
   /// starting no earlier than now. Returns the absolute delivery time at
   /// the destination (link serialization + wire latency included, but not
-  /// protocol-level costs such as CQE generation).
+  /// protocol-level costs such as CQE generation). Both endpoints must
+  /// have been added.
   Time reserve_rdma(DeviceId src, DeviceId dst, std::uint64_t bytes);
 
   /// Same, with the TCP bandwidth model.
   Time reserve_tcp(DeviceId src, DeviceId dst, std::uint64_t bytes);
 
-  /// Registers a device endpoint (idempotent).
+  /// Registers a device endpoint (idempotent). Ids are dense, as
+  /// Fabric::create_device hands them out: the table is indexed by id.
   void add_endpoint(DeviceId id);
 
   /// Total bytes that crossed the switch (both models).
@@ -50,7 +52,7 @@ class Switch {
 
   sim::Engine& engine_;
   NetworkModel model_;
-  std::unordered_map<DeviceId, Endpoint> endpoints_;
+  std::vector<Endpoint> endpoints_;  // by DeviceId
   std::uint64_t total_bytes_ = 0;
 };
 

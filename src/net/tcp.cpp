@@ -6,42 +6,35 @@ namespace rfs::net {
 
 void TcpStream::send(Bytes message) {
   if (closed_ || !peer_) return;
-  sim::spawn(net_.engine(), deliver(peer_, std::move(message)));
-}
-
-sim::Task<void> TcpStream::deliver(std::shared_ptr<TcpStream> peer, Bytes message) {
+  auto& engine = net_.engine();
   Duration extra_delay = 0;
+  unsigned copies = 0;
   if (auto* faults = net_.fault_injector()) {
-    const auto fate = faults->decide(local_, remote_, net_.engine().now());
-    if (fate.drop) co_return;
-    // Copies re-enter the wire independently (each pays its own stack
-    // and link costs) but never re-roll the dice: one decision governs
-    // one logical send.
-    for (unsigned copy = 0; copy < fate.duplicates; ++copy) {
-      sim::spawn(net_.engine(), transmit(peer, message, fate.extra_delay));
-    }
+    const auto fate = faults->decide(local_, remote_, engine.now());
+    if (fate.drop) return;
     extra_delay = fate.extra_delay;
+    copies = fate.duplicates;
   }
-  co_await transmit(std::move(peer), std::move(message), extra_delay);
+  // Chaos hold (messages sent later can overtake this one), then the
+  // sender-side stack traversal (syscall, segmentation, checksum).
+  const Time at = engine.now() + extra_delay + net_.model().tcp_stack_latency;
+  // Copies re-enter the wire independently (each pays its own stack and
+  // link costs) but never re-roll the dice: one decision governs one
+  // logical send. The original starts first.
+  sim::spawn_at(engine, at, transmit(peer_, copies > 0 ? Bytes(message) : std::move(message)));
+  for (unsigned copy = 0; copy < copies; ++copy) {
+    sim::spawn_at(engine, at, transmit(peer_, message));
+  }
 }
 
-sim::Task<void> TcpStream::transmit(std::shared_ptr<TcpStream> peer, Bytes message,
-                                    Duration extra_delay) {
-  const auto& model = net_.model();
-  // Chaos hold: messages sent later can overtake this one (reordering).
-  if (extra_delay > 0) co_await sim::delay(extra_delay);
-  // Sender-side stack traversal (syscall, segmentation, checksum).
-  co_await sim::delay(model.tcp_stack_latency);
-  Time arrival = net_.link().reserve_tcp(local_, remote_, message.size());
-  co_await sim::delay_until(arrival);
+sim::Task<void> TcpStream::transmit(std::shared_ptr<TcpStream> peer, Bytes message) {
+  // Runs from the peer's side of the pair, which this frame keeps alive:
+  // the sending endpoint may be gone by now.
+  auto& net = peer->net_;
+  const Time arrival = net.link().reserve_tcp(peer->remote_, peer->local_, message.size());
   // Receiver-side stack traversal (interrupt, reassembly, socket wake-up).
-  co_await sim::delay(model.tcp_stack_latency);
+  co_await sim::delay_until(arrival + net.model().tcp_stack_latency);
   if (!peer->closed_) peer->inbox_.send(std::move(message));
-}
-
-sim::Task<std::optional<Bytes>> TcpStream::recv() {
-  auto item = co_await inbox_.recv();
-  co_return item;
 }
 
 void TcpStream::close() {

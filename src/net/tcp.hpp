@@ -8,6 +8,13 @@
 //
 // The stream is message-oriented: one send() delivers one framed message,
 // as if the application ran a length-prefixed protocol over a socket.
+//
+// A message costs the engine two wakes before its receiver's. send()
+// draws the chaos decision (drop, copies, hold) at the send instant and
+// starts one transmit per copy, due after the hold and the sender's stack
+// latency. There the transmit reserves the link, then wakes once more
+// after the wire arrival plus the receiver's stack latency to put the
+// message in the peer's inbox.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +39,9 @@ class TcpStream : public std::enable_shared_from_this<TcpStream> {
   /// is asynchronous, ordered, and reliable).
   void send(Bytes message);
 
-  /// Receives the next message; nullopt when the peer closed.
-  sim::Task<std::optional<Bytes>> recv();
+  /// Receives the next message; nullopt when the peer closed. Await it
+  /// at once: the awaiter refers to this stream's inbox.
+  sim::Channel<Bytes>::RecvAwaiter recv() { return inbox_.recv(); }
 
   /// Closes both directions; the peer's pending recv() returns nullopt.
   void close();
@@ -46,8 +54,9 @@ class TcpStream : public std::enable_shared_from_this<TcpStream> {
   TcpStream(TcpNetwork& net, fabric::DeviceId local, fabric::DeviceId remote)
       : net_(net), local_(local), remote_(remote) {}
 
-  sim::Task<void> deliver(std::shared_ptr<TcpStream> peer, Bytes message);
-  sim::Task<void> transmit(std::shared_ptr<TcpStream> peer, Bytes message, Duration extra_delay);
+  /// Carries one copy of a message from its wire reservation to `peer`'s
+  /// inbox.
+  static sim::Task<void> transmit(std::shared_ptr<TcpStream> peer, Bytes message);
 
   TcpNetwork& net_;
   fabric::DeviceId local_;

@@ -1,7 +1,6 @@
 #include "rfaas/sharded_manager.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace rfs::rfaas {
 
@@ -118,15 +117,7 @@ void ShardedResourceManager::index_lease(Shard& shard, std::uint64_t lease_id,
   auto& tenant = shard.tenants[record.client_id];
   tenant.held_workers += record.workers;
   ++tenant.live;
-  // Grants and their replay bring ids in increasing order (grant_step
-  // asserts it); a restored snapshot's ids go in their place whatever
-  // its order.
-  if (tenant.leases.empty() || tenant.leases.back() < lease_id) {
-    tenant.leases.push_back(lease_id);
-  } else {
-    tenant.leases.insert(std::lower_bound(tenant.leases.begin(), tenant.leases.end(), lease_id),
-                         lease_id);
-  }
+  tenant.leases.push_back(lease_id);
   push_expiry(shard, record.expires_at, lease_id);
   shard.lease_count.store(shard.leases.size(), std::memory_order_relaxed);
 }
@@ -758,7 +749,6 @@ bool ShardedResourceManager::grant_step(Shard& shard, const JournalRecordMsg& r)
   // between scan and grant; on a standby a refusal means divergence.
   const auto local = static_cast<std::size_t>(id_low(r.executor));
   if (!shard.registry.try_claim(local, r.workers, r.memory)) return false;
-  assert(id_low(r.lease_id) >= shard.next_lease);  // the youngest lease: see TenantIndex
   index_lease(shard, r.lease_id, LeaseRecord{r.client_id, local, r.workers, r.memory, r.time});
   shard.next_lease = std::max(shard.next_lease, id_low(r.lease_id) + 1);
   grants_.fetch_add(1, std::memory_order_relaxed);
@@ -901,6 +891,7 @@ ShardedResourceManager::ManagerState ShardedResourceManager::export_state() cons
       for (std::uint64_t id : tenant.leases) {
         if (shard.leases.contains(id)) ts.leases.push_back(id);
       }
+      std::sort(ts.leases.begin(), ts.leases.end());
       out.tenants.push_back(std::move(ts));
     }
     std::sort(out.tenants.begin(), out.tenants.end(),

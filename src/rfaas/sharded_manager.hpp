@@ -34,7 +34,7 @@
 //    sweeping costs O(expired + stale) instead of O(live leases).
 //    ExtendLease re-arms by pushing the new deadline; the superseded
 //    entry is discarded when it surfaces.
-//  * Per-tenant index (held-worker counter + age-ordered lease ids),
+//  * Per-tenant index (held-worker counter + the tenant's lease ids),
 //    maintained incrementally on grant/release/evict: reclaim_quota
 //    reads O(tenants) counters and walks only over-quota tenants'
 //    leases instead of snapshotting the whole table per denied request.
@@ -521,15 +521,16 @@ class ShardedResourceManager {
     }
   };
 
-  /// Incremental per-tenant slice of one shard's lease table. Lease ids
-  /// grow monotonically per shard, so appending each new id keeps
-  /// `leases` in age order (oldest first) for quota eviction. A released
-  /// id stays behind, and readers skip the ids gone from the lease table,
-  /// until dead ids outnumber live ones and a compaction drops them all.
+  /// Incremental per-tenant slice of one shard's lease table. `leases`
+  /// holds ids in insertion order; its readers sort what they take from
+  /// it (quota eviction its candidates, export_state its snapshot). A
+  /// released id stays behind, and readers skip the ids gone from the
+  /// lease table, until dead ids outnumber live ones and a compaction
+  /// drops them all.
   struct TenantIndex {
     std::uint64_t held_workers = 0;
     std::size_t live = 0;               // ids in `leases` still in the lease table
-    std::vector<std::uint64_t> leases;  // ascending
+    std::vector<std::uint64_t> leases;  // insertion order
   };
 
   struct Shard {
@@ -541,7 +542,7 @@ class ShardedResourceManager {
     std::vector<ExpiryEntry> expiry;
     /// Lease ids hosted by each registry index (parallel to registry).
     std::vector<std::unordered_set<std::uint64_t>> hosted;
-    /// client id -> held workers + age-ordered lease ids.
+    /// client id -> held workers + lease ids.
     std::unordered_map<std::uint32_t, TenantIndex> tenants;
     std::uint64_t next_lease = 1;
     std::vector<Placement> log;

@@ -192,17 +192,22 @@ class [[nodiscard]] Task<void> {
   std::coroutine_handle<promise_type> handle_;
 };
 
-/// Detaches `t` onto the engine: it starts at the current virtual time and
-/// self-destroys upon completion. The canonical way to start an actor.
-inline void spawn(Engine& engine, Task<void> t) {
+/// Detaches `t` onto the engine: it starts at virtual time `at` (clamped
+/// to now), in insertion order among the resumptions due then, and
+/// self-destroys upon completion.
+inline void spawn_at(Engine& engine, Time at, Task<void> t) {
   auto h = t.release();
   assert(h);
   auto& p = h.promise();
   p.owner = &engine;
   p.link.frame = h;
   engine.register_detached(p.link);
-  engine.schedule_now(h);
+  engine.schedule_at(at, h);
 }
+
+/// Detaches `t` onto the engine to start at the current virtual time. The
+/// canonical way to start an actor.
+inline void spawn(Engine& engine, Task<void> t) { spawn_at(engine, engine.now(), std::move(t)); }
 
 /// Suspends the awaiting task for `d` nanoseconds of virtual time.
 struct Delay {

@@ -1,7 +1,11 @@
 // Tests for the TCP overlay and the HTTP message model.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "fabric/fabric.hpp"
+#include "net/faulty.hpp"
 #include "net/http.hpp"
 #include "net/tcp.hpp"
 
@@ -16,11 +20,40 @@ class NetTest : public ::testing::Test {
     devB = &fab.create_device("B");
   }
 
+  /// Connects A to B and runs until both ends exist: the link is idle.
+  std::pair<std::shared_ptr<TcpStream>, std::shared_ptr<TcpStream>> connected_pair() {
+    auto& listener = tcp.listen(devB->id(), 80);
+    std::shared_ptr<TcpStream> client, server;
+    auto acceptor = [&]() -> sim::Task<void> { server = co_await listener.accept(); };
+    auto connector = [&]() -> sim::Task<void> {
+      client = (co_await tcp.connect(devA->id(), devB->id(), 80)).value();
+    };
+    sim::spawn(eng, acceptor());
+    sim::spawn(eng, connector());
+    eng.run();
+    return {client, server};
+  }
+
+  /// Receives up to `n` messages on `stream`, recording when each landed
+  /// and its first byte; `closed` is set when recv() returned nullopt.
+  sim::Task<void> receive(std::shared_ptr<TcpStream> stream, int n) {
+    for (int i = 0; i < n; ++i) {
+      auto msg = co_await stream->recv();
+      if (!msg) {
+        closed = true;
+        co_return;
+      }
+      landed.emplace_back(eng.now(), (*msg)[0]);
+    }
+  }
+
   sim::Engine eng;
   fabric::Fabric fab{eng};
   fabric::Device* devA = nullptr;
   fabric::Device* devB = nullptr;
   TcpNetwork tcp{eng, fab.net()};
+  std::vector<std::pair<Time, std::uint8_t>> landed;
+  bool closed = false;
 };
 
 TEST_F(NetTest, ConnectSendReceive) {
@@ -127,6 +160,95 @@ TEST_F(NetTest, MessagesStayOrdered) {
   sim::spawn(eng, client());
   eng.run();
   EXPECT_EQ(order, (std::vector<std::uint8_t>{0, 1, 2, 3, 4}));
+}
+
+TEST_F(NetTest, MessageLandsAtTheModelledInstant) {
+  auto [client, server] = connected_pair();
+  const auto& model = fab.net().model();
+  const Duration ser = transfer_time(1000, model.tcp_bandwidth_Bps);
+  const Duration idle_trip = 2 * model.tcp_stack_latency + model.wire_latency + ser;
+  auto message = [](std::uint8_t tag) {
+    Bytes b(1000);
+    b[0] = tag;
+    return b;
+  };
+
+  // Idle link, then a second message sent at the same instant: it
+  // serializes behind the first.
+  sim::spawn(eng, receive(server, 2));
+  eng.run();
+  const Time t0 = eng.now();
+  client->send(message(1));
+  client->send(message(2));
+  eng.run();
+  ASSERT_EQ(landed.size(), 2u);
+  EXPECT_EQ(landed[0], std::make_pair(t0 + idle_trip, std::uint8_t{1}));
+  EXPECT_EQ(landed[1], std::make_pair(t0 + idle_trip + ser, std::uint8_t{2}));
+
+  // A chaos hold of exactly `hold` delays the landing by exactly that.
+  FaultInjector faults;
+  const Duration hold = 300_us;
+  FaultSpec delayed;
+  delayed.delay_p = 1.0;
+  delayed.delay_min = delayed.delay_max = hold;
+  faults.set_default(delayed);
+  tcp.set_fault_injector(&faults);
+  landed.clear();
+  sim::spawn(eng, receive(server, 1));
+  eng.run();
+  const Time t1 = eng.now();
+  client->send(message(3));
+  eng.run();
+  ASSERT_EQ(landed.size(), 1u);
+  EXPECT_EQ(landed[0], std::make_pair(t1 + hold + idle_trip, std::uint8_t{3}));
+
+  // A duplicate pays its own serialization right behind the original.
+  FaultSpec duplicated;
+  duplicated.dup_p = 1.0;
+  faults.set_default(duplicated);
+  landed.clear();
+  sim::spawn(eng, receive(server, 2));
+  eng.run();
+  const Time t2 = eng.now();
+  client->send(message(4));
+  eng.run();
+  ASSERT_EQ(landed.size(), 2u);
+  EXPECT_EQ(landed[0], std::make_pair(t2 + idle_trip, std::uint8_t{4}));
+  EXPECT_EQ(landed[1], std::make_pair(t2 + idle_trip + ser, std::uint8_t{4}));
+  EXPECT_EQ(faults.counters().duplicated, 1u);
+  tcp.set_fault_injector(nullptr);
+}
+
+TEST_F(NetTest, AMessageCostsThreeEngineEvents) {
+  // The wire reservation, the landing and the receiver's wake.
+  constexpr int kMessages = 20;
+  auto [client, server] = connected_pair();
+  sim::spawn(eng, receive(server, kMessages));
+  eng.run();  // the receiver is waiting
+  for (int i = 0; i < kMessages; ++i) client->send(Bytes(100, static_cast<std::uint8_t>(i)));
+  std::size_t events = 0;
+  while (eng.step()) ++events;
+  ASSERT_EQ(landed.size(), static_cast<std::size_t>(kMessages));
+  EXPECT_LE(events, 3u * kMessages + 2);
+}
+
+TEST_F(NetTest, InFlightMessageToAClosedPeerIsDropped) {
+  auto [client, server] = connected_pair();
+  const auto& model = fab.net().model();
+  const std::size_t before = eng.detached_count();
+  sim::spawn(eng, receive(server, 1));
+  eng.run();  // the receiver is waiting
+  const Time t0 = eng.now();
+  client->send(Bytes(1000, 7));
+  // Past the wire reservation, before the landing.
+  eng.run_until(t0 + model.tcp_stack_latency + model.wire_latency);
+  EXPECT_EQ(eng.detached_count(), before + 2);  // the receiver and the message in flight
+  server->close();
+  eng.run();
+  EXPECT_TRUE(closed);
+  EXPECT_TRUE(landed.empty());
+  EXPECT_EQ(eng.detached_count(), before);
+  EXPECT_EQ(eng.pending(), 0u);
 }
 
 TEST(Http, RequestRoundTrip) {

@@ -99,6 +99,39 @@ TEST(Engine, HeapEntriesDueNowRunAheadOfTheSameInstantLane) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(Engine, SpawnAtStartsAtItsInstantInInsertionOrder) {
+  Engine eng;
+  std::vector<std::pair<int, Time>> ran;
+  auto record = [&](int id) { ran.emplace_back(id, Engine::current()->now()); };
+  auto sleeper = [&](int id) -> Task<void> {
+    co_await delay_until(100);
+    record(id);
+  };
+  auto starter = [&](int id) -> Task<void> {
+    record(id);
+    co_return;
+  };
+  auto spawner = [&]() -> Task<void> {
+    record(2);
+    // Both start on the same-instant lane, behind sleeper 3's wake.
+    spawn(eng, starter(4));
+    spawn_at(eng, eng.now(), starter(5));
+    co_return;
+  };
+  spawn(eng, sleeper(1));
+  ASSERT_TRUE(eng.step());  // sleeper 1 queues its wake for 100
+  spawn_at(eng, 100, spawner());
+  spawn_at(eng, 50, starter(0));
+  spawn(eng, sleeper(3));
+  EXPECT_EQ(eng.detached_count(), 4u);
+  ASSERT_TRUE(eng.step());  // the lane first: sleeper 3 queues its wake for 100
+  EXPECT_TRUE(ran.empty());
+  eng.run();
+  EXPECT_EQ(ran, (std::vector<std::pair<int, Time>>{
+                     {0, 50}, {1, 100}, {2, 100}, {3, 100}, {4, 100}, {5, 100}}));
+  EXPECT_EQ(eng.detached_count(), 0u);
+}
+
 TEST(Engine, RunUntilDrainsTheSameInstantLane) {
   Engine eng;
   int children = 0;
