@@ -4,6 +4,8 @@
 // complementing the virtual-time figure benches.
 #include <benchmark/benchmark.h>
 
+#include <string_view>
+
 #include "common/base64.hpp"
 #include "common/bytes.hpp"
 #include "fabric/fabric.hpp"
@@ -75,29 +77,49 @@ void BM_Base64Encode(benchmark::State& state) {
 }
 BENCHMARK(BM_Base64Encode)->Arg(1024)->Arg(1 << 20);
 
-// The payload checksum as dispatched on this CPU. 256 B to 4 KiB is the
-// span of parallel_batches payloads; 64 B guards the short-input path.
-void BM_Crc32c(benchmark::State& state) {
+void time_crc32c(benchmark::State& state, std::uint32_t (*crc)(std::span<const std::uint8_t>)) {
   Bytes data(static_cast<std::size_t>(state.range(0)));
   fill_pattern(data, 2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crc32c(data));
+    benchmark::DoNotOptimize(crc(data));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+
+// The payload checksum as dispatched on this CPU, labelled with the tier
+// that runs at each size. 256 B to 4 KiB is the span of
+// parallel_batches payloads; 64 B guards the short-input path.
+void BM_Crc32c(benchmark::State& state) {
+  const char* dispatched = "";
+  for (const detail::Crc32cTier& tier : detail::crc32c_tiers()) {
+    if (static_cast<std::size_t>(state.range(0)) >= tier.min_bytes) dispatched = tier.name;
+  }
+  state.SetLabel(dispatched);
+  time_crc32c(state, crc32c);
 }
 BENCHMARK(BM_Crc32c)->Arg(64)->Arg(256)->Arg(2048)->Arg(4096)->Arg(1 << 20);
 
+// One tier by name, whichever crc32c dispatches to; an error row where
+// this CPU lacks the tier's instructions.
+void time_crc32c_tier(benchmark::State& state, std::string_view name) {
+  for (const detail::Crc32cTier& tier : detail::crc32c_tiers()) {
+    if (tier.name == name) return time_crc32c(state, tier.crc);
+  }
+  state.SkipWithError("this CPU lacks the tier's instructions");
+}
+
 // The table loop that CPUs without SSE4.2 and PCLMULQDQ run: CI compares
 // BM_Crc32c/4096 against it to catch a dispatch that falls back to it.
-void BM_Crc32cPortable(benchmark::State& state) {
-  Bytes data(static_cast<std::size_t>(state.range(0)));
-  fill_pattern(data, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(detail::crc32c_portable(data));
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
+void BM_Crc32cPortable(benchmark::State& state) { time_crc32c_tier(state, "portable"); }
 BENCHMARK(BM_Crc32cPortable)->Arg(4096);
+
+// The three `crc32` lanes: CI compares BM_Crc32c/4096 against it where
+// crc32c dispatches to the VPCLMULQDQ folds.
+void BM_Crc32cLanes(benchmark::State& state) { time_crc32c_tier(state, "sse4.2"); }
+BENCHMARK(BM_Crc32cLanes)->Arg(4096);
+
+void BM_Crc32cFold(benchmark::State& state) { time_crc32c_tier(state, "vpclmulqdq"); }
+BENCHMARK(BM_Crc32cFold)->Arg(4096);
 
 void BM_BlackScholes(benchmark::State& state) {
   auto options = workloads::generate_options(static_cast<std::size_t>(state.range(0)), 3);

@@ -98,14 +98,24 @@ class ByteReader {
 
 /// CRC-32C (Castagnoli: reflected polynomial 0x82F63B78, init and
 /// xorout 0xFFFFFFFF), the payload CRC of iSCSI (RFC 3720), iWARP MPA
-/// (RFC 5044) and NVMe/TCP. On x86-64 CPUs with SSE4.2 and PCLMULQDQ it
-/// runs the `crc32` instruction over 8-byte words: from 192 B on, three
-/// independent chains over adjacent lanes of up to 1 KiB each, joined
-/// by carry-less multiplication (Gopal et al., "Fast CRC Computation for
-/// iSCSI Polynomial Using CRC32 Instruction", Intel 2011), then one
-/// chain for the rest and `crc32` on 4, 2 and 1 bytes for the 0-7 byte
-/// tail. Other CPUs get detail::crc32c_portable. The data plane's
-/// payload checksum and the tests' end-to-end byte checks both use it.
+/// (RFC 5044) and NVMe/TCP. The CPU and the input length pick one of
+/// three tiers (detail::crc32c_tiers()), all bit-identical:
+/// - "vpclmulqdq", from 256 B on x86-64 CPUs with AVX-512F/VL and
+///   VPCLMULQDQ: four 512-bit accumulators fold 256 bytes per round by
+///   carry-less multiplication (Gopal et al., "Fast CRC Computation for
+///   Generic Polynomials Using PCLMULQDQ Instruction", Intel 2009), then
+///   reduce to one 16-byte block, fold in the 16-byte blocks left, and
+///   `crc32` finishes that block and the 0-15 byte tail;
+/// - "sse4.2", on the other inputs of CPUs with SSE4.2 and PCLMULQDQ:
+///   the `crc32` instruction over 8-byte words, from 192 B on three
+///   independent chains over adjacent lanes of up to 1 KiB each, joined
+///   by carry-less multiplication (Gopal et al., "Fast CRC Computation
+///   for iSCSI Polynomial Using CRC32 Instruction", Intel 2011), then
+///   one chain for the rest and `crc32` on 4, 2 and 1 bytes for the 0-7
+///   byte tail;
+/// - "portable", detail::crc32c_portable, on every other CPU.
+/// The data plane's payload checksum and the tests' end-to-end byte
+/// checks both use it.
 std::uint32_t crc32c(std::span<const std::uint8_t> data);
 
 namespace detail {
@@ -113,6 +123,21 @@ namespace detail {
 /// crc32c runs on CPUs without the instructions, callable anywhere so
 /// that tests and benches reach it.
 std::uint32_t crc32c_portable(std::span<const std::uint8_t> data);
+
+/// One of crc32c's tiers. `crc` takes any length: below `min_bytes` it
+/// runs the previous tier's code.
+struct Crc32cTier {
+  const char* name;
+  std::size_t min_bytes;
+  std::uint32_t (*crc)(std::span<const std::uint8_t> data);
+};
+
+/// The tiers this CPU runs, slowest first, so that tests and benches
+/// reach each one: "portable" (crc32c_portable) everywhere, then on
+/// x86-64 "sse4.2" (the `crc32` chains) and "vpclmulqdq" (the 512-bit
+/// folds). crc32c calls the last one's `crc`, so each input runs the
+/// last tier whose `min_bytes` it meets.
+std::span<const Crc32cTier> crc32c_tiers();
 }  // namespace detail
 
 /// Deterministic pattern fill used by tests and benches to validate

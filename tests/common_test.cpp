@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <iostream>
 #include <numeric>
 #include <optional>
 #include <random>
@@ -190,10 +191,16 @@ std::vector<std::uint32_t> crc32c_reference_prefixes(std::span<const std::uint8_
   return out;
 }
 
-/// Both CRC-32C kernels, the one crc32c dispatches to on this CPU and
-/// the portable table loop, against the reference at each of `lengths`
-/// (ascending) from start offsets 0..7, so word loads are unaligned.
+/// crc32c and every tier this CPU runs (detail::crc32c_tiers(), not only
+/// the one crc32c dispatches to) against the reference at each of
+/// `lengths` (ascending) from start offsets 0..7, so loads are
+/// unaligned. Prints the tiers, so a log shows which ones ran.
 void expect_kernels_match_reference(const std::vector<std::size_t>& lengths) {
+  std::cout << "[ tiers    ] crc32c tiers checked:";
+  for (const detail::Crc32cTier& tier : detail::crc32c_tiers()) {
+    std::cout << ' ' << tier.name << " (from " << tier.min_bytes << " B)";
+  }
+  std::cout << '\n';
   Bytes buf(lengths.back() + 7);
   fill_pattern(buf, 7);
   for (std::size_t offset = 0; offset < 8; ++offset) {
@@ -202,28 +209,37 @@ void expect_kernels_match_reference(const std::vector<std::size_t>& lengths) {
     for (std::size_t len : lengths) {
       const auto data = all.first(len);
       ASSERT_EQ(crc32c(data), want[len]) << "crc32c, offset " << offset << " len " << len;
-      ASSERT_EQ(detail::crc32c_portable(data), want[len])
-          << "crc32c_portable, offset " << offset << " len " << len;
+      for (const detail::Crc32cTier& tier : detail::crc32c_tiers()) {
+        ASSERT_EQ(tier.crc(data), want[len])
+            << "tier " << tier.name << ", offset " << offset << " len " << len;
+      }
     }
   }
 }
 
 TEST(Bytes, Crc32cMatchesBitwiseReferenceAtEveryLengthAndOffset) {
-  // Every length 0..4096: one chain below 192 B, one or two rounds of
-  // three lanes from there, and every 0-7 byte tail (4-, 2- and 1-byte
-  // `crc32`, or the table in the portable kernel).
+  // Every length 0..4096: one `crc32` chain below 192 B, one or two
+  // rounds of three lanes from there, 1-16 rounds of 256-byte folds from
+  // 256 B with every count of 16-byte folds after them, and every 0-15
+  // byte tail (4-, 2- and 1-byte `crc32`, or the table in the portable
+  // kernel).
   std::vector<std::size_t> lengths(4097);
   std::iota(lengths.begin(), lengths.end(), 0);
   expect_kernels_match_reference(lengths);
 }
 
-TEST(Bytes, Crc32cMatchesBitwiseReferenceAcrossLaneRounds) {
-  // Up to 13 KiB, four full rounds of three 1 KiB lanes plus every
-  // remainder: each multiple of 8 and the lengths 1 and 7 either side
-  // of it. Then 1 MiB: 341 full rounds, a short one and two words.
+TEST(Bytes, Crc32cMatchesBitwiseReferenceAcrossRounds) {
+  // Up to 13 KiB: four full rounds of three 1 KiB lanes plus every
+  // remainder (each multiple of 8 and the lengths 1 and 7 either side of
+  // it), and 52 rounds of 256-byte folds ending in each 64-byte quarter
+  // of a round (each multiple of 64 and the lengths 1 and 15 either side
+  // of it). Then 1 MiB: 341 full lane rounds, a short one and two words;
+  // 4,096 fold rounds.
   std::vector<std::size_t> lengths;
   for (std::size_t len = 0; len <= 13 * 1024 + 7; ++len) {
-    if (len % 8 <= 1 || len % 8 == 7) lengths.push_back(len);
+    if (len % 8 <= 1 || len % 8 == 7 || len % 64 == 15 || len % 64 == 64 - 15) {
+      lengths.push_back(len);
+    }
   }
   lengths.push_back(std::size_t{1} << 20);
   expect_kernels_match_reference(lengths);
