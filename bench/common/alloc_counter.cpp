@@ -1,6 +1,6 @@
-// Allocation counting for the benches that gate on heap allocations
-// (fig16, fig18, fig21): every unaligned global new in the binary bumps
-// rfs::bench::g_allocations. A gate reads the counter before and after
+// Allocation counting for the binaries that gate on heap allocations
+// (fig16, fig18, fig21 and tests/dataplane_test.cpp): every unaligned
+// global new in the binary bumps rfs::bench::g_allocations. A gate reads the counter before and after
 // the code under test; the difference is its allocation count.
 #include <atomic>
 #include <cstdint>

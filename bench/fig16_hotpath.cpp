@@ -26,7 +26,7 @@
 //      Gate: exactly 0 heap allocations per round trip.
 //
 // Emits BENCH_fig16_hotpath.json (columns metric/live-leases/indexed/
-// baseline/ratio), gated in CI's bench-smoke job.
+// baseline/ratio); the four gates are checked here and set the exit status.
 #include <chrono>
 
 #include "bench_common.hpp"
@@ -353,7 +353,7 @@ void run() {
              Table::num(ratio(reclaim_large.scan_p99_us, reclaim_large.indexed_p99_us), 2)});
   // Grant scaling: "indexed" is the cost at the large count, "baseline"
   // at the small one; the ratio must stay near 1 (grants independent of
-  // live-lease count). Gated <= 3 in CI.
+  // live-lease count). Gated <= 3.
   table.row({"grant-us-per-op", std::to_string(grants.large),
              Table::num(grants.us_large, 3), Table::num(grants.us_small, 3),
              Table::num(grants.us_large / std::max(1e-9, grants.us_small), 2)});
@@ -366,27 +366,30 @@ void run() {
              Table::num(wire.bytes_allocs_per_op, 2)});
   emit(table, "fig16_hotpath");
 
-  std::printf("sweep at %zu live: indexed %.3f us vs scan %.3f us (%.1fx, %s)\n",
-              sweep_large.live, sweep_large.indexed_us, sweep_large.scan_us,
-              ratio(sweep_large.scan_us, sweep_large.indexed_us),
-              ratio(sweep_large.scan_us, sweep_large.indexed_us) >= 10 ? "OK"
-                                                                       : "REGRESSION");
-  std::printf("reclaim_quota p99 at %zu live: indexed %.3f us vs scan %.3f us (%.1fx, %s)\n",
+  const double sweep_x = ratio(sweep_large.scan_us, sweep_large.indexed_us);
+  const double reclaim_x = ratio(reclaim_large.scan_p99_us, reclaim_large.indexed_p99_us);
+  std::printf("sweep at %zu live: indexed %.3f us vs scan %.3f us (%.1fx)\n", sweep_large.live,
+              sweep_large.indexed_us, sweep_large.scan_us, sweep_x);
+  std::printf("reclaim_quota p99 at %zu live: indexed %.3f us vs scan %.3f us (%.1fx)\n",
               reclaim_large.live, reclaim_large.indexed_p99_us, reclaim_large.scan_p99_us,
-              ratio(reclaim_large.scan_p99_us, reclaim_large.indexed_p99_us),
-              ratio(reclaim_large.scan_p99_us, reclaim_large.indexed_p99_us) >= 10
-                  ? "OK"
-                  : "REGRESSION");
-  std::printf("grant+release: %.3f us/op at %zu live vs %.3f at %zu (%.0f grants/s, %s)\n",
+              reclaim_x);
+  std::printf("grant+release: %.3f us/op at %zu live vs %.3f at %zu (%.0f grants/s)\n",
               grants.us_large, grants.large, grants.us_small, grants.small,
-              grants.grants_per_s_large,
-              grants.us_large <= 3 * grants.us_small ? "scale-independent: OK"
-                                                     : "REGRESSION");
+              grants.grants_per_s_large);
   std::printf("wire fast path: %llu allocations over %u round trips, %.1f ns/op "
-              "(Bytes API: %.1f allocs/op) — %s\n",
+              "(Bytes API: %.1f allocs/op)\n",
               static_cast<unsigned long long>(wire.fast_allocs), wire_iters,
-              wire.fast_ns_per_op, wire.bytes_allocs_per_op,
-              wire.fast_allocs == 0 ? "zero-allocation: OK" : "REGRESSION");
+              wire.fast_ns_per_op, wire.bytes_allocs_per_op);
+
+  Gates gates("fig16_hotpath");
+  gates.check(sweep_x >= 10, "indexed expiry sweep >= 10x the full-table scan", "100k live");
+  gates.check(reclaim_x >= 10, "indexed reclaim_quota p99 >= 10x the snapshot scan",
+              "100k live");
+  gates.check(grants.us_large <= 3 * grants.us_small,
+              "grant+release grows <= 3x from 1k to 100k live leases", "100k live");
+  gates.check(wire.fast_allocs == 0, "zero heap allocations on the wire fast path",
+              "wire round trips");
+  gates.finish();
 }
 
 }  // namespace

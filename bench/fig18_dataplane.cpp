@@ -7,7 +7,8 @@
 //      buffers and registers them with the client PD (the registrations
 //      serialize on the process's mmap write lock — the per-PD
 //      registration gate in the fabric model). Fast path: invoke_pooled()
-//      over slots registered once by reserve_slots(). Gate: >= 10x p99.
+//      over slots registered once by reserve_slots(). Gates: >= 10x p99,
+//      zero failed invocations on either path.
 //  (b) Allocations per invocation — the frame path (encode_into into a
 //      registered slot, stack WR + SGE list, packed immediate, response
 //      decode from the completion) counted by a global allocation hook,
@@ -22,12 +23,14 @@
 //      tenant-specific gaps. Predictive keep-alive (idle-histogram
 //      quantile, the SeBS eviction model) vs fixed 120 s keep-alive:
 //      same warm-hit rate, far less memory held once tenants go quiet.
-//      Gate: warm-hit >= 95% on the trace.
+//      Gates: warm-hit >= 95% on the trace, and predictive held memory
+//      no more than fixed keep-alive's.
 //
-// Emits BENCH_fig18_dataplane.json (columns metric/baseline/fast/ratio),
-// gated in CI's bench-smoke job. The old paths are kept callable (invoke
-// with per-call buffers, single post/wait, capacity-0 pool) so the
-// comparison stays honest before/after, as in fig16.
+// Emits BENCH_fig18_dataplane.json (columns metric/baseline/fast/ratio);
+// the gates are checked here and set the exit status. The old paths are
+// kept callable (invoke with per-call buffers, single post/wait,
+// capacity-0 pool) so the comparison stays honest before/after, as in
+// fig16.
 #include "bench_common.hpp"
 #include "rfaas/protocol.hpp"
 
@@ -434,6 +437,20 @@ void run() {
       "lock) collapse under fan-out; pre-registered slots keep the hot RTT flat.\n"
       "Predictive keep-alive matches fixed keep-alive's hit rate while releasing\n"
       "pool memory as soon as the idle histogram says the tenant is gone.\n");
+
+  Gates gates("fig18_dataplane");
+  gates.check(fan.fast_path.p99 > 0 && fan.bytes_path.p99 >= 10 * fan.fast_path.p99,
+              "pooled invoke p99 >= 10x the per-call-registration path", "fan-out");
+  gates.check(fan.bytes_path.failures == 0, "zero failed invocations", "per-call path");
+  gates.check(fan.fast_path.failures == 0, "zero failed invocations", "pooled path");
+  gates.check(allocs.fast_per_call == 0, "zero heap allocations per pooled invocation",
+              "frame path");
+  gates.check(predictive.hit_rate >= 0.95, "predictive warm-pool hit rate >= 95%",
+              "keep-alive trace");
+  gates.check(predictive.avg_memory_mb <= fixed.avg_memory_mb,
+              "predictive eviction holds no more memory than fixed keep-alive",
+              "keep-alive trace");
+  gates.finish();
 }
 
 }  // namespace

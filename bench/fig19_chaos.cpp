@@ -19,7 +19,9 @@
 //      within 5x the lossless baseline (retransmits are paced by the
 //      RTO estimator, not by luck);
 //   5. zero invocation failures — the RDMA data plane is independent of
-//      control-link chaos.
+//      control-link chaos;
+//   6. injected loss — every lossy schedule dropped at least one
+//      message, so gates 1-4 had something to catch.
 //
 // Every run is replayable: RFS_CHAOS_SEED seeds the one RNG all fault
 // decisions are drawn from, and a failing gate prints the exact repro
@@ -34,17 +36,6 @@ namespace rfs {
 namespace {
 
 using namespace rfs::bench;
-
-std::uint64_t chaos_seed() {
-  const char* v = std::getenv("RFS_CHAOS_SEED");
-  if (v == nullptr || v[0] == '\0') return 1;
-  return std::strtoull(v, nullptr, 10);
-}
-
-bool soak_mode() {
-  const char* v = std::getenv("RFS_CHAOS_SOAK");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
 
 /// One chaos schedule: symmetric drop/dup/reorder probability plus
 /// optional partition windows (soak only).
@@ -245,39 +236,30 @@ void run() {
                 r.link.reordered, r.link.partitioned);
   }
 
-  // ---- Chaos gates (also enforced by CI on the emitted JSON) ----
-  bool ok = true;
-  auto fail = [&](const char* gate, const char* schedule) {
-    std::printf("GATE FAILED [%s] under %s\n", gate, schedule);
-    ok = false;
-  };
+  Gates gates("fig19_chaos");
   for (const auto& r : results) {
-    if (r.trace.double_grants != 0) fail("zero double-grants", r.schedule.name);
-    if (r.leaked != 0) fail("zero leaked leases after drain", r.schedule.name);
-    if (r.trace.client_deaths != 0) fail("100% client survival", r.schedule.name);
+    gates.check(r.trace.double_grants == 0, "zero double-grants", r.schedule.name);
+    gates.check(r.leaked == 0, "zero leaked leases after drain", r.schedule.name);
+    gates.check(r.trace.client_deaths == 0, "100% client survival", r.schedule.name);
+    // A lossy schedule whose injector dropped nothing tested nothing.
+    if (r.schedule.p > 0) {
+      gates.check(r.link.dropped > 0, "at least one message dropped", r.schedule.name);
+    }
     // The 5x tail bound is specified for the CI schedules (p <= 5%); the
     // soak's 10%/partition schedules only need the tail to stay sane —
     // at that loss rate one in ten exchanges legitimately pays several
     // backed-off retransmission rounds.
-    const double bound = r.schedule.p <= 0.05 && !r.schedule.partitions ? 5.0 : 15.0;
+    const bool ci_schedule = r.schedule.p <= 0.05 && !r.schedule.partitions;
     const double p99 = r.trace.grant_latency_percentile(99);
-    if (base_p99 > 0 && p99 > bound * base_p99) {
-      fail(bound == 5.0 ? "p99 grant latency <= 5x lossless"
-                        : "p99 grant latency <= 15x lossless (soak)",
-           r.schedule.name);
-    }
+    gates.check(base_p99 <= 0 || p99 <= (ci_schedule ? 5.0 : 15.0) * base_p99,
+                ci_schedule ? "p99 grant latency <= 5x lossless"
+                            : "p99 grant latency <= 15x lossless (soak)",
+                r.schedule.name);
   }
   for (const auto& [name, r] : probes) {
-    if (!r.allocated || r.stats.failures != 0) fail("zero invocation failures", name);
+    gates.check(r.allocated && r.stats.failures == 0, "zero invocation failures", name);
   }
-
-  if (ok) {
-    std::printf("\nall chaos gates hold (seed %" PRIu64 ")\n", seed);
-  } else {
-    std::printf("\nreproduce with: RFS_CHAOS_SEED=%" PRIu64 "%s ./bench/fig19_chaos\n", seed,
-                soak_mode() ? " RFS_CHAOS_SOAK=1" : "");
-    std::exit(1);
-  }
+  gates.finish();
 }
 
 }  // namespace

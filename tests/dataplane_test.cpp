@@ -5,8 +5,8 @@
 //   - fabric doorbell batching (post_send_many) and batched completion
 //     draining (wait_polling_many), pinned to single-post/single-poll
 //     semantics and to exact model timing,
-//   - zero heap allocations on the invocation frame path (same global
-//     operator-new hook as bench/fig16_hotpath.cpp),
+//   - zero heap allocations on the invocation frame path (counted by the
+//     benches' global operator-new hook),
 //   - the invoker's registered slot pool (invoke_pooled),
 //   - the executor warm pool state machine: park on retirement, revive on
 //     a matching re-allocation, capacity / predictive eviction, memory
@@ -21,41 +21,17 @@
 //     nothing leaked by a sandbox torn down during its cold start.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <coroutine>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 
+#include "../bench/bench_common.hpp"
 #include "cluster/harness.hpp"
 #include "sim/fifo.hpp"
 
-// --------------------------------------------------------------------------
-// Allocation counting (each tests/*.cpp builds into its own binary, so
-// replacing global new/delete here is hermetic). The frame-path test
-// demands zero allocations between two counter reads.
-// --------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// The frame-path and bounded-state tests demand zero allocations between
+// two reads of this counter: CMake links the benches' counting operator
+// new/delete (bench/common/alloc_counter.cpp) into this suite.
+using rfs::bench::g_allocations;
 
 namespace rfs::rfaas {
 namespace {
