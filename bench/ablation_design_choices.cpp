@@ -13,9 +13,8 @@ using namespace rfs::bench;
 
 const unsigned kReps = scaled_reps(31);
 
-sim::Task<LatencyStats> measure(cluster::Harness& p, rfaas::Invoker& invoker,
-                                rfaas::InvocationPolicy policy, bool polling_client,
-                                std::size_t payload) {
+sim::Task<LatencyStats> measure(rfaas::Invoker& invoker, rfaas::InvocationPolicy policy,
+                                bool polling_client, std::size_t payload) {
   rfaas::AllocationSpec spec;
   spec.function_name = "echo";
   spec.policy = policy;
@@ -64,7 +63,7 @@ void run() {
     std::vector<double> routed;
     auto body = [&]() -> sim::Task<void> {
       auto invoker = p.make_invoker(0, 1);
-      direct = co_await measure(p, *invoker, rfaas::InvocationPolicy::HotAlways, true, 64);
+      direct = co_await measure(*invoker, rfaas::InvocationPolicy::HotAlways, true, 64);
 
       // Centralized: same invocation, but preceded by a control-plane
       // round trip that re-resolves the placement every single time.
@@ -108,7 +107,7 @@ void run() {
         LatencyStats stats;
         auto body = [&]() -> sim::Task<void> {
           auto invoker = p.make_invoker(0, 1);
-          stats = co_await measure(p, *invoker, policy, polling, 64);
+          stats = co_await measure(*invoker, policy, polling, 64);
         };
         p.spawn(body());
         p.run(p.engine().now() + 600_s);
@@ -132,7 +131,7 @@ void run() {
       LatencyStats stats;
       auto body = [&]() -> sim::Task<void> {
         auto invoker = p.make_invoker(0, 1);
-        stats = co_await measure(p, *invoker, rfaas::InvocationPolicy::HotAlways, true, 64);
+        stats = co_await measure(*invoker, rfaas::InvocationPolicy::HotAlways, true, 64);
       };
       p.spawn(body());
       p.run(p.engine().now() + 600_s);

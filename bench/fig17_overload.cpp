@@ -125,7 +125,7 @@ void run() {
   banner("Figure 17 (million-client ingress)",
          "admission control + WFQ + retry budgets under 10-100x open-loop overload");
   std::printf("capacity %.0f req/s, %" PRIu64 " simulated clients over %u sessions\n\n",
-              kCapacityHz, 4ull * kHostsPerTenant * kMultiplex, 4u * kHostsPerTenant);
+              kCapacityHz, std::uint64_t{4} * kHostsPerTenant * kMultiplex, 4u * kHostsPerTenant);
 
   // The unloaded baseline anchors the admitted-p99 gate; it is not
   // itself gated (nothing is overloaded at half capacity).

@@ -304,8 +304,8 @@ Duration idle_gap(unsigned tenant, unsigned round) {
   return (2000 + tenant * 800 + h) * 1_ms;
 }
 
-sim::Task<void> tenant_loop(cluster::Harness& h, rfaas::Invoker& invoker, unsigned tenant,
-                            unsigned rounds, sim::WaitGroup* wg) {
+sim::Task<void> tenant_loop(rfaas::Invoker& invoker, unsigned tenant, unsigned rounds,
+                            sim::WaitGroup* wg) {
   rfaas::AllocationSpec spec;
   spec.function_name = "echo";
   spec.workers = 1;
@@ -353,7 +353,7 @@ TraceResult run_trace(unsigned tenants, unsigned rounds, Duration min_keepalive,
   auto body = [&]() -> sim::Task<void> {
     sim::WaitGroup wg(tenants);
     for (unsigned t = 0; t < tenants; ++t) {
-      sim::spawn(h.engine(), tenant_loop(h, *invokers[t], t, rounds, &wg));
+      sim::spawn(h.engine(), tenant_loop(*invokers[t], t, rounds, &wg));
     }
     co_await wg.wait();
     co_await sim::delay(tail);  // watch the pool drain after the last tenant leaves

@@ -363,7 +363,7 @@ void run() {
       gates.check(r.post_trip > 0, "breaker tripped during the run", name);
       gates.check(r.post_trip_on_gray * 10 <= r.post_trip,
                   ">= 90% of post-trip traffic off the gray executor", name);
-      gates.check(r.rm_quarantined > 0, "manager quarantined the gray executor", name);
+      gates.check(r.rm_quarantined == 1, "manager quarantined the one gray executor once", name);
     }
   }
   gates.check(baselines > 0 && faulted > 0, "a fault-free baseline and a faulted schedule ran",

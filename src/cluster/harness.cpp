@@ -179,40 +179,30 @@ void Harness::run(Time until) {
 
 namespace {
 
-rfaas::ReleaseResourcesMsg release_for(const rfaas::LeaseGrantMsg& grant,
-                                       const LeaseWorkload& workload) {
-  rfaas::ReleaseResourcesMsg rel;
-  rel.lease_id = grant.lease_id;
-  rel.workers = grant.workers;
-  rel.memory_bytes = workload.memory_per_worker * grant.workers;
-  return rel;
+/// A workload client tracks its leases (and so renews, subscribes or
+/// heals them) when the workload asks for any of the three.
+bool tracks_leases(const LeaseWorkload& workload) {
+  return workload.auto_renew || workload.subscribe_events || workload.self_heal;
 }
 
 /// Holds a granted lease for `hold`, then releases it — detached from the
 /// tenant loop so hold times occupy the fleet without throttling the
-/// tenant's arrival process. A renewing client abandons the lease chain
-/// first (self-healing may have replaced the original id), so the
-/// release names the live lease and cannot race a renewal or heal. The
-/// release goes through the session (retransmitted until ReleaseOk), so
-/// one dropped message cannot strand capacity until lease expiry.
-sim::Task<void> hold_and_release(std::shared_ptr<rfaas::Session> session,
-                                 std::shared_ptr<rfaas::LeaseSet> leases,
-                                 rfaas::ReleaseResourcesMsg release, Duration hold) {
+/// tenant's arrival process. The release names whatever lease currently
+/// stands in for the grant (self-healing may have replaced it) and is
+/// retransmitted until ReleaseOk, so one dropped message cannot strand
+/// capacity until lease expiry.
+sim::Task<void> hold_and_release(std::shared_ptr<rfaas::LeaseSet> leases,
+                                 rfaas::LeaseGrantMsg grant, std::uint64_t memory_per_worker,
+                                 Duration hold) {
   co_await sim::delay(hold);
-  if (leases != nullptr) release.lease_id = leases->abandon(release.lease_id);
-  if (session->closed()) co_return;
-  release.request_id = session->next_request_id();
-  (void)co_await session->call(rfaas::encode(release), release.request_id);
+  co_await leases->release(grant, memory_per_worker);
 }
 
 }  // namespace
 
-std::shared_ptr<rfaas::LeaseSet> Harness::make_lease_set(
-    std::shared_ptr<rfaas::Session> session, const LeaseWorkload& workload,
+sim::Task<std::shared_ptr<rfaas::LeaseSet>> Harness::open_client(
+    std::size_t client, const LeaseWorkload& workload, bool tracked,
     std::shared_ptr<WorkloadCounters> out) {
-  if (!workload.auto_renew && !workload.subscribe_events && !workload.self_heal) {
-    return nullptr;
-  }
   rfaas::LeaseSetOptions opts;
   opts.renew_margin =
       workload.renew_margin != 0 ? workload.renew_margin : workload.lease_timeout / 4;
@@ -220,8 +210,18 @@ std::shared_ptr<rfaas::LeaseSet> Harness::make_lease_set(
   opts.self_heal = workload.self_heal;
   opts.realloc_budget = workload.realloc_budget;
   opts.realloc_backoff = workload.realloc_backoff;
-  auto leases = std::make_shared<rfaas::LeaseSet>(engine_, opts);
-  leases->bind(std::move(session));
+  auto leases = std::make_shared<rfaas::LeaseSet>(
+      engine_, opts,
+      rfaas::ManagerLink{tcp_.get(), client_devices_.at(client)->id(), rm_device_->id(),
+                         rm_->port(), spec_.session_options});
+  ++out->clients_started;
+  if (!(co_await leases->connect()).ok()) {
+    ++out->client_deaths;
+    co_return nullptr;
+  }
+  out->sessions.push_back(leases->session());
+  if (!tracked) co_return leases;
+
   leases->on_renewed([out](std::uint64_t, Time) { ++out->renewals; });
   leases->on_renewal_failed(
       [out](std::uint64_t, const std::string&) { ++out->renewal_failures; });
@@ -234,125 +234,86 @@ std::shared_ptr<rfaas::LeaseSet> Harness::make_lease_set(
   leases->on_reallocated(
       [out](std::uint64_t, const rfaas::LeaseGrantMsg&) { ++out->reallocations; });
   if (workload.auto_renew || workload.self_heal) leases->start();
-  return leases;
-}
-
-sim::Task<std::shared_ptr<rfaas::Session>> Harness::subscribe_lease_events(
-    std::size_t client, std::uint32_t client_id, const LeaseWorkload& workload,
-    std::shared_ptr<rfaas::LeaseSet> leases) {
-  if (leases == nullptr || (!workload.subscribe_events && !workload.self_heal)) {
-    co_return nullptr;
+  if (workload.subscribe_events || workload.self_heal) {
+    // Without a notification session the client carries on unsubscribed.
+    (void)co_await leases->subscribe(static_cast<std::uint32_t>(client + 1));
+    if (leases->notification_session()) out->sessions.push_back(leases->notification_session());
   }
-  auto session = co_await connect_client_session(client, spec_.session_options.epoch);
-  if (session != nullptr) leases->subscribe(session, client_id);
-  co_return session;
+  co_return leases;
 }
 
-sim::Task<Harness::LeaseAttempt> Harness::request_lease(
-    std::shared_ptr<rfaas::Session> session, std::uint32_t client_id, std::uint32_t workers,
-    const LeaseWorkload& workload, WorkloadCounters& out) {
-  rfaas::LeaseRequestMsg req;
-  req.client_id = client_id;
-  req.workers = workers;
-  req.memory_bytes = workload.memory_per_worker;
-  req.timeout = workload.lease_timeout;
-  req.request_id = session->next_request_id();
+sim::Task<rfaas::LeaseOutcome> Harness::request_lease(rfaas::LeaseSet& leases,
+                                                      std::uint32_t client_id,
+                                                      std::uint32_t workers,
+                                                      const LeaseWorkload& workload,
+                                                      WorkloadCounters& out) {
   const Time sent_at = engine_.now();
-  auto raw = co_await session->call(rfaas::encode(req), req.request_id);
-  // Stream closed or retransmit budget exhausted: the client dies.
-  LeaseAttempt attempt;
-  if (!raw.ok()) co_return attempt;
-  attempt.open = true;
-
-  auto grant = rfaas::decode_lease_grant(raw.value());
-  if (!grant.ok()) {
+  auto outcome = co_await leases.request(rfaas::LeaseRequestMsg{
+      .client_id = client_id,
+      .workers = workers,
+      .memory_bytes = workload.memory_per_worker,
+      .timeout = workload.lease_timeout});
+  using Kind = rfaas::LeaseOutcome::Kind;
+  if (outcome.kind == Kind::Granted) {
+    ++out.granted;
+    out.grant_latency.push_back(static_cast<double>(engine_.now() - sent_at));
+  } else if (outcome.kind != Kind::Dead) {
     ++out.denied;
-    if (auto shed = rfaas::decode_lease_denied(raw.value()); shed.ok()) {
-      ++out.overload_denials;
-      attempt.overload = true;
-      attempt.retry_after = shed.value().retry_after;
-    }
-    co_return attempt;
+    if (outcome.kind == Kind::Shed) ++out.overload_denials;
   }
-  ++out.granted;
-  out.grant_latency.push_back(static_cast<double>(engine_.now() - sent_at));
-  attempt.grant = grant.value();
-  co_return attempt;
+  co_return outcome;
 }
 
-sim::Task<Harness::LeaseAttempt> Harness::request_lease_with_retries(
-    std::shared_ptr<rfaas::Session> session, std::uint32_t client_id, std::uint32_t workers,
-    const TenantWorkload& workload, Rng& rng, Time deadline,
-    std::shared_ptr<WorkloadCounters> out) {
+sim::Task<rfaas::LeaseOutcome> Harness::request_lease_with_retries(
+    rfaas::LeaseSet& leases, std::uint32_t client_id, std::uint32_t workers,
+    const TenantWorkload& workload, Rng& rng, Time deadline, WorkloadCounters& out) {
+  using Kind = rfaas::LeaseOutcome::Kind;
   // Admitted-latency accounting: a retried grant's latency spans from
   // the FIRST send, so retry waits show up in the admitted tail instead
   // of vanishing — the fig17 p99 gate measures what a client felt.
   const Time first_sent = engine_.now();
-  const std::size_t latencies_before = out->grant_latency.size();
+  const std::size_t latencies_before = out.grant_latency.size();
   std::uint64_t spent = 0;
-  Duration backoff = std::max<Duration>(1_us, workload.retry_backoff);
-  LeaseAttempt attempt = co_await request_lease(session, client_id, workers, workload.lease, *out);
-  while (attempt.open && attempt.overload && !attempt.grant && spent < workload.retry_budget &&
+  rfaas::RetryBackoff backoff(workload.retry_backoff);
+  auto outcome = co_await request_lease(leases, client_id, workers, workload.lease, out);
+  while (outcome.kind == Kind::Shed && spent < workload.retry_budget &&
          engine_.now() < deadline) {
-    // The retry-budget discipline: never before the manager's hint,
-    // exponentially spaced, jittered upward so a shed herd spreads out
-    // instead of re-arriving in one wave.
-    Duration wait = std::max(backoff, attempt.retry_after);
-    wait += static_cast<Duration>(static_cast<double>(wait) * 0.25 * rng.uniform());
-    co_await sim::delay(wait);
-    backoff *= 2;
+    co_await sim::delay(backoff.next(outcome.retry_after, 0.25, rng));
     ++spent;
-    ++out->retries;
-    attempt = co_await request_lease(session, client_id, workers, workload.lease, *out);
+    ++out.retries;
+    outcome = co_await request_lease(leases, client_id, workers, workload.lease, out);
   }
-  if (attempt.grant && spent > 0 && out->grant_latency.size() > latencies_before) {
-    out->grant_latency.back() = static_cast<double>(engine_.now() - first_sent);
+  if (outcome.kind == Kind::Granted && spent > 0 && out.grant_latency.size() > latencies_before) {
+    out.grant_latency.back() = static_cast<double>(engine_.now() - first_sent);
   }
-  out->max_retries = std::max(out->max_retries, spent);
-  if (attempt.overload && !attempt.grant && workload.retry_budget > 0) ++out->retry_exhausted;
-  co_return attempt;
+  out.max_retries = std::max(out.max_retries, spent);
+  if (outcome.kind == Kind::Shed && workload.retry_budget > 0) ++out.retry_exhausted;
+  co_return outcome;
 }
 
-sim::Task<std::shared_ptr<rfaas::Session>> Harness::connect_client_session(
-    std::size_t client, std::uint32_t epoch) {
-  auto conn = co_await tcp_->connect(client_devices_.at(client)->id(), rm_device_->id(),
-                                     rm_->port());
-  if (!conn.ok()) co_return nullptr;
-  auto options = spec_.session_options;
-  options.epoch = epoch;
-  co_return std::make_shared<rfaas::Session>(engine_, conn.value(), options);
-}
-
-sim::Task<std::shared_ptr<rfaas::Session>> Harness::reconnect_client(
-    std::size_t client, const LeaseWorkload& workload, std::uint32_t& epoch, Time deadline,
-    std::shared_ptr<rfaas::LeaseSet> leases, std::shared_ptr<WorkloadCounters> out) {
+sim::Task<bool> Harness::reconnect_client(rfaas::LeaseSet& leases, bool tracked, Time deadline,
+                                          WorkloadCounters& out) {
   for (unsigned attempt = 0;
        attempt < spec_.client_reconnect_attempts && engine_.now() < deadline; ++attempt) {
     co_await sim::delay(spec_.client_reconnect_backoff);
-    // A bumped session epoch fences whatever replies the previous
-    // incarnation (or a zombie primary) still has in flight.
-    auto session = co_await connect_client_session(client, ++epoch);
-    if (session == nullptr) {
-      ++out->reconnect_failures;
+    if (!(co_await leases.reconnect()).ok()) {
+      ++out.reconnect_failures;
       continue;
     }
-    out->sessions.push_back(session);
-    ++out->reconnects;
-    if (leases != nullptr) {
-      leases->bind(session);
-      auto notify = co_await subscribe_lease_events(
-          client, static_cast<std::uint32_t>(client + 1), workload, leases);
-      if (notify != nullptr) out->sessions.push_back(notify);
+    ++out.reconnects;
+    out.sessions.push_back(leases.session());
+    if (leases.notification_session()) out.sessions.push_back(leases.notification_session());
+    if (tracked) {
       // Leases held across the outage: re-validate against the promoted
       // primary's adopted state (lost ones surface as losses and heal).
       // revalidate() spawns lazily — yield one tick so the revalidation
       // pass snapshots the tracked set before the caller releases.
-      leases->revalidate();
+      leases.revalidate();
       co_await sim::delay(1_us);
     }
-    co_return session;
+    co_return true;
   }
-  co_return nullptr;
+  co_return false;
 }
 
 sim::Task<void> Harness::lease_client_loop(std::size_t client, LeaseWorkload workload,
@@ -361,39 +322,29 @@ sim::Task<void> Harness::lease_client_loop(std::size_t client, LeaseWorkload wor
   Rng rng(seed);
   auto uniform = [&rng](std::uint64_t lo, std::uint64_t hi) { return rng.uniform_int(lo, hi); };
 
-  ++out->clients_started;
-  std::uint32_t epoch = spec_.session_options.epoch;
-  auto session = co_await connect_client_session(client, epoch);
-  if (session == nullptr) {
-    ++out->client_deaths;
-    co_return;
-  }
-  out->sessions.push_back(session);
-  auto leases = make_lease_set(session, workload, out);
-  auto notify = co_await subscribe_lease_events(client, static_cast<std::uint32_t>(client + 1),
-                                                workload, leases);
-  if (notify != nullptr) out->sessions.push_back(notify);
+  const bool tracked = tracks_leases(workload);
+  auto leases = co_await open_client(client, workload, tracked, out);
+  if (leases == nullptr) co_return;
 
   bool died = false;
   Time blackout_started = 0;  // first failed call of the current outage
   while (engine_.now() < deadline) {
     const auto workers =
         static_cast<std::uint32_t>(uniform(workload.workers_min, workload.workers_max));
-    auto attempt = co_await request_lease(session, static_cast<std::uint32_t>(client + 1),
+    auto outcome = co_await request_lease(*leases, static_cast<std::uint32_t>(client + 1),
                                           workers, workload, *out);
-    if (!attempt.open) {
+    if (outcome.kind == rfaas::LeaseOutcome::Kind::Dead) {
       // Failover path: redial the manager address (a promoted standby
       // listens on the same device and port) and resume the loop.
       if (blackout_started == 0) blackout_started = engine_.now();
-      auto fresh = co_await reconnect_client(client, workload, epoch, deadline, leases, out);
-      if (fresh == nullptr) {
+      if (!co_await reconnect_client(*leases, tracked, deadline, *out)) {
         died = true;
         break;
       }
-      session = fresh;
       continue;
     }
-    if (const auto& grant = attempt.grant) {
+    if (outcome.kind == rfaas::LeaseOutcome::Kind::Granted) {
+      const rfaas::LeaseGrantMsg& grant = outcome.grants.front();
       if (blackout_started != 0) {
         out->blackout_ns.push_back(static_cast<double>(engine_.now() - blackout_started));
         blackout_started = 0;
@@ -402,9 +353,9 @@ sim::Task<void> Harness::lease_client_loop(std::size_t client, LeaseWorkload wor
       // configured), release, then think. The release names whatever
       // lease currently stands in for the original grant and is
       // retransmitted until the manager acks it with ReleaseOk.
-      if (leases != nullptr) {
-        leases->track(grant->lease_id, grant->expires_at, workload.lease_timeout,
-                      grant->workers, workload.memory_per_worker);
+      if (tracked) {
+        leases->track(grant.lease_id, grant.expires_at, workload.lease_timeout, grant.workers,
+                      workload.memory_per_worker);
       }
       co_await sim::delay(uniform(workload.hold_min, workload.hold_max));
       // The manager may have died during the hold. Reconnect BEFORE
@@ -412,21 +363,14 @@ sim::Task<void> Harness::lease_client_loop(std::size_t client, LeaseWorkload wor
       // session revalidates — that is exactly the "held lease survives
       // a failover" path — and the release then lands on the promoted
       // primary instead of being dropped on the floor.
-      if (session->closed() && spec_.client_reconnect_attempts > 0) {
+      if (!leases->connected() && spec_.client_reconnect_attempts > 0) {
         if (blackout_started == 0) blackout_started = engine_.now();
-        auto fresh = co_await reconnect_client(client, workload, epoch, deadline, leases, out);
-        if (fresh == nullptr) {
+        if (!co_await reconnect_client(*leases, tracked, deadline, *out)) {
           died = true;
           break;
         }
-        session = fresh;
       }
-      auto release = release_for(*grant, workload);
-      if (leases != nullptr) release.lease_id = leases->abandon(grant->lease_id);
-      if (!session->closed()) {
-        release.request_id = session->next_request_id();
-        (void)co_await session->call(rfaas::encode(release), release.request_id);
-      }
+      co_await leases->release(grant, workload.memory_per_worker);
     }
     // During an outage the client skips its think time and immediately
     // probes the grant path: the open blackout sample must measure when
@@ -437,28 +381,18 @@ sim::Task<void> Harness::lease_client_loop(std::size_t client, LeaseWorkload wor
     }
   }
   if (died) ++out->client_deaths;
-  if (leases != nullptr) {
-    out->realloc_failures += leases->realloc_failures();
-    leases->stop();
-  }
-  session->stream()->close();
+  out->realloc_failures += leases->realloc_failures();
+  leases->stop();
+  leases->session()->stream()->close();
 }
 
 sim::Task<void> Harness::tenant_client_loop(std::size_t client, TenantWorkload workload,
                                             std::uint64_t seed, Time deadline,
                                             std::shared_ptr<WorkloadCounters> out) {
   Rng rng(seed);
-  ++out->clients_started;
-  auto session = co_await connect_client_session(client, spec_.session_options.epoch);
-  if (session == nullptr) {
-    ++out->client_deaths;
-    co_return;
-  }
-  out->sessions.push_back(session);
-  auto leases = make_lease_set(session, workload.lease, out);
-  auto notify = co_await subscribe_lease_events(client, static_cast<std::uint32_t>(client + 1),
-                                                workload.lease, leases);
-  if (notify != nullptr) out->sessions.push_back(notify);
+  const bool tracked = tracks_leases(workload.lease);
+  auto leases = co_await open_client(client, workload.lease, tracked, out);
+  if (leases == nullptr) co_return;
 
   const std::uint32_t tenant_id = workload.tenant_id != 0
                                       ? workload.tenant_id
@@ -468,32 +402,30 @@ sim::Task<void> Harness::tenant_client_loop(std::size_t client, TenantWorkload w
     const auto workers = static_cast<std::uint32_t>(
         rng.uniform_int(workload.lease.workers_min, workload.lease.workers_max));
     ++out->offered;
-    auto attempt = co_await request_lease_with_retries(session, tenant_id, workers, workload,
-                                                       rng, deadline, out);
-    if (!attempt.open) {
+    auto outcome = co_await request_lease_with_retries(*leases, tenant_id, workers, workload,
+                                                       rng, deadline, *out);
+    if (outcome.kind == rfaas::LeaseOutcome::Kind::Dead) {
       died = true;
       break;
     }
-    if (const auto& grant = attempt.grant) {
+    if (outcome.kind == rfaas::LeaseOutcome::Kind::Granted) {
       // The hold happens off-loop so it occupies the fleet without
       // throttling this tenant's arrival process.
-      if (leases != nullptr) {
-        leases->track(grant->lease_id, grant->expires_at, workload.lease.lease_timeout,
-                      grant->workers, workload.lease.memory_per_worker);
+      const rfaas::LeaseGrantMsg& grant = outcome.grants.front();
+      if (tracked) {
+        leases->track(grant.lease_id, grant.expires_at, workload.lease.lease_timeout,
+                      grant.workers, workload.lease.memory_per_worker);
       }
-      spawn(hold_and_release(
-          session, leases, release_for(*grant, workload.lease),
-          rng.uniform_int(workload.lease.hold_min, workload.lease.hold_max)));
+      spawn(hold_and_release(leases, grant, workload.lease.memory_per_worker,
+                             rng.uniform_int(workload.lease.hold_min, workload.lease.hold_max)));
     }
     const double think_s = rng.exponential(std::max(1e-9, workload.arrival_hz));
     co_await sim::delay(static_cast<Duration>(think_s * 1e9));
   }
   if (died) ++out->client_deaths;
-  if (leases != nullptr) {
-    out->realloc_failures += leases->realloc_failures();
-    leases->stop();
-  }
-  session->stream()->close();
+  out->realloc_failures += leases->realloc_failures();
+  leases->stop();
+  leases->session()->stream()->close();
 }
 
 namespace {
@@ -537,19 +469,19 @@ Duration next_arrival_gap(const TenantWorkload& workload, double rate_hz, Rng& r
 
 }  // namespace
 
-sim::Task<void> Harness::open_loop_request(std::shared_ptr<rfaas::Session> session,
+sim::Task<void> Harness::open_loop_request(std::shared_ptr<rfaas::LeaseSet> leases,
                                            std::uint32_t client_id, std::uint32_t workers,
                                            TenantWorkload workload, std::uint64_t seed,
                                            Time deadline,
                                            std::shared_ptr<WorkloadCounters> out) {
   Rng rng(seed);
-  auto attempt = co_await request_lease_with_retries(session, client_id, workers, workload,
-                                                     rng, deadline, out);
-  if (!attempt.grant) co_return;
+  auto outcome = co_await request_lease_with_retries(*leases, client_id, workers, workload, rng,
+                                                     deadline, *out);
+  if (outcome.kind != rfaas::LeaseOutcome::Kind::Granted) co_return;
   // Hold and release inline: this coroutine is already detached from
   // the arrival generator, so the hold occupies the fleet without
   // touching the offered-load process.
-  co_await hold_and_release(session, nullptr, release_for(*attempt.grant, workload.lease),
+  co_await hold_and_release(leases, outcome.grants.front(), workload.lease.memory_per_worker,
                             rng.uniform_int(workload.lease.hold_min, workload.lease.hold_max));
 }
 
@@ -557,13 +489,9 @@ sim::Task<void> Harness::open_loop_tenant_loop(std::size_t client, TenantWorkloa
                                                std::uint64_t seed, Time deadline,
                                                std::shared_ptr<WorkloadCounters> out) {
   Rng rng(seed);
-  ++out->clients_started;
-  auto session = co_await connect_client_session(client, spec_.session_options.epoch);
-  if (session == nullptr) {
-    ++out->client_deaths;
-    co_return;
-  }
-  out->sessions.push_back(session);
+  // Open-loop arrivals only request and release: they track no leases.
+  auto leases = co_await open_client(client, workload.lease, /*tracked=*/false, out);
+  if (leases == nullptr) co_return;
 
   const std::uint32_t tenant_id = workload.tenant_id != 0
                                       ? workload.tenant_id
@@ -581,14 +509,14 @@ sim::Task<void> Harness::open_loop_tenant_loop(std::size_t client, TenantWorkloa
   while (engine_.now() < deadline) {
     co_await sim::delay(next_arrival_gap(workload, rate_hz, rng, engine_.now()));
     if (engine_.now() >= deadline) break;
-    if (session->closed()) {
+    if (!leases->connected()) {
       died = true;
       break;
     }
     ++out->offered;
     const auto workers = static_cast<std::uint32_t>(
         rng.uniform_int(workload.lease.workers_min, workload.lease.workers_max));
-    spawn(open_loop_request(session, tenant_id, workers, workload,
+    spawn(open_loop_request(leases, tenant_id, workers, workload,
                             splitmix64(seed + (++arrival_seq) * kSplitmix64Gamma), deadline,
                             out));
   }

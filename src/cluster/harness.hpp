@@ -12,8 +12,12 @@
 // drive several tenants with independent arrival rates and lease shapes
 // against the same fleet and record per-grant latencies, which is how the
 // large-fleet single-vs-sharded manager comparison measures tail grant
-// latency. Invocation-level experiments build invokers via make_invoker()
-// exactly as before.
+// latency. Like a SeBS experiment driver, which reaches the platform only
+// through `System`, every workload client runs on rfaas::LeaseSet — the
+// client side of the lease protocol the Invoker uses too — and the
+// harness adds only workload logic: arrivals, holds, shed-retry and
+// redial budgets, and counting. Invocation-level experiments build
+// invokers via make_invoker().
 #pragma once
 
 #include <memory>
@@ -433,55 +437,39 @@ class Harness {
     std::vector<std::shared_ptr<rfaas::Session>> sessions;
   };
 
-  /// Builds the renewal-side LeaseSet of one workload client (nullptr
-  /// when the workload does not auto-renew); its callbacks feed `out`.
-  std::shared_ptr<rfaas::LeaseSet> make_lease_set(std::shared_ptr<rfaas::Session> session,
-                                                  const LeaseWorkload& workload,
-                                                  std::shared_ptr<WorkloadCounters> out);
+  /// Starts workload client `client`: a LeaseSet dialed into the manager
+  /// (nullptr, a client death, when the dial fails). When `tracked`, the
+  /// workload's renewal, subscription and healing run on it too, their
+  /// callbacks feeding `out`.
+  sim::Task<std::shared_ptr<rfaas::LeaseSet>> open_client(std::size_t client,
+                                                         const LeaseWorkload& workload,
+                                                         bool tracked,
+                                                         std::shared_ptr<WorkloadCounters> out);
 
-  /// Outcome of one lease round trip.
-  struct LeaseAttempt {
-    bool open = false;       ///< session survived the exchange
-    bool overload = false;   ///< shed by admission control (LeaseDenied)
-    Duration retry_after = 0;  ///< shed-only backoff hint (0 = none)
-    std::optional<rfaas::LeaseGrantMsg> grant;
-  };
-
-  /// One lease round trip: request `workers` through `session` (which
-  /// retransmits and dedups under loss), account the outcome
-  /// (granted/denied/shed + grant latency) into `out`. Shared by every
-  /// client loop.
-  sim::Task<LeaseAttempt> request_lease(std::shared_ptr<rfaas::Session> session,
-                                        std::uint32_t client_id, std::uint32_t workers,
-                                        const LeaseWorkload& workload, WorkloadCounters& out);
+  /// One lease round trip for `workers`, accounted into `out`
+  /// (granted/denied/shed + grant latency). Shared by every client loop.
+  sim::Task<rfaas::LeaseOutcome> request_lease(rfaas::LeaseSet& leases, std::uint32_t client_id,
+                                               std::uint32_t workers,
+                                               const LeaseWorkload& workload,
+                                               WorkloadCounters& out);
 
   /// request_lease wrapped in the client-side retry-budget discipline:
   /// an admission shed is retried up to `workload.retry_budget` times,
-  /// each wait = max(exponential backoff, the manager's retry_after
-  /// hint) with upward jitter from `rng`. Grant latency spans the whole
-  /// retried attempt (first send -> grant).
-  sim::Task<LeaseAttempt> request_lease_with_retries(std::shared_ptr<rfaas::Session> session,
-                                                     std::uint32_t client_id,
-                                                     std::uint32_t workers,
-                                                     const TenantWorkload& workload, Rng& rng,
-                                                     Time deadline,
-                                                     std::shared_ptr<WorkloadCounters> out);
-
-  /// Dials the manager from client host `client` and wraps the stream in
-  /// a Session carrying `epoch` (nullptr when the connect fails). Every
-  /// reconnect bumps the epoch so replies of the previous session
-  /// incarnation are fenced.
-  sim::Task<std::shared_ptr<rfaas::Session>> connect_client_session(std::size_t client,
-                                                                    std::uint32_t epoch);
+  /// spaced by rfaas::RetryBackoff with 25% jitter from `rng`. Grant
+  /// latency spans the whole retried attempt (first send -> grant).
+  sim::Task<rfaas::LeaseOutcome> request_lease_with_retries(rfaas::LeaseSet& leases,
+                                                            std::uint32_t client_id,
+                                                            std::uint32_t workers,
+                                                            const TenantWorkload& workload,
+                                                            Rng& rng, Time deadline,
+                                                            WorkloadCounters& out);
 
   /// Bounded redial of one workload client after its session died:
-  /// connects under a bumped epoch, re-binds the LeaseSet, re-subscribes
-  /// the notification stream and revalidates held leases against the
-  /// (promoted) manager. Returns the fresh session, or nullptr when the
-  /// budget ran dry. `epoch` lives in the calling coroutine's frame.
-  sim::Task<std::shared_ptr<rfaas::Session>> reconnect_client(
-      std::size_t client, const LeaseWorkload& workload, std::uint32_t& epoch, Time deadline,
-      std::shared_ptr<rfaas::LeaseSet> leases, std::shared_ptr<WorkloadCounters> out);
+  /// rfaas::LeaseSet::reconnect() up to ScenarioSpec's attempt budget,
+  /// then, for a `tracked` client, revalidation of the leases it held
+  /// across the outage. False when the budget ran dry.
+  sim::Task<bool> reconnect_client(rfaas::LeaseSet& leases, bool tracked, Time deadline,
+                                   WorkloadCounters& out);
 
   sim::Task<void> lease_client_loop(std::size_t client, LeaseWorkload workload,
                                     std::uint64_t seed, Time deadline,
@@ -496,22 +484,15 @@ class Harness {
   sim::Task<void> open_loop_tenant_loop(std::size_t client, TenantWorkload workload,
                                         std::uint64_t seed, Time deadline,
                                         std::shared_ptr<WorkloadCounters> out);
-  /// One open-loop arrival: retried lease request, detached hold+release
-  /// on grant.
-  sim::Task<void> open_loop_request(std::shared_ptr<rfaas::Session> session,
+  /// One open-loop arrival: retried lease request, hold and release on
+  /// grant.
+  sim::Task<void> open_loop_request(std::shared_ptr<rfaas::LeaseSet> leases,
                                     std::uint32_t client_id, std::uint32_t workers,
                                     TenantWorkload workload, std::uint64_t seed, Time deadline,
                                     std::shared_ptr<WorkloadCounters> out);
   sim::Task<void> eviction_storm_loop(Duration period, unsigned leases_per_tick,
                                       Time deadline, std::uint64_t seed,
                                       std::shared_ptr<StormStats> out);
-  /// Opens the notification stream of one workload client and subscribes
-  /// its LeaseSet to termination pushes; returns the notification
-  /// session so its dedup counters can be harvested (nullptr when the
-  /// workload neither subscribes nor self-heals).
-  sim::Task<std::shared_ptr<rfaas::Session>> subscribe_lease_events(
-      std::size_t client, std::uint32_t client_id, const LeaseWorkload& workload,
-      std::shared_ptr<rfaas::LeaseSet> leases);
   sim::Task<void> sample_utilization(std::shared_ptr<std::vector<UtilizationTrace::Sample>> out,
                                      Time deadline, Duration every);
 

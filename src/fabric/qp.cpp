@@ -28,7 +28,7 @@ Status QueuePair::post_recv(RecvWr wr) {
     Parked p = std::move(parked_.front());
     parked_.pop_front();
     recv_queue_.push_back(std::move(wr));
-    deliver_with_recv(p.wr, p.payload, p.byte_len, p.arrival);
+    deliver_with_recv(p.wr, p.payload, p.byte_len);
     return Status::success();
   }
   recv_queue_.push_back(std::move(wr));
@@ -206,12 +206,7 @@ sim::Task<void> QueuePair::run_send([[maybe_unused]] Ref self, Ref remote, SendW
   } else if (wr.sge.size() == 1) {
     payload = {reinterpret_cast<const std::uint8_t*>(wr.sge[0].addr), wr.sge[0].length};
   } else if (!wr.sge.empty()) {
-    auto gathered = gather(wr.sge);
-    if (!gathered) {
-      complete_local(wr, WcStatus::LocalProtectionError, 0);
-      co_return;
-    }
-    staged = std::move(gathered).take();
+    staged = gather(wr.sge);
     payload = {staged.data(), staged.size()};
   }
   const auto byte_len = static_cast<std::uint32_t>(payload.size());
@@ -249,24 +244,23 @@ sim::Task<void> QueuePair::run_send([[maybe_unused]] Ref self, Ref remote, SendW
       // a receive shows up).
       Bytes copy;
       if (wr.opcode != Opcode::WriteImm) copy.assign(payload.begin(), payload.end());
-      peer.parked_.push_back(Parked{wr, std::move(copy), byte_len, dev_.fabric().engine().now()});
+      peer.parked_.push_back(Parked{wr, std::move(copy), byte_len});
       co_return;  // local completion generated on eventual delivery
     }
     complete_local(wr, WcStatus::RnrRetryExceeded, 0);
     co_return;
   }
-  peer.deliver_with_recv(wr, payload, byte_len, dev_.fabric().engine().now());
+  peer.deliver_with_recv(wr, payload, byte_len);
 }
 
 void QueuePair::deliver_with_recv(const SendWr& wr, std::span<const std::uint8_t> payload,
-                                  std::uint32_t byte_len, Time arrival) {
+                                  std::uint32_t byte_len) {
   // Runs on the *receiving* QP ("this" is the target). For parked
   // WriteImm deliveries `payload` is empty (the data was placed when the
   // write landed) and `byte_len` carries the completion byte count.
   RecvWr recv = std::move(recv_queue_.front());
   recv_queue_.pop_front();
   const auto& model = dev_.fabric().model();
-  (void)arrival;
 
   Wc remote{};
   remote.wr_id = recv.wr_id;
@@ -337,7 +331,7 @@ void QueuePair::complete_local(const SendWr& wr, WcStatus status, std::uint32_t 
   send_cq_->push(wc);
 }
 
-Result<Bytes> QueuePair::gather(const SgeList& sge) const {
+Bytes QueuePair::gather(const SgeList& sge) {
   Bytes out;
   out.reserve(sge.total_length());
   for (const auto& s : sge) {

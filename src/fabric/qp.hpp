@@ -104,7 +104,6 @@ class QueuePair {
     // via the rkey, so only the byte count is kept — no copy.
     Bytes payload;
     std::uint32_t byte_len = 0;
-    Time arrival;
   };
 
   /// The bytes of an inline send, captured at post time. Up to
@@ -132,9 +131,9 @@ class QueuePair {
   sim::Task<void> run_send(Ref self, Ref remote, SendWr wr, InlineCopy inline_copy,
                            Duration doorbell);
   void deliver_with_recv(const SendWr& wr, std::span<const std::uint8_t> payload,
-                         std::uint32_t byte_len, Time arrival);
+                         std::uint32_t byte_len);
   void complete_local(const SendWr& wr, WcStatus status, std::uint32_t byte_len);
-  [[nodiscard]] Result<Bytes> gather(const SgeList& sge) const;
+  [[nodiscard]] static Bytes gather(const SgeList& sge);
   [[nodiscard]] Status validate_sges(const SgeList& sge) const;
 
   Device& dev_;

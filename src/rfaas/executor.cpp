@@ -689,16 +689,10 @@ sim::Task<void> ExecutorManager::teardown_sandbox(Sandbox& sb, bool notify_rm) {
     // manager acks it (detached: teardown latency must not absorb
     // retransmission timeouts); one that never lands is reclaimed by the
     // manager's expiry sweep.
-    ReleaseResourcesMsg msg;
-    msg.lease_id = sb.lease_id;
-    msg.workers = static_cast<std::uint32_t>(sb.workers.size());
-    msg.memory_bytes = sb.memory_bytes;
-    auto release = [](std::shared_ptr<Session> session,
-                      ReleaseResourcesMsg rel) -> sim::Task<void> {
-      rel.request_id = session->next_request_id();
-      (void)co_await session->call(encode(rel), rel.request_id);
-    };
-    sim::spawn(engine_, release(rm_session_, msg));
+    const ReleaseResourcesMsg rel{.lease_id = sb.lease_id,
+                                  .workers = static_cast<std::uint32_t>(sb.workers.size()),
+                                  .memory_bytes = sb.memory_bytes};
+    sim::spawn(engine_, send_acked(rm_session_, rel));
   }
 
   auto it = sandboxes_.find(sb.id);
@@ -944,18 +938,19 @@ sim::Task<void> ExecutorManager::register_with_rm(fabric::DeviceId rm_device,
 
 sim::Task<bool> ExecutorManager::register_session(fabric::DeviceId rm_device,
                                                   std::uint16_t rm_port) {
-  auto stream = co_await tcp_.connect(device_.id(), rm_device, rm_port);
-  if (!stream.ok()) {
-    log::warn("executor", "cannot reach resource manager: ", stream.error().message);
-    co_return false;
-  }
   // Registration runs through a retransmitting session: a dropped
   // RegisterExecutor or RegisterOk no longer strands the executor
   // outside the fleet. The epoch stamps this registration attempt so the
   // manager can fence retransmissions from a superseded session.
-  SessionOptions session_options;
-  session_options.epoch = static_cast<std::uint32_t>(++registration_epoch_);
-  rm_session_ = std::make_shared<Session>(engine_, stream.value(), session_options);
+  ManagerLink link{&tcp_, device_.id(), rm_device, rm_port};
+  link.options.epoch = static_cast<std::uint32_t>(registration_epoch_ + 1);
+  auto session = co_await dial(engine_, link);
+  if (!session.ok()) {
+    log::warn("executor", "cannot reach resource manager: ", session.error().message);
+    co_return false;
+  }
+  ++registration_epoch_;
+  rm_session_ = std::move(session).take();
 
   RegisterExecutorMsg reg;
   reg.device = device_.id();
@@ -964,9 +959,8 @@ sim::Task<bool> ExecutorManager::register_session(fabric::DeviceId rm_device,
   reg.cores = host_.cores();
   reg.memory_bytes = host_.memory_bytes();
   reg.epoch = registration_epoch_;
-  reg.request_id = rm_session_->next_request_id();
 
-  auto reply = co_await rm_session_->call(encode(reg), reg.request_id);
+  auto reply = co_await rm_session_->request(reg);
   if (!reply.ok()) {
     log::warn("executor", "registration failed: ", reply.error().message);
     co_return false;

@@ -8,11 +8,48 @@
 namespace rfs::rfaas {
 
 // --------------------------------------------------------------------------
-// LeaseSet
+// The client side of the lease protocol
 // --------------------------------------------------------------------------
 
-LeaseSet::LeaseSet(sim::Engine& engine, LeaseSetOptions options)
-    : state_(std::make_shared<State>()) {
+LeaseOutcome classify_lease_reply(const Result<Bytes>& reply) {
+  LeaseOutcome out;
+  if (!reply.ok()) {
+    out.reason = reply.error().message;
+    return out;
+  }
+  const Bytes& raw = reply.value();
+  if (auto grant = decode_lease_grant(raw); grant.ok()) {
+    out.kind = LeaseOutcome::Kind::Granted;
+    out.grants.push_back(grant.value());
+  } else if (auto shed = decode_lease_denied(raw); shed.ok()) {
+    out.kind = LeaseOutcome::Kind::Shed;
+    out.retry_after = shed.value().retry_after;
+  } else if (auto batch = decode_batch_granted(raw); batch.ok() && !batch.value().grants.empty()) {
+    out.kind = LeaseOutcome::Kind::Granted;
+    out.grants = std::move(batch.value().grants);
+  } else {
+    // A batch names its refusal in the reply, a single request in a
+    // LeaseError.
+    out.kind = LeaseOutcome::Kind::Refused;
+    auto error = batch.ok() ? Result<std::string>(batch.value().error) : decode_lease_error(raw);
+    out.reason = error.ok() && !error.value().empty() ? error.value() : "unknown";
+  }
+  return out;
+}
+
+Duration RetryBackoff::next(Duration hint, double jitter, Rng& rng) {
+  // Never before the manager's hint, and jittered upward only, so a shed
+  // herd spreads out without any client re-arriving early.
+  Duration wait = std::max(backoff_, hint);
+  if (jitter > 0) {
+    wait += static_cast<Duration>(static_cast<double>(wait) * jitter * rng.uniform());
+  }
+  backoff_ *= 2;
+  return wait;
+}
+
+LeaseSet::LeaseSet(sim::Engine& engine, LeaseSetOptions options, ManagerLink manager)
+    : state_(std::make_shared<State>()), manager_(manager) {
   state_->engine = &engine;
   state_->options = options;
   state_->jitter = Rng(options.jitter_seed);
@@ -33,11 +70,50 @@ LeaseSet::~LeaseSet() {
   state_->chain_extended_fn = nullptr;
 }
 
+sim::Task<Status> LeaseSet::connect() {
+  // Every dial takes the next epoch, whether or not it connects.
+  const ManagerLink link = manager_;
+  ++manager_.options.epoch;
+  auto session = co_await dial(*state_->engine, link);
+  if (!session.ok()) co_return session.error();
+  bind(std::move(session).take());
+  co_return Status::success();
+}
+
 void LeaseSet::bind(std::shared_ptr<Session> rm_session) {
   state_->session = std::move(rm_session);
 }
 
+sim::Task<Status> LeaseSet::subscribe(std::uint32_t client_id) {
+  subscriber_ = client_id;
+  auto session = co_await dial(*state_->engine, manager_);
+  if (!session.ok()) {
+    notify_ = nullptr;
+    co_return session.error();
+  }
+  subscribe(std::move(session).take(), client_id);
+  co_return Status::success();
+}
+
+sim::Task<Status> LeaseSet::reconnect() {
+  auto st = co_await connect();
+  if (!st.ok()) co_return st;
+  // The old push channel died with the manager. A promoted manager
+  // answers the fresh subscription with a FailoverAnnounce, which
+  // re-triggers revalidation on its own.
+  if (subscriber_) (void)co_await subscribe(*subscriber_);
+  co_return Status::success();
+}
+
+sim::Task<void> LeaseSet::release(LeaseGrantMsg grant, std::uint64_t memory_per_worker) {
+  const ReleaseResourcesMsg rel{.lease_id = abandon(grant.lease_id),
+                                .workers = grant.workers,
+                                .memory_bytes = memory_per_worker * grant.workers};
+  if (connected()) co_await send_acked(state_->session, rel);
+}
+
 void LeaseSet::subscribe(std::shared_ptr<Session> notify_session, std::uint32_t client_id) {
+  notify_ = notify_session;
   state_->client_id = client_id;
   state_->healing_enabled = true;
   SubscribeEventsMsg msg;
@@ -97,11 +173,9 @@ std::uint64_t LeaseSet::abandon(std::uint64_t origin) {
       ++it;
       continue;
     }
-    ReleaseResourcesMsg rel;
-    rel.lease_id = it->first;
-    rel.workers = it->second.workers;
-    rel.memory_bytes = it->second.memory_per_worker * it->second.workers;
-    send_release(state_, rel);
+    send_release(state_, {.lease_id = it->first,
+                          .workers = it->second.workers,
+                          .memory_bytes = it->second.memory_per_worker * it->second.workers});
     it = state_->leases.erase(it);
   }
   state_->leases.erase(current);
@@ -260,13 +334,6 @@ bool LeaseSet::connected(const State& state) {
   return state.session != nullptr && !state.session->closed();
 }
 
-template <typename Msg>
-sim::Task<Result<Bytes>> LeaseSet::exchange(std::shared_ptr<State> state, Msg msg) {
-  if (!connected(*state)) co_return Error::make(40, "manager session closed");
-  msg.request_id = state->session->next_request_id();
-  co_return co_await state->session->call(encode(msg), msg.request_id);
-}
-
 sim::Task<void> LeaseSet::revalidate_all(std::shared_ptr<State> state) {
   // Snapshot the ids first: each exchange yields, and a refused lease
   // mutates the tracked map mid-iteration.
@@ -275,13 +342,12 @@ sim::Task<void> LeaseSet::revalidate_all(std::shared_ptr<State> state) {
   for (const auto& [id, tracked] : state->leases) ids.push_back(id);
   for (const auto id : ids) {
     if (state->leases.find(id) == state->leases.end()) continue;  // lost meanwhile
-    LeaseRevalidateMsg msg;
-    msg.client_id = state->client_id;
-    msg.lease_id = id;
-    auto reply = co_await exchange(state, msg);
     // Manager unreachable: leave the remaining leases tracked; the next
     // reconnect (or the announce on its notification stream) re-runs the
     // whole pass.
+    if (!connected(*state)) co_return;
+    auto reply = co_await state->session->request(
+        LeaseRevalidateMsg{.client_id = state->client_id, .lease_id = id});
     if (!reply.ok()) co_return;
     auto type = peek_type(reply.value());
     if (type.ok() && type.value() == MsgType::ExtendOk) {
@@ -312,20 +378,13 @@ sim::Task<void> LeaseSet::revalidate_all(std::shared_ptr<State> state) {
   state->wake.set();
 }
 
-sim::Task<void> LeaseSet::release(std::shared_ptr<Session> session, ReleaseResourcesMsg rel) {
-  rel.request_id = session->next_request_id();
-  // The call retransmits until the ReleaseOk ack lands (or the budget
-  // runs out, in which case the manager's expiry sweep reclaims it).
-  (void)co_await session->call(encode(rel), rel.request_id);
-}
-
 void LeaseSet::send_release(const std::shared_ptr<State>& state, ReleaseResourcesMsg rel) {
-  if (connected(*state)) sim::spawn(*state->engine, release(state->session, rel));
+  if (connected(*state)) sim::spawn(*state->engine, send_acked(state->session, rel));
 }
 
 sim::Task<void> LeaseSet::heal(std::shared_ptr<State> state, std::uint64_t old_id,
                                Tracked lost) {
-  Duration backoff = std::max<Duration>(1_us, state->options.realloc_backoff);
+  RetryBackoff backoff(state->options.realloc_backoff);
   std::uint32_t remaining = lost.workers;
   bool healed = false;    // at least one replacement grant landed
   bool canceled = false;
@@ -340,25 +399,22 @@ sim::Task<void> LeaseSet::heal(std::shared_ptr<State> state, std::uint64_t old_i
     }
     if (!connected(*state)) break;
 
-    LeaseRequestMsg req;
-    req.client_id = state->client_id;
-    req.workers = remaining;
-    req.memory_bytes = lost.memory_per_worker;
-    req.timeout = lost.original_timeout;
-    auto raw = co_await exchange(state, req);
-    if (!raw.ok()) break;  // manager unreachable (disconnect / budget out)
+    const LeaseOutcome outcome = classify_lease_reply(co_await state->session->request(
+        LeaseRequestMsg{.client_id = state->client_id,
+                        .workers = remaining,
+                        .memory_bytes = lost.memory_per_worker,
+                        .timeout = lost.original_timeout}));
+    // Manager unreachable (disconnect / budget out).
+    if (outcome.kind == LeaseOutcome::Kind::Dead) break;
 
-    auto grant = decode_lease_grant(raw.value());
-    if (grant.ok()) {
-      const LeaseGrantMsg& g = grant.value();
+    if (outcome.kind == LeaseOutcome::Kind::Granted) {
+      const LeaseGrantMsg& g = outcome.grants.front();
       if (!state->healing_enabled || state->canceled.count(lost.origin) > 0) {
         // The holder abandoned the chain while we were in flight: hand
         // the fresh grant straight back instead of leaking it.
-        ReleaseResourcesMsg rel;
-        rel.lease_id = g.lease_id;
-        rel.workers = g.workers;
-        rel.memory_bytes = lost.memory_per_worker * g.workers;
-        send_release(state, rel);
+        send_release(state, {.lease_id = g.lease_id,
+                             .workers = g.workers,
+                             .memory_bytes = lost.memory_per_worker * g.workers});
         canceled = true;
         break;
       }
@@ -395,22 +451,14 @@ sim::Task<void> LeaseSet::heal(std::shared_ptr<State> state, std::uint64_t old_i
     // (LeaseDenied) carries a retry_after hint — the wait never
     // undercuts it, or a fleet-wide eviction would turn the heal loops
     // into a synchronized retry storm amplifying the very overload
-    // that evicted the leases. The jitter is upward-only for the same
-    // reason: waits may stretch past the hint, never compress below it.
+    // that evicted the leases.
     ++denials;
-    Duration wait = backoff;
-    if (auto shed = decode_lease_denied(raw.value()); shed.ok()) {
+    Duration hint = 0;
+    if (outcome.kind == LeaseOutcome::Kind::Shed) {
       ++state->overload_denials;
-      if (state->options.honor_retry_after) {
-        wait = std::max(wait, shed.value().retry_after);
-      }
+      if (state->options.honor_retry_after) hint = outcome.retry_after;
     }
-    if (state->options.backoff_jitter > 0) {
-      wait += static_cast<Duration>(static_cast<double>(wait) *
-                                    state->options.backoff_jitter * state->jitter.uniform());
-    }
-    co_await sim::delay(wait);
-    backoff *= 2;
+    co_await sim::delay(backoff.next(hint, state->options.backoff_jitter, state->jitter));
   }
   auto in_flight = state->healing.find(lost.origin);
   if (in_flight != state->healing.end() && --in_flight->second == 0) {
@@ -491,10 +539,8 @@ sim::Task<void> LeaseSet::renew_loop(std::shared_ptr<State> state, std::uint64_t
         continue;
       }
 
-      ExtendLeaseMsg msg;
-      msg.lease_id = id;
-      msg.extension = extension;
-      auto raw = co_await exchange(state, msg);
+      auto raw =
+          co_await state->session->request(ExtendLeaseMsg{.lease_id = id, .extension = extension});
       if (!active()) co_return;  // stopped mid-flight: shutdown, not a failure
 
       it = state->leases.find(id);  // may have been untracked while waiting
@@ -541,51 +587,27 @@ Invoker::Invoker(sim::Engine& engine, fabric::Fabric& fabric, net::TcpNetwork& t
       tcp_(tcp),
       config_(config),
       device_(device),
-      rm_device_(rm_device),
-      rm_port_(rm_port),
       client_id_(client_id),
       pd_(device.alloc_pd()),
-      lease_set_(std::make_unique<LeaseSet>(engine)),
+      lease_set_(std::make_unique<LeaseSet>(
+          engine, LeaseSetOptions{}, ManagerLink{&tcp, device.id(), rm_device, rm_port})),
       slots_(std::make_unique<sim::Semaphore>(0)),
       slot_sem_(std::make_unique<sim::Semaphore>(0)) {}
 
 Invoker::~Invoker() = default;
 
-sim::Task<Status> Invoker::reconnect() {
-  auto stream = co_await tcp_.connect(device_.id(), rm_device_, rm_port_);
-  if (!stream.ok()) co_return stream.error();
-  SessionOptions session_options;
-  session_options.epoch = ++rm_epoch_;
-  rm_session_ = std::make_shared<Session>(engine_, stream.value(), session_options);
-  lease_set_->bind(rm_session_);
-  if (notify_session_ != nullptr) {
-    // The old push channel died with the manager: re-subscribe on a
-    // fresh one. A promoted manager answers the subscription with a
-    // FailoverAnnounce, which re-triggers revalidation on its own.
-    auto notify = co_await tcp_.connect(device_.id(), rm_device_, rm_port_);
-    if (!notify.ok()) co_return notify.error();
-    notify_session_ = std::make_shared<Session>(engine_, notify.value());
-    lease_set_->subscribe(notify_session_, client_id_);
-  }
-  lease_set_->revalidate();
-  co_return Status::success();
-}
-
 sim::Task<Status> Invoker::allocate(const AllocationSpec& spec) {
   polling_client_ = spec.polling_client;
 
-  // Stage 1: connect to the resource manager (once; cached afterwards).
-  // The stream is wrapped in a retransmitting Session — the invoker's
-  // only reader of it — so every lease-critical exchange is idempotent
-  // under loss. A reconnect mints a fresh session epoch, fencing replies
-  // addressed to the dead session's id space.
+  // Stage 1: connect to the resource manager (once; redialed when the
+  // session died). The LeaseSet's retransmitting Session makes every
+  // lease-critical exchange idempotent under loss, and each redial takes
+  // a fresh session epoch, fencing replies addressed to the dead
+  // session's id space.
   Time t0 = engine_.now();
-  if (rm_session_ == nullptr || rm_session_->closed()) {
-    auto stream = co_await tcp_.connect(device_.id(), rm_device_, rm_port_);
-    if (!stream.ok()) co_return stream.error();
-    SessionOptions session_options;
-    session_options.epoch = ++rm_epoch_;
-    rm_session_ = std::make_shared<Session>(engine_, stream.value(), session_options);
+  if (!lease_set_->connected()) {
+    auto connected = co_await lease_set_->connect();
+    if (!connected.ok()) co_return connected;
   }
   cold_start_.connect_manager = engine_.now() - t0;
 
@@ -600,7 +622,6 @@ sim::Task<Status> Invoker::allocate(const AllocationSpec& spec) {
     opts.jitter_seed = 0x5eed ^ (static_cast<std::uint64_t>(client_id_) << 17);
     lease_set_->configure(opts);
   }
-  lease_set_->bind(rm_session_);
 
   if (spec.self_heal) {
     // Self-healing: a dedicated notification stream carries the
@@ -629,13 +650,11 @@ sim::Task<Status> Invoker::allocate(const AllocationSpec& spec) {
                                                    const LeaseGrantMsg& grant) {
       redeploy_grant(old_id, grant, /*erase_old=*/false);
     });
-    if (notify_session_ == nullptr || notify_session_->closed()) {
+    if (!lease_set_->subscribed()) {
       // One listener per connection: subscribe() spawns the notify
       // actor, so only a fresh stream gets subscribed.
-      auto notify = co_await tcp_.connect(device_.id(), rm_device_, rm_port_);
-      if (!notify.ok()) co_return notify.error();
-      notify_session_ = std::make_shared<Session>(engine_, notify.value());
-      lease_set_->subscribe(notify_session_, client_id_);
+      auto subscribed = co_await lease_set_->subscribe(client_id_);
+      if (!subscribed.ok()) co_return subscribed;
     }
   }
 
@@ -669,62 +688,35 @@ sim::Task<Status> Invoker::allocate(const AllocationSpec& spec) {
 
 sim::Task<Result<std::vector<LeaseGrantMsg>>> Invoker::acquire_leases(
     const AllocationSpec& spec, std::uint32_t remaining) {
-  std::vector<LeaseGrantMsg> grants;
+  LeaseOutcome outcome;
   if (spec.batched_leases) {
-    BatchAllocateMsg req;
-    req.client_id = client_id_;
-    req.workers = remaining;
-    req.memory_bytes = spec.memory_per_worker;
-    req.timeout = spec.lease_timeout;
-    req.mode = static_cast<std::uint8_t>(BatchMode::BestEffort);
-    req.request_id = rm_session_->next_request_id();
-    auto reply = co_await rm_session_->call(encode(req), req.request_id);
-    if (!reply.ok()) {
-      co_return Error::make(40, "resource manager unreachable: " + reply.error().message);
-    }
-    if (auto shed = decode_lease_denied(reply.value()); shed.ok()) {
-      co_return Error::make(42, "lease shed by admission control (retry after " +
-                                    std::to_string(shed.value().retry_after / 1'000'000) +
-                                    " ms)");
-    }
-    auto batch = decode_batch_granted(reply.value());
-    if (!batch) co_return batch.error();
-    if (batch.value().grants.empty()) {
-      co_return Error::make(41, "lease denied: " + (batch.value().error.empty()
-                                                        ? std::string("unknown")
-                                                        : batch.value().error));
-    }
-    grants = std::move(batch.value().grants);
+    outcome = co_await lease_set_->request(
+        BatchAllocateMsg{.client_id = client_id_,
+                         .workers = remaining,
+                         .memory_bytes = spec.memory_per_worker,
+                         .timeout = spec.lease_timeout,
+                         .mode = static_cast<std::uint8_t>(BatchMode::BestEffort)});
   } else {
-    LeaseRequestMsg req;
-    req.client_id = client_id_;
-    req.workers = remaining;
-    req.memory_bytes = spec.memory_per_worker;
-    req.timeout = spec.lease_timeout;
-    req.request_id = rm_session_->next_request_id();
-    auto reply = co_await rm_session_->call(encode(req), req.request_id);
-    if (!reply.ok()) {
-      co_return Error::make(40, "resource manager unreachable: " + reply.error().message);
-    }
-    auto type = peek_type(reply.value());
-    if (type.ok() && type.value() == MsgType::LeaseDenied) {
+    outcome = co_await lease_set_->request(LeaseRequestMsg{.client_id = client_id_,
+                                                           .workers = remaining,
+                                                           .memory_bytes = spec.memory_per_worker,
+                                                           .timeout = spec.lease_timeout});
+  }
+  switch (outcome.kind) {
+    case LeaseOutcome::Kind::Granted:
+      break;
+    case LeaseOutcome::Kind::Shed:
       // Admission shed: a transient, retryable condition — distinct
       // error code so callers can back off (at least retry_after)
       // instead of treating it as a capacity refusal.
-      auto shed = decode_lease_denied(reply.value());
-      const Duration after = shed.ok() ? shed.value().retry_after : 0;
       co_return Error::make(42, "lease shed by admission control (retry after " +
-                                    std::to_string(after / 1'000'000) + " ms)");
-    }
-    if (!type.ok() || type.value() != MsgType::LeaseGrant) {
-      auto err = decode_lease_error(reply.value());
-      co_return Error::make(41, "lease denied: " + (err.ok() ? err.value() : "unknown"));
-    }
-    auto grant_msg = decode_lease_grant(reply.value());
-    if (!grant_msg) co_return grant_msg.error();
-    grants.push_back(grant_msg.value());
+                                    std::to_string(outcome.retry_after / 1'000'000) + " ms)");
+    case LeaseOutcome::Kind::Refused:
+      co_return Error::make(41, "lease denied: " + outcome.reason);
+    case LeaseOutcome::Kind::Dead:
+      co_return Error::make(40, "resource manager unreachable: " + outcome.reason);
   }
-  co_return grants;
+  co_return std::move(outcome.grants);
 }
 
 sim::Task<Status> Invoker::deploy_grant(const AllocationSpec& spec, const LeaseGrantMsg& grant) {
@@ -745,7 +737,7 @@ sim::Task<Status> Invoker::deploy_grant(const AllocationSpec& spec, const LeaseG
   alloc.expires_at = grant.expires_at;
   mgr_stream->send(encode(alloc));
   auto alloc_raw = co_await mgr_stream->recv();
-  if (!alloc_raw.has_value()) co_return Error::make(42, "allocator disconnected");
+  if (!alloc_raw.has_value()) co_return Error::make(45, "allocator disconnected");
   auto alloc_reply = decode_allocation_reply(*alloc_raw);
   if (!alloc_reply) co_return alloc_reply.error();
   if (!alloc_reply.value().ok) {
@@ -1139,22 +1131,16 @@ void Invoker::record_outcome(fabric::DeviceId device, bool ok, Duration latency)
     ++breaker_trips_;
     // Tell the resource manager: the registry deprioritizes the gray
     // executor for everyone, and repeated trips quarantine it outright.
-    if (rm_session_ != nullptr && !rm_session_->closed()) {
+    if (lease_set_->connected()) {
       HealthReportMsg msg;
       msg.client_id = client_id_;
       msg.device = static_cast<std::uint32_t>(device);
       msg.latency_us = static_cast<std::uint32_t>(h.ewma_latency() / 1'000);
       msg.ok_count = h.ok_count();
       msg.fail_count = h.fail_count();
-      sim::spawn(engine_, send_health_report(rm_session_, msg));
+      sim::spawn(engine_, send_acked(lease_set_->session(), msg));
     }
   }
-}
-
-sim::Task<void> Invoker::send_health_report(std::shared_ptr<Session> session,
-                                            HealthReportMsg msg) {
-  msg.request_id = session->next_request_id();
-  (void)co_await session->call(encode(msg), msg.request_id);
 }
 
 sim::Task<InvocationResult> Invoker::invoke_reliable(std::uint16_t fn_index, const Frame& frame) {

@@ -6,12 +6,14 @@
 // that return futures. Rejected warm invocations are transparently
 // redirected to another worker (Sec. III-D).
 //
-// Held leases are tracked in a LeaseSet: an auto-renewal component that
-// sends ExtendLease ahead of every expiry (driven by the sim engine's
-// clock) so long-lived clients keep their placement instead of paying a
-// fresh cold start, and that surfaces renewal-failure/expiry callbacks.
+// The invoker talks to the manager through a LeaseSet, the client side of
+// the lease protocol: it dials, requests, releases and reconnects, and
+// renews held leases via ExtendLease ahead of every expiry (driven by the
+// sim engine's clock) so long-lived clients keep their placement instead
+// of paying a fresh cold start.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -72,14 +74,47 @@ struct LeaseSetOptions {
   std::uint64_t jitter_seed = 0x5eed;
 };
 
-/// Client-side lease lifecycle tracker: holds the set of live leases,
-/// renews each via ExtendLease ahead of its expiry, and reports renewals,
-/// renewal failures and expiries through callbacks and counters.
+/// Outcome of one LeaseRequest or BatchAllocate round trip, as the client
+/// reads the manager's reply.
+struct LeaseOutcome {
+  enum class Kind : std::uint8_t {
+    Granted,  ///< `grants` holds the grant, or the batch's grants
+    Shed,     ///< admission control turned it away: retry after `retry_after`
+    Refused,  ///< the manager said no; `reason` is its reason
+    Dead,     ///< the session failed; `reason` is its error
+  };
+  Kind kind = Kind::Dead;
+  std::vector<LeaseGrantMsg> grants;
+  Duration retry_after = 0;
+  std::string reason;
+};
+
+/// Reads the manager's reply to a LeaseRequest or BatchAllocate (an error
+/// means the session died).
+LeaseOutcome classify_lease_reply(const Result<Bytes>& reply);
+
+/// Spacing of retried lease requests: each wait is max(the backoff, the
+/// manager's retry_after hint) stretched upward by up to `jitter` of
+/// itself (no draw when `jitter` is 0), and the backoff doubles per wait.
+class RetryBackoff {
+ public:
+  explicit RetryBackoff(Duration first) : backoff_(std::max<Duration>(1_us, first)) {}
+  Duration next(Duration hint, double jitter, Rng& rng);
+
+ private:
+  Duration backoff_;
+};
+
+/// The client side of the lease protocol: dials the resource manager,
+/// requests and releases leases, reconnects after a failover, and tracks
+/// the live leases — renewing each via ExtendLease ahead of its expiry
+/// and reporting renewals, renewal failures and expiries through
+/// callbacks and counters.
 ///
-/// Every exchange with the manager (renewal, heal, release, revalidation)
-/// is a call on the Session passed to bind(), shared with whoever
-/// acquired the leases: the session stamps request ids, serializes calls
-/// and retransmits lost ones.
+/// Every exchange with the manager (request, renewal, heal, release,
+/// revalidation) is a call on the request session, dialed by connect()
+/// or attached with bind(): the session stamps request ids, serializes
+/// calls and retransmits lost ones.
 ///
 /// Lifetime: the renewal actor only references the internal shared state,
 /// so destroying the LeaseSet (or the engine draining detached actors)
@@ -102,16 +137,25 @@ class LeaseSet {
   using ReallocatedFn =
       std::function<void(std::uint64_t old_lease_id, const LeaseGrantMsg& grant)>;
 
-  explicit LeaseSet(sim::Engine& engine, LeaseSetOptions options = {});
+  /// `manager` is where connect(), subscribe() and reconnect() dial.
+  explicit LeaseSet(sim::Engine& engine, LeaseSetOptions options = {},
+                    ManagerLink manager = {});
   ~LeaseSet();
 
   LeaseSet(const LeaseSet&) = delete;
   LeaseSet& operator=(const LeaseSet&) = delete;
 
-  /// Attaches the resource-manager session renewals, heals and releases
-  /// go through (shared so the renewal actor can outlive the acquiring
-  /// scope).
+  /// Dials the manager at the link's next epoch and binds the session.
+  sim::Task<Status> connect();
+
+  /// Attaches the resource-manager session requests, renewals, heals and
+  /// releases go through (shared so the renewal actor can outlive the
+  /// acquiring scope).
   void bind(std::shared_ptr<Session> rm_session);
+
+  /// Dials a notification session and subscribes `client_id` on it. A
+  /// later reconnect() subscribes again, even when this dial failed.
+  sim::Task<Status> subscribe(std::uint32_t client_id);
 
   /// Opens the termination-push channel: sends SubscribeEvents for
   /// `client_id` on `notify_session` (a dedicated connection to the
@@ -120,6 +164,33 @@ class LeaseSet {
   /// filters duplicated pushes (by seq) first. Enables self-healing
   /// re-allocation when the options ask for it.
   void subscribe(std::shared_ptr<Session> notify_session, std::uint32_t client_id);
+
+  /// Manager failover recovery: connect() at the next epoch (replies
+  /// addressed to the dead session's id space are fenced) and, once
+  /// subscribed, a subscribe() on a fresh notification session. Fails
+  /// only when the request dial does; held leases are not revalidated
+  /// here (see revalidate()).
+  sim::Task<Status> reconnect();
+
+  /// One LeaseRequest or BatchAllocate round trip on the request session
+  /// (after connect() or bind()).
+  template <typename Msg>
+  sim::Task<LeaseOutcome> request(Msg msg) {
+    co_return classify_lease_reply(co_await state_->session->request(msg));
+  }
+
+  /// Gives the chain started by `grant` back: abandon(), then the acked
+  /// release of its live lease, awaited. Sends nothing while disconnected.
+  sim::Task<void> release(LeaseGrantMsg grant, std::uint64_t memory_per_worker);
+
+  /// True while the request session can carry a call.
+  [[nodiscard]] bool connected() const { return connected(*state_); }
+  /// True while the notification session is open.
+  [[nodiscard]] bool subscribed() const { return notify_ != nullptr && !notify_->closed(); }
+  [[nodiscard]] const std::shared_ptr<Session>& session() const { return state_->session; }
+  /// The last notification session subscribe() dialed (nullptr when that
+  /// dial failed).
+  [[nodiscard]] const std::shared_ptr<Session>& notification_session() const { return notify_; }
 
   /// Failover lease re-validation: asks the manager whether each tracked
   /// lease still stands (LeaseRevalidate, read-only on the manager). A
@@ -281,13 +352,8 @@ class LeaseSet {
   static void handle_notification(const std::shared_ptr<State>& state, const Bytes& raw);
   /// True while the bound session can carry a call.
   static bool connected(const State& state);
-  /// One request/reply call on the bound session: stamps the next
-  /// request id into `msg` and waits for the reply echoing it.
-  template <typename Msg>
-  static sim::Task<Result<Bytes>> exchange(std::shared_ptr<State> state, Msg msg);
   /// Hands a lease back to the manager: a detached, acked session call.
   static void send_release(const std::shared_ptr<State>& state, ReleaseResourcesMsg rel);
-  static sim::Task<void> release(std::shared_ptr<Session> session, ReleaseResourcesMsg rel);
   static sim::Task<void> heal(std::shared_ptr<State> state, std::uint64_t old_id, Tracked lost);
   /// Revalidates every tracked lease against the manager in turn (the
   /// failover path; see revalidate()).
@@ -298,6 +364,10 @@ class LeaseSet {
                          const Tracked& lost);
 
   std::shared_ptr<State> state_;
+  ManagerLink manager_;
+  std::shared_ptr<Session> notify_;
+  /// Client id of the last subscribe(client_id), re-subscribed on reconnect.
+  std::optional<std::uint32_t> subscriber_;
 };
 
 /// Parameters of an allocation ("clients acquire leases by requesting the
@@ -372,13 +442,6 @@ class Invoker {
   /// Acquires leases and allocates sandboxes until `spec.workers` function
   /// instances are connected. Records the cold-start breakdown.
   sim::Task<Status> allocate(const AllocationSpec& spec);
-
-  /// Manager failover recovery: redials the resource manager, mints a
-  /// fresh session epoch (replies addressed to the dead session's id
-  /// space are fenced), rebinds the LeaseSet, re-subscribes the
-  /// notification stream when one was active, and re-validates every
-  /// held lease against the (possibly promoted) manager.
-  sim::Task<Status> reconnect();
 
   /// Registers an additional function with every allocated sandbox;
   /// returns its function-table index.
@@ -558,8 +621,6 @@ class Invoker {
   /// Feeds the per-executor health tracker and, on a breaker trip,
   /// reports the executor to the resource manager (quarantine signal).
   void record_outcome(fabric::DeviceId device, bool ok, Duration latency);
-  static sim::Task<void> send_health_report(std::shared_ptr<Session> session,
-                                            HealthReportMsg msg);
   sim::Task<Status> connect_worker(const LeaseGrantMsg& grant, std::uint64_t sandbox_id,
                                    std::uint32_t index);
   /// Acquires leases totalling up to `remaining` workers: one serial
@@ -577,19 +638,11 @@ class Invoker {
   net::TcpNetwork& tcp_;
   const Config& config_;
   fabric::Device& device_;
-  fabric::DeviceId rm_device_;
-  std::uint16_t rm_port_;
   std::uint32_t client_id_;
 
   fabric::ProtectionDomain* pd_ = nullptr;
-  /// Request/reply session to the resource manager (owns all recv on its
-  /// stream); every exchange of this invoker and its LeaseSet with the
-  /// manager is a call on it.
-  std::shared_ptr<Session> rm_session_;
-  /// Dedicated push channel for LeaseTerminated notifications.
-  std::shared_ptr<Session> notify_session_;
-  /// Session epochs fence stale exchanges across manager reconnects.
-  std::uint32_t rm_epoch_ = 0;
+  /// Every exchange of this invoker with the resource manager runs on the
+  /// LeaseSet's sessions.
   std::unique_ptr<LeaseSet> lease_set_;
   /// Spec that created each self-healing lease, keyed by lease id (the
   /// mapping follows replacements), so a redeploy uses the allocation's

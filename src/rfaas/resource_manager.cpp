@@ -469,13 +469,16 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
         // heartbeats cannot — the host still acks. First trips merely
         // degrade the executor so every scheduling policy deprioritizes
         // it; kQuarantineTrips distinct trips drain it outright
-        // (evicting its leases, whose owners self-heal elsewhere).
+        // (evicting its leases, whose owners self-heal elsewhere). A
+        // report against a registration already draining changes
+        // nothing, so each registration is quarantined once.
         auto msg = decode_health_report(*raw);
         if (!msg) break;
         if (replay_duplicate(msg.value().request_id)) break;
         ++health_reports_;
         const std::uint32_t trips = ++health_trip_counts_[msg.value().device];
-        if (auto executor = core_.find_executor_by_device(msg.value().device)) {
+        auto executor = core_.find_executor_by_device(msg.value().device);
+        if (executor && !core_.draining(*executor)) {
           if (trips >= kQuarantineTrips) {
             if (drain_executor_on_device(msg.value().device).has_value()) {
               ++quarantined_executors_;

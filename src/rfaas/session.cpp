@@ -191,4 +191,10 @@ void Session::classify(State& st, Bytes msg) {
   st.push_event.set();
 }
 
+sim::Task<Result<std::shared_ptr<Session>>> dial(sim::Engine& engine, ManagerLink link) {
+  auto stream = co_await link.tcp->connect(link.device, link.manager, link.port);
+  if (!stream.ok()) co_return stream.error();
+  co_return std::make_shared<Session>(engine, stream.value(), link.options);
+}
+
 }  // namespace rfs::rfaas

@@ -76,6 +76,14 @@ class Session {
   /// stream closes or the retransmit budget is exhausted.
   sim::Task<Result<Bytes>> call(Bytes request, std::uint64_t request_id);
 
+  /// Stamps the next request id into `msg` and calls with it: how every
+  /// client-side request/reply exchange is made.
+  template <typename Msg>
+  sim::Task<Result<Bytes>> request(Msg msg) {
+    msg.request_id = next_request_id();
+    co_return co_await call(encode(msg), msg.request_id);
+  }
+
   /// Next push notification (non-reply message) received on the stream;
   /// nullopt once the stream closed and the queue drained. Eviction pushes
   /// (LeaseTerminated/LeasesTerminated) must carry a seq, which the
@@ -172,5 +180,28 @@ class Session {
 
   std::shared_ptr<State> state_;
 };
+
+/// Where a resource-manager client dials from and to, and the parameters
+/// of the sessions it opens there (`options.epoch` stamps the next one).
+struct ManagerLink {
+  net::TcpNetwork* tcp = nullptr;
+  fabric::DeviceId device = 0;   ///< the client's own device
+  fabric::DeviceId manager = 0;  ///< the resource manager's device
+  std::uint16_t port = 0;
+  SessionOptions options{};
+};
+
+/// The manager dial: connects over `link` and wraps the stream in a
+/// Session, its only reader. Fails with the connect's error.
+sim::Task<Result<std::shared_ptr<Session>>> dial(sim::Engine& engine, ManagerLink link);
+
+/// A call whose reply only acknowledges it — a lease release, a health
+/// report — retransmitted until the ack lands (a release that never does
+/// is reclaimed by the manager's expiry sweep). Callers that need not
+/// wait for the ack detach it.
+template <typename Msg>
+sim::Task<void> send_acked(std::shared_ptr<Session> session, Msg msg) {
+  (void)co_await session->request(msg);
+}
 
 }  // namespace rfs::rfaas

@@ -553,6 +553,14 @@ std::optional<std::uint64_t> ShardedResourceManager::find_executor_by_device(
   return std::nullopt;
 }
 
+bool ShardedResourceManager::draining(std::uint64_t executor_id) const {
+  const std::uint32_t s = id_shard(executor_id);
+  const auto local = static_cast<std::size_t>(id_low(executor_id));
+  if (s >= shards_.size()) return false;
+  std::shared_lock<std::shared_mutex> lock(shards_[s]->mu);
+  return local < shards_[s]->registry.size() && shards_[s]->registry.at(local).draining;
+}
+
 ShardedResourceManager::RebalanceReport ShardedResourceManager::rebalance(
     double max_skew, unsigned max_moves, Time now) {
   RebalanceReport report;

@@ -269,6 +269,9 @@ class ShardedResourceManager {
   [[nodiscard]] std::optional<std::uint64_t> find_executor_by_device(
       std::uint32_t device) const;
 
+  /// True when executor `executor_id` is registered and draining.
+  [[nodiscard]] bool draining(std::uint64_t executor_id) const;
+
   /// Marks an executor dead, drops its leases and zeroes its capacity.
   /// Returns the executor's registration info when this call was the one
   /// that killed it (for logging), nullopt when it was already dead.

@@ -838,7 +838,7 @@ TEST(BoundedState, QueuesThatNeverHoldTwoElementsAllocateNothing) {
     messages.push_back(Bytes{});
     messages.pop_front();
     sim::Fifo<fabric::RecvWr> receives;
-    receives.push_back(fabric::RecvWr{.wr_id = i});
+    receives.push_back(fabric::RecvWr{.wr_id = i, .sge = {}});
     if (receives.front().wr_id != i) ++mismatches;
     receives.pop_front();
     if (!waiters.empty() || !completions.empty() || !receivers.empty() || !messages.empty() ||

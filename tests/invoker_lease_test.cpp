@@ -422,6 +422,46 @@ TEST(InvokerLease, BatchedAllocationAggregatesLeasesInOneRoundTrip) {
   EXPECT_EQ(h.rm().core().batches(), 1u);
 }
 
+TEST(InvokerLease, RefusedAndShedRequestsFailAllocateWithDistinctCodes) {
+  // allocate() fails with 41 and the manager's reason when a lease is
+  // refused, and with 42 and the retry_after hint when admission sheds
+  // it, on the serial path and on the batched one alike.
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batched" : "serial");
+    auto fleet = small_fleet();
+    // One admission token up front and the next one 5 s out: the request
+    // after the refused one is shed with the 2 s ceiling as its hint.
+    fleet.config.admission.capacity_hz = 0.2;
+    fleet.config.admission.retry_after_max = 2_s;
+    cluster::Harness h(fleet);
+    h.registry().add_echo();
+    h.start();
+    auto invoker = h.make_invoker();
+
+    Status refused;
+    Status shed;
+    auto scenario = [&]() -> sim::Task<void> {
+      AllocationSpec spec;
+      spec.function_name = "echo";
+      spec.batched_leases = batched;
+      spec.memory_per_worker = 1ull << 40;  // more than any executor holds
+      refused = co_await invoker->allocate(spec);
+      spec.memory_per_worker = 64ull << 20;
+      shed = co_await invoker->allocate(spec);
+    };
+    h.spawn(scenario());
+    h.run_for(1_s);
+
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.error().code, 41);
+    EXPECT_EQ(refused.error().message, "lease denied: no executor with free capacity");
+    ASSERT_FALSE(shed.ok());
+    EXPECT_EQ(shed.error().code, 42);
+    EXPECT_EQ(shed.error().message, "lease shed by admission control (retry after 2000 ms)");
+    EXPECT_EQ(h.rm().active_leases(), 0u);
+  }
+}
+
 TEST(BatchWire, AllOrNothingRollsBackAndBestEffortDeliversPartials) {
   cluster::Harness h(small_fleet(/*executors=*/2, /*cores=*/2, /*shards=*/2));
   h.start();
@@ -622,7 +662,9 @@ TEST(SelfHeal, DrainMigratesTheSandboxOffTheDrainedHost) {
     EXPECT_EQ(h.executor(0).live_sandboxes(), 1u);
     auto evicted = h.drain_executor(0);
     EXPECT_TRUE(evicted.has_value());
-    if (evicted.has_value()) EXPECT_EQ(*evicted, 1u);
+    if (evicted.has_value()) {
+      EXPECT_EQ(*evicted, 1u);
+    }
 
     co_await sim::delay(2_s);
     auto in = invoker->input_buffer<std::uint8_t>(64);

@@ -506,7 +506,9 @@ TEST(ManagerDedup, EpochZeroRegistrationIsRefused) {
     EXPECT_FALSE(decode_register_ok(*reply).ok());
     auto id = reply_request_id(*reply);
     EXPECT_TRUE(id.ok());
-    if (id.ok()) EXPECT_EQ(id.value(), reg.request_id);
+    if (id.ok()) {
+      EXPECT_EQ(id.value(), reg.request_id);
+    }
   };
   h.spawn(scenario());
   h.run_for(1_s);

@@ -438,7 +438,9 @@ TEST(Rebalance, MigratesCapacityFromFullestToEmptiestShard) {
   // The evicted lease belongs to a migrated executor and is unknown now.
   bool lease_evicted = false;
   for (const auto& ev : report.evictions) lease_evicted |= ev.lease_id == g->lease_id;
-  if (lease_evicted) EXPECT_FALSE(m.release(g->lease_id));
+  if (lease_evicted) {
+    EXPECT_FALSE(m.release(g->lease_id));
+  }
 
   // Migrated registrations serve grants from their new shards.
   for (const auto& mig : report.migrations) {
@@ -813,7 +815,9 @@ TEST(ShardedHarness, QuotaPressureEvictsAndRetriesOverTheWire) {
     // evicts one of tenant 1's leases and the retry grants it.
     auto b1 = co_await acquire(&h, b.value(), /*client=*/2, 4, /*request_id=*/1);
     EXPECT_TRUE(b1.ok());
-    if (b1.ok()) EXPECT_EQ(b1.value().workers, 4u);
+    if (b1.ok()) {
+      EXPECT_EQ(b1.value().workers, 4u);
+    }
     EXPECT_EQ(h.rm().core().evictions(), 1u);
   };
   h.spawn(scenario());
@@ -997,7 +1001,9 @@ TEST(ExpiryIndex, RenewalChurnIsCompactedAndStaysCorrect) {
   for (int i = 0; i < 5000; ++i) {
     deadline += 10;
     ASSERT_TRUE(m.renew(g->lease_id, deadline).has_value());
-    if (i % 100 == 0) EXPECT_EQ(m.sweep_expired(deadline - 1), 0u);
+    if (i % 100 == 0) {
+      EXPECT_EQ(m.sweep_expired(deadline - 1), 0u);
+    }
   }
   EXPECT_EQ(m.sweep_expired(deadline - 1), 0u);
   EXPECT_EQ(m.sweep_expired(deadline), 1u);

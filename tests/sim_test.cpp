@@ -722,7 +722,7 @@ TEST(Alarm, AnOwnerGoneBeforeTheWakeIsNeverCalled) {
   Engine eng;
   CurrentEngineScope scope(eng);
   int calls = 0;
-  auto owner = std::unique_ptr<Owner>(new Owner{&calls});
+  auto owner = std::unique_ptr<Owner>(new Owner{&calls, {}});
   owner->alarm.arm(100);
   eng.run_until(50);
   owner.reset();
@@ -868,7 +868,9 @@ TEST(Fifo, InterleavingsAcrossTheInlineSlotMatchADeque) {
       for (std::size_t i = 0; i < model.size(); ++i) {
         ASSERT_EQ(q[i], model[i]) << "round " << round << " op " << op;
       }
-      if (!model.empty()) ASSERT_EQ(q.front(), model.front());
+      if (!model.empty()) {
+        ASSERT_EQ(q.front(), model.front());
+      }
     }
   }
 }
