@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Prints where the samples of a sampler.c run went, function by function.
+"""Prints where the samples of a sampler.c or heap.c run went, function by function.
 
     python3 scripts/profile/report.py sampler-<pid>.txt [--under REGEX] [--top N]
                                       [--callers REGEX]
+    python3 scripts/profile/report.py heap-<pid>.txt --under run_workload
 
 Only the samples with a frame whose function name matches --under count
 (default `Stepper::run`, the timed loop of bench/perf), so set-up and
@@ -16,6 +17,17 @@ innermost frame matches REGEX, its first caller that neither matches
 REGEX nor starts with `std::`, with the share of the counted samples.
 This finds who calls a library function: `--callers _Map_base::operator`
 names the code behind the samples in std::unordered_map lookups.
+
+heap.c writes the same format: one sample per 4 KiB of live heap that
+an allocating call stack held when the program's live heap bytes
+peaked, so the shares are of the peak heap, not of time. Its stacks
+start in the caller of malloc (usually `operator new`; in bench/perf,
+its counting hook `counted_alloc`): read the inclusive table, or use
+--callers. The peak usually holds set-up allocations, so pick --under
+to match: `main` for the whole heap, `run_workload` for a bench/perf
+run without its host-reference loops. Memory mapped without malloc is
+outside its view: mmap regions such as rdmalib::Buffer's worker
+buffers count in peak RSS but never in its samples.
 
 Addresses are resolved with `nm` against the executable and the shared
 libraries named in the run's copy of /proc/self/maps. Names are
@@ -105,7 +117,8 @@ def shorten(name):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("file", help="sampler-<pid>.txt written by sampler.c")
+    parser.add_argument("file", help="sampler-<pid>.txt or heap-<pid>.txt written by "
+                                     "sampler.c or heap.c")
     parser.add_argument("--under", default=r"Stepper::run",
                         help="count only samples with a frame matching this regex")
     parser.add_argument("--top", type=int, default=25, help="rows per table")

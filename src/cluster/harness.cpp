@@ -21,6 +21,22 @@ double UtilizationTrace::peak_utilization() const {
   return peak;
 }
 
+namespace {
+
+/// 64-bit FNV-1a over the eight little-endian bytes of `v`, from `h`.
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h = (h ^ ((v >> (8 * byte)) & 0xFF)) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+}  // namespace
+
+void LeaseCounters::note_placement(std::uint32_t device, std::uint32_t workers) {
+  placement_digest = fnv1a(placement_digest, (std::uint64_t{device} << 32) | workers);
+}
+
 LeaseCounters& LeaseCounters::operator+=(const LeaseCounters& other) {
   granted += other.granted;
   denied += other.denied;
@@ -39,6 +55,7 @@ LeaseCounters& LeaseCounters::operator+=(const LeaseCounters& other) {
   client_deaths += other.client_deaths;
   reconnects += other.reconnects;
   reconnect_failures += other.reconnect_failures;
+  placement_digest = fnv1a(placement_digest, other.placement_digest);
   grant_latency.insert(grant_latency.end(), other.grant_latency.begin(),
                        other.grant_latency.end());
   reclaim_latency.insert(reclaim_latency.end(), other.reclaim_latency.begin(),
@@ -256,6 +273,7 @@ sim::Task<rfaas::LeaseOutcome> Harness::request_lease(rfaas::LeaseSet& leases,
   using Kind = rfaas::LeaseOutcome::Kind;
   if (outcome.kind == Kind::Granted) {
     ++out.granted;
+    for (const auto& g : outcome.grants) out.note_placement(g.device, g.workers);
     out.grant_latency.push_back(static_cast<double>(engine_.now() - sent_at));
   } else if (outcome.kind != Kind::Dead) {
     ++out.denied;

@@ -172,6 +172,9 @@ struct LeaseCounters {
   // Failover accounting (manager kill + standby promotion).
   std::uint64_t reconnects = 0;         // sessions re-established after a dead one
   std::uint64_t reconnect_failures = 0; // redial attempts that could not connect
+  /// 64-bit FNV-1a over the (executor device, workers) of every grant the
+  /// clients decoded, in decode order: equal runs place leases alike.
+  std::uint64_t placement_digest = 0xcbf29ce484222325ull;  // the offset basis
   std::vector<double> grant_latency;  // ns per successful grant
   /// Client-observed reclamation latency per termination push: manager
   /// eviction decision -> push absorbed by the holder (virtual ns).
@@ -181,9 +184,11 @@ struct LeaseCounters {
   /// bench gates its p99 against the unloaded grant tail.
   std::vector<double> blackout_ns;
 
-  /// Adds `other`'s counts, keeps the larger max_retries and appends
-  /// its latency samples.
+  /// Adds `other`'s counts, keeps the larger max_retries, appends its
+  /// latency samples and folds its placement digest into this one.
   LeaseCounters& operator+=(const LeaseCounters& other);
+  /// Folds one decoded grant into placement_digest.
+  void note_placement(std::uint32_t device, std::uint32_t workers);
 
   /// Linear-interpolated grant-latency percentile, 0 when no grants.
   [[nodiscard]] double grant_latency_percentile(double p) const;

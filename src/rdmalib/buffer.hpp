@@ -3,11 +3,28 @@
 // "to achieve the highest bandwidth on RDMA" and can reserve a header
 // region in front of the payload: the rFaaS input buffer carries a
 // twelve-byte header with the client's result-buffer address and rkey.
+//
+// Memory model: a buffer is an anonymous private mapping of its
+// page-rounded size. The kernel zero-fills each page on its first touch,
+// so a buffer holds host memory only for the pages a run writes: an
+// 8 MiB worker buffer that carries 64 B invocations holds a page or two.
+// scrub() hands every page back with madvise(MADV_DONTNEED), after which
+// Linux defines each page of a private anonymous mapping to read as
+// zeros; that is what lets a recycled buffer pass to another tenant.
+// Elsewhere MADV_DONTNEED is a hint that may keep the old bytes, so this
+// header builds on Linux only.
 #pragma once
 
-#include <cstdlib>
+#if !defined(__linux__)
+#error "rdmalib::Buffer::scrub relies on Linux's zero-fill of MADV_DONTNEED pages"
+#endif
+
+#include <sys/mman.h>
+
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <new>
 #include <span>
 
 #include "common/result.hpp"
@@ -28,17 +45,14 @@ class Buffer {
  public:
   static constexpr std::size_t kPageSize = 4096;
 
-  /// Allocates a page-aligned buffer for `count` elements of T preceded
-  /// by `header_bytes` of header space.
+  /// Maps a page-aligned buffer for `count` elements of T preceded by
+  /// `header_bytes` of header space; every byte reads as zero. Throws
+  /// std::bad_alloc when the size overflows or the mapping fails.
   explicit Buffer(std::size_t count, std::size_t header_bytes = 0)
-      : count_(count), header_bytes_(header_bytes) {
-    std::size_t raw = header_bytes_ + count_ * sizeof(T);
-    std::size_t rounded = (raw + kPageSize - 1) / kPageSize * kPageSize;
-    if (rounded == 0) rounded = kPageSize;
-    mem_.reset(static_cast<std::uint8_t*>(std::aligned_alloc(kPageSize, rounded)));
-    raw_size_ = raw;
-    std::memset(mem_.get(), 0, rounded);
-  }
+      : mem_(map(mapped_size(count, header_bytes))),
+        count_(count),
+        header_bytes_(header_bytes),
+        raw_size_(header_bytes + count * sizeof(T)) {}
 
   Buffer(Buffer&&) noexcept = default;
   Buffer& operator=(Buffer&&) noexcept = default;
@@ -65,6 +79,19 @@ class Buffer {
   [[nodiscard]] std::uint8_t* raw() { return mem_.get(); }
   [[nodiscard]] const std::uint8_t* raw() const { return mem_.get(); }
   [[nodiscard]] std::size_t raw_bytes() const { return raw_size_; }
+  /// Size of the mapping: raw_bytes() rounded up to whole pages.
+  [[nodiscard]] std::size_t mapped_bytes() const { return mem_.get_deleter().bytes; }
+
+  /// Drops every page of the mapping: each reads back as zero and holds
+  /// no host memory until it is written again. The address, and with it
+  /// any registration, stays.
+  void scrub() {
+    // Fails only where the pages cannot be dropped (mlock'ed memory):
+    // zero them in place instead.
+    if (::madvise(mem_.get(), mapped_bytes(), MADV_DONTNEED) != 0) {
+      std::memset(mem_.get(), 0, mapped_bytes());
+    }
+  }
 
   [[nodiscard]] std::span<T> span() { return {data(), count_}; }
   [[nodiscard]] std::span<const T> span() const { return {data(), count_}; }
@@ -122,13 +149,35 @@ class Buffer {
   }
 
  private:
-  struct FreeDeleter {
-    void operator()(std::uint8_t* p) const { std::free(p); }
+  struct Unmapper {
+    std::size_t bytes = 0;
+    void operator()(std::uint8_t* p) const { ::munmap(p, bytes); }
   };
-  std::unique_ptr<std::uint8_t, FreeDeleter> mem_;
+  using Mapping = std::unique_ptr<std::uint8_t, Unmapper>;
+
+  /// `header_bytes` plus `count` elements, rounded up to whole pages (one
+  /// at least); std::bad_alloc when that does not fit a size_t.
+  static std::size_t mapped_size(std::size_t count, std::size_t header_bytes) {
+    std::size_t raw = 0;
+    if (__builtin_mul_overflow(count, sizeof(T), &raw) ||
+        __builtin_add_overflow(raw, header_bytes, &raw) ||
+        raw > std::numeric_limits<std::size_t>::max() - (kPageSize - 1)) {
+      throw std::bad_alloc();
+    }
+    const std::size_t rounded = (raw + kPageSize - 1) / kPageSize * kPageSize;
+    return rounded == 0 ? kPageSize : rounded;
+  }
+
+  static Mapping map(std::size_t bytes) {
+    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return Mapping(static_cast<std::uint8_t*>(p), Unmapper{bytes});
+  }
+
+  Mapping mem_;
   std::size_t count_;
   std::size_t header_bytes_;
-  std::size_t raw_size_ = 0;
+  std::size_t raw_size_;
   fabric::MemoryRegion* mr_ = nullptr;
   fabric::ProtectionDomain* pd_ = nullptr;
 };

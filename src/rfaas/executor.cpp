@@ -29,7 +29,7 @@ sim::Task<void> Worker::init() {
                                       : mgr_.config_.worker_buffer_bytes;
   // Draw from the manager's buffer freelist when a retired worker left a
   // matching region behind; a new process still pays the (timed) pinning
-  // cost, but not the host-side allocation + page-fault churn.
+  // cost, but the host maps no new region.
   recv_buf_ = mgr_.take_pooled_buffer(mgr_.config_.worker_buffer_bytes);
   out_buf_ = mgr_.take_pooled_buffer(out_bytes);
   co_await recv_buf_->register_memory_timed(*pd_, fabric::RemoteWrite | fabric::LocalWrite);
@@ -563,7 +563,7 @@ sim::Task<AllocationReplyMsg> ExecutorManager::allocate_sandbox(const Allocation
   if (auto pooled = take_from_pool(req, total_memory)) {
     const Time revive_start = engine_.now();
     Sandbox& sb = *pooled;
-    idle_history_[function_key(sb)].record(engine_.now() - sb.pooled_at);
+    sb.idle_history->record(engine_.now() - sb.pooled_at);
     ++pool_stats_.hits;
     sb.lease_id = req.lease_id;
     sb.policy = static_cast<InvocationPolicy>(req.policy);
@@ -705,6 +705,7 @@ sim::Task<void> ExecutorManager::teardown_sandbox(Sandbox& sb, bool notify_rm) {
 
   if (park) {
     sb.pooled_at = engine_.now();
+    sb.idle_history = &idle_history_[function_key(sb)];
     ++pool_stats_.parked;
     warm_pool_.push_back(std::move(owned));
     if (warm_pool_.size() > config_.warm_pool_capacity) {
@@ -804,14 +805,12 @@ Duration ExecutorManager::keepalive_horizon(const Sandbox& sb) const {
   // previous observation would otherwise always evict. The padding
   // trades a little held memory for not cold-starting a tenant whose
   // cadence drifted a few percent.
-  constexpr double kQuantile = 0.99;
   constexpr double kMargin = 1.5;
-  auto it = idle_history_.find(function_key(sb));
-  if (it == idle_history_.end() || it->second.count() == 0) {
+  if (sb.idle_history == nullptr || sb.idle_history->count() == 0) {
     // No history yet: optimistic start, the first idle samples decide.
     return config_.warm_pool_max_keepalive;
   }
-  const Duration q = it->second.quantile(kQuantile);
+  const Duration q = sb.idle_history->horizon_quantile();
   const auto padded = static_cast<Duration>(static_cast<double>(q) * kMargin);
   return std::clamp(padded, config_.warm_pool_min_keepalive, config_.warm_pool_max_keepalive);
 }
@@ -852,7 +851,7 @@ std::unique_ptr<rdmalib::Buffer<std::uint8_t>> ExecutorManager::take_pooled_buff
     --buffer_pool_count_;
     // Scrub: the region last served another allocation, possibly of a
     // different tenant; a recycled buffer must look freshly zeroed.
-    std::memset(buf->raw(), 0, buf->raw_bytes());
+    buf->scrub();
     return buf;
   }
   return std::make_unique<rdmalib::Buffer<std::uint8_t>>(bytes);

@@ -39,6 +39,7 @@
 namespace rfs::rfaas {
 
 class ExecutorManager;
+class IdleHistory;
 struct Sandbox;
 
 /// One function instance inside a sandbox.
@@ -139,6 +140,10 @@ struct Sandbox {
   Time billed_until = 0;
   /// When the sandbox entered the warm keep-alive pool (0 = live).
   Time pooled_at = 0;
+  /// Idle-time history of the sandbox's function key (tenant and primary
+  /// function), looked up when it is parked: the key cannot change while
+  /// it is pooled, and the sweep reads the history on every period.
+  IdleHistory* idle_history = nullptr;
   bool dead = false;
   /// Manager coroutines holding the sandbox across a suspension
   /// (allocation, code install, teardown); a torn-down sandbox is freed
@@ -153,22 +158,29 @@ struct Sandbox {
 class IdleHistory {
  public:
   static constexpr std::size_t kWindow = 64;
+  /// The share of idle gaps the keep-alive horizon covers.
+  static constexpr double kHorizonQuantile = 0.99;
 
   void record(Duration idle) {
     samples_[next_] = idle;
     next_ = (next_ + 1) % kWindow;
     if (count_ < kWindow) ++count_;
+    horizon_quantile_ = quantile(kHorizonQuantile);
   }
 
   [[nodiscard]] std::size_t count() const { return count_; }
 
   /// Quantile over the retained window; call only with count() > 0.
   [[nodiscard]] Duration quantile(double q) const;
+  /// quantile(kHorizonQuantile) as of the last record(): the sweep reads
+  /// it for every pooled sandbox, far more often than samples arrive.
+  [[nodiscard]] Duration horizon_quantile() const { return horizon_quantile_; }
 
  private:
   std::array<Duration, kWindow> samples_{};
   std::size_t count_ = 0;
   std::size_t next_ = 0;
+  Duration horizon_quantile_ = 0;
 };
 
 /// Observability counters of the warm sandbox pool.

@@ -107,12 +107,6 @@ class ResourceManager {
   [[nodiscard]] std::uint32_t free_workers_total() const { return core_.free_workers_total(); }
   [[nodiscard]] std::uint32_t total_workers() const { return core_.total_workers(); }
 
-  /// Committed placements in per-shard grant order (first kPlacementLogCap
-  /// per shard only); lets tests assert policy behavior (e.g. round-robin
-  /// reproducing the seed order) and benches compute placement balance.
-  static constexpr std::size_t kPlacementLogCap = ShardedResourceManager::kPlacementLogCap;
-  [[nodiscard]] std::vector<Placement> placement_log() const { return core_.placement_log(); }
-
   // ---- Manager-initiated reclamation (docs/FAULT_TOLERANCE.md) ----
 
   /// Terminates the given leases ahead of their deadlines: capacity

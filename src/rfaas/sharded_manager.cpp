@@ -173,7 +173,6 @@ std::optional<ShardedResourceManager::Grant> ShardedResourceManager::grant_on(
       excluded[placement->executor] = true;
       continue;
     }
-    if (shard.log.size() < kPlacementLogCap) shard.log.push_back(*placement);
     journal_append(rec);
 
     Grant grant;
@@ -1083,19 +1082,5 @@ std::uint64_t fold(std::uint64_t h, const T& v) {
 }  // namespace
 
 std::uint64_t ShardedResourceManager::ManagerState::digest() const { return fold(0, *this); }
-
-std::vector<Placement> ShardedResourceManager::placement_log() const {
-  std::vector<Placement> merged;
-  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    auto& shard = *shards_[s];
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    for (const auto& p : shard.log) {
-      Placement global = p;
-      global.executor = static_cast<std::size_t>(make_id(s, p.executor));
-      merged.push_back(global);
-    }
-  }
-  return merged;
-}
 
 }  // namespace rfs::rfaas

@@ -355,11 +355,6 @@ class ShardedResourceManager {
     return shards_.at(shard)->registry.total_workers();
   }
 
-  /// Committed placements, shard-major, executor indices rewritten to
-  /// global ids; capped at kPlacementLogCap entries per shard.
-  static constexpr std::size_t kPlacementLogCap = 1 << 16;
-  [[nodiscard]] std::vector<Placement> placement_log() const;
-
   // ---- Replication / failover (journal.hpp, replica.hpp) ----
 
   /// Deep, canonical snapshot of the manager's replicated state: every
@@ -548,7 +543,6 @@ class ShardedResourceManager {
     /// client id -> held workers + lease ids.
     std::unordered_map<std::uint32_t, TenantIndex> tenants;
     std::uint64_t next_lease = 1;
-    std::vector<Placement> log;
     /// leases.size(), readable without the shard lock. Written only by
     /// index_lease/unindex_lease, the lease table's two mutators. (The
     /// capacity aggregates routing reads live in the registry itself.)

@@ -11,6 +11,8 @@
 //   - the executor warm pool state machine: park on retirement, revive on
 //     a matching re-allocation, capacity / predictive eviction, memory
 //     accounting, and the disabled-by-default seed behaviour,
+//   - the executor's buffer pool: a recycled worker buffer reads as
+//     zeros to the next tenant,
 //   - graceful drain: in-flight invocations finish before sandbox
 //     teardown on eviction,
 //   - end-to-end coalescing: one eviction sweep, one push per stream,
@@ -637,6 +639,77 @@ TEST(WarmPool, IdleHistoryQuantileDrivesTheHorizon) {
   EXPECT_EQ(hist.count(), IdleHistory::kWindow);
   EXPECT_EQ(hist.quantile(0.0), 1000u);
   EXPECT_EQ(hist.quantile(1.0), 1000u + IdleHistory::kWindow - 1);
+}
+
+TEST(BufferPool, RecycledOutputBufferReadsAsZerosToTheNextTenant) {
+  // Tenant 1's worker writes 0xAA through its output buffer and retires
+  // with the warm pool off, so its buffers go back to the executor's
+  // pool; tenant 2's worker is built from them. The two buffer sizes
+  // differ, so the output buffer goes back to the output role.
+  constexpr std::size_t kOut = 128_KiB;
+  auto fleet = small_fleet();
+  fleet.config.worker_buffer_bytes = 64_KiB;
+  fleet.config.worker_out_buffer_bytes = kOut;
+  cluster::Harness h(fleet);
+  const std::uint8_t* writer_out = nullptr;
+  const std::uint8_t* reader_out = nullptr;
+  bool reader_saw_zeros = false;
+  CodePackage writer;
+  writer.name = "writer";
+  writer.entry = [&writer_out](const void*, std::uint32_t, void* out) -> std::uint32_t {
+    writer_out = static_cast<const std::uint8_t*>(out);
+    std::memset(out, 0xAA, kOut);
+    return 64;
+  };
+  CodePackage reader;
+  reader.name = "reader";
+  reader.entry = [&](const void*, std::uint32_t, void* out) -> std::uint32_t {
+    reader_out = static_cast<const std::uint8_t*>(out);
+    reader_saw_zeros =
+        std::all_of(reader_out, reader_out + kOut, [](std::uint8_t b) { return b == 0; });
+    return 64;  // hands back bytes it never wrote
+  };
+  h.registry().add(std::move(writer));
+  h.registry().add(std::move(reader));
+  h.start();
+  auto tenant1 = h.make_invoker(0, 1);
+  auto tenant2 = h.make_invoker(0, 2);
+
+  InvocationResult wrote{}, read{};
+  std::array<std::uint8_t, 64> seen1{}, seen2{};
+  drive(h, 30_s, [&]() -> sim::Task<void> {
+    AllocationSpec spec;
+    spec.function_name = "writer";
+    EXPECT_TRUE((co_await tenant1->allocate(spec)).ok());
+    auto in1 = tenant1->input_buffer<std::uint8_t>(64);
+    auto out1 = tenant1->output_buffer<std::uint8_t>(64);
+    wrote = co_await tenant1->invoke(0, in1, 16, out1);
+    std::copy_n(out1.data(), 64, seen1.begin());
+    co_await tenant1->deallocate();
+    co_await sim::delay(100_ms);
+
+    spec.function_name = "reader";
+    EXPECT_TRUE((co_await tenant2->allocate(spec)).ok());
+    auto in2 = tenant2->input_buffer<std::uint8_t>(64);
+    auto out2 = tenant2->output_buffer<std::uint8_t>(64);
+    std::fill_n(out2.data(), 64, 0x55);
+    read = co_await tenant2->invoke(0, in2, 16, out2);
+    std::copy_n(out2.data(), 64, seen2.begin());
+    co_await tenant2->deallocate();
+  });
+
+  const auto all = [](const std::array<std::uint8_t, 64>& bytes, std::uint8_t v) {
+    return std::all_of(bytes.begin(), bytes.end(), [v](std::uint8_t b) { return b == v; });
+  };
+  ASSERT_TRUE(wrote.ok);
+  EXPECT_TRUE(all(seen1, 0xAA));
+  ASSERT_NE(writer_out, nullptr);
+  EXPECT_EQ(reader_out, writer_out) << "tenant 2's worker did not reuse tenant 1's buffer";
+  EXPECT_EQ(h.executor(0).warm_pool_stats().parked, 0u);
+  EXPECT_TRUE(reader_saw_zeros);
+  ASSERT_TRUE(read.ok);
+  EXPECT_EQ(read.output_bytes, 64u);
+  EXPECT_TRUE(all(seen2, 0));
 }
 
 // --------------------------------------------------------------------------

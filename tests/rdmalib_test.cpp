@@ -2,6 +2,12 @@
 // header regions, registration) and connections (handshake data, post
 // helpers, teardown semantics, timed CQ waits).
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <limits>
+#include <new>
 
 #include "rdmalib/buffer.hpp"
 #include "rdmalib/connection.hpp"
@@ -34,6 +40,77 @@ TEST_F(RdmalibTest, BufferIsPageAligned) {
     EXPECT_EQ(buf.size(), count);
     EXPECT_EQ(buf.payload_bytes(), count * sizeof(double));
   }
+}
+
+TEST_F(RdmalibTest, UnsatisfiableSizesThrowBadAlloc) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  // The element bytes overflow...
+  EXPECT_THROW((void)Buffer<std::uint64_t>(kMax / 4), std::bad_alloc);
+  // ...the header pushes the sum over...
+  EXPECT_THROW((void)Buffer<std::uint8_t>(kMax - 8, 32), std::bad_alloc);
+  // ...the page rounding overflows...
+  EXPECT_THROW((void)Buffer<std::uint8_t>(kMax - 100), std::bad_alloc);
+  // ...or the size fits but no mapping can hold it.
+  EXPECT_THROW((void)Buffer<std::uint8_t>(std::size_t{1} << 60), std::bad_alloc);
+}
+
+/// Resident pages of `buf`'s mapping, by mincore(2). Take it before
+/// reading untouched bytes: a read maps the zero page, which it counts.
+std::size_t resident_pages(const Buffer<std::uint8_t>& buf) {
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> pages((buf.mapped_bytes() + page - 1) / page);
+  void* base = const_cast<std::uint8_t*>(buf.raw());
+  EXPECT_EQ(::mincore(base, buf.mapped_bytes(), pages.data()), 0);
+  return static_cast<std::size_t>(
+      std::count_if(pages.begin(), pages.end(), [](unsigned char p) { return (p & 1) != 0; }));
+}
+
+TEST_F(RdmalibTest, BufferHoldsOnlyWrittenPagesAndScrubDropsThem) {
+  Buffer<std::uint8_t> buf(8_MiB);
+  // Counted in base pages: where transparent huge pages are "always", the
+  // kernel could back the written byte with a 2 MiB page. (A kernel
+  // without them refuses the advice, and needs none.)
+  (void)::madvise(buf.raw(), buf.mapped_bytes(), MADV_NOHUGEPAGE);
+  ASSERT_TRUE(buf.register_memory(*pdB, fabric::RemoteWrite).ok());
+  const std::uint8_t* const base = buf.raw();
+  fabric::MemoryRegion* const mr = buf.mr();
+  EXPECT_EQ(resident_pages(buf), 0u);
+  buf[3 * 4096 + 5] = 0xAA;
+  EXPECT_EQ(resident_pages(buf), 1u);
+
+  buf.scrub();
+  EXPECT_EQ(resident_pages(buf), 0u);
+  EXPECT_EQ(buf.raw(), base);
+  EXPECT_TRUE(
+      std::all_of(buf.data(), buf.data() + buf.size(), [](std::uint8_t b) { return b == 0; }));
+
+  // The registration outlives the scrub: a remote write still lands.
+  EXPECT_EQ(buf.mr(), mr);
+  EXPECT_EQ(pdB->find_rkey(mr->rkey()), mr);
+  auto& listener = fab.listen(*devB, 99);
+  std::unique_ptr<Connection> client, server;
+  Buffer<std::uint8_t> src(64);
+  ASSERT_TRUE(src.register_memory(*pdA, fabric::LocalWrite).ok());
+  fill_pattern({src.data(), 64}, 7);
+  auto server_task = [&]() -> sim::Task<void> {
+    auto req = co_await listener.accept();
+    server = Connection::accept(*req, *devB, pdB);
+  };
+  auto client_task = [&]() -> sim::Task<void> {
+    auto res = co_await Connection::connect(fab, *devA, pdA, devB->id(), 99);
+    EXPECT_TRUE(res.ok());
+    if (!res.ok()) co_return;
+    client = std::move(res).take();
+    RemoteBuffer dst = buf.remote();
+    dst.addr += 3 * 4096;
+    EXPECT_TRUE(client->post_write(src.sge(), dst, 1).ok());
+    auto wc = co_await client->wait_send_polling();
+    EXPECT_EQ(wc.status, fabric::WcStatus::Success);
+  };
+  sim::spawn(eng, server_task());
+  sim::spawn(eng, client_task());
+  eng.run();
+  EXPECT_TRUE(std::equal(src.data(), src.data() + 64, buf.raw() + 3 * 4096));
 }
 
 TEST_F(RdmalibTest, HeaderRegionPrecedesPayload) {

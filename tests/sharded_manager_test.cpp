@@ -724,7 +724,7 @@ TEST(ShardedHarness, ExecutorsSpreadAcrossShardsAndWorkloadRuns) {
   auto trace = h.run_lease_workload(quick_workload(), /*horizon=*/20_s);
   EXPECT_GT(trace.granted, 0u);
   EXPECT_EQ(trace.grant_latency.size(), trace.granted);
-  EXPECT_EQ(h.rm().placement_log().size(), trace.granted);
+  EXPECT_EQ(h.rm().core().grants(), trace.granted);
   // All leases drain back after the horizon: run past the last expiry.
   h.run_for(400_s);
   EXPECT_EQ(h.rm().active_leases(), 0u);
@@ -735,17 +735,14 @@ TEST(ShardedHarness, DeterministicAcrossRuns) {
   auto run_once = [] {
     cluster::Harness h(sharded_spec(/*shards=*/4));
     h.start();
-    (void)h.run_lease_workload(quick_workload(), /*horizon=*/15_s);
-    return h.rm().placement_log();
+    return h.run_lease_workload(quick_workload(), /*horizon=*/15_s);
   };
   auto a = run_once();
   auto b = run_once();
-  ASSERT_FALSE(a.empty());
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].executor, b[i].executor) << "placement " << i;
-    EXPECT_EQ(a[i].workers, b[i].workers) << "placement " << i;
-  }
+  ASSERT_GT(a.granted, 0u);
+  EXPECT_EQ(a.granted, b.granted);
+  // The (executor, workers) sequence the clients decoded, folded.
+  EXPECT_EQ(a.placement_digest, b.placement_digest);
 }
 
 TEST(ShardedHarness, MultiTenantTraceSplitsPerTenant) {
