@@ -77,7 +77,6 @@ FailoverResult run_schedule(const Schedule& schedule, std::uint64_t seed, Durati
   // redial backoff below are chosen well inside the bound.
   spec.config.lease_processing = 250_us;
   spec.config.journal_enabled = true;
-  spec.config.journal_snapshot_every = 256;
   spec.config.executor_reconnect_attempts = 20;
   spec.config.executor_reconnect_backoff = 1_ms;
   spec.client_reconnect_attempts = 20;

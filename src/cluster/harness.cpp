@@ -45,7 +45,6 @@ LeaseCounters& LeaseCounters::operator+=(const LeaseCounters& other) {
   spurious_expiries += other.spurious_expiries;
   terminations += other.terminations;
   reallocations += other.reallocations;
-  realloc_failures += other.realloc_failures;
   offered += other.offered;
   overload_denials += other.overload_denials;
   retries += other.retries;
@@ -399,7 +398,6 @@ sim::Task<void> Harness::lease_client_loop(std::size_t client, LeaseWorkload wor
     }
   }
   if (died) ++out->client_deaths;
-  out->realloc_failures += leases->realloc_failures();
   leases->stop();
   leases->session()->stream()->close();
 }
@@ -441,7 +439,6 @@ sim::Task<void> Harness::tenant_client_loop(std::size_t client, TenantWorkload w
     co_await sim::delay(static_cast<Duration>(think_s * 1e9));
   }
   if (died) ++out->client_deaths;
-  out->realloc_failures += leases->realloc_failures();
   leases->stop();
   leases->session()->stream()->close();
 }

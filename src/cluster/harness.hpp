@@ -160,7 +160,6 @@ struct LeaseCounters {
   std::uint64_t spurious_expiries = 0;  // held leases lost to expiry
   std::uint64_t terminations = 0;       // manager-initiated LeaseTerminated
   std::uint64_t reallocations = 0;      // lost leases replaced (self-healing)
-  std::uint64_t realloc_failures = 0;   // heal budgets exhausted unreplaced
   // Overload accounting (admission control + client retry budgets).
   std::uint64_t offered = 0;            // arrivals generated (open-loop offered load)
   std::uint64_t overload_denials = 0;   // admission sheds observed (subset of denied)

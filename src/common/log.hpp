@@ -1,5 +1,6 @@
-// Leveled logging with a process-global sink. Logging is off by default in
-// tests and benches; examples turn on Info to narrate the simulation.
+// Leveled logging with a process-global sink. The level starts at Warn
+// and no binary lowers it, so info and debug lines print only in a
+// program that calls set_level first.
 #pragma once
 
 #include <cstdio>

@@ -21,8 +21,6 @@ Summary::Summary(std::vector<double> samples) : sorted_(std::move(samples)) {
   m2_ = m2;
 }
 
-double Summary::min() const { return sorted_.front(); }
-double Summary::max() const { return sorted_.back(); }
 double Summary::mean() const { return mean_; }
 
 double Summary::stddev() const {

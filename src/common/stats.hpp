@@ -23,8 +23,6 @@ class Summary {
   explicit Summary(std::vector<double> samples);
 
   [[nodiscard]] std::size_t count() const { return sorted_.size(); }
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
   [[nodiscard]] double mean() const;
   [[nodiscard]] double stddev() const;
   [[nodiscard]] double median() const;

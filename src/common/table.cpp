@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdarg>
+#include <cstdlib>
 
 namespace rfs {
 
@@ -18,7 +19,15 @@ std::string format(const char* fmt, ...) {
 
 Table::Table(std::vector<std::string> header) : header_(std::move(header)) {}
 
-void Table::row(std::vector<std::string> cells) { rows_.push_back(std::move(cells)); }
+void Table::row(std::vector<std::string> cells) {
+  if (cells.size() > header_.size()) {
+    std::fprintf(stderr, "Table::row: %zu cells for %zu columns\n", cells.size(),
+                 header_.size());
+    std::abort();
+  }
+  cells.resize(header_.size());
+  rows_.push_back(std::move(cells));
+}
 
 std::string Table::num(double v, int precision) { return format("%.*f", precision, v); }
 
@@ -34,14 +43,11 @@ void Table::print(std::FILE* out) const {
   std::vector<std::size_t> widths(header_.size());
   for (std::size_t c = 0; c < header_.size(); ++c) widths[c] = header_[c].size();
   for (const auto& r : rows_) {
-    for (std::size_t c = 0; c < r.size() && c < widths.size(); ++c) {
-      widths[c] = std::max(widths[c], r[c].size());
-    }
+    for (std::size_t c = 0; c < widths.size(); ++c) widths[c] = std::max(widths[c], r[c].size());
   }
   auto print_row = [&](const std::vector<std::string>& cells) {
     for (std::size_t c = 0; c < widths.size(); ++c) {
-      const std::string& cell = c < cells.size() ? cells[c] : std::string{};
-      std::fprintf(out, "%s%-*s", c ? "  " : "", static_cast<int>(widths[c]), cell.c_str());
+      std::fprintf(out, "%s%-*s", c ? "  " : "", static_cast<int>(widths[c]), cells[c].c_str());
     }
     std::fprintf(out, "\n");
   };

@@ -13,7 +13,9 @@ class Table {
  public:
   explicit Table(std::vector<std::string> header);
 
-  /// Appends one row; missing trailing cells render empty.
+  /// Appends one row, padding missing trailing cells with empty ones, so
+  /// every row is as wide as the header. Aborts on a row wider than the
+  /// header: a cell without a column is a bug in the bench.
   void row(std::vector<std::string> cells);
 
   /// Formats helpers for numeric cells.

@@ -17,21 +17,6 @@ const char* to_string(WcStatus s) {
   return "?";
 }
 
-const char* to_string(Opcode op) {
-  switch (op) {
-    case Opcode::Send: return "send";
-    case Opcode::SendImm: return "send-imm";
-    case Opcode::Write: return "write";
-    case Opcode::WriteImm: return "write-imm";
-    case Opcode::Read: return "read";
-    case Opcode::FetchAdd: return "fetch-add";
-    case Opcode::CmpSwap: return "cmp-swap";
-    case Opcode::Recv: return "recv";
-    case Opcode::RecvImm: return "recv-imm";
-  }
-  return "?";
-}
-
 MemoryRegion* ProtectionDomain::register_memory(void* base, std::uint64_t length,
                                                 std::uint32_t access) {
   std::uint32_t lkey = fabric_.next_key();

@@ -37,7 +37,6 @@ enum class WcStatus : std::uint8_t {
 };
 
 const char* to_string(WcStatus s);
-const char* to_string(Opcode op);
 
 /// Memory-region access permissions (bitmask, mirrors IBV_ACCESS_*).
 enum Access : std::uint32_t {

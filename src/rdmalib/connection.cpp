@@ -56,15 +56,6 @@ Status Connection::post_write_imm(const fabric::Sge& sge, const RemoteBuffer& ds
   return qp_->post_send(std::move(wr));
 }
 
-Status Connection::post_send(const fabric::Sge& sge, std::uint64_t wr_id, bool inline_data) {
-  fabric::SendWr wr;
-  wr.wr_id = wr_id;
-  wr.opcode = fabric::Opcode::Send;
-  wr.sge.push_back(sge);
-  wr.inline_data = inline_data;
-  return qp_->post_send(std::move(wr));
-}
-
 Status Connection::post_fetch_add(std::uint64_t* local_result, std::uint32_t result_lkey,
                                   std::uint64_t remote_addr, std::uint32_t rkey,
                                   std::uint64_t add, std::uint64_t wr_id) {

@@ -47,9 +47,6 @@ class Connection {
   Status post_write_imm(const fabric::Sge& sge, const RemoteBuffer& dst, std::uint32_t imm,
                         std::uint64_t wr_id, bool inline_data = false);
 
-  /// Two-sided send (consumes a posted receive at the peer).
-  Status post_send(const fabric::Sge& sge, std::uint64_t wr_id, bool inline_data = false);
-
   /// 8-byte atomic fetch-and-add on the remote address.
   Status post_fetch_add(std::uint64_t* local_result, std::uint32_t result_lkey,
                         std::uint64_t remote_addr, std::uint32_t rkey, std::uint64_t add,

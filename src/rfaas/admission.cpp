@@ -149,11 +149,6 @@ std::uint64_t Admission::shed_rate() const {
   return shed_rate_;
 }
 
-std::uint64_t Admission::shed_capacity() const {
-  std::lock_guard lock(mu_);
-  return shed_capacity_;
-}
-
 std::uint64_t Admission::shed_wfq() const {
   std::lock_guard lock(mu_);
   return shed_wfq_;

@@ -82,7 +82,6 @@ class Admission {
   /// Counters (cumulative, monotone).
   [[nodiscard]] std::uint64_t admitted() const;
   [[nodiscard]] std::uint64_t shed_rate() const;   ///< policing-bucket sheds
-  [[nodiscard]] std::uint64_t shed_capacity() const;  ///< capacity-bucket sheds
   [[nodiscard]] std::uint64_t shed_wfq() const;    ///< fairness-credit sheds
   [[nodiscard]] std::uint64_t sheds() const;       ///< all sheds combined
 

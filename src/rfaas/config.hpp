@@ -18,8 +18,6 @@ enum class SandboxType : std::uint8_t {
   Docker,     // container with SR-IOV virtual function passthrough
 };
 
-const char* to_string(SandboxType t);
-
 /// Lease-placement policy of the resource manager's scheduling layer
 /// (src/rfaas/scheduler.hpp). The paper keeps the manager off the hot
 /// path, so the policy only affects allocation, never invocation.
@@ -245,20 +243,13 @@ struct Config {
   double rebalance_max_skew = 1.5;
 
   /// Journal every manager state transition (grant/renew/release/expiry/
-  /// eviction/registration/drain/death/migration) to an append-only
-  /// replicated log (src/rfaas/journal.hpp) that warm standby replicas
-  /// replay into an identical in-memory state (src/rfaas/replica.hpp).
+  /// eviction/registration/drain/death/migration) to a checksummed
+  /// record stream (src/rfaas/journal.hpp) that warm standby replicas
+  /// apply into an identical in-memory state (src/rfaas/replica.hpp).
   /// Off by default: standalone managers with no standby attached would
   /// only pay the append for nothing. Harness scenarios with a standby
   /// and the failover suites turn it on.
   bool journal_enabled = false;
-
-  /// Snapshot cadence of the journaling primary: once the retained log
-  /// grows past this many records, the manager folds the prefix into a
-  /// fresh snapshot (ShardedResourceManager::export_state), re-offers it
-  /// to attached standbys and truncates the log behind it, bounding log
-  /// memory and replay time. 0 = never snapshot (the log only grows).
-  std::uint64_t journal_snapshot_every = 4096;
 
   /// Executor re-registration attempts after its manager session dies
   /// (manager crash/failover). 0 keeps the pre-HA behaviour: the session

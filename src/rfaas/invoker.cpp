@@ -231,9 +231,6 @@ std::uint64_t LeaseSet::reallocations() const { return state_->reallocations; }
 std::uint64_t LeaseSet::realloc_failures() const { return state_->realloc_failures; }
 
 std::uint64_t LeaseSet::overload_denials() const { return state_->overload_denials; }
-std::uint64_t LeaseSet::revalidations() const { return state_->revalidated; }
-std::uint64_t LeaseSet::revalidation_losses() const { return state_->revalidation_losses; }
-std::uint64_t LeaseSet::failover_announces() const { return state_->failover_announces; }
 
 void LeaseSet::revalidate() { sim::spawn(*state_->engine, revalidate_all(state_)); }
 
@@ -298,7 +295,6 @@ void LeaseSet::handle_notification(const std::shared_ptr<State>& state, const By
     // primary may not have reached the journal).
     auto announce = decode_failover_announce(raw);
     if (!announce) return;
-    ++state->failover_announces;
     sim::spawn(*state->engine, revalidate_all(state));
     return;
   }
@@ -358,7 +354,6 @@ sim::Task<void> LeaseSet::revalidate_all(std::shared_ptr<State> state) {
         // standby replayed the renewals it saw, which may trail the dead
         // primary's last answer.
         it->second.expires_at = ok.value().expires_at;
-        ++state->revalidated;
       }
       continue;
     }
@@ -369,7 +364,6 @@ sim::Task<void> LeaseSet::revalidate_all(std::shared_ptr<State> state) {
     if (it == state->leases.end()) continue;
     const Tracked lost = it->second;
     state->leases.erase(it);
-    ++state->revalidation_losses;
     ++state->losses;
     if (state->renewal_failed_fn) state->renewal_failed_fn(id, "lost in failover");
     maybe_heal(state, id, lost);

@@ -113,7 +113,7 @@ class RetryBackoff {
 ///
 /// Every exchange with the manager (request, renewal, heal, release,
 /// revalidation) is a call on the request session, dialed by connect()
-/// or attached with bind(): the session stamps request ids, serializes
+/// or attached with bind(): the session stamps request ids, queues
 /// calls and retransmits lost ones.
 ///
 /// Lifetime: the renewal actor only references the internal shared state,
@@ -269,14 +269,6 @@ class LeaseSet {
   /// each consumed one unit of its heal's realloc budget and backed off
   /// at least the manager's retry_after hint.
   [[nodiscard]] std::uint64_t overload_denials() const;
-  /// Leases confirmed alive by LeaseRevalidate after a failover.
-  [[nodiscard]] std::uint64_t revalidations() const;
-  /// Tracked leases the (promoted) manager no longer carried at
-  /// re-validation — lost in the failover window (counted in losses()
-  /// and healed like any other loss).
-  [[nodiscard]] std::uint64_t revalidation_losses() const;
-  /// FailoverAnnounce pushes observed on the notification stream.
-  [[nodiscard]] std::uint64_t failover_announces() const;
 
  private:
   struct Tracked {
@@ -317,9 +309,6 @@ class LeaseSet {
     std::uint64_t reallocations = 0;
     std::uint64_t realloc_failures = 0;
     std::uint64_t overload_denials = 0;
-    std::uint64_t revalidated = 0;
-    std::uint64_t revalidation_losses = 0;
-    std::uint64_t failover_announces = 0;
     /// Jitter stream of the heal backoffs (seeded from the options).
     Rng jitter{0x5eed};
     /// Tenant id the notification subscription (and healing LeaseRequests)
@@ -486,7 +475,7 @@ class Invoker {
   /// with the 32 B header + output), each registered once with the client
   /// PD and recycled per call. With slots reserved, invoke_pooled() never
   /// allocates or registers on the invocation path — the contrast to
-  /// per-call buffers, whose registrations serialize on the process's
+  /// per-call buffers, whose registrations queue on the process's
   /// mmap lock and collapse under fan-out (fig18).
   void reserve_slots(std::size_t count, std::size_t max_input, std::size_t max_output);
   [[nodiscard]] std::size_t slot_count() const { return slot_pool_.size(); }

@@ -6,24 +6,23 @@
 // fanned out to attached sinks (warm standby replicas, wire streams).
 // Records are *delta* records: each one fully describes the mutation it
 // stands for (including decisions the primary already made, like whether
-// a release returns capacity to its executor), so replay is mechanical
-// and never re-runs placement policy, routing RNG or quota logic.
+// a release returns capacity to its executor), so a standby applies it
+// mechanically and never re-runs placement policy, routing RNG or quota
+// logic.
 //
 // Integrity: every record carries a checksum chained over all of its
 // fields plus the previous record's checksum, so a corrupted, reordered
-// or truncated stream is detected at the first bad record. The
-// serialized form additionally carries the chain seed and a trailer, so
-// a chopped tail fails structurally even when whole records are missing.
+// or gapped stream is detected at the first bad record.
+//
+// The journal keeps no copy of what it appends: a standby catches up
+// from a snapshot taken when it attaches, then from the live stream.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <span>
 #include <vector>
 
-#include "common/bytes.hpp"
-#include "common/result.hpp"
 #include "common/rng.hpp"
 #include "rfaas/protocol.hpp"
 
@@ -78,63 +77,37 @@ std::uint64_t chain_checksum(const JournalRecordMsg& r, std::uint64_t prev);
 
 }  // namespace journal
 
-/// Append-only, in-order log of manager state transitions with chained
-/// checksums and sink fan-out. Appends are thread-safe behind a leaf
-/// mutex (they happen under the owning shard's lock); sinks run inline
-/// on the appending thread, in append order.
+/// Sequencer of manager state transitions: stamps each record with the
+/// next seq and the chained checksum and fans it out to the sinks; it
+/// retains nothing. Appends are thread-safe behind a leaf mutex (they
+/// happen under the owning shard's lock); sinks run inline on the
+/// appending thread, in append order.
 class Journal {
  public:
   /// A replication target: called once per appended record, after the
   /// record's seq and checksum are assigned.
   using Sink = std::function<void(const JournalRecordMsg&)>;
 
-  /// Appends one record: assigns the next seq and the chained checksum,
-  /// stores the record and fans it out to every sink. Returns the
-  /// completed record (as streamed).
+  /// Appends one record: assigns the next seq and the chained checksum
+  /// and fans it out to every sink. Returns the completed record (as
+  /// streamed).
   JournalRecordMsg append(JournalRecordMsg r);
 
-  /// Registers a replication sink. Existing records are NOT replayed to
-  /// it — pair with a snapshot (ShardedResourceManager::export_state)
-  /// covering everything up to last_seq().
+  /// Registers a replication sink. Earlier records are gone — pair with
+  /// a snapshot (ShardedResourceManager::export_state) covering
+  /// everything up to last_seq().
   void add_sink(Sink sink);
 
-  /// Seq of the most recent record (0 = empty log).
+  /// Seq of the most recent record (0 = nothing appended yet).
   [[nodiscard]] std::uint64_t last_seq() const;
-  /// Chain checksum after the most recent record (0 = empty log).
+  /// Chain checksum after the most recent record (0 = nothing appended yet).
   [[nodiscard]] std::uint64_t last_checksum() const;
-  /// Records currently retained (after truncation).
-  [[nodiscard]] std::size_t size() const;
-  /// First retained seq (records before it were folded into a snapshot).
-  [[nodiscard]] std::uint64_t base_seq() const;
-
-  /// Copies the retained records with seq >= from_seq, in order.
-  [[nodiscard]] std::vector<JournalRecordMsg> records(std::uint64_t from_seq = 1) const;
-
-  /// Drops retained records with seq < upto_seq — a snapshot covering
-  /// them was taken. The chain is unaffected (each record stores its own
-  /// checksum); replay restarts from snapshot + suffix.
-  void truncate_before(std::uint64_t upto_seq);
-
-  /// Serializes the retained suffix starting at from_seq:
-  /// [from_seq u64][chain seed u64][count u64][wire records...][trailer u64].
-  /// The chain seed is the checksum preceding the first serialized record
-  /// and the trailer repeats the last record's checksum, so deserialize()
-  /// is self-contained and rejects both corruption and truncation.
-  [[nodiscard]] Bytes serialize(std::uint64_t from_seq = 1) const;
-
-  /// Parses and fully verifies a serialize()d log: structural bounds,
-  /// contiguous seqs, the checksum chain from the embedded seed, and the
-  /// trailer. Any tampering or chopped tail yields an Error.
-  static Result<std::vector<JournalRecordMsg>> deserialize(std::span<const std::uint8_t> raw);
 
  private:
   mutable std::mutex mu_;
-  std::vector<JournalRecordMsg> records_;
   std::vector<Sink> sinks_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t last_checksum_ = 0;
-  std::uint64_t base_seq_ = 1;          // seq of records_.front() when non-empty
-  std::uint64_t base_checksum_ = 0;     // chain checksum preceding base_seq_
 };
 
 }  // namespace rfs::rfaas

@@ -211,25 +211,4 @@ Result<std::uint64_t> reply_request_id(const Bytes& raw) {
   return id;
 }
 
-const char* to_string(SandboxType t) {
-  return t == SandboxType::Docker ? "docker" : "bare-metal";
-}
-
-const char* to_string(DenialReason r) {
-  switch (r) {
-    case DenialReason::Overload: return "overload";
-    case DenialReason::QuotaExceeded: return "quota-exceeded";
-  }
-  return "unknown";
-}
-
-const char* to_string(TerminationReason r) {
-  switch (r) {
-    case TerminationReason::QuotaPressure: return "quota-pressure";
-    case TerminationReason::Drain: return "drain";
-    case TerminationReason::Rebalance: return "rebalance";
-  }
-  return "unknown";
-}
-
 }  // namespace rfs::rfaas

@@ -335,8 +335,6 @@ enum class DenialReason : std::uint8_t {
   QuotaExceeded, ///< reserved: per-tenant policy refusal at admission time
 };
 
-const char* to_string(DenialReason r);
-
 /// Admission-control shed (ingress protection): the manager refused the
 /// request *before* any shard lock, placement scan, or quota-eviction
 /// work — the whole point is that saying no is nearly free under
@@ -361,8 +359,6 @@ enum class TerminationReason : std::uint8_t {
   Drain,          ///< hosting executor is being drained
   Rebalance,      ///< hosting executor migrated to another shard
 };
-
-const char* to_string(TerminationReason r);
 
 /// Fast reclamation (Sec. III-B): the manager terminates a live lease and
 /// pushes this to both sides — the hosting executor tears the sandbox

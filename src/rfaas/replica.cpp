@@ -25,7 +25,8 @@ Status StandbyReplica::install_snapshot(const ShardedResourceManager::ManagerSta
     return Error::make(52, "replica: snapshot older than replayed state");
   }
   // Rebuild from scratch: restore_state requires a fresh core, and a
-  // re-offered snapshot (periodic truncation) replaces ours wholesale.
+  // snapshot offered again (re-attach to a promoted primary) replaces
+  // ours wholesale.
   auto fresh = std::make_unique<ShardedResourceManager>(config_);
   if (auto restored = fresh->restore_state(state, now); !restored) return restored;
   core_ = std::move(fresh);
@@ -62,15 +63,6 @@ Status StandbyReplica::apply_wire(std::span<const std::uint8_t> raw) {
   auto record = decode_journal_record(raw);
   if (!record) return record.error();
   return apply(record.value());
-}
-
-Status StandbyReplica::replay(std::span<const std::uint8_t> serialized_log) {
-  auto records = Journal::deserialize(serialized_log);
-  if (!records) return records.error();
-  for (const auto& record : records.value()) {
-    if (auto applied = apply(record); !applied) return applied;
-  }
-  return Status::success();
 }
 
 std::uint64_t StandbyReplica::applied_seq() const {

@@ -1,11 +1,12 @@
 // Warm standby replica of the resource manager (HA, ROADMAP #2).
 //
 // A StandbyReplica owns a journal-less ShardedResourceManager core and
-// keeps it in lockstep with a journaling primary: it installs a digest-
-// verified snapshot (ShardedResourceManager::export_state) and then
-// replays the primary's journal records in seq order, verifying the
-// chained checksum record by record. Replay is pure delta application —
-// no placement policy, routing RNG or quota logic re-runs — so a record
+// keeps it in lockstep with a journaling primary: it installs the
+// digest-verified snapshot (ShardedResourceManager::export_state) the
+// primary offers once, when the standby attaches, and then applies the
+// primary's live journal stream in seq order, verifying the chained
+// checksum record by record. Applying is pure delta application — no
+// placement policy, routing RNG or quota logic re-runs — so a record
 // that does not apply cleanly means divergence and is surfaced as an
 // Error instead of being papered over.
 //
@@ -24,24 +25,24 @@
 
 namespace rfs::rfaas {
 
-/// Replays a primary's snapshot + journal stream into an identical
+/// Applies a primary's snapshot + journal stream into an identical
 /// in-memory manager state. Thread-safe: apply() may be called straight
 /// from a Journal sink while other threads read accessors.
 class StandbyReplica {
  public:
   /// The core is built from `config` with journaling disabled (a standby
-  /// re-journaling replayed records would double the log; the promoted
+  /// re-journaling applied records would re-stream them; the promoted
   /// manager starts a fresh journal for its own standbys).
   explicit StandbyReplica(const Config& config);
 
   /// Installs a snapshot: verifies the offer's digest and lease count
   /// against `state`, rebuilds the core from scratch and fast-forwards
-  /// the replay cursor to offer.upto_seq. A torn or stale snapshot
+  /// the applied cursor to offer.upto_seq. A torn or stale snapshot
   /// (digest mismatch) is rejected without touching the current state.
   Status install_snapshot(const ShardedResourceManager::ManagerState& state,
                           const SnapshotOfferMsg& offer, Time now);
 
-  /// Replays one record: checks seq continuity (records already covered
+  /// Applies one record: checks seq continuity (records already covered
   /// by the snapshot or an earlier apply are benign duplicates; a gap is
   /// an error), verifies the checksum chain, applies the delta. After a
   /// snapshot install the chain re-seeds from the first record streamed
@@ -51,11 +52,6 @@ class StandbyReplica {
   /// Decodes one wire-encoded JournalRecord frame and applies it (the
   /// replication-stream entry point; keeps the wire roundtrip honest).
   Status apply_wire(std::span<const std::uint8_t> raw);
-
-  /// Replays a Journal::serialize()d log (full verification inside
-  /// deserialize, then per-record apply). Records at or below the
-  /// current cursor are skipped.
-  Status replay(std::span<const std::uint8_t> serialized_log);
 
   /// Seq of the last record folded into the core (snapshot or apply).
   [[nodiscard]] std::uint64_t applied_seq() const;

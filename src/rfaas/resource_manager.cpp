@@ -84,23 +84,18 @@ Status ResourceManager::adopt(const ShardedResourceManager::ManagerState& state,
   return Status::success();
 }
 
-std::pair<ShardedResourceManager::ManagerState, SnapshotOfferMsg> ResourceManager::snapshot()
-    const {
-  SnapshotOfferMsg offer;
-  offer.manager_epoch = manager_epoch_;
-  offer.upto_seq = core_.journal()->last_seq();
-  auto state = core_.export_state();
-  offer.digest = state.digest();
-  for (const auto& shard : state.shards) offer.lease_count += shard.leases.size();
-  return {std::move(state), offer};
-}
-
 Status ResourceManager::attach_standby(std::shared_ptr<StandbyReplica> standby) {
   auto* journal = core_.journal();
   if (journal == nullptr) {
     return Error::make(60, "rm: standby needs Config::journal_enabled");
   }
-  const auto [state, offer] = snapshot();
+  // The one snapshot a standby gets: everything journaled so far.
+  SnapshotOfferMsg offer;
+  offer.manager_epoch = manager_epoch_;
+  offer.upto_seq = journal->last_seq();
+  const auto state = core_.export_state();
+  offer.digest = state.digest();
+  for (const auto& shard : state.shards) offer.lease_count += shard.leases.size();
   if (auto installed = standby->install_snapshot(state, offer, engine_.now());
       !installed.ok()) {
     return installed;
@@ -108,31 +103,13 @@ Status ResourceManager::attach_standby(std::shared_ptr<StandbyReplica> standby) 
   // Live replication: every appended record crosses the wire encoding on
   // its way into the replica, so the stream the tests exercise is the
   // byte-exact stream a remote standby would consume.
-  journal->add_sink([this, standby](const JournalRecordMsg& record) {
+  journal->add_sink([this, standby = std::move(standby)](const JournalRecordMsg& record) {
     if (auto applied = standby->apply_wire(encode(record)); !applied.ok()) {
       ++replication_errors_;
       log::warn("rm", "standby diverged at seq ", record.seq, ": ", applied.error().message);
     }
   });
-  standbys_.push_back(std::move(standby));
   return Status::success();
-}
-
-void ResourceManager::maybe_snapshot() {
-  auto* journal = core_.journal();
-  if (journal == nullptr || config_.journal_snapshot_every == 0) return;
-  if (journal->size() <= config_.journal_snapshot_every) return;
-  const auto [state, offer] = snapshot();
-  for (const auto& standby : standbys_) {
-    if (auto installed = standby->install_snapshot(state, offer, engine_.now());
-        !installed.ok()) {
-      ++replication_errors_;
-      log::warn("rm", "standby refused snapshot at seq ", offer.upto_seq, ": ",
-                installed.error().message);
-    }
-  }
-  journal->truncate_before(offer.upto_seq + 1);
-  ++snapshots_taken_;
 }
 
 sim::Task<void> ResourceManager::run_server() {
@@ -305,7 +282,7 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
         if (replay_duplicate(msg.value().request_id)) break;
         if (shed(msg.value().client_id, msg.value().request_id)) break;
         // Route first (lock-free, locality-aware under LocalityFirst),
-        // then serialize on the routed shard's gate: a single-shard
+        // then queue on the routed shard's gate: a single-shard
         // manager decides strictly one lease at a time, an N-shard
         // manager N at a time. The decision delay is paid inside the
         // critical section — that is the whole point. A stolen placement
@@ -721,7 +698,6 @@ sim::Task<void> ResourceManager::heartbeat_loop() {
     if (!alive_) break;
     const Time now = engine_.now();
     core_.sweep_expired(now);
-    maybe_snapshot();
 
     struct Action {
       std::uint64_t id;

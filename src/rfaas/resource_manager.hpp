@@ -82,8 +82,6 @@ class ResourceManager {
   [[nodiscard]] bool restored() const { return restored_; }
   /// LeaseRevalidate requests answered (failover lease re-validation).
   [[nodiscard]] std::uint64_t revalidations() const { return revalidations_; }
-  /// Periodic journal snapshots folded + re-offered to the standbys.
-  [[nodiscard]] std::uint64_t snapshots_taken() const { return snapshots_taken_; }
   /// Journal records a standby failed to apply (replication divergence).
   [[nodiscard]] std::uint64_t replication_errors() const { return replication_errors_; }
   /// Executors re-attached in place (leases preserved) after a failover.
@@ -146,8 +144,6 @@ class ResourceManager {
   /// benches adjust tenant weights/rates mid-run.
   [[nodiscard]] Admission& admission() { return admission_; }
   [[nodiscard]] const Admission& admission() const { return admission_; }
-  /// Requests shed at admission (LeaseDenied{Overload} replies).
-  [[nodiscard]] std::uint64_t admission_sheds() const { return admission_.sheds(); }
 
   /// Retransmitted requests answered from the per-stream dedup table
   /// instead of re-running the decision (each hit is a double-grant or
@@ -194,15 +190,6 @@ class ResourceManager {
   /// The RegisterOk reply (billing window + rdma port) shared by fresh
   /// registrations and failover re-attachments.
   Bytes make_register_ok(std::uint64_t request_id);
-
-  /// Folds the journal prefix into a snapshot and re-offers it to every
-  /// standby once the retained log outgrows Config::journal_snapshot_every
-  /// (heartbeat cadence; no-op without a journal).
-  void maybe_snapshot();
-
-  /// The current state and the offer vouching for it, covering the
-  /// journal up to its last record (the journal must exist).
-  [[nodiscard]] std::pair<ShardedResourceManager::ManagerState, SnapshotOfferMsg> snapshot() const;
 
   sim::Engine& engine_;
   fabric::Fabric& fabric_;
@@ -269,17 +256,14 @@ class ResourceManager {
   std::uint64_t health_reports_ = 0;
   std::uint64_t quarantined_executors_ = 0;
 
-  /// Failover state: the manager epoch every promotion bumps, the warm
-  /// standbys fed by the journal sink, and every established server-side
-  /// stream (weak — the coroutine frames own them) so crash() can sever
-  /// them the way a dying process would.
+  /// Failover state: the manager epoch every promotion bumps, and every
+  /// established server-side stream (weak — the coroutine frames own
+  /// them) so crash() can sever them the way a dying process would.
   std::uint32_t manager_epoch_ = 1;
   bool restored_ = false;
   Time promoted_at_ = 0;
-  std::vector<std::shared_ptr<StandbyReplica>> standbys_;
   std::vector<std::weak_ptr<net::TcpStream>> server_streams_;
   std::uint64_t revalidations_ = 0;
-  std::uint64_t snapshots_taken_ = 0;
   std::uint64_t replication_errors_ = 0;
   std::uint64_t reattached_executors_ = 0;
 };

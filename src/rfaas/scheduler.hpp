@@ -68,9 +68,9 @@ struct ExecutorEntry {
 /// every add/claim/release/death/drain, so alive_count(),
 /// free_workers_total() and total_workers() are O(1) reads instead of
 /// O(executors) scans — they sit on utilization sampling and snapshot
-/// paths that used to serialize against grants.
+/// paths that used to wait behind grants.
 ///
-/// Mutations must be serialized by the owner (the sharded manager holds
+/// Mutations must be made one at a time by the owner (the sharded manager holds
 /// its shard's write lock). free_workers_total() and total_workers() may
 /// additionally be read without that lock: they are relaxed atomics, the
 /// values shard routing and work stealing decide on.

@@ -31,7 +31,7 @@
 //
 // One session per stream: two id spaces on one stream would corrupt the
 // manager's per-stream dedup table. Exactly one call() is outstanding at
-// a time (an internal FIFO mutex serializes callers), which also bounds
+// a time (an internal FIFO mutex queues callers), which also bounds
 // the manager-side dedup window a stream can ever need.
 #pragma once
 

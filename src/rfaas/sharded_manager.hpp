@@ -1,8 +1,8 @@
 // Sharded lease-allocation core of the resource manager (Sec. III-A at
 // 1000-executor scale).
 //
-// A single lock-protected registry serializes every grant, renew and
-// expiry sweep — fine for a rack, fatal for a fleet. This core splits the
+// A single lock-protected registry runs every grant, renew and expiry
+// sweep one at a time — fine for a rack, fatal for a fleet. This core splits the
 // executor population over N shards, each owning its own ExecutorRegistry
 // and Scheduler (the same pluggable policy interface of scheduler.hpp),
 // so the grant path only ever takes one shard's lock:
@@ -298,7 +298,7 @@ class ShardedResourceManager {
 
   /// Calls fn(global_executor_id, const ExecutorEntry&) for every
   /// registered executor, shard by shard under a shared (read) lock, so
-  /// concurrent grants on other threads are not serialized against the
+  /// concurrent grants on other threads do not wait behind the
   /// visit. The callback must not reenter the manager (collect, then
   /// act).
   template <typename Fn>

@@ -5,10 +5,6 @@
 
 namespace rfs::rmpi {
 
-int Rank::size() const { return world_.size(); }
-sim::Host& Rank::host() { return world_.host_of(rank_); }
-fabric::DeviceId Rank::device() const { return world_.device_of(rank_); }
-
 sim::Task<void> Rank::compute(Duration d) { return world_.host_of(rank_).compute(d); }
 
 void Rank::send(int dst, Bytes data) {

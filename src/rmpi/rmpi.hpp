@@ -23,9 +23,6 @@ class Rank {
   Rank(World& world, int rank) : world_(world), rank_(rank) {}
 
   [[nodiscard]] int rank() const { return rank_; }
-  [[nodiscard]] int size() const;
-  [[nodiscard]] sim::Host& host();
-  [[nodiscard]] fabric::DeviceId device() const;
 
   /// Occupies a core of the rank's host for `d` of virtual time.
   sim::Task<void> compute(Duration d);

@@ -59,10 +59,6 @@ Tensor Conv2d::forward(const Tensor& x) const {
   return y;
 }
 
-std::uint64_t Conv2d::flops(std::size_t out_h, std::size_t out_w) const {
-  return 2ull * out_channels * out_h * out_w * in_channels * kernel * kernel;
-}
-
 Linear::Linear(std::size_t in, std::size_t out, std::uint64_t seed)
     : in_features(in), out_features(out), weights(in * out), bias(out, 0.0f) {
   he_init(weights, in, seed);

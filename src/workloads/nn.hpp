@@ -47,7 +47,6 @@ struct Conv2d {
 
   Conv2d(std::size_t in, std::size_t out, std::size_t k, std::size_t s, std::uint64_t seed);
   [[nodiscard]] Tensor forward(const Tensor& x) const;
-  [[nodiscard]] std::uint64_t flops(std::size_t out_h, std::size_t out_w) const;
 };
 
 /// Fully connected layer.

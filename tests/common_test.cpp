@@ -1,9 +1,11 @@
 // Unit tests for the common utilities: statistics, base64, byte
-// serialization, CRC, PRNG determinism, units, the id window and the slot
-// index.
+// serialization, CRC, PRNG determinism, units, the id window, the slot
+// index and the bench table.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <numeric>
 #include <optional>
@@ -16,6 +18,7 @@
 #include "common/slot_index.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "common/table.hpp"
 #include "common/units.hpp"
 
 namespace rfs {
@@ -369,6 +372,31 @@ TEST(Rng, ExponentialMean) {
   OnlineStats os;
   for (int i = 0; i < 20000; ++i) os.add(rng.exponential(0.5));
   EXPECT_NEAR(os.mean(), 2.0, 0.1);
+}
+
+std::string json_of(const Table& table) {
+  char* buf = nullptr;
+  std::size_t len = 0;
+  std::FILE* out = open_memstream(&buf, &len);
+  table.print_json(out);
+  std::fclose(out);
+  std::string json(buf, len);
+  std::free(buf);
+  return json;
+}
+
+TEST(Table, ShortRowsArePaddedToTheHeader) {
+  Table table({"a", "b", "c"});
+  table.row({"1"});
+  table.row({"1", "2", "3"});
+  EXPECT_EQ(json_of(table),
+            "{\"columns\": [\"a\", \"b\", \"c\"], "
+            "\"rows\": [[\"1\", \"\", \"\"], [\"1\", \"2\", \"3\"]]}\n");
+}
+
+TEST(TableDeathTest, RowWiderThanTheHeaderAborts) {
+  Table table({"a", "b"});
+  EXPECT_DEATH(table.row({"1", "2", "3"}), "3 cells for 2 columns");
 }
 
 }  // namespace

@@ -6,13 +6,19 @@
 // across the outage re-validated or healed, executors re-attached in
 // place, and a zombie (isolated, not crashed) primary staying
 // consistent because its journal keeps replicating until it truly
-// dies. Labeled `ha` in CMake (`ctest -L ha`, scripts/check.sh --ha).
+// dies. Also checks that a standby's state and digest equal the
+// primary's after a drained churn run, and that the comparison fires on
+// a forged record. Labeled `ha` in CMake (`ctest -L ha`,
+// scripts/check.sh --ha).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "cluster/harness.hpp"
 #include "common/units.hpp"
+#include "rfaas/journal.hpp"
+#include "rfaas/replica.hpp"
 
 namespace rfs::cluster {
 namespace {
@@ -197,6 +203,59 @@ TEST(Failover, SecondFailoverUsesReattachedStandby) {
   EXPECT_EQ(trace.client_deaths, 0u);
   EXPECT_EQ(trace.double_grants, 0u);
   EXPECT_EQ(h.leaked_leases_after(3_s), 0u);
+}
+
+// The digest invariant at harness level, on fig20's no-failover shape:
+// a standby streamed from attach onward holds the primary's exact state
+// once the workload has drained. The negative half forges one Renew
+// onto the standby, correctly sequenced and chained, so the stream
+// checks pass it: the comparison, not the stream, must catch it.
+TEST(Failover, StandbyMatchesPrimaryAfterChurn) {
+  auto spec = ha_spec(/*executors=*/8, /*clients=*/8);
+  spec.config.manager_shards = 2;
+  spec.config.lease_processing = 250_us;
+  Harness h(spec);
+  h.start();
+  auto standby = h.attach_standby();
+  ASSERT_NE(standby, nullptr);
+
+  LeaseWorkload w = LeaseWorkload::churn(/*lease_timeout=*/2_s, /*seed=*/12);
+  w.workers_min = 1;
+  w.workers_max = 2;
+  w.memory_per_worker = 64ull << 20;
+  w.hold_min = 10_ms;
+  w.hold_max = 40_ms;
+  w.think_min = 5_ms;
+  w.think_max = 20_ms;
+  w.subscribe_events = true;
+  (void)h.run_lease_workload(w, /*horizon=*/4_s);
+
+  const rfaas::Journal& journal = *h.rm().core().journal();
+  ASSERT_GT(journal.last_seq(), 1024u);
+  EXPECT_EQ(h.leaked_leases_after(3 * w.lease_timeout), 0u);
+  const auto primary = h.rm().core().export_state();
+  EXPECT_TRUE(standby->export_state() == primary);
+  EXPECT_EQ(standby->export_state().digest(), primary.digest());
+  EXPECT_EQ(standby->applied_seq(), journal.last_seq());
+  EXPECT_EQ(h.rm().replication_errors(), 0u);
+
+  // A forged Renew needs a live lease: a short second burst leaves its
+  // clients mid-hold at the horizon.
+  (void)h.run_lease_workload(w, /*horizon=*/30_ms);
+  ASSERT_TRUE(standby->export_state() == h.rm().core().export_state());
+  const auto held = standby->export_state();
+  const auto shard = std::find_if(held.shards.begin(), held.shards.end(),
+                                  [](const auto& s) { return !s.leases.empty(); });
+  ASSERT_NE(shard, held.shards.end());
+  rfaas::JournalRecordMsg forged;
+  forged.seq = journal.last_seq() + 1;
+  forged.op = static_cast<std::uint8_t>(rfaas::journal::Op::Renew);
+  forged.lease_id = shard->leases.front().lease_id;
+  forged.time = shard->leases.front().expires_at + 1_s;
+  forged.checksum = rfaas::journal::chain_checksum(forged, journal.last_checksum());
+  ASSERT_TRUE(standby->apply(forged).ok());
+  EXPECT_FALSE(standby->export_state() == h.rm().core().export_state());
+  EXPECT_NE(standby->export_state().digest(), h.rm().core().export_state().digest());
 }
 
 }  // namespace
