@@ -1,5 +1,5 @@
 // Figure 15 (fast reclamation & self-healing): manager-initiated
-// LeaseTerminated, invoker re-allocation, and shard rebalancing.
+// LeasesTerminated, invoker re-allocation, and shard rebalancing.
 //
 // The paper's disaggregated model only works if the resource manager can
 // take leased compute back quickly (spot capacity vanishes, tenants
@@ -134,7 +134,7 @@ RebalanceResult run_rebalance() {
 
 void run() {
   banner("Figure 15 (fast reclamation & self-healing)",
-         "manager-initiated LeaseTerminated, invoker re-allocation, shard rebalancing");
+         "manager-initiated LeasesTerminated, invoker re-allocation, shard rebalancing");
 
   std::printf("part (a): eviction storm over a renewing lease workload, "
               "self-healing vs control...\n");

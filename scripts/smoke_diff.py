@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Checks that a change left every smoke-mode bench output byte-identical.
+"""Checks that a change left every smoke-mode bench and example output byte-identical.
 
     scripts/smoke_diff.py PARENT_BUILD CHANGE_BUILD [--out DIR]
 
@@ -10,14 +10,17 @@ each (<build>/bench/<name>) under RFS_SMOKE=1, writing the BENCH_*.json
 files to DIR/parent and DIR/change (default DIR: a new temp directory),
 and compares the two sets byte for byte. It then covers CI's chaos
 matrix the same way: fig19_chaos, fig20_failover and fig21_grayfailure
-run again at RFS_CHAOS_SEED 1 to 10, into DIR/<side>/seed<N>/.
+run again at RFS_CHAOS_SEED 1 to 10, into DIR/<side>/seed<N>/. Last,
+it runs the four examples (<build>/examples/<name>) and compares their
+stdout, saved as DIR/<side>/examples/<name>.out.
 
-The benches are deterministic virtual-time simulations, so any
-difference means the change moved modelled behaviour. The one exemption
-is fig16's wall-clock rows (host timings of the simulator itself): they
-are printed side by side and never fail the check. Any other difference,
-a file present on one side only, or a bench that exits non-zero makes
-the script exit 1. Python standard library only.
+The benches and examples are deterministic virtual-time simulations, so
+any difference means the change moved modelled behaviour. The one
+exemption is fig16's wall-clock rows (host timings of the simulator
+itself): they are printed side by side and never fail the check. Any
+other difference, a file present on one side only, or a bench or example
+that is missing or exits non-zero makes the script exit 1. Python
+standard library only.
 """
 
 import argparse
@@ -32,6 +35,7 @@ EXTRA_BENCHES = ("ablation_design_choices", "billing_accounting")
 # CI's chaos matrix: these benches run once per seed.
 CHAOS_BENCHES = ("fig19_chaos", "fig20_failover", "fig21_grayfailure")
 CHAOS_SEEDS = range(1, 11)
+EXAMPLES = ("quickstart", "parallel_offloading", "ml_inference_service", "hpc_jacobi")
 # Rows (by their first cell) that hold wall-clock measurements.
 WALL_CLOCK_ROWS = {
     "BENCH_fig16_hotpath.json": {"sweep-us", "reclaim-p99-us", "grant-us-per-op"},
@@ -60,6 +64,40 @@ def run_benches(build, names, out, extra_env=None):
             failures.append(f"{build}: {name} exited with {run.returncode} "
                             f"(log: {out / name}.log)")
     return failures
+
+
+def run_examples(build, out):
+    """Runs each example of `build`, its stdout into `out`; returns the failure messages."""
+    out.mkdir(parents=True, exist_ok=True)
+    failures = []
+    for name in EXAMPLES:
+        binary = build / "examples" / name
+        stdout_path = out / f"{name}.out"
+        stdout_path.unlink(missing_ok=True)  # an example that does not run must show
+        if not binary.is_file():
+            failures.append(f"{build}: example {name} is missing")
+            continue
+        with open(stdout_path, "wb") as stdout, open(out / f"{name}.log", "wb") as log:
+            run = subprocess.run([str(binary)], cwd=out, stdout=stdout, stderr=log, check=False)
+        if run.returncode != 0:
+            failures.append(f"{build}: example {name} exited with {run.returncode} "
+                            f"(stderr: {out / name}.log)")
+    return failures
+
+
+def compare_examples(parent_dir, change_dir):
+    """Compares the examples' saved stdout; returns (identical, failure messages)."""
+    identical = 0
+    failures = []
+    for name in EXAMPLES:
+        parent_out, change_out = parent_dir / f"{name}.out", change_dir / f"{name}.out"
+        if not parent_out.is_file() or not change_out.is_file():
+            continue  # reported by run_examples
+        if parent_out.read_bytes() == change_out.read_bytes():
+            identical += 1
+        else:
+            failures.append(f"examples/{name}.out: differs")
+    return identical, failures
 
 
 def compare_outputs(parent_dir, change_dir, label):
@@ -143,6 +181,12 @@ def main():
             failures += diffs
         print(f"{identical} of {total} chaos BENCH files byte-identical at "
               f"RFS_CHAOS_SEED {CHAOS_SEEDS.start}-{CHAOS_SEEDS.stop - 1}")
+
+    for side, build in sides.items():
+        failures += run_examples(build, out / side / "examples")
+    identical, diffs = compare_examples(out / "parent" / "examples", out / "change" / "examples")
+    failures += diffs
+    print(f"{identical} of {len(EXAMPLES)} example outputs byte-identical")
     for failure in failures:
         print(f"FAIL {failure}")
     return 1 if failures else 0

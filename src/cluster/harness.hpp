@@ -123,7 +123,7 @@ struct LeaseWorkload {
   /// Renew when remaining validity drops below this; 0 = timeout / 4.
   Duration renew_margin = 0;
   /// Open a notification stream (SubscribeEvents) so manager-initiated
-  /// LeaseTerminated pushes are observed and counted — the control arm
+  /// LeasesTerminated pushes are observed and counted — the control arm
   /// of the self-healing comparison subscribes without healing.
   bool subscribe_events = false;
   /// Self-healing: re-allocate terminated/expired leases transparently
@@ -158,7 +158,7 @@ struct LeaseCounters {
   std::uint64_t renewals = 0;           // successful ExtendLease round trips
   std::uint64_t renewal_failures = 0;   // refused / failed renewals
   std::uint64_t spurious_expiries = 0;  // held leases lost to expiry
-  std::uint64_t terminations = 0;       // manager-initiated LeaseTerminated
+  std::uint64_t terminations = 0;       // manager-initiated LeasesTerminated
   std::uint64_t reallocations = 0;      // lost leases replaced (self-healing)
   // Overload accounting (admission control + client retry budgets).
   std::uint64_t offered = 0;            // arrivals generated (open-loop offered load)
@@ -368,7 +368,7 @@ class Harness {
                                                    Duration duration, std::uint64_t seed = 99);
 
   /// Failure-injection knob: drains executor `index` — every lease it
-  /// hosts is terminated (LeaseTerminated to both sides) and it receives
+  /// hosts is terminated (LeasesTerminated to both sides) and it receives
   /// no further placements. Returns the number of evicted leases, or
   /// nullopt when the executor is not (or no longer) registered.
   std::optional<std::size_t> drain_executor(std::size_t index);

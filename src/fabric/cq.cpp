@@ -16,15 +16,6 @@ std::size_t CompletionQueue::poll(std::span<Wc> out) {
   return n;
 }
 
-sim::Task<Wc> CompletionQueue::wait_polling() {
-  while (ready_.empty()) {
-    co_await arrival_.wait();
-  }
-  Wc wc = ready_.front();
-  ready_.pop_front();
-  co_return wc;
-}
-
 sim::Task<std::size_t> CompletionQueue::wait_polling_many(std::span<Wc> out) {
   while (ready_.empty()) {
     co_await arrival_.wait();
@@ -32,47 +23,23 @@ sim::Task<std::size_t> CompletionQueue::wait_polling_many(std::span<Wc> out) {
   co_return poll(out);
 }
 
-sim::Task<Wc> CompletionQueue::wait_blocking() {
-  while (ready_.empty()) {
-    co_await arrival_.wait();
-  }
-  // The completion channel raised an event; the sleeping thread pays the
-  // interrupt + wake-up cost before it can drain the CQ.
-  co_await sim::delay(model_.blocking_wake_latency);
-  // More completions may have arrived during the wake-up; FIFO order is
-  // preserved because we pop from the front.
-  Wc wc = ready_.front();
-  ready_.pop_front();
-  co_return wc;
-}
-
-sim::Task<std::optional<Wc>> CompletionQueue::wait_polling_until(Time deadline) {
+sim::Task<std::optional<Wc>> CompletionQueue::wait(Time deadline, bool blocking) {
   if (ready_.empty()) {
-    add_deadline(deadline);
+    const bool bounded = deadline != sim::kNever;
+    if (bounded) add_deadline(deadline);
     do {
       co_await arrival_.wait();
     } while (ready_.empty() && deadline > expired_through_);
-    remove_deadline(deadline);
+    if (bounded) remove_deadline(deadline);
     if (ready_.empty()) co_return std::nullopt;
   }
-  Wc wc = ready_.front();
-  ready_.pop_front();
-  co_return wc;
-}
-
-sim::Task<std::optional<Wc>> CompletionQueue::wait_blocking_until(Time deadline) {
-  // Same deadline handling as wait_polling_until; only a real arrival pays
-  // the completion-channel wake-up.
-  if (ready_.empty()) {
-    add_deadline(deadline);
-    do {
-      co_await arrival_.wait();
-    } while (ready_.empty() && deadline > expired_through_);
-    remove_deadline(deadline);
+  if (blocking) {
+    // The completion channel raised an event; the sleeping thread pays
+    // the interrupt + wake-up cost before it can drain the CQ. More
+    // completions may arrive meanwhile; popping the front keeps FIFO order.
+    co_await sim::delay(model_.blocking_wake_latency);
     if (ready_.empty()) co_return std::nullopt;
   }
-  co_await sim::delay(model_.blocking_wake_latency);
-  if (ready_.empty()) co_return std::nullopt;  // raced away during wake-up
   Wc wc = ready_.front();
   ready_.pop_front();
   co_return wc;
@@ -80,7 +47,6 @@ sim::Task<std::optional<Wc>> CompletionQueue::wait_blocking_until(Time deadline)
 
 void CompletionQueue::push(const Wc& wc) {
   ready_.push_back(wc);
-  ++delivered_;
   arrival_.pulse();
 }
 

@@ -8,11 +8,12 @@
 //     `blocking_wake_latency` after CQE generation, modelling the
 //     interrupt + futex wake of ibv_get_cq_event. This is the warm path.
 //
-// Both have deadline-bounded forms, and one sim::Alarm serves all of a
-// CQ's deadline waits: it pulses the arrival event when the earliest
-// deadline among the waits in progress passes. A hot worker re-polls with
-// a fresh 500 ms deadline after each invocation, so a satisfied wait
-// leaves no event, frame or allocation behind.
+// Either wait takes an optional deadline and returns nullopt when no
+// completion arrives by it. One sim::Alarm serves all of a CQ's finite
+// deadlines: it pulses the arrival event when the earliest deadline among
+// the waits in progress passes. A hot worker re-polls with a fresh 500 ms
+// deadline after each invocation, so a satisfied wait leaves no event,
+// frame or allocation behind; a wait without a deadline never arms it.
 #pragma once
 
 #include <optional>
@@ -38,9 +39,27 @@ class CompletionQueue {
   /// Non-blocking poll: copies up to out.size() completions, returns count.
   std::size_t poll(std::span<Wc> out);
 
-  /// Busy-poll wait: resumes immediately when a CQE is (or becomes)
-  /// available. Returns the completion.
-  sim::Task<Wc> wait_polling();
+  /// Busy-poll wait: resumes at the exact virtual time a completion is
+  /// (or becomes) available and returns it. Returns nullopt when none
+  /// arrives by `deadline`, resuming exactly at the deadline; a completion
+  /// that arrives at the deadline instant still wins. Without a deadline
+  /// it always returns a completion. The hot worker's deadline is the
+  /// hot->warm rollback ("executors can roll back to warm executions
+  /// after a configurable time without a new invocation").
+  sim::Task<std::optional<Wc>> wait_polling(Time deadline = sim::kNever) {
+    return wait(deadline, false);
+  }
+
+  /// Blocking wait: like wait_polling, but a completion that arrives pays
+  /// the completion channel's wake-up latency before it is returned. A
+  /// deadline that passes first returns nullopt at the deadline itself
+  /// (nothing woke the thread), so an executor that died after the
+  /// request was submitted surfaces as a timeout instead of a stall. It
+  /// also returns nullopt, after the wake-up, when another consumer of
+  /// this CQ took the completion meanwhile.
+  sim::Task<std::optional<Wc>> wait_blocking(Time deadline = sim::kNever) {
+    return wait(deadline, true);
+  }
 
   /// Batched busy-poll wait: resumes at the exact virtual time the FIRST
   /// completion becomes available and drains everything ready at that
@@ -49,35 +68,17 @@ class CompletionQueue {
   /// <= out.size()).
   sim::Task<std::size_t> wait_polling_many(std::span<Wc> out);
 
-  /// Blocking wait: like wait_polling but adds the wake-up latency of the
-  /// completion channel before returning.
-  sim::Task<Wc> wait_blocking();
-
-  /// Busy-poll wait with a deadline: returns nullopt when no completion
-  /// arrives by `deadline`, resuming exactly at the deadline; a completion
-  /// that arrives at the deadline instant still wins. Used for the
-  /// hot->warm rollback of executor workers ("executors can roll back to
-  /// warm executions after a configurable time without a new invocation").
-  sim::Task<std::optional<Wc>> wait_polling_until(Time deadline);
-
-  /// Blocking wait with a deadline: completion-channel semantics (the
-  /// wake-up latency is charged on arrival) but returns nullopt when no
-  /// completion arrives by `deadline`, at the deadline itself (nothing
-  /// woke the thread). This is what lets an invocation deadline surface
-  /// as a timeout instead of blocking forever when the remote executor
-  /// died after the request was submitted.
-  sim::Task<std::optional<Wc>> wait_blocking_until(Time deadline);
-
   /// Pushes a completion (fabric internal).
   void push(const Wc& wc);
 
   [[nodiscard]] std::size_t depth() const { return ready_.size(); }
   [[nodiscard]] bool empty() const { return ready_.empty(); }
 
-  /// Completions delivered over the CQ's lifetime.
-  [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
-
  private:
+  /// Both waits: the deadline, when finite, is armed on the alarm; a
+  /// blocking wait charges the wake-up only for a completion that came.
+  sim::Task<std::optional<Wc>> wait(Time deadline, bool blocking);
+
   /// Records a deadline wait in progress and arms the alarm for it.
   void add_deadline(Time deadline);
   /// Forgets one deadline wait in progress.
@@ -89,7 +90,6 @@ class CompletionQueue {
   const NetworkModel& model_;
   sim::Fifo<Wc> ready_;
   sim::Event arrival_;
-  std::uint64_t delivered_ = 0;
   std::vector<Time> deadlines_;  // one entry per deadline wait in progress
   Time expired_through_ = 0;     // the alarm has pulsed for every deadline up to here
   sim::Alarm alarm_{[this](Time now) { return expire_deadlines(now); }};

@@ -33,14 +33,12 @@ Time Switch::reserve(DeviceId src, DeviceId dst, std::uint64_t bytes, Duration w
   if (src == dst) {
     Time start = std::max(now, s.tx_free);
     s.tx_free = start + ser;
-    total_bytes_ += bytes;
     return start + ser;
   }
 
   Time start = std::max({now, s.tx_free, d.rx_free > wire_latency ? d.rx_free - wire_latency : 0});
   s.tx_free = start + ser;
   d.rx_free = start + wire_latency + ser;
-  total_bytes_ += bytes;
   return start + wire_latency + ser;
 }
 

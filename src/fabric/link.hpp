@@ -38,9 +38,6 @@ class Switch {
   /// Fabric::create_device hands them out: the table is indexed by id.
   void add_endpoint(DeviceId id);
 
-  /// Total bytes that crossed the switch (both models).
-  [[nodiscard]] std::uint64_t total_bytes() const { return total_bytes_; }
-
  private:
   struct Endpoint {
     Time tx_free = 0;
@@ -53,7 +50,6 @@ class Switch {
   sim::Engine& engine_;
   NetworkModel model_;
   std::vector<Endpoint> endpoints_;  // by DeviceId
-  std::uint64_t total_bytes_ = 0;
 };
 
 }  // namespace rfs::fabric

@@ -1,6 +1,7 @@
 // Connection: a connected RC queue pair bundled with its completion
 // queues and post helpers — rFaaS's `rdmalib::Connection`. Hides the
-// verbs boilerplate from the platform layer.
+// verbs boilerplate from the platform layer; completions are consumed on
+// send_cq() and recv_cq() directly, in the mode the caller picks.
 #pragma once
 
 #include <memory>
@@ -59,25 +60,6 @@ class Connection {
   /// Posts an empty receive (used for WRITE_WITH_IMM notifications where
   /// data lands via rkey and the receive only carries the event).
   Status post_recv_empty(std::uint64_t wr_id) { return qp_->post_recv({wr_id, {}}); }
-
-  /// Completion helpers.
-  sim::Task<fabric::Wc> wait_recv_polling() { return recv_cq_->wait_polling(); }
-  sim::Task<fabric::Wc> wait_recv_blocking() { return recv_cq_->wait_blocking(); }
-  /// Deadline-bounded result waits: nullopt = nothing arrived in time.
-  /// The fix for the forever-hang when an executor dies after submit —
-  /// an invocation deadline surfaces as a timeout instead of a stall.
-  sim::Task<std::optional<fabric::Wc>> wait_recv_polling_until(Time deadline) {
-    return recv_cq_->wait_polling_until(deadline);
-  }
-  sim::Task<std::optional<fabric::Wc>> wait_recv_blocking_until(Time deadline) {
-    return recv_cq_->wait_blocking_until(deadline);
-  }
-  sim::Task<fabric::Wc> wait_send_polling() { return send_cq_->wait_polling(); }
-  sim::Task<fabric::Wc> wait_send_blocking() { return send_cq_->wait_blocking(); }
-  /// Batched busy-poll: one sweep drains every ready send completion.
-  sim::Task<std::size_t> wait_send_polling_many(std::span<fabric::Wc> out) {
-    return send_cq_->wait_polling_many(out);
-  }
 
   /// Tears the connection down; the peer sees errors on its next ops.
   void close();

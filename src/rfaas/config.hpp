@@ -228,7 +228,7 @@ struct Config {
 
   /// Tenant worker quota (0 = no quota policy). When a lease request is
   /// denied for lack of capacity, the manager evicts leases of tenants
-  /// holding more than this many workers (LeaseTerminated pushed to the
+  /// holding more than this many workers (LeasesTerminated pushed to the
   /// executor and the owning client) and retries the placement once —
   /// quota-pressure fast reclamation (docs/FAULT_TOLERANCE.md).
   std::uint32_t tenant_quota_workers = 0;

@@ -123,7 +123,7 @@ sim::Task<void> Worker::run() {
         // Hot: busy-poll the CQ; the core stays occupied and the polling
         // time is billed as Ch.
         const Time poll_start = mgr_.engine_.now();
-        auto wc = co_await conn_->recv_cq().wait_polling_until(poll_start + hot_timeout);
+        auto wc = co_await conn_->recv_cq().wait_polling(poll_start + hot_timeout);
         const Duration polled = mgr_.engine_.now() - poll_start;
         mgr_.account_hot_poll(sandbox_.client_id, polled);
         mgr_.host_.note_busy(polled);
@@ -144,15 +144,16 @@ sim::Task<void> Worker::run() {
         // Warm: block on the completion channel; pay wake-up + re-arm and
         // the local resource check with the allocator, then acquire the
         // core (rejecting under oversubscription, Fig. 6).
-        auto wc = co_await conn_->wait_recv_blocking();
+        auto wc = co_await conn_->recv_cq().wait_blocking();
         if (!running_) break;
-        if (wc.status != fabric::WcStatus::Success) break;
+        if (!wc.has_value()) continue;  // drained by another consumer during the wake-up
+        if (wc->status != fabric::WcStatus::Success) break;
         // The invocation's bytes already landed in recv_buf_; from here it
         // must run to completion even if a teardown starts concurrently.
         in_flight_ = true;
         co_await sim::delay(mgr_.config_.warm_rearm + mgr_.config_.warm_resource_check);
         holds_core_ = mgr_.host_.try_acquire_core();
-        co_await execute_and_reply(wc, false);
+        co_await execute_and_reply(*wc, false);
         in_flight_ = false;
         if (holds_core_) {
           if (sandbox_.policy == InvocationPolicy::Adaptive) {
@@ -265,7 +266,6 @@ sim::Task<void> Worker::execute_and_reply(const fabric::Wc& wc, bool hot) {
 
   // Hedge-loser cancellation parked on the manager beat us to dispatch.
   if (tag != 0 && mgr_.consume_cancel(tag)) {
-    ++mgr_.cancelled_drops_;
     rejected = true;
     dropped = true;
   }
@@ -276,7 +276,6 @@ sim::Task<void> Worker::execute_and_reply(const fabric::Wc& wc, bool hot) {
   // Executing now would be the classic retry double-execution; drop.
   if (!dropped && header.deadline != 0 &&
       mgr_.engine_.now() + compute + kDeadlineMargin > header.deadline) {
-    ++mgr_.deadline_drops_;
     rejected = true;
     dropped = true;
   }
@@ -302,7 +301,6 @@ sim::Task<void> Worker::execute_and_reply(const fabric::Wc& wc, bool hot) {
     std::memcpy(out_buf_->raw(), dup->output.data(), out_len);
     reply_csum = dup->checksum12;
     rejected = false;
-    ++mgr_.dedup_replays_;
     ++served_;
   } else if (!rejected && code != nullptr) {
     if (mgr_.worker_faults_ != nullptr) (void)mgr_.worker_faults_->note_execution(tag);
@@ -320,8 +318,6 @@ sim::Task<void> Worker::execute_and_reply(const fabric::Wc& wc, bool hot) {
     if (header.checksum != 0) reply_csum = fold12(payload_checksum(out_buf_->raw(), out_len));
     if (tag != 0) mgr_.dedup_record(tag, reply_csum, out_buf_->raw(), out_len);
     if (fault.corrupt) mgr_.worker_faults_->corrupt({out_buf_->raw(), out_len});
-  } else {
-    ++rejected_;
   }
 
   // Re-post the receive before replying so the next request finds it.
@@ -339,9 +335,9 @@ sim::Task<void> Worker::execute_and_reply(const fabric::Wc& wc, bool hot) {
     log::warn("worker", "result write failed: ", st.error().message);
     co_return;
   }
-  auto send_wc = co_await conn_->wait_send_polling();
-  if (send_wc.status != fabric::WcStatus::Success) {
-    log::debug("worker", "result delivery failed: ", to_string(send_wc.status));
+  auto send_wc = co_await conn_->send_cq().wait_polling();
+  if (send_wc->status != fabric::WcStatus::Success) {
+    log::debug("worker", "result delivery failed: ", to_string(send_wc->status));
   }
 }
 
@@ -627,7 +623,7 @@ sim::Task<AllocationReplyMsg> ExecutorManager::allocate_sandbox(const Allocation
 
   // Sandbox creation (process start or container boot with SR-IOV).
   co_await sim::delay(config_.sandbox(sb.type).spawn_latency);
-  // A LeaseTerminated (drain, quota, rebalance) may have torn the still
+  // A LeasesTerminated (drain, quota, rebalance) may have torn the still
   // empty sandbox down meanwhile: its workers would wait for a client
   // connection that run_rdma_accept() refuses, and never be freed.
   if (sb.dead) {
@@ -1004,17 +1000,13 @@ sim::Task<bool> ExecutorManager::register_session(fabric::DeviceId rm_device,
         if (sb->dead || sb->lease_id != renewed.value().lease_id) continue;
         sb->expires_at = std::max(sb->expires_at, renewed.value().expires_at);
       }
-    } else if (type.value() == MsgType::LeaseTerminated) {
-      // Manager-initiated reclamation: the lease is already gone on the
-      // manager side; tear its sandboxes down now instead of waiting for
-      // the (possibly renewed) expiry timer. No ReleaseResources back —
-      // the manager returned the capacity when it evicted.
-      auto term = decode_lease_terminated(*msg);
-      if (!term) continue;
-      reclaim_lease(term.value().lease_id);
     } else if (type.value() == MsgType::LeasesTerminated) {
-      // Batched form: one message carries every lease the manager evicted
-      // from this executor in one sweep.
+      // Manager-initiated reclamation: the leases are already gone on the
+      // manager side; tear their sandboxes down now instead of waiting for
+      // the (possibly renewed) expiry timer. No ReleaseResources back —
+      // the manager returned the capacity when it evicted. One message
+      // carries every lease the manager evicted from this executor in one
+      // sweep.
       auto term = decode_leases_terminated(*msg);
       if (!term) continue;
       for (auto lease_id : term.value().lease_ids) reclaim_lease(lease_id);
@@ -1099,7 +1091,7 @@ sim::Task<void> ExecutorManager::flush_billing() {
     std::array<fabric::Wc, 3> wcs;
     while (drained < n) {
       const std::size_t got =
-          co_await rm_conn_->wait_send_polling_many({wcs.data(), n - drained});
+          co_await rm_conn_->send_cq().wait_polling_many({wcs.data(), n - drained});
       for (std::size_t k = 0; k < got; ++k) {
         if (wcs[k].status != fabric::WcStatus::Success) failed = true;
       }

@@ -80,8 +80,6 @@ class Worker {
 
   [[nodiscard]] bool connected() const { return conn_ != nullptr; }
   [[nodiscard]] std::uint32_t index() const { return index_; }
-  [[nodiscard]] std::uint64_t served() const { return served_; }
-  [[nodiscard]] std::uint64_t rejections() const { return rejected_; }
   [[nodiscard]] bool hot() const { return hot_; }
   /// True once an injected stuck-sandbox fault wedged this worker: its
   /// invocation will never complete, so teardown must not wait for it
@@ -111,8 +109,7 @@ class Worker {
   bool holds_core_ = false;
   bool in_flight_ = false;  // an accepted invocation is executing
   bool wedged_ = false;     // injected stuck fault: never completes
-  std::uint64_t served_ = 0;
-  std::uint64_t rejected_ = 0;
+  std::uint64_t served_ = 0;  // invocations answered; numbers the receive work requests
 };
 
 /// An isolated execution context hosting one executor process with N
@@ -241,14 +238,6 @@ class ExecutorManager {
   /// Wires the seeded executor-fault injector (chaos harness). nullptr
   /// (the default) means no injected worker faults.
   void set_worker_faults(net::WorkerFaultInjector* faults) { worker_faults_ = faults; }
-  /// Invocations replayed from the dedup table instead of re-executing
-  /// (retries/hedges of an already-executed tag).
-  [[nodiscard]] std::uint64_t dedup_replays() const { return dedup_replays_; }
-  /// Invocations dropped because their client-side deadline had already
-  /// passed (or could not be met) at dispatch.
-  [[nodiscard]] std::uint64_t deadline_drops() const { return deadline_drops_; }
-  /// Invocations suppressed by a hedge-loser cancel that arrived first.
-  [[nodiscard]] std::uint64_t cancelled_drops() const { return cancelled_drops_; }
 
  private:
   friend class Worker;
@@ -361,8 +350,8 @@ class ExecutorManager {
   std::uint64_t billing_addr_ = 0;
   std::uint32_t billing_rkey_ = 0;
   std::unique_ptr<rdmalib::Buffer<std::uint64_t>> billing_scratch_;
-  // Serializes flush_billing bodies: the batched completion sweep
-  // (wait_send_polling_many) must not drain CQEs a concurrent flush
+  // Serializes flush_billing bodies: the batched completion sweep (the
+  // send CQ's wait_polling_many) must not drain CQEs a concurrent flush
   // posted, so concurrent flushes take turns on the shared billing QP.
   sim::Mutex billing_flush_gate_;
   /// Session to the resource manager: registration and teardown releases
@@ -387,9 +376,6 @@ class ExecutorManager {
   static constexpr std::size_t kCancelWindow = 256;
   std::unordered_set<std::uint64_t> cancelled_tags_;
   sim::Fifo<std::uint64_t> cancel_fifo_;
-  std::uint64_t dedup_replays_ = 0;
-  std::uint64_t deadline_drops_ = 0;
-  std::uint64_t cancelled_drops_ = 0;
 };
 
 }  // namespace rfs::rfaas

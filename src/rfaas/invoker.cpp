@@ -259,34 +259,7 @@ void LeaseSet::maybe_heal(const std::shared_ptr<State>& state, std::uint64_t old
   sim::spawn(*state->engine, heal(state, old_id, lost));
 }
 
-namespace {
-
-/// Reacts to one terminated-lease push: loss accounting, the holder's
-/// callback, and (when enabled) the self-healing re-allocation. Shared by
-/// the single-lease and the batched (LeasesTerminated) push forms.
-template <typename StatePtr, typename HealFn>
-void apply_termination(const StatePtr& state, std::uint64_t lease_id, std::uint8_t reason,
-                       Time evicted_at, HealFn&& heal) {
-  // A push for an untracked lease is stale: the holder released it, or
-  // a refused renewal already lost it (and started its heal).
-  auto it = state->leases.find(lease_id);
-  if (it == state->leases.end()) return;
-  const auto lost = it->second;
-  state->leases.erase(it);
-  ++state->terminations;
-  ++state->losses;
-  if (state->terminated_fn) {
-    state->terminated_fn(lease_id, static_cast<TerminationReason>(reason), evicted_at);
-  }
-  heal(lease_id, lost);
-}
-
-}  // namespace
-
 void LeaseSet::handle_notification(const std::shared_ptr<State>& state, const Bytes& raw) {
-  auto heal = [&state](std::uint64_t id, const Tracked& lost) {
-    maybe_heal(state, id, lost);
-  };
   auto type = peek_type(raw);
   if (type.ok() && type.value() == MsgType::FailoverAnnounce) {
     // A promoted standby took over the manager role: nothing this client
@@ -298,21 +271,24 @@ void LeaseSet::handle_notification(const std::shared_ptr<State>& state, const By
     sim::spawn(*state->engine, revalidate_all(state));
     return;
   }
-  if (type.ok() && type.value() == MsgType::LeasesTerminated) {
-    // Batched push: one message per sweep carries every lease of this
-    // client the manager evicted together.
-    auto batch = decode_leases_terminated(raw);
-    if (!batch) return;
-    for (auto lease_id : batch.value().lease_ids) {
-      apply_termination(state, lease_id, batch.value().reason, batch.value().evicted_at,
-                        heal);
-    }
-    return;
-  }
-  auto term = decode_lease_terminated(raw);
+  // One message per sweep carries every lease of this client the manager
+  // evicted together: each costs loss accounting, the holder's callback
+  // and (when enabled) the self-healing re-allocation.
+  auto term = decode_leases_terminated(raw);
   if (!term) return;
-  apply_termination(state, term.value().lease_id, term.value().reason,
-                    term.value().evicted_at, heal);
+  const auto reason = static_cast<TerminationReason>(term.value().reason);
+  for (auto lease_id : term.value().lease_ids) {
+    // A push for an untracked lease is stale: the holder released it, or
+    // a refused renewal already lost it (and started its heal).
+    auto it = state->leases.find(lease_id);
+    if (it == state->leases.end()) continue;
+    const auto lost = it->second;
+    state->leases.erase(it);
+    ++state->terminations;
+    ++state->losses;
+    if (state->terminated_fn) state->terminated_fn(lease_id, reason, term.value().evicted_at);
+    maybe_heal(state, lease_id, lost);
+  }
 }
 
 sim::Task<void> LeaseSet::push_loop(std::shared_ptr<State> state,
@@ -619,7 +595,7 @@ sim::Task<Status> Invoker::allocate(const AllocationSpec& spec) {
 
   if (spec.self_heal) {
     // Self-healing: a dedicated notification stream carries the
-    // manager's LeaseTerminated pushes, and a re-allocated lease gets
+    // manager's LeasesTerminated pushes, and a re-allocated lease gets
     // its sandbox redeployed with the spec of the allocate() call that
     // created it (looked up by the lost lease's id).
     // Both callbacks look the spec up under the grant they chain off:
@@ -972,46 +948,39 @@ sim::Task<InvocationResult> Invoker::attempt(std::size_t worker, std::uint16_t f
     co_return result;
   }
 
+  // The client's mode (busy-poll or completion channel) consumes both
+  // completions.
+  auto wait = [this](fabric::CompletionQueue& cq, Time until) {
+    return polling_client_ ? cq.wait_polling(until) : cq.wait_blocking(until);
+  };
+
   // Drain our own send completion (error => connection died).
-  auto send_wc = polling_client_ ? co_await w.conn->wait_send_polling()
-                                 : co_await w.conn->wait_send_blocking();
-  if (send_wc.status != fabric::WcStatus::Success) {
+  auto send_wc = co_await wait(w.conn->send_cq(), sim::kNever);
+  if (!send_wc.has_value() || send_wc->status != fabric::WcStatus::Success) {
     result.completed_at = engine_.now();
     co_return result;
   }
 
-  fabric::Wc wc;
-  if (deadline != 0) {
-    // Deadline-bounded wait: an executor that crashed or wedged after
-    // the submit surfaces as a timeout instead of blocking forever.
-    std::optional<fabric::Wc> maybe;
-    if (polling_client_) {
-      maybe = co_await w.conn->wait_recv_polling_until(deadline);
-    } else {
-      maybe = co_await w.conn->wait_recv_blocking_until(deadline);
-    }
-    if (!maybe.has_value()) {
-      result.timed_out = true;
-      result.completed_at = engine_.now();
-      co_return result;
-    }
-    wc = *maybe;
-  } else if (polling_client_) {
-    wc = co_await w.conn->wait_recv_polling();
-  } else {
-    wc = co_await w.conn->wait_recv_blocking();
+  // The FT deadline bounds the result wait: an executor that crashed or
+  // wedged after the submit surfaces as a timeout instead of blocking
+  // forever.
+  auto wc = co_await wait(w.conn->recv_cq(), deadline != 0 ? deadline : sim::kNever);
+  if (!wc.has_value()) {
+    result.timed_out = true;
+    result.completed_at = engine_.now();
+    co_return result;
   }
   co_await sim::delay(config_.client_completion);
   result.completed_at = engine_.now();
-  if (wc.status != fabric::WcStatus::Success || !wc.has_imm) co_return result;
-  const InvocationResponse resp = decode_invocation_response(wc);
+  if (wc->status != fabric::WcStatus::Success || !wc->has_imm) co_return result;
+  const InvocationResponse resp = decode_invocation_response(*wc);
   if (resp.invocation_id != invocation_id) {
     // With FT on, a reaped worker's stale completion can legitimately
     // surface here (the abandoned attempt's reply raced the reap).
     if (tag == 0) {
-      log::warn("invoker", "immediate mismatch: got ", wc.imm, " expected ", invocation_id);
+      log::warn("invoker", "immediate mismatch: got ", wc->imm, " expected ", invocation_id);
     } else {
-      log::debug("invoker", "stale immediate: got ", wc.imm, " expected ", invocation_id);
+      log::debug("invoker", "stale immediate: got ", wc->imm, " expected ", invocation_id);
     }
     co_return result;
   }
@@ -1099,7 +1068,7 @@ sim::Task<void> Invoker::reap_worker(std::size_t widx) {
   constexpr Duration kReapGrace = 50_ms;
   WorkerRef& w = workers_[widx];
   if (w.conn == nullptr || !w.conn->alive()) co_return;  // dead: stays out
-  auto late = co_await w.conn->wait_recv_polling_until(engine_.now() + kReapGrace);
+  auto late = co_await w.conn->recv_cq().wait_polling(engine_.now() + kReapGrace);
   if (!late.has_value()) co_return;  // nothing came: wedged/stuck, keep out
   if (late->status != fabric::WcStatus::Success) co_return;  // flushed: dead
   if (w.conn == nullptr || !w.conn->alive()) co_return;

@@ -46,7 +46,7 @@ struct LeaseSetOptions {
   /// Extension requested per renewal; 0 = the lease's original timeout.
   Duration extension = 0;
   /// Self-healing: when a tracked lease is terminated by the manager
-  /// (LeaseTerminated push) or lost to expiry/refused renewal, request a
+  /// (LeasesTerminated push) or lost to expiry/refused renewal, request a
   /// replacement lease of the same shape instead of surfacing a dead
   /// allocation. A replacement grant smaller than the lost lease does
   /// not end the heal: the remainder is re-requested until the lost
@@ -160,7 +160,7 @@ class LeaseSet {
   /// Opens the termination-push channel: sends SubscribeEvents for
   /// `client_id` on `notify_session` (a dedicated connection to the
   /// resource manager — pushes never share the request stream) and
-  /// spawns a listener reacting to LeaseTerminated; the session's pump
+  /// spawns a listener reacting to LeasesTerminated; the session's pump
   /// filters duplicated pushes (by seq) first. Enables self-healing
   /// re-allocation when the options ask for it.
   void subscribe(std::shared_ptr<Session> notify_session, std::uint32_t client_id);
@@ -256,7 +256,7 @@ class LeaseSet {
   /// Tracked leases that reached their deadline without a successful
   /// renewal — each one is a spurious expiry from the holder's view.
   [[nodiscard]] std::uint64_t expiries() const;
-  /// Manager-initiated LeaseTerminated pushes received for tracked leases.
+  /// Manager-initiated LeasesTerminated pushes received for tracked leases.
   [[nodiscard]] std::uint64_t terminations() const;
   /// Tracked leases lost involuntarily (terminated, expired, or renewal
   /// refused) — the denominator of the self-healing survival rate.

@@ -108,8 +108,8 @@ enum class MsgType : std::uint8_t {
   DeallocateOk,
   Heartbeat,            // resource manager -> executor manager
   HeartbeatAck,
-  LeaseTerminated,      // resource manager -> client (fast reclamation)
-  ReleaseResources,     // executor manager -> resource manager (early return)
+  // 13 stays unassigned (a retired push): wire type numbers are never reused.
+  ReleaseResources = 14,  // executor manager -> resource manager (early return)
   ExtendLease,          // client -> resource manager (renew before expiry)
   ExtendOk,
   BatchAllocate,        // client -> resource manager (multi-lease, one trip)
@@ -138,9 +138,8 @@ enum class MsgType : std::uint8_t {
 // request instead of executing it twice (no double-grants). The field is
 // always on the wire and id 0 is no session's id: the manager refuses an
 // id-0 request with a LeaseError without executing it. Push
-// notifications (LeaseTerminated/LeasesTerminated) carry a per-stream
-// sequence number instead, so duplicated deliveries are counted and
-// ignored client-side.
+// notifications (LeasesTerminated) carry a per-stream sequence number
+// instead, so duplicated deliveries are counted and ignored client-side.
 // ---------------------------------------------------------------------------
 
 /// Worker polling policy of an allocation.
@@ -360,28 +359,16 @@ enum class TerminationReason : std::uint8_t {
   Rebalance,      ///< hosting executor migrated to another shard
 };
 
-/// Fast reclamation (Sec. III-B): the manager terminates a live lease and
-/// pushes this to both sides — the hosting executor tears the sandbox
+/// Fast reclamation (Sec. III-B): the manager terminates live leases and
+/// pushes this to both sides — the hosting executor tears the sandboxes
 /// down, the owning client (on its notification stream, see
-/// SubscribeEventsMsg) untracks the lease and, with self-healing enabled,
-/// transparently re-allocates. `evicted_at` is the manager's decision
-/// timestamp, so receivers can report end-to-end reclamation latency.
-struct LeaseTerminatedMsg {
-  static constexpr MsgType kType = MsgType::LeaseTerminated;
-  std::uint64_t lease_id = 0;
-  std::uint8_t reason = 0;  ///< TerminationReason
-  Time evicted_at = 0;      ///< when the manager made the eviction decision
-  std::uint64_t seq = 0;    ///< per-stream push sequence, from 1
-
-  static auto fields(auto& m) { return std::tie(m.lease_id, m.reason, m.evicted_at, m.seq); }
-};
-
-/// Coalesced fast reclamation: one eviction sweep may terminate many
-/// leases owned by the same client (or hosted on the same executor).
-/// Pushing them in a single message keeps reclamation storms at one
-/// notification per stream per sweep instead of one per lease. Reason
-/// and decision timestamp are shared — a sweep has one cause and one
-/// decision point.
+/// SubscribeEventsMsg) untracks the leases and, with self-healing
+/// enabled, transparently re-allocates. One eviction sweep pushes one
+/// message per stream, carrying every lease of that stream it evicted
+/// (one or many), so reclamation storms cost one notification per stream
+/// per sweep instead of one per lease. Reason and decision timestamp are
+/// shared — a sweep has one cause and one decision point; `evicted_at`
+/// lets receivers report end-to-end reclamation latency.
 struct LeasesTerminatedMsg {
   static constexpr MsgType kType = MsgType::LeasesTerminated;
   std::uint8_t reason = 0;  ///< TerminationReason
@@ -393,7 +380,7 @@ struct LeasesTerminatedMsg {
 };
 
 /// Opens a notification stream: the client sends this once on a dedicated
-/// connection and then only receives pushes (LeaseTerminated) for leases
+/// connection and then only receives pushes (LeasesTerminated) for leases
 /// owned by `client_id`. Keeping pushes off the request stream preserves
 /// its strict request-response discipline.
 struct SubscribeEventsMsg {
@@ -434,16 +421,19 @@ struct JournalRecordMsg {
 /// Header of a snapshot transfer to a (re)attaching standby: the state it
 /// is about to install covers the journal up to `upto_seq`, and `digest`
 /// must match the installed state's digest — a torn or stale snapshot is
-/// rejected before any record is replayed on top of it.
+/// rejected before any record is replayed on top of it. `chain_checksum`
+/// seeds the standby's checksum chain, so the first record streamed on
+/// top of the snapshot is verified like every later one.
 struct SnapshotOfferMsg {
   static constexpr MsgType kType = MsgType::SnapshotOffer;
-  std::uint32_t manager_epoch = 0; ///< epoch of the snapshotting primary
-  std::uint64_t upto_seq = 0;      ///< journal position the snapshot covers
-  std::uint64_t digest = 0;        ///< ManagerState::digest() of the snapshot
-  std::uint64_t lease_count = 0;   ///< live leases in the snapshot (sanity)
+  std::uint32_t manager_epoch = 0;  ///< epoch of the snapshotting primary
+  std::uint64_t upto_seq = 0;       ///< journal position the snapshot covers
+  std::uint64_t digest = 0;         ///< ManagerState::digest() of the snapshot
+  std::uint64_t lease_count = 0;    ///< live leases in the snapshot (sanity)
+  std::uint64_t chain_checksum = 0; ///< journal chain value at upto_seq
 
   static auto fields(auto& m) {
-    return std::tie(m.manager_epoch, m.upto_seq, m.digest, m.lease_count);
+    return std::tie(m.manager_epoch, m.upto_seq, m.digest, m.lease_count, m.chain_checksum);
   }
 };
 
@@ -653,7 +643,6 @@ std::size_t encode_into(const M& m, std::uint8_t* out, std::size_t capacity) {
   X(BatchAllocate, decode_batch_allocate)         \
   X(BatchGranted, decode_batch_granted)           \
   X(LeaseRenewed, decode_lease_renewed)           \
-  X(LeaseTerminated, decode_lease_terminated)     \
   X(LeasesTerminated, decode_leases_terminated)   \
   X(SubscribeEvents, decode_subscribe_events)     \
   X(LeaseDenied, decode_lease_denied)             \

@@ -31,8 +31,7 @@ Status StandbyReplica::install_snapshot(const ShardedResourceManager::ManagerSta
   if (auto restored = fresh->restore_state(state, now); !restored) return restored;
   core_ = std::move(fresh);
   applied_seq_ = offer.upto_seq;
-  chain_known_ = offer.upto_seq == 0;  // genesis chain seeds at 0
-  last_checksum_ = 0;
+  last_checksum_ = offer.chain_checksum;
   snapshot_epoch_ = offer.manager_epoch;
   return Status::success();
 }
@@ -43,15 +42,8 @@ Status StandbyReplica::apply(const JournalRecordMsg& record) {
   if (record.seq != applied_seq_ + 1) {
     return Error::make(53, "replica: journal seq gap (lost records)");
   }
-  if (chain_known_) {
-    if (record.checksum != journal::chain_checksum(record, last_checksum_)) {
-      return Error::make(54, "replica: journal checksum chain mismatch (corruption)");
-    }
-  } else {
-    // First record on top of a snapshot: the chain value at the snapshot
-    // boundary is unknown, so this record seeds it (trust-on-first-use;
-    // everything after is fully verified).
-    chain_known_ = true;
+  if (record.checksum != journal::chain_checksum(record, last_checksum_)) {
+    return Error::make(54, "replica: journal checksum chain mismatch (corruption)");
   }
   if (auto applied = core_->apply(record); !applied) return applied;
   applied_seq_ = record.seq;

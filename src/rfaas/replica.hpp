@@ -36,17 +36,17 @@ class StandbyReplica {
   explicit StandbyReplica(const Config& config);
 
   /// Installs a snapshot: verifies the offer's digest and lease count
-  /// against `state`, rebuilds the core from scratch and fast-forwards
-  /// the applied cursor to offer.upto_seq. A torn or stale snapshot
-  /// (digest mismatch) is rejected without touching the current state.
+  /// against `state`, rebuilds the core from scratch, fast-forwards the
+  /// applied cursor to offer.upto_seq and seeds the checksum chain from
+  /// offer.chain_checksum. A torn or stale snapshot (digest mismatch) is
+  /// rejected without touching the current state.
   Status install_snapshot(const ShardedResourceManager::ManagerState& state,
                           const SnapshotOfferMsg& offer, Time now);
 
   /// Applies one record: checks seq continuity (records already covered
   /// by the snapshot or an earlier apply are benign duplicates; a gap is
-  /// an error), verifies the checksum chain, applies the delta. After a
-  /// snapshot install the chain re-seeds from the first record streamed
-  /// on top of it.
+  /// an error), verifies the checksum chain, applies the delta. Every
+  /// record's chain is verified, the first one on top of a snapshot too.
   Status apply(const JournalRecordMsg& record);
 
   /// Decodes one wire-encoded JournalRecord frame and applies it (the
@@ -77,12 +77,9 @@ class StandbyReplica {
   std::unique_ptr<ShardedResourceManager> core_;
   mutable std::mutex mu_;
   std::uint64_t applied_seq_ = 0;
+  /// Chain value after applied_seq_: 0 from genesis, the offer's
+  /// chain_checksum after a snapshot install.
   std::uint64_t last_checksum_ = 0;
-  /// True while last_checksum_ is the verified chain value. From-genesis
-  /// replicas start true (seed 0); a snapshot install clears it (the
-  /// chain value at upto_seq is unknown) and the first streamed record
-  /// re-seeds it.
-  bool chain_known_ = true;
   std::uint32_t snapshot_epoch_ = 0;
 };
 

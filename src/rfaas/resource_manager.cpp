@@ -93,6 +93,7 @@ Status ResourceManager::attach_standby(std::shared_ptr<StandbyReplica> standby) 
   SnapshotOfferMsg offer;
   offer.manager_epoch = manager_epoch_;
   offer.upto_seq = journal->last_seq();
+  offer.chain_checksum = journal->last_checksum();
   const auto state = core_.export_state();
   offer.digest = state.digest();
   for (const auto& shard : state.shards) offer.lease_count += shard.leases.size();
@@ -452,7 +453,6 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
         auto msg = decode_health_report(*raw);
         if (!msg) break;
         if (replay_duplicate(msg.value().request_id)) break;
-        ++health_reports_;
         const std::uint32_t trips = ++health_trip_counts_[msg.value().device];
         auto executor = core_.find_executor_by_device(msg.value().device);
         if (executor && !core_.draining(*executor)) {
@@ -604,25 +604,15 @@ void ResourceManager::notify_evictions(
 
   for (auto& dest : dests) {
     ++notification_messages_;
+    LeasesTerminatedMsg msg;
+    msg.reason = static_cast<std::uint8_t>(reason);
+    msg.evicted_at = now;
+    msg.lease_ids = std::move(dest.lease_ids);
     // Per-stream push sequence: a duplicated delivery carries the same
     // seq and is filtered by the receiving session before it can tear a
     // sandbox down (or run a client's recovery) twice.
-    const std::uint64_t seq = ++push_seqs_[dest.stream.get()];
-    if (dest.lease_ids.size() == 1) {
-      LeaseTerminatedMsg msg;
-      msg.lease_id = dest.lease_ids.front();
-      msg.reason = static_cast<std::uint8_t>(reason);
-      msg.evicted_at = now;
-      msg.seq = seq;
-      dest.stream->send(encode(msg));
-    } else {
-      LeasesTerminatedMsg msg;
-      msg.reason = static_cast<std::uint8_t>(reason);
-      msg.evicted_at = now;
-      msg.lease_ids = std::move(dest.lease_ids);
-      msg.seq = seq;
-      dest.stream->send(encode(msg));
-    }
+    msg.seq = ++push_seqs_[dest.stream.get()];
+    dest.stream->send(encode(msg));
   }
 }
 

@@ -108,7 +108,7 @@ class ResourceManager {
   // ---- Manager-initiated reclamation (docs/FAULT_TOLERANCE.md) ----
 
   /// Terminates the given leases ahead of their deadlines: capacity
-  /// returns to the pool immediately and LeaseTerminated is pushed to
+  /// returns to the pool immediately and LeasesTerminated is pushed to
   /// each hosting executor (sandbox teardown) and each owning client's
   /// notification stream. Returns how many leases were actually live.
   std::size_t evict_leases(const std::vector<std::uint64_t>& lease_ids,
@@ -153,9 +153,6 @@ class ResourceManager {
   /// device (stale-session fencing).
   [[nodiscard]] std::uint64_t fenced_registrations() const { return fenced_registrations_; }
 
-  /// Client HealthReport messages processed (each one = a circuit-breaker
-  /// trip some client observed against an executor).
-  [[nodiscard]] std::uint64_t health_reports() const { return health_reports_; }
   /// Executors drained because their trip count reached
   /// kQuarantineTrips.
   [[nodiscard]] std::uint64_t quarantined_executors() const { return quarantined_executors_; }
@@ -169,8 +166,8 @@ class ResourceManager {
 
   /// Pushes termination notices to each hosting executor's registration
   /// stream and each owning client's notification stream. Notices to the
-  /// same stream coalesce into one LeasesTerminated message per sweep (a
-  /// single eviction keeps the legacy LeaseTerminated form).
+  /// same stream coalesce into one LeasesTerminated message per sweep,
+  /// whether it carries one lease or many.
   void notify_evictions(const std::vector<ShardedResourceManager::Eviction>& evictions,
                         TerminationReason reason);
 
@@ -215,7 +212,7 @@ class ResourceManager {
   std::vector<std::unique_ptr<sim::Mutex>> grant_gates_;
 
   /// Notification streams by client id (SubscribeEvents): where
-  /// LeaseTerminated pushes for that tenant's leases go.
+  /// LeasesTerminated pushes for that tenant's leases go.
   std::map<std::uint32_t, std::shared_ptr<net::TcpStream>> subscribers_;
   /// Current executor id per registration stream. Rebalance migrations
   /// re-tag an executor's id, so heartbeat acks and disconnects resolve
@@ -251,9 +248,8 @@ class ResourceManager {
   std::uint64_t fenced_registrations_ = 0;
 
   /// Gray-failure quarantine state: breaker-trip reports per device (the
-  /// trigger counts trips, not raw failures) and the report/drain tallies.
+  /// trigger counts trips, not raw failures) and the drain tally.
   std::map<std::uint32_t, std::uint32_t> health_trip_counts_;
-  std::uint64_t health_reports_ = 0;
   std::uint64_t quarantined_executors_ = 0;
 
   /// Failover state: the manager epoch every promotion bumps, and every

@@ -8,18 +8,12 @@ namespace rfs::rfaas {
 
 namespace {
 
-/// The seq of an eviction push (LeaseTerminated/LeasesTerminated), 0 when
-/// it does not decode; nullopt for every other push type.
+/// The seq of an eviction push (LeasesTerminated), 0 when it does not
+/// decode; nullopt for every other push type.
 std::optional<std::uint64_t> eviction_seq(MsgType type, const Bytes& msg) {
-  if (type == MsgType::LeaseTerminated) {
-    auto m = decode_lease_terminated(msg);
-    return m ? m.value().seq : 0;
-  }
-  if (type == MsgType::LeasesTerminated) {
-    auto m = decode_leases_terminated(msg);
-    return m ? m.value().seq : 0;
-  }
-  return std::nullopt;
+  if (type != MsgType::LeasesTerminated) return std::nullopt;
+  auto m = decode_leases_terminated(msg);
+  return m ? m.value().seq : 0;
 }
 
 }  // namespace
@@ -67,7 +61,6 @@ Time Session::retransmit_due(State& st, Time now) {
 sim::Task<Result<Bytes>> Session::call(Bytes request, std::uint64_t request_id) {
   auto st = state_;
   co_await st->call_mutex.lock();
-  ++st->calls;
   st->waiting = true;
   st->pending_id = request_id;
   st->pending_reply.reset();

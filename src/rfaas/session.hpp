@@ -86,10 +86,10 @@ class Session {
 
   /// Next push notification (non-reply message) received on the stream;
   /// nullopt once the stream closed and the queue drained. Eviction pushes
-  /// (LeaseTerminated/LeasesTerminated) must carry a seq, which the
-  /// manager numbers per stream from 1: one with seq 0 or that does not
-  /// decode is dropped, and a duplicated delivery is counted
-  /// (duplicate_pushes) and filtered here. Other pushes carry no seq.
+  /// (LeasesTerminated) must carry a seq, which the manager numbers per
+  /// stream from 1: one with seq 0 or that does not decode is dropped,
+  /// and a duplicated delivery is counted (duplicate_pushes) and filtered
+  /// here. Other pushes carry no seq.
   sim::Task<std::optional<Bytes>> next_push();
 
   /// Fire-and-forget passthrough for messages outside the request/reply
@@ -101,7 +101,6 @@ class Session {
   [[nodiscard]] std::uint32_t epoch() const { return state_->options.epoch; }
 
   /// Chaos accounting.
-  [[nodiscard]] std::uint64_t calls() const { return state_->calls; }
   [[nodiscard]] std::uint64_t retransmits() const { return state_->retransmits; }
   [[nodiscard]] std::uint64_t call_failures() const { return state_->call_failures; }
   [[nodiscard]] std::uint64_t duplicate_replies() const { return state_->duplicate_replies; }
@@ -160,7 +159,6 @@ class Session {
     double srtt = 0;
     double rttvar = 0;
 
-    std::uint64_t calls = 0;
     std::uint64_t retransmits = 0;
     std::uint64_t call_failures = 0;
     std::uint64_t duplicate_replies = 0;

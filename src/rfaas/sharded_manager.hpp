@@ -119,7 +119,7 @@ class ShardedResourceManager {
 
   /// One manager-initiated lease termination (fast reclamation): the
   /// capacity is already back in the pool; the control plane still owes
-  /// a LeaseTerminated push to the hosting executor (sandbox teardown)
+  /// a LeasesTerminated push to the hosting executor (sandbox teardown)
   /// and to the owning client's notification stream.
   struct Eviction {
     std::uint64_t lease_id = 0;

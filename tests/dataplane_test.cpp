@@ -225,8 +225,8 @@ struct Completion {
 sim::Task<void> collect(sim::Engine& eng, CompletionQueue& cq, std::size_t n,
                         std::vector<Completion>& out) {
   for (std::size_t i = 0; i < n; ++i) {
-    Wc wc = co_await cq.wait_polling();
-    out.push_back({eng.now(), wc.wr_id});
+    auto wc = co_await cq.wait_polling();
+    out.push_back({eng.now(), wc->wr_id});
   }
 }
 
@@ -313,8 +313,8 @@ TEST_F(DataPlaneFabricTest, BatchedPollDrainsFifoLikeRepeatedSinglePolls) {
   auto drain = [&]() -> sim::Task<void> {
     // First half through the single-completion API...
     for (int i = 0; i < 3; ++i) {
-      Wc wc = co_await scqA->wait_polling();
-      order.push_back(wc.wr_id);
+      auto wc = co_await scqA->wait_polling();
+      order.push_back(wc->wr_id);
     }
     // ...rest through one batched drain: same completions, same order.
     std::array<Wc, 8> wcs;

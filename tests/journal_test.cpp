@@ -108,12 +108,14 @@ void record_stream(SRM& primary, std::vector<JournalRecordMsg>& out) {
   primary.journal()->add_sink([&out](const JournalRecordMsg& r) { out.push_back(r); });
 }
 
-/// The offer vouching for `state` at the primary's current journal seq.
+/// The offer vouching for `state` at the primary's current journal seq,
+/// as ResourceManager::attach_standby builds it.
 SnapshotOfferMsg offer_for(const SRM& primary, const SRM::ManagerState& state,
                            std::uint32_t epoch) {
   SnapshotOfferMsg offer;
   offer.manager_epoch = epoch;
   offer.upto_seq = primary.journal()->last_seq();
+  offer.chain_checksum = primary.journal()->last_checksum();
   offer.digest = state.digest();
   for (const auto& shard : state.shards) offer.lease_count += shard.leases.size();
   return offer;
@@ -236,6 +238,42 @@ TEST(JournalCorruption, ReplicaRejectsSeqGapsAndChainBreaks) {
   ASSERT_TRUE(dup.apply(rec).ok());
   ASSERT_TRUE(dup.apply(rec).ok());  // replayed duplicate: no-op
   EXPECT_EQ(dup.applied_seq(), 1u);
+}
+
+// A standby attached mid-history verifies the first record streamed on
+// top of its snapshot too: the offer carries the chain value at upto_seq.
+// The primary's next record with its deadline moved in flight, and the
+// checksum left as the primary computed it, is refused; the genuine
+// record still applies.
+TEST(JournalCorruption, FirstRecordAfterASnapshotIsVerified) {
+  const Config config = journaled_config(2);
+  SRM primary(config);
+  primary.add_executor(entry(8));
+  primary.add_executor(entry(8));
+  const auto lease = primary.grant(request(2), 1, 1'000'000, 0);
+  ASSERT_TRUE(lease.has_value());
+
+  const auto snapshot = primary.export_state();
+  const SnapshotOfferMsg offer = offer_for(primary, snapshot, /*epoch=*/1);
+  StandbyReplica replica(config);
+  auto installed = replica.install_snapshot(snapshot, offer, 0);
+  ASSERT_TRUE(installed.ok()) << installed.error().message;
+
+  std::vector<JournalRecordMsg> records;
+  record_stream(primary, records);
+  ASSERT_TRUE(primary.renew(lease->lease_id, 2'000'000).has_value());
+  ASSERT_EQ(records.size(), 1u);
+
+  JournalRecordMsg moved = records[0];
+  moved.time += 1'000'000;
+  auto refused = replica.apply(moved);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().code, 54);
+  EXPECT_EQ(replica.applied_seq(), offer.upto_seq);
+
+  auto genuine = replica.apply(records[0]);
+  ASSERT_TRUE(genuine.ok()) << genuine.error().message;
+  EXPECT_TRUE(replica.export_state() == primary.export_state());
 }
 
 TEST(JournalCorruption, SnapshotDigestMismatchIsRejected) {

@@ -24,7 +24,7 @@ static_assert(kWireSize<ExtendLeaseMsg> == 25);
 static_assert(kWireSize<ExtendOkMsg> == 25);
 static_assert(kWireSize<LeaseDeniedMsg> == 18);
 static_assert(kWireSize<JournalRecordMsg> == 74);
-static_assert(kWireSize<SnapshotOfferMsg> == 29);
+static_assert(kWireSize<SnapshotOfferMsg> == 37);
 static_assert(kWireSize<FailoverAnnounceMsg> == 21);
 static_assert(kWireSize<LeaseRevalidateMsg> == 21);
 static_assert(kWireSize<InvocationCancelMsg> == 21);
@@ -39,7 +39,6 @@ static_assert(kWireSize<ReleaseResourcesMsg> == 29);
 static_assert(kWireSize<ReleaseOkMsg> == 17);
 static_assert(kWireSize<BatchAllocateMsg> == 34);
 static_assert(kWireSize<LeaseRenewedMsg> == 17);
-static_assert(kWireSize<LeaseTerminatedMsg> == 26);
 static_assert(kWireSize<SubscribeEventsMsg> == 5);
 // A string or vector makes the layout variable.
 static_assert(!FixedLayout<AllocationReplyMsg> && !FixedLayout<SubmitCodeMsg> &&
@@ -134,12 +133,6 @@ std::vector<Bytes> sample_messages() {
   partial.request_id = (3ull << 32) | 5;
   msgs.push_back(encode(partial));
   msgs.push_back(encode(LeaseRenewedMsg{(3ull << 48) | 5, 120_s}));
-  LeaseTerminatedMsg term;
-  term.lease_id = (2ull << 48) | 9;
-  term.reason = static_cast<std::uint8_t>(TerminationReason::Rebalance);
-  term.evicted_at = 45_s;
-  term.seq = 12;
-  msgs.push_back(encode(term));
   LeasesTerminatedMsg sweep;
   sweep.reason = static_cast<std::uint8_t>(TerminationReason::QuotaPressure);
   sweep.evicted_at = 46_s;
@@ -241,11 +234,10 @@ TEST(ProtocolGolden, SampleMessagesKeepTheirWireBytes) {
       "120102000000070000000000010005000000bc1bbd1b04000000005847f80d00000000000000000000000000000000000000000000000000000000000000000000000400000003000000",
       "12000000000015000000696e73756666696369656e742063617061636974790500000003000000",
       "13050000000000030000b08ef01b000000",
-      "0d0900000000000200020082357a0a0000000c00000000000000",
       "1500004cd0b50a0000000200000009000000000002000a000000000002000d00000000000000",
       "144d000000",
       "18110000000000000002090000000000030005000000010000000000030004000000000000100000000000046bf41400000001000000000000002400000007000000fecaefbeadde0000",
-      "19020000000010000000000000edfecefa000000000c00000000000000",
+      "19020000000010000000000000edfecefa000000000c000000000000000000000000000000",
       "1a02000000041000000000000000863ba101000000",
       "1b0500000009000000000003000200000004000000",
       "1c070000000f000000020000000000000000000000",
@@ -302,13 +294,6 @@ TEST(ProtocolHardened, RequestIdEpochAndSeqRoundTrip) {
   EXPECT_EQ(rok.value().lease_id, 7u);
   EXPECT_EQ(rok.value().request_id, 55u);
 
-  LeaseTerminatedMsg term;
-  term.lease_id = 5;
-  term.seq = 31;
-  auto tdec = decode_lease_terminated(encode(term));
-  ASSERT_TRUE(tdec.ok());
-  EXPECT_EQ(tdec.value().seq, 31u);
-
   LeasesTerminatedMsg sweep;
   sweep.lease_ids = {1, 2, 3};
   sweep.seq = 32;
@@ -354,7 +339,7 @@ TEST(ProtocolHardened, ReplyRequestIdExtractsFromEveryReplyType) {
   }
   // Non-reply messages are not matchable.
   EXPECT_FALSE(is_reply_type(MsgType::LeaseRequest));
-  EXPECT_FALSE(is_reply_type(MsgType::LeaseTerminated));
+  EXPECT_FALSE(is_reply_type(MsgType::LeasesTerminated));
   EXPECT_FALSE(reply_request_id(encode(LeaseRequestMsg{1, 1, 1_GiB, 1_s, 5})).ok());
 }
 

@@ -104,8 +104,8 @@ TEST_F(RdmalibTest, BufferHoldsOnlyWrittenPagesAndScrubDropsThem) {
     RemoteBuffer dst = buf.remote();
     dst.addr += 3 * 4096;
     EXPECT_TRUE(client->post_write(src.sge(), dst, 1).ok());
-    auto wc = co_await client->wait_send_polling();
-    EXPECT_EQ(wc.status, fabric::WcStatus::Success);
+    auto wc = co_await client->send_cq().wait_polling();
+    EXPECT_EQ(wc->status, fabric::WcStatus::Success);
   };
   sim::spawn(eng, server_task());
   sim::spawn(eng, client_task());
@@ -210,15 +210,15 @@ TEST_F(RdmalibTest, PostWriteImmEndToEnd) {
     auto req = co_await listener.accept();
     server = Connection::accept(*req, *devB, pdB);
     (void)server->post_recv_empty(1);
-    auto wc = co_await server->wait_recv_polling();
-    delivered = wc.status == fabric::WcStatus::Success && wc.has_imm && wc.imm == 0x42;
+    auto wc = co_await server->recv_cq().wait_polling();
+    delivered = wc->status == fabric::WcStatus::Success && wc->has_imm && wc->imm == 0x42;
   };
   auto client_task = [&]() -> sim::Task<void> {
     auto res = co_await Connection::connect(fab, *devA, pdA, devB->id(), 101);
     EXPECT_TRUE(res.ok());
     client = std::move(res).take();
     (void)client->post_write_imm(client ? src.sge() : fabric::Sge{}, dst.remote(), 0x42, 9);
-    (void)co_await client->wait_send_polling();
+    (void)co_await client->send_cq().wait_polling();
   };
   sim::spawn(eng, server_task());
   sim::spawn(eng, client_task());
@@ -253,8 +253,8 @@ TEST_F(RdmalibTest, CloseBreaksPeer) {
   (void)client->post_write(src.sge(), RemoteBuffer{1, 2, 8}, 1);
   bool failed = false;
   auto check = [&]() -> sim::Task<void> {
-    auto wc = co_await client->wait_send_polling();
-    failed = wc.status != fabric::WcStatus::Success;
+    auto wc = co_await client->send_cq().wait_polling();
+    failed = wc->status != fabric::WcStatus::Success;
   };
   sim::spawn(eng, check());
   eng.run();
@@ -279,7 +279,7 @@ TEST_F(RdmalibTest, FetchAddHelperAccumulates) {
     for (int i = 0; i < 5; ++i) {
       (void)client->post_fetch_add(result.data(), result.mr()->lkey(),
                                    counter.remote_data().addr, counter.mr()->rkey(), 10, i);
-      (void)co_await client->wait_send_polling();
+      (void)co_await client->send_cq().wait_polling();
     }
   };
   sim::spawn(eng, server_task());
@@ -294,8 +294,8 @@ TEST_F(RdmalibTest, TimedCqWaitTimesOutAndRecovers) {
   std::optional<fabric::Wc> first, second;
   Time second_at = 0;
   auto waiter = [&]() -> sim::Task<void> {
-    first = co_await cq.wait_polling_until(eng.now() + 1_ms);   // nothing arrives
-    second = co_await cq.wait_polling_until(eng.now() + 10_ms); // something does
+    first = co_await cq.wait_polling(eng.now() + 1_ms);   // nothing arrives
+    second = co_await cq.wait_polling(eng.now() + 10_ms); // something does
     second_at = eng.now();
   };
   auto pusher = [&]() -> sim::Task<void> {
@@ -325,11 +325,11 @@ TEST_F(RdmalibTest, DeadlineWaitsTimeOutExactlyAtTheirDeadline) {
   bool polled = true, blocked = true;
   Time polled_at = 0, blocked_at = 0;
   auto poller = [&]() -> sim::Task<void> {
-    polled = (co_await cq.wait_polling_until(2_ms)).has_value();
+    polled = (co_await cq.wait_polling(2_ms)).has_value();
     polled_at = eng.now();
   };
   auto blocker = [&]() -> sim::Task<void> {
-    blocked = (co_await cq.wait_blocking_until(3_ms)).has_value();
+    blocked = (co_await cq.wait_blocking(3_ms)).has_value();
     blocked_at = eng.now();
   };
   sim::spawn(eng, poller());
@@ -339,6 +339,41 @@ TEST_F(RdmalibTest, DeadlineWaitsTimeOutExactlyAtTheirDeadline) {
   EXPECT_EQ(polled_at, 2_ms);
   EXPECT_FALSE(blocked);
   EXPECT_EQ(blocked_at, 3_ms);  // no wake-up latency: nothing woke the thread
+}
+
+TEST_F(RdmalibTest, BlockingWaitsPayTheWakeUpOnlyForAnArrival) {
+  // A completion that comes costs the channel's wake-up with or without
+  // a deadline (a timeout costs none, above), and a wait without a
+  // deadline queues no timer.
+  fabric::CompletionQueue cq(fab.model());
+  const Duration wake = fab.model().blocking_wake_latency;
+  std::optional<fabric::Wc> unbounded, bounded;
+  Time unbounded_at = 0, bounded_at = 0;
+  auto waiter = [&]() -> sim::Task<void> {
+    unbounded = co_await cq.wait_blocking();
+    unbounded_at = eng.now();
+    bounded = co_await cq.wait_blocking(eng.now() + 10_ms);
+    bounded_at = eng.now();
+  };
+  auto pusher = [&]() -> sim::Task<void> {
+    for (std::uint64_t id : {1u, 2u}) {
+      co_await sim::delay(1_ms);
+      fabric::Wc wc{};
+      wc.wr_id = id;
+      cq.push(wc);
+    }
+  };
+  sim::spawn(eng, waiter());
+  sim::spawn(eng, pusher());
+  eng.run_until(500_us);
+  EXPECT_EQ(eng.pending(), 1u);  // the pusher's delay only
+  eng.run();
+  ASSERT_TRUE(unbounded.has_value());
+  EXPECT_EQ(unbounded->wr_id, 1u);
+  EXPECT_EQ(unbounded_at, 1_ms + wake);
+  ASSERT_TRUE(bounded.has_value());
+  EXPECT_EQ(bounded->wr_id, 2u);
+  EXPECT_EQ(bounded_at, 2_ms + wake);
 }
 
 TEST_F(RdmalibTest, ArrivalAtTheDeadlineInstantWins) {
@@ -355,7 +390,7 @@ TEST_F(RdmalibTest, ArrivalAtTheDeadlineInstantWins) {
       cq.push(fabric::Wc{});
     };
     auto waiter = [&]() -> sim::Task<void> {
-      got = (co_await cq.wait_polling_until(deadline)).has_value();
+      got = (co_await cq.wait_polling(deadline)).has_value();
       at = eng.now();
     };
     sim::spawn(eng, pusher());
@@ -376,7 +411,7 @@ TEST_F(RdmalibTest, SatisfiedDeadlineWaitsLeaveNoTimersBehind) {
   bool done = false;
   auto consumer = [&]() -> sim::Task<void> {
     for (int i = 0; i < kWaits; ++i) {
-      if ((co_await cq.wait_polling_until(eng.now() + 500_ms)).has_value()) ++satisfied;
+      if ((co_await cq.wait_polling(eng.now() + 500_ms)).has_value()) ++satisfied;
     }
     done = true;
   };
@@ -401,8 +436,8 @@ TEST_F(RdmalibTest, EarlierDeadlineAfterALaterOneFiresOnTime) {
   bool first = false, second = true;
   Time second_at = 0;
   auto waiter = [&]() -> sim::Task<void> {
-    first = (co_await cq.wait_polling_until(100_ms)).has_value();  // served at 1 ms
-    second = (co_await cq.wait_polling_until(eng.now() + 10_ms)).has_value();
+    first = (co_await cq.wait_polling(100_ms)).has_value();  // served at 1 ms
+    second = (co_await cq.wait_polling(eng.now() + 10_ms)).has_value();
     second_at = eng.now();
   };
   auto pusher = [&]() -> sim::Task<void> {
@@ -425,7 +460,7 @@ TEST_F(RdmalibTest, ConcurrentDeadlineWaitersExpireAtTheirOwnDeadlines) {
   };
   Outcome late, early, served;
   auto waiter = [&](Time deadline, Outcome& out) -> sim::Task<void> {
-    out.got = (co_await cq.wait_polling_until(deadline)).has_value();
+    out.got = (co_await cq.wait_polling(deadline)).has_value();
     out.at = eng.now();
   };
   auto pusher = [&]() -> sim::Task<void> {
@@ -451,7 +486,7 @@ TEST_F(RdmalibTest, CqDestroyedWithItsTimerArmedIsSafe) {
   auto cq = std::make_unique<fabric::CompletionQueue>(fab.model());
   bool got = false;
   auto waiter = [&]() -> sim::Task<void> {
-    got = (co_await cq->wait_polling_until(10_ms)).has_value();
+    got = (co_await cq->wait_polling(10_ms)).has_value();
     cq.reset();
   };
   auto pusher = [&]() -> sim::Task<void> {

@@ -331,8 +331,8 @@ TEST_F(SessionTest, EvictionPushesNeedASeqAndDeduplicate) {
   // delivery is counted and dropped, an unsequenced one (seq 0) is
   // dropped, and a push type that carries no seq passes through.
   auto session = run_against([](std::shared_ptr<net::TcpStream> s) -> sim::Task<void> {
-    LeaseTerminatedMsg term;
-    term.lease_id = 5;
+    LeasesTerminatedMsg term;
+    term.lease_ids = {5};
     term.seq = 1;
     s->send(encode(term));
     s->send(encode(term));  // duplicated delivery
@@ -358,7 +358,7 @@ TEST_F(SessionTest, EvictionPushesNeedASeqAndDeduplicate) {
   }(session, &delivered));
   eng.run();
 
-  EXPECT_EQ(delivered, (std::vector<MsgType>{MsgType::LeaseTerminated, MsgType::LeasesTerminated,
+  EXPECT_EQ(delivered, (std::vector<MsgType>{MsgType::LeasesTerminated, MsgType::LeasesTerminated,
                                              MsgType::FailoverAnnounce}));
   EXPECT_EQ(session->duplicate_pushes(), 1u);
 }

@@ -100,6 +100,7 @@ struct FaultRunOptions {
   std::uint32_t retry_budget = 3;
   Entry entry = Entry::Pooled;
   std::size_t payload_bytes = 512;
+  bool polling_client = true;      // false: the client sleeps on the completion channel
 };
 
 FaultRun run_faulted(const FaultRunOptions& opt, std::uint64_t seed = 1) {
@@ -135,6 +136,7 @@ FaultRun run_faulted(const FaultRunOptions& opt, std::uint64_t seed = 1) {
     alloc.function_name = "echo";
     alloc.workers = 8;  // 4 on (possibly gray) executor 0, 4 elsewhere
     alloc.policy = rfaas::InvocationPolicy::HotAlways;
+    alloc.polling_client = opt.polling_client;
     auto st = co_await invoker->allocate(alloc);
     EXPECT_TRUE(st.ok()) << (st.ok() ? "" : st.error().message);
     if (!st.ok()) co_return;
@@ -200,6 +202,20 @@ TEST(WorkerFaults, StuckSandboxesSurfaceAsTimeoutsThenRecover) {
   EXPECT_EQ(run.injected.double_executions, 0u);
 }
 
+// A blocking client waits for the result on the completion channel,
+// bounded by the same deadline: a wedged sandbox still surfaces as a
+// timeout, not a stall.
+TEST(WorkerFaults, BlockingClientSeesStuckSandboxesAsTimeouts) {
+  FaultRunOptions opt;
+  opt.fleet.stuck_p = 0.05;
+  opt.polling_client = false;
+  const auto run = run_faulted(opt);
+  EXPECT_EQ(run.failed, 0u);
+  EXPECT_GT(run.injected.stucks, 0u);
+  EXPECT_GE(run.timeouts, run.injected.stucks);
+  EXPECT_EQ(run.injected.double_executions, 0u);
+}
+
 TEST(WorkerFaults, CorruptionDetectedByChecksumAndRetried) {
   FaultRunOptions opt;
   opt.fleet.corrupt_p = 0.1;
@@ -220,6 +236,18 @@ TEST(WorkerFaults, CallerBufferCrashesSurvivedByIdempotentRetries) {
   EXPECT_EQ(run.failed, 0u);
   EXPECT_GT(run.injected.crashes, 0u) << "chaos schedule injected nothing";
   EXPECT_GE(run.retries, run.injected.crashes);
+  EXPECT_EQ(run.echo_mismatches, 0u);
+  EXPECT_EQ(run.injected.double_executions, 0u);
+}
+
+TEST(WorkerFaults, BlockingClientSurvivesCrashesThroughCallerBuffers) {
+  FaultRunOptions opt;
+  opt.fleet.crash_p = 0.05;
+  opt.entry = Entry::CallerBuffers;
+  opt.polling_client = false;
+  const auto run = run_faulted(opt);
+  EXPECT_EQ(run.failed, 0u);
+  EXPECT_GT(run.injected.crashes, 0u) << "chaos schedule injected nothing";
   EXPECT_EQ(run.echo_mismatches, 0u);
   EXPECT_EQ(run.injected.double_executions, 0u);
 }
