@@ -2,7 +2,7 @@
 """Prints where the samples of a sampler.c or heap.c run went, function by function.
 
     python3 scripts/profile/report.py sampler-<pid>.txt [--under REGEX] [--top N]
-                                      [--callers REGEX]
+                                      [--callers REGEX | --children REGEX]
     python3 scripts/profile/report.py heap-<pid>.txt --under run_workload
 
 Only the samples with a frame whose function name matches --under count
@@ -17,6 +17,14 @@ innermost frame matches REGEX, its first caller that neither matches
 REGEX nor starts with `std::`, with the share of the counted samples.
 This finds who calls a library function: `--callers _Map_base::operator`
 names the code behind the samples in std::unordered_map lookups.
+
+--children REGEX prints the other direction: for each counted sample
+with a frame matching REGEX, the callee directly under the innermost
+such frame (`(self)` when that frame is the leaf), with the share of the
+counted samples. This splits a function's inclusive time across what it
+calls; a coroutine's body reads as one function, so `--children
+run_send` shows how a fabric task's time divides between its landing
+step and the engine calls it makes.
 
 heap.c writes the same format: one sample per 4 KiB of live heap that
 an allocating call stack held when the program's live heap bytes
@@ -123,9 +131,13 @@ def main():
                         help="count only samples with a frame matching this regex")
     parser.add_argument("--top", type=int, default=25, help="rows per table")
     parser.add_argument("--full", action="store_true", help="keep full demangled names")
-    parser.add_argument("--callers", metavar="REGEX",
-                        help="count the first caller outside REGEX and std:: of each sample "
-                             "whose innermost frame matches REGEX")
+    table = parser.add_mutually_exclusive_group()
+    table.add_argument("--callers", metavar="REGEX",
+                       help="count the first caller outside REGEX and std:: of each sample "
+                            "whose innermost frame matches REGEX")
+    table.add_argument("--children", metavar="REGEX",
+                       help="count the callee directly under the innermost frame matching "
+                            "REGEX of each sample that has one")
     args = parser.parse_args()
 
     maps, samples = parse(args.file)
@@ -155,8 +167,9 @@ def main():
 
     under = re.compile(args.under)
     leaf = re.compile(args.callers) if args.callers else None
+    outer = re.compile(args.children) if args.children else None
     self_counts, incl_counts = collections.Counter(), collections.Counter()
-    caller_counts = collections.Counter()
+    edge_counts = collections.Counter()  # --callers' callers or --children's callees
     total = 0
     for stack in samples:
         # Return addresses point past the call: look up the call itself.
@@ -169,16 +182,27 @@ def main():
             incl_counts[n] += 1
         if leaf and leaf.search(names[0]):
             callers = (n for n in names[1:] if not leaf.search(n) and not n.startswith("std::"))
-            caller_counts[next(callers, "??")] += 1
+            edge_counts[next(callers, "??")] += 1
+        if outer:
+            # names is leaf first, so the first match is the innermost one.
+            i = next((i for i, n in enumerate(names) if outer.search(n)), None)
+            if i is not None:
+                edge_counts[names[i - 1] if i > 0 else "(self)"] += 1
 
     print(f"{len(samples)} samples, {total} under /{args.under}/")
     if total == 0:
         return 1
-    if leaf:
-        hits = sum(caller_counts.values())
-        print(f"{hits} ({100.0 * hits / total:.1f}%) with an innermost frame matching "
-              f"/{args.callers}/\n\n{'share':>9}  {'samples':>7}  first caller outside it and std::")
-        for name, count in caller_counts.most_common(args.top):
+    if leaf or outer:
+        hits = sum(edge_counts.values())
+        if leaf:
+            matched, column = (f"an innermost frame matching /{args.callers}/",
+                               "first caller outside it and std::")
+        else:
+            matched, column = (f"a frame matching /{args.children}/",
+                               "callee directly under the innermost match")
+        print(f"{hits} ({100.0 * hits / total:.1f}%) with {matched}\n\n"
+              f"{'share':>9}  {'samples':>7}  {column}")
+        for name, count in edge_counts.most_common(args.top):
             print(f"{100.0 * count / total:8.1f}%  {count:7d}  {name}")
         return 0
     for title, counts in (("self", self_counts), ("inclusive", incl_counts)):

@@ -41,6 +41,10 @@ class ByteWriter {
     buf_.insert(buf_.end(), p, p + n);
   }
 
+  /// Makes room for `n` bytes in all, so that writing up to `n`
+  /// allocates once.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   [[nodiscard]] const Bytes& bytes() const { return buf_; }
   [[nodiscard]] Bytes take() { return std::move(buf_); }
 

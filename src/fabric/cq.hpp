@@ -71,7 +71,6 @@ class CompletionQueue {
   /// Pushes a completion (fabric internal).
   void push(const Wc& wc);
 
-  [[nodiscard]] std::size_t depth() const { return ready_.size(); }
   [[nodiscard]] bool empty() const { return ready_.empty(); }
 
  private:

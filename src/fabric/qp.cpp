@@ -28,7 +28,15 @@ Status QueuePair::post_recv(RecvWr wr) {
     Parked p = std::move(parked_.front());
     parked_.pop_front();
     recv_queue_.push_back(std::move(wr));
-    deliver_with_recv(p.wr, p.payload, p.byte_len);
+    // It lands now; its CQE stage is a task due cqe_overhead from now.
+    const Delivery d = deliver_with_recv(p.wr, p.payload, p.byte_len);
+    auto cqe = [](Ref target, Ref origin, Delivery delivery) -> sim::Task<void> {
+      target->post_completions(origin.get(), delivery);
+      co_return;
+    };
+    auto& engine = dev_.fabric().engine();
+    sim::spawn_at(engine, engine.now() + dev_.fabric().model().cqe_overhead,
+                  cqe(Ref(this), Ref(peer_), d));
     return Status::success();
   }
   recv_queue_.push_back(std::move(wr));
@@ -88,11 +96,7 @@ QueuePair::InlineCopy::InlineCopy(const SgeList& sge) : size_(sge.total_length()
 
 Status QueuePair::post_send(SendWr wr) {
   if (auto st = validate_send(wr); !st) return st;
-
-  InlineCopy inline_copy = wr.inline_data ? InlineCopy(wr.sge) : InlineCopy();
-  const Duration doorbell = dev_.fabric().model().post_overhead;
-  sim::spawn(dev_.fabric().engine(),
-             run_send(Ref(this), Ref(peer_), std::move(wr), std::move(inline_copy), doorbell));
+  start_send(std::move(wr), dev_.fabric().model().post_overhead);
   return Status::success();
 }
 
@@ -106,28 +110,29 @@ Status QueuePair::post_send_many(std::span<SendWr> wrs) {
   const Duration doorbell = dev_.fabric().model().post_overhead;
   bool first = true;
   for (SendWr& wr : wrs) {
-    InlineCopy inline_copy = wr.inline_data ? InlineCopy(wr.sge) : InlineCopy();
     // One doorbell for the chain: the first WR pays the MMIO write + WQE
     // fetch; later WRs are fetched with the same doorbell.
-    sim::spawn(dev_.fabric().engine(), run_send(Ref(this), Ref(peer_), std::move(wr),
-                                                std::move(inline_copy), first ? doorbell : 0));
+    start_send(std::move(wr), first ? doorbell : 0);
     first = false;
   }
   return Status::success();
 }
 
-sim::Task<void> QueuePair::run_send([[maybe_unused]] Ref self, Ref remote, SendWr wr,
-                                    InlineCopy inline_copy, Duration doorbell) {
-  const auto& model = dev_.fabric().model();
-  auto& net = dev_.fabric().net();
-
-  // Doorbell + WQE fetch (zero for chained WRs riding a batched post);
-  // non-inlined payloads add a PCIe DMA read.
+void QueuePair::start_send(SendWr wr, Duration doorbell) {
   Duration launch = doorbell;
   const bool is_payload_op = wr.opcode == Opcode::Send || wr.opcode == Opcode::SendImm ||
                              wr.opcode == Opcode::Write || wr.opcode == Opcode::WriteImm;
-  if (is_payload_op && !wr.inline_data) launch += model.dma_read_latency;
-  co_await sim::delay(launch);
+  if (is_payload_op && !wr.inline_data) launch += dev_.fabric().model().dma_read_latency;
+  InlineCopy inline_copy = wr.inline_data ? InlineCopy(wr.sge) : InlineCopy();
+  auto& engine = dev_.fabric().engine();
+  sim::spawn_at(engine, engine.now() + launch,
+                run_send(Ref(this), Ref(peer_), std::move(wr), std::move(inline_copy)));
+}
+
+sim::Task<void> QueuePair::run_send([[maybe_unused]] Ref self, Ref remote, SendWr wr,
+                                    InlineCopy inline_copy) {
+  const auto& model = dev_.fabric().model();
+  auto& net = dev_.fabric().net();
 
   // `remote` is the peer as of posting (destroy_qp() unlinks peer_); its
   // reference keeps a destroyed peer alive for the checks below.
@@ -250,17 +255,20 @@ sim::Task<void> QueuePair::run_send([[maybe_unused]] Ref self, Ref remote, SendW
     complete_local(wr, WcStatus::RnrRetryExceeded, 0);
     co_return;
   }
-  peer.deliver_with_recv(wr, payload, byte_len);
+  const Delivery d = peer.deliver_with_recv(wr, payload, byte_len);
+  // CQE generation cost, then both completions become visible.
+  co_await sim::delay(model.cqe_overhead);
+  peer.post_completions(this, d);
 }
 
-void QueuePair::deliver_with_recv(const SendWr& wr, std::span<const std::uint8_t> payload,
-                                  std::uint32_t byte_len) {
+QueuePair::Delivery QueuePair::deliver_with_recv(const SendWr& wr,
+                                                 std::span<const std::uint8_t> payload,
+                                                 std::uint32_t byte_len) {
   // Runs on the *receiving* QP ("this" is the target). For parked
   // WriteImm deliveries `payload` is empty (the data was placed when the
   // write landed) and `byte_len` carries the completion byte count.
   RecvWr recv = std::move(recv_queue_.front());
   recv_queue_.pop_front();
-  const auto& model = dev_.fabric().model();
 
   Wc remote{};
   remote.wr_id = recv.wr_id;
@@ -304,19 +312,16 @@ void QueuePair::deliver_with_recv(const SendWr& wr, std::span<const std::uint8_t
     remote.has_imm = true;
   }
 
-  // CQE generation cost, then both completions become visible. A QP
-  // destroyed meanwhile posts nothing: its CQs may be gone.
-  auto finish = [](Ref target, Ref origin, Wc remote_wc, Wc local_wc, const SendWr wr_copy,
-                   Duration cqe) -> sim::Task<void> {
-    co_await sim::delay(cqe);
-    if (!target->destroyed_) target->recv_cq_->push(remote_wc);
-    if (origin.get() != nullptr && !origin->destroyed_ &&
-        (wr_copy.signaled || local_wc.status != WcStatus::Success)) {
-      origin->send_cq_->push(local_wc);
-    }
-  };
-  sim::spawn(dev_.fabric().engine(),
-             finish(Ref(this), Ref(peer_), remote, local, wr, model.cqe_overhead));
+  return Delivery{remote, local, wr.signaled};
+}
+
+void QueuePair::post_completions(QueuePair* origin, const Delivery& d) {
+  // A QP destroyed since the landing posts nothing: its CQs may be gone.
+  if (!destroyed_) recv_cq_->push(d.remote);
+  if (origin != nullptr && !origin->destroyed_ &&
+      (d.signaled || d.local.status != WcStatus::Success)) {
+    origin->send_cq_->push(d.local);
+  }
 }
 
 void QueuePair::complete_local(const SendWr& wr, WcStatus status, std::uint32_t byte_len) {

@@ -1,10 +1,21 @@
 // Reliable-connected queue pair.
 //
-// post_send validates the request and schedules a detached fabric task
-// that moves real bytes at the modelled time: payload serialization on the
+// post_send validates the request and starts a detached fabric task that
+// moves real bytes at the modelled time: payload serialization on the
 // switch links, DMA-read cost for non-inlined data, CQE generation delay.
 // Remote operations check rkey/bounds/access and fail with error CQEs on
 // violation, so the protection model is enforced, not assumed.
+//
+// A payload work request costs three engine events, all in its task's one
+// coroutine frame: the launch (the task is started at post time + the
+// doorbell, plus the DMA read of a non-inlined payload), the landing
+// (bytes placed, a Send scattered, the target's receive consumed) and the
+// CQE, cqe_overhead later, where both completions are posted. A Read
+// adds the request leg, an atomic the request leg and its execution. A
+// Send/WriteImm that finds no receive under RnrPolicy::Wait parks on the
+// target; the post_recv that takes it lands it and starts a task due
+// cqe_overhead later, which posts both completions through the same
+// helper.
 //
 // Device::destroy_qp() acts like ibv_destroy_qp: posted receives flush,
 // the peer's later operations fail with RetryExceeded, and no completion
@@ -127,11 +138,28 @@ class QueuePair {
     std::array<std::uint8_t, kStaged> staged_;
   };
 
+  /// The two completions of a landed Send/SendImm/WriteImm, posted
+  /// together cqe_overhead after the landing.
+  struct Delivery {
+    Wc remote;              // for the target's receive CQ
+    Wc local;               // for the initiator's send CQ
+    bool signaled = false;  // the initiator wants a completion on success
+  };
+
   Status validate_send(const SendWr& wr) const;
-  sim::Task<void> run_send(Ref self, Ref remote, SendWr wr, InlineCopy inline_copy,
-                           Duration doorbell);
-  void deliver_with_recv(const SendWr& wr, std::span<const std::uint8_t> payload,
-                         std::uint32_t byte_len);
+  /// Starts `wr`'s fabric task at its launch, its first resumption: now
+  /// + `doorbell` (the MMIO write + WQE fetch, zero for a chained WR
+  /// after the first), plus a PCIe DMA read for a non-inlined payload.
+  void start_send(SendWr wr, Duration doorbell);
+  sim::Task<void> run_send(Ref self, Ref remote, SendWr wr, InlineCopy inline_copy);
+  /// The landing on the target ("this"): pops the receive, scatters a
+  /// Send into it and fills both completions.
+  Delivery deliver_with_recv(const SendWr& wr, std::span<const std::uint8_t> payload,
+                             std::uint32_t byte_len);
+  /// The CQE stage on the target: posts `d` to the CQs of the target and
+  /// of `origin`, skipping a destroyed QP (its CQs may be gone) and an
+  /// unsignaled success.
+  void post_completions(QueuePair* origin, const Delivery& d);
   void complete_local(const SendWr& wr, WcStatus status, std::uint32_t byte_len);
   [[nodiscard]] static Bytes gather(const SgeList& sge);
   [[nodiscard]] Status validate_sges(const SgeList& sge) const;

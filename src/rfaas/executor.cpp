@@ -11,8 +11,7 @@ namespace rfs::rfaas {
 // Worker
 // ---------------------------------------------------------------------------
 
-Worker::Worker(ExecutorManager& mgr, Sandbox& sandbox, std::uint32_t index)
-    : mgr_(mgr), sandbox_(sandbox), index_(index) {}
+Worker::Worker(ExecutorManager& mgr, Sandbox& sandbox) : mgr_(mgr), sandbox_(sandbox) {}
 
 Worker::~Worker() {
   conn_.reset();  // its queue pair holds the protection domain
@@ -634,7 +633,7 @@ sim::Task<AllocationReplyMsg> ExecutorManager::allocate_sandbox(const Allocation
   // Workers initialize concurrently: buffer registration + thread spawn.
   sim::WaitGroup wg(req.workers);
   for (std::uint32_t i = 0; i < req.workers; ++i) {
-    sb.workers.push_back(std::make_unique<Worker>(*this, sb, i));
+    sb.workers.push_back(std::make_unique<Worker>(*this, sb));
     auto init_one = [](Worker* w, sim::WaitGroup* group) -> sim::Task<void> {
       co_await w->init();
       group->done();

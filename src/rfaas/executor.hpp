@@ -45,7 +45,7 @@ struct Sandbox;
 /// One function instance inside a sandbox.
 class Worker {
  public:
-  Worker(ExecutorManager& mgr, Sandbox& sandbox, std::uint32_t index);
+  Worker(ExecutorManager& mgr, Sandbox& sandbox);
   /// Closes the connection and deallocates the worker's protection domain.
   ~Worker();
 
@@ -79,8 +79,6 @@ class Worker {
   sim::Event& done() { return done_; }
 
   [[nodiscard]] bool connected() const { return conn_ != nullptr; }
-  [[nodiscard]] std::uint32_t index() const { return index_; }
-  [[nodiscard]] bool hot() const { return hot_; }
   /// True once an injected stuck-sandbox fault wedged this worker: its
   /// invocation will never complete, so teardown must not wait for it
   /// and the warm pool must never adopt its sandbox.
@@ -96,7 +94,6 @@ class Worker {
 
   ExecutorManager& mgr_;
   Sandbox& sandbox_;
-  std::uint32_t index_;
   std::unique_ptr<rdmalib::Connection> conn_;
   sim::Event connected_;
   sim::Event done_;

@@ -750,11 +750,9 @@ sim::Task<Status> Invoker::deploy_grant(const AllocationSpec& spec, const LeaseG
   SubmitCodeMsg code;
   code.sandbox_id = alloc_reply.value().sandbox_id;
   code.function_name = spec.function_name;
+  code.code_size = spec.code_size;
   auto payload = encode(code);
-  std::uint64_t code_size = spec.code_size;
-  code.code_size = code_size;
-  payload = encode(code);  // re-encode with the final size
-  if (code_size > payload.size()) payload.resize(code_size);
+  if (code.code_size > payload.size()) payload.resize(code.code_size);
   mgr_stream->send(std::move(payload));
   auto code_raw = co_await mgr_stream->recv();
   if (!code_raw.has_value()) co_return Error::make(45, "allocator disconnected");

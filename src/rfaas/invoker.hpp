@@ -463,12 +463,16 @@ class Invoker {
     return submit_frame(fn_index, frame_of(in, payload_bytes, out));
   }
 
-  /// Convenience: submit and await completion.
+  /// Submits and awaits completion, in the caller's frame: no detached
+  /// task and no future.
   template <typename TIn, typename TOut>
   sim::Task<InvocationResult> invoke(std::uint16_t fn_index, rdmalib::Buffer<TIn>& in,
                                      std::size_t payload_bytes, rdmalib::Buffer<TOut>& out) {
-    auto fut = submit(fn_index, in, payload_bytes, out);
-    co_return co_await fut.get();
+    const Frame frame = frame_of(in, payload_bytes, out);
+    const Time submitted = engine_.now();
+    InvocationResult result = co_await invoke_frame(fn_index, frame);
+    result.submitted_at = submitted;
+    co_return result;
   }
 
   /// Zero-copy data plane: pre-registers `count` invocation slots (input

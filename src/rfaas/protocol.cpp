@@ -82,6 +82,23 @@ void write(ByteWriter& w, const T& v) {
   }
 }
 
+/// The bytes write() puts on the wire for `v`, over the same field walk.
+template <class T>
+std::size_t wire_size(const T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return sizeof(std::uint32_t) + v.size();
+  } else if constexpr (kIsVector<T>) {
+    std::size_t n = sizeof(std::uint32_t);
+    for (const auto& e : v) n += wire_size(e);
+    return n;
+  } else if constexpr (std::is_class_v<T>) {
+    return std::apply([](const auto&... f) { return (std::size_t{0} + ... + wire_size(f)); },
+                      T::body(v));
+  } else {
+    return sizeof(wire::Int<T>);
+  }
+}
+
 template <class T>
 bool read(ByteReader& r, T& v) {
   if constexpr (std::is_same_v<T, std::string>) {
@@ -113,7 +130,10 @@ Bytes encode_message(const M& m) {
     encode_into(m, out.data(), out.size());
     return out;
   } else {
+    // One allocation of the exact size: the type byte, then the fields.
     ByteWriter w;
+    w.reserve(std::apply([](const auto&... f) { return (std::size_t{1} + ... + wire_size(f)); },
+                         M::fields(m)));
     w.u8(static_cast<std::uint8_t>(M::kType));
     std::apply([&w](const auto&... f) { (write(w, f), ...); }, M::fields(m));
     return w.take();

@@ -567,9 +567,10 @@ struct DeallocateMsg {
 // it into a caller-provided buffer, and its decoder checks the span size
 // once and copies the fields out, with no heap traffic. Its Bytes encode()
 // allocates the exact size once and calls encode_into(). Messages with a
-// string or vector go through ByteWriter and ByteReader. Every decoder
-// rejects a wrong type byte and any truncation, ignores trailing bytes,
-// and never reserves memory from a count read off the wire.
+// string or vector go through ByteWriter and ByteReader; their encoder
+// sums the fields' wire sizes first, so it too allocates once. Every
+// decoder rejects a wrong type byte and any truncation, ignores trailing
+// bytes, and never reserves memory from a count read off the wire.
 // ---------------------------------------------------------------------------
 
 namespace wire {

@@ -159,6 +159,34 @@ TEST_F(FabricTest, PingPongMatchesCalibratedRtt) {
   EXPECT_NEAR(static_cast<double>(rtt), 3690.0, 15.0);
 }
 
+TEST_F(FabricTest, AWorkRequestCostsThreeEngineEvents) {
+  // Launch, landing and CQE are the three resumptions of a work request's
+  // one coroutine frame; with no waiter on either CQ nothing else runs.
+  constexpr std::size_t kRequests = 20;
+  Bytes src(64), dst(64);
+  auto* mrA = pdA->register_memory(src.data(), src.size(), LocalWrite);
+  auto* mrB = pdB->register_memory(dst.data(), dst.size(), RemoteWrite);
+  for (const bool inlined : {false, true}) {
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      ASSERT_TRUE(qpB->post_recv({i, {}}).ok());
+      SendWr wr;
+      wr.wr_id = i;
+      wr.opcode = Opcode::WriteImm;
+      wr.sge = {{reinterpret_cast<std::uint64_t>(src.data()), 64, mrA->lkey()}};
+      wr.remote_addr = reinterpret_cast<std::uint64_t>(dst.data());
+      wr.rkey = mrB->rkey();
+      wr.inline_data = inlined;
+      ASSERT_TRUE(qpA->post_send(wr).ok());
+    }
+    std::size_t steps = 0;
+    while (eng.step()) ++steps;
+    EXPECT_EQ(steps, 3 * kRequests) << (inlined ? "inlined" : "not inlined");
+    Wc wc[kRequests];
+    EXPECT_EQ(scqA->poll(wc), kRequests);
+    EXPECT_EQ(rcqB->poll(wc), kRequests);
+  }
+}
+
 TEST_F(FabricTest, WriteImmDeliversImmediateAndConsumesRecv) {
   Bytes src(128), dst(128);
   fill_pattern(src, 3);
@@ -265,6 +293,49 @@ TEST_F(FabricTest, RnrWaitPolicyParksUntilReceivePosted) {
   ASSERT_EQ(rcqB->poll(std::span<Wc>(&wc, 1)), 1u);
   EXPECT_EQ(wc.status, WcStatus::Success);
   EXPECT_GE(eng.now(), 1_ms);
+}
+
+TEST_F(FabricTest, ParkedDeliveryCompletesOneCqeAfterTheReceive) {
+  // A Send parked for want of a receive lands when the receive is posted,
+  // and both completions follow one CQE generation later.
+  qpB->set_rnr_policy(RnrPolicy::Wait);
+  Bytes src(8), dst(8);
+  fill_pattern(src, 5);
+  auto* mrA = pdA->register_memory(src.data(), src.size(), LocalWrite);
+  auto* mrB = pdB->register_memory(dst.data(), dst.size(), LocalWrite);
+
+  SendWr wr;
+  wr.wr_id = 4;
+  wr.opcode = Opcode::Send;
+  wr.sge = {{reinterpret_cast<std::uint64_t>(src.data()), 8, mrA->lkey()}};
+  ASSERT_TRUE(qpA->post_send(wr).ok());
+
+  Time recv_done = 0, send_done = 0;
+  auto late_recv = [&]() -> sim::Task<void> {
+    co_await sim::delay(1_ms);
+    EXPECT_TRUE(
+        qpB->post_recv({8, {{reinterpret_cast<std::uint64_t>(dst.data()), 8, mrB->lkey()}}}).ok());
+  };
+  auto wait_recv = [&]() -> sim::Task<void> {
+    auto wc = co_await rcqB->wait_polling();
+    EXPECT_EQ(wc->wr_id, 8u);
+    EXPECT_EQ(wc->status, WcStatus::Success);
+    recv_done = eng.now();
+  };
+  auto wait_send = [&]() -> sim::Task<void> {
+    auto wc = co_await scqA->wait_polling();
+    EXPECT_EQ(wc->wr_id, 4u);
+    EXPECT_EQ(wc->status, WcStatus::Success);
+    send_done = eng.now();
+  };
+  sim::spawn(eng, late_recv());
+  sim::spawn(eng, wait_recv());
+  sim::spawn(eng, wait_send());
+  eng.run();
+
+  EXPECT_EQ(src, dst);
+  EXPECT_EQ(recv_done, 1_ms + fab.model().cqe_overhead);
+  EXPECT_EQ(send_done, 1_ms + fab.model().cqe_overhead);
 }
 
 TEST_F(FabricTest, WriteWithoutRemoteWritePermissionFails) {
@@ -541,6 +612,42 @@ TEST_F(FabricTest, DestroyedQpIsFreedOnceItsInFlightSendFinishes) {
   EXPECT_EQ(dst, src);  // the write posted before the destroy still lands...
   Wc wc;
   EXPECT_EQ(scqA->poll(std::span<Wc>(&wc, 1)), 0u);  // ...but posts no completion
+}
+
+TEST_F(FabricTest, TargetDestroyedBeforeTheCqePostsOnlyTheInitiatorsCompletion) {
+  Bytes src(64), dst(64);
+  fill_pattern(src, 6);
+  auto* mrA = pdA->register_memory(src.data(), src.size(), LocalWrite);
+  auto* mrB = pdB->register_memory(dst.data(), dst.size(), RemoteWrite);
+  ASSERT_TRUE(qpB->post_recv({9, {}}).ok());
+  SendWr wr;
+  wr.wr_id = 3;
+  wr.opcode = Opcode::WriteImm;
+  wr.sge = {{reinterpret_cast<std::uint64_t>(src.data()), 64, mrA->lkey()}};
+  wr.remote_addr = reinterpret_cast<std::uint64_t>(dst.data());
+  wr.rkey = mrB->rkey();
+  ASSERT_TRUE(qpA->post_send(wr).ok());
+
+  const Duration cqe = fab.model().cqe_overhead;
+  const Time landing = write_latency(64, false) - cqe;
+  Time send_done = 0;
+  auto destroy = [&]() -> sim::Task<void> {
+    co_await sim::delay_until(landing + cqe / 2);
+    EXPECT_EQ(dst, src);  // the write has landed...
+    devB->destroy_qp(qpB);
+  };
+  auto wait_send = [&]() -> sim::Task<void> {
+    auto wc = co_await scqA->wait_polling();
+    EXPECT_EQ(wc->wr_id, 3u);
+    EXPECT_EQ(wc->status, WcStatus::Success);
+    send_done = eng.now();
+  };
+  sim::spawn(eng, destroy());
+  sim::spawn(eng, wait_send());
+  eng.run();
+
+  EXPECT_TRUE(rcqB->empty());  // ...but the destroyed target posts nothing
+  EXPECT_EQ(send_done, landing + cqe);
 }
 
 TEST_F(FabricTest, DeallocatedPdIsFreedWithItsLastQueuePair) {

@@ -251,6 +251,16 @@ TEST(ProtocolGolden, SampleMessagesKeepTheirWireBytes) {
   }
 }
 
+TEST(ProtocolFastPath, EncodersAllocateTheExactSizeOnce) {
+  // A fixed-layout message allocates its wire size; a variable-layout one
+  // (a string or vector: AllocationReply, SubmitCode, BatchGranted,
+  // LeasesTerminated, LeaseError) sums its fields' wire sizes first, so
+  // its buffer never regrows and keeps no slack.
+  for (const auto& msg : sample_messages()) {
+    EXPECT_EQ(msg.capacity(), msg.size()) << "type byte " << int(msg[0]);
+  }
+}
+
 TEST(ProtocolFuzz, AllPrefixTruncationsRejected) {
   for (const auto& msg : sample_messages()) {
     // SubmitCode tolerates trailing padding by design (the code bytes),
