@@ -21,7 +21,6 @@ using namespace rfs::workloads;
 cluster::ScenarioSpec fig13_testbed(std::uint64_t worker_buf, std::uint64_t worker_out) {
   auto spec = paper_testbed(/*executors=*/2);
   spec.client_hosts = 2;
-  spec.cores_per_client = 36;
   spec.config.worker_buffer_bytes = worker_buf;
   spec.config.worker_out_buffer_bytes = worker_out;
   return spec;
@@ -93,7 +92,7 @@ double matmul_with_rfaas(std::size_t n, int ranks, const Matrix& a, const Matrix
       co_await r.compute(matmul_time(n / 2, n, n));
       (void)co_await future.get();
       const double mine = static_cast<double>(sim::Engine::current()->now() - t0);
-      const double slowest = co_await r.allreduce_max(mine);
+      const double slowest = (co_await r.allreduce(mine)).max;
       if (r.rank() == 0) elapsed_ms = slowest / 1e6;
       co_await invoker->deallocate();
     });
@@ -181,7 +180,7 @@ double jacobi_with_rfaas(std::size_t n, int ranks, unsigned iterations, const Ma
         (void)co_await future.get();
       }
       const double mine = static_cast<double>(sim::Engine::current()->now() - t0);
-      const double slowest = co_await r.allreduce_max(mine);
+      const double slowest = (co_await r.allreduce(mine)).max;
       if (r.rank() == 0) elapsed_ms = slowest / 1e6;
       co_await invoker->deallocate();
     });

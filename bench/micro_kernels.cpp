@@ -2,9 +2,17 @@
 // blocks: simulation engine throughput, fabric data movement, base64,
 // CRC-32C, and the workload kernels. These measure the *simulator's* speed,
 // complementing the virtual-time figure benches.
+//
+// After a run that timed the 4 KiB CRC rows it judges crc32c's dispatch
+// and exits 1 when it fell back to a slower tier (see CrcDispatchCheck).
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <map>
+#include <memory>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/base64.hpp"
 #include "common/bytes.hpp"
@@ -108,13 +116,13 @@ void time_crc32c_tier(benchmark::State& state, std::string_view name) {
   state.SkipWithError("this CPU lacks the tier's instructions");
 }
 
-// The table loop that CPUs without SSE4.2 and PCLMULQDQ run: CI compares
-// BM_Crc32c/4096 against it to catch a dispatch that falls back to it.
+// The table loop that CPUs without SSE4.2 and PCLMULQDQ run: the
+// dispatch check compares BM_Crc32c/4096 against it.
 void BM_Crc32cPortable(benchmark::State& state) { time_crc32c_tier(state, "portable"); }
 BENCHMARK(BM_Crc32cPortable)->Arg(4096);
 
-// The three `crc32` lanes: CI compares BM_Crc32c/4096 against it where
-// crc32c dispatches to the VPCLMULQDQ folds.
+// The three `crc32` lanes: the dispatch check compares BM_Crc32c/4096
+// against it where crc32c dispatches to the VPCLMULQDQ folds.
 void BM_Crc32cLanes(benchmark::State& state) { time_crc32c_tier(state, "sse4.2"); }
 BENCHMARK(BM_Crc32cLanes)->Arg(4096);
 
@@ -155,7 +163,83 @@ void BM_ThumbnailPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_ThumbnailPipeline);
 
+// Guards crc32c's dispatch: a CPU check that silently fell back to a
+// slower tier would return the same values, so no correctness test can
+// see it. BM_Crc32c/4096 must run at least 4x BM_Crc32cPortable/4096's
+// bytes/s and, where its label names the VPCLMULQDQ folds, at least 1.5x
+// BM_Crc32cLanes/4096's. At 4 KiB on a 4-vCPU Xeon VM the three `crc32`
+// lanes run ~57x the table loop and the folds ~3.7x the lanes. The folds
+// were measured on Intel only: CPUs that split 512-bit operations into
+// two 256-bit halves (AMD Zen 4) report the same flags and were not
+// measured, so the bound against the lanes is 1.5x, which still fails a
+// dispatch that fell back to them (~1x). Every run goes on to the
+// display reporter that --benchmark_format picked.
+class CrcDispatchCheck : public benchmark::BenchmarkReporter {
+ public:
+  CrcDispatchCheck() : display_(benchmark::CreateDefaultDisplayReporter()) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      const auto rate = run.counters.find("bytes_per_second");
+      if (run.error_occurred || run.run_type != Run::RT_Iteration || rate == run.counters.end()) {
+        continue;
+      }
+      rates_[run.benchmark_name()] = rate->second.value;
+      if (run.benchmark_name() == "BM_Crc32c/4096") tier_ = run.report_label;
+    }
+    display_->ReportRuns(runs);
+  }
+  void Finalize() override { display_->Finalize(); }
+
+  /// False, after printing the failed comparison, when the dispatch fell
+  /// back; true when it holds or the run did not time the rows.
+  [[nodiscard]] bool holds() const {
+    bool ok = at_least(4.0, "BM_Crc32cPortable/4096");
+    if (tier_ == "vpclmulqdq") {
+      ok = at_least(1.5, "BM_Crc32cLanes/4096") && ok;
+    } else if (rates_.contains("BM_Crc32c/4096")) {
+      std::fprintf(stderr,
+                   "crc32c runs the %s tier at 4 KiB: no VPCLMULQDQ tier on this CPU, no "
+                   "check against the lanes\n",
+                   tier_.c_str());
+    }
+    return ok;
+  }
+
+ private:
+  /// BM_Crc32c/4096 runs at least `factor` times `base`'s bytes/s (or
+  /// one of the two rows was not timed).
+  [[nodiscard]] bool at_least(double factor, const std::string& base) const {
+    const auto dispatched = rates_.find("BM_Crc32c/4096");
+    const auto other = rates_.find(base);
+    if (dispatched == rates_.end() || other == rates_.end() ||
+        dispatched->second >= factor * other->second) {
+      return true;
+    }
+    std::fprintf(stderr,
+                 "CRC DISPATCH CHECK FAILED: BM_Crc32c/4096 (%s) runs %.3g GB/s, less than "
+                 "%.1fx %s's %.3g GB/s\n",
+                 tier_.c_str(), dispatched->second / 1e9, factor, base.c_str(),
+                 other->second / 1e9);
+    return false;
+  }
+
+  std::unique_ptr<benchmark::BenchmarkReporter> display_;
+  std::map<std::string, double> rates_;  // bytes/s by benchmark name
+  std::string tier_;                     // BM_Crc32c/4096's label
+};
+
 }  // namespace
 }  // namespace rfs
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  rfs::CrcDispatchCheck check;
+  benchmark::RunSpecifiedBenchmarks(&check);
+  benchmark::Shutdown();
+  return check.holds() ? 0 : 1;
+}

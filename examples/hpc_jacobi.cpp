@@ -76,7 +76,7 @@ sim::Task<void> run_ranks(cluster::Harness& p) {
     }
     const double elapsed_ms = to_ms(sim::Engine::current()->now() - t0);
     const double residual = residual_norm(a, b, x);
-    const double slowest = co_await r.allreduce_max(elapsed_ms);
+    const double slowest = (co_await r.allreduce(elapsed_ms)).max;
     if (r.rank() == 0) {
       std::printf("%d ranks x %u iterations on %zux%zu systems: %.2f ms "
                   "(local+offloaded halves overlap)\n",

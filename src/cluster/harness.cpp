@@ -23,6 +23,11 @@ double UtilizationTrace::peak_utilization() const {
 
 namespace {
 
+/// Every client host: two 18-core Xeon Gold 6154 and 64 GiB, like the
+/// paper's default executor node.
+constexpr unsigned kClientCores = 36;
+constexpr std::uint64_t kClientMemory = 64ull << 30;
+
 /// 64-bit FNV-1a over the eight little-endian bytes of `v`, from `h`.
 std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   for (int byte = 0; byte < 8; ++byte) {
@@ -139,7 +144,7 @@ Harness::Harness(ScenarioSpec spec) : spec_(std::move(spec)) {
 
   for (unsigned i = 0; i < spec_.client_hosts; ++i) {
     client_hosts_.push_back(std::make_unique<sim::Host>(
-        "client" + std::to_string(i), spec_.cores_per_client, spec_.memory_per_client));
+        "client" + std::to_string(i), kClientCores, kClientMemory));
     auto& dev = fabric_->create_device("client-nic" + std::to_string(i),
                                        client_hosts_.back().get());
     dev.set_locality(host_counter++ % racks);

@@ -45,9 +45,7 @@ struct ExecutorGroup {
 /// Declarative description of a deployment.
 struct ScenarioSpec {
   std::vector<ExecutorGroup> executors{{2, 36, 64ull << 30}};
-  unsigned client_hosts = 1;
-  unsigned cores_per_client = 36;
-  std::uint64_t memory_per_client = 64ull << 30;
+  unsigned client_hosts = 1;  ///< each one a 36-core, 64 GiB host
   /// Topology groups (racks); hosts are assigned round-robin. 1 = flat.
   unsigned racks = 1;
   rfaas::Config config{};
@@ -374,9 +372,8 @@ class Harness {
   std::optional<std::size_t> drain_executor(std::size_t index);
 
   /// Attaches a warm standby to the current primary: snapshot install +
-  /// live journal-record streaming (requires Config::journal_enabled).
-  /// Returns nullptr when the primary has no journal or the snapshot
-  /// offer is rejected.
+  /// live journal-record streaming, which the first standby starts.
+  /// Returns nullptr when the snapshot offer is rejected.
   std::shared_ptr<rfaas::StandbyReplica> attach_standby();
   [[nodiscard]] std::size_t standby_count() const { return standbys_.size(); }
 

@@ -10,6 +10,19 @@ void append(Bytes& out, const std::string& s) {
   out.insert(out.end(), s.begin(), s.end());
 }
 
+/// A message: `start_line`, the headers plus Content-Length, a blank
+/// line and the body.
+Bytes write_message(const std::string& start_line, std::map<std::string, std::string> headers,
+                    const std::string& body) {
+  Bytes out;
+  append(out, start_line + "\r\n");
+  headers["Content-Length"] = std::to_string(body.size());
+  for (const auto& [k, v] : headers) append(out, k + ": " + v + "\r\n");
+  append(out, "\r\n");
+  append(out, body);
+  return out;
+}
+
 struct LineCursor {
   const Bytes& raw;
   std::size_t pos = 0;
@@ -50,14 +63,7 @@ Result<std::map<std::string, std::string>> parse_headers(LineCursor& cur) {
 }  // namespace
 
 Bytes HttpRequest::serialize() const {
-  Bytes out;
-  append(out, method + " " + path + " HTTP/1.1\r\n");
-  auto hdrs = headers;
-  hdrs["Content-Length"] = std::to_string(body.size());
-  for (const auto& [k, v] : hdrs) append(out, k + ": " + v + "\r\n");
-  append(out, "\r\n");
-  append(out, body);
-  return out;
+  return write_message(method + " " + path + " HTTP/1.1", headers, body);
 }
 
 Result<HttpRequest> HttpRequest::parse(const Bytes& raw) {
@@ -83,7 +89,6 @@ Result<HttpRequest> HttpRequest::parse(const Bytes& raw) {
 }
 
 Bytes HttpResponse::serialize() const {
-  Bytes out;
   const char* reason = status == 200   ? "OK"
                        : status == 202 ? "Accepted"
                        : status == 400 ? "Bad Request"
@@ -91,13 +96,7 @@ Bytes HttpResponse::serialize() const {
                        : status == 429 ? "Too Many Requests"
                        : status == 500 ? "Internal Server Error"
                                        : "Unknown";
-  append(out, "HTTP/1.1 " + std::to_string(status) + " " + reason + "\r\n");
-  auto hdrs = headers;
-  hdrs["Content-Length"] = std::to_string(body.size());
-  for (const auto& [k, v] : hdrs) append(out, k + ": " + v + "\r\n");
-  append(out, "\r\n");
-  append(out, body);
-  return out;
+  return write_message("HTTP/1.1 " + std::to_string(status) + " " + reason, headers, body);
 }
 
 Result<HttpResponse> HttpResponse::parse(const Bytes& raw) {
@@ -117,25 +116,6 @@ Result<HttpResponse> HttpResponse::parse(const Bytes& raw) {
   resp.headers = std::move(hdrs).take();
   resp.body = cur.rest();
   return resp;
-}
-
-sim::Task<Result<HttpResponse>> http_roundtrip(TcpStream& stream, const HttpRequest& request) {
-  stream.send(request.serialize());
-  auto reply = co_await stream.recv();
-  if (!reply) co_return Error::make(5, "http: connection closed");
-  co_return HttpResponse::parse(*reply);
-}
-
-sim::Task<std::optional<HttpRequest>> http_read_request(TcpStream& stream) {
-  auto raw = co_await stream.recv();
-  if (!raw) co_return std::nullopt;
-  auto req = HttpRequest::parse(*raw);
-  if (!req) co_return std::nullopt;
-  co_return std::move(req).take();
-}
-
-void http_write_response(TcpStream& stream, const HttpResponse& response) {
-  stream.send(response.serialize());
 }
 
 }  // namespace rfs::net

@@ -1,7 +1,8 @@
 // Minimal HTTP/1.1 message model with real text serialization/parsing.
-// The cloud baselines (AWS Lambda gateway, OpenWhisk API gateway) exchange
-// genuine HTTP messages over the TCP transport, so header overheads and
-// base64 body inflation are measured, not assumed.
+// The cloud baselines (AWS Lambda gateway, OpenWhisk API gateway)
+// serialize and parse genuine HTTP messages and charge the wire time of
+// their real sizes as delays, so header overheads and base64 body
+// inflation are measured, not assumed.
 #pragma once
 
 #include <map>
@@ -9,7 +10,6 @@
 
 #include "common/bytes.hpp"
 #include "common/result.hpp"
-#include "net/tcp.hpp"
 
 namespace rfs::net {
 
@@ -33,14 +33,5 @@ struct HttpResponse {
 
   [[nodiscard]] bool ok() const { return status >= 200 && status < 300; }
 };
-
-/// Sends the request on `stream` and awaits the response.
-sim::Task<Result<HttpResponse>> http_roundtrip(TcpStream& stream, const HttpRequest& request);
-
-/// Reads one request from `stream`; nullopt when the peer closed.
-sim::Task<std::optional<HttpRequest>> http_read_request(TcpStream& stream);
-
-/// Writes a response to `stream`.
-void http_write_response(TcpStream& stream, const HttpResponse& response);
 
 }  // namespace rfs::net

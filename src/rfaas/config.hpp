@@ -145,9 +145,6 @@ struct Config {
   /// code executor and its allocator that verifies resource status.
   Duration warm_resource_check = 900;
 
-  /// Time a hot worker keeps busy-polling before rolling back to warm.
-  Duration hot_polling_timeout = 500_ms;
-
   /// Worker thread creation + core pinning during cold start.
   Duration worker_spawn = 180_us;
 
@@ -165,8 +162,10 @@ struct Config {
   std::uint64_t worker_buffer_bytes = 8_MiB;
 
   /// Output buffer size of each worker; 0 means "same as the receive
-  /// buffer". Benches with asymmetric payloads (large in, small out) use
-  /// this to keep the simulation's real memory footprint bounded.
+  /// buffer". It sets the modelled registration cost of the output
+  /// buffer: benches with asymmetric payloads (large in, small out)
+  /// register a small one. Host memory follows only the pages a run
+  /// writes either way (rdmalib::Buffer maps lazily).
   std::uint64_t worker_out_buffer_bytes = 0;
 
   /// Heartbeat period of the resource manager. Also the granularity of
@@ -241,15 +240,6 @@ struct Config {
   /// ResourceManager::rebalance_sweeps_skipped).
   Duration rebalance_period = 0;
   double rebalance_max_skew = 1.5;
-
-  /// Journal every manager state transition (grant/renew/release/expiry/
-  /// eviction/registration/drain/death/migration) to a checksummed
-  /// record stream (src/rfaas/journal.hpp) that warm standby replicas
-  /// apply into an identical in-memory state (src/rfaas/replica.hpp).
-  /// Off by default: standalone managers with no standby attached would
-  /// only pay the append for nothing. Harness scenarios with a standby
-  /// and the failover suites turn it on.
-  bool journal_enabled = false;
 
   /// Executor re-registration attempts after its manager session dies
   /// (manager crash/failover). 0 keeps the pre-HA behaviour: the session

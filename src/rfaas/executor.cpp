@@ -114,15 +114,13 @@ sim::Task<void> Worker::run() {
       holds_core_ = true;
       hot_ = true;
     }
-    const Duration hot_timeout =
-        sandbox_.hot_timeout > 0 ? sandbox_.hot_timeout : mgr_.config_.hot_polling_timeout;
 
     while (running_) {
       if (hot_) {
         // Hot: busy-poll the CQ; the core stays occupied and the polling
         // time is billed as Ch.
         const Time poll_start = mgr_.engine_.now();
-        auto wc = co_await conn_->recv_cq().wait_polling(poll_start + hot_timeout);
+        auto wc = co_await conn_->recv_cq().wait_polling(poll_start + sandbox_.hot_timeout);
         const Duration polled = mgr_.engine_.now() - poll_start;
         mgr_.account_hot_poll(sandbox_.client_id, polled);
         mgr_.host_.note_busy(polled);
@@ -240,11 +238,18 @@ sim::Task<void> Worker::execute_and_reply(const fabric::Wc& wc, bool hot) {
       (hot ? sb_model.hot_invocation_overhead : sb_model.warm_invocation_overhead);
   co_await sim::delay(dispatch);
 
-  const auto header = InvocationHeader::unpack(recv_buf_->raw());
-  const std::uint32_t input_size =
-      wc.byte_len >= InvocationHeader::kSize
-          ? wc.byte_len - static_cast<std::uint32_t>(InvocationHeader::kSize)
-          : 0;
+  // A frame shorter than the header (or overrunning the buffer) names no
+  // result address or key to answer at: run nothing, write nothing, and
+  // leave the client's deadline to surface the loss.
+  const auto frame = decode_invocation_frame({recv_buf_->raw(), recv_buf_->raw_bytes()},
+                                             wc.byte_len);
+  if (!frame.ok()) {
+    post_receive();
+    co_return;
+  }
+  const InvocationHeader& header = frame.value().header;
+  const std::uint8_t* input = frame.value().payload.data();
+  const auto input_size = static_cast<std::uint32_t>(frame.value().payload.size());
   const std::uint64_t tag = header.invocation_tag;
 
   // Modelled execution time is known up front (the simulation charges it
@@ -281,9 +286,7 @@ sim::Task<void> Worker::execute_and_reply(const fabric::Wc& wc, bool hot) {
 
   // Request integrity: a checksum mismatch means the payload was mangled
   // in flight; reject rather than execute garbage bytes.
-  if (!dropped && header.checksum != 0 &&
-      payload_checksum(recv_buf_->raw() + InvocationHeader::kSize, input_size) !=
-          header.checksum) {
+  if (!dropped && header.checksum != 0 && payload_checksum(input, input_size) != header.checksum) {
     rejected = true;
     dropped = true;
   }
@@ -305,7 +308,7 @@ sim::Task<void> Worker::execute_and_reply(const fabric::Wc& wc, bool hot) {
     if (mgr_.worker_faults_ != nullptr) (void)mgr_.worker_faults_->note_execution(tag);
     const CodePackage& pkg = *code;
     // Run the real user code on the real bytes...
-    out_len = pkg.entry(recv_buf_->raw() + InvocationHeader::kSize, input_size, out_buf_->raw());
+    out_len = pkg.entry(input, input_size, out_buf_->raw());
     // ...and charge its modelled duration in virtual time.
     if (compute > 0) co_await mgr_.host_.compute_on_held_core(compute);
     mgr_.account_compute(sandbox_.client_id, compute + dispatch);
@@ -1077,7 +1080,7 @@ sim::Task<void> ExecutorManager::flush_billing() {
       wr.swap_or_add = deltas[i];
     }
     if (n == 0) {
-      usage = PendingUsage{};
+      usage = TenantUsage{};
       continue;
     }
     auto st = rm_conn_->post_many({wrs.data(), n});
@@ -1100,7 +1103,7 @@ sim::Task<void> ExecutorManager::flush_billing() {
       billing_flush_gate_.unlock();
       co_return;
     }
-    usage = PendingUsage{};
+    usage = TenantUsage{};
   }
   billing_flush_gate_.unlock();
 }

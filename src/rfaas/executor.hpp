@@ -337,12 +337,7 @@ class ExecutorManager {
       buffer_pool_;
   std::size_t buffer_pool_count_ = 0;
 
-  struct PendingUsage {
-    std::uint64_t allocation_mib_ms = 0;
-    std::uint64_t compute_ns = 0;
-    std::uint64_t hot_poll_ns = 0;
-  };
-  std::map<std::uint32_t, PendingUsage> pending_usage_;
+  std::map<std::uint32_t, TenantUsage> pending_usage_;
   std::unique_ptr<rdmalib::Connection> rm_conn_;
   std::uint64_t billing_addr_ = 0;
   std::uint32_t billing_rkey_ = 0;

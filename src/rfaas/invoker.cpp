@@ -1057,6 +1057,15 @@ void Invoker::release_worker(std::size_t widx) {
   slots_->release();
 }
 
+void Invoker::settle_worker(std::size_t widx, const InvocationResult& r) {
+  if (r.timed_out) {
+    ++timeouts_;
+    sim::spawn(engine_, reap_worker(widx));
+  } else if (workers_[widx].conn != nullptr && workers_[widx].conn->alive()) {
+    release_worker(widx);
+  }  // else a dead connection: permanently out of the rotation
+}
+
 sim::Task<void> Invoker::reap_worker(std::size_t widx) {
   // A timed-out attempt may still get its (late) completion; drain it
   // off-path before the worker rejoins the rotation, or the next
@@ -1064,12 +1073,15 @@ sim::Task<void> Invoker::reap_worker(std::size_t widx) {
   // must outlast the longest gray pause the chaos layer injects, so a
   // slow-but-alive worker comes back; a wedged or dead one never does.
   constexpr Duration kReapGrace = 50_ms;
-  WorkerRef& w = workers_[widx];
-  if (w.conn == nullptr || !w.conn->alive()) co_return;  // dead: stays out
-  auto late = co_await w.conn->recv_cq().wait_polling(engine_.now() + kReapGrace);
+  // The copy keeps the CQ alive through the wait: deallocate() may
+  // retire the worker meanwhile, and its close() wakes this wait with a
+  // flushed completion.
+  const std::shared_ptr<rdmalib::Connection> conn = workers_[widx].conn;
+  if (conn == nullptr || !conn->alive()) co_return;  // dead: stays out
+  auto late = co_await conn->recv_cq().wait_polling(engine_.now() + kReapGrace);
   if (!late.has_value()) co_return;  // nothing came: wedged/stuck, keep out
   if (late->status != fabric::WcStatus::Success) co_return;  // flushed: dead
-  if (w.conn == nullptr || !w.conn->alive()) co_return;
+  if (!conn->alive()) co_return;
   release_worker(widx);
 }
 
@@ -1138,14 +1150,7 @@ sim::Task<InvocationResult> Invoker::invoke_reliable(std::uint16_t fn_index, con
         // instead of re-executing. Keep the worker owned.
         ++corruptions_detected_;
       } else {
-        if (result.timed_out) {
-          ++timeouts_;
-          sim::spawn(engine_, reap_worker(widx));
-        } else if (workers_[widx].conn == nullptr || !workers_[widx].conn->alive()) {
-          // Dead connection: permanently out of the rotation.
-        } else {
-          release_worker(widx);
-        }
+        settle_worker(widx, result);
         widx = kNoWorker;
       }
     }
@@ -1195,14 +1200,7 @@ sim::Task<void> Invoker::hedge_attempt(std::shared_ptr<Hedge> hs, std::size_t wi
                                        Time deadline, std::optional<std::size_t> backup_slot) {
   InvocationResult r = co_await attempt(widx, fn_index, frame, tag, deadline);
   record_outcome(workers_[widx].device, r.ok, r.completed_at - r.submitted_at);
-  if (r.timed_out) {
-    ++timeouts_;
-    sim::spawn(engine_, reap_worker(widx));
-  } else if (workers_[widx].conn == nullptr || !workers_[widx].conn->alive()) {
-    // Dead connection: permanently out of the rotation.
-  } else {
-    release_worker(widx);
-  }
+  settle_worker(widx, r);
   if (backup_slot.has_value()) {
     // A winning backup's output sits in its staging slot: move it into
     // the caller's frame before the slot goes back to the pool.

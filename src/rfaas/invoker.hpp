@@ -368,7 +368,7 @@ struct AllocationSpec {
   Duration lease_timeout = 300_s;
   SandboxType sandbox = SandboxType::BareMetal;
   InvocationPolicy policy = InvocationPolicy::Adaptive;
-  Duration hot_timeout = 0;       ///< 0 = platform default
+  Duration hot_timeout = kDefaultHotTimeout;  ///< Adaptive hot-poll window
   std::uint64_t code_size = 0;    ///< 0 = the package's declared size
   bool polling_client = true;     ///< busy-poll for results vs blocking wait
   /// Acquire all leases of this allocation in one BatchAllocate round
@@ -514,7 +514,7 @@ class Invoker {
 
  private:
   struct WorkerRef {
-    std::unique_ptr<rdmalib::Connection> conn;
+    std::shared_ptr<rdmalib::Connection> conn;  ///< shared with a pending reap_worker
     rdmalib::RemoteBuffer remote_buf;
     std::uint64_t max_payload = 0;
     /// Executor identity + control channel, for health scoring and
@@ -607,6 +607,9 @@ class Invoker {
   /// straggling primary's; falls back to pick_worker().
   std::size_t pick_worker_avoiding(fabric::DeviceId device);
   void release_worker(std::size_t widx);
+  /// Settles the worker of a finished fault-tolerant attempt: a timed
+  /// out one is reaped, a dead one dropped, any other released.
+  void settle_worker(std::size_t widx, const InvocationResult& r);
   /// Post-timeout worker recycling: drains the late/stale completion the
   /// abandoned attempt left behind (bounded wait) before the worker may
   /// rejoin the rotation; dead and wedged workers never rejoin.

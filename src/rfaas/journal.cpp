@@ -50,6 +50,7 @@ JournalRecordMsg Journal::append(JournalRecordMsg r) {
 void Journal::add_sink(Sink sink) {
   std::lock_guard<std::mutex> lock(mu_);
   sinks_.push_back(std::move(sink));
+  streaming_.store(true, std::memory_order_relaxed);
 }
 
 std::uint64_t Journal::last_seq() const {

@@ -16,8 +16,12 @@
 //
 // The journal keeps no copy of what it appends: a standby catches up
 // from a snapshot taken when it attaches, then from the live stream.
+// Until the first sink attaches there is nobody to catch up, so the
+// manager stamps nothing and a manager without a standby pays one flag
+// load per transition.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -93,10 +97,14 @@ class Journal {
   /// streamed).
   JournalRecordMsg append(JournalRecordMsg r);
 
-  /// Registers a replication sink. Earlier records are gone — pair with
-  /// a snapshot (ShardedResourceManager::export_state) covering
-  /// everything up to last_seq().
+  /// Registers a replication sink and raises streaming(). Earlier
+  /// records are gone — pair with a snapshot
+  /// (ShardedResourceManager::export_state) covering everything up to
+  /// last_seq().
   void add_sink(Sink sink);
+
+  /// True once a sink is attached: the manager appends only then.
+  [[nodiscard]] bool streaming() const { return streaming_.load(std::memory_order_relaxed); }
 
   /// Seq of the most recent record (0 = nothing appended yet).
   [[nodiscard]] std::uint64_t last_seq() const;
@@ -106,6 +114,7 @@ class Journal {
  private:
   mutable std::mutex mu_;
   std::vector<Sink> sinks_;
+  std::atomic<bool> streaming_{false};
   std::uint64_t next_seq_ = 1;
   std::uint64_t last_checksum_ = 0;
 };

@@ -216,6 +216,10 @@ struct LeaseGrantMsg {
   static auto fields(auto& m) { return std::tuple_cat(body(m), std::tie(m.request_id)); }
 };
 
+/// Time an Adaptive worker keeps busy-polling after an invocation before
+/// rolling back to warm, unless the allocation sets its own.
+inline constexpr Duration kDefaultHotTimeout = 500_ms;
+
 /// Sandbox allocation on the leased executor (A2 in the cold-start path).
 struct AllocationRequestMsg {
   static constexpr MsgType kType = MsgType::AllocationRequest;
@@ -225,7 +229,7 @@ struct AllocationRequestMsg {
   std::uint64_t memory_bytes = 0;///< per-worker memory reservation
   std::uint8_t sandbox = 0;      ///< SandboxType
   std::uint8_t policy = 0;       ///< InvocationPolicy
-  Duration hot_timeout = 0;      ///< Adaptive rollback timeout (0 = default)
+  Duration hot_timeout = kDefaultHotTimeout;  ///< Adaptive rollback timeout
   Time expires_at = 0;           ///< lease expiry (sandbox self-destructs)
 
   static auto fields(auto& m) {

@@ -3,7 +3,7 @@
 namespace rfs::rfaas {
 
 StandbyReplica::StandbyReplica(const Config& config)
-    : config_(standby_config(config)),
+    : config_(config),
       core_(std::make_unique<ShardedResourceManager>(config_)) {}
 
 Status StandbyReplica::install_snapshot(const ShardedResourceManager::ManagerState& state,

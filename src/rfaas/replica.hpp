@@ -1,10 +1,10 @@
 // Warm standby replica of the resource manager (HA, ROADMAP #2).
 //
-// A StandbyReplica owns a journal-less ShardedResourceManager core and
-// keeps it in lockstep with a journaling primary: it installs the
-// digest-verified snapshot (ShardedResourceManager::export_state) the
-// primary offers once, when the standby attaches, and then applies the
-// primary's live journal stream in seq order, verifying the chained
+// A StandbyReplica owns a ShardedResourceManager core and keeps it in
+// lockstep with a journaling primary: it installs the digest-verified
+// snapshot (ShardedResourceManager::export_state) the primary offers
+// once, when the standby attaches, and then applies the primary's live
+// journal stream in seq order, verifying the chained
 // checksum record by record. Applying is pure delta application — no
 // placement policy, routing RNG or quota logic re-runs — so a record
 // that does not apply cleanly means divergence and is surfaced as an
@@ -30,9 +30,9 @@ namespace rfs::rfaas {
 /// from a Journal sink while other threads read accessors.
 class StandbyReplica {
  public:
-  /// The core is built from `config` with journaling disabled (a standby
-  /// re-journaling applied records would re-stream them; the promoted
-  /// manager starts a fresh journal for its own standbys).
+  /// The core is built from `config`. Its journal has no sink, so
+  /// applied records are not re-stamped; the promoted manager starts a
+  /// fresh journal for its own standbys.
   explicit StandbyReplica(const Config& config);
 
   /// Installs a snapshot: verifies the offer's digest and lease count
@@ -68,11 +68,6 @@ class StandbyReplica {
   }
 
  private:
-  static Config standby_config(Config config) {
-    config.journal_enabled = false;
-    return config;
-  }
-
   Config config_;
   std::unique_ptr<ShardedResourceManager> core_;
   mutable std::mutex mu_;

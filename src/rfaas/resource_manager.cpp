@@ -85,15 +85,12 @@ Status ResourceManager::adopt(const ShardedResourceManager::ManagerState& state,
 }
 
 Status ResourceManager::attach_standby(std::shared_ptr<StandbyReplica> standby) {
-  auto* journal = core_.journal();
-  if (journal == nullptr) {
-    return Error::make(60, "rm: standby needs Config::journal_enabled");
-  }
+  auto& journal = core_.journal();
   // The one snapshot a standby gets: everything journaled so far.
   SnapshotOfferMsg offer;
   offer.manager_epoch = manager_epoch_;
-  offer.upto_seq = journal->last_seq();
-  offer.chain_checksum = journal->last_checksum();
+  offer.upto_seq = journal.last_seq();
+  offer.chain_checksum = journal.last_checksum();
   const auto state = core_.export_state();
   offer.digest = state.digest();
   for (const auto& shard : state.shards) offer.lease_count += shard.leases.size();
@@ -104,7 +101,7 @@ Status ResourceManager::attach_standby(std::shared_ptr<StandbyReplica> standby) 
   // Live replication: every appended record crosses the wire encoding on
   // its way into the replica, so the stream the tests exercise is the
   // byte-exact stream a remote standby would consume.
-  journal->add_sink([this, standby = std::move(standby)](const JournalRecordMsg& record) {
+  journal.add_sink([this, standby = std::move(standby)](const JournalRecordMsg& record) {
     if (auto applied = standby->apply_wire(encode(record)); !applied.ok()) {
       ++replication_errors_;
       log::warn("rm", "standby diverged at seq ", record.seq, ": ", applied.error().message);
@@ -412,7 +409,7 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
         if (restored_) {
           FailoverAnnounceMsg announce;
           announce.manager_epoch = manager_epoch_;
-          announce.applied_seq = core_.journal() != nullptr ? core_.journal()->last_seq() : 0;
+          announce.applied_seq = core_.journal().last_seq();
           announce.promoted_at = promoted_at_;
           stream->send(encode(announce));
         }

@@ -73,7 +73,8 @@ class ResourceManager {
   /// Attaches a warm standby: installs a digest-verified snapshot of the
   /// current state, then streams every subsequent journal record to it
   /// through the wire encoding (encode -> apply_wire), keeping the
-  /// replica in lockstep. Requires Config::journal_enabled.
+  /// replica in lockstep. The first standby starts the journal: a
+  /// manager stamps no records while nobody listens.
   Status attach_standby(std::shared_ptr<StandbyReplica> standby);
 
   /// Current manager epoch (1 at first boot; promotion installs old + 1).

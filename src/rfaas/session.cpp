@@ -107,16 +107,7 @@ sim::Task<Result<Bytes>> Session::call(Bytes request, std::uint64_t request_id) 
 
 sim::Task<std::optional<Bytes>> Session::next_push() {
   auto st = state_;
-  while (true) {
-    if (!st->pushes.empty()) {
-      Bytes msg = std::move(st->pushes.front());
-      st->pushes.pop_front();
-      co_return msg;
-    }
-    if (st->closed) co_return std::nullopt;
-    st->push_event.reset();
-    co_await st->push_event.wait();
-  }
+  co_return co_await st->pushes.recv();
 }
 
 void Session::send_raw(Bytes message) { state_->stream->send(std::move(message)); }
@@ -129,7 +120,7 @@ sim::Task<void> Session::pump(std::shared_ptr<State> st) {
   }
   st->closed = true;
   st->reply_event.set();
-  st->push_event.set();
+  st->pushes.close();
 }
 
 void Session::record_completed(State& st, std::uint64_t id, const Bytes& reply) {
@@ -180,8 +171,7 @@ void Session::classify(State& st, Bytes msg) {
     }
     st.push_seqs.insert(*seq);
   }
-  st.pushes.push_back(std::move(msg));
-  st.push_event.set();
+  st.pushes.send(std::move(msg));
 }
 
 sim::Task<Result<std::shared_ptr<Session>>> dial(sim::Engine& engine, ManagerLink link) {

@@ -46,7 +46,6 @@
 #include "net/tcp.hpp"
 #include "rfaas/protocol.hpp"
 #include "sim/alarm.hpp"
-#include "sim/fifo.hpp"
 #include "sim/sync.hpp"
 
 namespace rfs::rfaas {
@@ -139,8 +138,8 @@ class Session {
     Time deadline = sim::kNever;  ///< retransmission deadline of the waiting call
     sim::Alarm retransmit_alarm{[this](Time now) { return retransmit_due(*this, now); }};
 
-    sim::Fifo<Bytes> pushes;
-    sim::Event push_event;
+    /// Pushes in arrival order; the pump closes it with the stream.
+    sim::Channel<Bytes> pushes;
     /// Seen eviction-push seqs. The manager numbers them per stream from
     /// 1, so the window holds the last kPushSeqWindow of them.
     IdWindow<bool, kPushSeqWindow> push_seqs;

@@ -7,7 +7,6 @@ namespace rfs::rfaas {
 ShardedResourceManager::ShardedResourceManager(const Config& config)
     : locality_sharding_(config.scheduling == SchedulingPolicy::LocalityFirst),
       rng_counter_(config.scheduler_seed) {
-  if (config.journal_enabled) journal_ = std::make_unique<Journal>();
   const std::uint32_t n = std::max(1u, config.manager_shards);
   shards_.reserve(n);
   for (std::uint32_t s = 0; s < n; ++s) {

@@ -453,8 +453,10 @@ class ShardedResourceManager {
     [[nodiscard]] std::uint64_t digest() const;
   };
 
-  /// The replication journal (null unless Config::journal_enabled).
-  [[nodiscard]] Journal* journal() const { return journal_.get(); }
+  /// The replication journal. It stamps records only while a sink
+  /// (a standby) is attached.
+  [[nodiscard]] Journal& journal() { return journal_; }
+  [[nodiscard]] const Journal& journal() const { return journal_; }
 
   /// Exports the canonical state snapshot. Takes each shard's shared
   /// lock in turn — never call while holding a shard lock.
@@ -595,11 +597,12 @@ class ShardedResourceManager {
   LeaseTable::iterator commit_drop(journal::Op op, std::uint32_t shard_index, Shard& shard,
                                    LeaseTable::iterator it, bool returned_capacity);
 
-  /// Appends to the replication journal when enabled. Called under the
-  /// mutating shard's lock, so a shard's records stream in commit order;
-  /// the journal's own mutex orders records across shards.
+  /// Appends to the replication journal while a standby listens.
+  /// Called under the mutating shard's lock, so a shard's records stream
+  /// in commit order; the journal's own mutex orders records across
+  /// shards.
   void journal_append(const JournalRecordMsg& r) {
-    if (journal_) journal_->append(r);
+    if (journal_.streaming()) journal_.append(r);
   }
 
   // ---- Transition steps: the only code that changes replicated state ----
@@ -630,7 +633,7 @@ class ShardedResourceManager {
   /// Reattach: new session epoch and heartbeat clock, state preserved.
   static void reattach_step(Shard& shard, const JournalRecordMsg& r);
 
-  std::unique_ptr<Journal> journal_;
+  Journal journal_;
   std::vector<std::unique_ptr<Shard>> shards_;
   bool locality_sharding_ = false;  // LocalityFirst: shard executors by rack
   std::atomic<std::uint64_t> next_shard_{0};  // round-robin executor assignment

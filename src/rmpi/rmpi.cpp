@@ -29,7 +29,7 @@ sim::Task<Bytes> Rank::recv(int src) {
 }
 
 sim::Task<void> Rank::barrier() {
-  (void)co_await allreduce_max(0.0);
+  (void)co_await allreduce(0.0);
 }
 
 namespace {
@@ -42,60 +42,28 @@ Duration tree_latency(int nranks) {
 }
 }  // namespace
 
-sim::Task<double> Rank::allreduce_max(double value) {
+sim::Task<Reduced> Rank::allreduce(double value) {
   auto& coll = world_.coll_;
-  if (coll.first) {
-    coll.accum_max = value;
-    coll.accum_sum = value;
-    coll.first = false;
+  if (coll.arrived == 0) {
+    coll.accum = {value, value};
   } else {
-    coll.accum_max = std::max(coll.accum_max, value);
-    coll.accum_sum += value;
+    coll.accum.max = std::max(coll.accum.max, value);
+    coll.accum.sum += value;
   }
   ++coll.arrived;
   const std::uint64_t my_generation = world_.coll_generation_;
   if (coll.arrived == static_cast<std::size_t>(world_.nranks_)) {
     co_await sim::delay(tree_latency(world_.nranks_));
-    coll.last_max = coll.accum_max;
-    coll.last_sum = coll.accum_sum;
+    coll.last = coll.accum;
     ++world_.coll_generation_;
     coll.arrived = 0;
-    coll.first = true;
     coll.release.pulse();
-    co_return coll.last_max;
+    co_return coll.last;
   }
   while (world_.coll_generation_ == my_generation) {
     co_await coll.release.wait();
   }
-  co_return coll.last_max;
-}
-
-sim::Task<double> Rank::allreduce_sum(double value) {
-  auto& coll = world_.coll_;
-  if (coll.first) {
-    coll.accum_max = value;
-    coll.accum_sum = value;
-    coll.first = false;
-  } else {
-    coll.accum_max = std::max(coll.accum_max, value);
-    coll.accum_sum += value;
-  }
-  ++coll.arrived;
-  const std::uint64_t my_generation = world_.coll_generation_;
-  if (coll.arrived == static_cast<std::size_t>(world_.nranks_)) {
-    co_await sim::delay(tree_latency(world_.nranks_));
-    coll.last_max = coll.accum_max;
-    coll.last_sum = coll.accum_sum;
-    ++world_.coll_generation_;
-    coll.arrived = 0;
-    coll.first = true;
-    coll.release.pulse();
-    co_return coll.last_sum;
-  }
-  while (world_.coll_generation_ == my_generation) {
-    co_await coll.release.wait();
-  }
-  co_return coll.last_sum;
+  co_return coll.last;
 }
 
 World::World(sim::Engine& engine, fabric::Switch& net, std::vector<sim::Host*> hosts,

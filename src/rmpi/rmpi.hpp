@@ -17,6 +17,12 @@ namespace rfs::rmpi {
 
 class World;
 
+/// Result of an allreduce: the maximum and the sum over every rank's value.
+struct Reduced {
+  double max = 0;
+  double sum = 0;
+};
+
 /// Per-rank handle passed to the rank function.
 class Rank {
  public:
@@ -35,9 +41,8 @@ class Rank {
   /// Synchronizes all ranks (binomial-tree latency model).
   sim::Task<void> barrier();
 
-  /// Max/sum reduction to every rank.
-  sim::Task<double> allreduce_max(double value);
-  sim::Task<double> allreduce_sum(double value);
+  /// Max and sum reduction to every rank.
+  sim::Task<Reduced> allreduce(double value);
 
  private:
   World& world_;
@@ -79,11 +84,8 @@ class World {
   // Barrier/allreduce state (generation-counted, reused across calls).
   struct Collective {
     std::size_t arrived = 0;
-    double accum_max = 0;
-    double accum_sum = 0;
-    double last_max = 0;   // snapshot read by waiters of the finished round
-    double last_sum = 0;
-    bool first = true;
+    Reduced accum;
+    Reduced last;  // snapshot read by waiters of the finished round
     sim::Event release;
   };
   Collective coll_;

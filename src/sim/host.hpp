@@ -45,7 +45,6 @@ class Host {
   Status reserve_memory(std::uint64_t bytes);
   void release_memory(std::uint64_t bytes);
   [[nodiscard]] std::uint64_t free_memory() const { return memory_ - memory_used_; }
-  [[nodiscard]] std::uint64_t used_memory() const { return memory_used_; }
 
   /// Total core-busy nanoseconds accumulated so far.
   [[nodiscard]] std::uint64_t busy_ns() const { return busy_ns_; }

@@ -247,8 +247,6 @@ class Promise {
     state_->fulfill();
   }
 
-  [[nodiscard]] bool fulfilled() const { return state_->ready; }
-
  private:
   std::shared_ptr<detail::FutureState<T>> state_;
 };

@@ -78,6 +78,28 @@ struct PromiseBase {
   FinalAwaiter final_suspend() noexcept { return {}; }
 
   void unhandled_exception() { exception = std::current_exception(); }
+
+  void rethrow_if_failed() const {
+    if (exception) std::rethrow_exception(exception);
+  }
+};
+
+/// The part of a Task's promise that depends on its result type: a value
+/// slot and return_value, or return_void.
+template <typename T>
+struct ResultPromise : PromiseBase {
+  std::optional<T> value;
+  void return_value(T v) { value.emplace(std::move(v)); }
+  T result() {
+    rethrow_if_failed();
+    return std::move(*value);
+  }
+};
+
+template <>
+struct ResultPromise<void> : PromiseBase {
+  void return_void() {}
+  void result() const { rethrow_if_failed(); }
 };
 
 }  // namespace detail
@@ -85,12 +107,10 @@ struct PromiseBase {
 template <typename T>
 class [[nodiscard]] Task {
  public:
-  struct promise_type : detail::PromiseBase {
-    std::optional<T> value;
+  struct promise_type : detail::ResultPromise<T> {
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
     }
-    void return_value(T v) { value.emplace(std::move(v)); }
   };
 
   Task() = default;
@@ -118,68 +138,12 @@ class [[nodiscard]] Task {
         h.promise().continuation = cont;
         return h;  // symmetric transfer: start the child now
       }
-      T await_resume() {
-        if (h.promise().exception) std::rethrow_exception(h.promise().exception);
-        return std::move(*h.promise().value);
-      }
+      T await_resume() { return h.promise().result(); }
     };
     return Awaiter{handle_};
   }
 
   /// Releases ownership (used by spawn).
-  std::coroutine_handle<promise_type> release() { return std::exchange(handle_, {}); }
-
- private:
-  void destroy() {
-    if (handle_) {
-      handle_.destroy();
-      handle_ = {};
-    }
-  }
-  std::coroutine_handle<promise_type> handle_;
-};
-
-template <>
-class [[nodiscard]] Task<void> {
- public:
-  struct promise_type : detail::PromiseBase {
-    Task get_return_object() {
-      return Task(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    void return_void() {}
-  };
-
-  Task() = default;
-  explicit Task(std::coroutine_handle<promise_type> h) : handle_(h) {}
-  Task(Task&& o) noexcept : handle_(std::exchange(o.handle_, {})) {}
-  Task& operator=(Task&& o) noexcept {
-    if (this != &o) {
-      destroy();
-      handle_ = std::exchange(o.handle_, {});
-    }
-    return *this;
-  }
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  ~Task() { destroy(); }
-
-  [[nodiscard]] bool valid() const { return static_cast<bool>(handle_); }
-
-  auto operator co_await() && {
-    struct Awaiter {
-      std::coroutine_handle<promise_type> h;
-      bool await_ready() const noexcept { return false; }
-      std::coroutine_handle<> await_suspend(std::coroutine_handle<> cont) noexcept {
-        h.promise().continuation = cont;
-        return h;
-      }
-      void await_resume() {
-        if (h.promise().exception) std::rethrow_exception(h.promise().exception);
-      }
-    };
-    return Awaiter{handle_};
-  }
-
   std::coroutine_handle<promise_type> release() { return std::exchange(handle_, {}); }
 
  private:

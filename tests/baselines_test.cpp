@@ -185,8 +185,9 @@ TEST_F(RmpiFixture, AllReduceComputesGlobalMaxAndSum) {
   auto done = [&]() -> sim::Task<void> {
     co_await world.run([&](Rank& r) -> sim::Task<void> {
       double v = static_cast<double>(r.rank() + 1);
-      maxes[r.rank()] = co_await r.allreduce_max(v);
-      sums[r.rank()] = co_await r.allreduce_sum(v);
+      const Reduced reduced = co_await r.allreduce(v);
+      maxes[r.rank()] = reduced.max;
+      sums[r.rank()] = reduced.sum;
     });
   };
   sim::spawn(eng, done());

@@ -27,7 +27,6 @@ std::uint64_t chaos_seed() {
 TEST(FailoverChaos, CrashUnderLossyLinksStaysConsistent) {
   auto spec = ScenarioSpec::uniform(/*executors=*/4, /*cores=*/8,
                                     /*memory_bytes=*/16ull << 30, /*clients=*/4);
-  spec.config.journal_enabled = true;
   spec.config.executor_reconnect_attempts = 20;
   spec.config.executor_reconnect_backoff = 25_ms;
   spec.client_reconnect_attempts = 20;

@@ -23,12 +23,11 @@
 namespace rfs::cluster {
 namespace {
 
-/// Journaled manager + bounded client/executor redial budgets: the
-/// configuration every failover scenario shares.
+/// Bounded client/executor redial budgets: the configuration every
+/// failover scenario shares.
 ScenarioSpec ha_spec(unsigned executors, unsigned clients) {
   auto spec = ScenarioSpec::uniform(executors, /*cores=*/8, /*memory_bytes=*/16ull << 30,
                                     clients);
-  spec.config.journal_enabled = true;
   spec.config.executor_reconnect_attempts = 10;
   spec.config.executor_reconnect_backoff = 20_ms;
   spec.client_reconnect_attempts = 10;
@@ -230,7 +229,7 @@ TEST(Failover, StandbyMatchesPrimaryAfterChurn) {
   w.subscribe_events = true;
   (void)h.run_lease_workload(w, /*horizon=*/4_s);
 
-  const rfaas::Journal& journal = *h.rm().core().journal();
+  const rfaas::Journal& journal = h.rm().core().journal();
   ASSERT_GT(journal.last_seq(), 1024u);
   EXPECT_EQ(h.leaked_leases_after(3 * w.lease_timeout), 0u);
   const auto primary = h.rm().core().export_state();
@@ -256,6 +255,34 @@ TEST(Failover, StandbyMatchesPrimaryAfterChurn) {
   ASSERT_TRUE(standby->apply(forged).ok());
   EXPECT_FALSE(standby->export_state() == h.rm().core().export_state());
   EXPECT_NE(standby->export_state().digest(), h.rm().core().export_state().digest());
+}
+
+// The journal stamps records only while a standby listens: a run with
+// none leaves it at seq 0. A standby attached mid-run starts from that
+// empty offer, so every record it takes is gap-free from seq 1 (a gap
+// would count as a replication error), and once the workload drained it
+// holds the primary's state, digest and seq.
+TEST(Failover, JournalRecordsOnlyWhileAStandbyListens) {
+  Harness h(ha_spec(/*executors=*/4, /*clients=*/4));
+  h.start();
+  const LeaseWorkload w = fast_workload(/*seed=*/21);
+  (void)h.run_lease_workload(w, /*horizon=*/500_ms);
+  ASSERT_GT(h.rm().core().grants(), 0u);
+  EXPECT_EQ(h.rm().core().journal().last_seq(), 0u);
+
+  auto standby = h.attach_standby();
+  ASSERT_NE(standby, nullptr);
+  EXPECT_EQ(standby->applied_seq(), 0u);
+  (void)h.run_lease_workload(w, /*horizon=*/500_ms);
+  EXPECT_EQ(h.leaked_leases_after(3 * w.lease_timeout), 0u);
+
+  const rfaas::Journal& journal = h.rm().core().journal();
+  ASSERT_GT(journal.last_seq(), 0u);
+  EXPECT_EQ(standby->applied_seq(), journal.last_seq());
+  EXPECT_EQ(h.rm().replication_errors(), 0u);
+  const auto primary = h.rm().core().export_state();
+  EXPECT_TRUE(standby->export_state() == primary);
+  EXPECT_EQ(standby->export_state().digest(), primary.digest());
 }
 
 }  // namespace

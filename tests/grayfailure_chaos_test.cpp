@@ -37,7 +37,6 @@ TEST(GrayFailureChaos, GrayExecutorUnderLossyLinksAndFailover) {
   ft.hedge_delay = 10_us;
 
   // Layer 1: control-link chaos (client<->manager, executor<->manager).
-  spec.config.journal_enabled = true;
   spec.config.executor_reconnect_attempts = 20;
   spec.config.executor_reconnect_backoff = 25_ms;
   spec.client_reconnect_attempts = 20;

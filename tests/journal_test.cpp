@@ -51,7 +51,6 @@ Config journaled_config(unsigned shards, std::uint64_t seed = 42,
   c.manager_shards = shards;
   c.scheduling = policy;
   c.scheduler_seed = seed;
-  c.journal_enabled = true;
   return c;
 }
 
@@ -96,7 +95,7 @@ struct OpDriver {
 /// one through its wire frame (encode -> apply_wire), as the manager's
 /// standby sink does. A record that fails to apply fails the test.
 void stream_to(SRM& primary, StandbyReplica& replica) {
-  primary.journal()->add_sink([&replica](const JournalRecordMsg& r) {
+  primary.journal().add_sink([&replica](const JournalRecordMsg& r) {
     if (auto applied = replica.apply_wire(encode(r)); !applied.ok()) {
       ADD_FAILURE() << "seq " << r.seq << ": " << applied.error().message;
     }
@@ -105,7 +104,7 @@ void stream_to(SRM& primary, StandbyReplica& replica) {
 
 /// Collects every record the primary journals from now on.
 void record_stream(SRM& primary, std::vector<JournalRecordMsg>& out) {
-  primary.journal()->add_sink([&out](const JournalRecordMsg& r) { out.push_back(r); });
+  primary.journal().add_sink([&out](const JournalRecordMsg& r) { out.push_back(r); });
 }
 
 /// The offer vouching for `state` at the primary's current journal seq,
@@ -114,8 +113,8 @@ SnapshotOfferMsg offer_for(const SRM& primary, const SRM::ManagerState& state,
                            std::uint32_t epoch) {
   SnapshotOfferMsg offer;
   offer.manager_epoch = epoch;
-  offer.upto_seq = primary.journal()->last_seq();
-  offer.chain_checksum = primary.journal()->last_checksum();
+  offer.upto_seq = primary.journal().last_seq();
+  offer.chain_checksum = primary.journal().last_checksum();
   offer.digest = state.digest();
   for (const auto& shard : state.shards) offer.lease_count += shard.leases.size();
   return offer;
@@ -124,7 +123,7 @@ SnapshotOfferMsg offer_for(const SRM& primary, const SRM::ManagerState& state,
 /// Asserts that a replica streamed from genesis has applied every record
 /// and holds the primary's canonical state and digest.
 void expect_replay_equivalent(const SRM& primary, const StandbyReplica& replica) {
-  EXPECT_EQ(replica.applied_seq(), primary.journal()->last_seq());
+  EXPECT_EQ(replica.applied_seq(), primary.journal().last_seq());
   const auto want = primary.export_state();
   const auto got = replica.export_state();
   EXPECT_TRUE(want == got);
@@ -248,6 +247,10 @@ TEST(JournalCorruption, ReplicaRejectsSeqGapsAndChainBreaks) {
 TEST(JournalCorruption, FirstRecordAfterASnapshotIsVerified) {
   const Config config = journaled_config(2);
   SRM primary(config);
+  // An earlier standby keeps the journal stamping, so the offer below
+  // carries a chain value from the middle of the history, not genesis.
+  std::vector<JournalRecordMsg> earlier;
+  record_stream(primary, earlier);
   primary.add_executor(entry(8));
   primary.add_executor(entry(8));
   const auto lease = primary.grant(request(2), 1, 1'000'000, 0);
@@ -255,6 +258,8 @@ TEST(JournalCorruption, FirstRecordAfterASnapshotIsVerified) {
 
   const auto snapshot = primary.export_state();
   const SnapshotOfferMsg offer = offer_for(primary, snapshot, /*epoch=*/1);
+  ASSERT_EQ(offer.upto_seq, 3u);
+  ASSERT_NE(offer.chain_checksum, 0u);
   StandbyReplica replica(config);
   auto installed = replica.install_snapshot(snapshot, offer, 0);
   ASSERT_TRUE(installed.ok()) << installed.error().message;
@@ -414,7 +419,7 @@ TEST(ReplayEquivalence, EveryJournalOpReplays) {
     StandbyReplica standby(config);
     stream_to(primary, standby);
     std::set<journal::Op> seen;
-    primary.journal()->add_sink(
+    primary.journal().add_sink(
         [&seen](const JournalRecordMsg& r) { seen.insert(static_cast<journal::Op>(r.op)); });
     OpDriver drv(primary, seed);
     auto rack = [&] { return static_cast<std::uint32_t>(drv.rng.uniform_int(0, 2)); };
@@ -484,7 +489,7 @@ TEST(ReplayEquivalence, WireFramedSinkStreamsLosslessly) {
   StandbyReplica wire(config);
   stream_to(primary, wire);
   StandbyReplica direct(config);
-  primary.journal()->add_sink(
+  primary.journal().add_sink(
       [&direct](const JournalRecordMsg& r) { EXPECT_TRUE(direct.apply(r).ok()); });
 
   OpDriver drv(primary, seed);
@@ -553,7 +558,7 @@ TEST(ReplayEquivalence, SnapshotPlusSuffixEqualsFullReplay) {
 
   run_ops(150);
   primary.sweep_expired(drv.now + 100'000'000);
-  ASSERT_GT(primary.journal()->last_seq(), offer.upto_seq);
+  ASSERT_GT(primary.journal().last_seq(), offer.upto_seq);
 
   expect_replay_equivalent(primary, full);
   expect_replay_equivalent(primary, warm);

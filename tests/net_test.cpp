@@ -293,31 +293,5 @@ TEST(Http, RejectsGarbage) {
   EXPECT_FALSE(HttpResponse::parse(junk).ok());
 }
 
-TEST_F(NetTest, HttpOverTcp) {
-  auto& listener = tcp.listen(devB->id(), 8080);
-  auto server = [&]() -> sim::Task<void> {
-    auto stream = co_await listener.accept();
-    auto req = co_await http_read_request(*stream);
-    EXPECT_TRUE(req.has_value());
-    HttpResponse resp;
-    resp.status = 200;
-    resp.body = req->body;  // echo
-    http_write_response(*stream, resp);
-  };
-  std::string echoed;
-  auto client = [&]() -> sim::Task<void> {
-    auto res = co_await tcp.connect(devA->id(), devB->id(), 8080);
-    HttpRequest req;
-    req.body = "ping-body";
-    auto resp = co_await http_roundtrip(*res.value(), req);
-    EXPECT_TRUE(resp.ok());
-    echoed = resp.value().body;
-  };
-  sim::spawn(eng, server());
-  sim::spawn(eng, client());
-  eng.run();
-  EXPECT_EQ(echoed, "ping-body");
-}
-
 }  // namespace
 }  // namespace rfs::net

@@ -380,9 +380,7 @@ TEST(EndToEnd, LeaseDeniedWhenNoCapacity) {
 }
 
 TEST(EndToEnd, AdaptivePolicySwitchesWarmToHotAndBack) {
-  auto fleet = small_fleet();
-  fleet.config.hot_polling_timeout = 2_ms;
-  cluster::Harness p(fleet);
+  cluster::Harness p(small_fleet());
   p.registry().add_echo();
   p.start();
 
@@ -395,6 +393,7 @@ TEST(EndToEnd, AdaptivePolicySwitchesWarmToHotAndBack) {
     AllocationSpec spec;
     spec.function_name = "echo";
     spec.policy = InvocationPolicy::Adaptive;
+    spec.hot_timeout = 2_ms;
     EXPECT_TRUE((co_await invoker->allocate(spec)).ok());
     first = co_await invoker->invoke(0, in, 8, out);   // warm (thread blocked)
     second = co_await invoker->invoke(0, in, 8, out);  // hot (just executed)
@@ -571,6 +570,58 @@ TEST(EndToEnd, InvocationOnDeadExecutorFails) {
   EXPECT_TRUE(before.ok);
   EXPECT_FALSE(after.ok);  // "clients use the connection status to check
                            //  if the process is alive" (Sec. III-B)
+}
+
+// A WRITE_WITH_IMM shorter than the 32-byte header carries no result
+// address or key: the worker refuses it without running user code or
+// writing a reply, and re-posts its receive. With fault tolerance on the
+// client's deadline surfaces the loss. The invoker keeps a worker that
+// never answered out of its rotation, so the same worker is reached again
+// through the warm pool, and serves the next well-formed invocation.
+TEST(EndToEnd, ShortInvocationFrameRunsNothing) {
+  auto fleet = small_fleet(/*executors=*/1);
+  fleet.config.fault_tolerance.invocation_deadline = 1_ms;
+  fleet.config.fault_tolerance.retry_budget = 0;
+  fleet.config.warm_pool_capacity = 1;
+  cluster::Harness p(fleet);
+  unsigned calls = 0;
+  CodePackage counted;
+  counted.name = "counted";
+  counted.entry = [&calls](const void* in, std::uint32_t size, void* out) -> std::uint32_t {
+    ++calls;
+    std::memcpy(out, in, size);
+    return size;
+  };
+  p.registry().add(std::move(counted));
+  p.start();
+
+  auto invoker = p.make_invoker();
+  rdmalib::Buffer<std::uint8_t> bare(8, 0);  // no header region
+  ASSERT_TRUE(bare.register_memory(*invoker->pd(), fabric::LocalWrite).ok());
+  rdmalib::Buffer<std::uint8_t> in = invoker->input_buffer<std::uint8_t>(64);
+  rdmalib::Buffer<std::uint8_t> out = invoker->output_buffer<std::uint8_t>(64);
+  fill_pattern({in.data(), 8}, 7);
+  InvocationResult refused, next;
+
+  drive(p, 10_s, [&]() -> sim::Task<void> {
+    AllocationSpec spec;
+    spec.function_name = "counted";
+    spec.workers = 1;
+    spec.policy = InvocationPolicy::HotAlways;
+    EXPECT_TRUE((co_await invoker->allocate(spec)).ok());
+    refused = co_await invoker->invoke(0, bare, 8, out);
+    co_await invoker->deallocate();  // within the reap's grace for the worker
+    EXPECT_TRUE((co_await invoker->allocate(spec)).ok());
+    next = co_await invoker->invoke(0, in, 8, out);
+    co_await invoker->deallocate();
+  });
+
+  EXPECT_TRUE(refused.timed_out);
+  EXPECT_FALSE(refused.ok);
+  EXPECT_EQ(p.executor(0).warm_pool_stats().hits, 1u);  // the same worker again
+  EXPECT_TRUE(next.ok);
+  EXPECT_TRUE(std::equal(in.data(), in.data() + 8, out.data()));
+  EXPECT_EQ(calls, 1u);  // the well-formed invocation only
 }
 
 TEST(EndToEnd, BillingAccumulatesAllThreeComponents) {

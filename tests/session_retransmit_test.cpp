@@ -329,7 +329,9 @@ TEST_F(SessionTest, StreamCloseFailsTheCallImmediately) {
 TEST_F(SessionTest, EvictionPushesNeedASeqAndDeduplicate) {
   // The manager numbers eviction pushes per stream from 1. A duplicated
   // delivery is counted and dropped, an unsequenced one (seq 0) is
-  // dropped, and a push type that carries no seq passes through.
+  // dropped, and a push type that carries no seq passes through. The
+  // consumer starts only after the stream closed, so every push waits in
+  // the queue: it still takes them in arrival order, then nullopt.
   auto session = run_against([](std::shared_ptr<net::TcpStream> s) -> sim::Task<void> {
     LeasesTerminatedMsg term;
     term.lease_ids = {5};
@@ -347,19 +349,27 @@ TEST_F(SessionTest, EvictionPushesNeedASeqAndDeduplicate) {
     s->close();
   });
   ASSERT_NE(session, nullptr);
+  ASSERT_TRUE(session->closed());
 
   std::vector<MsgType> delivered;
-  sim::spawn(eng, [](std::shared_ptr<Session> ss, std::vector<MsgType>* out) -> sim::Task<void> {
+  std::vector<std::uint64_t> seqs;  // LeasesTerminated only
+  bool drained = false;
+  sim::spawn(eng, [](std::shared_ptr<Session> ss, std::vector<MsgType>* out,
+                     std::vector<std::uint64_t>* out_seqs, bool* end) -> sim::Task<void> {
     while (auto push = co_await ss->next_push()) {
       auto type = peek_type(*push);
       EXPECT_TRUE(type.ok());
       if (type.ok()) out->push_back(type.value());
+      if (auto term = decode_leases_terminated(*push)) out_seqs->push_back(term.value().seq);
     }
-  }(session, &delivered));
+    *end = !(co_await ss->next_push()).has_value();
+  }(session, &delivered, &seqs, &drained));
   eng.run();
 
   EXPECT_EQ(delivered, (std::vector<MsgType>{MsgType::LeasesTerminated, MsgType::LeasesTerminated,
                                              MsgType::FailoverAnnounce}));
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_TRUE(drained);
   EXPECT_EQ(session->duplicate_pushes(), 1u);
 }
 
