@@ -2,7 +2,7 @@
 """Prints where the samples of a sampler.c or heap.c run went, function by function.
 
     python3 scripts/profile/report.py sampler-<pid>.txt [--under REGEX] [--top N]
-                                      [--callers REGEX | --children REGEX]
+                                      [--callers REGEX | --children REGEX | --lines REGEX]
     python3 scripts/profile/report.py heap-<pid>.txt --under run_workload
 
 Only the samples with a frame whose function name matches --under count
@@ -26,6 +26,15 @@ calls; a coroutine's body reads as one function, so `--children
 run_send` shows how a fabric task's time divides between its landing
 step and the engine calls it makes.
 
+--lines REGEX looks inside one function: for each counted sample whose
+innermost frame matches REGEX, it maps that frame's address to its
+source line with `addr2line` (the line of the innermost inlined call
+when the compiler inlined one there) and prints each line's self share,
+of the counted samples and of those in REGEX. `--lines
+Engine::push_wheel` on bench/perf's `invoke_open` puts about a quarter
+of push_wheel's samples in its walk along the bucket for the insertion
+point. It needs the debug lines of the default RelWithDebInfo build.
+
 heap.c writes the same format: one sample per 4 KiB of live heap that
 an allocating call stack held when the program's live heap bytes
 peaked, so the shares are of the peak heap, not of time. Its stacks
@@ -40,7 +49,8 @@ buffers count in peak RSS but never in its samples.
 Addresses are resolved with `nm` against the executable and the shared
 libraries named in the run's copy of /proc/self/maps. Names are
 demangled, with template and argument lists cut, so that each function
-reads as one row; --full keeps them. Standard library only, plus nm.
+reads as one row; --full keeps them. Standard library only, plus nm and,
+for --lines, addr2line.
 """
 
 import argparse
@@ -138,6 +148,9 @@ def main():
     table.add_argument("--children", metavar="REGEX",
                        help="count the callee directly under the innermost frame matching "
                             "REGEX of each sample that has one")
+    table.add_argument("--lines", metavar="REGEX",
+                       help="count the source line of each sample whose innermost frame "
+                            "matches REGEX")
     args = parser.parse_args()
 
     maps, samples = parse(args.file)
@@ -145,18 +158,26 @@ def main():
     objects = {}
     cache = {}
 
+    def object_of(addr):
+        """(path, address in the file) of a sampled address, or None."""
+        i = bisect.bisect_right(starts, addr) - 1
+        if i < 0 or addr >= maps[i][1]:
+            return None
+        start, _, offset, path = maps[i]
+        # Assumes each loadable segment's virtual address equals its file
+        # offset, as GNU ld lays out executables and libraries.
+        return path, addr - start + offset
+
     def name_of(addr):
         if addr in cache:
             return cache[addr]
-        i = bisect.bisect_right(starts, addr) - 1
         name = None
-        if i >= 0 and addr < maps[i][1]:
-            start, _, offset, path = maps[i]
+        located = object_of(addr)
+        if located is not None:
+            path, vaddr = located
             if path not in objects:
                 objects[path] = Symbols(path)
-            # Assumes each loadable segment's virtual address equals its
-            # file offset, as GNU ld lays out executables and libraries.
-            name = objects[path].lookup(addr - start + offset)
+            name = objects[path].lookup(vaddr)
             if name is None:
                 name = "?? " + path.rsplit("/", 1)[-1]
         name = name or "??"
@@ -168,8 +189,10 @@ def main():
     under = re.compile(args.under)
     leaf = re.compile(args.callers) if args.callers else None
     outer = re.compile(args.children) if args.children else None
+    inside = re.compile(args.lines) if args.lines else None
     self_counts, incl_counts = collections.Counter(), collections.Counter()
     edge_counts = collections.Counter()  # --callers' callers or --children's callees
+    leaf_addrs = collections.Counter()  # --lines: leaf addresses inside the function
     total = 0
     for stack in samples:
         # Return addresses point past the call: look up the call itself.
@@ -188,10 +211,14 @@ def main():
             i = next((i for i, n in enumerate(names) if outer.search(n)), None)
             if i is not None:
                 edge_counts[names[i - 1] if i > 0 else "(self)"] += 1
+        if inside and inside.search(names[0]):
+            leaf_addrs[stack[0]] += 1
 
     print(f"{len(samples)} samples, {total} under /{args.under}/")
     if total == 0:
         return 1
+    if inside:
+        return print_lines(leaf_addrs, object_of, total, args)
     if leaf or outer:
         hits = sum(edge_counts.values())
         if leaf:
@@ -209,6 +236,36 @@ def main():
         print(f"\n{title:>9}  function")
         for name, count in counts.most_common(args.top):
             print(f"{100.0 * count / total:8.1f}%  {name}")
+    return 0
+
+
+def print_lines(leaf_addrs, object_of, total, args):
+    """--lines: the self share of each source line the leaf samples in
+    the function hit, resolved with one addr2line call per object."""
+    by_object = collections.defaultdict(list)
+    for addr in leaf_addrs:
+        located = object_of(addr)
+        if located is not None:
+            by_object[located[0]].append((addr, located[1]))
+    where = {}
+    for path, addrs in by_object.items():
+        try:
+            out = subprocess.run(["addr2line", "-e", path, *(f"{v:x}" for _, v in addrs)],
+                                 capture_output=True, text=True, check=False).stdout
+        except OSError:
+            out = ""
+        for (addr, _), line in zip(addrs, out.splitlines()):
+            where[addr] = re.sub(r" \(discriminator \d+\)$", "", line)
+    line_counts = collections.Counter()
+    for addr, count in leaf_addrs.items():
+        line_counts[where.get(addr, "??:0")] += count
+    hits = sum(line_counts.values())
+    print(f"{hits} ({100.0 * hits / total:.1f}%) with an innermost frame matching /{args.lines}/")
+    if hits == 0:
+        return 1
+    print(f"\n{'share':>9}  {'of fn':>6}  {'samples':>7}  source line")
+    for line, count in line_counts.most_common(args.top):
+        print(f"{100.0 * count / total:8.1f}%  {100.0 * count / hits:5.1f}%  {count:7d}  {line}")
     return 0
 
 

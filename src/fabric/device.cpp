@@ -1,5 +1,8 @@
 #include "fabric/device.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "fabric/fabric.hpp"
 #include "fabric/qp.hpp"
 
@@ -17,16 +20,53 @@ const char* to_string(WcStatus s) {
   return "?";
 }
 
+std::uint32_t KeyTable::add(const ProtectionDomain& pd, std::uint64_t addr, std::uint64_t length,
+                           std::uint32_t access) {
+  std::uint32_t index = 0;
+  if (!free_.empty()) {
+    index = free_.front();
+    free_.pop_front();
+  } else {
+    if (slots_.size() == kMaxSlots) throw std::length_error("fabric: memory key table is full");
+    index = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(Slot{.lkey = index << kIndexShift});  // generation 0: never issued
+    regions_.emplace_back();
+  }
+  Slot& s = slots_[index];
+  s.pd = &pd;
+  s.addr = addr;
+  s.length = length;
+  s.access = access;
+  s.lkey += kGeneration;
+  const MemoryRegion mr(addr, length, s.lkey, s.lkey | kRemote, access);
+  if (regions_[index] == nullptr) {
+    regions_[index] = std::make_unique<MemoryRegion>(mr);
+  } else {
+    *regions_[index] = mr;
+  }
+  return index;
+}
+
+void KeyTable::release(std::uint32_t index) {
+  Slot& s = slots_[index];
+  s.pd = nullptr;
+  if ((s.lkey & kGenerationMask) != kGenerationMask) {
+    free_.push_back(index);
+  } else {
+    regions_[index].reset();  // every generation spent: retired
+  }
+}
+
+ProtectionDomain::~ProtectionDomain() {
+  for (const std::uint32_t index : slots_) fabric_.keys().release(index);
+}
+
 MemoryRegion* ProtectionDomain::register_memory(void* base, std::uint64_t length,
                                                 std::uint32_t access) {
-  std::uint32_t lkey = fabric_.next_key();
-  std::uint32_t rkey = fabric_.next_key();
-  auto mr = std::make_unique<MemoryRegion>(reinterpret_cast<std::uint64_t>(base), length, lkey,
-                                           rkey, access);
-  MemoryRegion* ptr = mr.get();
-  by_lkey_[lkey] = ptr;
-  by_rkey_[rkey] = std::move(mr);
-  return ptr;
+  const std::uint32_t index =
+      fabric_.keys().add(*this, reinterpret_cast<std::uint64_t>(base), length, access);
+  slots_.push_back(index);
+  return fabric_.keys().region(index);
 }
 
 sim::Task<MemoryRegion*> ProtectionDomain::register_memory_timed(void* base, std::uint64_t length,
@@ -38,19 +78,22 @@ sim::Task<MemoryRegion*> ProtectionDomain::register_memory_timed(void* base, std
 }
 
 void ProtectionDomain::deregister(MemoryRegion* mr) {
-  if (mr == nullptr) return;
-  by_lkey_.erase(mr->lkey());
-  by_rkey_.erase(mr->rkey());
+  if (mr == nullptr || fabric_.keys().lkey(this, mr->lkey()) == nullptr) return;
+  const std::uint32_t index = KeyTable::index_of(mr->lkey());
+  auto it = std::find(slots_.begin(), slots_.end(), index);
+  *it = slots_.back();
+  slots_.pop_back();
+  fabric_.keys().release(index);
 }
 
 MemoryRegion* ProtectionDomain::find_rkey(std::uint32_t rkey) const {
-  auto it = by_rkey_.find(rkey);
-  return it == by_rkey_.end() ? nullptr : it->second.get();
+  const KeyTable& keys = fabric_.keys();
+  return keys.rkey(this, rkey) != nullptr ? keys.region(KeyTable::index_of(rkey)) : nullptr;
 }
 
 MemoryRegion* ProtectionDomain::find_lkey(std::uint32_t lkey) const {
-  auto it = by_lkey_.find(lkey);
-  return it == by_lkey_.end() ? nullptr : it->second;
+  const KeyTable& keys = fabric_.keys();
+  return keys.lkey(this, lkey) != nullptr ? keys.region(KeyTable::index_of(lkey)) : nullptr;
 }
 
 Device::Device(Fabric& fabric, DeviceId id, std::string name, sim::Host* host)

@@ -1,9 +1,28 @@
-// Device, protection domain and memory region objects.
+// Device, protection domain and memory region objects, and the fabric's
+// table of memory keys.
 //
 // A Device models one RDMA NIC attached to a simulated host. Protection
 // domains scope memory registrations; every remote operation validates the
 // rkey, bounds and access flags of the target region exactly as a real
 // HCA would, so protection bugs in layers above surface as error CQEs.
+//
+// Keys. Every registration takes one slot of the fabric-wide KeyTable,
+// the NIC's memory-protection table, and its keys name that slot. As in
+// a ConnectX memory key, a key is a table index plus a variant:
+//
+//   bits 31..12  slot index (up to 2^20 live registrations)
+//   bits 11..1   the slot's generation, 1..2047
+//   bit      0   1 for the rkey, 0 for the lkey
+//
+// A check is one indexed read: the slot holds the PD, base, length and
+// access flags, and a key is live while its slot is held by that PD under
+// that generation. Key 0, and any generation not yet issued, is invalid;
+// so is an lkey presented as an rkey, and an rkey as an lkey. A freed
+// slot goes to the back of a free list and comes back with its
+// generation bumped, so a stale key is refused and the table stays as
+// large as the peak number of live registrations. A slot whose 2047
+// generations are spent is retired for good, so no key is ever issued
+// twice.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +35,7 @@
 #include "common/result.hpp"
 #include "fabric/model.hpp"
 #include "fabric/verbs.hpp"
+#include "sim/fifo.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
 
@@ -29,7 +49,9 @@ class Fabric;
 class ProtectionDomain;
 class QueuePair;
 
-/// A registered memory region. Does not own the memory.
+/// A registered memory region, as its owner sees it (the ibv_mr the
+/// registration returns). Does not own the memory. The NIC's view of the
+/// same registration is its KeyTable slot.
 class MemoryRegion {
  public:
   MemoryRegion(std::uint64_t addr, std::uint64_t length, std::uint32_t lkey, std::uint32_t rkey,
@@ -42,11 +64,6 @@ class MemoryRegion {
   [[nodiscard]] std::uint32_t rkey() const { return rkey_; }
   [[nodiscard]] std::uint32_t access() const { return access_; }
 
-  /// True when [a, a+len) lies inside the region.
-  [[nodiscard]] bool contains(std::uint64_t a, std::uint64_t len) const {
-    return a >= addr_ && len <= length_ && a - addr_ <= length_ - len;
-  }
-
  private:
   std::uint64_t addr_;
   std::uint64_t length_;
@@ -55,10 +72,78 @@ class MemoryRegion {
   std::uint32_t access_;
 };
 
+/// The fabric's memory-protection table (see the key layout above).
+class KeyTable {
+ public:
+  /// One registration as the NIC checks it.
+  struct Slot {
+    const ProtectionDomain* pd = nullptr;  // null while the slot is free
+    std::uint64_t addr = 0;
+    std::uint64_t length = 0;
+    std::uint32_t access = 0;
+    std::uint32_t lkey = 0;  // the live registration's; while free, the last one issued
+
+    /// True when [a, a+len) lies inside the region.
+    [[nodiscard]] bool contains(std::uint64_t a, std::uint64_t len) const {
+      return a >= addr && len <= length && a - addr <= length - len;
+    }
+  };
+
+  /// The live registration of `pd` that `key` names as an rkey, or null.
+  [[nodiscard]] const Slot* rkey(const ProtectionDomain* pd, std::uint32_t key) const {
+    return find(pd, key ^ kRemote);
+  }
+  /// The live registration of `pd` that `key` names as an lkey, or null.
+  [[nodiscard]] const Slot* lkey(const ProtectionDomain* pd, std::uint32_t key) const {
+    return find(pd, key);
+  }
+
+  /// Slots held, free or retired: the peak number of live registrations,
+  /// plus one per 2047 registrations a single slot served.
+  [[nodiscard]] std::size_t size() const { return slots_.size(); }
+
+ private:
+  friend class ProtectionDomain;
+
+  static constexpr std::uint32_t kRemote = 1;
+  static constexpr unsigned kIndexShift = 12;
+  static constexpr std::uint32_t kGeneration = 1u << 1;  // one generation, in key units
+  static constexpr std::uint32_t kGenerationMask = (1u << kIndexShift) - kGeneration;
+  static constexpr std::uint32_t kMaxSlots = 1u << (32 - kIndexShift);
+
+  /// `lkey` is a key with the rkey bit cleared.
+  [[nodiscard]] const Slot* find(const ProtectionDomain* pd, std::uint32_t lkey) const {
+    const std::uint32_t index = lkey >> kIndexShift;
+    if (index >= slots_.size()) return nullptr;
+    const Slot& s = slots_[index];
+    return s.pd == pd && s.lkey == lkey ? &s : nullptr;
+  }
+  [[nodiscard]] static std::uint32_t index_of(std::uint32_t key) { return key >> kIndexShift; }
+
+  /// Takes a slot for `pd`'s registration of [addr, addr+length) and
+  /// returns its index. Throws std::length_error when 2^20 are live.
+  std::uint32_t add(const ProtectionDomain& pd, std::uint64_t addr, std::uint64_t length,
+                    std::uint32_t access);
+  /// Frees slot `index`: its keys die at once.
+  void release(std::uint32_t index);
+  /// The owner's view of the live registration in slot `index`.
+  [[nodiscard]] MemoryRegion* region(std::uint32_t index) const { return regions_[index].get(); }
+
+  std::vector<Slot> slots_;
+  /// Beside the slots, so a check reads none of them: kept across reuse,
+  /// so a registration into a freed slot allocates nothing.
+  std::vector<std::unique_ptr<MemoryRegion>> regions_;
+  sim::Fifo<std::uint32_t> free_;  // freed slots, oldest first
+};
+
 /// Protection domain: a namespace of memory registrations.
 class ProtectionDomain {
  public:
   explicit ProtectionDomain(Fabric& fabric) : fabric_(fabric) {}
+  /// Frees the slots of the registrations still live: their keys die.
+  ~ProtectionDomain();
+  ProtectionDomain(const ProtectionDomain&) = delete;
+  ProtectionDomain& operator=(const ProtectionDomain&) = delete;
 
   /// Registers `[base, base+length)` with the given access flags.
   /// Zero-cost variant used by unit tests and setup code.
@@ -74,12 +159,14 @@ class ProtectionDomain {
   sim::Task<MemoryRegion*> register_memory_timed(void* base, std::uint64_t length,
                                                  std::uint32_t access);
 
-  /// Invalidates a registration; later remote ops on its rkey fail.
+  /// Invalidates a live registration of this PD; later operations on its
+  /// keys fail. The region object may serve a later registration, so
+  /// `mr` must not be used again.
   void deregister(MemoryRegion* mr);
 
-  /// rkey lookup used by remote operations.
+  /// The live registration `rkey` names in this PD, or null.
   [[nodiscard]] MemoryRegion* find_rkey(std::uint32_t rkey) const;
-  /// lkey lookup used to validate local SGEs.
+  /// The live registration `lkey` names in this PD, or null.
   [[nodiscard]] MemoryRegion* find_lkey(std::uint32_t lkey) const;
 
   [[nodiscard]] Fabric& fabric() { return fabric_; }
@@ -88,8 +175,7 @@ class ProtectionDomain {
   friend class Device;
 
   Fabric& fabric_;
-  std::unordered_map<std::uint32_t, std::unique_ptr<MemoryRegion>> by_rkey_;
-  std::unordered_map<std::uint32_t, MemoryRegion*> by_lkey_;
+  std::vector<std::uint32_t> slots_;  // key-table slots of its live registrations
   sim::Mutex register_gate_;  // mmap-lock serialization of timed registrations
   std::uint32_t qps_ = 0;     // queue pairs created on this PD and not yet freed
   bool deallocated_ = false;  // Device::dealloc_pd() ran; freed once qps_ is 0

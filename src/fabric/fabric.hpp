@@ -99,18 +99,21 @@ class Fabric {
                                        DeviceId to, std::uint16_t port,
                                        Bytes private_data = {});
 
-  // Internal id allocators.
+  /// The memory keys of every registration on the fabric.
+  [[nodiscard]] KeyTable& keys() { return keys_; }
+  [[nodiscard]] const KeyTable& keys() const { return keys_; }
+
+  // Internal id allocator.
   std::uint32_t next_qp_num() { return next_qpn_++; }
-  std::uint32_t next_key() { return next_key_++; }
 
  private:
   sim::Engine& engine_;
   NetworkModel model_;
   Switch switch_;
+  KeyTable keys_;  // before devices_: their protection domains release keys as they go
   std::vector<std::unique_ptr<Device>> devices_;
   std::map<std::pair<DeviceId, std::uint16_t>, std::unique_ptr<Listener>> listeners_;
   std::uint32_t next_qpn_ = 1;
-  std::uint32_t next_key_ = 1;
 };
 
 }  // namespace rfs::fabric

@@ -151,8 +151,8 @@ sim::Task<void> QueuePair::run_send([[maybe_unused]] Ref self, Ref remote, SendW
       complete_local(wr, WcStatus::RetryExceeded, 0);
       co_return;
     }
-    MemoryRegion* mr = peer.pd_->find_rkey(wr.rkey);
-    if (mr == nullptr || !mr->contains(wr.remote_addr, 8) || !(mr->access() & RemoteAtomic)) {
+    const KeyTable::Slot* mr = dev_.fabric().keys().rkey(peer.pd_, wr.rkey);
+    if (mr == nullptr || !mr->contains(wr.remote_addr, 8) || !(mr->access & RemoteAtomic)) {
       complete_local(wr, WcStatus::RemoteAccessError, 0);
       co_return;
     }
@@ -180,8 +180,8 @@ sim::Task<void> QueuePair::run_send([[maybe_unused]] Ref self, Ref remote, SendW
       complete_local(wr, WcStatus::RetryExceeded, 0);
       co_return;
     }
-    MemoryRegion* mr = peer.pd_->find_rkey(wr.rkey);
-    if (mr == nullptr || !mr->contains(wr.remote_addr, total) || !(mr->access() & RemoteRead)) {
+    const KeyTable::Slot* mr = dev_.fabric().keys().rkey(peer.pd_, wr.rkey);
+    if (mr == nullptr || !mr->contains(wr.remote_addr, total) || !(mr->access & RemoteRead)) {
       complete_local(wr, WcStatus::RemoteAccessError, 0);
       co_return;
     }
@@ -224,9 +224,9 @@ sim::Task<void> QueuePair::run_send([[maybe_unused]] Ref self, Ref remote, SendW
   }
 
   if (wr.opcode == Opcode::Write || wr.opcode == Opcode::WriteImm) {
-    MemoryRegion* mr = peer.pd_->find_rkey(wr.rkey);
+    const KeyTable::Slot* mr = dev_.fabric().keys().rkey(peer.pd_, wr.rkey);
     if (mr == nullptr || !mr->contains(wr.remote_addr, payload.size()) ||
-        !(mr->access() & RemoteWrite)) {
+        !(mr->access & RemoteWrite)) {
       complete_local(wr, WcStatus::RemoteAccessError, 0);
       co_return;
     }
@@ -347,8 +347,9 @@ Bytes QueuePair::gather(const SgeList& sge) {
 }
 
 Status QueuePair::validate_sges(const SgeList& sge) const {
+  const KeyTable& keys = dev_.fabric().keys();
   for (const auto& s : sge) {
-    MemoryRegion* mr = pd_->find_lkey(s.lkey);
+    const KeyTable::Slot* mr = keys.lkey(pd_, s.lkey);
     if (mr == nullptr) return Error::make(3, "invalid lkey");
     if (!mr->contains(s.addr, s.length)) return Error::make(3, "SGE outside memory region");
   }

@@ -4,7 +4,10 @@
 // moves real bytes at the modelled time: payload serialization on the
 // switch links, DMA-read cost for non-inlined data, CQE generation delay.
 // Remote operations check rkey/bounds/access and fail with error CQEs on
-// violation, so the protection model is enforced, not assumed.
+// violation, so the protection model is enforced, not assumed. Every key
+// check, the rkey at the landing and each SGE's lkey at post time, is
+// one read of the key's slot in the fabric's KeyTable (device.hpp),
+// which holds the registration's PD, bounds and access flags.
 //
 // A payload work request costs three engine events, all in its task's one
 // coroutine frame: the launch (the task is started at post time + the

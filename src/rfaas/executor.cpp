@@ -141,9 +141,8 @@ sim::Task<void> Worker::run() {
         // Warm: block on the completion channel; pay wake-up + re-arm and
         // the local resource check with the allocator, then acquire the
         // core (rejecting under oversubscription, Fig. 6).
-        auto wc = co_await conn_->recv_cq().wait_blocking();
+        auto wc = co_await conn_->recv_cq().wait_blocking();  // no deadline: always a completion
         if (!running_) break;
-        if (!wc.has_value()) continue;  // drained by another consumer during the wake-up
         if (wc->status != fabric::WcStatus::Success) break;
         // The invocation's bytes already landed in recv_buf_; from here it
         // must run to completion even if a teardown starts concurrently.

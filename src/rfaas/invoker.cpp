@@ -838,13 +838,8 @@ void Invoker::reserve_slots(std::size_t count, std::size_t max_input, std::size_
 
 sim::Task<InvocationResult> Invoker::invoke_pooled(std::uint16_t fn_index,
                                                    std::span<const std::uint8_t> payload) {
+  if (slot_pool_.empty()) co_return unsent();  // reserve_slots() was never called
   const Time submitted = engine_.now();
-  InvocationResult result;
-  if (slot_pool_.empty()) {
-    result.submitted_at = submitted;
-    result.completed_at = engine_.now();
-    co_return result;  // reserve_slots() was never called
-  }
   co_await slot_sem_->acquire();
   const std::size_t slot_idx = free_slots_.front();
   free_slots_.pop_front();
@@ -853,7 +848,7 @@ sim::Task<InvocationResult> Invoker::invoke_pooled(std::uint16_t fn_index,
   const std::size_t n = std::min<std::size_t>(payload.size(), slot.in.payload_bytes());
   if (n > 0) std::memcpy(slot.in.data(), payload.data(), n);
   const Frame frame = frame_of(slot.in, n, slot.out);
-  result = co_await invoke_frame(fn_index, frame);
+  InvocationResult result = co_await invoke_frame(fn_index, frame);
 
   free_slots_.push_back(slot_idx);
   slot_sem_->release();
@@ -947,13 +942,13 @@ sim::Task<InvocationResult> Invoker::attempt(std::size_t worker, std::uint16_t f
   }
 
   // The client's mode (busy-poll or completion channel) consumes both
-  // completions.
-  auto wait = [this](fabric::CompletionQueue& cq, Time until) {
-    return polling_client_ ? cq.wait_polling(until) : cq.wait_blocking(until);
-  };
+  // completions. A busy poll is an awaiter: it builds no frame.
+  fabric::CompletionQueue& send_cq = w.conn->send_cq();
+  fabric::CompletionQueue& recv_cq = w.conn->recv_cq();
 
   // Drain our own send completion (error => connection died).
-  auto send_wc = co_await wait(w.conn->send_cq(), sim::kNever);
+  const auto send_wc =
+      polling_client_ ? co_await send_cq.wait_polling() : co_await send_cq.wait_blocking();
   if (!send_wc.has_value() || send_wc->status != fabric::WcStatus::Success) {
     result.completed_at = engine_.now();
     co_return result;
@@ -962,7 +957,9 @@ sim::Task<InvocationResult> Invoker::attempt(std::size_t worker, std::uint16_t f
   // The FT deadline bounds the result wait: an executor that crashed or
   // wedged after the submit surfaces as a timeout instead of blocking
   // forever.
-  auto wc = co_await wait(w.conn->recv_cq(), deadline != 0 ? deadline : sim::kNever);
+  const Time until = deadline != 0 ? deadline : sim::kNever;
+  const auto wc = polling_client_ ? co_await recv_cq.wait_polling(until)
+                                  : co_await recv_cq.wait_blocking(until);
   if (!wc.has_value()) {
     result.timed_out = true;
     result.completed_at = engine_.now();

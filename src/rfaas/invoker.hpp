@@ -456,18 +456,28 @@ class Invoker {
   /// from `in` (past the header); the output lands in `out`. Returns a
   /// future fulfilled when the result write arrives. The caller's buffers
   /// are the frame of the same invocation core invoke_pooled() runs, so
-  /// deadlines, retries, checksums and hedging apply here too.
+  /// deadlines, retries, checksums and hedging apply here too. An `in`
+  /// without the 32-byte header region (see input_buffer()), or with
+  /// fewer than `payload_bytes` after it, fails at once: nothing is read,
+  /// written or posted, and no worker is taken.
   template <typename TIn, typename TOut>
   sim::Future<InvocationResult> submit(std::uint16_t fn_index, rdmalib::Buffer<TIn>& in,
                                        std::size_t payload_bytes, rdmalib::Buffer<TOut>& out) {
+    if (!holds_frame(in, payload_bytes)) {
+      sim::Promise<InvocationResult> refused;
+      refused.set_value(unsent());
+      return refused.get_future();
+    }
     return submit_frame(fn_index, frame_of(in, payload_bytes, out));
   }
 
   /// Submits and awaits completion, in the caller's frame: no detached
-  /// task and no future.
+  /// task and no future. Refuses an `in` too small for the frame like
+  /// submit().
   template <typename TIn, typename TOut>
   sim::Task<InvocationResult> invoke(std::uint16_t fn_index, rdmalib::Buffer<TIn>& in,
                                      std::size_t payload_bytes, rdmalib::Buffer<TOut>& out) {
+    if (!holds_frame(in, payload_bytes)) co_return unsent();
     const Frame frame = frame_of(in, payload_bytes, out);
     const Time submitted = engine_.now();
     InvocationResult result = co_await invoke_frame(fn_index, frame);
@@ -571,6 +581,22 @@ class Invoker {
     InvocationResult result;
     std::vector<std::size_t> in_flight;  ///< workers of unresolved attempts
   };
+
+  /// True when `in` has the 32-byte header region and `payload_bytes` of
+  /// payload after it: the frame attempt() encodes and checksums.
+  template <typename T>
+  static bool holds_frame(const rdmalib::Buffer<T>& in, std::size_t payload_bytes) {
+    return in.header_bytes() >= InvocationHeader::kSize && payload_bytes <= in.payload_bytes();
+  }
+
+  /// A failed result for an invocation that was never sent: submitted
+  /// and completed now.
+  [[nodiscard]] InvocationResult unsent() const {
+    InvocationResult result;
+    result.submitted_at = engine_.now();
+    result.completed_at = result.submitted_at;
+    return result;
+  }
 
   /// Detached run of invoke_frame() behind submit()'s future.
   sim::Future<InvocationResult> submit_frame(std::uint16_t fn_index, Frame frame);

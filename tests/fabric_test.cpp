@@ -3,6 +3,10 @@
 // management.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_set>
+#include <vector>
+
 #include "common/bytes.hpp"
 #include "fabric/fabric.hpp"
 #include "sim/task.hpp"
@@ -658,6 +662,138 @@ TEST_F(FabricTest, DeallocatedPdIsFreedWithItsLastQueuePair) {
   EXPECT_EQ(devA->pd_count(), pds);
   devA->destroy_qp(qpA);
   EXPECT_EQ(devA->pd_count(), pds - 1);
+}
+
+// Memory keys name slots of the fabric's key table; a freed slot comes
+// back under a new generation.
+
+TEST_F(FabricTest, AReusedKeySlotRefusesTheKeysOfItsLastRegistration) {
+  Bytes src(8), dst(8), next(8);
+  auto* mrA = pdA->register_memory(src.data(), src.size(), LocalWrite);
+  auto* old = pdB->register_memory(dst.data(), dst.size(), LocalWrite | RemoteWrite);
+  const std::uint32_t old_lkey = old->lkey();
+  const std::uint32_t old_rkey = old->rkey();
+  const std::size_t slots = fab.keys().size();
+  pdB->deregister(old);
+  auto* fresh = pdB->register_memory(next.data(), next.size(), LocalWrite | RemoteWrite);
+  EXPECT_EQ(fab.keys().size(), slots);  // the freed slot served it
+  EXPECT_NE(fresh->lkey(), old_lkey);
+  EXPECT_NE(fresh->rkey(), old_rkey);
+
+  // The old lkey is refused at post time...
+  SendWr local;
+  local.opcode = Opcode::Write;
+  local.sge = {{reinterpret_cast<std::uint64_t>(dst.data()), 8, old_lkey}};
+  local.remote_addr = reinterpret_cast<std::uint64_t>(src.data());
+  EXPECT_FALSE(qpB->post_send(local).ok());
+
+  // ...the old rkey by the target NIC, and the new one is served.
+  auto write = [&](std::uint64_t to, std::uint32_t rkey) {
+    SendWr wr;
+    wr.opcode = Opcode::Write;
+    wr.sge = {{reinterpret_cast<std::uint64_t>(src.data()), 8, mrA->lkey()}};
+    wr.remote_addr = to;
+    wr.rkey = rkey;
+    EXPECT_TRUE(qpA->post_send(wr).ok());
+    eng.run();
+    Wc wc;
+    EXPECT_EQ(scqA->poll(std::span<Wc>(&wc, 1)), 1u);
+    return wc.status;
+  };
+  fill_pattern(src, 3);
+  EXPECT_EQ(write(reinterpret_cast<std::uint64_t>(dst.data()), old_rkey),
+            WcStatus::RemoteAccessError);
+  EXPECT_EQ(dst, Bytes(8));
+  EXPECT_EQ(write(reinterpret_cast<std::uint64_t>(next.data()), fresh->rkey()),
+            WcStatus::Success);
+  EXPECT_EQ(next, src);
+}
+
+TEST_F(FabricTest, LkeysAndRkeysAreNotInterchangeable) {
+  Bytes src(8), dst(8);
+  auto* mrA = pdA->register_memory(src.data(), src.size(), LocalWrite | RemoteWrite);
+  auto* mrB = pdB->register_memory(dst.data(), dst.size(), LocalWrite | RemoteWrite);
+  EXPECT_EQ(pdB->find_lkey(mrB->rkey()), nullptr);
+  EXPECT_EQ(pdB->find_rkey(mrB->lkey()), nullptr);
+  EXPECT_EQ(pdB->find_lkey(mrB->lkey()), mrB);
+  EXPECT_EQ(pdB->find_rkey(mrB->rkey()), mrB);
+
+  // An rkey in a local SGE is refused at post time.
+  SendWr wr;
+  wr.opcode = Opcode::Write;
+  wr.sge = {{reinterpret_cast<std::uint64_t>(src.data()), 8, mrA->rkey()}};
+  wr.remote_addr = reinterpret_cast<std::uint64_t>(dst.data());
+  wr.rkey = mrB->rkey();
+  EXPECT_FALSE(qpA->post_send(wr).ok());
+
+  // An lkey as the remote key is refused by the target.
+  wr.sge = {{reinterpret_cast<std::uint64_t>(src.data()), 8, mrA->lkey()}};
+  wr.rkey = mrB->lkey();
+  ASSERT_TRUE(qpA->post_send(wr).ok());
+  eng.run();
+  Wc wc;
+  ASSERT_EQ(scqA->poll(std::span<Wc>(&wc, 1)), 1u);
+  EXPECT_EQ(wc.status, WcStatus::RemoteAccessError);
+}
+
+TEST_F(FabricTest, DeallocatingAPdInvalidatesEveryKeyOfIt) {
+  Bytes mem(3 * 64);
+  ProtectionDomain* pd = devB->alloc_pd();
+  std::vector<std::uint32_t> old_keys;
+  for (int i = 0; i < 3; ++i) {
+    auto* mr = pd->register_memory(mem.data() + 64 * i, 64, LocalWrite | RemoteWrite);
+    old_keys.push_back(mr->lkey());
+    old_keys.push_back(mr->rkey());
+  }
+  const std::size_t slots = fab.keys().size();
+  devB->dealloc_pd(pd);  // no queue pair on it: freed at once, with its keys
+
+  // A new PD (possibly at the same address) takes the freed slots under
+  // new generations; none of the old keys names anything in it.
+  ProtectionDomain* next = devB->alloc_pd();
+  for (int i = 0; i < 3; ++i) {
+    auto* mr = next->register_memory(mem.data() + 64 * i, 64, LocalWrite | RemoteWrite);
+    EXPECT_EQ(std::count(old_keys.begin(), old_keys.end(), mr->lkey()), 0);
+    EXPECT_EQ(std::count(old_keys.begin(), old_keys.end(), mr->rkey()), 0);
+  }
+  EXPECT_EQ(fab.keys().size(), slots);
+  for (const std::uint32_t key : old_keys) {
+    EXPECT_EQ(next->find_lkey(key), nullptr) << key;
+    EXPECT_EQ(next->find_rkey(key), nullptr) << key;
+  }
+  QueuePair* qp = devB->create_qp(next, scqB.get(), rcqB.get());
+  QueuePair::connect_pair(*qp, *qpA);
+  SendWr wr;
+  wr.opcode = Opcode::Write;
+  wr.sge = {{reinterpret_cast<std::uint64_t>(mem.data()), 64, old_keys[0]}};
+  EXPECT_FALSE(qp->post_send(wr).ok());
+}
+
+TEST_F(FabricTest, NoKeyIsAcceptedAfterItsRegistrationEnds) {
+  // 100k register/deregister cycles through one slot at a time: every
+  // key issued is new, each dies with its registration, and the table
+  // stays small (a slot retires once its generations are spent).
+  constexpr int kCycles = 100'000;
+  Bytes mem(8);
+  std::unordered_set<std::uint32_t> issued;
+  std::uint32_t prev_lkey = 0, prev_rkey = 0;
+  for (int i = 0; i < kCycles; ++i) {
+    auto* mr = pdB->register_memory(mem.data(), mem.size(), LocalWrite | RemoteWrite);
+    ASSERT_TRUE(issued.insert(mr->lkey()).second) << "cycle " << i;
+    ASSERT_TRUE(issued.insert(mr->rkey()).second) << "cycle " << i;
+    ASSERT_EQ(pdB->find_lkey(prev_lkey), nullptr) << "cycle " << i;
+    ASSERT_EQ(pdB->find_rkey(prev_rkey), nullptr) << "cycle " << i;
+    prev_lkey = mr->lkey();
+    prev_rkey = mr->rkey();
+    pdB->deregister(mr);
+  }
+  EXPECT_LT(fab.keys().size(), 100u);
+  for (const std::uint32_t key : issued) {
+    ASSERT_EQ(pdB->find_lkey(key), nullptr) << key;
+    ASSERT_EQ(pdB->find_rkey(key), nullptr) << key;
+  }
+  EXPECT_EQ(pdB->find_lkey(0), nullptr);
+  EXPECT_EQ(pdB->find_rkey(0), nullptr);
 }
 
 TEST_F(FabricTest, BlockingWaitAddsWakeLatency) {

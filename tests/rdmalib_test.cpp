@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <new>
 
@@ -499,6 +500,105 @@ TEST_F(RdmalibTest, CqDestroyedWithItsTimerArmedIsSafe) {
   EXPECT_TRUE(got);
   EXPECT_EQ(eng.now(), 10_ms);
   EXPECT_EQ(eng.detached_count(), 0u);
+}
+
+// Parked waits queue in one FIFO: a completion wakes one waiter, the
+// oldest, and stays queued for it until it resumes.
+
+struct CqOutcome {
+  std::optional<fabric::Wc> wc;
+  Time at = 0;
+};
+
+fabric::Wc completion(std::uint64_t wr_id) {
+  fabric::Wc wc{};
+  wc.wr_id = wr_id;
+  return wc;
+}
+
+TEST_F(RdmalibTest, ParkedPollersTakeOneCompletionEachInParkingOrder) {
+  fabric::CompletionQueue cq(fab.model());
+  CqOutcome first, second;
+  std::size_t woken_by_one_push = 0;
+  auto poller = [&](CqOutcome& out) -> sim::Task<void> {
+    out.wc = co_await cq.wait_polling();
+    out.at = eng.now();
+  };
+  auto pusher = [&]() -> sim::Task<void> {
+    co_await sim::delay(1_ms);
+    cq.push(completion(1));
+    woken_by_one_push = eng.pending();
+    co_await sim::delay(1_ms);
+    cq.push(completion(2));
+  };
+  sim::spawn(eng, poller(first));  // parks first
+  sim::spawn(eng, poller(second));
+  sim::spawn(eng, pusher());
+  eng.run_until(1_ms);
+  EXPECT_EQ(woken_by_one_push, 1u);
+  EXPECT_FALSE(second.wc.has_value());  // still parked
+  eng.run();
+  ASSERT_TRUE(first.wc.has_value());
+  EXPECT_EQ(first.wc->wr_id, 1u);
+  EXPECT_EQ(first.at, 1_ms);
+  ASSERT_TRUE(second.wc.has_value());
+  EXPECT_EQ(second.wc->wr_id, 2u);
+  EXPECT_EQ(second.at, 2_ms);
+}
+
+TEST_F(RdmalibTest, ABlockingWaiterParkedFirstKeepsItsCompletionThroughTheWakeUp) {
+  // The second completion arrives during the blocking waiter's wake-up;
+  // the poller parked after it takes that one, not the first.
+  fabric::CompletionQueue cq(fab.model());
+  const Duration wake = fab.model().blocking_wake_latency;
+  ASSERT_GT(wake, 1u);
+  CqOutcome blocked, polled;
+  auto blocker = [&]() -> sim::Task<void> {
+    blocked.wc = co_await cq.wait_blocking();
+    blocked.at = eng.now();
+  };
+  auto poller = [&]() -> sim::Task<void> {
+    polled.wc = co_await cq.wait_polling();
+    polled.at = eng.now();
+  };
+  auto pusher = [&]() -> sim::Task<void> {
+    co_await sim::delay(1_ms);
+    cq.push(completion(1));
+    co_await sim::delay(wake / 2);
+    cq.push(completion(2));
+  };
+  sim::spawn(eng, blocker());
+  sim::spawn(eng, poller());
+  sim::spawn(eng, pusher());
+  eng.run();
+  ASSERT_TRUE(blocked.wc.has_value());
+  EXPECT_EQ(blocked.wc->wr_id, 1u);
+  EXPECT_EQ(blocked.at, 1_ms + wake);
+  ASSERT_TRUE(polled.wc.has_value());
+  EXPECT_EQ(polled.wc->wr_id, 2u);
+  EXPECT_EQ(polled.at, 1_ms + wake / 2);
+}
+
+TEST_F(RdmalibTest, AParkedBatchedPollDrainsTheWholeInstantInOneSweep) {
+  fabric::CompletionQueue cq(fab.model());
+  std::array<fabric::Wc, 8> wcs{};
+  std::size_t got = 0;
+  Time at = 0;
+  auto drainer = [&]() -> sim::Task<void> {
+    got = co_await cq.wait_polling_many({wcs.data(), wcs.size()});
+    at = eng.now();
+  };
+  auto pusher = [&]() -> sim::Task<void> {
+    co_await sim::delay(1_ms);
+    for (std::uint64_t id : {1u, 2u, 3u}) cq.push(completion(id));
+  };
+  sim::spawn(eng, drainer());
+  sim::spawn(eng, pusher());
+  eng.run();
+  ASSERT_EQ(got, 3u);
+  EXPECT_EQ(at, 1_ms);
+  for (std::uint64_t i = 0; i < got; ++i) EXPECT_EQ(wcs[i].wr_id, i + 1);
+  EXPECT_TRUE(cq.empty());
 }
 
 }  // namespace

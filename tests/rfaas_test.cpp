@@ -572,17 +572,69 @@ TEST(EndToEnd, InvocationOnDeadExecutorFails) {
                            //  if the process is alive" (Sec. III-B)
 }
 
-// A WRITE_WITH_IMM shorter than the 32-byte header carries no result
-// address or key: the worker refuses it without running user code or
-// writing a reply, and re-posts its receive. With fault tolerance on the
-// client's deadline surfaces the loss. The invoker keeps a worker that
-// never answered out of its rotation, so the same worker is reached again
-// through the warm pool, and serves the next well-formed invocation.
-TEST(EndToEnd, ShortInvocationFrameRunsNothing) {
+TEST(EndToEnd, InputBufferTooSmallForTheFrameIsRefusedAtOnce) {
+  // invoke() and submit() need the 32-byte header region in front of the
+  // payload, and the payload they are told to send. A buffer without
+  // either fails at the call's own instant, before anything is read,
+  // written or posted and before a worker is taken, with fault tolerance
+  // and its checksum on too.
   auto fleet = small_fleet(/*executors=*/1);
   fleet.config.fault_tolerance.invocation_deadline = 1_ms;
-  fleet.config.fault_tolerance.retry_budget = 0;
-  fleet.config.warm_pool_capacity = 1;
+  fleet.config.fault_tolerance.checksum = true;
+  cluster::Harness p(fleet);
+  p.registry().add_echo();
+  p.start();
+
+  auto invoker = p.make_invoker();
+  rdmalib::Buffer<std::uint8_t> bare(8, 0);  // no header region
+  ASSERT_TRUE(bare.register_memory(*invoker->pd(), fabric::LocalWrite).ok());
+  fill_pattern({bare.data(), 8}, 7);
+  rdmalib::Buffer<std::uint8_t> in = invoker->input_buffer<std::uint8_t>(64);
+  rdmalib::Buffer<std::uint8_t> out = invoker->output_buffer<std::uint8_t>(64);
+  fill_pattern({in.data(), 8}, 9);
+  Time called_at = 0;
+  InvocationResult invoked, submitted, oversized, next;
+
+  drive(p, 10_s, [&]() -> sim::Task<void> {
+    AllocationSpec spec;
+    spec.function_name = "echo";
+    spec.workers = 1;
+    spec.policy = InvocationPolicy::HotAlways;
+    EXPECT_TRUE((co_await invoker->allocate(spec)).ok());
+    called_at = p.engine().now();
+    invoked = co_await invoker->invoke(0, bare, 8, out);
+    auto future = invoker->submit(0, bare, 8, out);
+    EXPECT_TRUE(future.ready());
+    submitted = co_await future.get();
+    oversized = co_await invoker->invoke(0, in, 64 * 1024, out);  // past the mapping
+    next = co_await invoker->invoke(0, in, 8, out);  // the one worker is still free
+    co_await invoker->deallocate();
+  });
+
+  for (const InvocationResult& r : {invoked, submitted, oversized}) {
+    EXPECT_FALSE(r.ok);
+    EXPECT_FALSE(r.timed_out);
+    EXPECT_EQ(r.submitted_at, called_at);
+    EXPECT_EQ(r.completed_at, called_at);
+  }
+  // The page behind the buffer's 8 bytes still reads zero: no header.
+  EXPECT_TRUE(std::all_of(bare.raw() + 8, bare.raw() + InvocationHeader::kSize,
+                          [](std::uint8_t b) { return b == 0; }));
+  EXPECT_TRUE(next.ok);
+  EXPECT_EQ(next.submitted_at, called_at);
+  EXPECT_EQ(next.attempts, 1u);
+  EXPECT_TRUE(std::equal(in.data(), in.data() + 8, out.data()));
+}
+
+// A WRITE_WITH_IMM shorter than the 32-byte header carries no result
+// address or key: the worker refuses it without running user code or
+// writing a reply, re-posts its receive and serves the next well-formed
+// invocation. invoke() refuses to send such a frame (above), so the test
+// reaches the worker as deploy_grant() and connect_worker() do: a lease,
+// an AllocationRequest and the code over TCP, then an RDMA connection
+// carrying the sandbox and worker index.
+TEST(EndToEnd, ShortInvocationFrameRunsNothing) {
+  auto fleet = small_fleet(/*executors=*/1);
   cluster::Harness p(fleet);
   unsigned calls = 0;
   CodePackage counted;
@@ -595,32 +647,86 @@ TEST(EndToEnd, ShortInvocationFrameRunsNothing) {
   p.registry().add(std::move(counted));
   p.start();
 
+  // The invoker lends its manager session and protection domain.
   auto invoker = p.make_invoker();
-  rdmalib::Buffer<std::uint8_t> bare(8, 0);  // no header region
-  ASSERT_TRUE(bare.register_memory(*invoker->pd(), fabric::LocalWrite).ok());
-  rdmalib::Buffer<std::uint8_t> in = invoker->input_buffer<std::uint8_t>(64);
-  rdmalib::Buffer<std::uint8_t> out = invoker->output_buffer<std::uint8_t>(64);
-  fill_pattern({in.data(), 8}, 7);
-  InvocationResult refused, next;
+  fabric::Device& device = p.client_device(0);
+  rdmalib::Buffer<std::uint8_t> frame(64, InvocationHeader::kSize);
+  ASSERT_TRUE(frame.register_memory(*invoker->pd(), fabric::LocalWrite).ok());
+  rdmalib::Buffer<std::uint8_t> out(64);
+  ASSERT_TRUE(out.register_memory(*invoker->pd(), fabric::RemoteWrite | fabric::LocalWrite).ok());
+  fill_pattern({frame.data(), 8}, 7);
+  std::optional<fabric::Wc> short_reply, reply;
 
   drive(p, 10_s, [&]() -> sim::Task<void> {
-    AllocationSpec spec;
-    spec.function_name = "counted";
-    spec.workers = 1;
-    spec.policy = InvocationPolicy::HotAlways;
-    EXPECT_TRUE((co_await invoker->allocate(spec)).ok());
-    refused = co_await invoker->invoke(0, bare, 8, out);
-    co_await invoker->deallocate();  // within the reap's grace for the worker
-    EXPECT_TRUE((co_await invoker->allocate(spec)).ok());
-    next = co_await invoker->invoke(0, in, 8, out);
-    co_await invoker->deallocate();
+    EXPECT_TRUE((co_await invoker->leases().connect()).ok());
+    const LeaseOutcome lease = co_await invoker->leases().request(
+        LeaseRequestMsg{.client_id = 1, .workers = 1, .memory_bytes = 64_MiB, .timeout = 300_s});
+    EXPECT_EQ(lease.kind, LeaseOutcome::Kind::Granted);
+    if (lease.grants.empty()) co_return;
+    const LeaseGrantMsg grant = lease.grants.front();
+
+    auto dialed = co_await p.tcp().connect(device.id(), grant.device, grant.alloc_port);
+    EXPECT_TRUE(dialed.ok());
+    if (!dialed.ok()) co_return;
+    auto mgr = dialed.value();
+    AllocationRequestMsg alloc;
+    alloc.lease_id = grant.lease_id;
+    alloc.client_id = 1;
+    alloc.workers = 1;
+    alloc.memory_bytes = 64_MiB;
+    alloc.policy = static_cast<std::uint8_t>(InvocationPolicy::HotAlways);
+    alloc.expires_at = grant.expires_at;
+    mgr->send(encode(alloc));
+    auto alloc_raw = co_await mgr->recv();
+    const auto allocated = decode_allocation_reply(alloc_raw.value_or(Bytes{}));
+    EXPECT_TRUE(allocated.ok() && allocated.value().ok);
+    if (!allocated.ok()) co_return;
+    const std::uint64_t sandbox = allocated.value().sandbox_id;
+    mgr->send(encode(SubmitCodeMsg{.sandbox_id = sandbox, .function_name = "counted"}));
+    (void)co_await mgr->recv();  // SubmitCodeOk: function 0
+
+    ByteWriter pdata;
+    pdata.u64(sandbox);
+    pdata.u32(0);  // worker index
+    auto connected = co_await rdmalib::Connection::connect(
+        p.fabric(), device, invoker->pd(), grant.device, grant.rdma_port, pdata.take());
+    EXPECT_TRUE(connected.ok());
+    if (!connected.ok()) co_return;
+    auto conn = std::move(connected).take();
+    ByteReader rd(conn->accept_data());
+    const auto addr = rd.u64();
+    const auto rkey = rd.u32();
+    const auto len = rd.u32();
+    const rdmalib::RemoteBuffer worker{addr.value(), rkey.value(), len.value()};
+
+    // Eight bytes and no header: nothing comes back.
+    (void)conn->post_recv_empty(1);
+    EXPECT_TRUE(conn->post_write_imm(frame.sge_data(8), worker, Imm::invocation(0, 1), 1).ok());
+    (void)co_await conn->send_cq().wait_polling();
+    short_reply = co_await conn->recv_cq().wait_polling(p.engine().now() + 1_ms);
+
+    // A well-formed frame on the same connection: the same worker answers.
+    InvocationHeader header;
+    header.result_addr = reinterpret_cast<std::uint64_t>(out.data());
+    header.result_rkey = out.remote_data().rkey;
+    (void)encode_into(header, frame.raw(), InvocationHeader::kSize);
+    EXPECT_TRUE(
+        conn->post_write_imm(frame.sge_with_header(8), worker, Imm::invocation(0, 2), 2).ok());
+    (void)co_await conn->send_cq().wait_polling();
+    reply = co_await conn->recv_cq().wait_polling(p.engine().now() + 1_ms);
+
+    conn->close();
+    mgr->send(encode(DeallocateMsg{.sandbox_id = sandbox, .lease_id = grant.lease_id}));
+    (void)co_await mgr->recv();  // DeallocateOk
+    mgr->close();
   });
 
-  EXPECT_TRUE(refused.timed_out);
-  EXPECT_FALSE(refused.ok);
-  EXPECT_EQ(p.executor(0).warm_pool_stats().hits, 1u);  // the same worker again
-  EXPECT_TRUE(next.ok);
-  EXPECT_TRUE(std::equal(in.data(), in.data() + 8, out.data()));
+  EXPECT_FALSE(short_reply.has_value());  // nothing written back
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->status, fabric::WcStatus::Success);
+  EXPECT_EQ(Imm::result_id(reply->imm), 2u);
+  EXPECT_FALSE(Imm::rejected(reply->imm));
+  EXPECT_TRUE(std::equal(frame.data(), frame.data() + 8, out.data()));
   EXPECT_EQ(calls, 1u);  // the well-formed invocation only
 }
 
